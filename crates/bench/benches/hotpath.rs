@@ -17,6 +17,11 @@
 //! `telemetry_overhead` prices the observability layer on a sharded
 //! campaign: telemetry off (the gated disabled path — every recording
 //! call must stay one `None` branch), metrics mode and full trace mode.
+//! `wire` prices the out-of-process transport's serialization boundary:
+//! `write_frame`/`read_frame` of a real checkpointed LLM4FP `ShardJob`
+//! after 200 and after 2000 programs. The second frame is about ten times
+//! the first, so a decoder that turns superlinear again regresses the
+//! 2000-program entry far more than the 200-program one.
 //!
 //! All groups are saved into the CI bench-regression baseline
 //! (`BENCH_hotpath.json`) and gated by `bench_compare`, so a slowdown on
@@ -32,7 +37,8 @@ use llm4fp_compiler::{
 use llm4fp_difftest::{DiffTester, ExecEngine, MatrixScratch};
 use llm4fp_fpir::{InputSet, Program};
 use llm4fp_generator::{InputGenerator, VarityGenerator};
-use llm4fp_orchestrator::Orchestrator;
+use llm4fp_orchestrator::wire::{read_frame, write_frame, ShardJob, WireRequest};
+use llm4fp_orchestrator::{plan_shards, Orchestrator, ShardRunner};
 use llm4fp_telemetry::TelemetrySpec;
 
 const CORPUS: usize = 24;
@@ -224,11 +230,51 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_wire(c: &mut Criterion) {
+    let mut group = c.benchmark_group("wire");
+    group.sample_size(10);
+    // One LLM4FP shard paused at two barriers: the job frame a worker
+    // receives carries the shard's whole checkpoint so far.
+    let config =
+        CampaignConfig::new(ApproachKind::Llm4Fp).with_budget(2000).with_seed(1).with_threads(1);
+    let spec = plan_shards(&config, 1)[0];
+    let mut runner = ShardRunner::new(&config, spec, None);
+    let mut done = 0;
+    for programs in [200, 2000] {
+        runner.run_segment(programs - done, |_| {});
+        done = programs;
+        let job = WireRequest::Job(Box::new(ShardJob {
+            config: config.clone(),
+            spec,
+            segment: spec.budget - done,
+            finish: true,
+            checkpoint: Some(runner.checkpoint()),
+            process_slots: 1,
+            telemetry: false,
+            lease: 0,
+        }));
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &job).expect("frames encode into memory");
+        group.bench_function(format!("write_frame_{programs}"), |b| {
+            let mut buf = Vec::with_capacity(frame.len());
+            b.iter(|| {
+                buf.clear();
+                write_frame(&mut buf, &job).expect("frames encode into memory");
+            })
+        });
+        group.bench_function(format!("read_frame_{programs}"), |b| {
+            b.iter(|| read_frame::<WireRequest, _>(&mut frame.as_slice()).expect("frame decodes"))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_interp_vs_vm,
     bench_difftest_matrix,
     bench_seal_matrix,
-    bench_telemetry_overhead
+    bench_telemetry_overhead,
+    bench_wire
 );
 criterion_main!(benches);

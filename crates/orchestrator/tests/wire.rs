@@ -15,16 +15,27 @@
 //! to ~9.3 GiB; `MAX_FRAME_LEN` caps it before the buffer exists).
 //!
 //! [cf]: llm4fp_orchestrator::WorkerFault::CorruptFrameAtJob
+//!
+//! The JSON half pins the vendored decoder under every frame: arbitrary
+//! strings round-trip, decoding is linear in frame size, and nesting is
+//! capped, so neither a large frame nor a deep one can stall or abort the
+//! process reading it.
 
 use std::io;
+use std::path::Path;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 use llm4fp::{ApproachKind, CampaignConfig};
 use llm4fp_orchestrator::wire::{
     read_frame, write_frame, ShardJob, ShardJobResult, WireRequest, MAX_FRAME_LEN,
 };
-use llm4fp_orchestrator::{plan_shards, run_shard, ShardCtx, ShardRunner};
+use llm4fp_orchestrator::{
+    plan_shards, run_shard, Orchestrator, OrchestratorOptions, ShardCtx, ShardRunner,
+};
 use llm4fp_telemetry::{TelemetryHub, TelemetrySpec};
 use proptest::prelude::*;
+use serde_json::Value;
 
 fn round_trip<T>(value: &T) -> T
 where
@@ -53,6 +64,161 @@ fn pseudo_random_bytes(seed: u64, len: usize) -> Vec<u8> {
             (x ^ (x >> 31)) as u8
         })
         .collect()
+}
+
+/// A deterministic string of `len` chars drawn evenly from six classes:
+/// control characters below 0x20, the ASCII the encoder escapes or could
+/// (`"`, `\`, `/`, DEL), other printable ASCII, and 2-, 3- and 4-byte
+/// UTF-8 characters (the last spelled as surrogate pairs in `\u` form).
+fn arbitrary_string(seed: u64, len: usize) -> String {
+    pseudo_random_bytes(seed, 4 * len)
+        .chunks_exact(4)
+        .map(|b| {
+            let v = u32::from_le_bytes([b[1], b[2], b[3], 0]);
+            let code = match b[0] % 6 {
+                0 => v % 0x20,
+                1 => [b'"', b'\\', b'/', 0x7f][v as usize % 4] as u32,
+                2 => 0x20 + v % 0x5f,
+                3 => 0x80 + v % 0x780,
+                4 => 0x800 + v % 0xf800,
+                _ => 0x10000 + v % 0x10_0000,
+            };
+            // The only gap in those ranges is the UTF-16 surrogate block.
+            char::from_u32(code).unwrap_or('\u{fffd}')
+        })
+        .collect()
+}
+
+/// `s` as JSON text with every character written as a `\u` escape.
+fn unicode_escaped(s: &str) -> String {
+    let body: String = s.encode_utf16().map(|unit| format!("\\u{unit:04x}")).collect();
+    format!("\"{body}\"")
+}
+
+/// Nesting depth of a JSON value (a scalar is 0).
+fn nesting(value: &Value) -> usize {
+    match value {
+        Value::Arr(items) => 1 + items.iter().map(nesting).max().unwrap_or(0),
+        Value::Obj(map) => 1 + map.values().map(nesting).max().unwrap_or(0),
+        _ => 0,
+    }
+}
+
+/// The deepest nesting of any JSON document under `dir`: `.json` files
+/// whole, `.jsonl` files line by line.
+fn deepest_artifact(dir: &Path) -> usize {
+    let mut deepest = 0;
+    for entry in std::fs::read_dir(dir).expect("run dir lists") {
+        let path = entry.expect("run dir entry").path();
+        let text = || std::fs::read_to_string(&path).expect("artifact reads");
+        let depth = |text: &str| nesting(&serde_json::parse(text).expect("artifact parses"));
+        deepest = deepest.max(match path.extension().and_then(|e| e.to_str()) {
+            _ if path.is_dir() => deepest_artifact(&path),
+            Some("json") => depth(&text()),
+            Some("jsonl") => text().lines().filter(|l| !l.is_empty()).map(depth).max().unwrap_or(0),
+            _ => 0,
+        });
+    }
+    deepest
+}
+
+/// The shortest of three decodes of one frame holding a string of about
+/// `len` bytes, mixing plain ASCII, multi-byte characters and escapes.
+fn string_frame_decode_time(len: usize) -> Duration {
+    let unit = "frame text: \u{e9}\u{20ac}\u{1f600} \"quoted\" \\ \n\t\u{1} ";
+    let text = unit.repeat(len / unit.len());
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, &text).expect("frame encodes");
+    (0..3)
+        .map(|_| {
+            let started = Instant::now();
+            let back: String = read_frame(&mut bytes.as_slice()).expect("frame decodes");
+            let elapsed = started.elapsed();
+            assert_eq!(back, text);
+            elapsed
+        })
+        .min()
+        .expect("three runs")
+}
+
+#[test]
+fn string_frames_decode_in_linear_time() {
+    const MIB: usize = 1 << 20;
+    // Decode on a helper thread so a superlinear decoder fails at the
+    // budget instead of hanging the suite: the quadratic string parser
+    // this pins against needed hours for one such frame.
+    let (tx, rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let small = string_frame_decode_time(2 * MIB);
+        let large = string_frame_decode_time(8 * MIB);
+        let _ = tx.send((small, large));
+    });
+    let (small, large) = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("2 and 8 MiB string frames must decode within 60 s, even unoptimized");
+    worker.join().expect("decode thread finishes");
+    let ratio = large.as_secs_f64() / small.as_secs_f64().max(1e-9);
+    assert!(
+        ratio < 10.0,
+        "4x the bytes took {ratio:.1}x the time ({small:?} vs {large:?}): decoding is superlinear"
+    );
+}
+
+#[test]
+fn a_million_deep_frame_is_invalid_data_not_a_stack_overflow() {
+    let depth = 1_000_000;
+    let payload = "[".repeat(depth) + &"]".repeat(depth);
+    let mut bytes = format!("{:010}\n", payload.len()).into_bytes();
+    bytes.extend_from_slice(payload.as_bytes());
+    let err = read_frame::<WireRequest, _>(&mut bytes.as_slice()).unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("recursion limit exceeded"), "{err}");
+}
+
+#[test]
+fn real_frames_and_run_dir_artifacts_nest_far_below_the_recursion_limit() {
+    // The deepest payloads this workspace writes: a checkpointed job frame,
+    // and every artifact of a traced, persisted multi-epoch LLM4FP run
+    // (manifest, shard JSONL, epoch pools, checkpoints, result, summary,
+    // metrics.json, trace.jsonl).
+    let config = CampaignConfig::new(ApproachKind::Llm4Fp).with_budget(24).with_seed(3);
+    let spec = plan_shards(&config, 2)[0];
+    let mut runner = ShardRunner::new(&config, spec, None);
+    runner.run_segment(spec.budget / 2, |_| {});
+    let job = WireRequest::Job(Box::new(ShardJob {
+        config: config.clone(),
+        spec,
+        segment: spec.budget - spec.budget / 2,
+        finish: true,
+        checkpoint: Some(runner.checkpoint()),
+        process_slots: 1,
+        telemetry: true,
+        lease: 1,
+    }));
+    let frame_depth = nesting(&serde_json::to_value(&job));
+
+    let root = std::env::temp_dir()
+        .join("llm4fp-orchestrator-tests")
+        .join(format!("wire-nesting-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    Orchestrator::new(config)
+        .options(OrchestratorOptions {
+            run_dir: Some(root.clone()),
+            epochs: 2,
+            telemetry: TelemetrySpec::TRACE,
+            ..OrchestratorOptions::default()
+        })
+        .shards(2)
+        .run()
+        .expect("campaign runs");
+    let artifact_depth = deepest_artifact(&root);
+    let _ = std::fs::remove_dir_all(&root);
+
+    let cap = serde_json::RECURSION_LIMIT;
+    for (what, depth) in [("checkpointed job frame", frame_depth), ("run dir", artifact_depth)] {
+        assert!(depth > 2, "{what}: nesting {depth} is implausibly flat");
+        assert!(depth <= cap / 4, "{what}: nesting {depth} is within 4x of the cap {cap}");
+    }
 }
 
 proptest! {
@@ -164,6 +330,22 @@ proptest! {
             lease: seed.wrapping_add(2),
         };
         prop_assert_eq!(round_trip(&result), result);
+    }
+
+    #[test]
+    fn arbitrary_strings_round_trip(
+        seed in any::<u64>(),
+        len in 0usize..512,
+    ) {
+        let text = arbitrary_string(seed, len);
+        prop_assert_eq!(round_trip(&text), text.clone());
+        // As an object key and a value in one frame.
+        let object = Value::Obj(serde_json::Map::from([(text.clone(), Value::Str(text.clone()))]));
+        prop_assert_eq!(round_trip(&object), object);
+        // Spelled entirely in `\u` escapes, astral characters as
+        // surrogate pairs.
+        let decoded = serde_json::parse(&unicode_escaped(&text)).expect("escaped text parses");
+        prop_assert_eq!(decoded, Value::Str(text));
     }
 
     #[test]
