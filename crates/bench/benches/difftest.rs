@@ -1,5 +1,5 @@
-//! Differential-testing benchmarks: full 18-configuration matrix per
-//! program, sequential vs parallel.
+//! Differential-testing benchmark: the full 18-configuration matrix for
+//! one grammar-guided program, on the caller's thread as campaigns run it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use llm4fp_difftest::DiffTester;
@@ -14,11 +14,7 @@ fn bench_difftest(c: &mut Criterion) {
     let inputs = InputGenerator::new(22).generate(&program);
 
     group.bench_function("full_matrix_sequential", |b| {
-        let tester = DiffTester::new().with_threads(1);
-        b.iter(|| tester.run(&program, &inputs))
-    });
-    group.bench_function("full_matrix_4_threads", |b| {
-        let tester = DiffTester::new().with_threads(4);
+        let tester = DiffTester::new();
         b.iter(|| tester.run(&program, &inputs))
     });
     group.finish();

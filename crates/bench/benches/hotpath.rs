@@ -17,6 +17,9 @@
 //! `telemetry_overhead` prices the observability layer on a sharded
 //! campaign: telemetry off (the gated disabled path — every recording
 //! call must stay one `None` branch), metrics mode and full trace mode.
+//! `default_campaign` runs a 400-program LLM4FP campaign at K=8, E=4 from
+//! a default `CampaignConfig` on default orchestrator options, so a
+//! per-program cost that only the default settings pay shows up here.
 //! `wire` prices the out-of-process transport's serialization boundary:
 //! `write_frame`/`read_frame` of a real checkpointed LLM4FP `ShardJob`
 //! after 200 and after 2000 programs. The second frame is about ten times
@@ -130,7 +133,7 @@ fn bench_difftest_matrix(c: &mut Criterion) {
         [("sealed_engine", ExecEngine::Sealed), ("reference_engine", ExecEngine::Reference)]
     {
         group.bench_function(label, |b| {
-            let tester = DiffTester::new().with_threads(1).with_engine(engine);
+            let tester = DiffTester::new().with_engine(engine);
             b.iter(|| {
                 for (program, inputs) in &corpus {
                     black_box(tester.run(program, inputs));
@@ -145,13 +148,13 @@ fn bench_difftest_matrix(c: &mut Criterion) {
     let input_sets: Vec<InputSet> =
         (0..16).map(|k| InputGenerator::new(0x1234 + k).generate(program)).collect();
     group.bench_function("run_many_16_inputs", |b| {
-        let tester = DiffTester::new().with_threads(1);
+        let tester = DiffTester::new();
         b.iter(|| black_box(tester.run_many(program, &input_sets)))
     });
     // The worker-loop shape: one reused MatrixScratch across the corpus
     // (what each orchestrator shard does per program).
     group.bench_function("scratch_reuse_across_programs", |b| {
-        let tester = DiffTester::new().with_threads(1);
+        let tester = DiffTester::new();
         let mut scratch = MatrixScratch::new();
         b.iter(|| {
             for (program, inputs) in &corpus {
@@ -230,6 +233,19 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_default_campaign(c: &mut Criterion) {
+    let mut group = c.benchmark_group("default_campaign");
+    group.sample_size(10);
+    // What users run: a default `CampaignConfig` (no thread override) at
+    // the ROADMAP's K=8, E=4 shape, on the default orchestrator options.
+    let config = CampaignConfig::new(ApproachKind::Llm4Fp).with_budget(400).with_seed(1);
+    group.bench_function("llm4fp_400_k8_e4", |b| {
+        let orchestrator = Orchestrator::new(config.clone()).shards(8).epochs(4);
+        b.iter(|| black_box(orchestrator.clone().run().unwrap()))
+    });
+    group.finish();
+}
+
 fn bench_wire(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire");
     group.sample_size(10);
@@ -275,6 +291,7 @@ criterion_group!(
     bench_difftest_matrix,
     bench_seal_matrix,
     bench_telemetry_overhead,
+    bench_default_campaign,
     bench_wire
 );
 criterion_main!(benches);

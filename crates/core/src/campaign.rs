@@ -329,7 +329,6 @@ impl CampaignRunner {
         config.validate().expect("invalid campaign configuration");
         let seed = config.seed;
         let mut tester = DiffTester::with_matrix(config.compilers.clone(), config.levels.clone())
-            .with_threads(config.threads)
             .with_seal_mode(config.seal_mode);
         if let BackendSpec::External(spec) = &config.backend {
             tester = tester.with_backend(ExecBackend::External(Arc::new(spec.toolchain())));
@@ -799,6 +798,22 @@ mod tests {
         let report = result.measure_diversity();
         assert_eq!(report.programs, result.sources.len());
         assert!(report.avg_codebleu > 0.0 && report.avg_codebleu < 1.0);
+    }
+
+    #[test]
+    fn thread_counts_change_neither_results_nor_the_diversity_report() {
+        // `threads` only sizes the CodeBLEU workers; the matrix runs on
+        // the campaign's own thread.
+        let config = CampaignConfig::new(ApproachKind::Llm4Fp).with_budget(30).with_seed(29);
+        let reference = Campaign::new(config.clone().with_threads(1)).run();
+        let reference_diversity = reference.measure_diversity();
+        for threads in [4, 8] {
+            let run = Campaign::new(config.clone().with_threads(threads)).run();
+            assert_eq!(run.records, reference.records, "threads {threads}");
+            assert_eq!(run.aggregates, reference.aggregates, "threads {threads}");
+            assert_eq!(run.successful_sources, reference.successful_sources, "threads {threads}");
+            assert_eq!(run.measure_diversity(), reference_diversity, "threads {threads}");
+        }
     }
 
     #[test]

@@ -247,7 +247,11 @@ pub struct CampaignConfig {
     pub compilers: Vec<CompilerId>,
     /// Optimization levels under test.
     pub levels: Vec<OptLevel>,
-    /// Worker threads for the differential-testing matrix.
+    /// Worker threads for the CodeBLEU diversity report
+    /// ([`CampaignResult::measure_diversity`](crate::CampaignResult::measure_diversity)).
+    /// The differential-testing matrix always runs on the shard's own
+    /// thread, so results never depend on this value. It stays a field
+    /// because run manifests and wire jobs serialize it.
     pub threads: usize,
     /// LLM sampling parameters.
     pub sampling: SamplingParams,
@@ -313,7 +317,7 @@ impl CampaignConfig {
         self
     }
 
-    /// Set the number of matrix worker threads.
+    /// Set the number of CodeBLEU diversity-report worker threads.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self

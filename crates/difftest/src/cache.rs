@@ -155,7 +155,7 @@ mod tests {
         )
         .unwrap();
         let inputs = InputSet::new().with("x", InputValue::Fp(1.7)).with("y", InputValue::Fp(-0.3));
-        let tester = DiffTester::new().with_threads(1);
+        let tester = DiffTester::new();
         let result = tester.run(&program, &inputs);
         let baseline = tester.compare_vs_baseline(&result.outcomes);
         (program_id(&program), CachedDiff { result, baseline })

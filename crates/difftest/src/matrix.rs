@@ -11,20 +11,19 @@
 //! ([`Frontend::seal_matrix`]: prefix-shared pass pipelines, one name→slot
 //! layout per program, per-configuration peephole optimization), runs
 //! every input set against the sealed artifacts on the register VM
-//! (reusing one [`ExecScratch`] per worker — and, through
-//! [`MatrixScratch`], across *programs* in a worker loop — so the hot
-//! path is allocation-free), and performs the pairwise output
-//! comparisons. Sealed execution is bit-identical to the reference
-//! tree-walking interpreter — [`ExecEngine::Reference`] selects the old
-//! path for A/B benchmarking, and the driver falls back to it
-//! automatically for the rare programs that refuse to seal — so results
-//! are unchanged from the pre-bytecode driver. Execution of the matrix is
-//! parallelized with crossbeam scoped threads; results are deterministic
-//! regardless of the number of worker threads.
+//! (reusing one [`ExecScratch`] — and, through [`MatrixScratch`], across
+//! *programs* in a worker loop — so the hot path is allocation-free), and
+//! performs the pairwise output comparisons. Sealed execution is
+//! bit-identical to the reference tree-walking interpreter —
+//! [`ExecEngine::Reference`] selects the old path for A/B benchmarking,
+//! and the driver falls back to it automatically for the rare programs
+//! that refuse to seal — so results are unchanged from the pre-bytecode
+//! driver. The matrix runs on the caller's thread, in configuration
+//! order: parallelism comes from the orchestrator's shards, and one
+//! program's execution is far too short to pay for a thread fan-out.
 
 use std::sync::Arc;
 
-use crossbeam::thread;
 use serde::{Deserialize, Serialize};
 
 use llm4fp_compiler::interp::DEFAULT_FUEL;
@@ -128,10 +127,6 @@ pub struct DiffTester {
     pub compilers: Vec<CompilerId>,
     /// Optimization levels under test (defaults to the six of Table 1).
     pub levels: Vec<OptLevel>,
-    /// Number of worker threads for the matrix (1 = sequential; the
-    /// external backend always runs its matrix sequentially and draws
-    /// process-level parallelism from the orchestrator's shards).
-    pub threads: usize,
     /// Execution backend (defaults to the virtual compiler on the sealed
     /// register VM).
     pub backend: ExecBackend,
@@ -155,7 +150,6 @@ impl Default for DiffTester {
         DiffTester {
             compilers: CompilerId::ALL.to_vec(),
             levels: OptLevel::ALL.to_vec(),
-            threads: 4,
             backend: ExecBackend::Virtual(ExecEngine::Sealed),
             seal_mode: SealMode::Optimized,
             process_budget: None,
@@ -165,14 +159,14 @@ impl Default for DiffTester {
 }
 
 /// Reusable build-and-execute state for one virtual-matrix worker loop:
-/// the seal scratch (peephole work buffers) plus one [`ExecScratch`] per
-/// matrix worker thread. Threading one `MatrixScratch` across programs —
-/// as the campaign runner does per shard — makes the whole build-side
-/// hot path allocation-free after the first program.
+/// the seal scratch (peephole work buffers) plus the VM's
+/// [`ExecScratch`]. Threading one `MatrixScratch` across programs — as
+/// the campaign runner does per shard — makes the whole build-side hot
+/// path allocation-free after the first program.
 #[derive(Debug, Default)]
 pub struct MatrixScratch {
     seal: SealScratch,
-    exec: Vec<ExecScratch>,
+    exec: ExecScratch,
 }
 
 impl MatrixScratch {
@@ -183,14 +177,7 @@ impl MatrixScratch {
     /// Largest VM register file any program prepared against this
     /// scratch (reported in the orchestrator's `summary.json`).
     pub fn peak_regs(&self) -> usize {
-        self.exec.iter().map(ExecScratch::peak_regs).max().unwrap_or(0)
-    }
-
-    fn workers(&mut self, count: usize) -> &mut [ExecScratch] {
-        if self.exec.len() < count {
-            self.exec.resize_with(count, ExecScratch::new);
-        }
-        &mut self.exec[..count]
+        self.exec.peak_regs()
     }
 }
 
@@ -204,9 +191,10 @@ impl DiffTester {
         DiffTester { compilers, levels, ..DiffTester::default() }
     }
 
-    /// Use `threads` workers when building/executing the matrix.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+    /// No-op, kept for source compatibility: the matrix always runs on
+    /// the caller's thread.
+    #[deprecated(since = "0.2.0", note = "the matrix runs on the caller's thread; drop the call")]
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -320,27 +308,21 @@ impl DiffTester {
         let configs = self.configurations();
         let per_config = self.build_and_run(program, input_sets, &configs, scratch);
         let id = program_id(program);
+        // Each configuration's outcomes are consumed in input-set order,
+        // so every outcome moves into its result instead of being cloned.
+        let mut columns: Vec<_> = per_config.into_iter().map(Vec::into_iter).collect();
         (0..input_sets.len())
-            .map(|set_idx| {
+            .map(|_| {
                 let outcomes: Vec<ConfigOutcome> = configs
                     .iter()
-                    .zip(&per_config)
-                    .map(|(&config, outs)| ConfigOutcome { config, outcome: outs[set_idx].clone() })
-                    .collect();
-                let records = self.compare_all(&id, program.precision, &outcomes);
-                let comparisons_performed = self
-                    .compiler_pairs()
-                    .iter()
-                    .flat_map(|&(a, b)| self.levels.iter().map(move |&l| (a, b, l)))
-                    .filter(|&(a, b, l)| {
-                        let oa = outcomes.iter().find(|o| o.config == CompilerConfig::new(a, l));
-                        let ob = outcomes.iter().find(|o| o.config == CompilerConfig::new(b, l));
-                        matches!(
-                            (oa, ob),
-                            (Some(x), Some(y)) if x.outcome.is_ok() && y.outcome.is_ok()
-                        )
+                    .zip(&mut columns)
+                    .map(|(&config, column)| ConfigOutcome {
+                        config,
+                        outcome: column.next().expect("one outcome per input set"),
                     })
-                    .count();
+                    .collect();
+                let (records, comparisons_performed) =
+                    self.compare_all(&id, program.precision, &outcomes);
                 ProgramDiffResult {
                     program_id: id.clone(),
                     outcomes,
@@ -457,8 +439,9 @@ impl DiffTester {
     /// Virtual path: the front end runs once and the whole configuration
     /// matrix seals **once** through [`Frontend::seal_matrix`] (the pass
     /// pipeline is prefix-shared and name→slot layout runs once per
-    /// program); workers then execute their configurations' input sets
-    /// against the sealed artifacts with reused [`ExecScratch`]es.
+    /// program); every configuration's input sets then execute against
+    /// its sealed artifact, in configuration order, on the reused
+    /// [`ExecScratch`].
     fn build_and_run_virtual(
         &self,
         program: &Program,
@@ -480,7 +463,7 @@ impl DiffTester {
         let telemetry = &self.telemetry;
         let id = if telemetry.is_enabled() { program_hash(program) } else { 0 };
         // The sealed artifacts for the whole matrix (None on the
-        // reference engine, which specializes per worker below).
+        // reference engine, which specializes per configuration below).
         let sealed: Option<Vec<Result<SealedProgram, llm4fp_compiler::SealError>>> = match engine {
             ExecEngine::Sealed => {
                 let _span = telemetry.span(keys::SPAN_SEAL);
@@ -505,86 +488,58 @@ impl DiffTester {
             }
         }
         let _span = telemetry.span(keys::SPAN_EXECUTE);
-        let threads = self.threads.min(configs.len()).max(1);
-        if threads == 1 {
-            let exec = &mut scratch.workers(1)[0];
-            return configs
-                .iter()
-                .enumerate()
-                .map(|(k, &cfg)| {
-                    run_config(&frontend, input_sets, cfg, sealed.as_ref().map(|s| &s[k]), exec)
-                })
-                .collect();
-        }
-        let chunk_size = configs.len().div_ceil(threads);
-        let chunk_count = configs.len().div_ceil(chunk_size);
-        let exec_scratches = scratch.workers(chunk_count);
-        let mut results: Vec<Vec<Vec<Outcome>>> = Vec::new();
-        thread::scope(|scope| {
-            let frontend = &frontend;
-            let sealed = sealed.as_ref();
-            let handles: Vec<_> = configs
-                .chunks(chunk_size)
-                .enumerate()
-                .zip(exec_scratches.iter_mut())
-                .map(|((chunk_index, chunk), exec)| {
-                    scope.spawn(move |_| {
-                        let base = chunk_index * chunk_size;
-                        chunk
-                            .iter()
-                            .enumerate()
-                            .map(|(offset, &cfg)| {
-                                let artifact = sealed.map(|s| &s[base + offset]);
-                                run_config(frontend, input_sets, cfg, artifact, exec)
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                results.push(h.join().expect("matrix worker panicked"));
-            }
-        })
-        .expect("crossbeam scope failed");
-        results.into_iter().flatten().collect()
+        configs
+            .iter()
+            .enumerate()
+            .map(|(k, &cfg)| {
+                let artifact = sealed.as_ref().map(|s| &s[k]);
+                run_config(&frontend, input_sets, cfg, artifact, &mut scratch.exec)
+            })
+            .collect()
     }
 
+    /// Compare every compiler pair at every level, returning the
+    /// inconsistency records and the number of comparisons performed
+    /// (both sides executed). `outcomes` is in [`Self::configurations`]
+    /// order, so compiler `c` at level `l` sits at `c * levels + l`.
     fn compare_all(
         &self,
         id: &str,
         precision: Precision,
         outcomes: &[ConfigOutcome],
-    ) -> Vec<DiffRecord> {
+    ) -> (Vec<DiffRecord>, usize) {
+        let levels = self.levels.len();
         let mut records = Vec::new();
-        for &(a, b) in &self.compiler_pairs() {
-            for &level in &self.levels {
-                let oa = outcomes.iter().find(|o| o.config == CompilerConfig::new(a, level));
-                let ob = outcomes.iter().find(|o| o.config == CompilerConfig::new(b, level));
-                let (Some(oa), Some(ob)) = (oa, ob) else { continue };
-                let (
-                    Outcome::Ok { value: va, bits: ba, .. },
-                    Outcome::Ok { value: vb, bits: bb, .. },
-                ) = (&oa.outcome, &ob.outcome)
-                else {
-                    continue;
-                };
-                if ba != bb {
-                    records.push(DiffRecord {
-                        program_id: id.to_string(),
-                        level,
-                        pair: (a, b),
-                        value_a: *va,
-                        value_b: *vb,
-                        bits_a: *ba,
-                        bits_b: *bb,
-                        class_a: classify(*va),
-                        class_b: classify(*vb),
-                        digit_diff: digit_difference(*ba, *bb, precision),
-                    });
+        let mut performed = 0;
+        for (i, &a) in self.compilers.iter().enumerate() {
+            for (j, &b) in self.compilers.iter().enumerate().skip(i + 1) {
+                for (l, &level) in self.levels.iter().enumerate() {
+                    let (
+                        Outcome::Ok { value: va, bits: ba, .. },
+                        Outcome::Ok { value: vb, bits: bb, .. },
+                    ) = (&outcomes[i * levels + l].outcome, &outcomes[j * levels + l].outcome)
+                    else {
+                        continue;
+                    };
+                    performed += 1;
+                    if ba != bb {
+                        records.push(DiffRecord {
+                            program_id: id.to_string(),
+                            level,
+                            pair: (a, b),
+                            value_a: *va,
+                            value_b: *vb,
+                            bits_a: *ba,
+                            bits_b: *bb,
+                            class_a: classify(*va),
+                            class_b: classify(*vb),
+                            digit_diff: digit_difference(*ba, *bb, precision),
+                        });
+                    }
                 }
             }
         }
-        records
+        (records, performed)
     }
 
     /// RQ4-style comparison: within each compiler, compare every level
@@ -765,24 +720,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_runs_agree() {
-        let program = parse_compute(
-            "void compute(double x, double *a) {\n\
-             for (int i = 0; i < 8; ++i) { comp += a[i] * x + cos(x); }\n\
-             comp /= x + 3.0;\n\
-             }",
-        )
-        .unwrap();
-        let inputs = InputSet::new()
-            .with("x", InputValue::Fp(2.25))
-            .with("a", InputValue::FpArray(vec![1.0, -2.0, 3.0, -4.0, 5.5, 0.25, 7.0, 8.125]));
-        let sequential = DiffTester::new().with_threads(1).run(&program, &inputs);
-        let parallel = DiffTester::new().with_threads(6).run(&program, &inputs);
-        assert_eq!(sequential.records, parallel.records);
-        assert_eq!(sequential.outcomes, parallel.outcomes);
-    }
-
-    #[test]
     fn matrix_accessors_report_the_expected_shape() {
         let tester = DiffTester::new();
         assert_eq!(tester.configurations().len(), 18);
@@ -794,6 +731,36 @@ mod tests {
         );
         assert_eq!(reduced.configurations().len(), 4);
         assert_eq!(reduced.comparisons_per_program(), 2);
+    }
+
+    #[test]
+    fn reduced_reordered_matrices_compare_the_same_configurations() {
+        // Comparisons index outcomes by matrix position: a reduced matrix
+        // with reordered levels pairs exactly what the full matrix pairs,
+        // in its own level order.
+        let program = parse_compute(
+            "void compute(double x, double y) {\n\
+             comp = sin(x) * y + exp(x) / (y + 2.0);\n\
+             comp += log(x * x + 1.0) * tanh(y);\n\
+             }",
+        )
+        .unwrap();
+        let inputs = InputSet::new().with("x", InputValue::Fp(1.7)).with("y", InputValue::Fp(-0.3));
+        let levels = [OptLevel::O3Fastmath, OptLevel::O0, OptLevel::O2];
+        let pair = (CompilerId::Gcc, CompilerId::Nvcc);
+        let full = DiffTester::new().run(&program, &inputs);
+        let reduced =
+            DiffTester::with_matrix(vec![pair.0, pair.1], levels.to_vec()).run(&program, &inputs);
+        let expected: Vec<&DiffRecord> = levels
+            .iter()
+            .flat_map(|&l| full.records.iter().filter(move |r| r.level == l && r.pair == pair))
+            .collect();
+        assert!(!expected.is_empty(), "gcc and nvcc must disagree somewhere");
+        assert_eq!(reduced.records.iter().collect::<Vec<_>>(), expected);
+        assert_eq!(reduced.comparisons_performed, levels.len());
+        for o in &reduced.outcomes {
+            assert_eq!(full.outcome_of(o.config), Some(&o.outcome));
+        }
     }
 
     #[test]
@@ -819,11 +786,9 @@ mod tests {
                 .with("x", InputValue::Fp(1.7))
                 .with("y", InputValue::Fp(-0.3))
                 .with("a", InputValue::FpArray(vec![1.0, -2.0, 3.0, -4.0, 5.5, 0.25, 7.0, 8.125]));
-            let sealed = DiffTester::new().with_threads(1).run(&program, &inputs);
-            let reference = DiffTester::new()
-                .with_threads(1)
-                .with_engine(ExecEngine::Reference)
-                .run(&program, &inputs);
+            let sealed = DiffTester::new().run(&program, &inputs);
+            let reference =
+                DiffTester::new().with_engine(ExecEngine::Reference).run(&program, &inputs);
             assert_eq!(sealed, reference, "engines disagree for {src}");
         }
     }
@@ -847,15 +812,10 @@ mod tests {
             let inputs = InputSet::new()
                 .with("x", InputValue::Fp(1.7))
                 .with("a", InputValue::FpArray(vec![1.0, -2.0, 3.0, -4.0, 5.5, 0.25, 7.0, 8.125]));
-            let optimized = DiffTester::new().with_threads(1).run(&program, &inputs);
-            let raw = DiffTester::new()
-                .with_threads(1)
-                .with_seal_mode(SealMode::Raw)
-                .run(&program, &inputs);
-            let reference = DiffTester::new()
-                .with_threads(1)
-                .with_engine(ExecEngine::Reference)
-                .run(&program, &inputs);
+            let optimized = DiffTester::new().run(&program, &inputs);
+            let raw = DiffTester::new().with_seal_mode(SealMode::Raw).run(&program, &inputs);
+            let reference =
+                DiffTester::new().with_engine(ExecEngine::Reference).run(&program, &inputs);
             assert_eq!(optimized, raw, "seal modes disagree for {src}");
             assert_eq!(optimized, reference, "optimizer diverges from interpreter for {src}");
         }
@@ -871,21 +831,18 @@ mod tests {
              }",
             "void compute(double x) { comp = sin(x) + 1.0 + 2.0; }",
         ];
-        for threads in [1, 3] {
-            let tester = DiffTester::new().with_threads(threads);
-            let mut scratch = MatrixScratch::new();
-            for src in sources {
-                let program = parse_compute(src).unwrap();
-                let inputs = InputSet::new().with("x", InputValue::Fp(0.8125)).with(
-                    "a",
-                    InputValue::FpArray(vec![1.0, -2.0, 3.0, -4.0, 5.5, 0.25, 7.0, 8.125]),
-                );
-                let reused = tester.run_with(&program, &inputs, &mut scratch);
-                let fresh = tester.run(&program, &inputs);
-                assert_eq!(reused, fresh, "scratch reuse changed results for {src}");
-            }
-            assert!(scratch.peak_regs() > 0, "peak register file not tracked");
+        let tester = DiffTester::new();
+        let mut scratch = MatrixScratch::new();
+        for src in sources {
+            let program = parse_compute(src).unwrap();
+            let inputs = InputSet::new()
+                .with("x", InputValue::Fp(0.8125))
+                .with("a", InputValue::FpArray(vec![1.0, -2.0, 3.0, -4.0, 5.5, 0.25, 7.0, 8.125]));
+            let reused = tester.run_with(&program, &inputs, &mut scratch);
+            let fresh = tester.run(&program, &inputs);
+            assert_eq!(reused, fresh, "scratch reuse changed results for {src}");
         }
+        assert!(scratch.peak_regs() > 0, "peak register file not tracked");
     }
 
     #[test]
@@ -905,7 +862,7 @@ mod tests {
                 )
             })
             .collect();
-        let tester = DiffTester::new().with_threads(2);
+        let tester = DiffTester::new();
         let batched = tester.run_many(&program, &input_sets);
         assert_eq!(batched.len(), input_sets.len());
         for (inputs, batch_result) in input_sets.iter().zip(&batched) {
@@ -927,7 +884,6 @@ mod tests {
             vec![CompilerId::Gcc, CompilerId::Clang],
             OptLevel::ALL.to_vec(),
         )
-        .with_threads(1)
         .with_backend(ExecBackend::External(Arc::clone(&toolchain)));
         assert_ne!(tester.backend_fingerprint(), "virtual");
         let program = parse_compute(

@@ -69,6 +69,8 @@ pub fn average_pairwise_codebleu(
     let weights = CodeBleuWeights::default();
     let threads = threads.max(1).min(pairs.len().max(1));
     let chunk_size = pairs.len().div_ceil(threads);
+    // Scores are summed in pair order, so the average is bit-identical
+    // for every thread count.
     let mut total = 0.0;
     let mut count = 0usize;
     thread::scope(|scope| {
@@ -76,18 +78,19 @@ pub fn average_pairwise_codebleu(
             .chunks(chunk_size)
             .map(|chunk| {
                 scope.spawn(move |_| {
-                    let mut sum = 0.0;
-                    for &(i, j) in chunk {
-                        sum += codebleu(&sources[i], &sources[j], weights).combined;
-                    }
-                    (sum, chunk.len())
+                    chunk
+                        .iter()
+                        .map(|&(i, j)| codebleu(&sources[i], &sources[j], weights).combined)
+                        .collect::<Vec<f64>>()
                 })
             })
             .collect();
         for h in handles {
-            let (sum, c) = h.join().expect("codebleu worker panicked");
-            total += sum;
-            count += c;
+            let scores = h.join().expect("codebleu worker panicked");
+            count += scores.len();
+            for score in scores {
+                total += score;
+            }
         }
     })
     .expect("crossbeam scope failed");
@@ -144,7 +147,7 @@ mod tests {
         let sources = corpus_diverse();
         let (a, _) = average_pairwise_codebleu(&sources, 1, usize::MAX);
         let (b, _) = average_pairwise_codebleu(&sources, 4, usize::MAX);
-        assert!((a - b).abs() < 1e-12);
+        assert_eq!(a.to_bits(), b.to_bits());
     }
 
     #[test]

@@ -60,8 +60,10 @@ use crate::shard::{
 /// How an orchestrated run executes.
 #[derive(Debug, Clone)]
 pub struct OrchestratorOptions {
-    /// Worker threads for shard execution (shards themselves also
-    /// parallelize their difftest matrix with `config.threads` workers).
+    /// Worker threads for shard execution; each shard runs its difftest
+    /// matrix on the worker thread that runs the shard, so this is the
+    /// run's only compute parallelism (`config.threads` sizes the
+    /// CodeBLEU diversity report only).
     /// Defaults to the machine's available parallelism. `0` is rejected
     /// with [`OrchestratorError::InvalidWorkers`] at run time.
     pub workers: usize,

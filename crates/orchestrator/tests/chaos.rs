@@ -174,6 +174,30 @@ fn pre_versioning_manifests_still_resume_bit_identically() {
 }
 
 #[test]
+fn manifests_carrying_four_threads_resume_bit_identically() {
+    // Manifests carry `threads`, which sizes only the CodeBLEU report: a
+    // run dir written with `"threads": 4` resumes under the same schema
+    // and matches a single-threaded run bit for bit.
+    let config = config(ApproachKind::Llm4Fp, 24, 53).with_threads(4);
+    let root = temp_dir("threads-4");
+    let full = persisted_run(&config, &root, 2);
+    force_recompute(&root);
+    for shard in 0..3 {
+        let _ = std::fs::remove_file(root.join("shards").join(format!("shard-{shard:04}.jsonl")));
+    }
+    let manifest = RunDir::read_manifest(&root).unwrap();
+    assert_eq!(manifest.config.threads, 4);
+    assert_eq!(manifest.schema_version(), MANIFEST_SCHEMA);
+
+    let resumed = Orchestrator::resume(&root).unwrap();
+    assert_eq!(resumed.stats.shards_computed, 3, "every shard recomputes");
+    assert_results_identical(&resumed.result, &full.result, "threads-4 resume");
+    let single = Orchestrator::new(config.with_threads(1)).shards(3).epochs(2).run().unwrap();
+    assert_results_identical(&resumed.result, &single.result, "threads 4 vs 1");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn torn_write_faults_are_counted_and_leave_results_bit_identical() {
     let config = config(ApproachKind::Llm4Fp, 24, 47);
     let reference = Orchestrator::new(config.clone()).shards(3).epochs(3).run().unwrap();

@@ -136,9 +136,8 @@ fn difftester_results_are_mode_independent_on_generated_programs() {
     for seed in 0..12u64 {
         let program = VarityGenerator::new(seed ^ 0x5ea1).generate();
         let inputs = InputGenerator::new(seed).generate(&program);
-        let optimized = DiffTester::new().with_threads(2).run(&program, &inputs);
-        let raw =
-            DiffTester::new().with_threads(2).with_seal_mode(SealMode::Raw).run(&program, &inputs);
+        let optimized = DiffTester::new().run(&program, &inputs);
+        let raw = DiffTester::new().with_seal_mode(SealMode::Raw).run(&program, &inputs);
         assert_eq!(optimized.program_id, raw.program_id);
         assert_eq!(optimized.records.len(), raw.records.len(), "seed {seed}");
         for (a, b) in optimized.records.iter().zip(&raw.records) {
