@@ -12,8 +12,7 @@
 //! one sealed artifact per configuration across many input sets.
 //! `seal_matrix` prices the build side: 18 independent `Frontend::seal`
 //! calls against one matrix-shared `Frontend::seal_matrix` (prefix-tree
-//! pass pipelines + one layout per program), with and without the
-//! seal-time peephole optimizer.
+//! pass pipelines + one layout per program).
 //! `telemetry_overhead` prices the observability layer on a sharded
 //! campaign: telemetry off (the gated disabled path — every recording
 //! call must stay one `None` branch), metrics mode and full trace mode.
@@ -35,7 +34,7 @@ use llm4fp::{ApproachKind, CampaignConfig};
 use llm4fp_compiler::interp::DEFAULT_FUEL;
 use llm4fp_compiler::{
     compile, CompiledProgram, CompilerConfig, CompilerId, ExecScratch, Frontend, OptLevel,
-    SealMode, SealScratch, SealedProgram,
+    SealedProgram,
 };
 use llm4fp_difftest::{DiffTester, ExecEngine, MatrixScratch};
 use llm4fp_fpir::{InputSet, Program};
@@ -94,25 +93,8 @@ fn bench_interp_vs_vm(c: &mut Criterion) {
             }
         })
     });
-    // The PR 3 series: raw flatten + one execution (sealing has paid for
-    // itself on the first run ever since). The peephole optimizer is a
-    // deliberate additional seal-time investment that amortizes over
-    // repeated execution, so it gets its own series below instead of
-    // silently redefining this one.
+    // Seal + one execution: sealing has paid for itself on the first run.
     group.bench_function("seal_and_execute", |b| {
-        let mut scratch = ExecScratch::new();
-        b.iter(|| {
-            for (artifact, _, inputs) in &prebuilt {
-                let sealed = artifact.seal_with(SealMode::Raw).expect("seals");
-                black_box(sealed.execute_into(inputs, DEFAULT_FUEL, &mut scratch).ok());
-            }
-        })
-    });
-    // Optimizer on, single execution: the worst case for the peepholes
-    // (their payoff is shrunk re-execution, shared across a matrix by
-    // `seal_matrix` — see the `seal_matrix` group for the amortized
-    // build-side numbers).
-    group.bench_function("seal_opt_and_execute", |b| {
         let mut scratch = ExecScratch::new();
         b.iter(|| {
             for (artifact, _, inputs) in &prebuilt {
@@ -185,22 +167,11 @@ fn bench_seal_matrix(c: &mut Criterion) {
         })
     });
     // Matrix-shared sealing: prefix-tree pass pipelines, one layout per
-    // program, per-configuration peepholes, reused seal scratch.
+    // program.
     group.bench_function("seal_matrix_shared", |b| {
-        let mut scratch = SealScratch::new();
         b.iter(|| {
             for frontend in &frontends {
-                black_box(frontend.seal_matrix_with(&matrix, SealMode::Optimized, &mut scratch));
-            }
-        })
-    });
-    // A/B partner of `seal_matrix_shared`: the shared path minus the
-    // optimizer isolates what the peepholes cost at seal time.
-    group.bench_function("seal_matrix_shared_raw", |b| {
-        let mut scratch = SealScratch::new();
-        b.iter(|| {
-            for frontend in &frontends {
-                black_box(frontend.seal_matrix_with(&matrix, SealMode::Raw, &mut scratch));
+                black_box(frontend.seal_matrix(&matrix));
             }
         })
     });

@@ -31,9 +31,6 @@
 //!   with a clear message when fewer than two are installed);
 //! * `--process-slots P` — bound on concurrently process-spawning shards
 //!   for `--backend extcc` (default: available parallelism);
-//! * `--no-seal-opt` — disable the seal-time bytecode peephole optimizer
-//!   for A/B measurements (results are bit-identical; only seal cost and
-//!   executed instruction counts change);
 //! * `--run-dir PATH` — persist the run (and its telemetry flight
 //!   recorders) into a resumable run directory (single-campaign binaries;
 //!   suite binaries schedule in memory);
@@ -86,9 +83,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use llm4fp::{
-    ApproachKind, BackendSpec, CampaignConfig, CampaignResult, ExternalBackendSpec, SealMode,
-};
+use llm4fp::{ApproachKind, BackendSpec, CampaignConfig, CampaignResult, ExternalBackendSpec};
 use llm4fp_orchestrator::{
     default_workers, FailurePolicy, FaultPlan, OrchestratedResult, Orchestrator,
     OrchestratorOptions, ProcessPoolExecutor, RemoteWorkerExecutor, Scheduler, ShardExecutor,
@@ -134,10 +129,6 @@ pub struct ExpOptions {
     pub backend: CliBackend,
     /// 0 = use the worker default.
     pub process_slots: usize,
-    /// `false` disables the seal-time peephole optimizer
-    /// (`--no-seal-opt`) for A/B runs; results are bit-identical either
-    /// way, only seal/execute cost changes.
-    pub seal_opt: bool,
     /// Collect telemetry counters and histograms (on by default for
     /// experiment runs; `--no-metrics` turns everything off). Pure
     /// observation — results are bit-identical either way.
@@ -192,7 +183,6 @@ impl Default for ExpOptions {
             workers: default_workers(),
             backend: CliBackend::Virtual,
             process_slots: 0,
-            seal_opt: true,
             metrics: true,
             trace: false,
             run_dir: None,
@@ -316,7 +306,6 @@ impl ExpOptions {
                         .map_err(|e| format!("cannot parse --fault-plan {v}: {e}"))?;
                     opts.fault_plan = Some(plan);
                 }
-                "--no-seal-opt" => opts.seal_opt = false,
                 "--trace" => opts.trace = true,
                 "--no-metrics" => opts.metrics = false,
                 "--run-dir" => {
@@ -327,7 +316,7 @@ impl ExpOptions {
                     return Err("usage: [--programs N] [--paper] [--seed S] \
                          [--threads T (CodeBLEU workers)] \
                          [--shards K] [--epochs E] [--workers W] \
-                         [--backend virtual|extcc] [--process-slots P] [--no-seal-opt] \
+                         [--backend virtual|extcc] [--process-slots P] \
                          [--run-dir PATH] [--trace] [--no-metrics] \
                          [--executor in-process|process-pool|remote] [--worker-procs N] \
                          [--listen ADDR] [--no-spawn-workers] [--max-frame-len BYTES] \
@@ -411,7 +400,6 @@ impl ExpOptions {
             .with_seed(self.seed)
             .with_threads(self.threads)
             .with_backend(backend)
-            .with_seal_mode(if self.seal_opt { SealMode::Optimized } else { SealMode::Raw })
     }
 
     /// Campaign configuration for one approach under these options.
@@ -638,7 +626,6 @@ mod tests {
                 "extcc",
                 "--process-slots",
                 "5",
-                "--no-seal-opt",
                 "--trace",
                 "--run-dir",
                 "/tmp/llm4fp-run",
@@ -681,7 +668,6 @@ mod tests {
                 workers: 3,
                 backend: CliBackend::Extcc,
                 process_slots: 5,
-                seal_opt: false,
                 metrics: true,
                 trace: true,
                 run_dir: Some(PathBuf::from("/tmp/llm4fp-run")),
@@ -727,6 +713,10 @@ mod tests {
         assert_eq!(paper.programs, 1_000);
         assert!(ExpOptions::parse(["--programs".to_string(), "zero".to_string()]).is_err());
         assert!(ExpOptions::parse(["--bogus".to_string()]).is_err());
+        assert_eq!(
+            ExpOptions::parse(["--no-seal-opt".to_string()]),
+            Err("unknown argument `--no-seal-opt`".to_string())
+        );
         assert!(ExpOptions::parse(["--programs".to_string(), "0".to_string()]).is_err());
         assert!(ExpOptions::parse(["--shards".to_string(), "0".to_string()]).is_err());
         assert!(ExpOptions::parse(["--epochs".to_string(), "0".to_string()]).is_err());

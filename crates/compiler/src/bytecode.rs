@@ -35,9 +35,7 @@
 //! count, and the same [`crate::interp::ExecError`] variants — including
 //! the exact statement/iteration at which fuel runs out, because `Burn`
 //! instructions are emitted at precisely the interpreter's burn points
-//! (once per statement, once per loop iteration, in the same order). The
-//! seal-time optimizer ([`crate::peephole`]) preserves the same contract
-//! instruction stream by instruction stream.
+//! (once per statement, once per loop iteration, in the same order).
 //!
 //! Name resolution is static while the interpreter's is dynamic; the two
 //! agree for every validated program except one pathological corner: a
@@ -307,7 +305,7 @@ impl SealedProgram {
     }
 
     /// Size of the floating-point register file the VM allocates for this
-    /// program (shrunk by the peephole optimizer's register coalescing).
+    /// program.
     pub fn register_count(&self) -> usize {
         self.n_regs
     }

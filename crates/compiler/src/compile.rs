@@ -6,7 +6,6 @@ use std::borrow::Cow;
 use serde::{Deserialize, Serialize};
 
 use llm4fp_fpir::{validate, InputSet, Param, Precision, Program, ValidationError};
-use llm4fp_telemetry::{keys, Telemetry};
 
 use crate::bytecode::{self, SealError, SealPlan, SealedProgram};
 use crate::config::{CompilerConfig, Semantics};
@@ -14,7 +13,6 @@ use crate::interp::{ExecError, ExecResult, Interpreter, DEFAULT_FUEL};
 use crate::ir::{count_in_body, OExpr, OStmt};
 use crate::lower::lower_program;
 use crate::passes::{apply_stage, apply_stage_ref, run_pipeline, stages, Stage};
-use crate::peephole::{self, SealMode, SealScratch};
 
 /// Why a program failed to compile.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -87,22 +85,60 @@ impl CompiledProgram {
     }
 
     /// Seal this artifact into register-machine bytecode for repeated
-    /// execution (see [`crate::bytecode`] and [`crate::vm`]), running the
-    /// seal-time peephole optimizer ([`crate::peephole`]). Sealed
+    /// execution (see [`crate::bytecode`] and [`crate::vm`]). Sealed
     /// execution is bit-identical to [`CompiledProgram::execute`]; callers
     /// that receive a [`SealError`] fall back to the interpreter.
     pub fn seal(&self) -> Result<SealedProgram, SealError> {
-        self.seal_with(SealMode::Optimized)
+        bytecode::seal(self.precision, &self.params, &self.body, &self.semantics)
     }
+}
 
-    /// [`CompiledProgram::seal`] with an explicit [`SealMode`] (`Raw`
-    /// skips the optimizer — the PR 3 stream, kept for A/B comparison).
-    pub fn seal_with(&self, mode: SealMode) -> Result<SealedProgram, SealError> {
-        let mut sealed = bytecode::seal(self.precision, &self.params, &self.body, &self.semantics)?;
-        if mode == SealMode::Optimized {
-            peephole::optimize(&mut sealed, &mut SealScratch::new());
+/// Accepted and ignored. Sealing has one mode: flatten the pass
+/// pipeline's output to bytecode. The type stays so that persisted
+/// campaign configs carrying a `seal_mode` field (`"Optimized"`, `"Raw"`
+/// or null) keep decoding and resuming; both variants seal identically.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SealMode {
+    /// The value new configs persist.
+    #[default]
+    Optimized,
+    /// The value older configs may carry.
+    Raw,
+}
+
+// Hand-written (de)serialization: a missing/null field decodes as
+// `Optimized`, so configs persisted before the field existed keep loading.
+impl serde::Serialize for SealMode {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Str(
+            match self {
+                SealMode::Optimized => "Optimized",
+                SealMode::Raw => "Raw",
+            }
+            .to_string(),
+        )
+    }
+}
+
+impl serde::Deserialize for SealMode {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        match v {
+            serde::Value::Null => Ok(SealMode::Optimized),
+            serde::Value::Str(s) if s == "Optimized" => Ok(SealMode::Optimized),
+            serde::Value::Str(s) if s == "Raw" => Ok(SealMode::Raw),
+            _ => Err(serde::Error::msg("unexpected value for SealMode")),
         }
-        Ok(sealed)
+    }
+}
+
+/// Accepted and ignored: matrix sealing keeps no work buffers between
+/// programs. Kept so callers of [`Frontend::seal_matrix_with`] compile.
+#[derive(Debug, Default)]
+pub struct SealScratch;
+
+impl SealScratch {
+    pub fn new() -> Self {
+        SealScratch
     }
 }
 
@@ -149,25 +185,11 @@ impl Frontend {
 
     /// Specialize and seal in one step, skipping the intermediate
     /// [`CompiledProgram`] (and its parameter-list clone) on the hot path.
-    /// Produces bytecode identical to `self.specialize(config).seal()`
-    /// (peephole optimizer included).
+    /// Produces bytecode identical to `self.specialize(config).seal()`.
     pub fn seal(&self, config: CompilerConfig) -> Result<SealedProgram, SealError> {
-        self.seal_with(config, SealMode::Optimized)
-    }
-
-    /// [`Frontend::seal`] with an explicit [`SealMode`].
-    pub fn seal_with(
-        &self,
-        config: CompilerConfig,
-        mode: SealMode,
-    ) -> Result<SealedProgram, SealError> {
         let semantics = config.semantics();
         let body = run_pipeline(self.lowered.clone(), &semantics);
-        let mut sealed = bytecode::seal(self.precision, &self.params, &body, &semantics)?;
-        if mode == SealMode::Optimized {
-            peephole::optimize(&mut sealed, &mut SealScratch::new());
-        }
-        Ok(sealed)
+        bytecode::seal(self.precision, &self.params, &body, &semantics)
     }
 
     /// Seal one program under a whole configuration matrix at once,
@@ -183,48 +205,17 @@ impl Frontend {
     ///   initializer pool run **once per program** (`bytecode::SealPlan`)
     ///   and land in one `Arc`-shared [`bytecode` layout] shared by every
     ///   artifact of the matrix;
-    /// * configurations with *identical* stage sequences share the raw
-    ///   flatten itself (the bodies are the same tree), and the peephole
-    ///   optimizer runs once per `(pipeline, math library, flush)` class
-    ///   -- the only semantics inputs folding reads -- so each sealed
-    ///   artifact of a class pays a `Vec<Instr>` copy, not a re-run.
+    /// * configurations with *identical* stage sequences share the
+    ///   flatten itself (the bodies are the same tree), so each further
+    ///   artifact of a pipeline pays a `Vec<Instr>` copy, not a re-run.
     ///
     /// Results are per-configuration and independent: a configuration
     /// whose body no longer references a dynamically ambiguous name may
     /// seal while its siblings refuse. Every entry is identical to what
-    /// [`Frontend::seal_with`] produces for that configuration.
+    /// [`Frontend::seal`] produces for that configuration.
     ///
     /// [`bytecode` layout]: crate::bytecode
     pub fn seal_matrix(&self, configs: &[CompilerConfig]) -> Vec<Result<SealedProgram, SealError>> {
-        self.seal_matrix_with(configs, SealMode::Optimized, &mut SealScratch::new())
-    }
-
-    /// [`Frontend::seal_matrix`] with an explicit mode and a reusable
-    /// seal scratch (worker loops thread one scratch across programs).
-    pub fn seal_matrix_with(
-        &self,
-        configs: &[CompilerConfig],
-        mode: SealMode,
-        scratch: &mut SealScratch,
-    ) -> Vec<Result<SealedProgram, SealError>> {
-        self.seal_matrix_instrumented(configs, mode, scratch, &Telemetry::disabled(), 0)
-    }
-
-    /// [`Frontend::seal_matrix_with`] plus telemetry: per-pass peephole
-    /// spans and instruction/register-shrink counters, keyed by
-    /// `program_id` (the caller's stable program hash) so racy duplicate
-    /// seals of the same program collapse to one contribution when lanes
-    /// merge. Counts cover each *distinct* optimizer run of the matrix —
-    /// memoized `(pipeline, lib, flush)` classes are counted once, which
-    /// is also what makes the totals deterministic per program.
-    pub fn seal_matrix_instrumented(
-        &self,
-        configs: &[CompilerConfig],
-        mode: SealMode,
-        scratch: &mut SealScratch,
-        telemetry: &Telemetry,
-        program_id: u64,
-    ) -> Vec<Result<SealedProgram, SealError>> {
         let plan = match SealPlan::new(self.precision, &self.params, &self.lowered) {
             Ok(plan) => plan,
             Err(e) => return configs.iter().map(|_| Err(e.clone())).collect(),
@@ -238,7 +229,7 @@ impl Frontend {
             })
             .collect();
         // Distinct pipelines, in first-appearance order (identical
-        // sequences produce the identical raw instruction stream, so one
+        // sequences produce the identical instruction stream, so one
         // flatten serves them all).
         let mut distinct: Vec<&[Stage]> = Vec::new();
         for (_, pipeline) in &pipelines {
@@ -246,74 +237,36 @@ impl Frontend {
                 distinct.push(pipeline);
             }
         }
-        // Depth-first prefix-tree walk producing the raw flatten of every
+        // Depth-first prefix-tree walk producing the flatten of every
         // distinct pipeline.
         let mut flats: Vec<(&[Stage], Flat)> = Vec::with_capacity(distinct.len());
         seal_prefix_group(&plan, Cow::Borrowed(&self.lowered), 0, &distinct, &mut flats);
-        // Optimized-stream memo. Peephole folding replays VM arithmetic,
-        // whose only configuration-dependent inputs are the math library
-        // and the flush-to-zero flag (precision is program-wide, and the
-        // approximate-reciprocal flag is baked into the instructions), so
-        // configurations agreeing on (pipeline, lib, flush) share the
-        // optimizer run itself.
-        type OptKey<'k> = (&'k [Stage], crate::config::MathLibKind, bool);
-        let mut opts: Vec<(OptKey, Flat)> = Vec::new();
-        let mut instrs_saved = 0u64;
-        let mut regs_saved = 0u64;
-
-        let results: Vec<Result<SealedProgram, SealError>> = pipelines
+        pipelines
             .iter()
             .map(|(semantics, pipeline)| {
-                let (pipeline, flat) = flats
+                let (_, flat) = flats
                     .iter()
-                    .map(|(path, flat)| (*path, flat))
                     .find(|(path, _)| *path == &pipeline[..])
                     .expect("every distinct pipeline was flattened");
-                if mode != SealMode::Optimized {
-                    return flat
-                        .clone()
-                        .map(|(instrs, n_regs)| plan.assemble(instrs, n_regs, semantics));
-                }
-                let key: OptKey = (pipeline, semantics.math_lib, semantics.flush_to_zero);
-                let optimized = match opts.iter().find(|(k, _)| *k == key) {
-                    Some((_, optimized)) => optimized.clone(),
-                    None => {
-                        let optimized = flat.clone().map(|(instrs, n_regs)| {
-                            let mut sealed = plan.assemble(instrs, n_regs, semantics);
-                            let stats = peephole::optimize_with(&mut sealed, scratch, telemetry);
-                            instrs_saved +=
-                                stats.instrs_before.saturating_sub(stats.instrs_after) as u64;
-                            regs_saved += stats.regs_before.saturating_sub(stats.regs_after) as u64;
-                            (sealed.instrs, sealed.n_regs)
-                        });
-                        // Memoize only classes another configuration will
-                        // actually hit — singleton classes (most of the
-                        // full matrix) skip the extra stream clone.
-                        let shared = pipelines
-                            .iter()
-                            .filter(|(s, p)| {
-                                &p[..] == key.0 && s.math_lib == key.1 && s.flush_to_zero == key.2
-                            })
-                            .count()
-                            > 1;
-                        if shared {
-                            opts.push((key, optimized.clone()));
-                        }
-                        optimized
-                    }
-                };
-                optimized.map(|(instrs, n_regs)| plan.assemble(instrs, n_regs, semantics))
+                flat.clone().map(|(instrs, n_regs)| plan.assemble(instrs, n_regs, semantics))
             })
-            .collect();
-        if telemetry.is_enabled() && (instrs_saved > 0 || regs_saved > 0) {
-            telemetry.add_keyed(keys::PEEPHOLE_INSTRS_SAVED, program_id, instrs_saved);
-            telemetry.add_keyed(keys::PEEPHOLE_REGS_SAVED, program_id, regs_saved);
-        }
-        results
+            .collect()
+    }
+
+    /// [`Frontend::seal_matrix`]; the mode and scratch are accepted and
+    /// ignored.
+    #[deprecated(since = "0.2.0", note = "sealing has one mode; call `seal_matrix`")]
+    pub fn seal_matrix_with(
+        &self,
+        configs: &[CompilerConfig],
+        _mode: SealMode,
+        _scratch: &mut SealScratch,
+    ) -> Vec<Result<SealedProgram, SealError>> {
+        self.seal_matrix(configs)
     }
 }
 
-/// A raw flatten outcome: the instruction stream and its register count.
+/// A flatten outcome: the instruction stream and its register count.
 type Flat = Result<(Vec<bytecode::Instr>, usize), SealError>;
 
 /// Depth-first walk of the prefix tree implied by the distinct stage
@@ -438,6 +391,8 @@ mod tests {
 
     #[test]
     fn seal_matrix_matches_independent_seals_instruction_for_instruction() {
+        // The last three sources are the idiom shapes whose instruction
+        // counts `tests/seal_opt.rs` pins.
         let sources = [
             "void compute(double x, double y) { comp = x * y + 2.5; comp /= y - 0.5; }",
             "void compute(double *a, double s) {\n\
@@ -447,23 +402,42 @@ mod tests {
              }\n\
              if (buf[0] > 1.0) { comp = buf[0] / (s + 2.0); }\n\
              }",
+            "void compute(double x) { comp = (1.5 + 2.5 + 0.25) * x + (2.0 * 3.0); }",
+            "void compute(double *a) {\n\
+             for (int i = 0; i < 8; ++i) { comp += a[i] * (0.5 * 0.125); }\n\
+             }",
+            "void compute(double *a) {\n\
+             double buf[1] = {0.0};\n\
+             for (int i = 0; i < 4; ++i) { buf[i % 1] += 1.0 + 1.0 + a[i]; }\n\
+             comp = buf[0];\n\
+             }",
         ];
         let matrix = CompilerConfig::full_matrix();
         for src in sources {
-            let frontend = Frontend::new(&parse_compute(src).unwrap()).unwrap();
-            for mode in [SealMode::Raw, SealMode::Optimized] {
-                let batch = frontend.seal_matrix_with(&matrix, mode, &mut SealScratch::new());
-                for (&config, batched) in matrix.iter().zip(&batch) {
-                    let single = frontend.seal_with(config, mode).unwrap();
-                    let batched = batched
-                        .as_ref()
-                        .unwrap_or_else(|e| panic!("matrix seal failed under {config}: {e}"));
-                    assert_eq!(batched.instrs, single.instrs, "{config} {mode:?}");
-                    assert_eq!(batched.register_count(), single.register_count(), "{config}");
-                    assert_eq!(batched.instruction_count(), single.instruction_count());
-                }
+            let program = parse_compute(src).unwrap();
+            let frontend = Frontend::new(&program).unwrap();
+            let batch = frontend.seal_matrix(&matrix);
+            for (&config, batched) in matrix.iter().zip(&batch) {
+                let single = frontend.seal(config).unwrap();
+                let batched = batched
+                    .as_ref()
+                    .unwrap_or_else(|e| panic!("matrix seal failed under {config}: {e}"));
+                assert_eq!(batched.instrs, single.instrs, "{config}");
+                assert_eq!(batched.register_count(), single.register_count(), "{config}");
+                assert_eq!(batched.instruction_count(), single.instruction_count());
             }
         }
+    }
+
+    #[test]
+    fn seal_modes_round_trip_through_serde_and_null_defaults_to_optimized() {
+        use serde::{Deserialize, Serialize};
+        for mode in [SealMode::Raw, SealMode::Optimized] {
+            assert_eq!(SealMode::from_value(&mode.to_value()).unwrap(), mode);
+        }
+        // Configs persisted before the field existed have no value.
+        assert_eq!(SealMode::from_value(&serde::Value::Null).unwrap(), SealMode::Optimized);
+        assert!(SealMode::from_value(&serde::Value::Str("bogus".into())).is_err());
     }
 
     #[test]

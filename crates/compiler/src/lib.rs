@@ -46,13 +46,11 @@ pub mod interp;
 pub mod ir;
 pub mod lower;
 pub mod passes;
-pub mod peephole;
 pub mod vm;
 
 pub use bytecode::{SealError, SealedProgram};
-pub use compile::{compile, CompileError, CompiledProgram, Frontend};
+pub use compile::{compile, CompileError, CompiledProgram, Frontend, SealMode, SealScratch};
 pub use config::{CompilerConfig, CompilerId, ContractionStyle, OptLevel, ReassocStyle, Semantics};
 pub use interp::{ExecError, ExecResult};
 pub use ir::{OExpr, OStmt};
-pub use peephole::{PeepholeStats, SealMode, SealScratch};
 pub use vm::ExecScratch;

@@ -35,9 +35,7 @@ impl ExecScratch {
         Self::default()
     }
 
-    /// The largest floating-point register file prepared so far — a
-    /// direct readout of how far the seal-time register coalescing keeps
-    /// execution state.
+    /// The largest floating-point register file prepared so far.
     pub fn peak_regs(&self) -> usize {
         self.peak_regs
     }
@@ -115,14 +113,14 @@ impl SealedProgram {
 
     /// Round an exact `f64` to the program precision.
     #[inline(always)]
-    pub(crate) fn round(&self, v: f64) -> f64 {
+    fn round(&self, v: f64) -> f64 {
         crate::bytecode::round_to(self.precision, v)
     }
 
     /// Round an arithmetic result, applying flush-to-zero when the
     /// semantics require it.
     #[inline(always)]
-    pub(crate) fn finish(&self, v: f64) -> f64 {
+    fn finish(&self, v: f64) -> f64 {
         let v = self.round(v);
         if self.flush_to_zero {
             flush_to_zero(v)
@@ -131,15 +129,12 @@ impl SealedProgram {
         }
     }
 
-    // The evaluation helpers below are the *single* implementation of the
-    // register machine's arithmetic: the dispatch loop calls them at run
-    // time and the seal-time constant folder ([`crate::peephole`]) calls
-    // the identical functions on known operands, so a fold can never
-    // drift from what execution would have computed.
+    // The evaluation helpers below are the register machine's arithmetic,
+    // one per arithmetic instruction, called from the dispatch loop.
 
     /// Evaluate a `Bin` instruction's result from its operand values.
     #[inline(always)]
-    pub(crate) fn eval_bin(&self, op: BinOp, a: f64, b: f64) -> f64 {
+    fn eval_bin(&self, op: BinOp, a: f64, b: f64) -> f64 {
         let raw = match op {
             BinOp::Add => a + b,
             BinOp::Sub => a - b,
@@ -151,7 +146,7 @@ impl SealedProgram {
 
     /// Evaluate an `Fma` instruction's result from its operand values.
     #[inline(always)]
-    pub(crate) fn eval_fma(&self, a: f64, b: f64, c: f64) -> f64 {
+    fn eval_fma(&self, a: f64, b: f64, c: f64) -> f64 {
         let raw = match self.precision {
             Precision::F64 => a.mul_add(b, c),
             Precision::F32 => ((a as f32).mul_add(b as f32, c as f32)) as f64,
@@ -161,7 +156,7 @@ impl SealedProgram {
 
     /// Evaluate a `Recip` instruction's result from its operand value.
     #[inline(always)]
-    pub(crate) fn eval_recip(&self, approx: bool, v: f64) -> f64 {
+    fn eval_recip(&self, approx: bool, v: f64) -> f64 {
         let raw = if approx { self.fast.approx_recip(v) } else { 1.0 / v };
         self.finish(raw)
     }
@@ -170,7 +165,7 @@ impl SealedProgram {
     /// argument values. Math results are rounded to precision but never
     /// flushed, matching the interpreter.
     #[inline(always)]
-    pub(crate) fn eval_call(&self, func: llm4fp_fpir::MathFunc, a: f64, b: f64, c: f64) -> f64 {
+    fn eval_call(&self, func: llm4fp_fpir::MathFunc, a: f64, b: f64, c: f64) -> f64 {
         self.round(dispatch_math(self.math.as_ref(), func, a, b, c))
     }
 

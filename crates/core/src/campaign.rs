@@ -328,8 +328,7 @@ impl CampaignRunner {
     pub fn new(config: CampaignConfig) -> Self {
         config.validate().expect("invalid campaign configuration");
         let seed = config.seed;
-        let mut tester = DiffTester::with_matrix(config.compilers.clone(), config.levels.clone())
-            .with_seal_mode(config.seal_mode);
+        let mut tester = DiffTester::with_matrix(config.compilers.clone(), config.levels.clone());
         if let BackendSpec::External(spec) = &config.backend {
             tester = tester.with_backend(ExecBackend::External(Arc::new(spec.toolchain())));
         }
@@ -993,21 +992,6 @@ mod tests {
         assert_eq!(sealed.aggregates, reference.aggregates);
         assert_eq!(sealed.sources, reference.sources);
         assert_eq!(sealed.successful_sources, reference.successful_sources);
-    }
-
-    #[test]
-    fn seal_optimizer_on_and_off_campaigns_agree_bit_for_bit() {
-        // The seal-time peephole optimizer is a pure performance knob:
-        // whole campaign results are identical with `SealMode::Raw`.
-        use llm4fp_compiler::SealMode;
-        let config =
-            CampaignConfig::new(ApproachKind::Llm4Fp).with_budget(30).with_seed(17).with_threads(2);
-        let optimized = Campaign::new(config.clone()).run();
-        let raw = Campaign::new(config.with_seal_mode(SealMode::Raw)).run();
-        assert_eq!(optimized.records, raw.records);
-        assert_eq!(optimized.aggregates, raw.aggregates);
-        assert_eq!(optimized.sources, raw.sources);
-        assert_eq!(optimized.successful_sources, raw.successful_sources);
     }
 
     #[test]

@@ -264,11 +264,9 @@ pub struct CampaignConfig {
     /// Execution backend (virtual compiler by default; an external spec
     /// drives real host toolchains through `llm4fp-extcc`).
     pub backend: BackendSpec,
-    /// Whether virtual sealing runs the seal-time peephole optimizer.
-    /// Pure performance knob — the modes are pinned bit-identical, so
-    /// results never depend on it ( `--no-seal-opt` sets `Raw` for A/B
-    /// benchmarking). Missing/null in persisted configs decodes as
-    /// `Optimized`, so pre-optimizer run manifests keep resuming.
+    /// Accepted and ignored: sealing has one mode. Kept so run manifests
+    /// that carry the field (`"Optimized"`, `"Raw"`, or missing/null)
+    /// keep decoding and resuming.
     pub seal_mode: SealMode,
 }
 
@@ -333,13 +331,6 @@ impl CampaignConfig {
             self.compilers.retain(|c| available.contains(c));
         }
         self.backend = backend;
-        self
-    }
-
-    /// Select the seal mode (peephole optimizer on/off; bit-identical
-    /// either way — an A/B performance knob).
-    pub fn with_seal_mode(mut self, mode: SealMode) -> Self {
-        self.seal_mode = mode;
         self
     }
 
@@ -466,8 +457,8 @@ mod tests {
 
     #[test]
     fn manifests_without_a_seal_mode_field_decode_as_optimized() {
-        // Run dirs persisted before the seal-time optimizer existed must
-        // keep loading (and resuming) with the current default mode.
+        // Run dirs persisted with any seal-mode value, or none, must keep
+        // loading (and resuming).
         let cfg = CampaignConfig::new(ApproachKind::Varity);
         let json = serde_json::to_string(&cfg).unwrap();
         let mut value = serde_json::parse(&json).unwrap();
@@ -480,10 +471,14 @@ mod tests {
         assert_eq!(back.seal_mode, SealMode::Optimized);
         assert_eq!(back, cfg);
 
-        let raw = CampaignConfig::new(ApproachKind::Varity).with_seal_mode(SealMode::Raw);
-        let json = serde_json::to_string(&raw).unwrap();
-        let back: CampaignConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.seal_mode, SealMode::Raw);
+        for (name, mode) in [("Raw", SealMode::Raw), ("Optimized", SealMode::Optimized)] {
+            if let serde::Value::Obj(m) = &mut value {
+                m.insert("seal_mode".into(), serde::Value::Str(name.into()));
+            }
+            let back: CampaignConfig = serde_json::from_value(&value).unwrap();
+            assert_eq!(back.seal_mode, mode);
+            assert_eq!(CampaignConfig { seal_mode: SealMode::Optimized, ..back }, cfg);
+        }
     }
 
     #[test]

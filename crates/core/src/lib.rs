@@ -34,5 +34,4 @@ pub use campaign::{
 pub use config::{
     ApproachKind, BackendSpec, CampaignConfig, ExternalBackendSpec, ExternalCompilerSpec,
 };
-pub use llm4fp_compiler::SealMode;
 pub use llm4fp_difftest::Aggregates;

@@ -9,12 +9,11 @@
 //! For each generated program the virtual driver validates and lowers once
 //! ([`Frontend`]), seals the **whole configuration matrix in one call**
 //! ([`Frontend::seal_matrix`]: prefix-shared pass pipelines, one name→slot
-//! layout per program, per-configuration peephole optimization), runs
-//! every input set against the sealed artifacts on the register VM
-//! (reusing one [`ExecScratch`] — and, through [`MatrixScratch`], across
-//! *programs* in a worker loop — so the hot path is allocation-free), and
-//! performs the pairwise output comparisons. Sealed execution is
-//! bit-identical to the reference tree-walking interpreter —
+//! layout per program), runs every input set against the sealed artifacts
+//! on the register VM (reusing one [`ExecScratch`] — and, through
+//! [`MatrixScratch`], across *programs* in a worker loop — so execution is
+//! allocation-free), and performs the pairwise output comparisons. Sealed
+//! execution is bit-identical to the reference tree-walking interpreter —
 //! [`ExecEngine::Reference`] selects the old path for A/B benchmarking,
 //! and the driver falls back to it automatically for the rare programs
 //! that refuse to seal — so results are unchanged from the pre-bytecode
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 use llm4fp_compiler::interp::DEFAULT_FUEL;
 use llm4fp_compiler::{
     CompiledProgram, CompilerConfig, CompilerId, ExecError, ExecResult, ExecScratch, Frontend,
-    OptLevel, SealMode, SealScratch, SealedProgram,
+    OptLevel, SealMode, SealedProgram,
 };
 use llm4fp_extcc::HostToolchain;
 use llm4fp_fpir::{program_hash, program_id, InputSet, Precision, Program};
@@ -130,9 +129,8 @@ pub struct DiffTester {
     /// Execution backend (defaults to the virtual compiler on the sealed
     /// register VM).
     pub backend: ExecBackend,
-    /// Whether sealing runs the seal-time peephole optimizer (pinned
-    /// bit-identical to raw sealing; `Raw` exists for A/B benchmarks via
-    /// `--no-seal-opt`).
+    /// Accepted and ignored: sealing has one mode. Kept for source
+    /// compatibility.
     pub seal_mode: SealMode,
     /// Optional bound on concurrent external process activity (shared
     /// across shards by the orchestrator; ignored by the virtual
@@ -158,14 +156,12 @@ impl Default for DiffTester {
     }
 }
 
-/// Reusable build-and-execute state for one virtual-matrix worker loop:
-/// the seal scratch (peephole work buffers) plus the VM's
+/// Reusable execution state for one virtual-matrix worker loop: the VM's
 /// [`ExecScratch`]. Threading one `MatrixScratch` across programs — as
-/// the campaign runner does per shard — makes the whole build-side hot
-/// path allocation-free after the first program.
+/// the campaign runner does per shard — keeps execution allocation-free
+/// after the first program.
 #[derive(Debug, Default)]
 pub struct MatrixScratch {
-    seal: SealScratch,
     exec: ExecScratch,
 }
 
@@ -212,8 +208,8 @@ impl DiffTester {
         self
     }
 
-    /// Select whether sealing runs the peephole optimizer (A/B knob; the
-    /// two modes produce bit-identical results).
+    /// Accepted and ignored: sealing has one mode.
+    #[deprecated(since = "0.2.0", note = "sealing has one mode; drop the call")]
     pub fn with_seal_mode(mut self, mode: SealMode) -> Self {
         self.seal_mode = mode;
         self
@@ -467,13 +463,7 @@ impl DiffTester {
         let sealed: Option<Vec<Result<SealedProgram, llm4fp_compiler::SealError>>> = match engine {
             ExecEngine::Sealed => {
                 let _span = telemetry.span(keys::SPAN_SEAL);
-                Some(frontend.seal_matrix_instrumented(
-                    configs,
-                    self.seal_mode,
-                    &mut scratch.seal,
-                    telemetry,
-                    id,
-                ))
+                Some(frontend.seal_matrix(configs))
             }
             ExecEngine::Reference => None,
         };
@@ -794,10 +784,9 @@ mod tests {
     }
 
     #[test]
-    fn optimized_and_raw_seal_modes_agree_exactly() {
-        // The seal-time optimizer is a pure perf knob: ProgramDiffResults
-        // are bit-identical with peepholes on or off, and both match the
-        // reference interpreter.
+    fn constant_heavy_programs_agree_with_the_reference_engine() {
+        // Constant chains the O0 pass pipelines leave unfolded seal to
+        // run-time arithmetic that must reproduce the interpreter's bits.
         let sources = [
             "void compute(double x) { comp = 1.5 + 2.5 + x; comp *= 2.0 * 4.0; }",
             "void compute(double x, double *a) {\n\
@@ -812,12 +801,10 @@ mod tests {
             let inputs = InputSet::new()
                 .with("x", InputValue::Fp(1.7))
                 .with("a", InputValue::FpArray(vec![1.0, -2.0, 3.0, -4.0, 5.5, 0.25, 7.0, 8.125]));
-            let optimized = DiffTester::new().run(&program, &inputs);
-            let raw = DiffTester::new().with_seal_mode(SealMode::Raw).run(&program, &inputs);
+            let sealed = DiffTester::new().run(&program, &inputs);
             let reference =
                 DiffTester::new().with_engine(ExecEngine::Reference).run(&program, &inputs);
-            assert_eq!(optimized, raw, "seal modes disagree for {src}");
-            assert_eq!(optimized, reference, "optimizer diverges from interpreter for {src}");
+            assert_eq!(sealed, reference, "engines disagree for {src}");
         }
     }
 

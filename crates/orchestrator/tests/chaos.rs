@@ -177,24 +177,46 @@ fn pre_versioning_manifests_still_resume_bit_identically() {
 fn manifests_carrying_four_threads_resume_bit_identically() {
     // Manifests carry `threads`, which sizes only the CodeBLEU report: a
     // run dir written with `"threads": 4` resumes under the same schema
-    // and matches a single-threaded run bit for bit.
+    // and matches a single-threaded run bit for bit. The same holds for a
+    // manifest carrying `"seal_mode": "Raw"`, which `--no-seal-opt` used
+    // to persist and which sealing now ignores.
     let config = config(ApproachKind::Llm4Fp, 24, 53).with_threads(4);
-    let root = temp_dir("threads-4");
-    let full = persisted_run(&config, &root, 2);
-    force_recompute(&root);
-    for shard in 0..3 {
-        let _ = std::fs::remove_file(root.join("shards").join(format!("shard-{shard:04}.jsonl")));
-    }
-    let manifest = RunDir::read_manifest(&root).unwrap();
-    assert_eq!(manifest.config.threads, 4);
-    assert_eq!(manifest.schema_version(), MANIFEST_SCHEMA);
+    let single =
+        Orchestrator::new(config.clone().with_threads(1)).shards(3).epochs(2).run().unwrap();
+    for seal_mode in [None, Some("Raw")] {
+        let root = temp_dir(&format!("threads-4-{}", seal_mode.unwrap_or("default")));
+        let full = persisted_run(&config, &root, 2);
+        force_recompute(&root);
+        for shard in 0..3 {
+            let _ =
+                std::fs::remove_file(root.join("shards").join(format!("shard-{shard:04}.jsonl")));
+        }
+        if let Some(mode) = seal_mode {
+            let manifest_path = root.join("manifest.json");
+            let text = std::fs::read_to_string(&manifest_path).unwrap();
+            let Value::Obj(mut map) = serde_json::parse(&text).unwrap() else {
+                panic!("manifest.json is an object")
+            };
+            let Some(Value::Obj(config)) = map.get_mut("config") else {
+                panic!("manifest.json carries the campaign config")
+            };
+            config.insert("seal_mode".to_string(), Value::Str(mode.to_string()));
+            std::fs::write(&manifest_path, serde_json::to_string(&Value::Obj(map)).unwrap())
+                .unwrap();
+        }
+        let manifest = RunDir::read_manifest(&root).unwrap();
+        assert_eq!(manifest.config.threads, 4);
+        assert_eq!(manifest.schema_version(), MANIFEST_SCHEMA);
+        let persisted_mode = serde_json::to_string(&manifest.config.seal_mode).unwrap();
+        assert_eq!(persisted_mode, format!("\"{}\"", seal_mode.unwrap_or("Optimized")));
 
-    let resumed = Orchestrator::resume(&root).unwrap();
-    assert_eq!(resumed.stats.shards_computed, 3, "every shard recomputes");
-    assert_results_identical(&resumed.result, &full.result, "threads-4 resume");
-    let single = Orchestrator::new(config.with_threads(1)).shards(3).epochs(2).run().unwrap();
-    assert_results_identical(&resumed.result, &single.result, "threads 4 vs 1");
-    let _ = std::fs::remove_dir_all(&root);
+        let resumed = Orchestrator::resume(&root).unwrap();
+        let what = format!("threads-4 resume, seal_mode {seal_mode:?}");
+        assert_eq!(resumed.stats.shards_computed, 3, "{what}: every shard recomputes");
+        assert_results_identical(&resumed.result, &full.result, &what);
+        assert_results_identical(&resumed.result, &single.result, &format!("{what} vs 1 thread"));
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }
 
 #[test]

@@ -70,12 +70,6 @@ pub mod keys {
     /// Config slots that fell back to the reference interpreter after a
     /// seal refusal (keyed by program hash).
     pub const INTERPRETER_FALLBACKS: &str = "difftest.interpreter_fallbacks";
-    /// Instructions removed by the seal-time peephole pipeline (keyed by
-    /// program hash).
-    pub const PEEPHOLE_INSTRS_SAVED: &str = "compiler.peephole.instrs_saved";
-    /// Registers freed by seal-time register coalescing (keyed by
-    /// program hash).
-    pub const PEEPHOLE_REGS_SAVED: &str = "compiler.peephole.regs_saved";
     /// External compiler processes spawned (keyed by program hash).
     pub const EXTCC_COMPILES: &str = "extcc.compiles";
     /// External binary processes spawned (keyed by program hash).
@@ -92,16 +86,6 @@ pub mod keys {
 
     /// Span: one program through generate + difftest (histogram/trace).
     pub const SPAN_PROGRAM: &str = "campaign.program";
-    /// Span: peephole census + constant-index folding pass.
-    pub const SPAN_PEEPHOLE_CENSUS: &str = "peephole.census";
-    /// Span: peephole constant-propagation pass.
-    pub const SPAN_PEEPHOLE_PROPAGATE: &str = "peephole.propagate";
-    /// Span: peephole dead-register elimination pass.
-    pub const SPAN_PEEPHOLE_DCE: &str = "peephole.dce";
-    /// Span: peephole register-coalescing pass.
-    pub const SPAN_PEEPHOLE_COALESCE: &str = "peephole.coalesce";
-    /// Span: peephole jump-threading pass.
-    pub const SPAN_PEEPHOLE_THREAD_JUMPS: &str = "peephole.thread_jumps";
     /// Span: seal the whole config matrix for one program.
     pub const SPAN_SEAL: &str = "difftest.seal";
     /// Span: execute the sealed matrix over every input set.

@@ -7,9 +7,7 @@
 use proptest::prelude::*;
 
 use llm4fp_suite::compiler::interp::DEFAULT_FUEL;
-use llm4fp_suite::compiler::{
-    compile, CompilerConfig, CompilerId, ExecScratch, OptLevel, SealMode,
-};
+use llm4fp_suite::compiler::{compile, CompilerConfig, CompilerId, ExecScratch, OptLevel};
 use llm4fp_suite::core::SuccessfulSet;
 use llm4fp_suite::difftest::{classify, digit_difference, ValueClass};
 use llm4fp_suite::fpir::{parse_compute, to_compute_source, validate, Precision};
@@ -199,11 +197,10 @@ proptest! {
     }
 
     /// The sealed register VM is pinned bit-identical to the reference
-    /// interpreter — with the seal-time peephole optimizer on *and* off:
-    /// for random valid programs × configurations × inputs both sealing
-    /// modes agree with the interpreter on exact value bits, step counts,
-    /// and error variants — including the precise fuel budget at which
-    /// execution starves — and the optimizer never grows the stream.
+    /// interpreter: for random valid programs × configurations × inputs
+    /// the sealed artifact agrees with the interpreter on exact value
+    /// bits, step counts, and error variants — including the precise fuel
+    /// budget at which execution starves.
     #[test]
     fn sealed_vm_matches_reference_interpreter(
         seed in 0u64..3_000,
@@ -216,45 +213,36 @@ proptest! {
         let artifact = compile(&program, config).unwrap();
         // Varity's naming conventions never produce the dynamically
         // ambiguous int/scalar shadowing that refuses to seal.
-        let raw = artifact
-            .seal_with(SealMode::Raw)
-            .expect("varity programs always seal");
-        let optimized = artifact
-            .seal_with(SealMode::Optimized)
-            .expect("varity programs always seal");
-        prop_assert!(optimized.instruction_count() <= raw.instruction_count());
-        prop_assert!(optimized.register_count() <= raw.register_count());
+        let sealed = artifact.seal().expect("varity programs always seal");
         let mut scratch = ExecScratch::new();
         let reference = artifact.execute(&inputs);
-        for sealed in [&raw, &optimized] {
-            let vm = sealed.execute_into(&inputs, DEFAULT_FUEL, &mut scratch);
-            match (&reference, &vm) {
-                (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(a.bits(), b.bits());
-                    prop_assert_eq!(a.steps, b.steps);
-                    prop_assert_eq!(a.precision, b.precision);
-                }
-                (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                other => prop_assert!(false, "back ends disagree: {other:?}"),
+        let vm = sealed.execute_into(&inputs, DEFAULT_FUEL, &mut scratch);
+        match (&reference, &vm) {
+            (Ok(a), Ok(b)) => {
+                prop_assert_eq!(a.bits(), b.bits());
+                prop_assert_eq!(a.steps, b.steps);
+                prop_assert_eq!(a.precision, b.precision);
             }
-            // Starve both engines at the same budget and require the same
-            // outcome (fuel exhaustion at the identical point, or identical
-            // completion when the budget suffices).
-            if let Ok(full) = &reference {
-                let fuel = match starve {
-                    0 => 0,
-                    1 => full.steps / 2,
-                    _ => full.steps.saturating_sub(1),
-                };
-                let a = artifact.execute_with_fuel(&inputs, fuel);
-                let b = sealed.execute_into(&inputs, fuel, &mut scratch);
-                prop_assert_eq!(&a, &b, "fuel {}", fuel);
-                if fuel < full.steps {
-                    prop_assert_eq!(
-                        a.unwrap_err(),
-                        llm4fp_suite::compiler::ExecError::FuelExhausted
-                    );
-                }
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            other => prop_assert!(false, "back ends disagree: {other:?}"),
+        }
+        // Starve both engines at the same budget and require the same
+        // outcome (fuel exhaustion at the identical point, or identical
+        // completion when the budget suffices).
+        if let Ok(full) = &reference {
+            let fuel = match starve {
+                0 => 0,
+                1 => full.steps / 2,
+                _ => full.steps.saturating_sub(1),
+            };
+            let a = artifact.execute_with_fuel(&inputs, fuel);
+            let b = sealed.execute_into(&inputs, fuel, &mut scratch);
+            prop_assert_eq!(&a, &b, "fuel {}", fuel);
+            if fuel < full.steps {
+                prop_assert_eq!(
+                    a.unwrap_err(),
+                    llm4fp_suite::compiler::ExecError::FuelExhausted
+                );
             }
         }
     }
