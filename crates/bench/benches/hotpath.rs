@@ -24,13 +24,16 @@
 //! after 200 and after 2000 programs. The second frame is about ten times
 //! the first, so a decoder that turns superlinear again regresses the
 //! 2000-program entry far more than the 200-program one.
+//! `metrics` prices Table 2's diversity column: the average pairwise
+//! CodeBLEU of a 160-program LLM4FP corpus at the default pair cap (which
+//! binds, so the stride-sampled path is what is timed).
 //!
 //! All groups are saved into the CI bench-regression baseline
 //! (`BENCH_hotpath.json`) and gated by `bench_compare`, so a slowdown on
 //! the sealed path fails the PR.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use llm4fp::{ApproachKind, CampaignConfig};
+use llm4fp::{ApproachKind, Campaign, CampaignConfig};
 use llm4fp_compiler::interp::DEFAULT_FUEL;
 use llm4fp_compiler::{
     compile, CompiledProgram, CompilerConfig, CompilerId, ExecScratch, Frontend, OptLevel,
@@ -39,6 +42,7 @@ use llm4fp_compiler::{
 use llm4fp_difftest::{DiffTester, ExecEngine, MatrixScratch};
 use llm4fp_fpir::{InputSet, Program};
 use llm4fp_generator::{InputGenerator, VarityGenerator};
+use llm4fp_metrics::average_pairwise_codebleu;
 use llm4fp_orchestrator::wire::{read_frame, write_frame, ShardJob, WireRequest};
 use llm4fp_orchestrator::{plan_shards, Orchestrator, ShardRunner};
 use llm4fp_telemetry::TelemetrySpec;
@@ -256,6 +260,20 @@ fn bench_wire(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_metrics(c: &mut Criterion) {
+    let mut group = c.benchmark_group("metrics");
+    group.sample_size(10);
+    let result = Campaign::new(
+        CampaignConfig::new(ApproachKind::Llm4Fp).with_budget(160).with_seed(1).with_threads(1),
+    )
+    .run();
+    let (sources, cap) = (&result.sources, result.config.max_codebleu_pairs);
+    group.bench_function("pairwise_codebleu_160", |b| {
+        b.iter(|| black_box(average_pairwise_codebleu(sources, 1, cap)))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_interp_vs_vm,
@@ -263,6 +281,7 @@ criterion_group!(
     bench_seal_matrix,
     bench_telemetry_overhead,
     bench_default_campaign,
-    bench_wire
+    bench_wire,
+    bench_metrics
 );
 criterion_main!(benches);

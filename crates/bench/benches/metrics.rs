@@ -19,7 +19,7 @@ fn bench_metrics(c: &mut Criterion) {
         b.iter(|| codebleu(&sources[0], &sources[1], CodeBleuWeights::default()))
     });
     group.bench_function("pairwise_codebleu_40_programs", |b| {
-        b.iter(|| average_pairwise_codebleu(&sources, 4, usize::MAX))
+        b.iter(|| average_pairwise_codebleu(&sources, 1, usize::MAX))
     });
     group.bench_function("clone_detection_40_programs", |b| b.iter(|| detect_clones(&sources)));
     group.finish();

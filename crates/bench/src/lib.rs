@@ -17,9 +17,9 @@
 //!   full experiment finishes in well under a minute on a laptop);
 //! * `--paper` — use the paper's budget of 1,000 programs per approach;
 //! * `--seed S` — base RNG seed (default 42);
-//! * `--threads T` — worker threads for the CodeBLEU diversity report
-//!   (default 4; the differential-testing matrix always runs on each
-//!   shard's own thread, so results never depend on `T`);
+//! * `--threads T` — inert: accepted and ignored (default 4). The CodeBLEU
+//!   diversity report is scored on the calling thread and the
+//!   differential-testing matrix on each shard's own thread;
 //! * `--shards K` — shards per campaign (default 1: sequential-equivalent);
 //! * `--epochs E` — cross-shard feedback-exchange epochs (default 4; at
 //!   `--shards 1` exchange is a structural no-op, and `--epochs 1`
@@ -120,8 +120,8 @@ pub enum CliExecutor {
 pub struct ExpOptions {
     pub programs: usize,
     pub seed: u64,
-    /// CodeBLEU diversity-report workers (`--threads`); results never
-    /// depend on it.
+    /// `--threads`: inert. It sets `CampaignConfig::threads`, which is
+    /// inert too.
     pub threads: usize,
     pub shards: usize,
     pub epochs: usize,
@@ -314,7 +314,7 @@ impl ExpOptions {
                 }
                 "--help" | "-h" => {
                     return Err("usage: [--programs N] [--paper] [--seed S] \
-                         [--threads T (CodeBLEU workers)] \
+                         [--threads T (inert)] \
                          [--shards K] [--epochs E] [--workers W] \
                          [--backend virtual|extcc] [--process-slots P] \
                          [--run-dir PATH] [--trace] [--no-metrics] \

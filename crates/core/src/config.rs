@@ -247,11 +247,11 @@ pub struct CampaignConfig {
     pub compilers: Vec<CompilerId>,
     /// Optimization levels under test.
     pub levels: Vec<OptLevel>,
-    /// Worker threads for the CodeBLEU diversity report
-    /// ([`CampaignResult::measure_diversity`](crate::CampaignResult::measure_diversity)).
-    /// The differential-testing matrix always runs on the shard's own
-    /// thread, so results never depend on this value. It stays a field
-    /// because run manifests and wire jobs serialize it.
+    /// Inert. Its one reader, the diversity report
+    /// ([`CampaignResult::measure_diversity`](crate::CampaignResult::measure_diversity)),
+    /// ignores it and scores CodeBLEU on the calling thread; the
+    /// differential-testing matrix runs on the shard's own thread. It
+    /// stays a field because run manifests and wire jobs serialize it.
     pub threads: usize,
     /// LLM sampling parameters.
     pub sampling: SamplingParams,
@@ -315,7 +315,7 @@ impl CampaignConfig {
         self
     }
 
-    /// Set the number of CodeBLEU diversity-report worker threads.
+    /// Set the inert [`threads`](Self::threads) field.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self

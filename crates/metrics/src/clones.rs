@@ -15,7 +15,8 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use llm4fp_fpir::{tokenize, TokenKind};
+use llm4fp_fpir::tokens::scan_tokens;
+use llm4fp_fpir::TokenKind;
 
 /// The clone types considered (Type-3/4 are intentionally out of scope, as
 /// in the paper).
@@ -77,53 +78,62 @@ impl CloneReport {
 /// Normalize a program for Type-1 comparison: the token texts joined with
 /// single spaces (whitespace- and comment-insensitive).
 pub fn normalize_type1(source: &str) -> String {
-    tokenize(source).into_iter().map(|t| t.text).collect::<Vec<_>>().join(" ")
+    let [key, _, _] = clone_keys(source);
+    key
 }
 
 /// Normalize for Type-2: identifiers, literals and type keywords abstracted.
 pub fn normalize_type2(source: &str) -> String {
-    tokenize(source)
-        .into_iter()
-        .map(|t| match t.kind {
-            TokenKind::Ident => "ID".to_string(),
-            TokenKind::IntLit | TokenKind::FpLit => "LIT".to_string(),
-            TokenKind::Keyword if matches!(t.text.as_str(), "double" | "float" | "int") => {
-                "TYPE".to_string()
-            }
-            _ => t.text,
-        })
-        .collect::<Vec<_>>()
-        .join(" ")
+    let [_, key, _] = clone_keys(source);
+    key
 }
 
 /// Normalize for Type-2c: identifiers renamed consistently by first
 /// occurrence (`id0`, `id1`, ...), literals and types preserved.
 pub fn normalize_type2c(source: &str) -> String {
-    let mut renames: HashMap<String, String> = HashMap::new();
-    tokenize(source)
-        .into_iter()
-        .map(|t| match t.kind {
-            TokenKind::Ident => {
-                let next = format!("id{}", renames.len());
-                renames.entry(t.text).or_insert(next).clone()
-            }
-            _ => t.text,
-        })
-        .collect::<Vec<_>>()
-        .join(" ")
+    let [_, _, key] = clone_keys(source);
+    key
+}
+
+/// The Type-1, Type-2 and Type-2c normal forms of `source`, in
+/// [`CloneType::ALL`] order, from one pass over its tokens.
+fn clone_keys(source: &str) -> [String; 3] {
+    let [mut type1, mut type2, mut type2c] = [String::new(), String::new(), String::new()];
+    let mut renames: HashMap<String, usize> = HashMap::new();
+    let mut first = true;
+    scan_tokens(source, |kind, text| {
+        if !first {
+            type1.push(' ');
+            type2.push(' ');
+            type2c.push(' ');
+        }
+        first = false;
+        type1.push_str(text);
+        type2.push_str(match kind {
+            TokenKind::Ident => "ID",
+            TokenKind::IntLit | TokenKind::FpLit => "LIT",
+            TokenKind::Keyword if matches!(text, "double" | "float" | "int") => "TYPE",
+            _ => text,
+        });
+        if kind == TokenKind::Ident {
+            let next = renames.len();
+            let id = *renames.entry(text.to_string()).or_insert(next);
+            type2c.push_str(&format!("id{id}"));
+        } else {
+            type2c.push_str(text);
+        }
+    });
+    [type1, type2, type2c]
 }
 
 /// Detect clone classes of all three types over a corpus of program sources.
 pub fn detect_clones(sources: &[String]) -> CloneReport {
+    let keys: Vec<[String; 3]> = sources.iter().map(|source| clone_keys(source)).collect();
     let mut report = CloneReport::default();
-    for (clone_type, normalizer) in [
-        (CloneType::Type1, normalize_type1 as fn(&str) -> String),
-        (CloneType::Type2, normalize_type2 as fn(&str) -> String),
-        (CloneType::Type2c, normalize_type2c as fn(&str) -> String),
-    ] {
-        let mut buckets: HashMap<String, Vec<usize>> = HashMap::new();
-        for (i, src) in sources.iter().enumerate() {
-            buckets.entry(normalizer(src)).or_default().push(i);
+    for (slot, clone_type) in CloneType::ALL.into_iter().enumerate() {
+        let mut buckets: HashMap<&str, Vec<usize>> = HashMap::new();
+        for (i, key) in keys.iter().enumerate() {
+            buckets.entry(key[slot].as_str()).or_default().push(i);
         }
         let mut classes: Vec<CloneClass> = buckets
             .into_values()
@@ -142,6 +152,15 @@ mod tests {
 
     const BASE: &str =
         "void compute(double x) {\n    double comp = 0.0;\n    comp = x * 2.0 + 1.0;\n}";
+
+    #[test]
+    fn normal_forms_are_spelled_token_by_token() {
+        let src = "void compute(double x) { /* c */ comp = x + 1.0 * x; }";
+        assert_eq!(normalize_type1(src), "void compute ( double x ) { comp = x + 1.0 * x ; }");
+        assert_eq!(normalize_type2(src), "void ID ( TYPE ID ) { ID = ID + LIT * ID ; }");
+        assert_eq!(normalize_type2c(src), "void id0 ( double id1 ) { id2 = id1 + 1.0 * id1 ; }");
+        assert_eq!(normalize_type1(""), "");
+    }
 
     #[test]
     fn whitespace_variants_are_type1_clones() {

@@ -15,12 +15,19 @@
 //!
 //! A *lower* pairwise score over a program corpus indicates more diverse
 //! programs, which is how the paper uses the metric.
+//!
+//! A corpus average scores each program against up to 2(N−1) others, so
+//! the work is split in two: `Vocabulary::profile` tokenizes and parses a
+//! program once into a profile of sorted id runs, and `score` rates a pair
+//! of profiles with one merge walk per component.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use llm4fp_fpir::{parse_compute, tokenize, Block, Expr, Program, Stmt, Token, TokenKind};
+use llm4fp_fpir::tokens::scan_tokens;
+use llm4fp_fpir::{parse_compute, Block, Expr, Program, Stmt, TokenKind};
 
 /// Component weights; the reference implementation defaults to 0.25 each.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -49,16 +56,34 @@ pub struct CodeBleuBreakdown {
 
 /// Compute CodeBLEU of `candidate` against `reference` (both C source of a
 /// `compute` function). Falls back gracefully when a program cannot be
-/// parsed: the AST and data-flow components are then computed from whatever
-/// structure is available (0 for unparseable candidates).
+/// parsed: the AST and data-flow components are then 0.
 pub fn codebleu(candidate: &str, reference: &str, weights: CodeBleuWeights) -> CodeBleuBreakdown {
-    let cand_tokens = tokenize(candidate);
-    let ref_tokens = tokenize(reference);
-    let bleu = bleu_score(&cand_tokens, &ref_tokens, false);
-    let weighted_bleu = bleu_score(&cand_tokens, &ref_tokens, true);
-    let (syntax_match, dataflow_match) = match (parse_compute(candidate), parse_compute(reference))
-    {
-        (Ok(c), Ok(r)) => (ast_match(&c, &r), dataflow_match(&c, &r)),
+    let mut vocabulary = Vocabulary::default();
+    let candidate = vocabulary.profile(candidate);
+    let reference = vocabulary.profile(reference);
+    score(&candidate, &reference, weights)
+}
+
+/// Convenience: CodeBLEU with the default 0.25/0.25/0.25/0.25 weights.
+pub fn codebleu_default(candidate: &str, reference: &str) -> CodeBleuBreakdown {
+    codebleu(candidate, reference, CodeBleuWeights::default())
+}
+
+/// CodeBLEU of one profiled program against another. Both profiles must
+/// come from the same [`Vocabulary`].
+pub(crate) fn score(
+    candidate: &CodeBleuProfile,
+    reference: &CodeBleuProfile,
+    weights: CodeBleuWeights,
+) -> CodeBleuBreakdown {
+    let (bleu, weighted_bleu) = bleu_scores(candidate, reference);
+    let (syntax_match, dataflow_match) = match (&candidate.structure, &reference.structure) {
+        (Some(c), Some(r)) => (
+            clipped_ratio(&c.shapes, &r.shapes).unwrap_or(0.0),
+            // No data flow at all: treat as fully matched only if the
+            // reference also has none (both are trivial programs).
+            clipped_ratio(&c.edges, &r.edges).unwrap_or(if r.edges.is_empty() { 1.0 } else { 0.0 }),
+        ),
         _ => (0.0, 0.0),
     };
     let combined = weights.ngram * bleu
@@ -68,79 +93,204 @@ pub fn codebleu(candidate: &str, reference: &str, weights: CodeBleuWeights) -> C
     CodeBleuBreakdown { bleu, weighted_bleu, syntax_match, dataflow_match, combined }
 }
 
-/// Convenience: CodeBLEU with the default 0.25/0.25/0.25/0.25 weights.
-pub fn codebleu_default(candidate: &str, reference: &str) -> CodeBleuBreakdown {
-    codebleu(candidate, reference, CodeBleuWeights::default())
+// ---------------------------------------------------------------------------
+// Profiles
+// ---------------------------------------------------------------------------
+
+/// Highest n-gram order of the two BLEU components.
+const MAX_N: usize = 4;
+
+/// Weight of a keyword token in the weighted n-gram match (others weigh 1).
+const KEYWORD_WEIGHT: u32 = 4;
+
+/// Interns token texts and AST shapes to dense ids, so that profiles built
+/// from one vocabulary compare by id instead of by string.
+#[derive(Debug, Default)]
+pub(crate) struct Vocabulary {
+    ids: HashMap<String, u32>,
+}
+
+/// Everything CodeBLEU needs to know about one program, in sorted runs
+/// that score a pair with one merge walk each.
+#[derive(Debug)]
+pub(crate) struct CodeBleuProfile {
+    tokens: usize,
+    /// `ngrams[n - 1]`: the distinct n-grams, sorted by key.
+    ngrams: [Vec<Gram>; MAX_N],
+    /// `None` when the source does not parse.
+    structure: Option<Structure>,
+}
+
+/// One distinct n-gram: token ids (zero-padded past `n`), its number of
+/// occurrences and the sum over them of its token weights.
+///
+/// The reference implementation weighs each occurrence by the *mean* token
+/// weight, `sum / n`. With weights 1 and 4 that mean is a multiple of ¼
+/// for every n ≤ 4 (for n = 3 because 4 ≡ 1 mod 3), so every total it
+/// feeds is exact and dividing both sides of a precision by `n` cannot
+/// change its value: the integer sums give the same bits.
+#[derive(Debug)]
+struct Gram {
+    key: [u32; MAX_N],
+    count: u32,
+    weight: u32,
+}
+
+/// Sorted `(id, count)` multisets of a parsed program's abstracted AST
+/// shapes and normalized def-use edges.
+#[derive(Debug)]
+struct Structure {
+    shapes: Vec<(u32, u32)>,
+    edges: Vec<(u64, u32)>,
+}
+
+impl Vocabulary {
+    /// Tokenize and parse `source` once into its CodeBLEU profile.
+    pub(crate) fn profile(&mut self, source: &str) -> CodeBleuProfile {
+        let mut tokens = Vec::new();
+        scan_tokens(source, |kind, text| {
+            let weight = if kind == TokenKind::Keyword { KEYWORD_WEIGHT } else { 1 };
+            tokens.push((self.id(text), weight));
+        });
+        let structure = parse_compute(source).ok().map(|program| Structure {
+            shapes: multiset(collect_shapes(&program).iter().map(|s| self.id(s)).collect()),
+            edges: multiset(dataflow_edges(&program)),
+        });
+        CodeBleuProfile {
+            tokens: tokens.len(),
+            ngrams: std::array::from_fn(|i| ngram_run(&tokens, i + 1)),
+            structure,
+        }
+    }
+
+    fn id(&mut self, text: &str) -> u32 {
+        if let Some(&id) = self.ids.get(text) {
+            return id;
+        }
+        let id = u32::try_from(self.ids.len()).expect("vocabulary exceeds u32 ids");
+        self.ids.insert(text.to_string(), id);
+        id
+    }
+}
+
+/// The sorted distinct n-grams of a `(token id, weight)` stream.
+fn ngram_run(tokens: &[(u32, u32)], n: usize) -> Vec<Gram> {
+    let mut grams: Vec<Gram> = tokens
+        .windows(n)
+        .map(|window| {
+            let mut key = [0; MAX_N];
+            for (slot, &(id, _)) in key.iter_mut().zip(window) {
+                *slot = id;
+            }
+            Gram { key, count: 1, weight: window.iter().map(|&(_, weight)| weight).sum() }
+        })
+        .collect();
+    grams.sort_unstable_by_key(|gram| gram.key);
+    grams.dedup_by(|next, kept| {
+        let same = next.key == kept.key;
+        if same {
+            kept.count += next.count;
+            kept.weight += next.weight;
+        }
+        same
+    });
+    // A corpus keeps every profile alive while its pairs are scored.
+    grams.shrink_to_fit();
+    grams
+}
+
+/// Sort `keys` into `(key, count)` runs.
+fn multiset<K: Ord + Copy>(mut keys: Vec<K>) -> Vec<(K, u32)> {
+    keys.sort_unstable();
+    let mut runs: Vec<(K, u32)> = Vec::new();
+    for key in keys {
+        match runs.last_mut() {
+            Some((last, count)) if *last == key => *count += 1,
+            _ => runs.push((key, 1)),
+        }
+    }
+    runs.shrink_to_fit();
+    runs
+}
+
+/// Call `both` on every pair of entries that two key-sorted runs share.
+fn for_shared<T, K: Ord>(a: &[T], b: &[T], key: impl Fn(&T) -> K, mut both: impl FnMut(&T, &T)) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match key(&a[i]).cmp(&key(&b[j])) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                both(&a[i], &b[j]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+}
+
+/// The share of the candidate multiset that the reference covers,
+/// `Σ min(count) / Σ candidate count`; `None` for an empty candidate.
+fn clipped_ratio<K: Ord + Copy>(cand: &[(K, u32)], reference: &[(K, u32)]) -> Option<f64> {
+    if cand.is_empty() {
+        return None;
+    }
+    let mut matched = 0u64;
+    for_shared(cand, reference, |&(key, _)| key, |c, r| matched += u64::from(c.1.min(r.1)));
+    let total: u64 = cand.iter().map(|&(_, count)| u64::from(count)).sum();
+    Some(matched as f64 / total as f64)
 }
 
 // ---------------------------------------------------------------------------
 // BLEU / weighted BLEU
 // ---------------------------------------------------------------------------
 
-fn token_weight(token: &Token, weighted: bool) -> f64 {
-    if weighted && token.kind == TokenKind::Keyword {
-        4.0
-    } else {
-        1.0
+/// Plain and keyword-weighted modified n-gram precision, from one walk.
+fn modified_precisions(cand: &[Gram], reference: &[Gram]) -> (f64, f64) {
+    if cand.is_empty() {
+        return (0.0, 0.0);
     }
+    let (mut matched, mut matched_weight) = (0u64, 0u64);
+    for_shared(
+        cand,
+        reference,
+        |gram| gram.key,
+        |c, r| {
+            matched += u64::from(c.count.min(r.count));
+            matched_weight += u64::from(c.weight.min(r.weight));
+        },
+    );
+    let (mut total, mut total_weight) = (0u64, 0u64);
+    for gram in cand {
+        total += u64::from(gram.count);
+        total_weight += u64::from(gram.weight);
+    }
+    (matched as f64 / total as f64, matched_weight as f64 / total_weight as f64)
 }
 
-fn ngram_counts(tokens: &[Token], n: usize, weighted: bool) -> HashMap<Vec<&str>, f64> {
-    let mut counts: HashMap<Vec<&str>, f64> = HashMap::new();
-    if tokens.len() < n {
-        return counts;
+/// `(bleu, weighted_bleu)` of a profiled pair.
+fn bleu_scores(cand: &CodeBleuProfile, reference: &CodeBleuProfile) -> (f64, f64) {
+    if cand.tokens == 0 || reference.tokens == 0 {
+        return (0.0, 0.0);
     }
-    for window in tokens.windows(n) {
-        let key: Vec<&str> = window.iter().map(|t| t.text.as_str()).collect();
-        let weight: f64 = window.iter().map(|t| token_weight(t, weighted)).sum::<f64>() / n as f64;
-        *counts.entry(key).or_insert(0.0) += weight;
-    }
-    counts
-}
-
-fn modified_precision(cand: &[Token], reference: &[Token], n: usize, weighted: bool) -> f64 {
-    let cand_counts = ngram_counts(cand, n, weighted);
-    if cand_counts.is_empty() {
-        return 0.0;
-    }
-    let ref_counts = ngram_counts(reference, n, weighted);
-    let mut matched = 0.0;
-    let mut total = 0.0;
-    for (gram, count) in &cand_counts {
-        total += count;
-        let clip = ref_counts.get(gram).copied().unwrap_or(0.0);
-        matched += count.min(clip);
-    }
-    if total == 0.0 {
-        0.0
-    } else {
-        matched / total
-    }
-}
-
-fn bleu_score(cand: &[Token], reference: &[Token], weighted: bool) -> f64 {
-    if cand.is_empty() || reference.is_empty() {
-        return 0.0;
-    }
-    const MAX_N: usize = 4;
     // Smoothed geometric mean of the modified precisions (smoothing keeps a
     // single empty precision from zeroing the whole score, as in the common
     // "add-epsilon" BLEU smoothing).
-    let mut log_sum = 0.0;
-    for n in 1..=MAX_N {
-        let p = modified_precision(cand, reference, n, weighted).max(1e-6);
-        log_sum += p.ln() / MAX_N as f64;
+    let (mut log_sum, mut log_sum_weighted) = (0.0, 0.0);
+    for (c, r) in cand.ngrams.iter().zip(&reference.ngrams) {
+        let (p, p_weighted) = modified_precisions(c, r);
+        log_sum += p.max(1e-6).ln() / MAX_N as f64;
+        log_sum_weighted += p_weighted.max(1e-6).ln() / MAX_N as f64;
     }
-    let precision = log_sum.exp();
     // Brevity penalty.
-    let c = cand.len() as f64;
-    let r = reference.len() as f64;
+    let c = cand.tokens as f64;
+    let r = reference.tokens as f64;
     let bp = if c >= r { 1.0 } else { (1.0 - r / c).exp() };
-    (precision * bp).clamp(0.0, 1.0)
+    ((log_sum.exp() * bp).clamp(0.0, 1.0), (log_sum_weighted.exp() * bp).clamp(0.0, 1.0))
 }
 
 // ---------------------------------------------------------------------------
-// AST subtree match
+// AST subtree shapes
 // ---------------------------------------------------------------------------
 
 /// Collect abstracted shapes of every expression subtree and every statement
@@ -207,65 +357,46 @@ fn expr_shape(expr: &Expr, shapes: &mut Vec<String>) -> String {
     shape
 }
 
-fn ast_match(candidate: &Program, reference: &Program) -> f64 {
-    let cand = collect_shapes(candidate);
-    if cand.is_empty() {
-        return 0.0;
-    }
-    let mut ref_counts: HashMap<String, usize> = HashMap::new();
-    for s in collect_shapes(reference) {
-        *ref_counts.entry(s).or_default() += 1;
-    }
-    let mut matched = 0usize;
-    for s in &cand {
-        if let Some(c) = ref_counts.get_mut(s) {
-            if *c > 0 {
-                *c -= 1;
-                matched += 1;
-            }
-        }
-    }
-    matched as f64 / cand.len() as f64
-}
-
 // ---------------------------------------------------------------------------
-// Data-flow match
+// Data-flow edges
 // ---------------------------------------------------------------------------
 
-/// Def-use edges with variable names normalized by first occurrence order,
-/// so that `a = b + c` and `x = y + z` produce identical edges.
-fn dataflow_edges(program: &Program) -> Vec<(String, String)> {
-    let mut renamer: HashMap<String, String> = HashMap::new();
+/// The def side of an `if` condition's use edges.
+const COND: u32 = u32::MAX;
+
+/// Def-use edges with variables numbered by first occurrence order, so
+/// that `a = b + c` and `x = y + z` produce identical edges. Each edge is
+/// packed as `def << 32 | use`.
+fn dataflow_edges(program: &Program) -> Vec<u64> {
+    let mut renamer = HashMap::new();
     let mut edges = Vec::new();
     collect_dataflow(&program.body, &mut renamer, &mut edges);
     edges
 }
 
-fn canon(name: &str, renamer: &mut HashMap<String, String>) -> String {
-    let next = format!("v{}", renamer.len());
-    renamer.entry(name.to_string()).or_insert(next).clone()
+fn canon(name: &str, renamer: &mut HashMap<String, u32>) -> u32 {
+    let next = renamer.len() as u32;
+    *renamer.entry(name.to_string()).or_insert(next)
 }
 
-fn collect_dataflow(
-    block: &Block,
-    renamer: &mut HashMap<String, String>,
-    edges: &mut Vec<(String, String)>,
-) {
+fn edge(def: u32, used: u32) -> u64 {
+    u64::from(def) << 32 | u64::from(used)
+}
+
+fn collect_dataflow(block: &Block, renamer: &mut HashMap<String, u32>, edges: &mut Vec<u64>) {
     for stmt in &block.stmts {
         match stmt {
             Stmt::Assign { target, expr, .. } | Stmt::DeclScalar { name: target, expr } => {
                 let uses = expr.referenced_vars();
                 let def = canon(target, renamer);
                 for u in uses {
-                    let use_c = canon(&u, renamer);
-                    edges.push((def.clone(), use_c));
+                    edges.push(edge(def, canon(&u, renamer)));
                 }
             }
             Stmt::AssignIndex { array, expr, .. } => {
                 let def = canon(array, renamer);
                 for u in expr.referenced_vars() {
-                    let use_c = canon(&u, renamer);
-                    edges.push((def.clone(), use_c));
+                    edges.push(edge(def, canon(&u, renamer)));
                 }
             }
             Stmt::DeclArray { name, .. } => {
@@ -273,8 +404,7 @@ fn collect_dataflow(
             }
             Stmt::If { cond, then_block } => {
                 for u in cond.lhs.referenced_vars().into_iter().chain(cond.rhs.referenced_vars()) {
-                    let use_c = canon(&u, renamer);
-                    edges.push(("cond".to_string(), use_c));
+                    edges.push(edge(COND, canon(&u, renamer)));
                 }
                 collect_dataflow(then_block, renamer, edges);
             }
@@ -284,29 +414,6 @@ fn collect_dataflow(
             }
         }
     }
-}
-
-fn dataflow_match(candidate: &Program, reference: &Program) -> f64 {
-    let cand = dataflow_edges(candidate);
-    if cand.is_empty() {
-        // No data flow at all: treat as fully matched only if the reference
-        // also has none (both are trivial programs).
-        return if dataflow_edges(reference).is_empty() { 1.0 } else { 0.0 };
-    }
-    let mut ref_counts: HashMap<(String, String), usize> = HashMap::new();
-    for e in dataflow_edges(reference) {
-        *ref_counts.entry(e).or_default() += 1;
-    }
-    let mut matched = 0usize;
-    for e in &cand {
-        if let Some(c) = ref_counts.get_mut(e) {
-            if *c > 0 {
-                *c -= 1;
-                matched += 1;
-            }
-        }
-    }
-    matched as f64 / cand.len() as f64
 }
 
 #[cfg(test)]

@@ -1,16 +1,15 @@
 //! Corpus-level diversity measurement.
 //!
 //! The paper reports, per approach, the average pairwise CodeBLEU over all
-//! generated programs and the NiCad clone counts. Computing all N² pairs is
-//! quadratic, so the pairwise average is parallelized with crossbeam and can
-//! optionally be estimated from a deterministic subsample of pairs for very
-//! large corpora.
+//! generated programs and the NiCad clone counts. Scoring all N² pairs is
+//! quadratic, so every program is profiled once and each pair is scored
+//! from the two profiles; very large corpora can be estimated from a
+//! deterministic subsample of pairs.
 
-use crossbeam::thread;
 use serde::{Deserialize, Serialize};
 
 use crate::clones::{detect_clones, CloneReport, CloneType};
-use crate::codebleu::{codebleu, CodeBleuWeights};
+use crate::codebleu::{score, CodeBleuWeights, Vocabulary};
 
 /// Combined diversity report for one approach's corpus.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -26,7 +25,8 @@ pub struct DiversityReport {
 }
 
 impl DiversityReport {
-    /// Build the full report for a corpus of program sources.
+    /// Build the full report for a corpus of program sources. `threads` is
+    /// ignored (see [`average_pairwise_codebleu`]).
     pub fn measure(sources: &[String], threads: usize, max_pairs: usize) -> DiversityReport {
         let (avg, pairs) = average_pairwise_codebleu(sources, threads, max_pairs);
         DiversityReport {
@@ -45,60 +45,46 @@ impl DiversityReport {
 
 /// Average pairwise CodeBLEU over a corpus.
 ///
-/// All ordered pairs `(i, j), i ≠ j` are scored when their number does not
-/// exceed `max_pairs`; otherwise a deterministic stride-based subsample of
-/// at most `max_pairs` pairs is used (no RNG, so results are reproducible).
+/// Scores the pairs of [`sampled_pairs`] in order on the calling thread,
+/// each program profiled once. `threads` is ignored: it is kept so that
+/// existing callers still compile.
 /// Returns `(average, pairs_scored)`.
 pub fn average_pairwise_codebleu(
     sources: &[String],
-    threads: usize,
+    _threads: usize,
     max_pairs: usize,
 ) -> (f64, usize) {
-    let n = sources.len();
-    if n < 2 {
-        return (0.0, 0);
-    }
-    let all_pairs: Vec<(usize, usize)> =
-        (0..n).flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j))).collect();
-    let pairs: Vec<(usize, usize)> = if all_pairs.len() <= max_pairs.max(1) {
-        all_pairs
-    } else {
-        let stride = all_pairs.len().div_ceil(max_pairs);
-        all_pairs.into_iter().step_by(stride.max(1)).collect()
-    };
+    let mut vocabulary = Vocabulary::default();
+    let profiles: Vec<_> = sources.iter().map(|source| vocabulary.profile(source)).collect();
     let weights = CodeBleuWeights::default();
-    let threads = threads.max(1).min(pairs.len().max(1));
-    let chunk_size = pairs.len().div_ceil(threads);
-    // Scores are summed in pair order, so the average is bit-identical
-    // for every thread count.
     let mut total = 0.0;
     let mut count = 0usize;
-    thread::scope(|scope| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk_size)
-            .map(|chunk| {
-                scope.spawn(move |_| {
-                    chunk
-                        .iter()
-                        .map(|&(i, j)| codebleu(&sources[i], &sources[j], weights).combined)
-                        .collect::<Vec<f64>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            let scores = h.join().expect("codebleu worker panicked");
-            count += scores.len();
-            for score in scores {
-                total += score;
-            }
-        }
-    })
-    .expect("crossbeam scope failed");
+    for (i, j) in sampled_pairs(sources.len(), max_pairs) {
+        total += score(&profiles[i], &profiles[j], weights).combined;
+        count += 1;
+    }
     if count == 0 {
         (0.0, 0)
     } else {
         (total / count as f64, count)
     }
+}
+
+/// The ordered pairs `(i, j), i ≠ j` of an `n`-program corpus that
+/// [`average_pairwise_codebleu`] scores, in row-major order.
+///
+/// All `n(n−1)` pairs are kept when their number does not exceed
+/// `max_pairs` (read as at least 1); otherwise every `stride`-th pair is
+/// kept, `stride = ⌈n(n−1) / max_pairs⌉`, so at most `max_pairs` pairs
+/// come out (no RNG, so results are reproducible). The k-th pair is
+/// computed from its index; nothing is materialized.
+pub fn sampled_pairs(n: usize, max_pairs: usize) -> impl Iterator<Item = (usize, usize)> {
+    let all = n * n.saturating_sub(1);
+    let stride = all.div_ceil(max_pairs.max(1)).max(1);
+    (0..all).step_by(stride).map(move |k| {
+        let (i, r) = (k / (n - 1), k % (n - 1));
+        (i, if r < i { r } else { r + 1 })
+    })
 }
 
 #[cfg(test)]
@@ -140,6 +126,31 @@ mod tests {
         assert_eq!((avg, count), (0.0, 0));
         let single = vec!["void compute(double x) { comp = x; }".to_string()];
         assert_eq!(average_pairwise_codebleu(&single, 4, 100), (0.0, 0));
+    }
+
+    /// The pair list as it used to be built: every ordered pair
+    /// materialized, then strided.
+    fn enumerated_pairs(n: usize, max_pairs: usize) -> Vec<(usize, usize)> {
+        let all: Vec<(usize, usize)> =
+            (0..n).flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j))).collect();
+        let len = all.len();
+        if len <= max_pairs.max(1) {
+            all
+        } else {
+            all.into_iter().step_by(len.div_ceil(max_pairs.max(1))).collect()
+        }
+    }
+
+    #[test]
+    fn sampled_pairs_match_the_enumerated_stride() {
+        for n in [0usize, 1, 2, 3, 17] {
+            let all = n * n.saturating_sub(1);
+            for cap in [0, 1, all.saturating_sub(1), all, usize::MAX] {
+                let sampled: Vec<_> = sampled_pairs(n, cap).collect();
+                assert_eq!(sampled, enumerated_pairs(n, cap), "n={n} cap={cap}");
+                assert!(sampled.len() <= cap.max(1), "n={n} cap={cap}");
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! * [`clones`] — NiCad-style detection of Type-1, Type-2 and Type-2c code
 //!   clones over the corpus (the paper reports that no clones of these types
 //!   are found for any approach).
-//! * [`corpus`] — corpus-level helpers: parallel pairwise averaging and the
-//!   combined [`corpus::DiversityReport`].
+//! * [`corpus`] — corpus-level helpers: pairwise averaging over programs
+//!   profiled once each, and the combined [`corpus::DiversityReport`].
 
 #![deny(unsafe_code)]
 
@@ -20,4 +20,4 @@ pub mod corpus;
 
 pub use clones::{detect_clones, CloneReport, CloneType};
 pub use codebleu::{codebleu, CodeBleuBreakdown, CodeBleuWeights};
-pub use corpus::{average_pairwise_codebleu, DiversityReport};
+pub use corpus::{average_pairwise_codebleu, sampled_pairs, DiversityReport};

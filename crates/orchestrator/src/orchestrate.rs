@@ -62,8 +62,7 @@ use crate::shard::{
 pub struct OrchestratorOptions {
     /// Worker threads for shard execution; each shard runs its difftest
     /// matrix on the worker thread that runs the shard, so this is the
-    /// run's only compute parallelism (`config.threads` sizes the
-    /// CodeBLEU diversity report only).
+    /// run's only compute parallelism (`config.threads` is inert).
     /// Defaults to the machine's available parallelism. `0` is rejected
     /// with [`OrchestratorError::InvalidWorkers`] at run time.
     pub workers: usize,

@@ -4,7 +4,9 @@
 use llm4fp_suite::core::report::{figure3, table2, table3, table4, table5, Table2Row};
 use llm4fp_suite::core::{ApproachKind, Campaign, CampaignConfig};
 use llm4fp_suite::generator::VarityGenerator;
-use llm4fp_suite::metrics::{average_pairwise_codebleu, detect_clones, DiversityReport};
+use llm4fp_suite::metrics::{
+    average_pairwise_codebleu, codebleu, detect_clones, CodeBleuWeights, DiversityReport,
+};
 
 fn campaign(approach: ApproachKind, budget: usize) -> llm4fp_suite::core::CampaignResult {
     // Clone-freeness at this tiny budget is seed-sensitive: Feedback-Based
@@ -69,4 +71,80 @@ fn reports_render_consistently_from_campaign_results() {
 
     let t5 = table5(&varity, &llm4fp);
     assert!(t5.contains("Total"));
+}
+
+/// Table 2's diversity column, pinned bit for bit: the average pairwise
+/// CodeBLEU of each approach's 160-program corpus (seed 7) at the default
+/// 20,000-pair cap. 160 programs make 25,440 ordered pairs, so the cap
+/// binds and the pinned values come from the stride-sampled path.
+#[test]
+fn pairwise_codebleu_is_pinned_bit_for_bit() {
+    const GOLDEN: [(ApproachKind, usize, u64); 4] = [
+        (ApproachKind::Varity, 12_720, 0x3fd1_1a0c_936a_902e),
+        (ApproachKind::DirectPrompt, 11_175, 0x3fd7_3538_d4b6_d903),
+        (ApproachKind::GrammarGuided, 12_720, 0x3fd5_833c_e04a_bce0),
+        (ApproachKind::Llm4Fp, 12_720, 0x3fd5_16e5_23fa_efea),
+    ];
+    for (approach, pairs, avg_bits) in GOLDEN {
+        let result =
+            Campaign::new(CampaignConfig::new(approach).with_budget(160).with_seed(7)).run();
+        let n = result.sources.len();
+        assert_eq!(result.config.max_codebleu_pairs, 20_000);
+        assert!(n * (n - 1) > result.config.max_codebleu_pairs, "{approach:?}: cap must bind");
+        let report = result.measure_diversity();
+        assert_eq!(
+            (report.pairs_scored, report.avg_codebleu.to_bits()),
+            (pairs, avg_bits),
+            "{approach:?}: avg_codebleu {}",
+            report.avg_codebleu
+        );
+    }
+}
+
+/// `codebleu()` component bits for the degenerate inputs: a source that
+/// does not parse, an empty source and a `compute` with parameters but no
+/// body, next to an ordinary pair.
+#[test]
+fn codebleu_breakdowns_are_pinned_bit_for_bit() {
+    const FULL: &str = "void compute(double x, double y) {\n  double comp = 0.0;\n  \
+                        double t0 = x * 0.5;\n  if (t0 > y) {\n    comp = sin(t0) / (y + 1.0);\n  \
+                        }\n  for (int i = 0; i < 4; ++i) {\n    comp += t0 * y + cos(x);\n  }\n}";
+    const RENAMED: &str = "void compute(double a, double b) {\n  double comp = 0.0;\n  \
+                           double s = a * 2.25;\n  for (int k = 0; k < 8; ++k) {\n    \
+                           comp += s * b + cos(a);\n  }\n}";
+    const PARAMS_ONLY: &str = "void compute(double a, int n, double *buf) {\n}";
+    const BROKEN: &str = "void compute(double x) { comp = ; }";
+    const EMPTY: &str = "";
+    const GOLDEN: [(&str, &str, [u64; 5]); 10] = [
+        (
+            FULL,
+            RENAMED,
+            [
+                0x3fd0c04d4fb88a6c,
+                0x3fd37006ece8a499,
+                0x3fe13b13b13b13b1,
+                0x3fd8000000000000,
+                0x3fd7a99ee7c5d59a,
+            ],
+        ),
+        (FULL, BROKEN, [0x3fb6de684fb1e2bf, 0x3fbb8f175546afd9, 0, 0, 0x3fa936bfd27c494c]),
+        (BROKEN, FULL, [0x3f670e070f9ceb15, 0x3f68ebd57e8cf15b, 0, 0, 0x3f57fcee4714ee38]),
+        (FULL, EMPTY, [0; 5]),
+        (EMPTY, FULL, [0; 5]),
+        (EMPTY, EMPTY, [0; 5]),
+        (FULL, PARAMS_ONLY, [0x3fa7dc6db691fbb3, 0x3fb30413deb79d57, 0, 0, 0x3f9ef24aba009b30]),
+        (PARAMS_ONLY, FULL, [0x3f7793f4aa709773, 0x3f7bebb8112c0a1e, 0, 0, 0x3f69bfd65dce50c8]),
+        (
+            PARAMS_ONLY,
+            PARAMS_ONLY,
+            [0x3ff0000000000000, 0x3ff0000000000000, 0, 0x3ff0000000000000, 0x3fe8000000000000],
+        ),
+        (BROKEN, PARAMS_ONLY, [0x3fc9cd445cc9f321, 0x3fd18a9c8c347536, 0, 0, 0x3fbe713eba996ec6]),
+    ];
+    for (candidate, reference, bits) in GOLDEN {
+        let b = codebleu(candidate, reference, CodeBleuWeights::default());
+        let got = [b.bleu, b.weighted_bleu, b.syntax_match, b.dataflow_match, b.combined]
+            .map(f64::to_bits);
+        assert_eq!(got, bits, "{candidate:?} vs {reference:?}: {b:?}");
+    }
 }

@@ -13,7 +13,7 @@ use llm4fp_suite::difftest::{classify, digit_difference, ValueClass};
 use llm4fp_suite::fpir::{parse_compute, to_compute_source, validate, Precision};
 use llm4fp_suite::generator::{InputGenerator, VarityGenerator};
 use llm4fp_suite::mathlib::{ulp_distance, DeviceMathLib, FastMathLib, HostLibm, MathLib};
-use llm4fp_suite::metrics::{codebleu, CodeBleuWeights};
+use llm4fp_suite::metrics::{average_pairwise_codebleu, codebleu, sampled_pairs, CodeBleuWeights};
 
 /// Build three small successful sets from one seed, drawing sources from
 /// an eight-program alphabet so cross-set structural duplicates are the
@@ -147,6 +147,25 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&ab));
         let aa = codebleu(&a, &a, weights).combined;
         prop_assert!(aa > 0.999, "self-similarity must be ~1, got {aa}");
+    }
+
+    /// The corpus average, which profiles each program once, is the
+    /// pair-order mean of `codebleu()` over the same pairs, bit for bit.
+    /// Seeds repeat within a corpus, so identical pairs occur too.
+    #[test]
+    fn pairwise_average_is_the_mean_of_codebleu(seed in 0u64..1_000, n in 0usize..7, cap in 0usize..45) {
+        let sources: Vec<String> = (0..n as u64)
+            .map(|i| to_compute_source(&VarityGenerator::new(seed + i % 4).generate()))
+            .collect();
+        let weights = CodeBleuWeights::default();
+        let (mut total, mut count) = (0.0, 0usize);
+        for (i, j) in sampled_pairs(n, cap) {
+            total += codebleu(&sources[i], &sources[j], weights).combined;
+            count += 1;
+        }
+        let mean = if count == 0 { 0.0 } else { total / count as f64 };
+        let (avg, pairs) = average_pairwise_codebleu(&sources, 1, cap);
+        prop_assert_eq!((avg.to_bits(), pairs), (mean.to_bits(), count));
     }
 
     /// `SuccessfulSet::merge` is associative: merging (a ∪ b) with c gives
