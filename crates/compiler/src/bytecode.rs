@@ -20,7 +20,9 @@
 //! structure, assignment targets, loop variables and array declarations
 //! are identical under every configuration, so one layout serves the
 //! whole 18-configuration matrix.) A `Flattener` then emits the `Instr`
-//! stream for one optimized body, which *is* configuration-dependent.
+//! stream for one configuration's optimized expressions — an expression
+//! arena (`crate::arena`) laid over the plan's statement skeleton — which
+//! *is* configuration-dependent.
 //! The layout lands in an [`Arc<SealLayout>`] shared by every
 //! [`SealedProgram`] of the matrix, so sealing a full matrix allocates
 //! the string tables and initializer pools once instead of once per
@@ -51,8 +53,9 @@ use std::sync::Arc;
 use llm4fp_fpir::{BinOp, CmpOp, IndexExpr, MathFunc, Param, ParamType, Precision};
 use llm4fp_mathlib::{FastMathLib, MathLib};
 
+use crate::arena::{Arena, Node, NodeId};
 use crate::config::Semantics;
-use crate::ir::{OExpr, OStmt};
+use crate::ir::OStmt;
 
 /// Round an exact `f64` to a program precision — the single
 /// implementation of the rounding convention, shared by the seal-time
@@ -311,18 +314,6 @@ impl SealedProgram {
     }
 }
 
-/// Seal an optimized body under one configuration's semantics. Called
-/// through [`crate::compile::CompiledProgram::seal`]; matrix callers build
-/// one [`SealPlan`] and flatten per configuration instead.
-pub(crate) fn seal(
-    precision: Precision,
-    params: &[Param],
-    body: &[OStmt],
-    semantics: &Semantics,
-) -> Result<SealedProgram, SealError> {
-    SealPlan::new(precision, params, body)?.flatten(body, semantics)
-}
-
 /// A scalar slot plus the point in the statement walk at which its
 /// defining assignment interned it. Reads resolve against the table *as
 /// it stood* at the reading statement (replicating the interpreter's
@@ -341,10 +332,12 @@ struct ScalarSlot<'p> {
 
 /// The per-program half of sealing: everything the optimization pipeline
 /// cannot change. Built once, then flattened against each configuration's
-/// optimized body.
+/// optimized expression arena.
 pub(crate) struct SealPlan<'p> {
     precision: Precision,
     layout: Arc<SealLayout>,
+    /// The statement skeleton every flattened arena is laid over.
+    body: &'p [OStmt],
     /// Every scalar assignment target anywhere in the program (used to
     /// detect dynamically ambiguous int/scalar names). Linear tables
     /// throughout: generated programs bind a handful of names, so vector
@@ -419,6 +412,7 @@ impl<'p> SealPlan<'p> {
         Ok(SealPlan {
             precision,
             layout: Arc::new(builder.layout),
+            body,
             assigned_anywhere,
             scalar_slots: builder.scalar_slots,
             int_params: builder.int_params,
@@ -430,25 +424,30 @@ impl<'p> SealPlan<'p> {
         })
     }
 
-    /// Flatten one optimized body against this plan. The body must be a
-    /// pass-pipeline rewrite of the body the plan was built from
-    /// (statement structure identical; expressions free to differ).
+    /// Flatten one optimized arena against this plan. The arena must be
+    /// the plan's body lowered by [`Arena::from_body`], or a pass-pipeline
+    /// rewrite of it (one root per expression site of the body).
     pub(crate) fn flatten(
         &self,
-        body: &[OStmt],
+        arena: &Arena<'_>,
         semantics: &Semantics,
     ) -> Result<SealedProgram, SealError> {
-        let (instrs, n_regs) = self.flatten_instrs(body)?;
+        let (instrs, n_regs) = self.flatten_instrs(arena)?;
         Ok(self.assemble(instrs, n_regs, semantics))
     }
 
     /// The configuration-dependent half of [`SealPlan::flatten`]: emit the
     /// instruction stream. Split out so matrix sealing can memoize it per
     /// distinct pass pipeline (configurations sharing a pipeline share the
-    /// identical body, hence the identical raw stream).
-    pub(crate) fn flatten_instrs(&self, body: &[OStmt]) -> Result<(Vec<Instr>, usize), SealError> {
+    /// identical arena, hence the identical raw stream).
+    pub(crate) fn flatten_instrs(
+        &self,
+        arena: &Arena<'_>,
+    ) -> Result<(Vec<Instr>, usize), SealError> {
         let mut flattener = Flattener {
             plan: self,
+            arena,
+            next_root: 0,
             int_scope: Vec::new(),
             array_scope: self.param_arrays.clone(),
             next_int: self.n_int_params as usize,
@@ -457,7 +456,7 @@ impl<'p> SealPlan<'p> {
             instrs: Vec::with_capacity(64),
             n_regs: 0,
         };
-        flattener.seal_block(body)?;
+        flattener.seal_block(self.body)?;
         flattener.instrs.push(Instr::Halt);
         if flattener.instrs.len() > u32::MAX as usize {
             return Err(SealError::TooComplex("instruction count"));
@@ -563,15 +562,19 @@ impl<'p> PlanBuilder<'p> {
     }
 }
 
-/// Per-configuration instruction emission over a shared [`SealPlan`].
+/// Per-configuration instruction emission over a shared [`SealPlan`]:
+/// walks the plan's statement skeleton and compiles each expression site
+/// from the next root of the arena.
 ///
-/// `'a` is the borrow of the plan (scope entries for declared arrays
-/// borrow their names from the plan's layout pool), `'b` the borrow of
-/// the optimized body being flattened.
-struct Flattener<'a, 'b> {
+/// `'a` is the borrow of the plan and of the arena (scope entries for
+/// declared arrays borrow their names from the plan's layout pool).
+struct Flattener<'a> {
     plan: &'a SealPlan<'a>,
+    arena: &'a Arena<'a>,
+    /// The arena root of the next expression site.
+    next_root: usize,
     /// Loop variables currently in scope, innermost last.
-    int_scope: Vec<(&'b str, u16)>,
+    int_scope: Vec<(&'a str, u16)>,
     /// Arrays in scope, innermost last; parameters at the bottom. Slot
     /// numbers come from the plan (declarations are numbered in walk
     /// order, which the flattener replays).
@@ -589,7 +592,7 @@ struct Flattener<'a, 'b> {
     n_regs: usize,
 }
 
-impl<'a, 'b> Flattener<'a, 'b> {
+impl<'a> Flattener<'a> {
     fn scalar_binding(&self, name: &str) -> Option<u16> {
         self.plan
             .scalar_slots
@@ -654,7 +657,13 @@ impl<'a, 'b> Flattener<'a, 'b> {
         }
     }
 
-    fn seal_block(&mut self, body: &'b [OStmt]) -> Result<(), SealError> {
+    /// The root of the next expression site, in walk order.
+    fn next_root(&mut self) -> NodeId {
+        self.next_root += 1;
+        self.arena.roots[self.next_root - 1]
+    }
+
+    fn seal_block(&mut self, body: &'a [OStmt]) -> Result<(), SealError> {
         // Arrays are block-scoped (matching the validator); scalars are a
         // flat namespace (safe because every read lexically follows its
         // defining assignment in validated programs).
@@ -666,14 +675,15 @@ impl<'a, 'b> Flattener<'a, 'b> {
         Ok(())
     }
 
-    fn seal_stmt(&mut self, stmt: &'b OStmt) -> Result<(), SealError> {
+    fn seal_stmt(&mut self, stmt: &'a OStmt) -> Result<(), SealError> {
         self.instrs.push(Instr::Burn);
         match stmt {
-            OStmt::Assign { target, expr } => {
+            OStmt::Assign { target, .. } => {
                 if self.int_binding(target).is_some() {
                     return Err(SealError::AmbiguousName(target.clone()));
                 }
-                self.compile_expr(expr, 0)?;
+                let root = self.next_root();
+                self.compile_expr(root, 0)?;
                 self.assigns_done += 1;
                 let slot = self
                     .plan
@@ -684,32 +694,26 @@ impl<'a, 'b> Flattener<'a, 'b> {
                     .ok_or_else(|| SealError::UnresolvedVariable(target.clone()))?;
                 self.instrs.push(Instr::StoreScalar { slot, src: 0 });
             }
-            OStmt::Store { array, index, expr } => {
+            OStmt::Store { array, index, .. } => {
                 // Interpreter order: expression first, then index
                 // resolution and the bounds check.
-                self.compile_expr(expr, 0)?;
+                let root = self.next_root();
+                self.compile_expr(root, 0)?;
                 let slot = self.resolve_array(array)?;
                 let index = self.seal_index(index);
                 self.instrs.push(Instr::StoreElem { array: slot, index, src: 0 });
             }
-            OStmt::DeclArray { .. } => {
-                let &(slot, init) = self
-                    .plan
-                    .decl_arrays
-                    .get(self.next_decl)
-                    .ok_or(SealError::TooComplex("plan/body mismatch"))?;
+            OStmt::DeclArray { name, .. } => {
+                let (slot, init) = self.plan.decl_arrays[self.next_decl];
                 self.next_decl += 1;
-                // Scope entries borrow the array's name from the plan's
-                // pool (every declared array is pooled), so they outlive
-                // the per-statement body borrow.
-                let pool_idx = self.plan.layout.arrays[slot as usize].name as usize;
-                let scope_name: &'a str = &self.plan.layout.names[pool_idx];
-                self.array_scope.push((scope_name, slot));
+                self.array_scope.push((name.as_str(), slot));
                 self.instrs.push(Instr::DeclArray { array: slot, init });
             }
             OStmt::If { cond, then_block } => {
-                self.compile_expr(&cond.lhs, 0)?;
-                self.compile_expr(&cond.rhs, 1)?;
+                let lhs = self.next_root();
+                self.compile_expr(lhs, 0)?;
+                let rhs = self.next_root();
+                self.compile_expr(rhs, 1)?;
                 let branch = self.instrs.len();
                 self.instrs.push(Instr::JumpCmpFalse {
                     op: cond.op,
@@ -746,17 +750,17 @@ impl<'a, 'b> Flattener<'a, 'b> {
         Ok(())
     }
 
-    /// Compile an expression so its value lands in register `dst`;
-    /// children use registers `dst`, `dst + 1`, ... (left-to-right
+    /// Compile the arena subtree at `id` so its value lands in register
+    /// `dst`; children use registers `dst`, `dst + 1`, ... (left-to-right
     /// evaluation, matching the interpreter's recursion order).
-    fn compile_expr(&mut self, expr: &'b OExpr, dst: Reg) -> Result<(), SealError> {
+    fn compile_expr(&mut self, id: NodeId, dst: Reg) -> Result<(), SealError> {
         self.n_regs = self.n_regs.max(dst as usize + 1);
-        match expr {
-            OExpr::Const(v) => {
-                let value = round_to(self.plan.precision, *v);
+        match self.arena.node(id) {
+            Node::Const(v) => {
+                let value = round_to(self.plan.precision, v);
                 self.instrs.push(Instr::Const { dst, value });
             }
-            OExpr::Var(name) => {
+            Node::Var(name) => {
                 let instr = match self.resolve_var(name)? {
                     Instr::LoadScalar { slot, .. } => Instr::LoadScalar { dst, slot },
                     Instr::LoadInt { slot, .. } => Instr::LoadInt { dst, slot },
@@ -764,22 +768,22 @@ impl<'a, 'b> Flattener<'a, 'b> {
                 };
                 self.instrs.push(instr);
             }
-            OExpr::Index { array, index } => {
+            Node::Index(array, index) => {
                 let slot = self.resolve_array(array)?;
                 let index = self.seal_index(index);
                 self.instrs.push(Instr::LoadElem { dst, array: slot, index });
             }
-            OExpr::Neg(inner) => {
+            Node::Neg(inner) => {
                 self.compile_expr(inner, dst)?;
                 self.instrs.push(Instr::Neg { dst, src: dst });
             }
-            OExpr::Bin { op, lhs, rhs } => {
+            Node::Bin(op, lhs, rhs) => {
                 let rhs_reg = checked_reg(dst, 1)?;
                 self.compile_expr(lhs, dst)?;
                 self.compile_expr(rhs, rhs_reg)?;
-                self.instrs.push(Instr::Bin { op: *op, dst, lhs: dst, rhs: rhs_reg });
+                self.instrs.push(Instr::Bin { op, dst, lhs: dst, rhs: rhs_reg });
             }
-            OExpr::Fma { a, b, c } => {
+            Node::Fma(a, b, c) => {
                 let rb = checked_reg(dst, 1)?;
                 let rc = checked_reg(dst, 2)?;
                 self.compile_expr(a, dst)?;
@@ -787,24 +791,19 @@ impl<'a, 'b> Flattener<'a, 'b> {
                 self.compile_expr(c, rc)?;
                 self.instrs.push(Instr::Fma { dst, a: dst, b: rb, c: rc });
             }
-            OExpr::Recip { value, approx } => {
+            Node::Recip(value, approx) => {
                 self.compile_expr(value, dst)?;
-                self.instrs.push(Instr::Recip { dst, src: dst, approx: *approx });
+                self.instrs.push(Instr::Recip { dst, src: dst, approx });
             }
-            OExpr::Call { func, args } => {
-                if args.len() > 3 {
+            Node::Call(func, start, len) => {
+                if len > 3 {
                     return Err(SealError::TooComplex("call arity"));
                 }
-                for (i, arg) in args.iter().enumerate() {
-                    let reg = checked_reg(dst, i as u16)?;
-                    self.compile_expr(arg, reg)?;
+                for k in 0..len {
+                    let reg = checked_reg(dst, k as u16)?;
+                    self.compile_expr(self.arena.arg(start, k), reg)?;
                 }
-                self.instrs.push(Instr::Call {
-                    func: *func,
-                    dst,
-                    base: dst,
-                    arity: args.len() as u8,
-                });
+                self.instrs.push(Instr::Call { func, dst, base: dst, arity: len as u8 });
             }
         }
         Ok(())

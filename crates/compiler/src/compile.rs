@@ -1,18 +1,17 @@
 //! The compilation entry point: validation → lowering → pass pipeline →
 //! an executable [`CompiledProgram`].
 
-use std::borrow::Cow;
-
 use serde::{Deserialize, Serialize};
 
 use llm4fp_fpir::{validate, InputSet, Param, Precision, Program, ValidationError};
 
+use crate::arena::Arena;
 use crate::bytecode::{self, SealError, SealPlan, SealedProgram};
 use crate::config::{CompilerConfig, Semantics};
 use crate::interp::{ExecError, ExecResult, Interpreter, DEFAULT_FUEL};
 use crate::ir::{count_in_body, OExpr, OStmt};
 use crate::lower::lower_program;
-use crate::passes::{apply_stage, apply_stage_ref, run_pipeline, stages, Stage};
+use crate::passes::{optimize, rewrite, run_pipeline, stages, Stage};
 
 /// Why a program failed to compile.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -87,9 +86,12 @@ impl CompiledProgram {
     /// Seal this artifact into register-machine bytecode for repeated
     /// execution (see [`crate::bytecode`] and [`crate::vm`]). Sealed
     /// execution is bit-identical to [`CompiledProgram::execute`]; callers
-    /// that receive a [`SealError`] fall back to the interpreter.
+    /// that receive a [`SealError`] fall back to the interpreter. The body
+    /// is lowered to an expression arena first, because the flattener
+    /// reads only arenas.
     pub fn seal(&self) -> Result<SealedProgram, SealError> {
-        bytecode::seal(self.precision, &self.params, &self.body, &self.semantics)
+        let plan = SealPlan::new(self.precision, &self.params, &self.body)?;
+        plan.flatten(&Arena::from_body(&self.body), &self.semantics)
     }
 }
 
@@ -173,7 +175,7 @@ impl Frontend {
     /// to [`compile`] with the validation and lowering amortized away.
     pub fn specialize(&self, config: CompilerConfig) -> CompiledProgram {
         let semantics = config.semantics();
-        let body = run_pipeline(self.lowered.clone(), &semantics);
+        let body = run_pipeline(&self.lowered, &semantics);
         CompiledProgram {
             config,
             precision: self.precision,
@@ -187,32 +189,32 @@ impl Frontend {
     /// [`CompiledProgram`] (and its parameter-list clone) on the hot path.
     /// Produces bytecode identical to `self.specialize(config).seal()`.
     pub fn seal(&self, config: CompilerConfig) -> Result<SealedProgram, SealError> {
+        let plan = SealPlan::new(self.precision, &self.params, &self.lowered)?;
         let semantics = config.semantics();
-        let body = run_pipeline(self.lowered.clone(), &semantics);
-        bytecode::seal(self.precision, &self.params, &body, &semantics)
+        plan.flatten(&optimize(&self.lowered, &semantics), &semantics)
     }
 
     /// Seal one program under a whole configuration matrix at once,
     /// sharing everything the configurations cannot influence:
     ///
-    /// * the pass pipeline is factored into a **prefix tree** -- stage
-    ///   sequences that share a prefix share the intermediate IR after it,
-    ///   computed once per prefix: the tree is walked depth-first with the
-    ///   body *moved* into a prefix's last child and materialized (one
-    ///   rebuild pass) only at branch points, so e.g. all nine `O1`-`O3`
-    ///   configurations fold constants exactly once;
+    /// * the lowered body becomes one expression arena, and the pass
+    ///   pipeline is factored into a **prefix tree** over arenas: stage
+    ///   sequences that share a prefix share the arena after it, computed
+    ///   once, and each branch rewrites its parent's arena without copying
+    ///   it. So, e.g., all nine `O1`-`O3` configurations fold constants
+    ///   exactly once;
     /// * name->slot resolution, the parameter binding plan and the
     ///   initializer pool run **once per program** (`bytecode::SealPlan`)
     ///   and land in one `Arc`-shared [`bytecode` layout] shared by every
     ///   artifact of the matrix;
     /// * configurations with *identical* stage sequences share the
-    ///   flatten itself (the bodies are the same tree), so each further
+    ///   flatten itself (the arenas are the same), so each further
     ///   artifact of a pipeline pays a `Vec<Instr>` copy, not a re-run.
     ///
     /// Results are per-configuration and independent: a configuration
-    /// whose body no longer references a dynamically ambiguous name may
-    /// seal while its siblings refuse. Every entry is identical to what
-    /// [`Frontend::seal`] produces for that configuration.
+    /// whose rewritten body no longer reads a dynamically ambiguous name
+    /// may seal while its siblings refuse. Every entry is identical to
+    /// what [`Frontend::seal`] produces for that configuration.
     ///
     /// [`bytecode` layout]: crate::bytecode
     pub fn seal_matrix(&self, configs: &[CompilerConfig]) -> Vec<Result<SealedProgram, SealError>> {
@@ -240,7 +242,8 @@ impl Frontend {
         // Depth-first prefix-tree walk producing the flatten of every
         // distinct pipeline.
         let mut flats: Vec<(&[Stage], Flat)> = Vec::with_capacity(distinct.len());
-        seal_prefix_group(&plan, Cow::Borrowed(&self.lowered), 0, &distinct, &mut flats);
+        let lowered = Arena::from_body(&self.lowered);
+        seal_prefix_group(&plan, &lowered, 0, &distinct, &mut flats);
         pipelines
             .iter()
             .map(|(semantics, pipeline)| {
@@ -271,23 +274,21 @@ type Flat = Result<(Vec<bytecode::Instr>, usize), SealError>;
 
 /// Depth-first walk of the prefix tree implied by the distinct stage
 /// sequences in `group` (all sharing the same first `depth` stages, whose
-/// rewritten IR is `body`). Flattens every complete pipeline in the
-/// group. The body is **moved** into the last child branch and rebuilt
-/// (one by-reference pass) only for earlier siblings, so a stage chain
-/// used by a single pipeline costs string-free consuming applications --
-/// the same tree work one independent seal performs -- while shared
-/// prefixes are computed exactly once for all their descendants.
+/// rewritten expressions are `arena`). Flattens every complete pipeline
+/// in the group. Each child branch rewrites `arena` into a fresh arena of
+/// its own, so a shared prefix is computed exactly once for all its
+/// descendants and no branch copies its parent.
 fn seal_prefix_group<'p>(
     plan: &SealPlan<'_>,
-    body: Cow<'_, [OStmt]>,
+    arena: &Arena<'_>,
     depth: usize,
     group: &[&'p [Stage]],
     flats: &mut Vec<(&'p [Stage], Flat)>,
 ) {
-    // Pipelines completed at this depth flatten against the current body.
+    // Pipelines completed at this depth flatten against the current arena.
     for &pipeline in group {
         if pipeline.len() == depth {
-            flats.push((pipeline, plan.flatten_instrs(&body)));
+            flats.push((pipeline, plan.flatten_instrs(arena)));
         }
     }
     // Partition the rest by their next stage (first-appearance order).
@@ -302,19 +303,9 @@ fn seal_prefix_group<'p>(
             None => partitions.push((stage, vec![pipeline])),
         }
     }
-    let Some((last_stage, last_bucket)) = partitions.pop() else {
-        return;
-    };
     for (stage, bucket) in partitions {
-        let child = apply_stage_ref(&body, stage);
-        seal_prefix_group(plan, Cow::Owned(child), depth + 1, &bucket, flats);
+        seal_prefix_group(plan, &rewrite(arena, stage), depth + 1, &bucket, flats);
     }
-    // The final branch consumes the body: no rebuild when it was owned.
-    let child = match body {
-        Cow::Owned(owned) => apply_stage(owned, last_stage),
-        Cow::Borrowed(borrowed) => apply_stage_ref(borrowed, last_stage),
-    };
-    seal_prefix_group(plan, Cow::Owned(child), depth + 1, &last_bucket, flats);
 }
 
 /// Compile a program under one configuration.
@@ -443,22 +434,45 @@ mod tests {
     #[test]
     fn seal_matrix_refusals_mirror_independent_seals() {
         // `t` is a loop variable in one scope and a scalar target in
-        // another: every configuration must refuse, exactly as the
-        // independent path does.
-        let src = "void compute(double x) {\n\
-                   for (int t = 0; t < 3; ++t) { comp += x * t; }\n\
-                   double t = 2.0;\n\
-                   comp += t;\n\
-                   }";
-        let frontend = Frontend::new(&parse_compute(src).unwrap()).unwrap();
+        // another, so a read of `t` inside the loop is dynamically
+        // ambiguous. In the first source every configuration reads it and
+        // must refuse. In the second, fast-math folds `x * (t - t)` to 0,
+        // so only the three `O3_fastmath` configurations drop the read and
+        // seal, while their siblings refuse.
+        let sources = [
+            (
+                "void compute(double x) {\n\
+                 for (int t = 0; t < 3; ++t) { comp += x * t; }\n\
+                 double t = 2.0;\n\
+                 comp += t;\n\
+                 }",
+                false,
+            ),
+            (
+                "void compute(double x) {\n\
+                 for (int t = 0; t < 3; ++t) { comp += x * (t - t); }\n\
+                 double t = 2.0;\n\
+                 comp += t;\n\
+                 }",
+                true,
+            ),
+        ];
         let matrix = CompilerConfig::full_matrix();
-        let batch = frontend.seal_matrix(&matrix);
-        assert_eq!(batch.len(), matrix.len());
-        for (&config, result) in matrix.iter().zip(&batch) {
-            let single = frontend.seal(config);
-            match (result, &single) {
-                (Err(a), Err(b)) => assert_eq!(a, b, "{config}"),
-                other => panic!("expected matching refusals under {config}: {other:?}"),
+        for (src, fastmath_seals) in sources {
+            let frontend = Frontend::new(&parse_compute(src).unwrap()).unwrap();
+            let batch = frontend.seal_matrix(&matrix);
+            assert_eq!(batch.len(), matrix.len());
+            for (&config, result) in matrix.iter().zip(&batch) {
+                let single = frontend.seal(config);
+                let seals = fastmath_seals && config.level == OptLevel::O3Fastmath;
+                match (result, &single) {
+                    (Ok(a), Ok(b)) if seals => assert_eq!(a.instrs, b.instrs, "{config}"),
+                    (Err(a), Err(b)) if !seals => {
+                        assert_eq!(a, b, "{config}");
+                        assert_eq!(a, &SealError::AmbiguousName("t".into()), "{config}");
+                    }
+                    other => panic!("expected {config} to seal: {seals}, got {other:?}"),
+                }
             }
         }
     }

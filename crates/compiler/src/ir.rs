@@ -96,18 +96,6 @@ impl OExpr {
         });
         n
     }
-
-    /// True if the subtree contains no variable or array reads (and can
-    /// therefore be folded at compile time).
-    pub fn is_constant_tree(&self) -> bool {
-        let mut constant = true;
-        self.visit(&mut |e| {
-            if matches!(e, OExpr::Var(_) | OExpr::Index { .. }) {
-                constant = false;
-            }
-        });
-        constant
-    }
 }
 
 /// Comparison condition of an `if`.
@@ -154,26 +142,6 @@ impl OStmt {
             }
         }
     }
-
-    /// Rewrite every expression in this statement bottom-up using `rewrite`.
-    pub fn map_exprs(self, rewrite: &impl Fn(OExpr) -> OExpr) -> OStmt {
-        match self {
-            OStmt::Assign { target, expr } => OStmt::Assign { target, expr: rewrite(expr) },
-            OStmt::Store { array, index, expr } => {
-                OStmt::Store { array, index, expr: rewrite(expr) }
-            }
-            OStmt::DeclArray { .. } => self,
-            OStmt::If { cond, then_block } => OStmt::If {
-                cond: OCond { lhs: rewrite(cond.lhs), op: cond.op, rhs: rewrite(cond.rhs) },
-                then_block: then_block.into_iter().map(|s| s.map_exprs(rewrite)).collect(),
-            },
-            OStmt::For { var, bound, body } => OStmt::For {
-                var,
-                bound,
-                body: body.into_iter().map(|s| s.map_exprs(rewrite)).collect(),
-            },
-        }
-    }
 }
 
 /// Count matching expression nodes across a whole body.
@@ -199,32 +167,7 @@ mod tests {
         assert_eq!(e.size(), 4);
         assert_eq!(e.as_const(), None);
         assert_eq!(OExpr::Const(2.0).as_const(), Some(2.0));
-        assert!(!e.is_constant_tree());
-        assert!(OExpr::bin(BinOp::Add, OExpr::Const(1.0), OExpr::Const(2.0)).is_constant_tree());
         assert_eq!(e.count_matching(&|x| matches!(x, OExpr::Var(_))), 2);
-    }
-
-    #[test]
-    fn map_exprs_rewrites_nested_statements() {
-        let body = vec![OStmt::For {
-            var: "i".into(),
-            bound: 3,
-            body: vec![OStmt::If {
-                cond: OCond { lhs: OExpr::Const(1.0), op: CmpOp::Gt, rhs: OExpr::Const(0.0) },
-                then_block: vec![OStmt::Assign { target: "comp".into(), expr: OExpr::Const(1.0) }],
-            }],
-        }];
-        let rewritten: Vec<OStmt> = body
-            .into_iter()
-            .map(|s| {
-                s.map_exprs(&|e| match e {
-                    OExpr::Const(v) => OExpr::Const(v + 1.0),
-                    other => other,
-                })
-            })
-            .collect();
-        assert_eq!(count_in_body(&rewritten, |e| e.as_const() == Some(2.0)), 2);
-        assert_eq!(count_in_body(&rewritten, |e| e.as_const() == Some(1.0)), 1);
     }
 
     #[test]

@@ -39,6 +39,7 @@
 
 #![deny(unsafe_code)]
 
+mod arena;
 pub mod bytecode;
 pub mod compile;
 pub mod config;

@@ -7,7 +7,9 @@
 use proptest::prelude::*;
 
 use llm4fp_suite::compiler::interp::DEFAULT_FUEL;
-use llm4fp_suite::compiler::{compile, CompilerConfig, CompilerId, ExecScratch, OptLevel};
+use llm4fp_suite::compiler::{
+    compile, CompilerConfig, CompilerId, ExecScratch, Frontend, OptLevel,
+};
 use llm4fp_suite::core::SuccessfulSet;
 use llm4fp_suite::difftest::{classify, digit_difference, ValueClass};
 use llm4fp_suite::fpir::{parse_compute, to_compute_source, validate, Precision};
@@ -217,9 +219,10 @@ proptest! {
 
     /// The sealed register VM is pinned bit-identical to the reference
     /// interpreter: for random valid programs × configurations × inputs
-    /// the sealed artifact agrees with the interpreter on exact value
-    /// bits, step counts, and error variants — including the precise fuel
-    /// budget at which execution starves.
+    /// both the single-configuration artifact and the matrix-sealed one
+    /// agree with the interpreter on exact value bits, step counts, and
+    /// error variants — including the precise fuel budget at which
+    /// execution starves.
     #[test]
     fn sealed_vm_matches_reference_interpreter(
         seed in 0u64..3_000,
@@ -228,40 +231,49 @@ proptest! {
     ) {
         let program = VarityGenerator::new(seed).generate();
         let inputs = InputGenerator::new(seed ^ 0x51ed).generate(&program);
-        let config = CompilerConfig::full_matrix()[cfg_index];
+        let matrix = CompilerConfig::full_matrix();
+        let config = matrix[cfg_index];
         let artifact = compile(&program, config).unwrap();
         // Varity's naming conventions never produce the dynamically
         // ambiguous int/scalar shadowing that refuses to seal.
         let sealed = artifact.seal().expect("varity programs always seal");
+        // The matrix path is one more engine held to the same checks.
+        let batched = Frontend::new(&program)
+            .unwrap()
+            .seal_matrix(&matrix)
+            .swap_remove(cfg_index)
+            .expect("varity programs always seal");
         let mut scratch = ExecScratch::new();
         let reference = artifact.execute(&inputs);
-        let vm = sealed.execute_into(&inputs, DEFAULT_FUEL, &mut scratch);
-        match (&reference, &vm) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(a.bits(), b.bits());
-                prop_assert_eq!(a.steps, b.steps);
-                prop_assert_eq!(a.precision, b.precision);
+        for (engine, vm) in [("seal", &sealed), ("seal_matrix", &batched)] {
+            let run = vm.execute_into(&inputs, DEFAULT_FUEL, &mut scratch);
+            match (&reference, &run) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!(a.bits(), b.bits(), "{}", engine);
+                    prop_assert_eq!(a.steps, b.steps, "{}", engine);
+                    prop_assert_eq!(a.precision, b.precision, "{}", engine);
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(a, b, "{}", engine),
+                other => prop_assert!(false, "{engine} and the interpreter disagree: {other:?}"),
             }
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            other => prop_assert!(false, "back ends disagree: {other:?}"),
-        }
-        // Starve both engines at the same budget and require the same
-        // outcome (fuel exhaustion at the identical point, or identical
-        // completion when the budget suffices).
-        if let Ok(full) = &reference {
-            let fuel = match starve {
-                0 => 0,
-                1 => full.steps / 2,
-                _ => full.steps.saturating_sub(1),
-            };
-            let a = artifact.execute_with_fuel(&inputs, fuel);
-            let b = sealed.execute_into(&inputs, fuel, &mut scratch);
-            prop_assert_eq!(&a, &b, "fuel {}", fuel);
-            if fuel < full.steps {
-                prop_assert_eq!(
-                    a.unwrap_err(),
-                    llm4fp_suite::compiler::ExecError::FuelExhausted
-                );
+            // Starve both engines at the same budget and require the same
+            // outcome (fuel exhaustion at the identical point, or identical
+            // completion when the budget suffices).
+            if let Ok(full) = &reference {
+                let fuel = match starve {
+                    0 => 0,
+                    1 => full.steps / 2,
+                    _ => full.steps.saturating_sub(1),
+                };
+                let a = artifact.execute_with_fuel(&inputs, fuel);
+                let b = vm.execute_into(&inputs, fuel, &mut scratch);
+                prop_assert_eq!(&a, &b, "{} at fuel {}", engine, fuel);
+                if fuel < full.steps {
+                    prop_assert_eq!(
+                        a.unwrap_err(),
+                        llm4fp_suite::compiler::ExecError::FuelExhausted
+                    );
+                }
             }
         }
     }
@@ -271,7 +283,6 @@ proptest! {
     /// reproduces the independent path bit for bit (and refusals match).
     #[test]
     fn seal_matrix_agrees_with_independent_seals(seed in 0u64..2_000) {
-        use llm4fp_suite::compiler::Frontend;
         let program = VarityGenerator::new(seed).generate();
         let inputs = InputGenerator::new(seed ^ 0x3a7).generate(&program);
         let frontend = Frontend::new(&program).unwrap();
