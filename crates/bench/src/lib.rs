@@ -35,42 +35,42 @@
 //!   recorders) into a resumable run directory (single-campaign binaries;
 //!   suite binaries schedule in memory);
 //! * `--executor in-process|process-pool|remote` — the shard transport
-//!   (default `in-process`: a thread pool in this process;
-//!   `process-pool` farms shard segments to out-of-process
-//!   `llm4fp-worker` daemons over pipes; `remote` serves the same
-//!   workers over a TCP socket with leases, heartbeats and
-//!   reconnect-and-resume — results are bit-identical across all
-//!   three);
-//! * `--worker-procs N` — worker daemon count for `--executor
-//!   process-pool` and `--executor remote` (default: available
-//!   parallelism);
+//!   (default `in-process`: a thread pool in this process).
+//!   `process-pool` and `remote` are two spellings of one out-of-process
+//!   executor: shard segments go to `llm4fp-worker` daemons over a TCP
+//!   socket, supervised by leases, heartbeats, reconnect-and-resume and
+//!   respawn. Results are bit-identical across all of them. Every flag
+//!   below that configures workers applies to both spellings;
+//! * `--worker-procs N` — worker daemons to spawn on loopback (default:
+//!   available parallelism);
 //! * `--listen ADDR` (alias `--workers-addr ADDR`) — bind the
-//!   `--executor remote` coordinator to this address (default
-//!   `127.0.0.1:0`, an ephemeral loopback port for self-spawned
-//!   workers; use e.g. `0.0.0.0:7070` for workers dialing in from
-//!   elsewhere);
-//! * `--no-spawn-workers` — don't self-spawn loopback workers for
-//!   `--executor remote`; the run waits for external
-//!   `llm4fp-worker --connect` daemons to dial `--listen`;
-//! * `--max-frame-len BYTES` — cap on one wire frame's payload for the
-//!   out-of-process transports (default 256 MiB; `0` is rejected);
+//!   coordinator to this address (default `127.0.0.1:0`, an ephemeral
+//!   loopback port for self-spawned workers; use e.g. `0.0.0.0:7070` for
+//!   workers dialing in from elsewhere);
+//! * `--no-spawn-workers` — don't self-spawn loopback workers; the run
+//!   waits for external `llm4fp-worker --connect` daemons to dial
+//!   `--listen`;
+//! * `--max-frame-len BYTES` — cap on one wire frame's payload (default
+//!   256 MiB; `0` is rejected);
 //! * `--trace` — record span events; with `--run-dir` a Chrome
 //!   `trace_event`-compatible `trace.jsonl` is written (implies metrics);
 //! * `--no-metrics` — disable telemetry counters/histograms entirely
 //!   (they are on by default for experiment runs; campaign results are
 //!   bit-identical either way);
-//! * `--max-dispatch-attempts N` — per-shard-job dispatch budget for
-//!   `--executor process-pool` (default 3; crashes and timeouts consume
+//! * `--max-dispatch-attempts N` — per-shard-job dispatch budget
+//!   (default 3; crashes, dropped connections and expired leases consume
 //!   attempts, results stay bit-identical across redispatch);
-//! * `--shard-timeout-ms N` — straggler/stall timeout per shard job
-//!   (`--executor process-pool`'s kill deadline; `--executor remote`'s
-//!   dispatch lease — the remote analogue of the same bound);
+//! * `--shard-timeout-ms N` — the dispatch lease per shard job: a worker
+//!   that stays silent past it loses the job to redispatch, and a
+//!   self-spawned worker still silent one lease later is killed and
+//!   respawned;
 //! * `--on-shard-failure abort|quarantine` — what happens when a shard
 //!   job exhausts its dispatch budget (default `abort`; `quarantine`
 //!   completes the surviving shards and reports the casualties in the
 //!   run stats);
 //! * `--fallback-in-process` — degrade to the in-process executor (same
-//!   results) when the process-pool transport cannot spawn workers;
+//!   results) when the workers cannot be spawned, or none connects
+//!   within the worker wait;
 //! * `--fault-plan PATH` — chaos testing: load a JSON
 //!   `llm4fp_orchestrator::FaultPlan` and inject its worker/persistence
 //!   faults into the run (deterministic supervision means an abort-mode
@@ -86,7 +86,7 @@ use std::time::Duration;
 use llm4fp::{ApproachKind, BackendSpec, CampaignConfig, CampaignResult, ExternalBackendSpec};
 use llm4fp_orchestrator::{
     default_workers, FailurePolicy, FaultPlan, OrchestratedResult, Orchestrator,
-    OrchestratorOptions, ProcessPoolExecutor, RemoteWorkerExecutor, Scheduler, ShardExecutor,
+    OrchestratorOptions, Scheduler, ShardExecutor, SupervisionConfig, WorkerExecutor,
 };
 use llm4fp_telemetry::TelemetrySpec;
 
@@ -106,12 +106,12 @@ pub enum CliExecutor {
     /// A thread pool inside this process (the default).
     #[default]
     InProcess,
-    /// Out-of-process `llm4fp-worker` daemons (`llm4fp-orchestrator`'s
-    /// process-pool transport). Results are bit-identical to in-process.
+    /// Out-of-process `llm4fp-worker` daemons
+    /// (`llm4fp_orchestrator::WorkerExecutor`). Results are bit-identical
+    /// to in-process.
     ProcessPool,
-    /// The same workers dialing a TCP coordinator
-    /// (`llm4fp-orchestrator`'s socket transport: leases, heartbeats,
-    /// reconnect-and-resume). Results are bit-identical to in-process.
+    /// Another spelling of [`CliExecutor::ProcessPool`]: the same
+    /// executor, configured by the same flags.
     Remote,
 }
 
@@ -141,24 +141,23 @@ pub struct ExpOptions {
     pub run_dir: Option<PathBuf>,
     /// The shard transport (`--executor in-process|process-pool|remote`).
     pub executor: CliExecutor,
-    /// Worker daemon count for `--executor process-pool` / `remote`
-    /// (`--worker-procs`; 0 = available parallelism).
+    /// Worker daemons to spawn on loopback (`--worker-procs`; 0 =
+    /// available parallelism).
     pub worker_procs: usize,
-    /// Bind address for the `--executor remote` coordinator (`--listen`
-    /// / `--workers-addr`; `None` = `127.0.0.1:0`).
+    /// Bind address for the coordinator (`--listen` / `--workers-addr`;
+    /// `None` = `127.0.0.1:0`).
     pub listen: Option<String>,
-    /// `false` (via `--no-spawn-workers`) makes `--executor remote`
-    /// wait for external workers instead of self-spawning loopback
-    /// daemons.
+    /// `false` (via `--no-spawn-workers`) waits for external workers
+    /// instead of self-spawning loopback daemons.
     pub spawn_workers: bool,
-    /// Wire-frame payload cap for the out-of-process transports
-    /// (`--max-frame-len`; 0 = transport default of 256 MiB).
+    /// Wire-frame payload cap (`--max-frame-len`; 0 = executor default
+    /// of 256 MiB).
     pub max_frame_len: usize,
-    /// Dispatch budget per shard job for `--executor process-pool`
-    /// (`--max-dispatch-attempts`; 0 = transport default).
+    /// Dispatch budget per shard job (`--max-dispatch-attempts`; 0 =
+    /// executor default).
     pub max_dispatch_attempts: u8,
-    /// Straggler/stall timeout per shard job for `--executor
-    /// process-pool` (`--shard-timeout-ms`; 0 = transport default).
+    /// Dispatch lease per shard job (`--shard-timeout-ms`; 0 = executor
+    /// default).
     pub shard_timeout_ms: u64,
     /// What to do when a shard job exhausts its dispatch budget
     /// (`--on-shard-failure abort|quarantine`).
@@ -167,7 +166,7 @@ pub struct ExpOptions {
     /// workers cannot be spawned (`--fallback-in-process`).
     pub fallback_in_process: bool,
     /// Deterministic chaos-testing plan loaded from `--fault-plan PATH`:
-    /// worker faults ship to the process-pool transport, persistence
+    /// worker faults ship to the out-of-process executor, persistence
     /// faults to the run directory.
     pub fault_plan: Option<FaultPlan>,
 }
@@ -444,64 +443,47 @@ impl ExpOptions {
         }
     }
 
-    /// The shard transport these options select, or `None` for the
-    /// orchestrator's in-process default. The out-of-process transports
-    /// pick up the supervision knobs (`--max-dispatch-attempts`,
-    /// `--shard-timeout-ms`, `--on-shard-failure`, `--max-frame-len`)
-    /// and the worker half of any `--fault-plan`; `--shard-timeout-ms`
-    /// doubles as the remote transport's dispatch lease.
-    pub fn shard_executor(&self) -> Option<Arc<dyn ShardExecutor>> {
-        match self.executor {
-            CliExecutor::InProcess => None,
-            CliExecutor::ProcessPool => {
-                let procs =
-                    if self.worker_procs == 0 { default_workers() } else { self.worker_procs };
-                let mut executor =
-                    ProcessPoolExecutor::new(procs).on_shard_failure(self.on_shard_failure);
-                if self.max_dispatch_attempts != 0 {
-                    executor = executor.max_dispatch_attempts(self.max_dispatch_attempts);
-                }
-                if self.shard_timeout_ms != 0 {
-                    executor =
-                        executor.with_shard_timeout(Duration::from_millis(self.shard_timeout_ms));
-                }
-                if self.max_frame_len != 0 {
-                    executor = executor.with_max_frame_len(self.max_frame_len);
-                }
-                if let Some(plan) = &self.fault_plan {
-                    executor = executor.with_fault_plan(plan.clone());
-                }
-                Some(Arc::new(executor))
-            }
-            CliExecutor::Remote => {
-                let procs = if !self.spawn_workers {
-                    0
-                } else if self.worker_procs == 0 {
-                    default_workers()
-                } else {
-                    self.worker_procs
-                };
-                let mut executor =
-                    RemoteWorkerExecutor::new(procs).on_shard_failure(self.on_shard_failure);
-                if let Some(addr) = &self.listen {
-                    executor = executor.listen(addr.clone());
-                }
-                if self.max_dispatch_attempts != 0 {
-                    executor = executor.max_dispatch_attempts(self.max_dispatch_attempts);
-                }
-                if self.shard_timeout_ms != 0 {
-                    executor =
-                        executor.with_lease_timeout(Duration::from_millis(self.shard_timeout_ms));
-                }
-                if self.max_frame_len != 0 {
-                    executor = executor.with_max_frame_len(self.max_frame_len);
-                }
-                if let Some(plan) = &self.fault_plan {
-                    executor = executor.with_fault_plan(plan.clone());
-                }
-                Some(Arc::new(executor))
-            }
+    /// The out-of-process executor's settings these options select, or
+    /// `None` for the orchestrator's in-process default. Both
+    /// `--executor process-pool` and `--executor remote` land here, so
+    /// identical flags configure identical executors: the worker flags,
+    /// the supervision knobs (`--max-dispatch-attempts`,
+    /// `--shard-timeout-ms` as the dispatch lease, `--on-shard-failure`,
+    /// `--max-frame-len`) and the worker half of any `--fault-plan`.
+    pub fn supervision_config(&self) -> Option<SupervisionConfig> {
+        if self.executor == CliExecutor::InProcess {
+            return None;
         }
+        let mut config = SupervisionConfig {
+            worker_procs: match (self.spawn_workers, self.worker_procs) {
+                (false, _) => 0,
+                (true, 0) => default_workers(),
+                (true, procs) => procs,
+            },
+            policy: self.on_shard_failure,
+            faults: self.fault_plan.clone().unwrap_or_default(),
+            ..SupervisionConfig::default()
+        };
+        if let Some(addr) = &self.listen {
+            config.listen = addr.clone();
+        }
+        if self.max_dispatch_attempts != 0 {
+            config.max_dispatch_attempts = self.max_dispatch_attempts;
+        }
+        if self.shard_timeout_ms != 0 {
+            config.lease_timeout = Duration::from_millis(self.shard_timeout_ms);
+        }
+        if self.max_frame_len != 0 {
+            config.max_frame_len = self.max_frame_len;
+        }
+        Some(config)
+    }
+
+    /// The shard transport these options select, or `None` for the
+    /// orchestrator's in-process default.
+    pub fn shard_executor(&self) -> Option<Arc<dyn ShardExecutor>> {
+        let config = self.supervision_config()?;
+        Some(Arc::new(WorkerExecutor::new(config)))
     }
 }
 
@@ -693,6 +675,11 @@ mod tests {
             ["--executor", "remote", "--workers-addr", "127.0.0.1:0"].map(String::from),
         )
         .unwrap();
+        assert_eq!(
+            remote.supervision_config().unwrap().worker_procs,
+            default_workers(),
+            "--worker-procs defaults to the available parallelism"
+        );
         assert_eq!(remote.executor, CliExecutor::Remote);
         assert_eq!(
             remote.listen.as_deref(),
@@ -732,6 +719,65 @@ mod tests {
             "an unreadable fault plan is a parse error, not a silent no-op"
         );
         assert_eq!(ExpOptions::parse(std::iter::empty::<String>()).unwrap(), ExpOptions::default());
+    }
+
+    #[test]
+    fn both_executor_spellings_configure_the_same_executor() {
+        let plan_path = std::env::temp_dir()
+            .join(format!("llm4fp-bench-spelling-plan-{}.json", std::process::id()));
+        std::fs::write(&plan_path, r#"{"every_worker":[{"CrashOnShard":2}]}"#).unwrap();
+        let flags = |executor: &str| {
+            ExpOptions::parse(
+                [
+                    "--executor",
+                    executor,
+                    "--worker-procs",
+                    "3",
+                    "--listen",
+                    "127.0.0.1:0",
+                    "--max-dispatch-attempts",
+                    "5",
+                    "--shard-timeout-ms",
+                    "2500",
+                    "--on-shard-failure",
+                    "quarantine",
+                    "--max-frame-len",
+                    "1048576",
+                    "--fault-plan",
+                    plan_path.to_str().unwrap(),
+                ]
+                .map(String::from),
+            )
+            .unwrap()
+        };
+        let pool = flags("process-pool").supervision_config().expect("an executor");
+        let remote = flags("remote").supervision_config().expect("an executor");
+        std::fs::remove_file(&plan_path).ok();
+        assert_eq!(pool, remote, "the spellings differ in name only");
+        assert_eq!(
+            pool,
+            SupervisionConfig {
+                worker_procs: 3,
+                listen: "127.0.0.1:0".into(),
+                lease_timeout: Duration::from_millis(2500),
+                max_dispatch_attempts: 5,
+                policy: FailurePolicy::Quarantine,
+                faults: FaultPlan {
+                    every_worker: vec![llm4fp_orchestrator::WorkerFault::CrashOnShard(2)],
+                    ..FaultPlan::default()
+                },
+                max_frame_len: 1 << 20,
+                ..SupervisionConfig::default()
+            }
+        );
+        // `--no-spawn-workers` applies to both spellings too.
+        for executor in ["process-pool", "remote"] {
+            let external =
+                ExpOptions::parse(["--executor", executor, "--no-spawn-workers"].map(String::from))
+                    .unwrap();
+            assert_eq!(external.supervision_config().unwrap().worker_procs, 0, "{executor}");
+        }
+        assert_eq!(ExpOptions::default().supervision_config(), None);
     }
 
     #[test]

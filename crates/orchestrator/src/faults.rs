@@ -6,10 +6,10 @@
 //! external-compiler spawn errors, and torn run-dir writes. The plan is
 //! threaded through the whole stack —
 //!
-//! * the coordinator ([`crate::ProcessPoolExecutor::with_fault_plan`])
-//!   ships each spawn's effective worker faults to the daemon as JSON in
-//!   the [`FAULT_PLAN_ENV`] environment variable and injects respawn
-//!   failures into its own spawn path;
+//! * the coordinator ([`crate::SupervisionConfig::faults`]) ships each
+//!   spawn's effective worker faults to the daemon as JSON in the
+//!   [`FAULT_PLAN_ENV`] environment variable, injects respawn failures
+//!   into its own respawn path, and refuses handshakes on request;
 //! * the `llm4fp-worker` daemon applies them via [`WorkerFaultHarness`];
 //! * the persistence layer ([`crate::Orchestrator::persist_faults`])
 //!   applies [`PersistFault`]s to run-dir writes.
@@ -45,10 +45,6 @@ pub const EXIT_EXTCC_SPAWN: i32 = 102;
 /// Exit code a worker uses after deliberately sabotaging an answer frame
 /// (the stream is unusable afterwards, so the daemon does not linger).
 pub const EXIT_SABOTAGED_ANSWER: i32 = 103;
-/// Exit code a *pipe-mode* worker uses for an injected connection drop
-/// (over pipes, dropping the connection and dying are the same thing; a
-/// socket-mode worker closes the stream and reconnects instead).
-pub const EXIT_DROPPED_CONN: i32 = 104;
 
 /// One injected worker-daemon failure. Job ordinals count the jobs *this
 /// daemon process* received, starting at 1 — a respawned daemon starts
@@ -79,7 +75,7 @@ pub enum WorkerFault {
     ExtccSpawnError,
 }
 
-/// One injected *network* failure for the socket transport. Worker-side
+/// One injected *network* failure on a worker connection. Worker-side
 /// variants ship (like [`WorkerFault`]s) to the **first worker
 /// connection's process** only, so a chaos run breaks in exactly one
 /// deterministic place and the supervisor's recovery — lease expiry,
@@ -136,13 +132,14 @@ pub struct FaultPlan {
     /// survives respawns and exhausts the dispatch budget (the quarantine
     /// and abort policies' test shape).
     pub every_worker: Vec<WorkerFault>,
-    /// The first N worker spawn attempts fail coordinator-side (as if
+    /// The first N *respawn* attempts fail coordinator-side (as if
     /// fork/exec itself failed), exercising the deterministic respawn
-    /// backoff and the `WorkerUnavailable` degradation path.
+    /// backoff. The workers a session spawns at its start are never
+    /// affected; a respawn follows a worker's exit or kill.
     pub respawn_failures: u32,
     /// Persistence-layer faults (see [`PersistFault`]).
     pub persist: Vec<PersistFault>,
-    /// Network faults for the socket transport (see [`NetworkFault`]).
+    /// Network faults (see [`NetworkFault`]).
     /// Worker-side variants apply to the first worker process only;
     /// `RefuseHandshake` arms the coordinator's acceptor.
     pub network: Vec<NetworkFault>,
@@ -271,8 +268,7 @@ pub struct JobSabotage {
     /// Sabotage the answer frame instead of writing it properly.
     pub answer: Option<FrameSabotage>,
     /// Close the connection without answering ([`NetworkFault::
-    /// DropConnAtJob`]); over pipes this exits with
-    /// [`EXIT_DROPPED_CONN`], over sockets the process reconnects.
+    /// DropConnAtJob`]); the process survives and reconnects.
     pub drop_conn: bool,
     /// Sleep this long *after* computing, before writing the answer
     /// frame ([`NetworkFault::DelayFrameMs`]).

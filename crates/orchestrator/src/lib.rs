@@ -15,11 +15,11 @@
 //!      |                   |                      |
 //!      |        ShardExecutor::begin(tasks, sink) |
 //!      |                   |                      |
-//!      |   InProcessExecutor  ProcessPoolExecutor  RemoteWorkerExecutor
-//!      |   (thread pool +     (llm4fp-worker        (llm4fp-worker
-//!      |    shared cache)      daemons over pipes,   --connect over TCP,
-//!      |                       crash/straggler       leases + heartbeats +
-//!      |                       redispatch)           reconnect-and-resume)
+//!      |    InProcessExecutor          WorkerExecutor  |
+//!      |    (thread pool +             (llm4fp-worker --connect
+//!      |     shared cache)              daemons over TCP: leases,
+//!      |                                heartbeats, reconnect, respawn,
+//!      |                                crash/straggler redispatch)
 //!      |                   |                      |
 //!   ShardOutput       ShardOutput            ShardOutput   --> JSONL run dir
 //!      +---------------- merge (shard order) ----------------+  (optional)
@@ -63,18 +63,16 @@
 //!   epoch-barrier checkpoints), telemetry, and the transport;
 //! * [`executor`] — the transport seam: [`ShardExecutor`] /
 //!   [`ShardSession`] and the in-process implementation;
-//! * [`process_pool`] — the out-of-process transport
-//!   ([`ProcessPoolExecutor`]) farming [`wire`] jobs to `llm4fp-worker`
-//!   daemons with per-shard timeouts, crash-and-redispatch and straggler
-//!   re-dispatch;
-//! * [`remote`] — the socket transport ([`RemoteWorkerExecutor`]):
-//!   workers dial a TCP coordinator (`llm4fp-worker --connect`) behind a
-//!   versioned handshake, supervised by deadline leases, idle heartbeats
-//!   and reconnect-and-resume;
-//! * [`supervisor`] — the transport-shared supervision core: lease-based
-//!   dispatch ledgers ([`supervisor::EpochState`]) and the session half
-//!   both pool transports fold epochs through
-//!   ([`supervisor::SessionCore`]);
+//! * [`remote`] — the out-of-process executor ([`WorkerExecutor`],
+//!   configured by one [`SupervisionConfig`]): `llm4fp-worker --connect`
+//!   daemons dial a TCP coordinator behind a versioned handshake and are
+//!   supervised by deadline leases, idle heartbeats,
+//!   reconnect-and-resume, respawn with backoff, crash-and-redispatch
+//!   and straggler re-dispatch;
+//! * [`supervisor`] — the supervision core: lease-based dispatch ledgers
+//!   ([`supervisor::EpochState`]), the session half the executor folds
+//!   epochs through ([`supervisor::SessionCore`]) and the
+//!   [`SupervisionCounts`] reported in [`RunStats::supervision`];
 //! * [`Scheduler`] — multi-campaign suites (all four Table 2 approaches)
 //!   over one shared worker budget, with per-campaign exchange;
 //! * [`shard`] — the shard planning/merging primitives and the
@@ -86,11 +84,11 @@
 //!   torn-tail tolerance, schema-versioned manifests);
 //! * [`faults`] — deterministic fault injection ([`FaultPlan`]) for
 //!   chaos-testing the supervisor: worker crashes/stalls/frame sabotage,
-//!   respawn failures, torn run-dir writes, and network faults for the
-//!   socket transport (dropped connections, delayed/duplicated/torn
-//!   result frames, refused handshakes).
+//!   respawn failures, torn run-dir writes, and network faults (dropped
+//!   connections, delayed/duplicated/torn result frames, refused
+//!   handshakes).
 //!
-//! **Failure model.** Supervision is configurable per transport: a job
+//! **Failure model.** Supervision is configurable per executor: a job
 //! that exhausts its dispatch budget either aborts the run (default —
 //! determinism preserved, error surfaced) or is *quarantined*
 //! ([`FailurePolicy::Quarantine`]) so the campaign completes on the
@@ -116,7 +114,6 @@ pub mod faults;
 pub mod orchestrate;
 pub mod persist;
 pub mod pool;
-pub mod process_pool;
 pub mod remote;
 pub mod scheduler;
 pub mod shard;
@@ -135,11 +132,11 @@ pub use orchestrate::{
     RunStats,
 };
 pub use persist::{Artifact, PersistError, RunDir, RunManifest, MANIFEST_SCHEMA};
-pub use process_pool::ProcessPoolExecutor;
-pub use remote::RemoteWorkerExecutor;
+pub use remote::{SupervisionConfig, WorkerExecutor};
 pub use scheduler::Scheduler;
 pub use shard::{
     merge_shards, plan_epoch_segments, plan_shards, run_shard, shard_seed, ShardCtx,
     ShardFailureReport, ShardOutput, ShardRunner, ShardSpec,
 };
+pub use supervisor::SupervisionCounts;
 pub use wire::{Hello, WireError, PROTOCOL_VERSION};

@@ -11,7 +11,10 @@
 //! let outcome = Orchestrator::new(config)
 //!     .shards(4)
 //!     .epochs(2)
-//!     .executor(Arc::new(ProcessPoolExecutor::new(4)))
+//!     .executor(Arc::new(WorkerExecutor::new(SupervisionConfig {
+//!         worker_procs: 4,
+//!         ..SupervisionConfig::default()
+//!     })))
 //!     .run()?;
 //! ```
 //!
@@ -56,6 +59,7 @@ use crate::persist::{RunDir, RunManifest, ShardWriter};
 use crate::shard::{
     merge_shards, plan_epoch_segments, plan_shards, ShardFailureReport, ShardOutput, ShardSpec,
 };
+use crate::supervisor::SupervisionCounts;
 
 /// How an orchestrated run executes.
 #[derive(Debug, Clone)]
@@ -181,6 +185,11 @@ pub struct RunStats {
     /// completed on the in-process fallback instead (see
     /// [`OrchestratorOptions::fallback_to_in_process`]).
     pub fell_back_to_in_process: bool,
+    /// What the out-of-process executor's supervision did: stale results
+    /// discarded, redispatches, respawns. All zero in process. Like
+    /// `failures`, it describes this invocation's luck and never reaches
+    /// `metrics.json`.
+    pub supervision: SupervisionCounts,
 }
 
 impl RunStats {
@@ -221,6 +230,13 @@ impl RunStats {
             }
             if self.fell_back_to_in_process {
                 parts.push_str(", fell back to in-process");
+            }
+            let SupervisionCounts { stale_results, redispatches, respawns } = self.supervision;
+            if stale_results + redispatches + respawns > 0 {
+                parts.push_str(&format!(
+                    ", {redispatches} redispatch(es), {respawns} respawn(s), \
+                     {stale_results} stale result(s)"
+                ));
             }
             parts
         };
@@ -329,7 +345,7 @@ impl Orchestrator {
 
     /// Arm deterministic persistence faults for chaos testing (see
     /// [`PersistFault`] — worker faults are armed on the executor via
-    /// [`crate::ProcessPoolExecutor::with_fault_plan`]).
+    /// [`crate::SupervisionConfig::faults`]).
     pub fn persist_faults(mut self, faults: Vec<PersistFault>) -> Self {
         self.options.persist_faults = faults;
         self
@@ -429,6 +445,7 @@ impl Orchestrator {
             failures: outcome.failures,
             persist_errors: run_dir.as_ref().map_or(0, |dir| dir.persist_errors()),
             fell_back_to_in_process: fell_back,
+            supervision: outcome.supervision,
         };
         if let Some(dir) = &run_dir {
             dir.write_result(&result)?;
@@ -461,37 +478,6 @@ impl Orchestrator {
             .epochs(manifest.epochs)
             .run_dir(root)
             .run()
-    }
-
-    /// Deprecated convenience entry point: run `config` split into
-    /// `shards` shards with default options, returning just the campaign
-    /// result.
-    #[deprecated(since = "0.3.0", note = "use `Orchestrator::new(config).shards(k).run()`")]
-    pub fn run_sharded(config: &CampaignConfig, shards: usize) -> CampaignResult {
-        Orchestrator::new(config.clone())
-            .shards(shards)
-            .run()
-            .expect("in-memory orchestrated run cannot fail")
-            .result
-    }
-
-    /// Deprecated convenience entry point: like `run_sharded`, with
-    /// `epochs` cross-shard feedback-exchange epochs.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `Orchestrator::new(config).shards(k).epochs(e).run()`"
-    )]
-    pub fn run_sharded_epochs(
-        config: &CampaignConfig,
-        shards: usize,
-        epochs: usize,
-    ) -> CampaignResult {
-        Orchestrator::new(config.clone())
-            .shards(shards)
-            .epochs(epochs)
-            .run()
-            .expect("in-memory orchestrated run cannot fail")
-            .result
     }
 }
 
@@ -528,6 +514,7 @@ fn execute(
             epochs_restored: 0,
             pipeline_time: Duration::ZERO,
             failures: Vec::new(),
+            supervision: SupervisionCounts::default(),
         });
     }
     // Exchange barriers couple every shard, so per-shard reuse is only
@@ -657,6 +644,7 @@ fn execute(
         epochs_restored: start_epoch,
         pipeline_time,
         failures,
+        supervision: session_outcome.supervision,
     })
 }
 
@@ -708,6 +696,7 @@ struct ExecOutcome {
     /// Per-shard quarantine reports (empty unless the executor ran with
     /// the Quarantine failure policy and shards actually failed).
     failures: Vec<ShardFailureReport>,
+    supervision: SupervisionCounts,
 }
 
 /// Compare an orchestrated run against the sequential driver (used by

@@ -1,32 +1,32 @@
-//! The socket transport: `llm4fp-worker --connect` daemons supervised
-//! over TCP by leases, heartbeats and reconnect-and-resume.
+//! The out-of-process executor: `llm4fp-worker --connect` daemons
+//! supervised over TCP by leases, heartbeats, reconnect-and-resume and
+//! process respawn.
 //!
-//! [`RemoteWorkerExecutor`] implements [`ShardExecutor`] with the same
-//! wire vocabulary as the pipe transport ([`crate::wire`]) served over a
-//! TCP socket: the coordinator binds a listener, workers dial in, each
-//! stream opens with the versioned handshake (worker
-//! [`WireReply::Hello`] first, coordinator [`WireRequest::Hello`] or a
-//! typed [`WireRequest::Refuse`]), and then jobs flow exactly as over
-//! pipes. In CI and tests the socket is loopback with self-spawned
-//! workers; the same executor accepts external workers dialing from
-//! anywhere (`worker_procs = 0` spawns nothing and waits).
+//! [`WorkerExecutor`] implements [`ShardExecutor`] with the wire
+//! vocabulary of [`crate::wire`] served over a TCP socket: the
+//! coordinator binds a listener, workers dial in, each stream opens with
+//! the versioned handshake (worker [`WireReply::Hello`] first,
+//! coordinator [`WireRequest::Hello`] or a typed
+//! [`WireRequest::Refuse`]), and then jobs flow one at a time per
+//! connection. By default the session spawns its own workers on
+//! loopback (`--executor process-pool` and `--executor remote` are two
+//! spellings of this executor); the same executor accepts external
+//! workers dialing from anywhere (`worker_procs = 0` spawns nothing and
+//! waits). Every setting lives in one [`SupervisionConfig`].
 //!
-//! Supervision is built for a transport that can *lose the network*, on
-//! the shared [`crate::supervisor`] machinery:
+//! Supervision runs on the shared [`crate::supervisor`] machinery:
 //!
 //! * **Leases** — every dispatch holds a deadline lease
-//!   ([`with_lease_timeout`](RemoteWorkerExecutor::with_lease_timeout))
-//!   identified by a generation number stamped into the job. A worker
-//!   that neither answers nor disconnects within the deadline loses the
-//!   lease: the job re-enters the queue for any connection, and the late
-//!   answer — should it ever arrive — is discarded by generation
-//!   ([`EpochState::complete`]), never merged. Results stay a pure
-//!   function of `(config, K, E)` no matter how late the network
-//!   delivers stale bytes.
+//!   ([`SupervisionConfig::lease_timeout`]) identified by a generation
+//!   number stamped into the job. A worker that neither answers nor
+//!   disconnects within the deadline loses the lease: the job re-enters
+//!   the queue for any connection, and the late answer — should it ever
+//!   arrive — is discarded by generation ([`EpochState::complete`]),
+//!   never merged. Results stay a pure function of `(config, K, E)` no
+//!   matter how late the network delivers stale bytes.
 //! * **Heartbeats** — an idle connection is probed with
-//!   [`WireRequest::Ping`] every
-//!   [`with_heartbeat`](RemoteWorkerExecutor::with_heartbeat) interval;
-//!   a missed [`WireReply::Pong`] retires the connection, so a silent
+//!   [`WireRequest::Ping`] every [`SupervisionConfig::heartbeat`]; a
+//!   missed [`WireReply::Pong`] retires the connection, so a silent
 //!   half-open socket cannot hold a future lease forever.
 //! * **Reconnect-and-resume** — a dropped worker redials (the worker
 //!   binary's `--reconnect` budget), passes the handshake again, and is
@@ -34,25 +34,32 @@
 //!   coordinator-side between epochs (checkpoints in the
 //!   [`SessionCore`]), so the resumed job carries everything the fresh
 //!   connection needs. Worker processes hold no state between jobs.
-//! * **Worker starvation** — an epoch with no connected workers for
-//!   [`with_worker_wait`](RemoteWorkerExecutor::with_worker_wait)
-//!   surfaces [`OrchestratorError::WorkerUnavailable`], the trigger for
-//!   the in-process fallback rung of the degradation ladder.
+//! * **Respawn** — a self-spawned worker that exits is respawned, with a
+//!   deterministic seed-derived exponential backoff between failed spawn
+//!   attempts ([`crate::faults::respawn_backoff`]). A self-spawned worker
+//!   whose lease expired and that stayed silent through the drain window
+//!   (or missed a heartbeat) is killed, process group and all, and
+//!   respawned the same way; its `Hello` names its pid, which is how the
+//!   connection finds its process.
+//! * **Worker unavailability** — a session whose workers cannot be
+//!   spawned at all, or an epoch with no connected worker for
+//!   [`SupervisionConfig::worker_wait`], surfaces
+//!   [`OrchestratorError::WorkerUnavailable`], the trigger for the
+//!   in-process fallback rung of the degradation ladder.
 //!
-//! Deterministic network chaos drives all of this through the
-//! [`FaultPlan::network`] section
-//! ([`with_fault_plan`](RemoteWorkerExecutor::with_fault_plan)):
-//! worker-side [`NetworkFault`](crate::faults::NetworkFault)s ship to
-//! the first worker process via the fault env, and `RefuseHandshake`
-//! arms the coordinator's acceptor. A fault may cost time, never bits —
-//! Abort-mode results under every network fault are bit-identical to
-//! the fault-free in-process run.
+//! Deterministic chaos drives all of this through
+//! [`SupervisionConfig::faults`]: worker and worker-side network faults
+//! ship to the first self-spawned worker via the fault env,
+//! `respawn_failures` fail the coordinator's respawn attempts, and
+//! `RefuseHandshake` arms the acceptor. A fault may cost time, never
+//! bits — Abort-mode results under every fault are bit-identical to the
+//! fault-free in-process run.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -67,143 +74,178 @@ use crate::executor::{
     ShardTask,
 };
 use crate::faults::{self, FaultPlan};
-use crate::process_pool::{resolve_worker_bin, MAX_DISPATCH_ATTEMPTS};
+use crate::orchestrate::default_workers;
 use crate::supervisor::{EpochFailure, EpochState, SessionCore};
 use crate::wire::{self, Hello, ShardJob, ShardJobResult, WireReply, WireRequest, MAX_FRAME_LEN};
+
+/// Default dispatch-attempt budget per job (crash, hang, dropped
+/// connection all count).
+pub const MAX_DISPATCH_ATTEMPTS: u8 = 3;
+
+/// Default base delay of the deterministic exponential respawn backoff.
+pub const DEFAULT_RESPAWN_BACKOFF: Duration = Duration::from_millis(25);
+
+/// Environment variable overriding the worker binary path (useful for
+/// driving an explicitly built binary from scripts and CI).
+pub const WORKER_BIN_ENV: &str = "LLM4FP_WORKER_BIN";
 
 /// How long an accepted connection gets to present its `Hello` before
 /// the handler gives up on it (keeps a port-scanner's silent connection
 /// from pinning a handler thread forever).
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// The [`ShardExecutor`] backed by workers dialing in over TCP.
+/// How often the session checks its self-spawned workers for exits.
+const EXIT_POLL: Duration = Duration::from_millis(2);
+
+/// Everything that configures a [`WorkerExecutor`]. Build it as a struct
+/// literal over [`Default`]:
+///
+/// ```
+/// use llm4fp_orchestrator::SupervisionConfig;
+///
+/// let config = SupervisionConfig { worker_procs: 4, ..SupervisionConfig::default() };
+/// assert_eq!(config.max_dispatch_attempts, 3);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SupervisionConfig {
+    /// Worker daemons the session spawns on loopback at
+    /// [`begin`](ShardExecutor::begin) (`llm4fp-worker --connect`), and
+    /// respawns when they exit. `0` spawns nothing: the session serves
+    /// whatever external workers dial [`WorkerExecutor::bound_addr`].
+    /// Defaults to the available parallelism.
+    pub worker_procs: usize,
+    /// The coordinator's bind address. Defaults to `127.0.0.1:0` (an
+    /// ephemeral loopback port); use e.g. `0.0.0.0:7070` to accept
+    /// workers from other machines.
+    pub listen: String,
+    /// The worker daemon binary. `None` resolves [`WORKER_BIN_ENV`], then
+    /// `llm4fp-worker` next to the current executable.
+    pub worker_bin: Option<PathBuf>,
+    /// The deadline lease on one dispatched segment. A worker that
+    /// neither answers nor disconnects within it loses the lease — the
+    /// job re-dispatches and the late answer is discarded by lease
+    /// generation. Defaults to 300 s.
+    pub lease_timeout: Duration,
+    /// How long a connection may sit idle before the coordinator probes
+    /// it with a ping; a missed pong retires the connection. Defaults to
+    /// 2 s.
+    pub heartbeat: Duration,
+    /// How long an epoch tolerates *zero connected workers* before
+    /// failing with [`OrchestratorError::WorkerUnavailable`]. The clock
+    /// resets whenever any worker is connected. Defaults to 30 s.
+    pub worker_wait: Duration,
+    /// How many times one job may fail (crash, lease expiry, dropped
+    /// connection, protocol violation) before [`policy`](Self::policy)
+    /// applies. Defaults to [`MAX_DISPATCH_ATTEMPTS`]; `0` is rejected at
+    /// [`begin`](ShardExecutor::begin) with
+    /// [`OrchestratorError::InvalidDispatchAttempts`].
+    pub max_dispatch_attempts: u8,
+    /// Base delay of the backoff between consecutive failed respawn
+    /// attempts of one worker slot (doubles up to 64x, with seed-derived
+    /// jitter — see [`crate::faults::respawn_backoff`]). Defaults to
+    /// [`DEFAULT_RESPAWN_BACKOFF`].
+    pub respawn_backoff: Duration,
+    /// What happens when a shard job exhausts its dispatch budget:
+    /// [`FailurePolicy::Abort`] (default) fails the run,
+    /// [`FailurePolicy::Quarantine`] completes the surviving shards and
+    /// reports the losses in `RunStats::failures` / `summary.json`.
+    pub policy: FailurePolicy,
+    /// A deterministic [`FaultPlan`] for chaos testing (empty by default,
+    /// which costs one branch per site). Worker and worker-side network
+    /// faults ship to the first self-spawned worker via
+    /// [`crate::faults::FAULT_PLAN_ENV`], `respawn_failures` fail the
+    /// coordinator's respawn attempts, and
+    /// [`RefuseHandshake`](crate::faults::NetworkFault::RefuseHandshake)
+    /// arms the acceptor. ([`PersistFault`](crate::faults::PersistFault)s
+    /// belong to the orchestrator — see
+    /// [`crate::Orchestrator::persist_faults`].)
+    pub faults: FaultPlan,
+    /// Cap on one wire frame's payload, both directions of every
+    /// connection (forwarded to self-spawned workers via
+    /// `--max-frame-len`). Defaults to [`MAX_FRAME_LEN`] (256 MiB); `0`
+    /// is rejected at [`begin`](ShardExecutor::begin) with
+    /// [`OrchestratorError::InvalidFrameLen`].
+    pub max_frame_len: usize,
+}
+
+impl Default for SupervisionConfig {
+    fn default() -> Self {
+        SupervisionConfig {
+            worker_procs: default_workers(),
+            listen: "127.0.0.1:0".into(),
+            worker_bin: None,
+            lease_timeout: Duration::from_secs(300),
+            heartbeat: Duration::from_secs(2),
+            worker_wait: Duration::from_secs(30),
+            max_dispatch_attempts: MAX_DISPATCH_ATTEMPTS,
+            respawn_backoff: DEFAULT_RESPAWN_BACKOFF,
+            policy: FailurePolicy::default(),
+            faults: FaultPlan::none(),
+            max_frame_len: MAX_FRAME_LEN,
+        }
+    }
+}
+
+/// The [`ShardExecutor`] backed by `llm4fp-worker` daemons dialing in
+/// over TCP.
 #[derive(Debug, Clone)]
-pub struct RemoteWorkerExecutor {
-    listen_addr: String,
-    worker_procs: usize,
-    worker_bin: Option<PathBuf>,
-    lease_timeout: Duration,
-    heartbeat: Duration,
-    worker_wait: Duration,
-    max_dispatch_attempts: u8,
-    policy: FailurePolicy,
-    faults: FaultPlan,
-    max_frame_len: usize,
+pub struct WorkerExecutor {
+    config: SupervisionConfig,
     /// The address actually bound at [`begin`](ShardExecutor::begin)
     /// (resolves `:0` to the kernel-assigned port), shared across clones
     /// so callers can tell external workers where to dial.
     bound: Arc<Mutex<Option<SocketAddr>>>,
 }
 
-impl RemoteWorkerExecutor {
-    /// An executor listening on loopback (`127.0.0.1:0`, kernel-assigned
-    /// port) that self-spawns `worker_procs` loopback worker daemons at
-    /// session start (`llm4fp-worker --connect`). `0` spawns nothing —
-    /// the session then serves whatever external workers dial
-    /// [`bound_addr`](Self::bound_addr).
-    pub fn new(worker_procs: usize) -> Self {
-        RemoteWorkerExecutor {
-            listen_addr: "127.0.0.1:0".into(),
-            worker_procs,
-            worker_bin: None,
-            lease_timeout: Duration::from_secs(300),
-            heartbeat: Duration::from_secs(2),
-            worker_wait: Duration::from_secs(30),
-            max_dispatch_attempts: MAX_DISPATCH_ATTEMPTS,
-            policy: FailurePolicy::default(),
-            faults: FaultPlan::none(),
-            max_frame_len: MAX_FRAME_LEN,
-            bound: Arc::new(Mutex::new(None)),
-        }
-    }
-
-    /// Listen on an explicit address (e.g. `0.0.0.0:7070` to accept
-    /// workers from other machines) instead of an ephemeral loopback
-    /// port.
-    pub fn listen(mut self, addr: impl Into<String>) -> Self {
-        self.listen_addr = addr.into();
-        self
-    }
-
-    /// Pin the self-spawned worker daemon binary path explicitly
-    /// (ignored with `worker_procs == 0`).
-    pub fn with_worker_bin(mut self, bin: impl Into<PathBuf>) -> Self {
-        self.worker_bin = Some(bin.into());
-        self
-    }
-
-    /// The deadline lease on one dispatched segment. A worker that
-    /// neither answers nor disconnects within it loses the lease — the
-    /// job re-dispatches and the late answer is discarded by lease
-    /// generation. The remote analogue of
-    /// [`ProcessPoolExecutor::with_shard_timeout`](crate::ProcessPoolExecutor::with_shard_timeout).
-    pub fn with_lease_timeout(mut self, lease: Duration) -> Self {
-        self.lease_timeout = lease;
-        self
-    }
-
-    /// How long a connection may sit idle before the coordinator probes
-    /// it with a ping; a missed pong retires the connection.
-    pub fn with_heartbeat(mut self, heartbeat: Duration) -> Self {
-        self.heartbeat = heartbeat;
-        self
-    }
-
-    /// How long an epoch tolerates *zero connected workers* before
-    /// failing with [`OrchestratorError::WorkerUnavailable`] (the
-    /// degradation ladder's trigger). The clock resets whenever any
-    /// worker is connected.
-    pub fn with_worker_wait(mut self, wait: Duration) -> Self {
-        self.worker_wait = wait;
-        self
-    }
-
-    /// How many times one job may fail (lease expiry, dropped
-    /// connection, protocol violation) before the
-    /// [`on_shard_failure`](Self::on_shard_failure) policy applies.
-    pub fn max_dispatch_attempts(mut self, attempts: u8) -> Self {
-        self.max_dispatch_attempts = attempts;
-        self
-    }
-
-    /// What happens when a shard job exhausts its dispatch budget — see
-    /// [`FailurePolicy`].
-    pub fn on_shard_failure(mut self, policy: FailurePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Arm a deterministic [`FaultPlan`]: worker faults and worker-side
-    /// [`network`](FaultPlan::network) faults ship to the first
-    /// self-spawned worker via [`faults::FAULT_PLAN_ENV`];
-    /// [`RefuseHandshake`](crate::faults::NetworkFault::RefuseHandshake)
-    /// arms the acceptor to refuse the first incoming handshake.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
-        self
-    }
-
-    /// Cap on one wire frame's payload, both directions of every
-    /// connection (forwarded to self-spawned workers via
-    /// `--max-frame-len`). Defaults to [`MAX_FRAME_LEN`] (256 MiB); `0`
-    /// is rejected at [`begin`](ShardExecutor::begin) with
-    /// [`OrchestratorError::InvalidFrameLen`].
-    pub fn with_max_frame_len(mut self, max_frame_len: usize) -> Self {
-        self.max_frame_len = max_frame_len;
-        self
+impl WorkerExecutor {
+    /// An executor supervising workers as `config` says.
+    pub fn new(config: SupervisionConfig) -> Self {
+        WorkerExecutor { config, bound: Arc::new(Mutex::new(None)) }
     }
 
     /// The socket address the live session actually bound (`None`
-    /// before [`begin`](ShardExecutor::begin)). With `listen("…:0")`
-    /// this is where external workers must dial.
+    /// before [`begin`](ShardExecutor::begin)). With a `…:0` listen
+    /// address this is where external workers must dial.
     pub fn bound_addr(&self) -> Option<SocketAddr> {
         *self.bound.lock().unwrap()
     }
 }
 
-impl ShardExecutor for RemoteWorkerExecutor {
+/// Resolve the `llm4fp-worker` binary: the explicit override, then
+/// [`WORKER_BIN_ENV`], then `llm4fp-worker` next to the current
+/// executable.
+fn resolve_worker_bin(explicit: Option<&Path>) -> Result<PathBuf, OrchestratorError> {
+    if let Some(bin) = explicit {
+        return Ok(bin.to_path_buf());
+    }
+    if let Some(bin) = std::env::var_os(WORKER_BIN_ENV) {
+        return Ok(PathBuf::from(bin));
+    }
+    let exe = std::env::current_exe().map_err(|e| {
+        OrchestratorError::WorkerUnavailable(format!("cannot locate current executable: {e}"))
+    })?;
+    let mut dir = exe.parent().unwrap_or_else(|| Path::new(".")).to_path_buf();
+    // Test binaries live in target/<profile>/deps/; the worker bin
+    // sits one level up in target/<profile>/.
+    if dir.file_name().is_some_and(|name| name == "deps") {
+        dir.pop();
+    }
+    let bin = dir.join(format!("llm4fp-worker{}", std::env::consts::EXE_SUFFIX));
+    if bin.exists() {
+        Ok(bin)
+    } else {
+        Err(OrchestratorError::WorkerUnavailable(format!(
+            "worker binary not found at {} (build it with `cargo build -p \
+             llm4fp-orchestrator --bin llm4fp-worker`, set {WORKER_BIN_ENV}, or set \
+             SupervisionConfig::worker_bin)",
+            bin.display()
+        )))
+    }
+}
+
+impl ShardExecutor for WorkerExecutor {
     fn name(&self) -> &'static str {
-        "remote"
+        "workers"
     }
 
     /// Workers run in other processes (possibly other machines) and
@@ -217,87 +259,176 @@ impl ShardExecutor for RemoteWorkerExecutor {
         tasks: Vec<ShardTask>,
         sink: &'s dyn RecordSink,
     ) -> Result<Box<dyn ShardSession + 's>, OrchestratorError> {
-        if self.max_dispatch_attempts == 0 {
+        let config = &self.config;
+        if config.max_dispatch_attempts == 0 {
             return Err(OrchestratorError::InvalidDispatchAttempts);
         }
-        if self.max_frame_len == 0 {
+        if config.max_frame_len == 0 {
             return Err(OrchestratorError::InvalidFrameLen);
         }
         // A coordinator that cannot even bind has no transport at all —
         // the WorkerUnavailable class, so the degradation ladder applies.
-        let listener = TcpListener::bind(&self.listen_addr).map_err(|e| {
+        let listener = TcpListener::bind(&config.listen).map_err(|e| {
             OrchestratorError::WorkerUnavailable(format!(
                 "cannot bind coordinator socket {}: {e}",
-                self.listen_addr
+                config.listen
             ))
         })?;
         let addr = listener.local_addr().map_err(|e| {
             OrchestratorError::WorkerUnavailable(format!("cannot resolve bound address: {e}"))
         })?;
-        listener.set_nonblocking(true).map_err(|e| {
-            OrchestratorError::WorkerUnavailable(format!("cannot configure listener: {e}"))
-        })?;
         *self.bound.lock().unwrap() = Some(addr);
+        // Backoff jitter derives from the campaign seed so chaos runs
+        // replay identically.
+        let backoff_seed = tasks.first().map_or(0, |task| task.config.seed);
+        let worker_procs = config.worker_procs.min(tasks.len());
         let shared = Arc::new(Shared {
             slot: Mutex::new(EpochSlot { epoch_id: 0, active: None }),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             workers_live: AtomicUsize::new(0),
-            refuse_budget: AtomicU32::new(self.faults.refuse_handshakes()),
-            lease_timeout: self.lease_timeout,
-            heartbeat: self.heartbeat,
-            max_frame_len: self.max_frame_len,
+            refuse_budget: AtomicU32::new(config.faults.refuse_handshakes()),
+            children: Mutex::new(Vec::with_capacity(worker_procs)),
+            respawns: AtomicU64::new(0),
+            lease_timeout: config.lease_timeout,
+            heartbeat: config.heartbeat,
+            max_frame_len: config.max_frame_len,
         });
         let acceptor = thread::spawn({
             let shared = Arc::clone(&shared);
             move || accept_loop(&listener, &shared)
         });
-        let mut session = RemoteSession {
-            core: SessionCore::new(tasks, sink, self.max_dispatch_attempts, self.policy),
+        let mut session = WorkerSession {
+            core: SessionCore::new(tasks, sink, config.max_dispatch_attempts, config.policy),
             shared,
             acceptor: Some(acceptor),
-            children: Vec::new(),
+            supervisor: None,
             addr,
-            worker_wait: self.worker_wait,
+            worker_wait: config.worker_wait,
             pool_start: Instant::now(),
         };
-        if self.worker_procs > 0 {
-            let bin = resolve_worker_bin(self.worker_bin.as_deref())?;
-            for slot in 0..self.worker_procs {
-                let mut cmd = Command::new(&bin);
-                cmd.arg("--connect")
-                    .arg(addr.to_string())
-                    .arg("--reconnect")
-                    .arg("64")
-                    .arg("--reconnect-delay-ms")
-                    .arg("50")
-                    .stdin(Stdio::null())
-                    .stdout(Stdio::null())
-                    .stderr(Stdio::inherit());
-                if self.max_frame_len != MAX_FRAME_LEN {
-                    cmd.arg("--max-frame-len").arg(self.max_frame_len.to_string());
+        if worker_procs > 0 {
+            // On any failure below `session` drops: transport shut down,
+            // already-spawned siblings reaped.
+            let spawner = Spawner {
+                bin: resolve_worker_bin(config.worker_bin.as_deref())?,
+                addr,
+                max_frame_len: config.max_frame_len,
+                faults: config.faults.clone(),
+            };
+            for slot in 0..worker_procs {
+                let child = spawner.spawn(slot == 0).map_err(|e| {
+                    OrchestratorError::WorkerUnavailable(format!(
+                        "cannot spawn worker {}: {e}",
+                        spawner.bin.display()
+                    ))
+                })?;
+                session.shared.children.lock().unwrap().push(ChildSlot {
+                    child: Some(child),
+                    failures: 0,
+                    retry_at: Instant::now(),
+                });
+            }
+            let shared = Arc::clone(&session.shared);
+            let backoff_base = config.respawn_backoff;
+            session.supervisor = Some(thread::spawn(move || {
+                supervise_children(&shared, &spawner, backoff_seed, backoff_base)
+            }));
+        }
+        Ok(Box::new(session))
+    }
+}
+
+/// How the session launches its own loopback workers.
+struct Spawner {
+    bin: PathBuf,
+    addr: SocketAddr,
+    max_frame_len: usize,
+    faults: FaultPlan,
+}
+
+impl Spawner {
+    /// Launch one worker dialing the session. Fault payloads ship to the
+    /// first spawn of slot 0 only; job ordinals count across its
+    /// reconnects, so "drop at job 1, then heal" stays deterministic.
+    fn spawn(&self, first_of_slot0: bool) -> io::Result<Child> {
+        let mut cmd = Command::new(&self.bin);
+        cmd.arg("--connect")
+            .arg(self.addr.to_string())
+            .arg("--reconnect")
+            .arg("64")
+            .arg("--reconnect-delay-ms")
+            .arg("50")
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::inherit());
+        if self.max_frame_len != MAX_FRAME_LEN {
+            cmd.arg("--max-frame-len").arg(self.max_frame_len.to_string());
+        }
+        if let Some(value) = self.faults.worker_env(first_of_slot0) {
+            cmd.env(faults::FAULT_PLAN_ENV, value);
+        }
+        group_spawn(&mut cmd);
+        cmd.spawn()
+    }
+}
+
+/// One self-spawned worker slot.
+struct ChildSlot {
+    /// The live process; `None` from its exit (or kill) until the
+    /// respawn.
+    child: Option<Child>,
+    /// Consecutive failed spawn attempts, for the backoff.
+    failures: u32,
+    /// When the next spawn attempt is due.
+    retry_at: Instant,
+}
+
+/// Respawn self-spawned workers as they exit, until the session shuts
+/// down. Injected [`FaultPlan::respawn_failures`] fail the first respawn
+/// attempts; each failure waits out the deterministic backoff.
+fn supervise_children(shared: &Shared, spawner: &Spawner, seed: u64, base: Duration) {
+    let mut injected_failures = spawner.faults.respawn_failures;
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        {
+            let mut children = shared.children.lock().unwrap();
+            for (index, slot) in children.iter_mut().enumerate() {
+                if let Some(child) = slot.child.as_mut() {
+                    if !matches!(child.try_wait(), Ok(Some(_))) {
+                        continue;
+                    }
+                    slot.child = None;
+                    slot.retry_at = Instant::now();
                 }
-                // Fault payloads ship to the first worker *process* only;
-                // job ordinals count across its reconnects, so "drop at
-                // job 1, then heal" stays deterministic.
-                if let Some(value) = self.faults.worker_env(slot == 0) {
-                    cmd.env(faults::FAULT_PLAN_ENV, value);
+                // Workers exit on the shutdown frame, which is only sent
+                // after the flag is set: never respawn those.
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    return;
                 }
-                group_spawn(&mut cmd);
-                match cmd.spawn() {
-                    Ok(child) => session.children.push(child),
-                    Err(e) => {
-                        // `session` drops here: transport shut down, any
-                        // already-spawned siblings reaped.
-                        return Err(OrchestratorError::WorkerUnavailable(format!(
-                            "cannot spawn loopback worker {}: {e}",
-                            bin.display()
-                        )));
+                if Instant::now() < slot.retry_at {
+                    continue;
+                }
+                let spawned = if injected_failures > 0 {
+                    injected_failures -= 1;
+                    Err(io::Error::other("injected respawn failure"))
+                } else {
+                    spawner.spawn(false)
+                };
+                match spawned {
+                    Ok(child) => {
+                        slot.child = Some(child);
+                        slot.failures = 0;
+                        shared.respawns.fetch_add(1, Ordering::SeqCst);
+                    }
+                    Err(_) => {
+                        slot.failures += 1;
+                        slot.retry_at = Instant::now()
+                            + faults::respawn_backoff(seed, index, slot.failures, base);
                     }
                 }
             }
         }
-        Ok(Box::new(session))
+        thread::sleep(EXIT_POLL);
     }
 }
 
@@ -313,6 +444,10 @@ struct Shared {
     /// Remaining injected handshake refusals
     /// ([`crate::faults::NetworkFault::RefuseHandshake`]).
     refuse_budget: AtomicU32,
+    /// Self-spawned workers, one per slot (empty with external workers).
+    children: Mutex<Vec<ChildSlot>>,
+    /// Successful respawns of self-spawned workers.
+    respawns: AtomicU64,
     lease_timeout: Duration,
     heartbeat: Duration,
     max_frame_len: usize,
@@ -366,7 +501,7 @@ fn abandon(shared: &Shared, epoch_id: u64, job: usize, lease: u64, why: String) 
         let mut slot = shared.slot.lock().unwrap();
         if slot.epoch_id == epoch_id {
             if let Some(epoch) = slot.active.as_mut() {
-                epoch.state.abandon(job, lease, why, false);
+                epoch.state.abandon(job, lease, why);
             }
         }
     }
@@ -383,22 +518,38 @@ fn feed_stray(shared: &Shared, sent: &[Dispatch], result: ShardJobResult) {
     }
 }
 
-/// The accept loop: non-blocking accept with a short poll so shutdown is
-/// honored promptly; every accepted stream gets its own handler thread.
+/// Kill the self-spawned worker behind a connection that went silent;
+/// the respawn replaces it. External workers (no matching pid) are left
+/// alone — closing their connection is all the coordinator can do.
+fn kill_silent_worker(shared: &Shared, pid: Option<u32>) {
+    let Some(pid) = pid else { return };
+    let child = shared.children.lock().unwrap().iter_mut().find_map(|slot| {
+        if slot.child.as_ref()?.id() != pid {
+            return None;
+        }
+        slot.retry_at = Instant::now();
+        slot.child.take()
+    });
+    if let Some(mut child) = child {
+        kill_group(&mut child);
+    }
+}
+
+/// The accept loop: a blocking accept, woken for shutdown by one
+/// self-connect; every accepted stream gets its own handler thread.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
+    for stream in listener.incoming() {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
+        match stream {
+            Ok(stream) => {
                 let shared = Arc::clone(shared);
                 thread::spawn(move || drive_connection(stream, &shared));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(25));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(25)),
+            // Transient accept failures (e.g. out of descriptors): back
+            // off briefly instead of spinning.
+            Err(_) => thread::sleep(EXIT_POLL),
         }
     }
 }
@@ -538,12 +689,14 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
             let deadline = Instant::now() + shared.heartbeat.max(Duration::from_secs(1));
             loop {
                 let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    return; // missed heartbeat: the connection is dead
-                }
                 match rx.recv_timeout(left) {
                     Ok(Ok(WireReply::Pong(_))) => break,
                     Ok(Ok(WireReply::Result(result))) => feed_stray(shared, &sent, *result),
+                    // Missed heartbeat: the connection is dead.
+                    Err(RecvTimeoutError::Timeout) => {
+                        kill_silent_worker(shared, hello.pid);
+                        return;
+                    }
                     Ok(Ok(WireReply::Hello(_))) | Ok(Err(_)) | Err(_) => return,
                 }
             }
@@ -610,7 +763,8 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
                 // — then the connection gets one more lease-length window
                 // to prove it was slow rather than dead: its late answer
                 // (discarded as stale by generation) lets the connection
-                // be reused; silence retires it.
+                // be reused; silence retires it, and kills the worker if
+                // this session spawned it.
                 abandon(
                     shared,
                     epoch_id,
@@ -621,9 +775,6 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
                 let drain = Instant::now() + shared.lease_timeout;
                 loop {
                     let left = drain.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return;
-                    }
                     match rx.recv_timeout(left) {
                         Ok(Ok(WireReply::Result(result))) => {
                             let late_answer = result.lease == lease;
@@ -633,6 +784,10 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
                             }
                         }
                         Ok(Ok(WireReply::Pong(_))) => {}
+                        Err(RecvTimeoutError::Timeout) => {
+                            kill_silent_worker(shared, hello.pid);
+                            return;
+                        }
                         Ok(Ok(WireReply::Hello(_))) | Ok(Err(_)) | Err(_) => return,
                     }
                 }
@@ -645,48 +800,66 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
     }
 }
 
-struct RemoteSession<'s> {
+struct WorkerSession<'s> {
     /// The transport-independent session half (tasks, checkpoints,
     /// quarantine ledger, epoch folding) — see [`crate::supervisor`].
     core: SessionCore<'s>,
     shared: Arc<Shared>,
     acceptor: Option<thread::JoinHandle<()>>,
-    /// Self-spawned loopback worker daemons (empty with external
-    /// workers). Never respawned: a dead remote worker's recovery story
-    /// is lease expiry plus whatever redials — not coordinator forking.
-    children: Vec<Child>,
+    /// The respawn loop over self-spawned workers (`None` with external
+    /// workers).
+    supervisor: Option<thread::JoinHandle<()>>,
     addr: SocketAddr,
     worker_wait: Duration,
     pool_start: Instant,
 }
 
-impl RemoteSession<'_> {
+impl WorkerSession<'_> {
     /// Idempotent transport teardown: flag shutdown (connection threads
-    /// forward `Shutdown` frames to their workers within a heartbeat),
-    /// give self-spawned workers a grace window to exit cleanly, then
-    /// kill the stragglers and join the acceptor.
+    /// forward `Shutdown` frames to their workers), stop respawning, give
+    /// self-spawned workers a grace window to exit cleanly, kill the
+    /// stragglers, then wake and join the acceptor.
     fn shutdown_transport(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.cv.notify_all();
+        if let Some(supervisor) = self.supervisor.take() {
+            let _ = supervisor.join();
+        }
+        let mut children = std::mem::take(&mut *self.shared.children.lock().unwrap());
         let deadline = Instant::now() + Duration::from_secs(3);
-        while !self.children.is_empty() && Instant::now() < deadline {
-            self.children.retain_mut(|child| !matches!(child.try_wait(), Ok(Some(_))));
-            if self.children.is_empty() {
+        loop {
+            children.retain_mut(|slot| {
+                slot.child.as_mut().is_some_and(|child| !matches!(child.try_wait(), Ok(Some(_))))
+            });
+            if children.is_empty() || Instant::now() >= deadline {
                 break;
             }
-            thread::sleep(Duration::from_millis(10));
+            thread::sleep(EXIT_POLL);
         }
-        for child in self.children.iter_mut() {
+        for child in children.iter_mut().filter_map(|slot| slot.child.as_mut()) {
             kill_group(child);
         }
-        self.children.clear();
         if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+            // One self-connect wakes the blocking accept, which then sees
+            // the shutdown flag. An unspecified bind IP is reachable on
+            // loopback.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake.ip() {
+                    IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                    IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+                });
+            }
+            // Without the wake the acceptor would block forever; leave it
+            // detached rather than hang the caller.
+            if TcpStream::connect(wake).is_ok() {
+                let _ = acceptor.join();
+            }
         }
     }
 }
 
-impl Drop for RemoteSession<'_> {
+impl Drop for WorkerSession<'_> {
     fn drop(&mut self) {
         // Safety net for sessions abandoned mid-run (a failed epoch whose
         // error aborted the campaign): no worker processes or acceptor
@@ -695,7 +868,7 @@ impl Drop for RemoteSession<'_> {
     }
 }
 
-impl ShardSession for RemoteSession<'_> {
+impl ShardSession for WorkerSession<'_> {
     fn run_epoch(
         &mut self,
         segments: &[usize],
@@ -758,6 +931,7 @@ impl ShardSession for RemoteSession<'_> {
 
     fn finish(mut self: Box<Self>) -> Result<SessionOutcome, OrchestratorError> {
         self.shutdown_transport();
+        self.core.supervision.respawns = self.shared.respawns.load(Ordering::SeqCst);
         self.core.outcome()
     }
 }
@@ -767,28 +941,105 @@ mod tests {
     use super::*;
     use crate::executor::NullSink;
 
+    fn external_only() -> SupervisionConfig {
+        SupervisionConfig { worker_procs: 0, ..SupervisionConfig::default() }
+    }
+
     #[test]
     fn builder_knobs_are_validated_at_begin() {
-        let executor = RemoteWorkerExecutor::new(0).max_dispatch_attempts(0);
+        let executor =
+            WorkerExecutor::new(SupervisionConfig { max_dispatch_attempts: 0, ..external_only() });
         assert!(matches!(
             executor.begin(Vec::new(), &NullSink),
             Err(OrchestratorError::InvalidDispatchAttempts)
         ));
-        let executor = RemoteWorkerExecutor::new(0).with_max_frame_len(0);
-        assert!(matches!(
-            executor.begin(Vec::new(), &NullSink),
-            Err(OrchestratorError::InvalidFrameLen)
-        ));
-        assert_eq!(RemoteWorkerExecutor::new(0).name(), "remote");
-        assert!(!RemoteWorkerExecutor::new(0).shares_cache());
-        assert_eq!(RemoteWorkerExecutor::new(0).bound_addr(), None);
+        let executor =
+            WorkerExecutor::new(SupervisionConfig { max_frame_len: 0, ..external_only() });
+        let err = match executor.begin(Vec::new(), &NullSink) {
+            Ok(_) => panic!("begin must reject a zero frame cap"),
+            Err(err) => err,
+        };
+        assert!(matches!(err, OrchestratorError::InvalidFrameLen), "got {err}");
+        assert!(err.to_string().contains("max_frame_len"), "{err}");
+        let executor = WorkerExecutor::new(external_only());
+        assert_eq!(executor.name(), "workers");
+        assert!(!executor.shares_cache());
+        assert_eq!(executor.bound_addr(), None);
+    }
+
+    /// A self-spawning config whose worker binary cannot run, plus one
+    /// real task so `begin` would have a worker to raise: a knob error
+    /// must win over the spawn failure, before any socket or child.
+    fn doomed_spawn() -> (SupervisionConfig, Vec<ShardTask>) {
+        let config = llm4fp::CampaignConfig::new(llm4fp::ApproachKind::Varity)
+            .with_budget(4)
+            .with_seed(1)
+            .with_threads(1);
+        let tasks = crate::shard::plan_shards(&config, 1)
+            .into_iter()
+            .map(|spec| ShardTask {
+                config: config.clone(),
+                spec,
+                cache: None,
+                budget: None,
+                process_slots: 1,
+                telemetry: Telemetry::disabled(),
+                checkpoint: None,
+            })
+            .collect();
+        let supervision = SupervisionConfig {
+            worker_procs: 1,
+            worker_bin: Some("/nonexistent/llm4fp-worker".into()),
+            ..SupervisionConfig::default()
+        };
+        (supervision, tasks)
+    }
+
+    #[test]
+    fn zero_dispatch_attempts_is_rejected_at_begin() {
+        let (supervision, tasks) = doomed_spawn();
+        let executor =
+            WorkerExecutor::new(SupervisionConfig { max_dispatch_attempts: 0, ..supervision });
+        let err = match executor.begin(tasks, &NullSink) {
+            Ok(_) => panic!("begin must reject a zero dispatch budget"),
+            Err(err) => err,
+        };
+        assert!(matches!(err, OrchestratorError::InvalidDispatchAttempts), "got {err}");
+        assert_eq!(executor.bound_addr(), None, "rejected before binding");
+    }
+
+    #[test]
+    fn zero_max_frame_len_is_rejected_at_begin() {
+        let (supervision, tasks) = doomed_spawn();
+        let executor = WorkerExecutor::new(SupervisionConfig { max_frame_len: 0, ..supervision });
+        let err = match executor.begin(tasks, &NullSink) {
+            Ok(_) => panic!("begin must reject a zero frame cap"),
+            Err(err) => err,
+        };
+        assert!(matches!(err, OrchestratorError::InvalidFrameLen), "got {err}");
+        assert!(err.to_string().contains("max_frame_len"), "{err}");
+        assert_eq!(executor.bound_addr(), None, "rejected before binding");
+    }
+
+    #[test]
+    fn missing_worker_binary_is_a_clean_error() {
+        // A pinned path is handed through untouched; spawning it fails at
+        // `begin` as `WorkerUnavailable` (covered by the integration
+        // tests).
+        assert_eq!(
+            resolve_worker_bin(Some(Path::new("/nonexistent/llm4fp-worker"))).unwrap(),
+            PathBuf::from("/nonexistent/llm4fp-worker")
+        );
     }
 
     #[test]
     fn unbindable_listen_address_is_worker_unavailable() {
         // An unroutable bind target: the transport cannot exist, which is
         // exactly the degradation ladder's WorkerUnavailable class.
-        let executor = RemoteWorkerExecutor::new(0).listen("256.256.256.256:0");
+        let executor = WorkerExecutor::new(SupervisionConfig {
+            listen: "256.256.256.256:0".into(),
+            ..external_only()
+        });
         match executor.begin(Vec::new(), &NullSink) {
             Err(OrchestratorError::WorkerUnavailable(msg)) => {
                 assert!(msg.contains("cannot bind"), "{msg}");
@@ -801,7 +1052,7 @@ mod tests {
     fn empty_session_settles_without_any_workers() {
         // Zero tasks settle instantly (remaining == 0), so no worker ever
         // needs to connect and finish() yields an empty outcome.
-        let executor = RemoteWorkerExecutor::new(0).with_worker_wait(Duration::from_secs(30));
+        let executor = WorkerExecutor::new(external_only());
         let mut session = executor.begin(Vec::new(), &NullSink).unwrap();
         assert!(executor.bound_addr().is_some(), "begin records the bound address");
         let deltas = session.run_epoch(&[], true).unwrap();

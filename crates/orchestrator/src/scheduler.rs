@@ -260,21 +260,14 @@ impl Scheduler {
                         failures: std::mem::take(&mut campaign_failures[campaign]),
                         persist_errors: 0,
                         fell_back_to_in_process: false,
+                        // Supervision is suite-wide, like a shared cache:
+                        // every campaign reports the session's totals.
+                        supervision: session_outcome.supervision,
                     },
                     result,
                 }
             })
             .collect())
-    }
-
-    /// Deprecated positional entry point.
-    #[deprecated(since = "0.3.0", note = "use `Scheduler::new(options).shards(k).run(configs)`")]
-    pub fn run_suite(&self, configs: &[CampaignConfig], shards: usize) -> Vec<OrchestratedResult> {
-        let mut scheduler = self.clone().shards(shards);
-        // The old signature silently tolerated `workers == 0`; preserve
-        // that for existing callers (the builder rejects it instead).
-        scheduler.options.workers = scheduler.options.workers.max(1);
-        scheduler.run(configs).expect("in-memory suite cannot fail")
     }
 }
 

@@ -1,11 +1,6 @@
 //! Transport-shared supervision: lease-based dispatch state and the
-//! barrier bookkeeping every out-of-process transport folds results
-//! through.
-//!
-//! Both pool executors — [`crate::ProcessPoolExecutor`] over pipes and
-//! [`crate::RemoteWorkerExecutor`] over sockets — drive the same
-//! recovery machinery, extracted here so the dispatch budget, backoff,
-//! quarantine and fallback semantics cannot drift between transports:
+//! barrier bookkeeping the out-of-process executor
+//! ([`crate::WorkerExecutor`]) folds results through.
 //!
 //! * [`EpochState`] is one epoch's dispatch ledger. Every dispatch holds
 //!   a **lease**: a monotonically increasing generation number stamped
@@ -16,24 +11,65 @@
 //!   worker answers after its shard was re-dispatched elsewhere.
 //! * [`SessionCore`] is the transport-independent half of a
 //!   [`crate::executor::ShardSession`]: coordinator-side checkpoints,
-//!   record streaming offsets, quarantine reports, and the epoch fold
-//!   that turns accepted results into deltas, sink replays and barrier
-//!   state.
+//!   record streaming offsets, quarantine reports, supervision counts,
+//!   and the epoch fold that turns accepted results into deltas, sink
+//!   replays and barrier state.
 //!
-//! The transports keep only what is genuinely theirs: process spawning
-//! and pipe pumping in `process_pool`, and sockets, handshakes,
-//! heartbeats and reconnect acceptance in `remote`.
+//! The executor keeps only what is genuinely its own: sockets,
+//! handshakes, heartbeats, reconnect acceptance and process respawn in
+//! [`crate::remote`].
 
 use std::collections::VecDeque;
 
 use llm4fp::RunnerCheckpoint;
+use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::executor::{FailurePolicy, OrchestratorError, RecordSink, SessionOutcome, ShardTask};
 use crate::shard::{ShardFailureReport, ShardOutput};
 use crate::wire::{ShardJob, ShardJobResult};
 
-/// Why an epoch gave up, and whether the terminal failure was the
-/// spawn-the-worker class (which maps to
+/// What supervision did during a run: every recovery that cost time but
+/// no bits. Reported in `RunStats` and `summary.json`, never in
+/// `metrics.json` — the counts describe this invocation's luck, not the
+/// deterministic `(config, K, E)` result.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+pub struct SupervisionCounts {
+    /// Results discarded because their lease was no longer live (late
+    /// answers after lease expiry, straggler-duplicate losers,
+    /// retransmitted frames).
+    pub stale_results: u64,
+    /// Failed dispatches whose job went back into the queue (crash, lease
+    /// expiry, dropped connection, protocol violation).
+    pub redispatches: u64,
+    /// Self-spawned workers the executor respawned after they exited or
+    /// were killed.
+    pub respawns: u64,
+}
+
+/// Missing fields (and a missing object, as in `summary.json` files
+/// written before these counts existed) deserialize as zero.
+impl Deserialize for SupervisionCounts {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let Some(m) = v.as_obj() else {
+            return match v {
+                Value::Null => Ok(SupervisionCounts::default()),
+                _ => Err(Error::msg("expected object for SupervisionCounts")),
+            };
+        };
+        let field = |name: &str| match m.get(name) {
+            None | Some(Value::Null) => Ok(0),
+            Some(v) => u64::from_value(v),
+        };
+        Ok(SupervisionCounts {
+            stale_results: field("stale_results")?,
+            redispatches: field("redispatches")?,
+            respawns: field("respawns")?,
+        })
+    }
+}
+
+/// Why an epoch gave up, and whether the terminal failure means no
+/// worker can be had at all (which maps to
 /// [`OrchestratorError::WorkerUnavailable`] — the in-process fallback's
 /// trigger) rather than a job-execution failure.
 pub struct EpochFailure {
@@ -70,6 +106,8 @@ pub struct EpochState {
     /// Results discarded because their lease was no longer live (late
     /// answers after expiry, straggler-duplicate losers).
     stale_results: u64,
+    /// Failed dispatches whose job was requeued.
+    redispatches: u64,
     /// The next lease generation to hand out (0 is never a live lease).
     next_lease: u64,
     max_attempts: u8,
@@ -99,6 +137,7 @@ impl EpochState {
             quarantined: vec![false; jobs],
             failed: None,
             stale_results: 0,
+            redispatches: 0,
             next_lease: 1,
             max_attempts,
             policy,
@@ -112,7 +151,7 @@ impl EpochState {
     }
 
     /// Fail the whole epoch from outside the per-job budget accounting
-    /// (the remote transport's worker-starvation deadline uses this).
+    /// (the executor's worker-starvation deadline uses this).
     pub fn fail(&mut self, failure: EpochFailure) {
         if self.failed.is_none() {
             self.failed = Some(failure);
@@ -162,12 +201,11 @@ impl EpochState {
     }
 
     /// The dispatch under `lease` failed (crash, hang past the lease
-    /// deadline, protocol violation, spawn failure). The lease dies;
+    /// deadline, dropped connection, protocol violation). The lease dies;
     /// the job requeues unless it already completed elsewhere or ran
     /// out of attempts — then the failure policy decides between
-    /// failing the epoch and quarantining the job. `spawn_failure`
-    /// marks the cannot-even-spawn class for the degradation ladder.
-    pub fn abandon(&mut self, job: usize, lease: u64, why: String, spawn_failure: bool) {
+    /// failing the epoch and quarantining the job.
+    pub fn abandon(&mut self, job: usize, lease: u64, why: String) {
         if let Some(position) = self.leases[job].iter().position(|&live| live == lease) {
             self.leases[job].swap_remove(position);
         }
@@ -183,7 +221,7 @@ impl EpochState {
                         message: format!(
                             "shard job {job} failed {budget} time(s); last error: {why}"
                         ),
-                        worker_unavailable: spawn_failure,
+                        worker_unavailable: false,
                     });
                 }
                 FailurePolicy::Quarantine => {
@@ -195,6 +233,7 @@ impl EpochState {
             self.last_error[job] = Some(why);
         } else {
             self.last_error[job] = Some(why);
+            self.redispatches += 1;
             self.queue.push_front(job);
         }
     }
@@ -220,6 +259,9 @@ pub struct SessionCore<'s> {
     /// How many of each task's records already reached the sink.
     streamed: Vec<usize>,
     outputs: Vec<Option<ShardOutput>>,
+    /// Supervision counts so far; the executor adds its respawns before
+    /// [`outcome`](Self::outcome).
+    pub supervision: SupervisionCounts,
 }
 
 impl<'s> SessionCore<'s> {
@@ -245,6 +287,7 @@ impl<'s> SessionCore<'s> {
             checkpoints,
             streamed,
             outputs: Vec::new(),
+            supervision: SupervisionCounts::default(),
             tasks,
             sink,
             max_attempts,
@@ -278,12 +321,15 @@ impl<'s> SessionCore<'s> {
     /// decisions, then — single-threaded, in task order — absorb worker
     /// counters (exactly once per job; stale results were discarded),
     /// replay newly computed records into the sink, and store barrier
-    /// state or final outputs. Returns each task's delta.
+    /// state or final outputs. Returns each task's delta. The epoch's
+    /// stale results and redispatches add to [`Self::supervision`].
     pub fn fold_epoch(
         &mut self,
         mut state: EpochState,
         last: bool,
     ) -> Result<Vec<Vec<String>>, OrchestratorError> {
+        self.supervision.stale_results += state.stale_results;
+        self.supervision.redispatches += state.redispatches;
         if let Some(failure) = state.failed.take() {
             return Err(if failure.worker_unavailable {
                 OrchestratorError::WorkerUnavailable(failure.message)
@@ -410,14 +456,14 @@ impl<'s> SessionCore<'s> {
                 }
             })
             .collect::<Result<Vec<_>, OrchestratorError>>()?;
-        Ok(SessionOutcome { shards })
+        Ok(SessionOutcome { shards, supervision: self.supervision })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process_pool::MAX_DISPATCH_ATTEMPTS;
+    use crate::remote::MAX_DISPATCH_ATTEMPTS;
 
     fn abort_state(jobs: usize) -> EpochState {
         EpochState::new(jobs, &vec![false; jobs], MAX_DISPATCH_ATTEMPTS, FailurePolicy::Abort)
@@ -441,28 +487,37 @@ mod tests {
         assert_eq!(job_a, 0);
         assert_eq!(state.next_job().map(|(job, _)| job), Some(1));
         // Worker holding job 0 crashes twice; job re-enters the queue.
-        state.abandon(0, lease_a, "crash".into(), false);
+        state.abandon(0, lease_a, "crash".into());
         assert!(state.failed.is_none());
         let (job, lease) = state.next_job().unwrap();
         assert_eq!(job, 0);
-        state.abandon(0, lease, "crash".into(), false);
+        state.abandon(0, lease, "crash".into());
         let (job, lease) = state.next_job().unwrap();
         assert_eq!(job, 0);
         // Third failure exhausts the attempt budget.
-        state.abandon(0, lease, "crash".into(), false);
+        state.abandon(0, lease, "crash".into());
         let failure = state.failed.as_ref().unwrap();
         assert!(failure.message.contains("3 time(s)"));
         assert!(!failure.worker_unavailable);
         assert!(state.is_settled());
+        // Two failures requeued the job; the third exhausted it.
+        assert_eq!(state.redispatches, 2);
     }
 
     #[test]
-    fn spawn_class_failures_mark_worker_unavailable() {
-        let mut state = EpochState::new(1, &[false], 1, FailurePolicy::Abort);
-        let (job, lease) = state.next_job().unwrap();
-        assert_eq!(job, 0);
-        state.abandon(0, lease, "cannot spawn worker".into(), true);
-        assert!(state.failed.as_ref().unwrap().worker_unavailable);
+    fn supervision_counts_read_zero_when_absent() {
+        // `summary.json` files written before the counts existed carry no
+        // `supervision` object at all; partial objects default per field.
+        assert_eq!(
+            SupervisionCounts::from_value(&Value::Null).unwrap(),
+            SupervisionCounts::default()
+        );
+        let partial: SupervisionCounts = serde_json::from_str(r#"{"respawns": 2}"#).unwrap();
+        assert_eq!(partial, SupervisionCounts { respawns: 2, ..SupervisionCounts::default() });
+        let full = SupervisionCounts { stale_results: 1, redispatches: 3, respawns: 2 };
+        let back: SupervisionCounts =
+            serde_json::from_str(&serde_json::to_string(&full).unwrap()).unwrap();
+        assert_eq!(back, full);
     }
 
     #[test]
@@ -470,10 +525,10 @@ mod tests {
         let mut state = EpochState::new(2, &[false, false], 2, FailurePolicy::Quarantine);
         let (job, lease) = state.next_job().unwrap();
         assert_eq!(job, 0);
-        state.abandon(0, lease, "crash".into(), false);
+        state.abandon(0, lease, "crash".into());
         let (job, lease) = state.next_job().unwrap();
         assert_eq!(job, 0);
-        state.abandon(0, lease, "crash again".into(), false);
+        state.abandon(0, lease, "crash again".into());
         // Budget exhausted: quarantined, not failed; the epoch continues
         // with the surviving job.
         assert!(state.failed.is_none());
@@ -523,7 +578,7 @@ mod tests {
         let (job, expired) = state.next_job().unwrap();
         assert_eq!(job, 0);
         // Lease deadline passes: the supervisor abandons the dispatch.
-        state.abandon(0, expired, "lease expired after 0.2s".into(), false);
+        state.abandon(0, expired, "lease expired after 0.2s".into());
         let (job, fresh) = state.next_job().unwrap();
         assert_eq!(job, 0);
         assert_ne!(expired, fresh);

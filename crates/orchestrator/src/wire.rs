@@ -1,7 +1,7 @@
 //! The coordinator ↔ worker-daemon wire contract.
 //!
-//! The process-pool transport farms [`ShardJob`]s to `llm4fp-worker`
-//! daemons over their stdin/stdout as **length-prefixed JSON frames**:
+//! The out-of-process executor farms [`ShardJob`]s to `llm4fp-worker`
+//! daemons over TCP streams as **length-prefixed JSON frames**:
 //!
 //! ```text
 //! 0000000123\n{...123 bytes of JSON...}
@@ -24,13 +24,12 @@
 //! crash-and-redispatch and straggler duplication sound — recomputing a
 //! job on another worker yields byte-identical results.
 //!
-//! Since the socket transport, every stream opens with a **versioned
-//! handshake**: the worker's first frame is [`WireReply::Hello`] and the
-//! coordinator answers [`WireRequest::Hello`] (or a typed
-//! [`WireRequest::Refuse`]). A version skew is a
-//! [`WireError::VersionMismatch`] — a refusal in words, never undefined
-//! framing — and the same handshake runs over pipes, so a stale worker
-//! binary on either transport fails loudly before any job is exchanged.
+//! Every stream opens with a **versioned handshake**: the worker's first
+//! frame is [`WireReply::Hello`] and the coordinator answers
+//! [`WireRequest::Hello`] (or a typed [`WireRequest::Refuse`]). A version
+//! skew is a [`WireError::VersionMismatch`] — a refusal in words, never
+//! undefined framing — so a stale worker binary fails loudly before any
+//! job is exchanged.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -57,12 +56,20 @@ pub struct Hello {
     pub protocol: u32,
     /// The sender's [`crate::persist::MANIFEST_SCHEMA`].
     pub manifest_schema: u32,
+    /// The worker's process id (`None` from the coordinator, and from
+    /// workers that predate it): how the coordinator finds the process
+    /// behind a connection it must kill. Not part of the version check.
+    pub pid: Option<u32>,
 }
 
 impl Hello {
-    /// The handshake frame this build sends.
+    /// The handshake frame this build sends (without a pid).
     pub fn current() -> Self {
-        Hello { protocol: PROTOCOL_VERSION, manifest_schema: crate::persist::MANIFEST_SCHEMA }
+        Hello {
+            protocol: PROTOCOL_VERSION,
+            manifest_schema: crate::persist::MANIFEST_SCHEMA,
+            pid: None,
+        }
     }
 
     /// Accept or refuse a peer's handshake. Any skew is a typed
@@ -326,16 +333,15 @@ mod tests {
     #[test]
     fn handshake_and_liveness_frames_round_trip() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, &WireReply::Hello(Hello::current())).unwrap();
+        let worker = Hello { pid: Some(4242), ..Hello::current() };
+        write_frame(&mut buf, &WireReply::Hello(worker)).unwrap();
         write_frame(&mut buf, &WireRequest::Hello(Hello::current())).unwrap();
         write_frame(&mut buf, &WireRequest::Ping(42)).unwrap();
         write_frame(&mut buf, &WireReply::Pong(42)).unwrap();
         write_frame(&mut buf, &WireRequest::Refuse("too old".into())).unwrap();
         let mut reader = buf.as_slice();
-        assert_eq!(
-            read_frame::<WireReply, _>(&mut reader).unwrap(),
-            WireReply::Hello(Hello::current())
-        );
+        assert_eq!(read_frame::<WireReply, _>(&mut reader).unwrap(), WireReply::Hello(worker));
+        assert_eq!(worker.check(), Ok(()), "the pid is not part of the version check");
         assert_eq!(
             read_frame::<WireRequest, _>(&mut reader).unwrap(),
             WireRequest::Hello(Hello::current())
@@ -346,6 +352,13 @@ mod tests {
             read_frame::<WireRequest, _>(&mut reader).unwrap(),
             WireRequest::Refuse("too old".into())
         );
+        // A worker that predates the pid field still shakes hands.
+        let legacy = format!(
+            r#"{{"Hello":{{"protocol":{PROTOCOL_VERSION},"manifest_schema":{}}}}}"#,
+            crate::persist::MANIFEST_SCHEMA
+        );
+        let hello: WireReply = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(hello, WireReply::Hello(Hello::current()));
     }
 
     #[test]

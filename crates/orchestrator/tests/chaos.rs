@@ -16,7 +16,8 @@ use std::time::Duration;
 use llm4fp::{ApproachKind, CampaignConfig, CampaignResult};
 use llm4fp_orchestrator::{
     FailurePolicy, FaultPlan, OrchestratedResult, Orchestrator, OrchestratorError, PersistError,
-    PersistFault, ProcessPoolExecutor, RunDir, RunManifest, WorkerFault, MANIFEST_SCHEMA,
+    PersistFault, RunDir, RunManifest, SupervisionConfig, WorkerExecutor, WorkerFault,
+    MANIFEST_SCHEMA,
 };
 use serde::{Number, Value};
 
@@ -264,14 +265,17 @@ fn quarantined_run_dirs_resume_bit_identically_once_faults_clear() {
     let reference = Orchestrator::new(config.clone()).shards(3).workers(2).run().unwrap();
 
     let root = temp_dir("quarantine-resume");
-    let poisoned = ProcessPoolExecutor::new(2)
-        .with_worker_bin(PathBuf::from(env!("CARGO_BIN_EXE_llm4fp-worker")))
-        .respawn_backoff_base(Duration::from_millis(1))
-        .on_shard_failure(FailurePolicy::Quarantine)
-        .with_fault_plan(FaultPlan {
+    let poisoned = WorkerExecutor::new(SupervisionConfig {
+        worker_procs: 2,
+        worker_bin: Some(PathBuf::from(env!("CARGO_BIN_EXE_llm4fp-worker"))),
+        respawn_backoff: Duration::from_millis(1),
+        policy: FailurePolicy::Quarantine,
+        faults: FaultPlan {
             every_worker: vec![WorkerFault::CrashOnShard(1)],
             ..FaultPlan::default()
-        });
+        },
+        ..SupervisionConfig::default()
+    });
     let partial = Orchestrator::new(config.clone())
         .shards(3)
         .run_dir(root.clone())

@@ -1,13 +1,18 @@
-//! The socket transport's load-bearing guarantee, exercised against real
-//! `llm4fp-worker --connect` daemons dialing a loopback coordinator: a
-//! remote run is bit-identical to the in-process run for any
-//! `(K, E, worker_procs)` — including under every [`NetworkFault`]
-//! variant in Abort mode (a fault may cost time, never bits), after a
-//! mid-epoch disconnect-reconnect-resume, and when deadline leases
-//! expire and the late answers arrive anyway (discarded by lease
-//! generation, never merged). The handshake half pins the version
-//! contract: a skewed `Hello` is refused in words — a typed
-//! [`WireRequest::Refuse`] — never undefined framing.
+//! The out-of-process executor's load-bearing guarantee, exercised
+//! against real `llm4fp-worker --connect` daemons dialing a loopback
+//! coordinator: a [`WorkerExecutor`] run is bit-identical to the
+//! in-process run for any `(K, E, worker_procs)` — under an injected
+//! worker crash (the job redispatches and the worker is respawned), a
+//! stalled worker (its lease expires, it is killed and respawned),
+//! sabotaged answer frames, failed respawns, every [`NetworkFault`]
+//! variant in Abort mode (a fault may cost time, never bits), a
+//! mid-epoch disconnect-reconnect-resume, and expired leases whose late
+//! answers arrive anyway (discarded by lease generation, never merged).
+//! The merged `metrics.json` flight recorder is byte-identical across
+//! executors, which is what the CI smoke campaigns assert end to end.
+//! The handshake half pins the version contract: a skewed `Hello` is
+//! refused in words — a typed [`WireRequest::Refuse`] — never undefined
+//! framing.
 
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -18,19 +23,30 @@ use std::time::{Duration, Instant};
 use llm4fp::{ApproachKind, CampaignConfig, CampaignResult};
 use llm4fp_orchestrator::wire::{read_frame, write_frame, WireReply, WireRequest};
 use llm4fp_orchestrator::{
-    FaultPlan, Hello, NetworkFault, NullSink, OrchestratedResult, Orchestrator, OrchestratorError,
-    RemoteWorkerExecutor, ShardExecutor, PROTOCOL_VERSION,
+    FailurePolicy, FaultPlan, Hello, NetworkFault, NullSink, OrchestratedResult, Orchestrator,
+    OrchestratorError, OrchestratorOptions, Scheduler, ShardExecutor, SupervisionConfig,
+    WorkerExecutor, WorkerFault, PROTOCOL_VERSION,
 };
 use llm4fp_telemetry::TelemetrySpec;
 
 /// Cargo builds the worker daemon alongside the test binary and hands us
-/// its path; `with_worker_bin` skips the sibling-binary search.
+/// its path; pinning it skips the sibling-binary search.
 fn worker_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_llm4fp-worker"))
 }
 
-fn remote(worker_procs: usize) -> RemoteWorkerExecutor {
-    RemoteWorkerExecutor::new(worker_procs).with_worker_bin(worker_bin())
+/// `worker_procs` self-spawned loopback workers, everything else default.
+fn workers(worker_procs: usize) -> SupervisionConfig {
+    SupervisionConfig {
+        worker_procs,
+        worker_bin: Some(worker_bin()),
+        ..SupervisionConfig::default()
+    }
+}
+
+/// No self-spawned workers: the session serves whoever dials in.
+fn external_only() -> SupervisionConfig {
+    SupervisionConfig { worker_procs: 0, ..SupervisionConfig::default() }
 }
 
 fn config(approach: ApproachKind, budget: usize, seed: u64) -> CampaignConfig {
@@ -49,22 +65,31 @@ fn in_process(config: &CampaignConfig, shards: usize, epochs: usize) -> Orchestr
     Orchestrator::new(config.clone()).shards(shards).epochs(epochs).run().unwrap()
 }
 
-fn on_remote(
+fn run(
     config: &CampaignConfig,
     shards: usize,
     epochs: usize,
-    executor: RemoteWorkerExecutor,
-) -> OrchestratedResult {
+    supervision: SupervisionConfig,
+) -> Result<OrchestratedResult, OrchestratorError> {
     Orchestrator::new(config.clone())
         .shards(shards)
         .epochs(epochs)
-        .executor(Arc::new(executor))
+        .executor(Arc::new(WorkerExecutor::new(supervision)))
         .run()
-        .unwrap()
+}
+
+fn on_workers(
+    config: &CampaignConfig,
+    shards: usize,
+    epochs: usize,
+    supervision: SupervisionConfig,
+) -> OrchestratedResult {
+    run(config, shards, epochs, supervision).unwrap()
 }
 
 /// Transport equivalence compares everything deterministic. (`RunStats`
-/// wall-clock fields are runtime artifacts, not part of the contract.)
+/// wall-clock fields and `peak_regs` are runtime artifacts, not part of
+/// the contract.)
 fn assert_results_identical(a: &CampaignResult, b: &CampaignResult, what: &str) {
     assert_eq!(a.records, b.records, "{what}: records differ");
     assert_eq!(a.sources, b.sources, "{what}: sources differ");
@@ -81,7 +106,7 @@ fn remote_loopback_matches_in_process_bit_for_bit() {
     for epochs in [1usize, 3] {
         let reference = in_process(&config, 4, epochs);
         for worker_procs in [1usize, 2, 4] {
-            let remoted = on_remote(&config, 4, epochs, remote(worker_procs));
+            let remoted = on_workers(&config, 4, epochs, workers(worker_procs));
             assert_results_identical(
                 &remoted.result,
                 &reference.result,
@@ -98,8 +123,342 @@ fn remote_loopback_matches_in_process_bit_for_bit() {
 fn remote_k1_matches_the_sequential_campaign() {
     let config = config(ApproachKind::Varity, 12, 19);
     let sequential = llm4fp::Campaign::new(config.clone()).run();
-    let remoted = on_remote(&config, 1, 1, remote(2));
-    assert_results_identical(&remoted.result, &sequential, "remote K=1");
+    let remoted = on_workers(&config, 1, 1, workers(2));
+    assert_results_identical(&remoted.result, &sequential, "workers K=1");
+}
+
+#[test]
+fn metrics_json_is_byte_identical_on_the_remote_transport() {
+    // The deterministic flight recorder must not betray the transport:
+    // telemetry counters shipped home over TCP merge into the exact
+    // bytes the in-process run writes — the witness the CI smoke jobs
+    // pin with cmp across executors.
+    let config = config(ApproachKind::Llm4Fp, 18, 9);
+    let mut reference: Option<String> = None;
+    for (tag, supervision) in [("in-process", None), ("workers", Some(workers(3)))] {
+        let root = temp_dir(&format!("metrics-{tag}"));
+        let mut builder = Orchestrator::new(config.clone())
+            .shards(3)
+            .epochs(2)
+            .run_dir(root.clone())
+            .telemetry(TelemetrySpec::METRICS);
+        if let Some(supervision) = supervision {
+            builder = builder.executor(Arc::new(WorkerExecutor::new(supervision)));
+        }
+        let orchestrated = builder.run().unwrap();
+        assert_eq!(orchestrated.stats.shards_computed, 3, "{tag}");
+        let bytes = std::fs::read_to_string(root.join("metrics.json"))
+            .expect("metrics.json written for a fully computed run");
+        match &reference {
+            None => reference = Some(bytes),
+            Some(expected) => {
+                assert_eq!(&bytes, expected, "metrics.json must not depend on the transport")
+            }
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+#[test]
+fn process_pool_matches_in_process_bit_for_bit() {
+    // An executor is an `Arc` a caller may hand to run after run. Each
+    // run is its own session — it rebinds, raises fresh workers and tears
+    // them down — so one executor serving back-to-back campaigns of
+    // different epoch counts stays bit-identical to the in-process runs.
+    let config = config(ApproachKind::Llm4Fp, 24, 7);
+    let references: Vec<_> =
+        [1usize, 3].map(|epochs| (epochs, in_process(&config, 4, epochs))).into();
+    for worker_procs in [1usize, 2, 4] {
+        let executor: Arc<dyn ShardExecutor> = Arc::new(WorkerExecutor::new(workers(worker_procs)));
+        for (epochs, reference) in &references {
+            let pooled = Orchestrator::new(config.clone())
+                .shards(4)
+                .epochs(*epochs)
+                .executor(Arc::clone(&executor))
+                .run()
+                .unwrap();
+            assert_results_identical(
+                &pooled.result,
+                &reference.result,
+                &format!("reused executor E={epochs} procs={worker_procs}"),
+            );
+            assert_eq!(pooled.stats.shards, reference.stats.shards);
+            assert_eq!(pooled.stats.epochs, *epochs);
+        }
+    }
+}
+
+#[test]
+fn process_pool_k1_matches_the_sequential_campaign() {
+    // One shard on one worker across three epochs: the shard's runner
+    // checkpoint crosses the wire at every barrier and resumes on the
+    // same daemon, and the stitched result is the sequential campaign.
+    let config = config(ApproachKind::Varity, 12, 19);
+    let sequential = llm4fp::Campaign::new(config.clone()).run();
+    let pooled = on_workers(&config, 1, 3, workers(1));
+    assert_results_identical(&pooled.result, &sequential, "one worker K=1 E=3");
+    assert_eq!(pooled.stats.epochs, 3);
+}
+
+#[test]
+fn metrics_json_is_byte_identical_across_transports() {
+    // A worker that crashes mid-epoch never ships the counters of the job
+    // it died on; the replayed job ships them once. So the flight recorder
+    // of a run healed by redispatch and respawn is byte-identical to the
+    // in-process one.
+    let config = config(ApproachKind::Llm4Fp, 18, 9);
+    let crashing =
+        SupervisionConfig { faults: first_worker_plan(WorkerFault::CrashAtJob(1)), ..workers(2) };
+    let mut reference: Option<String> = None;
+    for (tag, supervision) in [("in-process", None), ("healed-workers", Some(crashing))] {
+        let root = temp_dir(&format!("metrics-{tag}"));
+        let mut builder = Orchestrator::new(config.clone())
+            .shards(3)
+            .epochs(2)
+            .run_dir(root.clone())
+            .telemetry(TelemetrySpec::METRICS);
+        if let Some(supervision) = supervision {
+            builder = builder.executor(Arc::new(WorkerExecutor::new(supervision)));
+        }
+        let orchestrated = builder.run().unwrap();
+        assert_eq!(orchestrated.stats.shards_computed, 3, "{tag}");
+        if reference.is_some() {
+            let supervision = orchestrated.stats.supervision;
+            assert!(supervision.redispatches >= 1, "{tag}: the crash happened: {supervision:?}");
+        }
+        let bytes = std::fs::read_to_string(root.join("metrics.json"))
+            .expect("metrics.json written for a fully computed run");
+        match &reference {
+            None => reference = Some(bytes),
+            Some(expected) => {
+                assert_eq!(&bytes, expected, "metrics.json must not record the recovery")
+            }
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+#[test]
+fn missing_worker_binary_is_a_typed_worker_unavailable_error() {
+    // A worker path that exists but cannot be executed — a plain file
+    // without the exec bit, or a directory — is as missing as an absent
+    // one: `begin` surfaces the typed `WorkerUnavailable`, not an I/O
+    // error and not a wait for workers that will never dial in.
+    let config = config(ApproachKind::Varity, 4, 1);
+    let dir = temp_dir("unexecutable-worker");
+    std::fs::create_dir_all(&dir).unwrap();
+    let plain_file = dir.join("llm4fp-worker");
+    std::fs::write(&plain_file, b"not a program").unwrap();
+    for bin in [plain_file, dir.clone()] {
+        let doomed = SupervisionConfig {
+            worker_bin: Some(bin.clone()),
+            respawn_backoff: Duration::from_millis(1),
+            ..workers(2)
+        };
+        let err = run(&config, 2, 1, doomed).unwrap_err();
+        assert!(
+            matches!(err, OrchestratorError::WorkerUnavailable(_)),
+            "{}: got {err}",
+            bin.display()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A plan faulting only worker slot 0's first spawn — the redispatch-
+/// equivalence shape: the fault fires once and recovery heals it.
+fn first_worker_plan(fault: WorkerFault) -> FaultPlan {
+    FaultPlan { first_worker: vec![fault], ..FaultPlan::default() }
+}
+
+#[test]
+fn worker_crash_redispatches_and_stays_bit_identical() {
+    // Worker slot 0's first daemon dies with exit(101) upon receiving
+    // its first job, before answering. The coordinator must see the
+    // connection die, requeue the job, respawn a clean daemon, and
+    // replay the job — with no trace in the results. With one worker
+    // the run can only finish through the respawn.
+    let config = config(ApproachKind::Llm4Fp, 20, 5);
+    for epochs in [1usize, 2] {
+        let reference = in_process(&config, 4, epochs);
+        for worker_procs in [1usize, 2] {
+            let what = format!("crash redispatch E={epochs} procs={worker_procs}");
+            let crashing = SupervisionConfig {
+                faults: first_worker_plan(WorkerFault::CrashAtJob(1)),
+                ..workers(worker_procs)
+            };
+            let survived = on_workers(&config, 4, epochs, crashing);
+            assert_results_identical(&survived.result, &reference.result, &what);
+            assert!(survived.stats.failures.is_empty(), "{what}: healed, not a shard failure");
+            let supervision = survived.stats.supervision;
+            assert!(supervision.redispatches >= 1, "{what}: the crash is counted: {supervision:?}");
+            if worker_procs == 1 {
+                assert!(supervision.respawns >= 1, "{what}: the worker came back: {supervision:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn stalled_worker_is_killed_and_its_job_redispatched() {
+    // Worker slot 0's first daemon stalls far past the lease on every job
+    // it receives. Its lease expires, it stays silent through the drain
+    // window, and the coordinator kills its process group and respawns a
+    // clean worker — again with bit-identical results. With one worker,
+    // nothing but the kill and the respawn can finish the run.
+    let config = config(ApproachKind::Varity, 12, 3);
+    let reference = in_process(&config, 3, 1);
+    for worker_procs in [1usize, 2] {
+        let stalling = SupervisionConfig {
+            faults: first_worker_plan(WorkerFault::StallMs(60_000)),
+            lease_timeout: Duration::from_millis(500),
+            ..workers(worker_procs)
+        };
+        let survived = on_workers(&config, 3, 1, stalling);
+        assert_results_identical(
+            &survived.result,
+            &reference.result,
+            &format!("stall kill and redispatch, procs={worker_procs}"),
+        );
+    }
+}
+
+#[test]
+fn sabotaged_answer_frames_redispatch_and_stay_bit_identical() {
+    // A worker that answers with garbage (or a truncated frame) is as
+    // dead as one that crashed: the coordinator must treat the malformed
+    // answer as a dispatch failure and replay the job elsewhere.
+    let config = config(ApproachKind::Llm4Fp, 16, 21);
+    let reference = in_process(&config, 3, 1);
+    for fault in [WorkerFault::CorruptFrameAtJob(1), WorkerFault::TruncateFrameAtJob(1)] {
+        let what = format!("{fault:?}");
+        let sabotaged = SupervisionConfig { faults: first_worker_plan(fault), ..workers(2) };
+        let survived = on_workers(&config, 3, 1, sabotaged);
+        assert_results_identical(&survived.result, &reference.result, &what);
+        assert!(survived.stats.failures.is_empty(), "{what}: healed, not quarantined");
+    }
+}
+
+#[test]
+fn injected_respawn_failures_back_off_and_recover() {
+    // Chaos shape: slot 0's first daemon crashes AND the coordinator's
+    // first respawn attempt is itself made to fail (as if fork/exec
+    // died). The slot waits out the deterministic backoff and the next
+    // respawn succeeds — results stay bit-identical, and with a single
+    // worker the run can only finish through that second attempt.
+    let config = config(ApproachKind::Varity, 12, 17);
+    let reference = in_process(&config, 3, 1);
+    let flaky = SupervisionConfig {
+        respawn_backoff: Duration::from_millis(1),
+        faults: FaultPlan {
+            first_worker: vec![WorkerFault::CrashAtJob(1)],
+            respawn_failures: 1,
+            ..FaultPlan::default()
+        },
+        ..workers(1)
+    };
+    let survived = on_workers(&config, 3, 1, flaky);
+    assert_results_identical(&survived.result, &reference.result, "respawn failure recovery");
+    assert_eq!(survived.stats.supervision.respawns, 1, "one successful respawn");
+}
+
+/// Shard 1 crashes every worker that touches it, and respawns inherit
+/// the poison.
+fn poisoned(policy: FailurePolicy) -> SupervisionConfig {
+    SupervisionConfig {
+        respawn_backoff: Duration::from_millis(1),
+        policy,
+        faults: FaultPlan {
+            every_worker: vec![WorkerFault::CrashOnShard(1)],
+            ..FaultPlan::default()
+        },
+        ..workers(2)
+    }
+}
+
+#[test]
+fn poisonous_shard_aborts_the_run_under_the_default_policy() {
+    // `every_worker` poison survives respawns: shard 1's job crashes
+    // every daemon that touches it, exhausting the dispatch budget. The
+    // default Abort policy must fail the whole run with a typed error
+    // naming the job and the spent budget.
+    let config = config(ApproachKind::Varity, 12, 23);
+    let err = run(&config, 3, 1, poisoned(FailurePolicy::Abort))
+        .expect_err("a shard that can never complete must abort the run");
+    assert!(matches!(err, OrchestratorError::Executor(_)), "got {err}");
+    assert!(err.to_string().contains("failed 3 time(s)"), "{err}");
+}
+
+#[test]
+fn quarantine_policy_completes_the_surviving_shards() {
+    // Same poison, opposite policy: the campaign completes on shards 0
+    // and 2, and the casualty is reported — shard index, attempt count,
+    // and the last error — instead of sinking the run.
+    let config = config(ApproachKind::Varity, 12, 23);
+    let survived = on_workers(&config, 3, 1, poisoned(FailurePolicy::Quarantine));
+    assert_eq!(survived.stats.failures.len(), 1, "exactly one shard was lost");
+    let report = &survived.stats.failures[0];
+    assert_eq!(report.shard, 1);
+    assert_eq!(report.attempts, 3, "the full dispatch budget was spent");
+    assert!(!report.last_error.is_empty(), "the last error is preserved");
+    assert!(!survived.result.records.is_empty(), "surviving shards produced records");
+    assert!(
+        survived.result.records.len() < in_process(&config, 3, 1).result.records.len(),
+        "a quarantined run is visibly partial, never silently complete"
+    );
+    assert!(
+        survived.stats.summary_line().contains("quarantined"),
+        "stats advertise the quarantine: {}",
+        survived.stats.summary_line()
+    );
+}
+
+#[test]
+fn unavailable_transport_falls_back_to_in_process_when_allowed() {
+    // The bottom rung of the degradation ladder: an executor whose
+    // workers can never spawn degrades to the in-process executor and
+    // the results are bit-identical (the determinism contract is
+    // transport-independent).
+    let config = config(ApproachKind::Llm4Fp, 16, 29);
+    let reference = in_process(&config, 3, 2);
+    let doomed = SupervisionConfig {
+        worker_bin: Some("/nonexistent/llm4fp-worker".into()),
+        respawn_backoff: Duration::from_millis(1),
+        ..workers(2)
+    };
+    assert_eq!(doomed.max_dispatch_attempts, 3);
+    let degraded = Orchestrator::new(config)
+        .shards(3)
+        .epochs(2)
+        .executor(Arc::new(WorkerExecutor::new(doomed)))
+        .fallback_to_in_process(true)
+        .run()
+        .expect("fallback completes the run in process");
+    assert!(degraded.stats.fell_back_to_in_process, "stats record the degradation");
+    assert_results_identical(&degraded.result, &reference.result, "in-process fallback");
+}
+
+#[test]
+fn scheduler_suites_run_on_the_process_pool() {
+    // The suite scheduler is transport-agnostic through the same seam:
+    // a multi-campaign suite farmed to worker daemons must match the
+    // in-process suite campaign for campaign.
+    let configs: Vec<CampaignConfig> =
+        [ApproachKind::Varity, ApproachKind::Llm4Fp].iter().map(|&a| config(a, 12, 8)).collect();
+    let options = OrchestratorOptions { workers: 2, epochs: 2, ..Default::default() };
+    let reference = Scheduler::new(options.clone()).shards(2).run(&configs).unwrap();
+    let remoted = Scheduler::new(options)
+        .shards(2)
+        .executor(Arc::new(WorkerExecutor::new(workers(3))))
+        .run(&configs)
+        .unwrap();
+    assert_eq!(remoted.len(), reference.len());
+    for (p, r) in remoted.iter().zip(&reference) {
+        assert_results_identical(&p.result, &r.result, "suite on worker daemons");
+        // Workers cannot share an in-memory cache across processes, so
+        // the scheduler must not report (or rely on) cache stats.
+        assert!(p.stats.cache.is_none(), "no shared-cache stats out of process");
+    }
 }
 
 /// A plan arming exactly one network fault — the network-chaos
@@ -127,8 +486,8 @@ fn every_network_fault_heals_bit_identically_in_abort_mode() {
         NetworkFault::RefuseHandshake,
     ] {
         let what = format!("{fault:?}");
-        let chaotic = remote(2).with_fault_plan(network_plan(fault));
-        let survived = on_remote(&config, 4, 1, chaotic);
+        let chaotic = SupervisionConfig { faults: network_plan(fault), ..workers(2) };
+        let survived = on_workers(&config, 4, 1, chaotic);
         assert_results_identical(&survived.result, &reference.result, &what);
         assert!(survived.stats.failures.is_empty(), "{what}: healed, not quarantined");
     }
@@ -144,8 +503,11 @@ fn mid_epoch_disconnect_reconnects_and_resumes_bit_identically() {
     let config = config(ApproachKind::Llm4Fp, 18, 11);
     for epochs in [1usize, 2] {
         let reference = in_process(&config, 3, epochs);
-        let partitioned = remote(1).with_fault_plan(network_plan(NetworkFault::DropConnAtJob(2)));
-        let survived = on_remote(&config, 3, epochs, partitioned);
+        let partitioned = SupervisionConfig {
+            faults: network_plan(NetworkFault::DropConnAtJob(2)),
+            ..workers(1)
+        };
+        let survived = on_workers(&config, 3, epochs, partitioned);
         assert_results_identical(
             &survived.result,
             &reference.result,
@@ -167,46 +529,15 @@ fn expired_leases_redispatch_and_late_answers_never_merge() {
     // worker does.)
     let config = config(ApproachKind::Varity, 12, 3);
     let reference = in_process(&config, 3, 1);
-    let laggy = remote(2)
-        .with_lease_timeout(Duration::from_millis(300))
-        .max_dispatch_attempts(50)
-        .with_fault_plan(network_plan(NetworkFault::DelayFrameMs(450)));
-    let survived = on_remote(&config, 3, 1, laggy);
+    let laggy = SupervisionConfig {
+        lease_timeout: Duration::from_millis(300),
+        max_dispatch_attempts: 50,
+        faults: network_plan(NetworkFault::DelayFrameMs(450)),
+        ..workers(2)
+    };
+    let survived = on_workers(&config, 3, 1, laggy);
     assert_results_identical(&survived.result, &reference.result, "lease expiry + stale discard");
     assert!(survived.stats.failures.is_empty());
-}
-
-#[test]
-fn metrics_json_is_byte_identical_on_the_remote_transport() {
-    // The deterministic flight recorder must not betray the transport:
-    // telemetry counters shipped home over TCP merge into the exact
-    // bytes the in-process run writes — the witness the CI remote-worker
-    // job pins with cmp across all three executors.
-    let config = config(ApproachKind::Llm4Fp, 18, 9);
-    let mut reference: Option<String> = None;
-    let executors: [Option<RemoteWorkerExecutor>; 2] = [None, Some(remote(3))];
-    for (tag, executor) in ["in-process", "remote"].into_iter().zip(executors) {
-        let root = temp_dir(&format!("metrics-{tag}"));
-        let mut builder = Orchestrator::new(config.clone())
-            .shards(3)
-            .epochs(2)
-            .run_dir(root.clone())
-            .telemetry(TelemetrySpec::METRICS);
-        if let Some(executor) = executor {
-            builder = builder.executor(Arc::new(executor));
-        }
-        let orchestrated = builder.run().unwrap();
-        assert_eq!(orchestrated.stats.shards_computed, 3, "{tag}");
-        let bytes = std::fs::read_to_string(root.join("metrics.json"))
-            .expect("metrics.json written for a fully computed run");
-        match &reference {
-            None => reference = Some(bytes),
-            Some(expected) => {
-                assert_eq!(&bytes, expected, "metrics.json must not depend on the transport")
-            }
-        }
-        let _ = std::fs::remove_dir_all(&root);
-    }
 }
 
 #[test]
@@ -217,7 +548,7 @@ fn external_workers_dial_a_worker_less_coordinator() {
     // bound-address cell, so a sidecar thread can watch it resolve.
     let config = config(ApproachKind::Varity, 8, 13);
     let reference = in_process(&config, 2, 1);
-    let executor = RemoteWorkerExecutor::new(0);
+    let executor = WorkerExecutor::new(external_only());
     let probe = executor.clone();
     let spawner = std::thread::spawn(move || {
         let addr = loop {
@@ -269,7 +600,7 @@ fn version_skewed_handshake_is_refused_in_words() {
     // WireRequest::Refuse naming the skew — never undefined framing, and
     // never a job. A well-versioned handshake on the same live session
     // is answered with the coordinator's Hello.
-    let executor = RemoteWorkerExecutor::new(0);
+    let executor = WorkerExecutor::new(external_only());
     let session = executor.begin(Vec::new(), &NullSink).expect("session binds");
     let addr = executor.bound_addr().expect("bound address recorded");
 
@@ -294,21 +625,39 @@ fn version_skewed_handshake_is_refused_in_words() {
 }
 
 #[test]
+fn worker_without_connect_exits_2_with_usage() {
+    // The daemon has one serve mode: dialing a coordinator. Started
+    // without `--connect` it refuses in words and exits 2 instead of
+    // waiting for frames that will never come.
+    let out = Command::new(worker_bin())
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .output()
+        .expect("run the worker binary");
+    assert_eq!(out.status.code(), Some(2), "a usage error, not a crash or a hang");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--connect is required") && stderr.contains("usage: llm4fp-worker"),
+        "stderr names the missing flag and the usage: {stderr}"
+    );
+}
+
+#[test]
 fn worker_starvation_is_a_typed_worker_unavailable_error() {
     // No worker ever dials in: the epoch's starvation deadline trips and
     // surfaces as WorkerUnavailable — the degradation ladder's trigger.
     let config = config(ApproachKind::Varity, 4, 1);
-    let starved = RemoteWorkerExecutor::new(0).with_worker_wait(Duration::from_millis(200));
-    let err =
-        Orchestrator::new(config.clone()).shards(2).executor(Arc::new(starved)).run().unwrap_err();
+    let starved =
+        || SupervisionConfig { worker_wait: Duration::from_millis(200), ..external_only() };
+    let err = run(&config, 2, 1, starved()).unwrap_err();
     assert!(matches!(err, OrchestratorError::WorkerUnavailable(_)), "got {err}");
-    // And the ladder itself: the same starving transport with the
+    // And the ladder itself: the same starving executor with the
     // fallback opt-in completes in process, bit-identically.
     let reference = in_process(&config, 2, 1);
-    let starved = RemoteWorkerExecutor::new(0).with_worker_wait(Duration::from_millis(200));
     let degraded = Orchestrator::new(config)
         .shards(2)
-        .executor(Arc::new(starved))
+        .executor(Arc::new(WorkerExecutor::new(starved())))
         .fallback_to_in_process(true)
         .run()
         .expect("fallback completes the run in process");
@@ -318,11 +667,17 @@ fn worker_starvation_is_a_typed_worker_unavailable_error() {
 
 #[test]
 fn unspawnable_loopback_workers_are_worker_unavailable() {
-    // Self-spawned mode with a dead binary path: the transport cannot
-    // raise its own workers, which is the WorkerUnavailable class (and
-    // the session must tear the listener down on the way out).
+    // Self-spawned mode with a dead binary path: the executor cannot
+    // raise its own workers, which is the typed WorkerUnavailable class
+    // the degradation ladder (and any caller-side retry logic) keys on —
+    // and the session must tear the listener down on the way out.
     let config = config(ApproachKind::Varity, 4, 1);
-    let executor = RemoteWorkerExecutor::new(1).with_worker_bin("/nonexistent/llm4fp-worker");
-    let err = Orchestrator::new(config).shards(2).executor(Arc::new(executor)).run().unwrap_err();
-    assert!(matches!(err, OrchestratorError::WorkerUnavailable(_)), "got {err}");
+    for worker_procs in [1usize, 2] {
+        let doomed = SupervisionConfig {
+            worker_bin: Some("/nonexistent/llm4fp-worker".into()),
+            ..workers(worker_procs)
+        };
+        let err = run(&config, 2, 1, doomed).unwrap_err();
+        assert!(matches!(err, OrchestratorError::WorkerUnavailable(_)), "got {err}");
+    }
 }

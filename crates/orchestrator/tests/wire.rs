@@ -1,9 +1,9 @@
 //! Property tests for the coordinator ↔ worker wire contract: every
-//! payload the process-pool transport can ship — jobs fresh or
+//! payload the out-of-process executor can ship — jobs fresh or
 //! checkpointed, results with deltas, checkpoints, outputs and telemetry
 //! counters — survives a frame round trip byte-for-byte equal. This is
 //! the serialization half of the transport-equivalence guarantee: if
-//! round-tripping ever lost information, `process_pool.rs`'s
+//! round-tripping ever lost information, `remote.rs`'s
 //! bit-identity tests would fail only for the affected field, whereas
 //! these pin the wire layer in isolation.
 //!
