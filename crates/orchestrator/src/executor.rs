@@ -6,7 +6,8 @@
 //! talks to every transport through the same session protocol:
 //!
 //! ```text
-//!   Orchestrator / Scheduler          ShardExecutor::begin(tasks, sink)
+//!   campaign driver                   ShardExecutor::begin(tasks, sink)
+//!   (Orchestrator | Scheduler)                      |
 //!            |                                      |
 //!            |            Box<dyn ShardSession>     |
 //!            +------------------+-------------------+
@@ -181,10 +182,11 @@ pub struct ShardTask {
 }
 
 /// Observes shard progress as it happens: one call per processed program
-/// and one per completed shard. The orchestrator's sink streams records
-/// into the JSONL run directory; the scheduler's sink keeps per-campaign
-/// wall clocks. `task` is the index into the `tasks` slice passed to
-/// [`ShardExecutor::begin`].
+/// and one per completed shard. The campaign driver behind
+/// [`Orchestrator`](crate::Orchestrator) and [`Scheduler`](crate::Scheduler)
+/// has one sink: it streams records into a campaign's JSONL run directory
+/// (when it has one) and keeps each campaign's wall-clock window. `task`
+/// is the index into the `tasks` slice passed to [`ShardExecutor::begin`].
 pub trait RecordSink: Sync {
     /// One program was processed by task `task`.
     fn record(&self, task: usize, record: &ProgramRecord);

@@ -60,7 +60,10 @@
 //! * [`Orchestrator`] — the builder API for one campaign: shard count,
 //!   exchange epochs, caching, persistent resumable run directories
 //!   ([`Orchestrator::resume`], including mid-campaign restore from
-//!   epoch-barrier checkpoints), telemetry, and the transport;
+//!   epoch-barrier checkpoints), telemetry, and the transport. It and
+//!   [`Scheduler`] are two front ends of one campaign driver in
+//!   [`orchestrate`], which owns the epoch-barrier loop, the record sink,
+//!   the [`RunStats`] and the fallback ladder;
 //! * [`executor`] — the transport seam: [`ShardExecutor`] /
 //!   [`ShardSession`] and the in-process implementation;
 //! * [`remote`] — the out-of-process executor ([`WorkerExecutor`],
@@ -74,11 +77,12 @@
 //!   epochs through ([`supervisor::SessionCore`]) and the
 //!   [`SupervisionCounts`] reported in [`RunStats::supervision`];
 //! * [`Scheduler`] — multi-campaign suites (all four Table 2 approaches)
-//!   over one shared worker budget, with per-campaign exchange;
+//!   over one shared worker budget, with per-campaign exchange, cache per
+//!   test context and per-campaign time;
 //! * [`shard`] — the shard planning/merging primitives and the
 //!   segment-capable [`ShardRunner`];
-//! * [`pool`] — the indexed worker pool and the [`pool::run_epochs`]
-//!   barrier protocol;
+//! * [`pool`] — the indexed worker pool ([`pool::run_indexed`]) the
+//!   in-process executor runs each epoch's segments on;
 //! * [`persist`] — the JSONL run-directory format with per-epoch pool
 //!   and checkpoint records, crash-safe (atomic temp+rename artifacts,
 //!   torn-tail tolerance, schema-versioned manifests);
@@ -95,8 +99,8 @@
 //! surviving shards with per-shard [`ShardFailureReport`]s in
 //! [`RunStats::failures`]. A transport whose workers can't be spawned at
 //! all can degrade to in-process execution
-//! ([`Orchestrator::fallback_to_in_process`]) with bit-identical
-//! results.
+//! ([`OrchestratorOptions::fallback_to_in_process`], for a single
+//! campaign and for a suite alike) with bit-identical results.
 //!
 //! ```no_run
 //! use llm4fp::{ApproachKind, CampaignConfig};
@@ -128,8 +132,7 @@ pub use faults::{
     FaultPlan, NetworkFault, PersistFault, WorkerFault, WorkerFaultSet, MAX_BACKOFF_DOUBLINGS,
 };
 pub use orchestrate::{
-    default_workers, matches_sequential, OrchestratedResult, Orchestrator, OrchestratorOptions,
-    RunStats,
+    default_workers, OrchestratedResult, Orchestrator, OrchestratorOptions, RunStats,
 };
 pub use persist::{Artifact, PersistError, RunDir, RunManifest, MANIFEST_SCHEMA};
 pub use remote::{SupervisionConfig, WorkerExecutor};

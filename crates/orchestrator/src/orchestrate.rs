@@ -3,9 +3,19 @@
 //! feedback exchange, result caching and persistent, resumable run
 //! directories.
 //!
-//! ## One builder, any transport
+//! ## One driver, two front ends
 //!
-//! The public API is a single builder:
+//! Every campaign runs through one crate-private driver. It takes N
+//! campaigns, each with its config, shard plan, telemetry hub and an
+//! optional run directory, and flattens their shards into one task list
+//! for one executor session. It owns everything the two front ends used
+//! to duplicate: one result cache per test context, one process budget
+//! for all external campaigns, barrier restore and shard reuse from a
+//! run directory, the epoch-barrier loop, the [`RecordSink`], the
+//! [`RunStats`] of each campaign and the in-process fallback ladder.
+//!
+//! * [`Orchestrator`] runs one campaign and writes the run-directory
+//!   artifacts. It merges with, and reports, the run's wall time:
 //!
 //! ```ignore
 //! let outcome = Orchestrator::new(config)
@@ -18,9 +28,11 @@
 //!     .run()?;
 //! ```
 //!
-//! Planning (shard decomposition, epoch barriers, delta merging,
-//! persistence, telemetry) lives here and is shared by every transport;
-//! only the mechanics of running a segment differ between
+//! * [`Scheduler`](crate::Scheduler) runs a suite of campaigns in memory.
+//!   Each campaign merges with its own pipeline time and reports its own
+//!   wall time, from its first record to its last.
+//!
+//! Only the mechanics of running a segment differ between
 //! [`InProcessExecutor`] (the default) and out-of-process executors.
 //!
 //! ## Cross-shard feedback exchange
@@ -30,10 +42,11 @@
 //! findings. With `epochs = E > 1` every shard runs its budget in `E`
 //! segments; after each segment the shards synchronize at a deterministic
 //! barrier where their newly found successful sources (the *deltas*) are
-//! merged in shard-index order into a global pool — structurally
+//! merged in shard-index order into their campaign's pool — structurally
 //! deduplicated with the same hashing as the per-shard sets — and the
 //! merged pool is broadcast back, so every shard's feedback mutation
-//! draws from the union in the next epoch.
+//! draws from the union in the next epoch. A suite's barriers are shared,
+//! but a delta only ever merges into the pool of its own campaign.
 //!
 //! The determinism contract extends to `(config, K, E)`: barrier order is
 //! fixed by shard index (never completion order), so results stay
@@ -49,11 +62,15 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use llm4fp::{Campaign, CampaignConfig, CampaignResult, ProgramRecord, SuccessfulSet};
+use llm4fp::{BackendSpec, CampaignConfig, CampaignResult, ProgramRecord, SuccessfulSet};
+use llm4fp_compiler::{CompilerId, OptLevel};
 use llm4fp_difftest::{CacheStats, ProcessBudget, ResultCache};
+use llm4fp_fpir::Precision;
 use llm4fp_telemetry::{keys, TelemetryHub, TelemetrySpec, TelemetrySummary};
 
-use crate::executor::{InProcessExecutor, OrchestratorError, RecordSink, ShardExecutor, ShardTask};
+use crate::executor::{
+    InProcessExecutor, OrchestratorError, RecordSink, SessionOutcome, ShardExecutor, ShardTask,
+};
 use crate::faults::PersistFault;
 use crate::persist::{RunDir, RunManifest, ShardWriter};
 use crate::shard::{
@@ -367,94 +384,45 @@ impl Orchestrator {
         self
     }
 
-    /// Run the configured campaign: plan shards, drive the executor's
-    /// session through the epoch-barrier protocol, merge outputs, and
-    /// persist (if a run directory is set).
+    /// Run the configured campaign through the campaign driver, then
+    /// persist its artifacts (if a run directory is set).
     pub fn run(self) -> Result<OrchestratedResult, OrchestratorError> {
         let Orchestrator { config, shards, options, executor } = self;
-        if options.workers == 0 {
-            return Err(OrchestratorError::InvalidWorkers);
-        }
         let start = Instant::now();
         let specs = plan_shards(&config, shards);
-        let epochs = options.epochs.max(1);
-        let mut executor: Arc<dyn ShardExecutor> =
-            executor.unwrap_or_else(|| Arc::new(InProcessExecutor::new(options.workers)));
         let run_dir = match &options.run_dir {
             Some(root) => Some(
-                RunDir::open(root, &RunManifest::new(config.clone(), specs.len(), epochs))?
-                    .with_persist_faults(&options.persist_faults),
+                RunDir::open(
+                    root,
+                    &RunManifest::new(config.clone(), specs.len(), options.epochs.max(1)),
+                )?
+                .with_persist_faults(&options.persist_faults),
             ),
             None => None,
         };
         let hub = TelemetryHub::new(options.telemetry);
-        let mut fell_back = false;
-        let (outcome, cache) = loop {
-            // Cache statistics only make sense when the transport actually
-            // consults the coordinator's cache handles.
-            let cache =
-                (options.cache && executor.shares_cache()).then(|| Arc::new(ResultCache::new()));
-            let attempt = {
-                // The orchestrator's own lane sits past every shard lane.
-                let _run = hub.lane(specs.len()).span(keys::SPAN_RUN);
-                execute(
-                    &config,
-                    &specs,
-                    epochs,
-                    &options,
-                    executor.as_ref(),
-                    cache.as_ref(),
-                    run_dir.as_ref(),
-                    &hub,
-                )
-            };
-            match attempt {
-                Ok(outcome) => break (outcome, cache),
-                // The degradation ladder: a transport whose workers can't
-                // even be spawned reruns in process with unchanged results
-                // (anything the dead attempt persisted — sealed shards,
-                // barrier files — is picked right back up by resume).
-                Err(OrchestratorError::WorkerUnavailable(why))
-                    if options.fallback_to_in_process && !fell_back =>
-                {
-                    eprintln!(
-                        "llm4fp-orchestrator: worker transport unavailable ({why}); \
-                         falling back to in-process execution"
-                    );
-                    executor = Arc::new(InProcessExecutor::new(options.workers));
-                    fell_back = true;
-                }
-                Err(e) => return Err(e),
-            }
-        };
-        let peak_regs = outcome.outputs.iter().filter_map(|o| o.peak_regs).max();
-        let result = merge_shards(&config, outcome.outputs, start.elapsed());
-        let fully_computed = outcome.reused == 0 && outcome.epochs_restored == 0;
-        let stats = RunStats {
-            shards: specs.len(),
-            workers: options.workers,
-            epochs,
-            shards_reused: outcome.reused,
-            shards_computed: outcome.computed,
-            epochs_restored: outcome.epochs_restored,
-            cache: cache.map(|c| c.stats()),
-            peak_regs,
-            wall_time: start.elapsed(),
-            shard_pipeline_time: outcome.pipeline_time,
-            telemetry: hub.enabled().then(|| hub.summary()),
-            failures: outcome.failures,
-            persist_errors: run_dir.as_ref().map_or(0, |dir| dir.persist_errors()),
-            fell_back_to_in_process: fell_back,
-            supervision: outcome.supervision,
-        };
+        let campaign =
+            CampaignRun { config: &config, specs: &specs, hub: &hub, run_dir: run_dir.as_ref() };
+        let outcome = drive(&[campaign], &options, executor, start, Clock::Run)?.remove(0);
+        let stats = &outcome.stats;
+        // Quarantined shards contribute nothing to the merge; a run where
+        // *nothing* survived has no result to report at all.
+        if stats.shards_computed + stats.shards_reused == 0 && !stats.failures.is_empty() {
+            return Err(OrchestratorError::Executor(format!(
+                "every shard was quarantined ({} failure(s)); last: {}",
+                stats.failures.len(),
+                stats.failures.last().map_or("unknown", |f| f.last_error.as_str())
+            )));
+        }
         if let Some(dir) = &run_dir {
-            dir.write_result(&result)?;
-            dir.write_summary(&stats)?;
+            dir.write_result(&outcome.result)?;
+            dir.write_summary(stats)?;
             // The flight recorder is only written for fully computed runs
             // with no quarantined shards: reused shards, restored epochs
             // and quarantined shards record nothing (or only part), so a
             // partial recompute would under-count relative to the
             // determinism contract's byte-identical promise.
+            let fully_computed = stats.shards_reused == 0 && stats.epochs_restored == 0;
             if hub.enabled() && fully_computed && stats.failures.is_empty() {
                 dir.write_metrics(&hub.metrics())?;
             }
@@ -462,7 +430,7 @@ impl Orchestrator {
                 dir.write_trace(&hub.trace_events())?;
             }
         }
-        Ok(OrchestratedResult { stats, result })
+        Ok(outcome)
     }
 
     /// Resume a persisted run from its manifest alone: complete shards
@@ -481,234 +449,390 @@ impl Orchestrator {
     }
 }
 
-/// The unified execution engine shared by every transport: load reusable
-/// shard outputs, build [`ShardTask`]s for the rest, and drive the
-/// executor's session through the epoch-barrier protocol.
-#[allow(clippy::too_many_arguments)]
+/// One campaign handed to [`drive`]. Only [`Orchestrator`] sets a run
+/// directory; a suite runs in memory.
+pub(crate) struct CampaignRun<'a> {
+    pub(crate) config: &'a CampaignConfig,
+    pub(crate) specs: &'a [ShardSpec],
+    /// The campaign's own hub: lanes are its shard indices, and its
+    /// orchestrator lane sits one past them, so a suite's campaigns never
+    /// bleed into each other's metrics.
+    pub(crate) hub: &'a TelemetryHub,
+    pub(crate) run_dir: Option<&'a RunDir>,
+}
+
+/// How [`drive`] reports a campaign's time.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Clock {
+    /// Merge with, and report, the wall time since the run started.
+    Run,
+    /// Merge with the campaign's own pipeline time, and report its wall
+    /// time from its first record to its last. A suite-wide clock would
+    /// charge every campaign for every other campaign's work and flatten
+    /// Table 2's time-cost comparison.
+    PerCampaign,
+}
+
+/// The campaign driver behind both front ends: run `campaigns` as one
+/// flattened shard task list through one executor session, and return
+/// each campaign's merged result and [`RunStats`] in input order.
+///
+/// The ladder: when the executor's workers cannot be spawned at all
+/// ([`OrchestratorError::WorkerUnavailable`]) and
+/// [`OrchestratorOptions::fallback_to_in_process`] is set, the whole run
+/// is retried once on the [`InProcessExecutor`], with unchanged results
+/// (anything the dead attempt persisted — sealed shards, barrier files —
+/// is picked right back up by resume).
+pub(crate) fn drive(
+    campaigns: &[CampaignRun],
+    options: &OrchestratorOptions,
+    executor: Option<Arc<dyn ShardExecutor>>,
+    start: Instant,
+    clock: Clock,
+) -> Result<Vec<OrchestratedResult>, OrchestratorError> {
+    if options.workers == 0 {
+        return Err(OrchestratorError::InvalidWorkers);
+    }
+    let mut executor: Arc<dyn ShardExecutor> =
+        executor.unwrap_or_else(|| Arc::new(InProcessExecutor::new(options.workers)));
+    let mut fell_back = false;
+    loop {
+        let attempt = {
+            let _run: Vec<_> =
+                campaigns.iter().map(|c| c.hub.lane(c.specs.len()).span(keys::SPAN_RUN)).collect();
+            execute(campaigns, options, executor.as_ref(), start, clock, fell_back)
+        };
+        match attempt {
+            Err(OrchestratorError::WorkerUnavailable(why))
+                if options.fallback_to_in_process && !fell_back =>
+            {
+                eprintln!(
+                    "llm4fp-orchestrator: worker transport unavailable ({why}); \
+                     falling back to in-process execution"
+                );
+                executor = Arc::new(InProcessExecutor::new(options.workers));
+                fell_back = true;
+            }
+            attempt => return attempt,
+        }
+    }
+}
+
+/// What one campaign brings back from its run directory.
+struct Resume {
+    /// Complete shard outputs loaded from disk, in plan order; `None`
+    /// marks a shard to compute.
+    loaded: Vec<Option<ShardOutput>>,
+    /// The exchange barrier every shard restarts from.
+    barrier: Option<usize>,
+    /// The cumulative exchange pool, in deterministic merge order.
+    pool: SuccessfulSet,
+}
+
+impl Resume {
+    fn of(campaign: &CampaignRun, epochs: usize) -> Self {
+        let mut resume = Resume {
+            loaded: campaign.specs.iter().map(|_| None).collect(),
+            barrier: None,
+            pool: SuccessfulSet::new(),
+        };
+        let Some(dir) = campaign.run_dir else { return resume };
+        let loaded: Vec<_> = campaign.specs.iter().map(|spec| dir.load_shard(spec)).collect();
+        // Shards already complete on disk load without recomputation. But
+        // exchange barriers couple every shard, so per-shard reuse is
+        // only sound without exchange, or when *all* shards are complete
+        // (whole-shard reuse, not checkpoint restoration: no epoch counts
+        // as restored). Otherwise a multi-epoch run restarts every shard
+        // from the latest barrier at which the pool and all checkpoints
+        // persisted.
+        if epochs == 1 || loaded.iter().all(Option::is_some) {
+            resume.loaded = loaded;
+        } else if let Some(barrier) = dir.latest_restorable_epoch(campaign.specs.len(), epochs) {
+            resume.pool.merge_sources(
+                &dir.load_epoch_pool(barrier).expect("validated by latest_restorable_epoch"),
+            );
+            resume.barrier = Some(barrier);
+        }
+        resume
+    }
+}
+
+/// The part of a campaign config that determines differential-testing
+/// results for a given program: campaigns with equal contexts share a
+/// result cache. Program inputs are derived from `(seed, program
+/// structure)` (see `llm4fp::campaign`), so a cached matrix result is
+/// valid for any campaign in the same context, and cross-approach
+/// duplicates are only tested once per suite. Backend identity is part
+/// of the context — cache keys are backend-scoped anyway, so sharing
+/// across backends would be sound but would conflate the per-campaign
+/// hit-rate statistics.
+#[derive(Debug, Clone, PartialEq)]
+struct TestContext {
+    seed: u64,
+    precision: Precision,
+    compilers: Vec<CompilerId>,
+    levels: Vec<OptLevel>,
+    backend: BackendSpec,
+}
+
+impl TestContext {
+    fn of(config: &CampaignConfig) -> Self {
+        TestContext {
+            seed: config.seed,
+            precision: config.precision,
+            compilers: config.compilers.clone(),
+            levels: config.levels.clone(),
+            backend: config.backend.clone(),
+        }
+    }
+}
+
+/// One attempt of [`drive`] on one executor: load what the run
+/// directories hold, flatten the rest into tasks, drive the session
+/// through the epoch-barrier protocol, then merge each campaign.
 fn execute(
-    config: &CampaignConfig,
-    specs: &[ShardSpec],
-    epochs: usize,
+    campaigns: &[CampaignRun],
     options: &OrchestratorOptions,
     executor: &dyn ShardExecutor,
-    cache: Option<&Arc<ResultCache>>,
-    run_dir: Option<&RunDir>,
-    hub: &TelemetryHub,
-) -> Result<ExecOutcome, OrchestratorError> {
-    // External campaigns share one process budget across all in-process
-    // shards (out-of-process workers rebuild their own from
-    // `process_slots`); virtual campaigns never allocate one.
-    let budget =
-        config.backend.is_external().then(|| Arc::new(ProcessBudget::new(options.process_slots)));
-    // Shards already complete on disk load without recomputation.
-    let mut loaded: Vec<Option<ShardOutput>> =
-        specs.iter().map(|spec| run_dir.and_then(|dir| dir.load_shard(spec))).collect();
-    let mut reused = loaded.iter().filter(|o| o.is_some()).count();
-    if reused == specs.len() {
-        // Whole-shard reuse, not checkpoint restoration: no barrier
-        // checkpoint was read, so `epochs_restored` stays 0.
-        return Ok(ExecOutcome {
-            outputs: loaded.into_iter().map(|o| o.expect("all loaded")).collect(),
-            reused,
-            computed: 0,
-            epochs_restored: 0,
-            pipeline_time: Duration::ZERO,
-            failures: Vec::new(),
-            supervision: SupervisionCounts::default(),
-        });
-    }
-    // Exchange barriers couple every shard, so per-shard reuse is only
-    // sound without exchange (or when *all* shards were complete, which
-    // returned above). Multi-epoch runs instead restart every shard from
-    // the latest barrier at which the pool and all checkpoints persisted.
-    let restored_barrier = if epochs > 1 {
-        loaded = specs.iter().map(|_| None).collect();
-        reused = 0;
-        run_dir.and_then(|dir| dir.latest_restorable_epoch(specs.len(), epochs))
-    } else {
-        None
-    };
-    let task_specs: Vec<ShardSpec> = specs
+    start: Instant,
+    clock: Clock,
+    fell_back: bool,
+) -> Result<Vec<OrchestratedResult>, OrchestratorError> {
+    let epochs = options.epochs.max(1);
+    let mut resumes: Vec<Resume> = campaigns.iter().map(|c| Resume::of(c, epochs)).collect();
+    // Cache statistics only make sense when the transport actually
+    // consults the coordinator's cache handles.
+    let mut contexts: Vec<(TestContext, Arc<ResultCache>)> = Vec::new();
+    let caches: Vec<Option<Arc<ResultCache>>> = campaigns
         .iter()
-        .zip(&loaded)
-        .filter(|(_, loaded)| loaded.is_none())
-        .map(|(spec, _)| *spec)
-        .collect();
-
-    // The cumulative exchange pool, in deterministic merge order.
-    let mut pool = SuccessfulSet::new();
-    if let (Some(barrier), Some(dir)) = (restored_barrier, run_dir) {
-        pool.merge_sources(
-            &dir.load_epoch_pool(barrier).expect("validated by latest_restorable_epoch"),
-        );
-    }
-
-    let tasks: Vec<ShardTask> = task_specs
-        .iter()
-        .map(|spec| ShardTask {
-            config: config.clone(),
-            spec: *spec,
-            cache: cache.map(Arc::clone),
-            budget: budget.clone(),
-            process_slots: options.process_slots,
-            // Telemetry is never part of checkpoints; the task's lane
-            // handle covers both the fresh and the restored path.
-            telemetry: hub.lane(spec.index),
-            checkpoint: restored_barrier.map(|barrier| {
-                run_dir
-                    .expect("a restored barrier implies a run dir")
-                    .load_checkpoint(spec.index, barrier)
-                    .expect("validated by latest_restorable_epoch")
-            }),
+        .map(|campaign| {
+            if !options.cache || !executor.shares_cache() {
+                return None;
+            }
+            let context = TestContext::of(campaign.config);
+            if let Some((_, cache)) = contexts.iter().find(|(known, _)| *known == context) {
+                return Some(Arc::clone(cache));
+            }
+            let cache = Arc::new(ResultCache::new());
+            contexts.push((context, Arc::clone(&cache)));
+            Some(cache)
         })
         .collect();
+    // One process budget bounds every external campaign's in-process
+    // spawns (out-of-process workers rebuild their own from
+    // `process_slots`); virtual campaigns never take it and stay
+    // unthrottled on the thread pool.
+    let budget = campaigns
+        .iter()
+        .any(|c| c.config.backend.is_external())
+        .then(|| Arc::new(ProcessBudget::new(options.process_slots)));
 
-    let sink = WriterSink::new(run_dir, &task_specs, hub);
-    let mut session = executor.begin(tasks, &sink)?;
+    // Flatten every campaign's shards still to compute into one task list,
+    // campaign-major and in shard-index order within a campaign.
+    let mut tasks = Vec::new();
+    let mut owners = Vec::new();
+    let mut writers = Vec::new();
+    for (owner, (campaign, resume)) in campaigns.iter().zip(&resumes).enumerate() {
+        let hub = campaign.hub;
+        for (spec, _) in campaign.specs.iter().zip(&resume.loaded).filter(|(_, l)| l.is_none()) {
+            tasks.push(ShardTask {
+                config: campaign.config.clone(),
+                spec: *spec,
+                cache: caches[owner].clone(),
+                budget: budget.clone().filter(|_| campaign.config.backend.is_external()),
+                process_slots: options.process_slots,
+                // Telemetry is never part of checkpoints; the task's lane
+                // handle covers both the fresh and the restored path.
+                telemetry: hub.lane(spec.index),
+                checkpoint: resume.barrier.map(|barrier| {
+                    campaign
+                        .run_dir
+                        .expect("a restored barrier implies a run dir")
+                        .load_checkpoint(spec.index, barrier)
+                        .expect("validated by latest_restorable_epoch")
+                }),
+            });
+            owners.push(owner);
+            // Dropped lines count into the shard's own lane, so the keyed
+            // ids match across transports.
+            writers.push(Mutex::new(
+                campaign.run_dir.and_then(|dir| dir.shard_writer(spec, hub.lane(spec.index)).ok()),
+            ));
+        }
+    }
+    // Only a run-dir campaign restores a barrier, and only a single-campaign
+    // run has a run dir, so one start epoch serves every task.
+    let start_epoch = resumes.iter().find_map(|r| r.barrier).map_or(0, |barrier| barrier + 1);
+    let specs: Vec<ShardSpec> = tasks.iter().map(|task| task.spec).collect();
     let segments: Vec<Vec<usize>> =
-        task_specs.iter().map(|spec| plan_epoch_segments(spec.budget, epochs)).collect();
-    let start_epoch = restored_barrier.map_or(0, |barrier| barrier + 1);
+        specs.iter().map(|spec| plan_epoch_segments(spec.budget, epochs)).collect();
+    let sink = CampaignSink {
+        owners,
+        writers,
+        windows: campaigns.iter().map(|_| Mutex::new(None)).collect(),
+    };
+    let persisting = campaigns.iter().any(|c| c.run_dir.is_some());
 
-    for epoch in start_epoch..epochs {
-        let last = epoch + 1 == epochs;
-        let plan: Vec<usize> = segments.iter().map(|segments| segments[epoch]).collect();
-        let deltas = session.run_epoch(&plan, last)?;
-        if last {
-            break;
-        }
-        let _span = hub.lane(specs.len()).span(keys::SPAN_EXCHANGE);
-        // Merge the epoch's deltas in shard-index order (the pool
-        // deduplicates structurally), persist the barrier, then
-        // broadcast the merged pool back into every shard.
-        for delta in &deltas {
-            pool.merge_sources(delta);
-        }
-        let snapshot = pool.sources().to_vec();
-        if let Some(dir) = run_dir {
-            // Barrier artifacts are best-effort (a missing one only costs
-            // recompute on resume) — but never silently so.
-            if dir.write_epoch_pool(epoch, &snapshot).is_err() {
-                dir.note_persist_error();
+    let outcome = if tasks.is_empty() {
+        SessionOutcome::all_ok(Vec::new())
+    } else {
+        let mut session = executor.begin(tasks, &sink)?;
+        for epoch in start_epoch..epochs {
+            let last = epoch + 1 == epochs;
+            let plan: Vec<usize> = segments.iter().map(|segments| segments[epoch]).collect();
+            let deltas = session.run_epoch(&plan, last)?;
+            if last {
+                break;
             }
-        }
-        let broadcast: Vec<&[String]> = task_specs.iter().map(|_| snapshot.as_slice()).collect();
-        session.inject(&broadcast)?;
-        if let Some(dir) = run_dir {
-            // Checkpoints are taken after injection, mirroring the
-            // runner-side checkpoint-after-inject order. Quarantined
-            // shards have no live barrier state (`None`) and persist
-            // nothing.
-            for (spec, checkpoint) in task_specs.iter().zip(session.checkpoints()?) {
-                let Some(checkpoint) = checkpoint else { continue };
-                if dir.write_checkpoint(spec.index, epoch, &checkpoint).is_err() {
-                    dir.note_persist_error();
+            let _spans: Vec<_> = campaigns
+                .iter()
+                .map(|c| c.hub.lane(c.specs.len()).span(keys::SPAN_EXCHANGE))
+                .collect();
+            // Merge the epoch's deltas in task order — each campaign's in
+            // shard-index order, into its own pool (which deduplicates
+            // structurally) — persist the barrier, then broadcast each
+            // merged pool back into its campaign's shards.
+            for (&owner, delta) in sink.owners.iter().zip(&deltas) {
+                resumes[owner].pool.merge_sources(delta);
+            }
+            for (campaign, resume) in campaigns.iter().zip(&resumes) {
+                // Barrier artifacts are best-effort (a missing one only
+                // costs recompute on resume) — but never silently so.
+                if let Some(dir) = campaign.run_dir {
+                    if dir.write_epoch_pool(epoch, resume.pool.sources()).is_err() {
+                        dir.note_persist_error();
+                    }
+                }
+            }
+            let broadcast: Vec<&[String]> =
+                sink.owners.iter().map(|&owner| resumes[owner].pool.sources()).collect();
+            session.inject(&broadcast)?;
+            if persisting {
+                // Checkpoints are taken after injection, mirroring the
+                // runner-side checkpoint-after-inject order. Quarantined
+                // shards have no live barrier state (`None`) and persist
+                // nothing.
+                let checkpoints = session.checkpoints()?;
+                for ((&owner, spec), checkpoint) in sink.owners.iter().zip(&specs).zip(checkpoints)
+                {
+                    let (Some(dir), Some(checkpoint)) = (campaigns[owner].run_dir, checkpoint)
+                    else {
+                        continue;
+                    };
+                    if dir.write_checkpoint(spec.index, epoch, &checkpoint).is_err() {
+                        dir.note_persist_error();
+                    }
                 }
             }
         }
-    }
+        session.finish()?
+    };
 
-    let session_outcome = session.finish()?;
-    let mut failures = Vec::new();
-    let mut fresh: Vec<Option<ShardOutput>> = Vec::with_capacity(session_outcome.shards.len());
-    for shard in session_outcome.shards {
-        match shard {
-            Ok(output) => fresh.push(Some(output)),
-            Err(report) => {
-                failures.push(report);
-                fresh.push(None);
+    // Regroup by campaign. A quarantined shard lands in its campaign's
+    // failure reports instead of its merge set — one poisonous shard
+    // degrades only its own campaign's coverage, never the whole suite.
+    let mut fresh = outcome.shards.into_iter();
+    let results = campaigns
+        .iter()
+        .zip(resumes)
+        .zip(caches)
+        .enumerate()
+        .map(|(index, ((campaign, resume), cache))| {
+            let mut outputs = Vec::with_capacity(resume.loaded.len());
+            let mut failures = Vec::new();
+            let (mut reused, mut computed, mut pipeline_time) = (0, 0, Duration::ZERO);
+            for slot in resume.loaded {
+                let shard = match slot {
+                    Some(output) => {
+                        reused += 1;
+                        outputs.push(output);
+                        continue;
+                    }
+                    None => fresh.next().expect("one session result per planned task"),
+                };
+                match shard {
+                    Ok(output) => {
+                        computed += 1;
+                        pipeline_time += output.pipeline_time;
+                        outputs.push(output);
+                    }
+                    Err(report) => failures.push(report),
+                }
             }
-        }
-    }
-    let pipeline_time = fresh.iter().flatten().map(|o| o.pipeline_time).sum();
-    let computed = fresh.iter().filter(|o| o.is_some()).count();
-    let mut fresh = fresh.into_iter();
-    for slot in loaded.iter_mut() {
-        if slot.is_none() {
-            *slot = fresh.next().expect("one session result per planned task");
-        }
-    }
-    // Quarantined shards contribute nothing to the merge; a run where
-    // *nothing* survived has no result to report at all.
-    let outputs: Vec<ShardOutput> = loaded.into_iter().flatten().collect();
-    if outputs.is_empty() && !failures.is_empty() {
-        return Err(OrchestratorError::Executor(format!(
-            "every shard was quarantined ({} failure(s)); last: {}",
-            failures.len(),
-            failures.last().map(|f| f.last_error.as_str()).unwrap_or("unknown")
-        )));
-    }
-    Ok(ExecOutcome {
-        outputs,
-        reused,
-        computed,
-        epochs_restored: start_epoch,
-        pipeline_time,
-        failures,
-        supervision: session_outcome.supervision,
-    })
+            let peak_regs = outputs.iter().filter_map(|o| o.peak_regs).max();
+            let (merge_time, window) = match clock {
+                Clock::Run => (start.elapsed(), None),
+                Clock::PerCampaign => (pipeline_time, sink.window(index)),
+            };
+            let result = merge_shards(campaign.config, outputs, merge_time);
+            let stats = RunStats {
+                shards: campaign.specs.len(),
+                workers: options.workers,
+                epochs,
+                shards_reused: reused,
+                shards_computed: computed,
+                epochs_restored: resume.barrier.map_or(0, |barrier| barrier + 1),
+                // Campaigns sharing a cache (equal test contexts) report
+                // that cache's suite-wide totals: per-campaign attribution
+                // isn't separable from shared counters.
+                cache: cache.map(|c| c.stats()),
+                peak_regs,
+                wall_time: window.unwrap_or_else(|| start.elapsed()),
+                shard_pipeline_time: pipeline_time,
+                telemetry: campaign.hub.enabled().then(|| campaign.hub.summary()),
+                failures,
+                persist_errors: campaign.run_dir.map_or(0, RunDir::persist_errors),
+                fell_back_to_in_process: fell_back,
+                // Supervision is suite-wide, like a shared cache: every
+                // campaign reports the session's totals.
+                supervision: outcome.supervision,
+            };
+            OrchestratedResult { result, stats }
+        })
+        .collect();
+    Ok(results)
 }
 
-/// The orchestrator's [`RecordSink`]: streams per-program progress lines
-/// into the run directory's shard files as they happen, and seals each
-/// file when the shard completes. Persistence failures on progress lines
-/// never kill the computation — the summary write decides completeness.
-struct WriterSink {
+/// The driver's [`RecordSink`]. It streams each task's per-program
+/// progress lines into its campaign's run directory (if any) and seals
+/// the shard file when the shard completes; persistence failures on
+/// progress lines never kill the computation — the summary write decides
+/// completeness. It also keeps each campaign's activity window for
+/// [`Clock::PerCampaign`]: from the first program the pool processes to
+/// the last progress of its last shard.
+struct CampaignSink {
+    /// Task index -> campaign index.
+    owners: Vec<usize>,
+    /// Task index -> its shard file's writer.
     writers: Vec<Mutex<Option<ShardWriter>>>,
+    /// Campaign index -> (first, last) activity.
+    windows: Vec<Mutex<Option<(Instant, Instant)>>>,
 }
 
-impl WriterSink {
-    fn new(run_dir: Option<&RunDir>, specs: &[ShardSpec], hub: &TelemetryHub) -> Self {
-        WriterSink {
-            writers: specs
-                .iter()
-                .map(|spec| {
-                    Mutex::new(run_dir.and_then(|dir| {
-                        // Dropped lines count into the shard's own lane,
-                        // so the keyed ids match across transports.
-                        dir.shard_writer(spec, hub.lane(spec.index)).ok()
-                    }))
-                })
-                .collect(),
-        }
+impl CampaignSink {
+    fn touch(&self, task: usize) {
+        let now = Instant::now();
+        let mut window = self.windows[self.owners[task]].lock().unwrap();
+        *window = Some((window.map_or(now, |(first, _)| first), now));
+    }
+
+    fn window(&self, campaign: usize) -> Option<Duration> {
+        self.windows[campaign].lock().unwrap().map(|(first, last)| last - first)
     }
 }
 
-impl RecordSink for WriterSink {
+impl RecordSink for CampaignSink {
     fn record(&self, task: usize, record: &ProgramRecord) {
+        self.touch(task);
         if let Some(writer) = self.writers[task].lock().unwrap().as_mut() {
             writer.record(record);
         }
     }
 
     fn complete(&self, task: usize, output: &ShardOutput) {
+        self.touch(task);
         if let Some(writer) = self.writers[task].lock().unwrap().take() {
             let _ = writer.finish(output);
         }
     }
-}
-
-struct ExecOutcome {
-    outputs: Vec<ShardOutput>,
-    reused: usize,
-    computed: usize,
-    epochs_restored: usize,
-    pipeline_time: Duration,
-    /// Per-shard quarantine reports (empty unless the executor ran with
-    /// the Quarantine failure policy and shards actually failed).
-    failures: Vec<ShardFailureReport>,
-    supervision: SupervisionCounts,
-}
-
-/// Compare an orchestrated run against the sequential driver (used by
-/// tests and kept public for doc examples / sanity scripts).
-pub fn matches_sequential(config: &CampaignConfig) -> bool {
-    let orchestrated = Orchestrator::new(config.clone())
-        .run()
-        .expect("in-memory orchestrated run cannot fail")
-        .result;
-    let sequential = Campaign::new(config.clone()).run();
-    orchestrated.records == sequential.records
-        && orchestrated.sources == sequential.sources
-        && orchestrated.successful_sources == sequential.successful_sources
-        && orchestrated.aggregates == sequential.aggregates
 }

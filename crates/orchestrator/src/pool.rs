@@ -8,8 +8,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::executor::OrchestratorError;
-
 /// Run `tasks` closures (`f(0) .. f(tasks - 1)`) on up to `workers`
 /// threads and return their results ordered by task index. A panicking
 /// task propagates the panic to the caller once the scope joins.
@@ -46,49 +44,6 @@ where
         .collect()
 }
 
-/// Epoch-synchronized execution: run every task's segment for one epoch
-/// on the pool, then hand the per-task results — in task order, never
-/// completion order — to `exchange` before the next epoch starts.
-///
-/// This is the deterministic barrier protocol of cross-shard feedback
-/// exchange. The barrier is the join of [`run_indexed`]: no task enters
-/// epoch `e + 1` until every task finished epoch `e` and `exchange(e, ..)`
-/// returned. Because segment results arrive indexed and the exchange runs
-/// single-threaded between epochs, the whole schedule is a pure function
-/// of `(tasks, epochs)` — worker count only changes wall-clock time.
-/// `exchange` is not called after the final epoch (there is no next
-/// segment to feed).
-///
-/// `workers == 0` is a configuration error, not a silent clamp: it
-/// returns [`OrchestratorError::InvalidWorkers`] so a zero threaded
-/// through from a public option surfaces instead of degrading to
-/// single-threaded execution nobody asked for. ([`run_indexed`] keeps
-/// clamping — it is the low-level primitive internal callers feed
-/// already validated counts.)
-pub fn run_epochs<D, F, B>(
-    tasks: usize,
-    workers: usize,
-    epochs: std::ops::Range<usize>,
-    f: F,
-    mut exchange: B,
-) -> Result<(), OrchestratorError>
-where
-    D: Send,
-    F: Fn(usize, usize) -> D + Sync,
-    B: FnMut(usize, Vec<D>),
-{
-    if workers == 0 {
-        return Err(OrchestratorError::InvalidWorkers);
-    }
-    for epoch in epochs.clone() {
-        let deltas = run_indexed(tasks, workers, |task| f(task, epoch));
-        if epoch + 1 < epochs.end {
-            exchange(epoch, deltas);
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,50 +60,6 @@ mod tests {
     fn zero_tasks_and_zero_workers_are_fine() {
         assert!(run_indexed(0, 0, |i| i).is_empty());
         assert_eq!(run_indexed(3, 0, |i| i), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn epoch_barriers_order_exchanges_deterministically() {
-        for workers in [1, 3, 8] {
-            // Each task logs (task, epoch) pairs; the exchange log must be
-            // identical for every worker count, and no epoch-(e+1) work
-            // may be observed before exchange e ran.
-            let log = Mutex::new(Vec::new());
-            run_epochs(
-                4,
-                workers,
-                0..3,
-                |task, epoch| (task, epoch),
-                |epoch, deltas| {
-                    log.lock().unwrap().push((epoch, deltas));
-                },
-            )
-            .unwrap();
-            let log = log.into_inner().unwrap();
-            assert_eq!(
-                log,
-                vec![
-                    (0, vec![(0, 0), (1, 0), (2, 0), (3, 0)]),
-                    (1, vec![(0, 1), (1, 1), (2, 1), (3, 1)]),
-                    // No exchange after the final epoch.
-                ],
-                "workers={workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn resumed_epoch_ranges_skip_completed_epochs() {
-        let mut seen = Vec::new();
-        run_epochs(2, 1, 2..4, |task, epoch| (task, epoch), |epoch, _| seen.push(epoch)).unwrap();
-        assert_eq!(seen, vec![2], "only the non-final epoch of the range exchanges");
-    }
-
-    #[test]
-    fn zero_workers_in_epochs_is_a_typed_error_not_a_clamp() {
-        let err = run_epochs(2, 0, 0..2, |task, _| task, |_, _| {}).unwrap_err();
-        assert!(matches!(err, OrchestratorError::InvalidWorkers));
-        assert!(err.to_string().contains("at least 1"));
     }
 
     #[test]

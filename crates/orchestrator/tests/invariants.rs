@@ -68,7 +68,7 @@ fn assert_results_identical(a: &CampaignResult, b: &CampaignResult, what: &str) 
 
 #[test]
 fn k1_matches_the_sequential_campaign_exactly() {
-    for approach in [ApproachKind::Varity, ApproachKind::Llm4Fp] {
+    for approach in [ApproachKind::Varity, ApproachKind::GrammarGuided, ApproachKind::Llm4Fp] {
         let config = config(approach, 24, 11);
         let sequential = Campaign::new(config.clone()).run();
         let orchestrated = run_sharded(&config, 1);
@@ -78,7 +78,6 @@ fn k1_matches_the_sequential_campaign_exactly() {
         let epoched = run_sharded_epochs(&config, 1, 4);
         assert_results_identical(&epoched, &sequential, &format!("K=1 E=4 {:?}", config.approach));
     }
-    assert!(llm4fp_orchestrator::matches_sequential(&config(ApproachKind::GrammarGuided, 10, 3)));
 }
 
 #[test]
@@ -320,6 +319,17 @@ fn scheduler_suite_matches_individual_orchestration() {
                 &format!("suite {:?} E={epochs}", cfg.approach),
             );
             assert_eq!(orchestrated.result.config.approach, cfg.approach);
+            // The accounting agrees too. (`cache` is left out: campaigns
+            // with equal test contexts share one cache in a suite.)
+            let (s, i) = (&orchestrated.stats, &individual.stats);
+            let what = format!("suite stats {:?} E={epochs}", cfg.approach);
+            assert_eq!(s.shards, i.shards, "{what}: shards");
+            assert_eq!(s.epochs, i.epochs, "{what}: epochs");
+            assert_eq!(s.shards_computed, i.shards_computed, "{what}: shards_computed");
+            assert_eq!(s.shards_reused, i.shards_reused, "{what}: shards_reused");
+            assert_eq!(s.epochs_restored, i.epochs_restored, "{what}: epochs_restored");
+            assert_eq!(s.failures, i.failures, "{what}: failures");
+            assert_eq!(s.supervision, i.supervision, "{what}: supervision");
         }
     }
 }

@@ -430,12 +430,32 @@ fn unavailable_transport_falls_back_to_in_process_when_allowed() {
     let degraded = Orchestrator::new(config)
         .shards(3)
         .epochs(2)
-        .executor(Arc::new(WorkerExecutor::new(doomed)))
+        .executor(Arc::new(WorkerExecutor::new(doomed.clone())))
         .fallback_to_in_process(true)
         .run()
         .expect("fallback completes the run in process");
     assert!(degraded.stats.fell_back_to_in_process, "stats record the degradation");
     assert_results_identical(&degraded.result, &reference.result, "in-process fallback");
+
+    // A suite takes the same ladder: two campaigns finish in process,
+    // each bit-identical to the in-process suite and each reporting the
+    // degradation.
+    let configs: Vec<CampaignConfig> = [ApproachKind::Varity, ApproachKind::Llm4Fp]
+        .iter()
+        .map(|&a| crate::config(a, 12, 8))
+        .collect();
+    let options = OrchestratorOptions { workers: 2, epochs: 2, ..Default::default() };
+    let reference = Scheduler::new(options.clone()).shards(2).run(&configs).unwrap();
+    let degraded = Scheduler::new(OrchestratorOptions { fallback_to_in_process: true, ..options })
+        .shards(2)
+        .executor(Arc::new(WorkerExecutor::new(doomed)))
+        .run(&configs)
+        .expect("fallback completes the suite in process");
+    assert_eq!(degraded.len(), reference.len());
+    for (d, r) in degraded.iter().zip(&reference) {
+        assert!(d.stats.fell_back_to_in_process, "every campaign records the degradation");
+        assert_results_identical(&d.result, &r.result, "suite in-process fallback");
+    }
 }
 
 #[test]
