@@ -8,8 +8,8 @@
 //! isolates execution; `seal_and_execute` adds the one-time sealing cost
 //! to show the break-even point (sealing pays for itself on the first
 //! run). `difftest_matrix` prices the full 18-configuration driver per
-//! program on each engine, plus the batched `run_many` path that reuses
-//! one sealed artifact per configuration across many input sets.
+//! program on each engine, and with one `MatrixScratch` reused across
+//! the corpus as a shard's worker loop does.
 //! `seal_matrix` prices the build side: 18 independent `Frontend::seal`
 //! calls against one matrix-shared `Frontend::seal_matrix` (prefix-tree
 //! pass pipelines + one layout per program).
@@ -128,15 +128,6 @@ fn bench_difftest_matrix(c: &mut Criterion) {
         });
     }
 
-    // Artifact reuse across input sets: one program, many inputs, the
-    // matrix specialized and sealed once.
-    let (program, _) = &corpus[0];
-    let input_sets: Vec<InputSet> =
-        (0..16).map(|k| InputGenerator::new(0x1234 + k).generate(program)).collect();
-    group.bench_function("run_many_16_inputs", |b| {
-        let tester = DiffTester::new();
-        b.iter(|| black_box(tester.run_many(program, &input_sets)))
-    });
     // The worker-loop shape: one reused MatrixScratch across the corpus
     // (what each orchestrator shard does per program).
     group.bench_function("scratch_reuse_across_programs", |b| {

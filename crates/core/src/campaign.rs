@@ -44,7 +44,7 @@ use llm4fp_difftest::{
     record_outcome_metrics, Aggregates, CachedDiff, DiffTester, ExecBackend, ExecEngine,
     MatrixScratch, ProcessBudget, ResultCache,
 };
-use llm4fp_fpir::{program_hash, program_id, source_hash, to_compute_source, validate, Program};
+use llm4fp_fpir::{hash_id, source_hash, to_compute_source, validate, Program};
 use llm4fp_generator::{
     llm::SimulatedLlmConfig, InputGenerator, LlmClient, PromptBuilder, SimulatedLlm, Strategy,
     VarityGenerator,
@@ -160,7 +160,13 @@ impl SuccessfulSet {
 
     /// Insert an own find, returning `true` when it was structurally new.
     pub fn insert(&mut self, source: &str) -> bool {
-        if self.seen.insert(source_hash(source)) {
+        self.insert_hashed(source_hash(source), source)
+    }
+
+    /// [`SuccessfulSet::insert`] for a caller that already holds
+    /// `source_hash(source)`.
+    pub(crate) fn insert_hashed(&mut self, hash: u64, source: &str) -> bool {
+        if self.seen.insert(hash) {
             self.sources.push(source.to_string());
             self.own.push(true);
             true
@@ -540,8 +546,12 @@ impl CampaignRunner {
             return self.records.last().expect("just pushed");
         };
 
-        let id = program_id(&program);
-        let CachedDiff { result, baseline } = self.test_program(&id, &program);
+        // One canonical print and one hash per program: the hash seeds the
+        // inputs and dedups the successful set, and its id keys the cache.
+        let source = to_compute_source(&program);
+        let hash = source_hash(&source);
+        let id = hash_id(hash);
+        let CachedDiff { result, baseline } = self.test_program(&program, hash, &id);
         // Campaign-level counters record what the program *contributes*
         // (cached or computed alike), which keeps them deterministic even
         // though cache hit/miss attribution is racy across workers.
@@ -549,10 +559,9 @@ impl CampaignRunner {
         self.aggregates.add_result(&result, self.comparisons_per_program);
         self.aggregates.add_baseline_comparisons(&baseline);
 
-        let source = to_compute_source(&program);
         let triggered = result.triggered_inconsistency();
         if triggered {
-            self.successful.lock().insert(&source);
+            self.successful.lock().insert_hashed(hash, &source);
         }
         self.records.push(ProgramRecord {
             index,
@@ -573,17 +582,17 @@ impl CampaignRunner {
     /// Keys are scoped by the backend fingerprint: a hit on the external
     /// backend skips every process spawn of the duplicate's matrix; a
     /// virtual entry can never satisfy an external lookup or vice versa.
-    fn test_program(&self, id: &str, program: &Program) -> CachedDiff {
+    fn test_program(&self, program: &Program, hash: u64, id: &str) -> CachedDiff {
         let key = self.cache.as_ref().map(|_| ResultCache::scoped_key(&self.cache_scope, id));
         if let (Some(cache), Some(key)) = (&self.cache, &key) {
             if let Some(cached) = cache.get(key) {
                 return cached;
             }
         }
-        let inputs = InputGenerator::new(self.input_seed ^ program_hash(program))
+        let inputs = InputGenerator::new(self.input_seed ^ hash)
             .generate(program)
             .truncated(self.config.precision);
-        let result = self.tester.run_with(program, &inputs, &mut self.scratch.lock());
+        let result = self.tester.run_hashed(program, hash, &inputs, &mut self.scratch.lock());
         let baseline = self.tester.compare_vs_baseline(&result.outcomes);
         let computed = CachedDiff { result, baseline };
         if let (Some(cache), Some(key)) = (&self.cache, key) {
@@ -789,6 +798,29 @@ mod tests {
         assert_eq!(result.aggregates.programs, 30);
         assert_eq!(result.aggregates.total_comparisons, 30 * 18);
         assert_eq!(result.sources.len(), 30 - result.generation_failures);
+    }
+
+    #[test]
+    fn record_ids_hash_the_recorded_sources() {
+        // Each valid record's id is the hash of the source recorded for it;
+        // generation failures record no source and an empty id.
+        let mut direct = CampaignConfig::new(ApproachKind::DirectPrompt)
+            .with_budget(30)
+            .with_seed(5)
+            .with_threads(2);
+        direct.direct_prompt_invalid_rate = 0.5;
+        let results = [small(ApproachKind::Llm4Fp, 40), Campaign::new(direct).run()];
+        assert!(results[1].generation_failures > 0);
+        for result in &results {
+            let valid: Vec<&ProgramRecord> = result.records.iter().filter(|r| r.valid).collect();
+            assert_eq!(valid.len(), result.sources.len());
+            for (record, source) in valid.iter().zip(&result.sources) {
+                assert_eq!(record.program_id, format!("{:016x}", source_hash(source)));
+            }
+            for record in result.records.iter().filter(|r| !r.valid) {
+                assert!(record.program_id.is_empty());
+            }
+        }
     }
 
     #[test]

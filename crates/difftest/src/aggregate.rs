@@ -295,7 +295,6 @@ mod tests {
 
     fn record(pair: (CompilerId, CompilerId), level: OptLevel, digits: usize) -> DiffRecord {
         DiffRecord {
-            program_id: "p".into(),
             level,
             pair,
             value_a: 1.0,

@@ -127,8 +127,6 @@ pub fn digit_difference(bits_a: u64, bits_b: u64, precision: Precision) -> usize
 /// optimization level whose outputs differ bitwise.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DiffRecord {
-    /// Identifier of the program (structural hash rendered in hex).
-    pub program_id: String,
     /// Optimization level at which the pair was compared.
     pub level: OptLevel,
     /// The two compilers (host compilers come first, matching Table 4).
@@ -208,7 +206,6 @@ mod tests {
     #[test]
     fn diff_record_kind_and_configs() {
         let rec = DiffRecord {
-            program_id: "abc".into(),
             level: OptLevel::O3,
             pair: (CompilerId::Gcc, CompilerId::Nvcc),
             value_a: 1.0,

@@ -1,97 +1,49 @@
 //! Structural hashing of programs.
 //!
-//! The feedback loop keeps a set of "successful" programs; a structural hash
-//! over the canonical token stream lets the campaign deduplicate programs
-//! that are textually identical up to whitespace, and gives experiment
-//! records a stable identifier.
+//! A program's identity is one 64-bit FNV-1a hash over the token stream of
+//! its canonical `compute` source ([`crate::to_compute_source`]), so it is
+//! insensitive to whitespace and comments. The feedback loop deduplicates
+//! the successful set by it, input sets are derived from it, and
+//! experiment records and cache keys carry it as a 16-hex id.
+//!
+//! There is one implementation: [`program_hash`] prints the program and
+//! hashes the text with [`source_hash`]. A caller that already holds the
+//! canonical source (the campaign runner prints each program once) hashes
+//! it directly and formats the id with [`hash_id`].
 
 use crate::ast::Program;
-use crate::printer::write_compute_host;
+use crate::printer::to_compute_source;
 use crate::tokens::scan_tokens;
 
-/// Incremental 64-bit FNV-1a over a token byte stream (each token's bytes
-/// followed by a `0xff` separator so `"ab","c" != "a","bc"`).
-struct TokenFnv {
-    hash: u64,
-}
-
-impl TokenFnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn new() -> Self {
-        TokenFnv { hash: Self::OFFSET }
-    }
-
-    #[inline]
-    fn token(&mut self, text: &str) {
-        for &b in text.as_bytes() {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(Self::PRIME);
-        }
-        self.hash ^= 0xff;
-        self.hash = self.hash.wrapping_mul(Self::PRIME);
-    }
-}
-
-/// Hash of the program's canonical token stream (whitespace- and
-/// comment-insensitive).
-///
-/// The canonical rendering is streamed line by line through a small
-/// reusable buffer and each line's tokens are fed straight into FNV-1a —
-/// no whole-program `String`, token list or byte buffer is materialized.
-/// Chunking at newlines is sound because the printer never emits a token
-/// spanning two lines, so per-line tokenization equals whole-source
-/// tokenization.
+/// Hash of the program's canonical token stream:
+/// `source_hash(&to_compute_source(program))`.
 pub fn program_hash(program: &Program) -> u64 {
-    let mut sink = LineTokenHasher { buf: String::new(), fnv: TokenFnv::new() };
-    write_compute_host(&mut sink, program);
-    sink.finish()
+    source_hash(&to_compute_source(program))
 }
 
 /// Hash of arbitrary C source, applied to its token stream so formatting
-/// differences do not change the hash.
+/// differences do not change the hash. Each token's bytes are followed by
+/// a `0xff` separator, so `"ab","c"` and `"a","bc"` hash apart.
 pub fn source_hash(src: &str) -> u64 {
-    let mut fnv = TokenFnv::new();
-    scan_tokens(src, |_, text| fnv.token(text));
-    fnv.hash
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut hash = OFFSET;
+    let mut mix = |b: u8| hash = (hash ^ b as u64).wrapping_mul(PRIME);
+    scan_tokens(src, |_, text| {
+        text.bytes().for_each(&mut mix);
+        mix(0xff);
+    });
+    hash
 }
 
-/// A [`std::fmt::Write`] sink that buffers rendered text until a complete
-/// line is available, then tokenizes the line and feeds the token bytes to
-/// the hasher. The buffer holds at most one line at a time.
-struct LineTokenHasher {
-    buf: String,
-    fnv: TokenFnv,
+/// The printable program id of a structural hash (16 hex characters).
+pub fn hash_id(hash: u64) -> String {
+    format!("{hash:016x}")
 }
 
-impl LineTokenHasher {
-    fn finish(mut self) -> u64 {
-        if !self.buf.is_empty() {
-            let fnv = &mut self.fnv;
-            scan_tokens(&self.buf, |_, text| fnv.token(text));
-        }
-        self.fnv.hash
-    }
-}
-
-impl std::fmt::Write for LineTokenHasher {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.buf.push_str(s);
-        while let Some(newline) = self.buf.find('\n') {
-            {
-                let fnv = &mut self.fnv;
-                scan_tokens(&self.buf[..newline], |_, text| fnv.token(text));
-            }
-            self.buf.drain(..=newline);
-        }
-        Ok(())
-    }
-}
-
-/// Short printable identifier derived from the hash (16 hex characters).
+/// Short printable identifier of the program: `hash_id(program_hash(program))`.
 pub fn program_id(program: &Program) -> String {
-    format!("{:016x}", program_hash(program))
+    hash_id(program_hash(program))
 }
 
 #[cfg(test)]
@@ -110,6 +62,27 @@ mod tests {
             }]),
         }
     }
+
+    /// Programs covering every statement form, array parameters and math
+    /// calls.
+    const CORPUS: [&str; 5] = [
+        "void compute(double x) { comp = x; }",
+        "void compute(double x, double y) { comp = x * y + 2.5; comp /= y - 0.5; }",
+        "void compute(float x, float *a) {\n\
+         for (int i = 0; i < 3; ++i) { comp += a[i] / x; }\n\
+         }",
+        "void compute(double *a, double s, int n) {\n\
+         double acc = 0.0;\n\
+         double buf[3] = {1.5, -2.25};\n\
+         for (int i = 0; i < 4; ++i) {\n\
+           acc += a[i % 4] * s + sin(a[i % 4]);\n\
+           buf[i % 3] = acc / (s + 2.0);\n\
+         }\n\
+         if (acc > 1.0) { comp = acc - buf[0]; }\n\
+         if (acc <= 1.0) { comp = acc + buf[n % 3] * exp(s); }\n\
+         }",
+        "void compute(double x) { comp = pow(x, 2.0) + fmin(x, 0.125) - atan2(x, 3.0); }",
+    ];
 
     #[test]
     fn hash_is_deterministic_and_sensitive_to_content() {
@@ -138,7 +111,7 @@ mod tests {
     fn streaming_hash_matches_legacy_token_hash_on_corpus() {
         // The legacy implementation rendered the whole program to a
         // `String`, collected the token texts, copied them into a byte
-        // buffer with 0xff separators and hashed that. The streaming
+        // buffer with 0xff separators and hashed that. The current
         // implementation must produce the identical value for every
         // program.
         fn legacy(src: &str) -> u64 {
@@ -156,25 +129,7 @@ mod tests {
             }
             hash
         }
-        let corpus = [
-            "void compute(double x) { comp = x; }",
-            "void compute(double x, double y) { comp = x * y + 2.5; comp /= y - 0.5; }",
-            "void compute(float x, float *a) {\n\
-             for (int i = 0; i < 3; ++i) { comp += a[i] / x; }\n\
-             }",
-            "void compute(double *a, double s, int n) {\n\
-             double acc = 0.0;\n\
-             double buf[3] = {1.5, -2.25};\n\
-             for (int i = 0; i < 4; ++i) {\n\
-               acc += a[i % 4] * s + sin(a[i % 4]);\n\
-               buf[i % 3] = acc / (s + 2.0);\n\
-             }\n\
-             if (acc > 1.0) { comp = acc - buf[0]; }\n\
-             if (acc <= 1.0) { comp = acc + buf[n % 3] * exp(s); }\n\
-             }",
-            "void compute(double x) { comp = pow(x, 2.0) + fmin(x, 0.125) - atan2(x, 3.0); }",
-        ];
-        for src in corpus {
+        for src in CORPUS {
             let program = crate::parser::parse_compute(src).unwrap();
             let rendered = crate::printer::to_compute_source(&program);
             assert_eq!(program_hash(&program), legacy(&rendered), "program hash changed: {src}");
@@ -182,11 +137,31 @@ mod tests {
             assert_eq!(source_hash(&rendered), program_hash(&program));
         }
         // Odd fractional constants render as hex-float literals; the hash
-        // must stream those identically too.
+        // must cover those identically too.
         let program = program_with_constant(0.1);
         let rendered = crate::printer::to_compute_source(&program);
         assert!(rendered.contains("0x"), "{rendered}");
         assert_eq!(program_hash(&program), legacy(&rendered));
+    }
+
+    #[test]
+    fn program_ids_are_pinned_by_value() {
+        // Input derivation, cache keys and the ids in run dirs all depend
+        // on these values. The legacy oracle shares the printer and
+        // the tokenizer with the code it checks; literal ids also catch a
+        // drift in either.
+        let expected = [
+            "523eb182c00b909c",
+            "f926128f6be9da2a",
+            "527fabfa2abd3fc2",
+            "82a912b89898cbd5",
+            "b3bfedb31ebe0db5",
+        ];
+        for (src, id) in CORPUS.into_iter().zip(expected) {
+            let program = crate::parser::parse_compute(src).unwrap();
+            assert_eq!(program_id(&program), id, "{src}");
+        }
+        assert_eq!(program_id(&program_with_constant(0.1)), "c64408f006c24186");
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use ast::{
     AssignOp, BinOp, Block, BoolExpr, CmpOp, Expr, IndexExpr, Param, ParamType, Precision, Program,
     Stmt,
 };
-pub use hash::{program_hash, program_id, source_hash};
+pub use hash::{hash_id, program_hash, program_id, source_hash};
 pub use inputs::{InputSet, InputValue};
 pub use mathfn::MathFunc;
 pub use parser::{parse_compute, ParseError};

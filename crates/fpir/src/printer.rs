@@ -73,14 +73,10 @@ enum Target {
     Device,
 }
 
-/// Stream the host-target `compute` rendering into any [`fmt::Write`]
-/// sink. `crate::hash` uses this to hash the canonical token stream
-/// without materializing the whole source text.
-pub(crate) fn write_compute_host<W: std::fmt::Write>(out: &mut W, program: &Program) {
-    write_compute(out, program, Target::Host);
-}
-
-fn write_compute<W: std::fmt::Write>(out: &mut W, program: &Program, target: Target) {
+/// Append the `compute` function definition for `target` to `out`. The
+/// host rendering is the canonical source: [`crate::program_hash`] hashes
+/// exactly this text.
+fn write_compute(out: &mut String, program: &Program, target: Target) {
     let fp = program.precision.c_type();
     let mut params: Vec<String> = program
         .params
@@ -127,7 +123,7 @@ fn write_compute<W: std::fmt::Write>(out: &mut W, program: &Program, target: Tar
             let _ = writeln!(out, "{INDENT}*llm4fp_out = {COMP};");
         }
     }
-    let _ = out.write_str("}\n");
+    out.push_str("}\n");
 }
 
 fn write_main(out: &mut String, program: &Program, inputs: &InputSet, target: Target) {
@@ -284,7 +280,7 @@ fn f32_suffix(p: Precision) -> &'static str {
     }
 }
 
-fn write_block<W: std::fmt::Write>(out: &mut W, block: &Block, precision: Precision, depth: usize) {
+fn write_block(out: &mut String, block: &Block, precision: Precision, depth: usize) {
     let pad = INDENT.repeat(depth);
     let fp = precision.c_type();
     for stmt in &block.stmts {
