@@ -27,6 +27,11 @@
 //! `metrics` prices Table 2's diversity column: the average pairwise
 //! CodeBLEU of a 160-program LLM4FP corpus at the default pair cap (which
 //! binds, so the stride-sampled path is what is timed).
+//! `fpir_text` prices the text layer every LLM4FP program crosses four
+//! times (the simulated LLM parses its seed and prints the mutant, then
+//! the campaign parses the response and prints the canonical source):
+//! `parse_compute` over the same 160 sources, and `to_compute_source`
+//! over the programs they parse to.
 //!
 //! All groups are saved into the CI bench-regression baseline
 //! (`BENCH_hotpath.json`) and gated by `bench_compare`, so a slowdown on
@@ -40,7 +45,7 @@ use llm4fp_compiler::{
     SealedProgram,
 };
 use llm4fp_difftest::{DiffTester, ExecEngine, MatrixScratch};
-use llm4fp_fpir::{InputSet, Program};
+use llm4fp_fpir::{parse_compute, to_compute_source, InputSet, Program};
 use llm4fp_generator::{InputGenerator, VarityGenerator};
 use llm4fp_metrics::average_pairwise_codebleu;
 use llm4fp_orchestrator::wire::{read_frame, write_frame, ShardJob, WireRequest};
@@ -251,16 +256,44 @@ fn bench_wire(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_metrics(c: &mut Criterion) {
-    let mut group = c.benchmark_group("metrics");
-    group.sample_size(10);
+/// The 160-program LLM4FP corpus (seed 1) that Table 2's diversity column
+/// scores, with the campaign's CodeBLEU pair cap.
+fn llm4fp_corpus_160() -> (Vec<String>, usize) {
     let result = Campaign::new(
         CampaignConfig::new(ApproachKind::Llm4Fp).with_budget(160).with_seed(1).with_threads(1),
     )
     .run();
-    let (sources, cap) = (&result.sources, result.config.max_codebleu_pairs);
+    (result.sources, result.config.max_codebleu_pairs)
+}
+
+fn bench_metrics(c: &mut Criterion) {
+    let mut group = c.benchmark_group("metrics");
+    group.sample_size(10);
+    let (sources, cap) = llm4fp_corpus_160();
     group.bench_function("pairwise_codebleu_160", |b| {
-        b.iter(|| black_box(average_pairwise_codebleu(sources, 1, cap)))
+        b.iter(|| black_box(average_pairwise_codebleu(&sources, 1, cap)))
+    });
+    group.finish();
+}
+
+fn bench_fpir_text(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fpir_text");
+    group.sample_size(10);
+    let (sources, _) = llm4fp_corpus_160();
+    let programs: Vec<Program> = sources.iter().filter_map(|s| parse_compute(s).ok()).collect();
+    group.bench_function("parse_compute_160", |b| {
+        b.iter(|| {
+            for source in &sources {
+                black_box(parse_compute(source).ok());
+            }
+        })
+    });
+    group.bench_function("to_compute_source_160", |b| {
+        b.iter(|| {
+            for program in &programs {
+                black_box(to_compute_source(program));
+            }
+        })
     });
     group.finish();
 }
@@ -273,6 +306,7 @@ criterion_group!(
     bench_telemetry_overhead,
     bench_default_campaign,
     bench_wire,
-    bench_metrics
+    bench_metrics,
+    bench_fpir_text
 );
 criterion_main!(benches);

@@ -7,6 +7,8 @@
 //! four basic operators, parentheses, math-library calls, variables, array
 //! accesses and numeric literals.
 
+use std::fmt::Write as _;
+
 use serde::{Deserialize, Serialize};
 
 use crate::mathfn::MathFunc;
@@ -356,18 +358,20 @@ pub enum IndexExpr {
 impl IndexExpr {
     /// Render to C.
     pub fn c_str(&self) -> String {
-        match self {
-            IndexExpr::Const(k) => k.to_string(),
-            IndexExpr::Var(v) => v.clone(),
-            IndexExpr::Offset { var, offset } => {
-                if *offset >= 0 {
-                    format!("{var} + {offset}")
-                } else {
-                    format!("{var} - {}", -offset)
-                }
-            }
-            IndexExpr::Mod { var, modulus } => format!("{var} % {modulus}"),
-        }
+        let mut out = String::new();
+        self.write_c(&mut out);
+        out
+    }
+
+    /// Append [`Self::c_str`] to `out`.
+    pub(crate) fn write_c(&self, out: &mut String) {
+        let _ = match self {
+            IndexExpr::Const(k) => write!(out, "{k}"),
+            IndexExpr::Var(v) => out.write_str(v),
+            IndexExpr::Offset { var, offset } if *offset >= 0 => write!(out, "{var} + {offset}"),
+            IndexExpr::Offset { var, offset } => write!(out, "{var} - {}", -offset),
+            IndexExpr::Mod { var, modulus } => write!(out, "{var} % {modulus}"),
+        };
     }
 
     /// The loop/integer variable referenced by the index, if any.
@@ -504,55 +508,57 @@ impl Expr {
 /// floating-point literals (`0x1.8p+1`) for finite values and the usual
 /// spellings for the special values.
 pub fn c_fp_literal(value: f64, precision: Precision) -> String {
+    let mut out = String::new();
+    write_c_fp_literal(&mut out, value, precision);
+    out
+}
+
+/// Append [`c_fp_literal`]`(value, precision)` to `out`.
+pub(crate) fn write_c_fp_literal(out: &mut String, value: f64, precision: Precision) {
     let suffix = match precision {
         Precision::F32 => "f",
         Precision::F64 => "",
     };
     if value.is_nan() {
-        return format!("(0.0{suffix} / 0.0{suffix})");
+        let _ = write!(out, "(0.0{suffix} / 0.0{suffix})");
+    } else if value.is_infinite() {
+        let sign = if value > 0.0 { "" } else { "-" };
+        let _ = write!(out, "({sign}1.0{suffix} / 0.0{suffix})");
+    } else if value.fract() == 0.0 && value.abs() < 1e6 {
+        // Small integral values print as plain decimals for readability;
+        // other values print as hex floats so the literal is exact.
+        let _ = write!(out, "{value:.1}{suffix}");
+    } else {
+        write_hex_float(out, value, precision);
+        out.push_str(suffix);
     }
-    if value.is_infinite() {
-        return if value > 0.0 {
-            format!("(1.0{suffix} / 0.0{suffix})")
-        } else {
-            format!("(-1.0{suffix} / 0.0{suffix})")
-        };
-    }
-    // Small integral values print as plain decimals for readability; other
-    // values print as hex floats so the literal is exact.
-    if value.fract() == 0.0 && value.abs() < 1e6 {
-        return format!("{:.1}{suffix}", value);
-    }
-    format!("{}{}", hex_float(value, precision), suffix)
 }
 
-/// Hexadecimal floating-point literal (C99 `%a`-style) for a finite value.
-fn hex_float(value: f64, precision: Precision) -> String {
+/// Hexadecimal floating-point literal (C99 `%a`-style) for a finite value:
+/// the 13 mantissa digits without their trailing zeros.
+fn write_hex_float(out: &mut String, value: f64, precision: Precision) {
     let v = match precision {
         Precision::F32 => value as f32 as f64,
         Precision::F64 => value,
     };
     if v == 0.0 {
-        return if v.is_sign_negative() { "-0x0p+0".to_string() } else { "0x0p+0".to_string() };
+        out.push_str(if v.is_sign_negative() { "-0x0p+0" } else { "0x0p+0" });
+        return;
     }
     let bits = v.to_bits();
-    let sign = if bits >> 63 == 1 { "-" } else { "" };
-    let exp_bits = ((bits >> 52) & 0x7ff) as i64;
-    let mantissa = bits & 0xf_ffff_ffff_ffff;
-    let (lead, exp, mant) = if exp_bits == 0 {
-        // Subnormal: 0.mantissa * 2^-1022
-        (0u64, -1022i64, mantissa)
-    } else {
-        (1u64, exp_bits - 1023, mantissa)
-    };
-    let mut mant_hex = format!("{mant:013x}");
-    while mant_hex.ends_with('0') && mant_hex.len() > 1 {
-        mant_hex.pop();
+    if bits >> 63 == 1 {
+        out.push('-');
     }
+    let exp_bits = ((bits >> 52) & 0x7ff) as i64;
+    let mant = bits & 0xf_ffff_ffff_ffff;
+    // Subnormals are 0.mantissa * 2^-1022.
+    let (lead, exp) = if exp_bits == 0 { (0, -1022) } else { (1, exp_bits - 1023) };
     if mant == 0 {
-        format!("{sign}0x{lead}p{exp:+}")
+        let _ = write!(out, "0x{lead}p{exp:+}");
     } else {
-        format!("{sign}0x{lead}.{mant_hex}p{exp:+}")
+        let zero_digits = mant.trailing_zeros() / 4;
+        let width = 13 - zero_digits as usize;
+        let _ = write!(out, "0x{lead}.{:0width$x}p{exp:+}", mant >> (4 * zero_digits));
     }
 }
 

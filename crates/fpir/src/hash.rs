@@ -47,11 +47,11 @@ pub fn program_id(program: &Program) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ast::{AssignOp, Block, Expr, Precision, Program, Stmt};
 
-    fn program_with_constant(c: f64) -> Program {
+    pub(crate) fn program_with_constant(c: f64) -> Program {
         Program {
             precision: Precision::F64,
             params: vec![],
@@ -64,8 +64,8 @@ mod tests {
     }
 
     /// Programs covering every statement form, array parameters and math
-    /// calls.
-    const CORPUS: [&str; 5] = [
+    /// calls. The printer's golden test renders them too.
+    pub(crate) const CORPUS: [&str; 5] = [
         "void compute(double x) { comp = x; }",
         "void compute(double x, double y) { comp = x * y + 2.5; comp /= y - 0.5; }",
         "void compute(float x, float *a) {\n\

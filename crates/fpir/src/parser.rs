@@ -5,19 +5,37 @@
 //! [`Program`]. It is used for printer/parser round-trip testing, for
 //! re-importing externally stored successful programs, and by the simulated
 //! LLM when it mutates a seed program that is only available as text.
+//!
+//! [`parse_compute`] scans the source once into `(TokenKind, &str)` pairs
+//! whose text borrows from the input ([`crate::tokens::scan_tokens`]), so no
+//! token is copied: lookahead compares slices, integers are read from their
+//! digit prefix in place, and an identifier becomes a `String` only when the
+//! AST stores it. Error messages are formatted only on failure.
+//!
+//! The input is untrusted (model responses, sources restored from run dirs
+//! and wire frames), so recursion is bounded: parenthesized and negated
+//! expressions, call arguments and blocks share one nesting counter, and
+//! input nested deeper than 128 levels is a [`ParseError`] rather than a
+//! stack overflow. Generated programs nest a handful of levels deep.
 
 use crate::ast::{
     AssignOp, BinOp, Block, BoolExpr, CmpOp, Expr, IndexExpr, Param, ParamType, Precision, Program,
     Stmt,
 };
 use crate::mathfn::MathFunc;
-use crate::tokens::{tokenize, Token, TokenKind};
+use crate::tokens::{scan_tokens, TokenKind};
 use crate::COMP;
 
 /// Array length assumed for pointer parameters, whose length is not part of
 /// the C signature. Programs built by the generators always carry their true
 /// length; this default only applies to re-parsed source.
 pub const PARSED_ARRAY_LEN: usize = 8;
+
+/// Deepest nesting of parentheses, negations, call argument lists and
+/// blocks the parser accepts (the same limit as `serde_json`'s recursion
+/// limit). It keeps recursion far inside a 2 MB thread stack even in debug
+/// builds.
+const MAX_NESTING: usize = 128;
 
 /// Parse failure: a message plus the index of the offending token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,8 +60,9 @@ impl std::error::Error for ParseError {}
 /// length that makes every observed access in-bounds (falling back to
 /// [`PARSED_ARRAY_LEN`] for arrays that are never indexed).
 pub fn parse_compute(src: &str) -> Result<Program, ParseError> {
-    let tokens = tokenize(src);
-    let mut p = Parser { tokens, pos: 0, precision: Precision::F64 };
+    let mut tokens = Vec::with_capacity(src.len() / 3);
+    scan_tokens(src, |kind, text| tokens.push((kind, text)));
+    let mut p = Parser { tokens, pos: 0, precision: Precision::F64, depth: 0 };
     let mut program = p.parse_program()?;
     infer_array_param_lengths(&mut program);
     Ok(program)
@@ -51,14 +70,24 @@ pub fn parse_compute(src: &str) -> Result<Program, ParseError> {
 
 /// Determine the minimum length each array parameter needs so that all
 /// accesses in the body are within bounds, and update the parameter types
-/// accordingly (never shrinking below [`PARSED_ARRAY_LEN`]'s lower sibling
-/// of 2, and defaulting to [`PARSED_ARRAY_LEN`] when unused).
+/// accordingly: an indexed array gets its largest need (at least 0),
+/// clamped to `2..=MAX_ARRAY_LEN`; an array that is never indexed gets
+/// [`PARSED_ARRAY_LEN`]. Parameters with the same name share one need.
 fn infer_array_param_lengths(program: &mut Program) {
-    use std::collections::HashMap;
+    /// The largest index need seen per array name, borrowed from the body
+    /// (programs index a handful of arrays, so a linear scan is enough).
+    type Needs<'b> = Vec<(&'b str, i64)>;
 
-    fn index_requirement(index: &IndexExpr, loop_bounds: &[(String, i64)]) -> i64 {
+    fn record<'b>(needs: &mut Needs<'b>, array: &'b str, need: i64) {
+        match needs.iter_mut().find(|(name, _)| *name == array) {
+            Some((_, max)) => *max = (*max).max(need),
+            None => needs.push((array, need.max(0))),
+        }
+    }
+
+    fn index_requirement(index: &IndexExpr, loop_bounds: &[(&str, i64)]) -> i64 {
         let bound_of =
-            |var: &str| loop_bounds.iter().rev().find(|(v, _)| v == var).map(|(_, b)| *b);
+            |var: &str| loop_bounds.iter().rev().find(|(v, _)| *v == var).map(|(_, b)| *b);
         match index {
             IndexExpr::Const(k) => k + 1,
             IndexExpr::Var(v) => bound_of(v).unwrap_or(PARSED_ARRAY_LEN as i64),
@@ -69,53 +98,61 @@ fn infer_array_param_lengths(program: &mut Program) {
         }
     }
 
-    fn scan_expr(expr: &Expr, loop_bounds: &[(String, i64)], required: &mut HashMap<String, i64>) {
-        expr.visit(&mut |e| {
-            if let Expr::Index { array, index } = e {
-                let need = index_requirement(index, loop_bounds);
-                let entry = required.entry(array.clone()).or_insert(0);
-                *entry = (*entry).max(need);
+    fn scan_expr<'b>(expr: &'b Expr, loop_bounds: &[(&str, i64)], needs: &mut Needs<'b>) {
+        match expr {
+            Expr::Index { array, index } => {
+                record(needs, array, index_requirement(index, loop_bounds))
             }
-        });
+            Expr::Paren(inner) | Expr::Neg(inner) => scan_expr(inner, loop_bounds, needs),
+            Expr::Bin { lhs, rhs, .. } => {
+                scan_expr(lhs, loop_bounds, needs);
+                scan_expr(rhs, loop_bounds, needs);
+            }
+            Expr::Call { args, .. } => {
+                args.iter().for_each(|arg| scan_expr(arg, loop_bounds, needs))
+            }
+            Expr::Num(_) | Expr::Int(_) | Expr::Var(_) => {}
+        }
     }
 
-    fn scan_block(
-        block: &crate::ast::Block,
-        loop_bounds: &mut Vec<(String, i64)>,
-        required: &mut HashMap<String, i64>,
+    fn scan_block<'b>(
+        block: &'b Block,
+        loop_bounds: &mut Vec<(&'b str, i64)>,
+        needs: &mut Needs<'b>,
     ) {
         for stmt in &block.stmts {
             match stmt {
                 Stmt::Assign { expr, .. } | Stmt::DeclScalar { expr, .. } => {
-                    scan_expr(expr, loop_bounds, required)
+                    scan_expr(expr, loop_bounds, needs)
                 }
                 Stmt::DeclArray { .. } => {}
                 Stmt::AssignIndex { array, index, expr, .. } => {
-                    let need = index_requirement(index, loop_bounds);
-                    let entry = required.entry(array.clone()).or_insert(0);
-                    *entry = (*entry).max(need);
-                    scan_expr(expr, loop_bounds, required);
+                    record(needs, array, index_requirement(index, loop_bounds));
+                    scan_expr(expr, loop_bounds, needs);
                 }
                 Stmt::If { cond, then_block } => {
-                    scan_expr(&cond.lhs, loop_bounds, required);
-                    scan_expr(&cond.rhs, loop_bounds, required);
-                    scan_block(then_block, loop_bounds, required);
+                    scan_expr(&cond.lhs, loop_bounds, needs);
+                    scan_expr(&cond.rhs, loop_bounds, needs);
+                    scan_block(then_block, loop_bounds, needs);
                 }
                 Stmt::For { var, bound, body } => {
-                    loop_bounds.push((var.clone(), *bound));
-                    scan_block(body, loop_bounds, required);
+                    loop_bounds.push((var, *bound));
+                    scan_block(body, loop_bounds, needs);
                     loop_bounds.pop();
                 }
             }
         }
     }
 
-    let mut required = HashMap::new();
-    let mut loop_bounds = Vec::new();
-    scan_block(&program.body, &mut loop_bounds, &mut required);
-    for param in &mut program.params {
+    let Program { params, body, .. } = program;
+    let mut needs = Needs::new();
+    scan_block(body, &mut Vec::new(), &mut needs);
+    for param in params {
         if let ParamType::FpArray(len) = &mut param.ty {
-            let need = required.get(&param.name).copied().unwrap_or(PARSED_ARRAY_LEN as i64);
+            let need = needs
+                .iter()
+                .find(|(name, _)| *name == param.name)
+                .map_or(PARSED_ARRAY_LEN as i64, |&(_, need)| need);
             *len = need.clamp(2, crate::MAX_ARRAY_LEN as i64) as usize;
         }
     }
@@ -154,31 +191,65 @@ fn parse_hex_float(t: &str) -> Option<f64> {
     Some(if neg { -v } else { v })
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-    precision: Precision,
+/// The value of an integer-literal token: its leading decimal digits
+/// (suffixes and a hex prefix's `x...` are ignored, as C's `atoi` would).
+fn int_literal_value(text: &str) -> Option<i64> {
+    let digits = text.bytes().take_while(u8::is_ascii_digit).count();
+    text[..digits].parse().ok()
 }
 
-impl Parser {
+/// A token: its kind and its text, borrowed from the parsed source.
+type Tok<'a> = (TokenKind, &'a str);
+
+struct Parser<'a> {
+    tokens: Vec<Tok<'a>>,
+    pos: usize,
+    precision: Precision,
+    /// Current nesting of parentheses, negations, call argument lists and
+    /// blocks; see [`MAX_NESTING`].
+    depth: usize,
+}
+
+impl<'a> Parser<'a> {
+    fn error(&self, message: impl Into<String>) -> ParseError {
+        ParseError { message: message.into(), position: self.pos }
+    }
+
     fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
-        Err(ParseError { message: message.into(), position: self.pos })
+        Err(self.error(message))
     }
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+    /// Enter one nesting level; pair with [`Self::leave`] on success.
+    fn enter(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING}"));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
-    fn peek_text(&self) -> &str {
-        self.tokens.get(self.pos).map(|t| t.text.as_str()).unwrap_or("")
+    fn leave(&mut self) {
+        self.depth -= 1;
     }
 
-    fn peek_text_at(&self, offset: usize) -> &str {
-        self.tokens.get(self.pos + offset).map(|t| t.text.as_str()).unwrap_or("")
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.tokens.get(self.pos).copied()
     }
 
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
+    fn peek_kind(&self) -> Option<TokenKind> {
+        self.peek().map(|(kind, _)| kind)
+    }
+
+    fn peek_text(&self) -> &'a str {
+        self.peek_text_at(0)
+    }
+
+    fn peek_text_at(&self, offset: usize) -> &'a str {
+        self.tokens.get(self.pos + offset).map_or("", |&(_, text)| text)
+    }
+
+    fn bump(&mut self) -> Option<Tok<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
@@ -236,17 +307,16 @@ impl Parser {
             return Ok(params);
         }
         loop {
-            let ty_tok = self.bump().ok_or(ParseError {
-                message: "unexpected end of input in parameter list".into(),
-                position: self.pos,
-            })?;
-            match ty_tok.text.as_str() {
+            let (_, ty) = self
+                .bump()
+                .ok_or_else(|| self.error("unexpected end of input in parameter list"))?;
+            match ty {
                 "int" => {
                     let name = self.parse_ident()?;
                     params.push(Param::new(name, ParamType::Int));
                 }
                 "double" | "float" => {
-                    if ty_tok.text == "float" {
+                    if ty == "float" {
                         self.precision = Precision::F32;
                     }
                     let is_ptr = self.eat("*");
@@ -271,20 +341,27 @@ impl Parser {
         Ok(params)
     }
 
-    fn parse_ident(&mut self) -> Result<String, ParseError> {
+    fn parse_ident(&mut self) -> Result<&'a str, ParseError> {
         match self.peek() {
-            Some(t) if t.kind == TokenKind::Ident => Ok(self.bump().unwrap().text),
+            Some((TokenKind::Ident, text)) => {
+                self.pos += 1;
+                Ok(text)
+            }
             _ => self.err(format!("expected identifier, found `{}`", self.peek_text())),
         }
     }
 
+    /// Parse the statements of a block whose `{` has been consumed, up to
+    /// and including its `}`.
     fn parse_block(&mut self) -> Result<Block, ParseError> {
+        self.enter()?;
         let mut block = Block::default();
         loop {
             match self.peek_text() {
                 "" => return self.err("unexpected end of input inside block"),
                 "}" => {
                     self.pos += 1;
+                    self.leave();
                     return Ok(block);
                 }
                 _ => {
@@ -300,8 +377,8 @@ impl Parser {
     /// the printer's prologue/epilogue and are not part of the logical
     /// program (the implicit `comp` declaration, the bit-printing lines).
     fn parse_stmt(&mut self) -> Result<Option<Stmt>, ParseError> {
-        let text = self.peek_text().to_string();
-        match text.as_str() {
+        let text = self.peek_text();
+        match text {
             "for" => return self.parse_for().map(Some),
             "if" => return self.parse_if().map(Some),
             "union" => {
@@ -320,7 +397,7 @@ impl Parser {
             }
             _ => {}
         }
-        if self.peek().map(|t| t.kind) == Some(TokenKind::Ident) {
+        if self.peek_kind() == Some(TokenKind::Ident) {
             if text == "printf" || text == "llm4fp_bits" {
                 self.skip_to_semicolon();
                 return Ok(None);
@@ -331,8 +408,8 @@ impl Parser {
     }
 
     fn skip_to_semicolon(&mut self) {
-        while let Some(t) = self.bump() {
-            if t.text == ";" {
+        while let Some((_, text)) = self.bump() {
+            if text == ";" {
                 break;
             }
         }
@@ -347,8 +424,8 @@ impl Parser {
             let mut depth = 1usize;
             while depth > 0 {
                 match self.bump() {
-                    Some(t) if t.text == "{" => depth += 1,
-                    Some(t) if t.text == "}" => depth -= 1,
+                    Some((_, "{")) => depth += 1,
+                    Some((_, "}")) => depth -= 1,
                     Some(_) => {}
                     None => return,
                 }
@@ -358,10 +435,10 @@ impl Parser {
     }
 
     fn parse_decl(&mut self) -> Result<Option<Stmt>, ParseError> {
-        let ty = self.bump().unwrap().text;
-        if ty == "float" {
+        if self.peek_text() == "float" {
             self.precision = Precision::F32;
         }
+        self.pos += 1;
         let name = self.parse_ident()?;
         if self.eat("[") {
             let size = self.parse_int_literal()? as usize;
@@ -383,7 +460,7 @@ impl Parser {
             if init == [0.0] {
                 init.clear();
             }
-            return Ok(Some(Stmt::DeclArray { name, size, init }));
+            return Ok(Some(Stmt::DeclArray { name: name.into(), size, init }));
         }
         self.expect("=")?;
         let expr = self.parse_expr()?;
@@ -393,9 +470,9 @@ impl Parser {
             if matches!(expr.strip_parens(), Expr::Num(v) if *v == 0.0) {
                 return Ok(None);
             }
-            return Ok(Some(Stmt::Assign { target: name, op: AssignOp::Assign, expr }));
+            return Ok(Some(Stmt::Assign { target: name.into(), op: AssignOp::Assign, expr }));
         }
-        Ok(Some(Stmt::DeclScalar { name, expr }))
+        Ok(Some(Stmt::DeclScalar { name: name.into(), expr }))
     }
 
     fn parse_assignment(&mut self) -> Result<Stmt, ParseError> {
@@ -406,12 +483,12 @@ impl Parser {
             let op = self.parse_assign_op()?;
             let expr = self.parse_expr()?;
             self.expect(";")?;
-            return Ok(Stmt::AssignIndex { array: name, index, op, expr });
+            return Ok(Stmt::AssignIndex { array: name.into(), index, op, expr });
         }
         let op = self.parse_assign_op()?;
         let expr = self.parse_expr()?;
         self.expect(";")?;
-        Ok(Stmt::Assign { target: name, op, expr })
+        Ok(Stmt::Assign { target: name.into(), op, expr })
     }
 
     fn parse_assign_op(&mut self) -> Result<AssignOp, ParseError> {
@@ -435,30 +512,24 @@ impl Parser {
         self.expect("=")?;
         let _start = self.parse_int_literal()?;
         self.expect(";")?;
-        let cond_var = self.parse_ident()?;
-        if cond_var != var {
+        if self.parse_ident()? != var {
             return self.err("loop condition must test the loop variable");
         }
         self.expect("<")?;
         let bound = self.parse_int_literal()?;
         self.expect(";")?;
         // `++i` or `i++`
-        if self.eat("++") {
-            let inc_var = self.parse_ident()?;
-            if inc_var != var {
-                return self.err("loop increment must update the loop variable");
-            }
-        } else {
-            let inc_var = self.parse_ident()?;
-            if inc_var != var {
-                return self.err("loop increment must update the loop variable");
-            }
+        let pre_increment = self.eat("++");
+        if self.parse_ident()? != var {
+            return self.err("loop increment must update the loop variable");
+        }
+        if !pre_increment {
             self.expect("++")?;
         }
         self.expect(")")?;
         self.expect("{")?;
         let body = self.parse_block()?;
-        Ok(Stmt::For { var, bound, body })
+        Ok(Stmt::For { var: var.into(), bound, body })
     }
 
     fn parse_if(&mut self) -> Result<Stmt, ParseError> {
@@ -483,13 +554,13 @@ impl Parser {
     }
 
     fn parse_index_expr(&mut self) -> Result<IndexExpr, ParseError> {
-        match self.peek().map(|t| t.kind) {
+        match self.peek_kind() {
             Some(TokenKind::IntLit) => {
                 let v = self.parse_int_literal()?;
                 Ok(IndexExpr::Const(v))
             }
             Some(TokenKind::Ident) => {
-                let var = self.parse_ident()?;
+                let var = self.parse_ident()?.to_string();
                 match self.peek_text() {
                     "+" => {
                         self.pos += 1;
@@ -515,13 +586,10 @@ impl Parser {
 
     fn parse_int_literal(&mut self) -> Result<i64, ParseError> {
         match self.peek() {
-            Some(t) if t.kind == TokenKind::IntLit => {
-                let text = self.bump().unwrap().text;
-                let digits: String = text.chars().take_while(|c| c.is_ascii_digit()).collect();
-                digits.parse::<i64>().map_err(|_| ParseError {
-                    message: format!("invalid integer literal `{text}`"),
-                    position: self.pos,
-                })
+            Some((TokenKind::IntLit, text)) => {
+                self.pos += 1;
+                int_literal_value(text)
+                    .ok_or_else(|| self.error(format!("invalid integer literal `{text}`")))
             }
             _ => self.err(format!("expected integer literal, found `{}`", self.peek_text())),
         }
@@ -529,12 +597,10 @@ impl Parser {
 
     fn parse_fp_or_int_literal(&mut self) -> Result<f64, ParseError> {
         match self.peek() {
-            Some(t) if t.kind == TokenKind::FpLit || t.kind == TokenKind::IntLit => {
-                let text = self.bump().unwrap().text;
-                parse_c_fp_literal(&text).ok_or(ParseError {
-                    message: format!("invalid floating-point literal `{text}`"),
-                    position: self.pos,
-                })
+            Some((TokenKind::FpLit | TokenKind::IntLit, text)) => {
+                self.pos += 1;
+                parse_c_fp_literal(text)
+                    .ok_or_else(|| self.error(format!("invalid floating-point literal `{text}`")))
             }
             _ => self.err(format!("expected numeric literal, found `{}`", self.peek_text())),
         }
@@ -572,56 +638,55 @@ impl Parser {
     }
 
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
-        if self.eat("-") {
-            let inner = self.parse_unary()?;
-            // Fold negation of literals so that `-0x1.8p+1` parses to the
-            // same node the printer emitted it from (keeps print→parse→print
-            // a fixpoint).
-            return Ok(match inner {
-                Expr::Num(v) => Expr::Num(-v),
-                Expr::Int(v) => Expr::Int(-v),
-                other => Expr::Neg(Box::new(other)),
-            });
+        let negate = match self.peek_text() {
+            "-" => true,
+            "+" => false,
+            _ => return self.parse_primary(),
+        };
+        self.enter()?;
+        self.pos += 1;
+        let inner = self.parse_unary()?;
+        self.leave();
+        if !negate {
+            return Ok(inner);
         }
-        if self.eat("+") {
-            return self.parse_unary();
-        }
-        self.parse_primary()
+        // Fold negation of literals so that `-0x1.8p+1` parses to the
+        // same node the printer emitted it from (keeps print→parse→print
+        // a fixpoint).
+        Ok(match inner {
+            Expr::Num(v) => Expr::Num(-v),
+            Expr::Int(v) => Expr::Int(-v),
+            other => Expr::Neg(Box::new(other)),
+        })
     }
 
     fn parse_primary(&mut self) -> Result<Expr, ParseError> {
-        let tok = match self.peek() {
-            Some(t) => t.clone(),
-            None => return self.err("unexpected end of input in expression"),
+        let Some((kind, text)) = self.peek() else {
+            return self.err("unexpected end of input in expression");
         };
-        match tok.kind {
+        match kind {
             TokenKind::FpLit => {
                 self.pos += 1;
-                let v = parse_c_fp_literal(&tok.text).ok_or(ParseError {
-                    message: format!("invalid floating-point literal `{}`", tok.text),
-                    position: self.pos,
+                let v = parse_c_fp_literal(text).ok_or_else(|| {
+                    self.error(format!("invalid floating-point literal `{text}`"))
                 })?;
                 Ok(Expr::Num(v))
             }
             TokenKind::IntLit => {
                 self.pos += 1;
-                let digits: String = tok.text.chars().take_while(|c| c.is_ascii_digit()).collect();
-                let v = digits.parse::<i64>().map_err(|_| ParseError {
-                    message: format!("invalid integer literal `{}`", tok.text),
-                    position: self.pos,
-                })?;
+                let v = int_literal_value(text)
+                    .ok_or_else(|| self.error(format!("invalid integer literal `{text}`")))?;
                 Ok(Expr::Int(v))
             }
             TokenKind::Ident => {
                 self.pos += 1;
                 // Function call?
                 if self.peek_text() == "(" {
-                    let func = MathFunc::from_c_name(&tok.text).ok_or(ParseError {
-                        message: format!("unknown function `{}`", tok.text),
-                        position: self.pos,
-                    })?;
+                    let func = MathFunc::from_c_name(text)
+                        .ok_or_else(|| self.error(format!("unknown function `{text}`")))?;
+                    self.enter()?;
                     self.expect("(")?;
-                    let mut args = Vec::new();
+                    let mut args = Vec::with_capacity(func.arity());
                     if self.peek_text() != ")" {
                         loop {
                             args.push(self.parse_expr()?);
@@ -631,6 +696,7 @@ impl Parser {
                         }
                     }
                     self.expect(")")?;
+                    self.leave();
                     if args.len() != func.arity() {
                         return self.err(format!(
                             "`{}` expects {} arguments, found {}",
@@ -645,17 +711,19 @@ impl Parser {
                 if self.eat("[") {
                     let index = self.parse_index_expr()?;
                     self.expect("]")?;
-                    return Ok(Expr::Index { array: tok.text, index });
+                    return Ok(Expr::Index { array: text.into(), index });
                 }
-                Ok(Expr::Var(tok.text))
+                Ok(Expr::Var(text.into()))
             }
-            TokenKind::Punct if tok.text == "(" => {
+            TokenKind::Punct if text == "(" => {
+                self.enter()?;
                 self.pos += 1;
                 let inner = self.parse_expr()?;
                 self.expect(")")?;
+                self.leave();
                 Ok(inner.paren())
             }
-            _ => self.err(format!("unexpected token `{}` in expression", tok.text)),
+            _ => self.err(format!("unexpected token `{text}` in expression")),
         }
     }
 }
@@ -784,5 +852,154 @@ __global__ void compute(double x, double *llm4fp_out) {
             let parsed = parse_c_fp_literal(lit.trim_end_matches('f')).unwrap();
             assert_eq!(parsed.to_bits(), v.to_bits(), "{lit}");
         }
+    }
+
+    #[test]
+    fn parse_errors_are_pinned_by_value() {
+        // `ParseError` is public and `position` is a token index, so
+        // callers may rely on both fields.
+        let cases = [
+            (
+                "void compute(double x) { comp = frobnicate(x); }",
+                "unknown function `frobnicate`",
+                10,
+            ),
+            (
+                "void compute(double x) { for (int i = 0; j < 4; ++i) {} }",
+                "loop condition must test the loop variable",
+                15,
+            ),
+            ("int main(void) { return 0; }", "no `compute` function found", 10),
+            ("void compute(double x) { comp = pow(x); }", "`pow` expects 2 arguments, found 1", 13),
+            (
+                "void compute(double x) { comp = sin(x, x); }",
+                "`sin` expects 1 arguments, found 2",
+                15,
+            ),
+            ("", "no `compute` function found", 0),
+            ("void compute(double x) { comp = x }", "expected `;`, found `}`", 10),
+            ("void compute(double x) { comp = x; ", "unexpected end of input inside block", 11),
+            (
+                "void compute(double x) { comp = 1.0.0.0; }",
+                "invalid floating-point literal `1.0.0.0`",
+                10,
+            ),
+            (
+                "void compute(double x) { comp = 99999999999999999999; }",
+                "invalid integer literal `99999999999999999999`",
+                10,
+            ),
+            (
+                "void compute(double x) { double b[99999999999999999999] = {0}; }",
+                "invalid integer literal `99999999999999999999`",
+                11,
+            ),
+            ("void compute(char x) { }", "unexpected parameter type `char`", 4),
+            ("void compute(double x) { comp ^ x; }", "expected assignment operator, found `^`", 8),
+            (
+                "void compute(double x) { if (x ? 1.0) {} }",
+                "expected comparison operator, found `?`",
+                10,
+            ),
+            ("void compute(double x) { comp = (x; }", "expected `)`, found `;`", 11),
+            ("void compute(double x) { comp = ; }", "unexpected token `;` in expression", 9),
+            ("void compute(double x, ) { }", "unexpected parameter type `)`", 7),
+            (
+                "void compute(double x) { for (int i = 0; i < 4; ++j) {} }",
+                "loop increment must update the loop variable",
+                20,
+            ),
+            (
+                "void compute(double x) { double b[2] = {1.0, x}; }",
+                "expected numeric literal, found `x`",
+                16,
+            ),
+        ];
+        for (src, message, position) in cases {
+            let err = parse_compute(src).unwrap_err();
+            assert_eq!((err.message.as_str(), err.position), (message, position), "{src}");
+        }
+    }
+
+    #[test]
+    fn inferred_array_lengths_are_pinned() {
+        let lengths = |src: &str| -> Vec<(String, ParamType)> {
+            parse_compute(src).unwrap().params.into_iter().map(|p| (p.name, p.ty)).collect()
+        };
+        let arr = |name: &str, len| (name.to_string(), ParamType::FpArray(len));
+        // A pointer that is never indexed gets the default length.
+        assert_eq!(
+            lengths("void compute(double *a, double *b) { comp = b[1]; }"),
+            [arr("a", PARSED_ARRAY_LEN), arr("b", 2)]
+        );
+        // A loop that never runs still indexes: the need is 0, raised to 2.
+        assert_eq!(
+            lengths("void compute(double *a) { for (int i = 0; i < 0; ++i) { comp += a[i]; } }"),
+            [arr("a", 2)]
+        );
+        // Parameters with the same name share one length.
+        assert_eq!(
+            lengths("void compute(double *a, double *a) { comp = a[5]; }"),
+            [arr("a", 6), arr("a", 6)]
+        );
+        // `%` needs its modulus, `+k` the bound plus k, `-k` just the bound;
+        // a constant past the cap is clamped to it.
+        assert_eq!(
+            lengths(
+                "void compute(double *a, double *b, double *c, double *d) {\n\
+                 for (int i = 0; i < 10; ++i) { comp += a[i % 3] + b[i + 4] + c[i - 2] + d[i]; }\n\
+                 c[300] = 1.0;\n\
+                 }"
+            ),
+            [arr("a", 3), arr("b", 14), arr("c", crate::MAX_ARRAY_LEN), arr("d", 10)]
+        );
+        assert_eq!(
+            lengths(
+                "void compute(double *a, double *b) {\n\
+                 for (int i = 0; i < 5; ++i) { comp += a[i % 0] + b[i - 9]; }\n\
+                 }"
+            ),
+            [arr("a", 2), arr("b", 5)]
+        );
+    }
+
+    /// Run `f` on a thread with a 2 MB stack, the shard workers' default,
+    /// so a recursion that escaped the nesting cap aborts the test binary.
+    fn on_small_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new().stack_size(2 << 20).spawn(f).unwrap().join().unwrap();
+    }
+
+    /// Sources nested `depth` levels deep in each recursive form.
+    fn nested_sources(depth: usize) -> [String; 4] {
+        let wrap = |open: &str, inner: &str, close: &str| {
+            format!(
+                "void compute(double x) {{ comp = {}{inner}{}; }}",
+                open.repeat(depth),
+                close.repeat(depth)
+            )
+        };
+        [
+            wrap("(", "x", ")"),
+            wrap("- ", "x", ""),
+            wrap("sin(", "x", ")"),
+            format!(
+                "void compute(double x) {{ {} comp = x; {} }}",
+                "if (x > 1.0) {".repeat(depth),
+                "}".repeat(depth)
+            ),
+        ]
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        on_small_stack(|| {
+            for src in nested_sources(10_000) {
+                let err = parse_compute(&src).unwrap_err();
+                assert_eq!(err.message, "nesting deeper than 128", "{}", &src[..60]);
+            }
+            for src in nested_sources(100) {
+                assert!(parse_compute(&src).is_ok(), "{}", &src[..60]);
+            }
+        });
     }
 }

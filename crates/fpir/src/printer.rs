@@ -6,15 +6,27 @@
 //! is printed to standard output as the zero-padded hexadecimal encoding of
 //! its bit pattern, which is exactly what the differential tester compares
 //! (Section 2.4 of the paper).
+//!
+//! There is one append-only writer per construct: every printer pushes its
+//! text straight into one output `String` (`write_compute`, `write_block`,
+//! `write_expr`, the crate-private literal and index writers), so printing
+//! a program allocates nothing per node or per statement. The `String`
+//! returning helpers ([`expr_to_c`], [`crate::ast::c_fp_literal`],
+//! [`crate::IndexExpr::c_str`]) are thin wrappers over the same writers.
+//! `to_c_source`, `to_c_source_argv` and `to_cuda_source` share
+//! `write_compute` with the canonical [`to_compute_source`].
 
 use std::fmt::Write as _;
 
-use crate::ast::{c_fp_literal, Block, Expr, ParamType, Precision, Program, Stmt};
+use crate::ast::{write_c_fp_literal, Block, Expr, Param, ParamType, Precision, Program, Stmt};
 use crate::inputs::{InputSet, InputValue};
 use crate::COMP;
 
 /// Indentation unit used by the printers.
 const INDENT: &str = "    ";
+
+/// The `#include` lines that open every full translation unit.
+const INCLUDES: &str = "#include <stdio.h>\n#include <stdlib.h>\n#include <math.h>\n\n";
 
 /// Render only the `compute` function definition (C syntax).
 pub fn to_compute_source(program: &Program) -> String {
@@ -27,8 +39,7 @@ pub fn to_compute_source(program: &Program) -> String {
 /// `compute` function and a `main` that materializes `inputs`, calls
 /// `compute` and prints the result bits in hexadecimal.
 pub fn to_c_source(program: &Program, inputs: &InputSet) -> String {
-    let mut out = String::new();
-    out.push_str("#include <stdio.h>\n#include <stdlib.h>\n#include <math.h>\n\n");
+    let mut out = String::from(INCLUDES);
     write_compute(&mut out, program, Target::Host);
     out.push('\n');
     write_main(&mut out, program, inputs, Target::Host);
@@ -45,8 +56,7 @@ pub fn to_c_source(program: &Program, inputs: &InputSet) -> String {
 /// and run the binary against many input sets — see
 /// [`crate::InputSet::to_argv`] for the matching argument encoding.
 pub fn to_c_source_argv(program: &Program) -> String {
-    let mut out = String::new();
-    out.push_str("#include <stdio.h>\n#include <stdlib.h>\n#include <math.h>\n\n");
+    let mut out = String::from(INCLUDES);
     write_compute(&mut out, program, Target::Host);
     out.push('\n');
     write_main_argv(&mut out, program);
@@ -59,8 +69,7 @@ pub fn to_c_source_argv(program: &Program) -> String {
 /// writing its result into a device buffer that `main` copies back and
 /// prints.
 pub fn to_cuda_source(program: &Program, inputs: &InputSet) -> String {
-    let mut out = String::new();
-    out.push_str("#include <stdio.h>\n#include <stdlib.h>\n#include <math.h>\n\n");
+    let mut out = String::from(INCLUDES);
     write_compute(&mut out, program, Target::Device);
     out.push('\n');
     write_main(&mut out, program, inputs, Target::Device);
@@ -78,47 +87,24 @@ enum Target {
 /// exactly this text.
 fn write_compute(out: &mut String, program: &Program, target: Target) {
     let fp = program.precision.c_type();
-    let mut params: Vec<String> = program
-        .params
-        .iter()
-        .map(|p| match p.ty {
-            ParamType::Int => format!("int {}", p.name),
-            ParamType::Fp => format!("{fp} {}", p.name),
-            ParamType::FpArray(_) => format!("{fp} *{}", p.name),
-        })
-        .collect();
-    match target {
-        Target::Host => {
-            let _ = writeln!(out, "void compute({}) {{", params.join(", "));
+    let suffix = f32_suffix(program.precision);
+    out.push_str(match target {
+        Target::Host => "void compute(",
+        Target::Device => "__global__ void compute(",
+    });
+    write_list(out, &program.params, |out, p| write_param(out, p, fp));
+    if target == Target::Device {
+        if !program.params.is_empty() {
+            out.push_str(", ");
         }
-        Target::Device => {
-            params.push(format!("{fp} *llm4fp_out"));
-            let _ = writeln!(out, "__global__ void compute({}) {{", params.join(", "));
-        }
+        let _ = write!(out, "{fp} *llm4fp_out");
     }
-    let _ = writeln!(out, "{INDENT}{fp} {COMP} = 0.0{};", f32_suffix(program.precision));
+    let _ = writeln!(out, ") {{\n{INDENT}{fp} {COMP} = 0.0{suffix};");
     write_block(out, &program.body, program.precision, 1);
     match target {
-        Target::Host => {
-            // Print the bit pattern of the result from inside compute, as the
-            // paper's program structure prescribes.
-            match program.precision {
-                Precision::F64 => {
-                    let _ = writeln!(
-                        out,
-                        "{INDENT}union {{ double d; unsigned long long u; }} llm4fp_bits;"
-                    );
-                    let _ = writeln!(out, "{INDENT}llm4fp_bits.d = {COMP};");
-                    let _ = writeln!(out, "{INDENT}printf(\"%016llx\\n\", llm4fp_bits.u);");
-                }
-                Precision::F32 => {
-                    let _ =
-                        writeln!(out, "{INDENT}union {{ float f; unsigned int u; }} llm4fp_bits;");
-                    let _ = writeln!(out, "{INDENT}llm4fp_bits.f = {COMP};");
-                    let _ = writeln!(out, "{INDENT}printf(\"%08x\\n\", llm4fp_bits.u);");
-                }
-            }
-        }
+        // Print the bit pattern of the result from inside compute, as the
+        // paper's program structure prescribes.
+        Target::Host => write_print_bits(out, program.precision, COMP),
         Target::Device => {
             let _ = writeln!(out, "{INDENT}*llm4fp_out = {COMP};");
         }
@@ -126,28 +112,74 @@ fn write_compute(out: &mut String, program: &Program, target: Target) {
     out.push_str("}\n");
 }
 
+/// One `compute` parameter declaration: `int n`, `double x` or `double *a`.
+fn write_param(out: &mut String, p: &Param, fp: &str) {
+    let _ = match p.ty {
+        ParamType::Int => write!(out, "int {}", p.name),
+        ParamType::Fp => write!(out, "{fp} {}", p.name),
+        ParamType::FpArray(_) => write!(out, "{fp} *{}", p.name),
+    };
+}
+
+/// The epilogue that prints `value`'s bit pattern in hexadecimal.
+fn write_print_bits(out: &mut String, precision: Precision, value: &str) {
+    let _ = match precision {
+        Precision::F64 => writeln!(
+            out,
+            "{INDENT}union {{ double d; unsigned long long u; }} llm4fp_bits;\n\
+             {INDENT}llm4fp_bits.d = {value};\n\
+             {INDENT}printf(\"%016llx\\n\", llm4fp_bits.u);"
+        ),
+        Precision::F32 => writeln!(
+            out,
+            "{INDENT}union {{ float f; unsigned int u; }} llm4fp_bits;\n\
+             {INDENT}llm4fp_bits.f = {value};\n\
+             {INDENT}printf(\"%08x\\n\", llm4fp_bits.u);"
+        ),
+    };
+}
+
+/// Append `items` separated by `", "`, each written by `write`.
+fn write_list<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut write: impl FnMut(&mut String, T),
+) {
+    for (k, item) in items.into_iter().enumerate() {
+        if k > 0 {
+            out.push_str(", ");
+        }
+        write(out, item);
+    }
+}
+
+/// Append `values` as a comma-separated list of C literals.
+fn write_literal_list(out: &mut String, values: &[f64], precision: Precision) {
+    write_list(out, values, |out, &v| write_c_fp_literal(out, v, precision));
+}
+
+/// Append the parameter names as a comma-separated argument list.
+fn write_args(out: &mut String, program: &Program) {
+    write_list(out, &program.params, |out, p| out.push_str(&p.name));
+}
+
 fn write_main(out: &mut String, program: &Program, inputs: &InputSet, target: Target) {
     let fp = program.precision.c_type();
     out.push_str("int main(void) {\n");
-    let mut args: Vec<String> = Vec::with_capacity(program.params.len());
     for p in &program.params {
         match (p.ty, inputs.get(&p.name)) {
             (ParamType::Int, Some(InputValue::Int(v))) => {
                 let _ = writeln!(out, "{INDENT}int {} = {};", p.name, v);
             }
             (ParamType::Fp, Some(InputValue::Fp(v))) => {
-                let _ = writeln!(
-                    out,
-                    "{INDENT}{fp} {} = {};",
-                    p.name,
-                    c_fp_literal(*v, program.precision)
-                );
+                let _ = write!(out, "{INDENT}{fp} {} = ", p.name);
+                write_c_fp_literal(out, *v, program.precision);
+                out.push_str(";\n");
             }
             (ParamType::FpArray(len), Some(InputValue::FpArray(vals))) => {
-                let elems: Vec<String> =
-                    vals.iter().take(len).map(|&v| c_fp_literal(v, program.precision)).collect();
-                let _ =
-                    writeln!(out, "{INDENT}{fp} {}[{}] = {{{}}};", p.name, len, elems.join(", "));
+                let _ = write!(out, "{INDENT}{fp} {}[{}] = {{", p.name, len);
+                write_literal_list(out, &vals[..len.min(vals.len())], program.precision);
+                out.push_str("};\n");
             }
             // Missing/mismatched inputs fall back to zero so that the emitted
             // file still compiles; validation reports the problem separately.
@@ -166,15 +198,14 @@ fn write_main(out: &mut String, program: &Program, inputs: &InputSet, target: Ta
                 let _ = writeln!(out, "{INDENT}{fp} {}[{}] = {{0}};", p.name, len);
             }
         }
-        args.push(p.name.clone());
     }
     match target {
         Target::Host => {
-            let _ = writeln!(out, "{INDENT}compute({});", args.join(", "));
+            let _ = write!(out, "{INDENT}compute(");
+            write_args(out, program);
+            out.push_str(");\n");
         }
-        Target::Device => {
-            write_cuda_main_body(out, program, &args, fp);
-        }
+        Target::Device => write_cuda_main_body(out, program, fp),
     }
     let _ = writeln!(out, "{INDENT}return 0;");
     out.push_str("}\n");
@@ -202,7 +233,6 @@ fn write_main_argv(out: &mut String, program: &Program) {
     out.push_str("int main(int argc, char **argv) {\n");
     let _ = writeln!(out, "{INDENT}int llm4fp_k = 1;");
     let _ = writeln!(out, "{INDENT}(void)argc;");
-    let mut args: Vec<String> = Vec::with_capacity(program.params.len());
     for p in &program.params {
         match p.ty {
             ParamType::Int => {
@@ -221,56 +251,46 @@ fn write_main_argv(out: &mut String, program: &Program) {
                 );
             }
         }
-        args.push(p.name.clone());
     }
-    let _ = writeln!(out, "{INDENT}compute({});", args.join(", "));
+    let _ = write!(out, "{INDENT}compute(");
+    write_args(out, program);
+    out.push_str(");\n");
     let _ = writeln!(out, "{INDENT}return 0;");
     out.push_str("}\n");
 }
 
-fn write_cuda_main_body(out: &mut String, program: &Program, scalar_args: &[String], fp: &str) {
-    // Device buffers for array parameters plus the output cell.
-    let mut launch_args: Vec<String> = Vec::new();
+fn write_cuda_main_body(out: &mut String, program: &Program, fp: &str) {
+    // Device buffers for array parameters plus the output cell; scalars are
+    // passed by value directly in the launch.
     for p in &program.params {
-        match p.ty {
-            ParamType::FpArray(len) => {
-                let dev = format!("d_{}", p.name);
-                let _ = writeln!(out, "{INDENT}{fp} *{dev};");
-                let _ = writeln!(out, "{INDENT}cudaMalloc(&{dev}, sizeof({fp}) * {len});");
-                let _ = writeln!(
-                    out,
-                    "{INDENT}cudaMemcpy({dev}, {}, sizeof({fp}) * {len}, cudaMemcpyHostToDevice);",
-                    p.name
-                );
-                launch_args.push(dev);
-            }
-            _ => launch_args.push(p.name.clone()),
+        if let ParamType::FpArray(len) = p.ty {
+            let name = &p.name;
+            let _ = writeln!(
+                out,
+                "{INDENT}{fp} *d_{name};\n\
+                 {INDENT}cudaMalloc(&d_{name}, sizeof({fp}) * {len});\n\
+                 {INDENT}cudaMemcpy(d_{name}, {name}, sizeof({fp}) * {len}, cudaMemcpyHostToDevice);"
+            );
         }
     }
     let _ = writeln!(out, "{INDENT}{fp} *d_out;");
     let _ = writeln!(out, "{INDENT}cudaMalloc(&d_out, sizeof({fp}));");
-    launch_args.push("d_out".to_string());
-    let _ = writeln!(out, "{INDENT}compute<<<1, 1>>>({});", launch_args.join(", "));
+    let _ = write!(out, "{INDENT}compute<<<1, 1>>>(");
+    for p in &program.params {
+        if matches!(p.ty, ParamType::FpArray(_)) {
+            out.push_str("d_");
+        }
+        out.push_str(&p.name);
+        out.push_str(", ");
+    }
+    out.push_str("d_out);\n");
     let _ = writeln!(out, "{INDENT}cudaDeviceSynchronize();");
     let _ = writeln!(out, "{INDENT}{fp} llm4fp_result;");
     let _ = writeln!(
         out,
         "{INDENT}cudaMemcpy(&llm4fp_result, d_out, sizeof({fp}), cudaMemcpyDeviceToHost);"
     );
-    match program.precision {
-        Precision::F64 => {
-            let _ =
-                writeln!(out, "{INDENT}union {{ double d; unsigned long long u; }} llm4fp_bits;");
-            let _ = writeln!(out, "{INDENT}llm4fp_bits.d = llm4fp_result;");
-            let _ = writeln!(out, "{INDENT}printf(\"%016llx\\n\", llm4fp_bits.u);");
-        }
-        Precision::F32 => {
-            let _ = writeln!(out, "{INDENT}union {{ float f; unsigned int u; }} llm4fp_bits;");
-            let _ = writeln!(out, "{INDENT}llm4fp_bits.f = llm4fp_result;");
-            let _ = writeln!(out, "{INDENT}printf(\"%08x\\n\", llm4fp_bits.u);");
-        }
-    }
-    let _ = scalar_args; // scalars are passed by value directly in the launch
+    write_print_bits(out, program.precision, "llm4fp_result");
 }
 
 fn f32_suffix(p: Precision) -> &'static str {
@@ -281,53 +301,70 @@ fn f32_suffix(p: Precision) -> &'static str {
 }
 
 fn write_block(out: &mut String, block: &Block, precision: Precision, depth: usize) {
-    let pad = INDENT.repeat(depth);
     let fp = precision.c_type();
     for stmt in &block.stmts {
+        for _ in 0..depth {
+            out.push_str(INDENT);
+        }
         match stmt {
             Stmt::Assign { target, op, expr } => {
-                let _ =
-                    writeln!(out, "{pad}{target} {} {};", op.c_str(), expr_to_c(expr, precision));
+                out.push_str(target);
+                write_assign_rhs(out, op.c_str(), expr, precision);
             }
             Stmt::DeclScalar { name, expr } => {
-                let _ = writeln!(out, "{pad}{fp} {name} = {};", expr_to_c(expr, precision));
+                let _ = write!(out, "{fp} {name}");
+                write_assign_rhs(out, "=", expr, precision);
             }
             Stmt::DeclArray { name, size, init } => {
-                let elems: Vec<String> =
-                    init.iter().take(*size).map(|&v| c_fp_literal(v, precision)).collect();
-                if elems.is_empty() {
-                    let _ = writeln!(out, "{pad}{fp} {name}[{size}] = {{0}};");
+                let _ = write!(out, "{fp} {name}[{size}] = {{");
+                if init.is_empty() || *size == 0 {
+                    out.push('0');
                 } else {
-                    let _ = writeln!(out, "{pad}{fp} {name}[{size}] = {{{}}};", elems.join(", "));
+                    write_literal_list(out, &init[..init.len().min(*size)], precision);
                 }
+                out.push_str("};\n");
             }
             Stmt::AssignIndex { array, index, op, expr } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}{array}[{}] {} {};",
-                    index.c_str(),
-                    op.c_str(),
-                    expr_to_c(expr, precision)
-                );
+                out.push_str(array);
+                out.push('[');
+                index.write_c(out);
+                out.push(']');
+                write_assign_rhs(out, op.c_str(), expr, precision);
             }
             Stmt::If { cond, then_block } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}if ({} {} {}) {{",
-                    expr_to_c(&cond.lhs, precision),
-                    cond.op.c_str(),
-                    expr_to_c(&cond.rhs, precision)
-                );
+                out.push_str("if (");
+                write_expr(out, &cond.lhs, precision);
+                out.push(' ');
+                out.push_str(cond.op.c_str());
+                out.push(' ');
+                write_expr(out, &cond.rhs, precision);
+                out.push_str(") {\n");
                 write_block(out, then_block, precision, depth + 1);
-                let _ = writeln!(out, "{pad}}}");
+                write_close_brace(out, depth);
             }
             Stmt::For { var, bound, body } => {
-                let _ = writeln!(out, "{pad}for (int {var} = 0; {var} < {bound}; ++{var}) {{");
+                let _ = writeln!(out, "for (int {var} = 0; {var} < {bound}; ++{var}) {{");
                 write_block(out, body, precision, depth + 1);
-                let _ = writeln!(out, "{pad}}}");
+                write_close_brace(out, depth);
             }
         }
     }
+}
+
+/// ` <op> <expr>;` and the line break that ends an assignment.
+fn write_assign_rhs(out: &mut String, op: &str, expr: &Expr, precision: Precision) {
+    out.push(' ');
+    out.push_str(op);
+    out.push(' ');
+    write_expr(out, expr, precision);
+    out.push_str(";\n");
+}
+
+fn write_close_brace(out: &mut String, depth: usize) {
+    for _ in 0..depth {
+        out.push_str(INDENT);
+    }
+    out.push_str("}\n");
 }
 
 /// Render an expression to C syntax. Binary sub-expressions are wrapped in
@@ -335,23 +372,49 @@ fn write_block(out: &mut String, block: &Block, precision: Precision, depth: usi
 /// standard C precedence, so the program the compilers see has exactly the
 /// evaluation order of the AST.
 pub fn expr_to_c(expr: &Expr, precision: Precision) -> String {
+    let mut out = String::new();
+    write_expr(&mut out, expr, precision);
+    out
+}
+
+/// Append [`expr_to_c`]`(expr, precision)` to `out`.
+fn write_expr(out: &mut String, expr: &Expr, precision: Precision) {
     match expr {
-        Expr::Num(v) => c_fp_literal(*v, precision),
-        Expr::Int(v) => v.to_string(),
-        Expr::Var(name) => name.clone(),
-        Expr::Index { array, index } => format!("{array}[{}]", index.c_str()),
-        Expr::Paren(inner) => format!("({})", expr_to_c(inner, precision)),
-        Expr::Neg(inner) => format!("-{}", child_to_c(inner, precision)),
+        Expr::Num(v) => write_c_fp_literal(out, *v, precision),
+        Expr::Int(v) => {
+            let _ = write!(out, "{v}");
+        }
+        Expr::Var(name) => out.push_str(name),
+        Expr::Index { array, index } => {
+            out.push_str(array);
+            out.push('[');
+            index.write_c(out);
+            out.push(']');
+        }
+        Expr::Paren(inner) => {
+            out.push('(');
+            write_expr(out, inner, precision);
+            out.push(')');
+        }
+        Expr::Neg(inner) => {
+            out.push('-');
+            write_child(out, inner, precision);
+        }
         Expr::Bin { op, lhs, rhs } => {
-            format!("{} {} {}", child_to_c(lhs, precision), op.c_str(), child_to_c(rhs, precision))
+            write_child(out, lhs, precision);
+            out.push(' ');
+            out.push_str(op.c_str());
+            out.push(' ');
+            write_child(out, rhs, precision);
         }
         Expr::Call { func, args } => {
-            let name = match precision {
-                Precision::F64 => func.c_name().to_string(),
-                Precision::F32 => func.c_name_f32(),
-            };
-            let rendered: Vec<String> = args.iter().map(|a| expr_to_c(a, precision)).collect();
-            format!("{name}({})", rendered.join(", "))
+            out.push_str(func.c_name());
+            if precision == Precision::F32 {
+                out.push('f');
+            }
+            out.push('(');
+            write_list(out, args, |out, arg| write_expr(out, arg, precision));
+            out.push(')');
         }
     }
 }
@@ -359,15 +422,19 @@ pub fn expr_to_c(expr: &Expr, precision: Precision) -> String {
 /// Children of binary/unary nodes are parenthesized unless they are atomic,
 /// which preserves the AST's association exactly without relying on C
 /// operator precedence.
-fn child_to_c(expr: &Expr, precision: Precision) -> String {
+fn write_child(out: &mut String, expr: &Expr, precision: Precision) {
     match expr {
         Expr::Num(_)
         | Expr::Int(_)
         | Expr::Var(_)
         | Expr::Index { .. }
         | Expr::Call { .. }
-        | Expr::Paren(_) => expr_to_c(expr, precision),
-        _ => format!("({})", expr_to_c(expr, precision)),
+        | Expr::Paren(_) => write_expr(out, expr, precision),
+        _ => {
+            out.push('(');
+            write_expr(out, expr, precision);
+            out.push(')');
+        }
     }
 }
 
@@ -376,6 +443,7 @@ mod tests {
     use super::*;
     use crate::ast::{AssignOp, BinOp, BoolExpr, CmpOp, IndexExpr, Param};
     use crate::inputs::default_inputs;
+    use crate::inputs::InputValue;
     use crate::MathFunc;
 
     fn sample_program() -> Program {
@@ -520,5 +588,159 @@ mod tests {
         let src = to_compute_source(&p);
         // 1.0 prints as a decimal, 2.5 as an exact hex-float literal.
         assert!(src.contains("double buf[3] = {1.0, 0x1.4p+1};"), "{src}");
+    }
+
+    /// A program exercising every literal spelling (NaN, ±inf, −0.0, a
+    /// subnormal, a value just past the decimal cutoff), every array
+    /// declaration shape and every index form.
+    fn literal_and_index_program() -> Program {
+        let params = vec![
+            Param::new("x", ParamType::Fp),
+            Param::new("k", ParamType::Int),
+            Param::new("a", ParamType::FpArray(3)),
+        ];
+        let num = Expr::Num;
+        let index = |array: &str, index| Expr::Index { array: array.into(), index };
+        let body = Block::new(vec![
+            Stmt::DeclArray { name: "e".into(), size: 3, init: vec![] },
+            Stmt::DeclArray { name: "z".into(), size: 0, init: vec![] },
+            Stmt::DeclArray { name: "t".into(), size: 2, init: vec![1.0, 0.1, 3.0] },
+            Stmt::DeclScalar {
+                name: "s".into(),
+                expr: Expr::bin(BinOp::Add, num(f64::NAN), num(f64::INFINITY)),
+            },
+            Stmt::Assign {
+                target: COMP.into(),
+                op: AssignOp::Assign,
+                expr: Expr::bin(BinOp::Mul, num(f64::NEG_INFINITY), num(-0.0)),
+            },
+            Stmt::Assign {
+                target: COMP.into(),
+                op: AssignOp::Add,
+                expr: Expr::bin(
+                    BinOp::Div,
+                    Expr::bin(BinOp::Sub, num(5e-324), num(-5e-324)),
+                    Expr::bin(BinOp::Add, num(1e6), num(-999_999.0)).paren(),
+                ),
+            },
+            Stmt::For {
+                var: "i".into(),
+                bound: 3,
+                body: Block::new(vec![
+                    Stmt::AssignIndex {
+                        array: "e".into(),
+                        index: IndexExpr::Offset { var: "i".into(), offset: -1 },
+                        op: AssignOp::Sub,
+                        expr: Expr::Neg(Box::new(Expr::bin(
+                            BinOp::Mul,
+                            index("a", IndexExpr::Offset { var: "i".into(), offset: 2 }),
+                            index("t", IndexExpr::Mod { var: "i".into(), modulus: 2 }),
+                        ))),
+                    },
+                    Stmt::If {
+                        cond: BoolExpr {
+                            lhs: index("e", IndexExpr::Const(0)),
+                            op: CmpOp::Ne,
+                            rhs: Expr::Neg(Box::new(Expr::var("x"))),
+                        },
+                        then_block: Block::new(vec![Stmt::Assign {
+                            target: COMP.into(),
+                            op: AssignOp::Mul,
+                            expr: Expr::call(
+                                MathFunc::Fma,
+                                vec![
+                                    Expr::Int(-3),
+                                    num(1e300),
+                                    Expr::call(
+                                        MathFunc::Exp,
+                                        vec![index("a", IndexExpr::Var("i".into()))],
+                                    ),
+                                ],
+                            ),
+                        }]),
+                    },
+                ]),
+            },
+        ]);
+        Program { precision: Precision::F64, params, body }
+    }
+
+    /// Inputs cycling through the special values, with one array longer
+    /// than its parameter so `main` truncates it.
+    fn special_inputs(program: &Program) -> InputSet {
+        let specials = [0.1, f64::NAN, f64::NEG_INFINITY, -0.0, 5e-324, f64::INFINITY, 2.0];
+        let mut set = InputSet::new();
+        for (k, p) in program.params.iter().enumerate() {
+            let v = match p.ty {
+                ParamType::Int => InputValue::Int(-(k as i64) - 1),
+                ParamType::Fp => InputValue::Fp(specials[k % specials.len()]),
+                ParamType::FpArray(len) => InputValue::FpArray(
+                    (0..len + 1).map(|i| specials[(k + i) % specials.len()]).collect(),
+                ),
+            };
+            set.insert(&p.name, v);
+        }
+        set
+    }
+
+    /// Every golden case: the hash corpus, a constant program, F32
+    /// variants and the literal/index program, each with special inputs;
+    /// one case renders with no inputs at all.
+    fn golden_cases() -> Vec<(String, Program, InputSet)> {
+        let mut programs: Vec<(String, Program)> = crate::hash::tests::CORPUS
+            .iter()
+            .enumerate()
+            .map(|(k, src)| (format!("corpus{k}"), crate::parse_compute(src).unwrap()))
+            .collect();
+        programs.push(("constant".into(), crate::hash::tests::program_with_constant(0.1)));
+        let mut f32_corpus = programs[3].1.clone();
+        f32_corpus.precision = Precision::F32;
+        programs.push(("corpus3_f32".into(), f32_corpus));
+        programs.push(("literals".into(), literal_and_index_program()));
+        let mut f32_literals = literal_and_index_program();
+        f32_literals.precision = Precision::F32;
+        programs.push(("literals_f32".into(), f32_literals));
+        let mut cases: Vec<(String, Program, InputSet)> = programs
+            .into_iter()
+            .map(|(name, p)| {
+                let inputs = special_inputs(&p);
+                (name, p, inputs)
+            })
+            .collect();
+        cases.push(("literals_no_inputs".into(), literal_and_index_program(), InputSet::new()));
+        cases
+    }
+
+    /// All four renderings of every golden case, in one text with a
+    /// `=== case/printer` header before each rendering.
+    fn render_golden() -> String {
+        let mut out = String::new();
+        for (name, p, inputs) in golden_cases() {
+            let renderings = [
+                ("to_compute_source", to_compute_source(&p)),
+                ("to_c_source", to_c_source(&p, &inputs)),
+                ("to_c_source_argv", to_c_source_argv(&p)),
+                ("to_cuda_source", to_cuda_source(&p, &inputs)),
+            ];
+            for (printer, text) in renderings {
+                let _ = writeln!(out, "=== {name}/{printer}");
+                out.push_str(&text);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn printer_output_is_pinned_byte_for_byte() {
+        // Sources reach `result.json` verbatim and extcc compiles the
+        // rendered files, so whitespace counts too (program ids hash
+        // tokens and would miss it). Edit the golden file only for an
+        // intended change to every rendered program.
+        let golden = include_str!("../testdata/printer_golden.txt");
+        let rendered = render_golden();
+        for (got, want) in rendered.split("=== ").zip(golden.split("=== ")) {
+            assert_eq!(got, want);
+        }
+        assert_eq!(rendered, golden);
     }
 }

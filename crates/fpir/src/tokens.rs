@@ -70,13 +70,17 @@ const MULTI_PUNCT: &[&str] = &[
 ];
 
 /// Streaming tokenizer: call `f` with each token's kind and text slice, in
-/// source order, without allocating. Comments (`//` and `/* */`),
-/// preprocessor lines (`#include ...`) and whitespace are skipped. Unknown
-/// characters are emitted as single-character punctuation so that
-/// tokenization never fails. [`tokenize`] and the structural hashes in
-/// `crate::hash` are built on this scanner — the hash path feeds the token
-/// bytes straight into its hasher without materializing any token list.
-pub fn scan_tokens(src: &str, mut f: impl FnMut(TokenKind, &str)) {
+/// source order, without allocating. Each slice borrows from `src`, so a
+/// caller may keep it after `f` returns: the parser collects
+/// `(TokenKind, &str)` pairs and never copies a token's text. Comments
+/// (`//` and `/* */`), preprocessor lines (`#include ...`) and whitespace
+/// are skipped. Unknown characters are emitted as single-character
+/// punctuation so that tokenization never fails. [`tokenize`] and the
+/// structural hashes in `crate::hash` are built on this scanner — the hash
+/// path feeds the token bytes straight into its hasher without
+/// materializing any token list. Program ids hash this scanner's output,
+/// so its token boundaries are part of every id.
+pub fn scan_tokens<'a>(src: &'a str, mut f: impl FnMut(TokenKind, &'a str)) {
     let bytes = src.as_bytes();
     let n = bytes.len();
     let mut i = 0usize;

@@ -13,7 +13,9 @@ use llm4fp_suite::compiler::{
 use llm4fp_suite::core::SuccessfulSet;
 use llm4fp_suite::difftest::{classify, digit_difference, ValueClass};
 use llm4fp_suite::fpir::{parse_compute, to_compute_source, validate, Precision};
-use llm4fp_suite::generator::{InputGenerator, VarityGenerator};
+use llm4fp_suite::generator::{
+    InputGenerator, LlmClient, PromptBuilder, SimulatedLlm, VarityGenerator,
+};
 use llm4fp_suite::mathlib::{ulp_distance, DeviceMathLib, FastMathLib, HostLibm, MathLib};
 use llm4fp_suite::metrics::{average_pairwise_codebleu, codebleu, sampled_pairs, CodeBleuWeights};
 
@@ -61,6 +63,26 @@ proptest! {
         let reparsed = parse_compute(&printed).unwrap();
         prop_assert!(validate(&reparsed).is_empty());
         prop_assert_eq!(to_compute_source(&reparsed), printed);
+    }
+
+    /// The simulated LLM's responses cross the same text layer: a
+    /// grammar-guided response and three generations of feedback mutants
+    /// built from it each parse to a valid program whose canonical print
+    /// is the response text itself, so print → parse → print is a
+    /// fixpoint on LLM4FP programs too.
+    #[test]
+    fn llm_programs_round_trip_through_printer_and_parser(seed in 0u64..5_000, f32 in any::<bool>()) {
+        let precision = if f32 { Precision::F32 } else { Precision::F64 };
+        let prompts = PromptBuilder::new(precision);
+        let mut llm = SimulatedLlm::new(seed);
+        let mut source = llm.generate(&prompts.grammar_based()).source;
+        for _ in 0..4 {
+            let program = parse_compute(&source).unwrap();
+            prop_assert!(validate(&program).is_empty(), "{}", source);
+            prop_assert_eq!(program.precision, precision);
+            prop_assert_eq!(&to_compute_source(&program), &source);
+            source = llm.generate(&prompts.feedback_mutation(&source)).source;
+        }
     }
 
     /// Virtual execution is deterministic: compiling and running the same
