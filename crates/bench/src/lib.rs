@@ -17,9 +17,6 @@
 //!   full experiment finishes in well under a minute on a laptop);
 //! * `--paper` — use the paper's budget of 1,000 programs per approach;
 //! * `--seed S` — base RNG seed (default 42);
-//! * `--threads T` — inert: accepted and ignored (default 4). The CodeBLEU
-//!   diversity report is scored on the calling thread and the
-//!   differential-testing matrix on each shard's own thread;
 //! * `--shards K` — shards per campaign (default 1: sequential-equivalent);
 //! * `--epochs E` — cross-shard feedback-exchange epochs (default 4; at
 //!   `--shards 1` exchange is a structural no-op, and `--epochs 1`
@@ -43,7 +40,7 @@
 //!   below that configures workers applies to both spellings;
 //! * `--worker-procs N` — worker daemons to spawn on loopback (default:
 //!   available parallelism);
-//! * `--listen ADDR` (alias `--workers-addr ADDR`) — bind the
+//! * `--listen ADDR` — bind the
 //!   coordinator to this address (default `127.0.0.1:0`, an ephemeral
 //!   loopback port for self-spawned workers; use e.g. `0.0.0.0:7070` for
 //!   workers dialing in from elsewhere);
@@ -120,9 +117,6 @@ pub enum CliExecutor {
 pub struct ExpOptions {
     pub programs: usize,
     pub seed: u64,
-    /// `--threads`: inert. It sets `CampaignConfig::threads`, which is
-    /// inert too.
-    pub threads: usize,
     pub shards: usize,
     pub epochs: usize,
     pub workers: usize,
@@ -144,8 +138,8 @@ pub struct ExpOptions {
     /// Worker daemons to spawn on loopback (`--worker-procs`; 0 =
     /// available parallelism).
     pub worker_procs: usize,
-    /// Bind address for the coordinator (`--listen` / `--workers-addr`;
-    /// `None` = `127.0.0.1:0`).
+    /// Bind address for the coordinator (`--listen`; `None` =
+    /// `127.0.0.1:0`).
     pub listen: Option<String>,
     /// `false` (via `--no-spawn-workers`) waits for external workers
     /// instead of self-spawning loopback daemons.
@@ -176,7 +170,6 @@ impl Default for ExpOptions {
         ExpOptions {
             programs: 150,
             seed: 42,
-            threads: 4,
             shards: 1,
             epochs: 4,
             workers: default_workers(),
@@ -215,10 +208,6 @@ impl ExpOptions {
                 "--seed" => {
                     let v = iter.next().ok_or("--seed needs a value")?;
                     opts.seed = v.parse().map_err(|_| format!("invalid --seed {v}"))?;
-                }
-                "--threads" => {
-                    let v = iter.next().ok_or("--threads needs a value")?;
-                    opts.threads = v.parse().map_err(|_| format!("invalid --threads {v}"))?;
                 }
                 "--shards" => {
                     let v = iter.next().ok_or("--shards needs a value")?;
@@ -259,7 +248,7 @@ impl ExpOptions {
                     opts.worker_procs =
                         v.parse().map_err(|_| format!("invalid --worker-procs {v}"))?;
                 }
-                "--listen" | "--workers-addr" => {
+                "--listen" => {
                     let v = iter.next().ok_or("--listen needs an address")?;
                     opts.listen = Some(v);
                 }
@@ -313,7 +302,6 @@ impl ExpOptions {
                 }
                 "--help" | "-h" => {
                     return Err("usage: [--programs N] [--paper] [--seed S] \
-                         [--threads T (inert)] \
                          [--shards K] [--epochs E] [--workers W] \
                          [--backend virtual|extcc] [--process-slots P] \
                          [--run-dir PATH] [--trace] [--no-metrics] \
@@ -397,7 +385,6 @@ impl ExpOptions {
         CampaignConfig::new(approach)
             .with_budget(self.programs)
             .with_seed(self.seed)
-            .with_threads(self.threads)
             .with_backend(backend)
     }
 
@@ -596,8 +583,6 @@ mod tests {
                 "25",
                 "--seed",
                 "7",
-                "--threads",
-                "2",
                 "--shards",
                 "4",
                 "--epochs",
@@ -644,7 +629,6 @@ mod tests {
             ExpOptions {
                 programs: 25,
                 seed: 7,
-                threads: 2,
                 shards: 4,
                 epochs: 2,
                 workers: 3,
@@ -672,7 +656,7 @@ mod tests {
         assert!(opts.shard_executor().is_some(), "process-pool selects an executor");
         assert!(ExpOptions::default().shard_executor().is_none(), "in-process is the default");
         let remote = ExpOptions::parse(
-            ["--executor", "remote", "--workers-addr", "127.0.0.1:0"].map(String::from),
+            ["--executor", "remote", "--listen", "127.0.0.1:0"].map(String::from),
         )
         .unwrap();
         assert_eq!(
@@ -681,11 +665,7 @@ mod tests {
             "--worker-procs defaults to the available parallelism"
         );
         assert_eq!(remote.executor, CliExecutor::Remote);
-        assert_eq!(
-            remote.listen.as_deref(),
-            Some("127.0.0.1:0"),
-            "--workers-addr aliases --listen"
-        );
+        assert_eq!(remote.listen.as_deref(), Some("127.0.0.1:0"));
         assert!(remote.shard_executor().is_some(), "remote selects an executor");
         assert!(
             ExpOptions::parse(["--max-frame-len".to_string(), "0".to_string()]).is_err(),
@@ -700,10 +680,12 @@ mod tests {
         assert_eq!(paper.programs, 1_000);
         assert!(ExpOptions::parse(["--programs".to_string(), "zero".to_string()]).is_err());
         assert!(ExpOptions::parse(["--bogus".to_string()]).is_err());
-        assert_eq!(
-            ExpOptions::parse(["--no-seal-opt".to_string()]),
-            Err("unknown argument `--no-seal-opt`".to_string())
-        );
+        for retired in ["--no-seal-opt", "--threads", "--workers-addr"] {
+            assert_eq!(
+                ExpOptions::parse([retired.to_string()]),
+                Err(format!("unknown argument `{retired}`"))
+            );
+        }
         assert!(ExpOptions::parse(["--programs".to_string(), "0".to_string()]).is_err());
         assert!(ExpOptions::parse(["--shards".to_string(), "0".to_string()]).is_err());
         assert!(ExpOptions::parse(["--epochs".to_string(), "0".to_string()]).is_err());
@@ -785,7 +767,6 @@ mod tests {
         let opts = ExpOptions {
             programs: 9,
             seed: 123,
-            threads: 3,
             shards: 2,
             epochs: 1,
             workers: 2,
@@ -794,7 +775,7 @@ mod tests {
         let cfg = opts.campaign_config(ApproachKind::GrammarGuided);
         assert_eq!(cfg.programs, 9);
         assert_eq!(cfg.seed, 123);
-        assert_eq!(cfg.threads, 3);
+        assert_eq!(cfg.threads, CampaignConfig::new(ApproachKind::GrammarGuided).threads);
         assert_eq!(cfg.approach, ApproachKind::GrammarGuided);
     }
 
@@ -803,7 +784,6 @@ mod tests {
         let opts = ExpOptions {
             programs: 6,
             seed: 1,
-            threads: 1,
             shards: 2,
             epochs: 2,
             workers: 2,
@@ -821,7 +801,6 @@ mod tests {
         let opts = ExpOptions {
             programs: 10,
             seed: 2,
-            threads: 1,
             shards: 1,
             epochs: 4,
             workers: 4,

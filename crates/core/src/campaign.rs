@@ -36,7 +36,6 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use rand::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -116,11 +115,7 @@ impl CampaignResult {
 
     /// Measure corpus diversity (average pairwise CodeBLEU + clone report).
     pub fn measure_diversity(&self) -> DiversityReport {
-        DiversityReport::measure(
-            &self.sources,
-            self.config.threads.max(1),
-            self.config.max_codebleu_pairs,
-        )
+        DiversityReport::measure(&self.sources, self.config.max_codebleu_pairs)
     }
 }
 
@@ -257,14 +252,13 @@ pub struct CampaignRunner {
     /// Backend fingerprint scoping this runner's cache keys: entries from
     /// different backends (or different external toolchains) never mix.
     cache_scope: String,
-    // The successful set is shared state of the feedback loop. A mutex
-    // keeps the container ready for future parallel generation without
-    // changing behaviour for the per-shard sequential loop used here.
-    successful: Mutex<SuccessfulSet>,
+    /// The feedback loop's successful set: what Feedback-Based Mutation
+    /// draws its seeds from.
+    successful: SuccessfulSet,
     /// Seal + execution scratch reused across every program this runner
     /// tests (per-matrix construction was the last allocation hot spot of
     /// the shard worker loop). Not part of checkpoints — pure perf state.
-    scratch: Mutex<MatrixScratch>,
+    scratch: MatrixScratch,
     aggregates: Aggregates,
     records: Vec<ProgramRecord>,
     sources: Vec<String>,
@@ -357,8 +351,8 @@ impl CampaignRunner {
             input_seed: seed ^ 0x5eed_0003,
             cache: None,
             cache_scope,
-            successful: Mutex::new(SuccessfulSet::default()),
-            scratch: Mutex::new(MatrixScratch::new()),
+            successful: SuccessfulSet::default(),
+            scratch: MatrixScratch::new(),
             aggregates: Aggregates::new(),
             records: Vec::with_capacity(config.programs),
             sources: Vec::new(),
@@ -381,7 +375,7 @@ impl CampaignRunner {
             llm_rng: llm_rng.to_vec(),
             llm_calls,
             input_seed: self.input_seed,
-            successful: self.successful.lock().snapshot(),
+            successful: self.successful.snapshot(),
             aggregates: self.aggregates.clone(),
             records: self.records.clone(),
             sources: self.sources.clone(),
@@ -402,7 +396,7 @@ impl CampaignRunner {
         runner.varity.restore_rng_state(rng_words(&checkpoint.varity_rng));
         runner.llm.restore_state(rng_words(&checkpoint.llm_rng), checkpoint.llm_calls);
         runner.input_seed = checkpoint.input_seed;
-        runner.successful = Mutex::new(SuccessfulSet::restore(checkpoint.successful));
+        runner.successful = SuccessfulSet::restore(checkpoint.successful);
         runner.aggregates = checkpoint.aggregates;
         runner.records = checkpoint.records;
         runner.sources = checkpoint.sources;
@@ -414,15 +408,15 @@ impl CampaignRunner {
 
     /// Number of entries (own + injected) in the successful set.
     pub fn successful_len(&self) -> usize {
-        self.successful.lock().len()
+        self.successful.len()
     }
 
     /// Clone the successful set's sources from position `start` on — the
     /// exchange barrier reads each epoch's newly found sources this way
     /// (injected entries sit below the caller's watermark by construction).
     pub fn successful_sources_from(&self, start: usize) -> Vec<String> {
-        let set = self.successful.lock();
-        set.sources()[start.min(set.len())..].to_vec()
+        let sources = self.successful.sources();
+        sources[start.min(sources.len())..].to_vec()
     }
 
     /// Merge externally found successful sources into this runner's
@@ -430,7 +424,7 @@ impl CampaignRunner {
     /// Returns how many were new. Subsequent feedback mutation draws from
     /// the union.
     pub fn inject_successful(&mut self, sources: &[String]) -> usize {
-        self.successful.lock().merge_sources(sources)
+        self.successful.merge_sources(sources)
     }
 
     /// Share a differential-testing result cache with this runner.
@@ -511,7 +505,7 @@ impl CampaignRunner {
     /// e.g. on the external backend). The orchestrator reports the
     /// per-run peak in `summary.json`.
     pub fn peak_register_file(&self) -> usize {
-        self.scratch.lock().peak_regs()
+        self.scratch.peak_regs()
     }
 
     /// Run one iteration of the campaign loop: generate a candidate,
@@ -561,7 +555,7 @@ impl CampaignRunner {
 
         let triggered = result.triggered_inconsistency();
         if triggered {
-            self.successful.lock().insert_hashed(hash, &source);
+            self.successful.insert_hashed(hash, &source);
         }
         self.records.push(ProgramRecord {
             index,
@@ -582,7 +576,7 @@ impl CampaignRunner {
     /// Keys are scoped by the backend fingerprint: a hit on the external
     /// backend skips every process spawn of the duplicate's matrix; a
     /// virtual entry can never satisfy an external lookup or vice versa.
-    fn test_program(&self, program: &Program, hash: u64, id: &str) -> CachedDiff {
+    fn test_program(&mut self, program: &Program, hash: u64, id: &str) -> CachedDiff {
         let key = self.cache.as_ref().map(|_| ResultCache::scoped_key(&self.cache_scope, id));
         if let (Some(cache), Some(key)) = (&self.cache, &key) {
             if let Some(cached) = cache.get(key) {
@@ -592,7 +586,7 @@ impl CampaignRunner {
         let inputs = InputGenerator::new(self.input_seed ^ hash)
             .generate(program)
             .truncated(self.config.precision);
-        let result = self.tester.run_hashed(program, hash, &inputs, &mut self.scratch.lock());
+        let result = self.tester.run_hashed(program, hash, &inputs, &mut self.scratch);
         let baseline = self.tester.compare_vs_baseline(&result.outcomes);
         let computed = CachedDiff { result, baseline };
         if let (Some(cache), Some(key)) = (&self.cache, key) {
@@ -611,7 +605,7 @@ impl CampaignRunner {
             aggregates: self.aggregates,
             records: self.records,
             sources: self.sources,
-            successful_sources: self.successful.into_inner().own_sources(),
+            successful_sources: self.successful.own_sources(),
             generation_failures: self.generation_failures,
             llm_calls: self.llm.calls(),
             simulated_llm_time: self.simulated_llm_time,
@@ -623,52 +617,36 @@ impl CampaignRunner {
     /// Returns the strategy label and `None` when generation failed
     /// (unparseable or invalid LLM output).
     fn generate_one(&mut self) -> (String, Option<Program>) {
-        match self.config.approach {
-            ApproachKind::Varity => ("varity".to_string(), Some(self.varity.generate())),
+        let (strategy, prompt) = match self.config.approach {
+            ApproachKind::Varity => return ("varity".to_string(), Some(self.varity.generate())),
             ApproachKind::DirectPrompt => {
-                let prompt = self.prompt_builder.direct_prompt();
-                let response = self.llm.generate(&prompt);
-                self.simulated_llm_time += response.simulated_latency;
-                (Strategy::DirectPrompt.name().to_string(), parse_valid(&response.source))
+                (Strategy::DirectPrompt, self.prompt_builder.direct_prompt())
             }
             ApproachKind::GrammarGuided => {
-                let prompt = self.prompt_builder.grammar_based();
-                let response = self.llm.generate(&prompt);
-                self.simulated_llm_time += response.simulated_latency;
-                (Strategy::GrammarBased.name().to_string(), parse_valid(&response.source))
+                (Strategy::GrammarBased, self.prompt_builder.grammar_based())
             }
             ApproachKind::Llm4Fp => {
                 // The first program always comes from Grammar-Based
                 // Generation; afterwards the strategy is drawn with the
                 // configured probability (0.3 grammar / 0.7 feedback).
-                let seed_source = {
-                    let set = self.successful.lock();
-                    if set.sources.is_empty() || self.rng.gen_bool(self.config.grammar_probability)
-                    {
-                        None
-                    } else {
-                        set.sources.choose(&mut self.rng).cloned()
-                    }
+                let pool = self.successful.sources();
+                let seed = if pool.is_empty() || self.rng.gen_bool(self.config.grammar_probability)
+                {
+                    None
+                } else {
+                    pool.choose(&mut self.rng)
                 };
-                match seed_source {
-                    None => {
-                        let prompt = self.prompt_builder.grammar_based();
-                        let response = self.llm.generate(&prompt);
-                        self.simulated_llm_time += response.simulated_latency;
-                        (Strategy::GrammarBased.name().to_string(), parse_valid(&response.source))
-                    }
+                match seed {
+                    None => (Strategy::GrammarBased, self.prompt_builder.grammar_based()),
                     Some(seed) => {
-                        let prompt = self.prompt_builder.feedback_mutation(&seed);
-                        let response = self.llm.generate(&prompt);
-                        self.simulated_llm_time += response.simulated_latency;
-                        (
-                            Strategy::FeedbackMutation.name().to_string(),
-                            parse_valid(&response.source),
-                        )
+                        (Strategy::FeedbackMutation, self.prompt_builder.feedback_mutation(seed))
                     }
                 }
             }
-        }
+        };
+        let response = self.llm.generate(&prompt);
+        self.simulated_llm_time += response.simulated_latency;
+        (strategy.name().to_string(), parse_valid(&response.source))
     }
 }
 

@@ -25,10 +25,9 @@ pub struct DiversityReport {
 }
 
 impl DiversityReport {
-    /// Build the full report for a corpus of program sources. `threads` is
-    /// ignored (see [`average_pairwise_codebleu`]).
-    pub fn measure(sources: &[String], threads: usize, max_pairs: usize) -> DiversityReport {
-        let (avg, pairs) = average_pairwise_codebleu(sources, threads, max_pairs);
+    /// Build the full report for a corpus of program sources.
+    pub fn measure(sources: &[String], max_pairs: usize) -> DiversityReport {
+        let (avg, pairs) = average_pairwise_codebleu(sources, 1, max_pairs);
         DiversityReport {
             programs: sources.len(),
             pairs_scored: pairs,
@@ -165,12 +164,12 @@ mod tests {
     fn diversity_report_combines_codebleu_and_clones() {
         let mut sources = corpus_similar();
         sources.push(sources[0].clone()); // introduce an exact clone
-        let report = DiversityReport::measure(&sources, 2, usize::MAX);
+        let report = DiversityReport::measure(&sources, usize::MAX);
         assert_eq!(report.programs, 4);
         assert!(report.avg_codebleu > 0.4);
         assert!(!report.clones.is_clone_free());
         assert_eq!(report.clone_pairs(CloneType::Type1), 1);
-        let clean = DiversityReport::measure(&corpus_diverse(), 2, usize::MAX);
+        let clean = DiversityReport::measure(&corpus_diverse(), usize::MAX);
         assert!(clean.clones.is_clone_free());
     }
 }

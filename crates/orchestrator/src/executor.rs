@@ -13,7 +13,7 @@
 //!            +------------------+-------------------+
 //!                               |
 //!            per epoch:  run_epoch(segments, last) -> deltas
-//!            at barrier: inject(pools), checkpoints()
+//!            at barrier: inject(merged deltas), checkpoints()
 //!            at the end: finish() -> Vec<ShardOutput>
 //! ```
 //!
@@ -246,12 +246,13 @@ pub trait ShardSession {
         last: bool,
     ) -> Result<Vec<Vec<String>>, OrchestratorError>;
 
-    /// Broadcast merged exchange pools into the paused tasks
-    /// (`pools[i]` into task `i`). Injection is a pure set-merge — see
-    /// `llm4fp::RunnerCheckpoint::inject_successful` — so transports may
-    /// apply it to a live runner or to a stored checkpoint
+    /// Broadcast the epoch's merged deltas into the paused tasks
+    /// (`deltas[i]`, its campaign's merged deltas, into task `i`; its set
+    /// already holds every earlier broadcast). Injection is a pure
+    /// set-merge — see `llm4fp::RunnerCheckpoint::inject_successful` — so
+    /// transports may apply it to a live runner or to a stored checkpoint
     /// interchangeably.
-    fn inject(&mut self, pools: &[&[String]]) -> Result<(), OrchestratorError>;
+    fn inject(&mut self, deltas: &[&[String]]) -> Result<(), OrchestratorError>;
 
     /// Snapshot every paused task for barrier persistence. Call after
     /// [`inject`](ShardSession::inject), mirroring the runner-side
@@ -359,11 +360,11 @@ impl ShardSession for InProcessSession<'_> {
         Ok(deltas)
     }
 
-    fn inject(&mut self, pools: &[&[String]]) -> Result<(), OrchestratorError> {
-        debug_assert_eq!(pools.len(), self.slots.len());
-        for (slot, pool) in self.slots.iter().zip(pools) {
+    fn inject(&mut self, deltas: &[&[String]]) -> Result<(), OrchestratorError> {
+        debug_assert_eq!(deltas.len(), self.slots.len());
+        for (slot, delta) in self.slots.iter().zip(deltas) {
             if let Some(runner) = slot.lock().unwrap().as_mut() {
-                runner.inject(pool);
+                runner.inject(delta);
             }
         }
         Ok(())

@@ -35,7 +35,7 @@
 //! are derived from the program's structural hash (so the shared result
 //! cache is semantically transparent), shards only communicate at
 //! deterministic epoch barriers (merge in shard-index order, broadcast of
-//! the merged pool), and outputs merge in shard order.
+//! the merged deltas), and outputs merge in shard order.
 //! Worker count, scheduling order, caching, **transport** (in-process
 //! threads or out-of-process worker daemons, including worker crashes and
 //! straggler re-dispatch), and interruption/resume all leave the result
@@ -83,9 +83,10 @@
 //!   segment-capable [`ShardRunner`];
 //! * [`pool`] — the indexed worker pool ([`pool::run_indexed`]) the
 //!   in-process executor runs each epoch's segments on;
-//! * [`persist`] — the JSONL run-directory format with per-epoch pool
-//!   and checkpoint records, crash-safe (atomic temp+rename artifacts,
-//!   torn-tail tolerance, schema-versioned manifests);
+//! * [`persist`] — the JSONL run-directory format with per-barrier shard
+//!   checkpoints (each holding the exchange pool), crash-safe (atomic
+//!   temp+rename artifacts, torn-tail tolerance, schema-versioned
+//!   manifests);
 //! * [`faults`] — deterministic fault injection ([`FaultPlan`]) for
 //!   chaos-testing the supervisor: worker crashes/stalls/frame sabotage,
 //!   respawn failures, torn run-dir writes, and network faults (dropped

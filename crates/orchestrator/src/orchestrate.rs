@@ -42,19 +42,20 @@
 //! findings. With `epochs = E > 1` every shard runs its budget in `E`
 //! segments; after each segment the shards synchronize at a deterministic
 //! barrier where their newly found successful sources (the *deltas*) are
-//! merged in shard-index order into their campaign's pool — structurally
-//! deduplicated with the same hashing as the per-shard sets — and the
-//! merged pool is broadcast back, so every shard's feedback mutation
-//! draws from the union in the next epoch. A suite's barriers are shared,
-//! but a delta only ever merges into the pool of its own campaign.
+//! merged in shard-index order — structurally deduplicated with the same
+//! hashing as the per-shard sets — and broadcast back. A shard's set
+//! already holds every earlier broadcast, so the epoch's merged deltas are
+//! all it lacks, and every shard's feedback mutation draws from the union
+//! in the next epoch. A suite's barriers are shared, but a delta only ever
+//! merges with its own campaign's.
 //!
 //! The determinism contract extends to `(config, K, E)`: barrier order is
 //! fixed by shard index (never completion order), so results stay
 //! bit-identical across worker counts *and transports*, and `E = 1` runs
-//! the exact no-exchange code path. Persisted multi-epoch runs record the
-//! pool and every shard's paused checkpoint at each barrier, so a killed
-//! campaign resumes mid-run from the latest complete barrier and still
-//! reproduces the uninterrupted result bit for bit.
+//! the exact no-exchange code path. Persisted multi-epoch runs record
+//! every shard's paused checkpoint (pool included) at each barrier, so a
+//! killed campaign resumes mid-run from the latest complete barrier and
+//! still reproduces the uninterrupted result bit for bit.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -62,7 +63,9 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use llm4fp::{BackendSpec, CampaignConfig, CampaignResult, ProgramRecord, SuccessfulSet};
+use llm4fp::{
+    BackendSpec, CampaignConfig, CampaignResult, ProgramRecord, RunnerCheckpoint, SuccessfulSet,
+};
 use llm4fp_compiler::{CompilerId, OptLevel};
 use llm4fp_difftest::{CacheStats, ProcessBudget, ResultCache};
 use llm4fp_fpir::Precision;
@@ -481,7 +484,7 @@ pub(crate) enum Clock {
 /// ([`OrchestratorError::WorkerUnavailable`]) and
 /// [`OrchestratorOptions::fallback_to_in_process`] is set, the whole run
 /// is retried once on the [`InProcessExecutor`], with unchanged results
-/// (anything the dead attempt persisted — sealed shards, barrier files —
+/// (anything the dead attempt persisted — sealed shards, checkpoints —
 /// is picked right back up by resume).
 pub(crate) fn drive(
     campaigns: &[CampaignRun],
@@ -525,8 +528,9 @@ struct Resume {
     loaded: Vec<Option<ShardOutput>>,
     /// The exchange barrier every shard restarts from.
     barrier: Option<usize>,
-    /// The cumulative exchange pool, in deterministic merge order.
-    pool: SuccessfulSet,
+    /// Every shard's checkpoint at `barrier`, in plan order (empty without
+    /// a barrier); each moves into its shard's task.
+    checkpoints: Vec<RunnerCheckpoint>,
 }
 
 impl Resume {
@@ -534,7 +538,7 @@ impl Resume {
         let mut resume = Resume {
             loaded: campaign.specs.iter().map(|_| None).collect(),
             barrier: None,
-            pool: SuccessfulSet::new(),
+            checkpoints: Vec::new(),
         };
         let Some(dir) = campaign.run_dir else { return resume };
         let loaded: Vec<_> = campaign.specs.iter().map(|spec| dir.load_shard(spec)).collect();
@@ -543,15 +547,14 @@ impl Resume {
         // only sound without exchange, or when *all* shards are complete
         // (whole-shard reuse, not checkpoint restoration: no epoch counts
         // as restored). Otherwise a multi-epoch run restarts every shard
-        // from the latest barrier at which the pool and all checkpoints
-        // persisted.
+        // from the latest barrier at which all checkpoints persisted.
         if epochs == 1 || loaded.iter().all(Option::is_some) {
             resume.loaded = loaded;
-        } else if let Some(barrier) = dir.latest_restorable_epoch(campaign.specs.len(), epochs) {
-            resume.pool.merge_sources(
-                &dir.load_epoch_pool(barrier).expect("validated by latest_restorable_epoch"),
-            );
+        } else if let Some((barrier, checkpoints)) =
+            dir.latest_restorable_epoch(campaign.specs.len(), epochs)
+        {
             resume.barrier = Some(barrier);
+            resume.checkpoints = checkpoints;
         }
         resume
     }
@@ -632,8 +635,11 @@ fn execute(
     let mut tasks = Vec::new();
     let mut owners = Vec::new();
     let mut writers = Vec::new();
-    for (owner, (campaign, resume)) in campaigns.iter().zip(&resumes).enumerate() {
+    for (owner, (campaign, resume)) in campaigns.iter().zip(&mut resumes).enumerate() {
         let hub = campaign.hub;
+        // A restored barrier recomputes every shard, so its checkpoints
+        // pair with the tasks in plan order.
+        let mut checkpoints = std::mem::take(&mut resume.checkpoints).into_iter();
         for (spec, _) in campaign.specs.iter().zip(&resume.loaded).filter(|(_, l)| l.is_none()) {
             tasks.push(ShardTask {
                 config: campaign.config.clone(),
@@ -644,13 +650,7 @@ fn execute(
                 // Telemetry is never part of checkpoints; the task's lane
                 // handle covers both the fresh and the restored path.
                 telemetry: hub.lane(spec.index),
-                checkpoint: resume.barrier.map(|barrier| {
-                    campaign
-                        .run_dir
-                        .expect("a restored barrier implies a run dir")
-                        .load_checkpoint(spec.index, barrier)
-                        .expect("validated by latest_restorable_epoch")
-                }),
+                checkpoint: checkpoints.next(),
             });
             owners.push(owner);
             // Dropped lines count into the shard's own lane, so the keyed
@@ -689,29 +689,23 @@ fn execute(
                 .map(|c| c.hub.lane(c.specs.len()).span(keys::SPAN_EXCHANGE))
                 .collect();
             // Merge the epoch's deltas in task order — each campaign's in
-            // shard-index order, into its own pool (which deduplicates
-            // structurally) — persist the barrier, then broadcast each
-            // merged pool back into its campaign's shards.
+            // shard-index order, into a set of its own (which deduplicates
+            // structurally) — then broadcast them back into its shards,
+            // whose sets already hold every earlier broadcast.
+            let mut merged: Vec<SuccessfulSet> =
+                campaigns.iter().map(|_| SuccessfulSet::new()).collect();
             for (&owner, delta) in sink.owners.iter().zip(&deltas) {
-                resumes[owner].pool.merge_sources(delta);
-            }
-            for (campaign, resume) in campaigns.iter().zip(&resumes) {
-                // Barrier artifacts are best-effort (a missing one only
-                // costs recompute on resume) — but never silently so.
-                if let Some(dir) = campaign.run_dir {
-                    if dir.write_epoch_pool(epoch, resume.pool.sources()).is_err() {
-                        dir.note_persist_error();
-                    }
-                }
+                merged[owner].merge_sources(delta);
             }
             let broadcast: Vec<&[String]> =
-                sink.owners.iter().map(|&owner| resumes[owner].pool.sources()).collect();
+                sink.owners.iter().map(|&owner| merged[owner].sources()).collect();
             session.inject(&broadcast)?;
             if persisting {
                 // Checkpoints are taken after injection, mirroring the
                 // runner-side checkpoint-after-inject order. Quarantined
                 // shards have no live barrier state (`None`) and persist
-                // nothing.
+                // nothing. Writes are best-effort (a missing checkpoint only
+                // costs recompute on resume) — but never silently so.
                 let checkpoints = session.checkpoints()?;
                 for ((&owner, spec), checkpoint) in sink.owners.iter().zip(&specs).zip(checkpoints)
                 {

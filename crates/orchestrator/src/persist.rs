@@ -8,9 +8,6 @@
 //!   shards/
 //!     shard-0000.jsonl     one file per shard (see below)
 //!     ...
-//!   epochs/
-//!     epoch-0000.json      cumulative exchange pool after barrier 0
-//!     ...
 //!   checkpoints/
 //!     shard-0000-epoch-0000.json   runner checkpoint at barrier 0
 //!     ...
@@ -18,12 +15,13 @@
 //!   summary.json           RunStats (incl. cache hit rate), on completion
 //! ```
 //!
-//! The `epochs/` and `checkpoints/` files exist only for multi-epoch runs
-//! (cross-shard feedback exchange): each barrier atomically records the
-//! merged successful-source pool and, per shard, the paused runner's
-//! checkpoint *after* pool injection. Resuming a killed multi-epoch run
-//! restores every shard at the latest barrier for which the pool and all
-//! shard checkpoints are present, recomputing only the later epochs.
+//! The `checkpoints/` files exist only for multi-epoch runs (cross-shard
+//! feedback exchange): each barrier atomically records, per shard, the
+//! paused runner's checkpoint *after* injection, whose successful set
+//! holds the campaign's whole exchange pool. Resuming a killed multi-epoch
+//! run restores every shard at the latest barrier whose checkpoints all
+//! load, recomputing only the later epochs. (Pool files that older builds
+//! wrote beside the checkpoints are never read.)
 //!
 //! Each shard file is JSONL, streamed while the shard runs so an
 //! interrupted run keeps its progress visible:
@@ -44,7 +42,7 @@
 //!
 //! Every non-streamed artifact is written via a unique temp file in the
 //! same directory plus an atomic rename, so a crash mid-write can never
-//! leave a half-written `manifest.json`, barrier file, or result — only
+//! leave a half-written `manifest.json`, checkpoint, or result — only
 //! a stale `.tmp` straggler, which [`RunDir::open`] sweeps away. The
 //! streamed shard JSONL files tolerate damage instead: a torn tail (the
 //! process died mid-`writeln!`) is *partial progress*, not corruption —
@@ -56,7 +54,7 @@
 //!
 //! Failures are never silent: artifact problems surface as the typed
 //! [`PersistError`] taxonomy, and best-effort paths (shard progress
-//! lines, barrier writes) count into [`RunDir::persist_errors`] and the
+//! lines, checkpoint writes) count into [`RunDir::persist_errors`] and the
 //! [`llm4fp_telemetry::keys::PERSIST_ERRORS`] keyed counter so
 //! `summary.json` reports exactly how much was dropped.
 
@@ -87,7 +85,6 @@ pub const MANIFEST_SCHEMA: u32 = 2;
 pub enum Artifact {
     Manifest,
     ShardFile,
-    EpochPool,
     Checkpoint,
     Result,
     Summary,
@@ -100,7 +97,6 @@ impl std::fmt::Display for Artifact {
         f.write_str(match self {
             Artifact::Manifest => "manifest.json",
             Artifact::ShardFile => "shard file",
-            Artifact::EpochPool => "epoch pool",
             Artifact::Checkpoint => "checkpoint",
             Artifact::Result => "result.json",
             Artifact::Summary => "summary.json",
@@ -387,28 +383,12 @@ impl RunDir {
         })
     }
 
-    fn epoch_pool_path(&self, epoch: usize) -> PathBuf {
-        self.root.join("epochs").join(format!("epoch-{epoch:04}.json"))
-    }
-
     fn checkpoint_path(&self, shard: usize, epoch: usize) -> PathBuf {
         self.root.join("checkpoints").join(format!("shard-{shard:04}-epoch-{epoch:04}.json"))
     }
 
-    /// Atomically record the cumulative exchange pool after a barrier.
-    pub fn write_epoch_pool(&self, epoch: usize, pool: &[String]) -> Result<(), PersistError> {
-        fs::create_dir_all(self.root.join("epochs"))?;
-        self.write_artifact(&self.epoch_pool_path(epoch), &encode("epoch pool", pool)?)
-    }
-
-    /// Load the cumulative exchange pool recorded at a barrier, if any.
-    pub fn load_epoch_pool(&self, epoch: usize) -> Option<Vec<String>> {
-        let text = fs::read_to_string(self.epoch_pool_path(epoch)).ok()?;
-        serde_json::from_str(&text).ok()
-    }
-
     /// Atomically record one shard's paused-runner checkpoint at a barrier
-    /// (taken after pool injection).
+    /// (taken after the barrier's injection).
     pub fn write_checkpoint(
         &self,
         shard: usize,
@@ -428,12 +408,18 @@ impl RunDir {
     }
 
     /// The latest barrier a killed multi-epoch run can restore from: the
-    /// highest epoch `< epochs - 1` whose pool file and *all* shard
-    /// checkpoints load. `None` means restart from scratch.
-    pub fn latest_restorable_epoch(&self, shards: usize, epochs: usize) -> Option<usize> {
-        (0..epochs.saturating_sub(1)).rev().find(|&epoch| {
-            self.load_epoch_pool(epoch).is_some()
-                && (0..shards).all(|shard| self.load_checkpoint(shard, epoch).is_some())
+    /// highest epoch `< epochs - 1` at which *all* shard checkpoints load,
+    /// returned with those checkpoints in shard order. `None` means
+    /// restart from scratch.
+    pub fn latest_restorable_epoch(
+        &self,
+        shards: usize,
+        epochs: usize,
+    ) -> Option<(usize, Vec<RunnerCheckpoint>)> {
+        (0..epochs.saturating_sub(1)).rev().find_map(|epoch| {
+            let checkpoints: Option<Vec<_>> =
+                (0..shards).map(|shard| self.load_checkpoint(shard, epoch)).collect();
+            Some((epoch, checkpoints?))
         })
     }
 
@@ -548,9 +534,7 @@ impl ShardWriter {
 /// artifact directories (never recursive — artifacts live exactly one
 /// level deep). Best-effort: an unreadable dir just skips.
 fn sweep_stale_tmp_files(root: &Path) {
-    for dir in
-        [root.to_path_buf(), root.join("shards"), root.join("epochs"), root.join("checkpoints")]
-    {
+    for dir in [root.to_path_buf(), root.join("shards"), root.join("checkpoints")] {
         let Ok(entries) = fs::read_dir(dir) else { continue };
         for entry in entries.flatten() {
             let path = entry.path();
@@ -699,17 +683,13 @@ mod tests {
     }
 
     #[test]
-    fn epoch_pools_and_checkpoints_round_trip() {
+    fn barrier_checkpoints_round_trip() {
         let root = temp_dir("epochs");
         let dir = RunDir::open(&root, &manifest()).unwrap();
         let config = manifest().config;
         let spec = crate::shard::plan_shards(&config, 2)[0];
 
         let pool = vec!["void compute(double x) { comp = x; }".to_string()];
-        dir.write_epoch_pool(0, &pool).unwrap();
-        assert_eq!(dir.load_epoch_pool(0).unwrap(), pool);
-        assert!(dir.load_epoch_pool(1).is_none());
-
         let mut runner = crate::shard::ShardRunner::new(&config, spec, None);
         runner.run_segment(2, |_| {});
         runner.inject(&pool);
@@ -720,10 +700,11 @@ mod tests {
         // Epoch 0 is restorable only once every shard has a checkpoint.
         assert_eq!(dir.latest_restorable_epoch(2, 4), None);
         dir.write_checkpoint(1, 0, &checkpoint).unwrap();
-        assert_eq!(dir.latest_restorable_epoch(2, 4), Some(0));
-        // A corrupt pool file disqualifies its barrier.
-        fs::write(root.join("epochs").join("epoch-0000.json"), "{truncated").unwrap();
-        assert_eq!(dir.latest_restorable_epoch(2, 4), None);
+        assert_eq!(
+            dir.latest_restorable_epoch(2, 4),
+            Some((0, vec![checkpoint.clone(), checkpoint])),
+            "a restorable barrier comes with its checkpoints, in shard order"
+        );
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -737,17 +718,17 @@ mod tests {
         let mut runner = crate::shard::ShardRunner::new(&config, spec, None);
         runner.run_segment(2, |_| {});
         for epoch in 0..2 {
-            dir.write_epoch_pool(epoch, &[]).unwrap();
             dir.write_checkpoint(0, epoch, &runner.checkpoint()).unwrap();
         }
-        assert_eq!(dir.latest_restorable_epoch(1, 4), Some(1));
+        let barrier = |dir: &RunDir| dir.latest_restorable_epoch(1, 4).map(|(b, _)| b);
+        assert_eq!(barrier(&dir), Some(1));
         // Truncate the latest barrier's checkpoint mid-file: resume falls
         // back to the previous complete barrier instead of failing.
         let path = root.join("checkpoints").join("shard-0000-epoch-0001.json");
         let full = fs::read_to_string(&path).unwrap();
         fs::write(&path, &full[..full.len() / 2]).unwrap();
         assert!(dir.load_checkpoint(0, 1).is_none());
-        assert_eq!(dir.latest_restorable_epoch(1, 4), Some(0));
+        assert_eq!(barrier(&dir), Some(0));
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -795,15 +776,19 @@ mod tests {
         let dir = RunDir::open(&root, &manifest())
             .unwrap()
             .with_persist_faults(&[PersistFault::TornWrite("epoch".into())]);
-        let pool = vec!["void compute(double x) { comp = x; }".to_string()];
+        let config = manifest().config;
+        let spec = crate::shard::plan_shards(&config, 2)[0];
+        let mut runner = crate::shard::ShardRunner::new(&config, spec, None);
+        runner.run_segment(2, |_| {});
+        let checkpoint = runner.checkpoint();
         // The claimed write reports success but lands torn and counted.
-        dir.write_epoch_pool(0, &pool).unwrap();
+        dir.write_checkpoint(0, 0, &checkpoint).unwrap();
         assert_eq!(dir.persist_errors(), 1);
-        assert_eq!(dir.load_epoch_pool(0), None, "torn pool must not parse");
+        assert_eq!(dir.load_checkpoint(0, 0), None, "torn checkpoint must not parse");
         // The fault fired: the next matching write is healthy.
-        dir.write_epoch_pool(1, &pool).unwrap();
+        dir.write_checkpoint(0, 1, &checkpoint).unwrap();
         assert_eq!(dir.persist_errors(), 1);
-        assert_eq!(dir.load_epoch_pool(1).unwrap(), pool);
+        assert_eq!(dir.load_checkpoint(0, 1).unwrap(), checkpoint);
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -921,8 +921,8 @@ impl ShardSession for WorkerSession<'_> {
         self.core.fold_epoch(state, last)
     }
 
-    fn inject(&mut self, pools: &[&[String]]) -> Result<(), OrchestratorError> {
-        self.core.inject(pools)
+    fn inject(&mut self, deltas: &[&[String]]) -> Result<(), OrchestratorError> {
+        self.core.inject(deltas)
     }
 
     fn checkpoints(&mut self) -> Result<Vec<Option<RunnerCheckpoint>>, OrchestratorError> {

@@ -122,8 +122,8 @@ pub fn plan_epoch_segments(budget: usize, epochs: usize) -> Vec<usize> {
 /// One shard of an epoch-sliced campaign: a [`CampaignRunner`] that runs
 /// its budget in segments, pausing at epoch barriers where the
 /// orchestrator collects the segment's newly found successful sources
-/// (the *delta*), merges all shards' deltas, and injects the merged pool
-/// back before the next segment.
+/// (the *delta*), merges all shards' deltas, and injects the merged
+/// deltas back before the next segment.
 ///
 /// Running every segment back to back without injections is exactly
 /// [`run_shard`] — which is why one exchange epoch reproduces the
@@ -219,7 +219,7 @@ impl ShardRunner {
         delta
     }
 
-    /// Inject the merged cross-shard pool into this shard's feedback set
+    /// Inject merged cross-shard finds into this shard's feedback set
     /// (structurally deduplicated; the shard's own finds stay first, in
     /// their original order). Returns how many sources were new here.
     pub fn inject(&mut self, pool: &[String]) -> usize {

@@ -394,12 +394,12 @@ impl<'s> SessionCore<'s> {
         Ok(deltas)
     }
 
-    /// Broadcast merged exchange pools into the stored checkpoints
+    /// Broadcast the epoch's merged deltas into the stored checkpoints
     /// (commutative with runner-side injection — see
     /// `RunnerCheckpoint::inject_successful`).
-    pub fn inject(&mut self, pools: &[&[String]]) -> Result<(), OrchestratorError> {
-        debug_assert_eq!(pools.len(), self.checkpoints.len());
-        for (job, pool) in pools.iter().enumerate() {
+    pub fn inject(&mut self, deltas: &[&[String]]) -> Result<(), OrchestratorError> {
+        debug_assert_eq!(deltas.len(), self.checkpoints.len());
+        for (job, delta) in deltas.iter().enumerate() {
             if self.quarantined[job] {
                 continue;
             }
@@ -408,7 +408,7 @@ impl<'s> SessionCore<'s> {
                     "inject before shard job {job} ever ran an epoch"
                 ))
             })?;
-            checkpoint.inject_successful(pool);
+            checkpoint.inject_successful(delta);
         }
         Ok(())
     }

@@ -143,8 +143,9 @@ pub struct ShardJob {
     /// Whether this is the shard's final segment: the worker finishes the
     /// runner and returns its [`ShardOutput`] instead of a checkpoint.
     pub finish: bool,
-    /// Resume state from the previous barrier (with the exchange pool
-    /// already injected coordinator-side); `None` starts the shard fresh.
+    /// Resume state from the previous barrier (with the barrier's merged
+    /// deltas already injected coordinator-side); `None` starts the shard
+    /// fresh.
     pub checkpoint: Option<RunnerCheckpoint>,
     /// Process-budget slots for external-backend campaigns (each worker
     /// daemon materializes its own budget — the bound is per worker, not

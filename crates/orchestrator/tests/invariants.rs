@@ -9,7 +9,7 @@
 //! * the result cache is semantically transparent (on/off agree);
 //! * interrupted runs resume to bit-identical results — recomputing only
 //!   the missing shards (`E = 1`) or restarting every shard from the
-//!   latest persisted exchange barrier (`E > 1`);
+//!   latest exchange barrier whose checkpoints all load (`E > 1`);
 //! * the multi-campaign scheduler agrees with individual orchestration,
 //!   with and without exchange;
 //! * at `K >= 4`, exchange feeds every shard from the global pool (the
@@ -229,6 +229,21 @@ fn interrupted_runs_resume_to_identical_results() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// Simulate a kill after epoch 1 of a persisted multi-epoch run: nothing
+/// past barrier 1 exists yet — no shard summaries, no merged result, no
+/// barrier-2 state.
+fn kill_after_barrier_1(root: &std::path::Path, shards: usize) {
+    std::fs::remove_file(root.join("result.json")).unwrap();
+    std::fs::remove_file(root.join("summary.json")).unwrap();
+    for shard in 0..shards {
+        std::fs::remove_file(root.join("shards").join(format!("shard-{shard:04}.jsonl"))).unwrap();
+        std::fs::remove_file(
+            root.join("checkpoints").join(format!("shard-{shard:04}-epoch-0002.json")),
+        )
+        .unwrap();
+    }
+}
+
 #[test]
 fn interrupted_multi_epoch_runs_resume_from_the_latest_barrier() {
     let config = config(ApproachKind::Llm4Fp, 32, 27);
@@ -248,18 +263,7 @@ fn interrupted_multi_epoch_runs_resume_from_the_latest_barrier() {
         .unwrap();
     assert_eq!(full.stats.epochs_restored, 0);
 
-    // Simulate a kill after epoch 1 of 4: nothing past barrier 1 exists
-    // yet — no shard summaries, no merged result, no barrier-2 state.
-    std::fs::remove_file(root.join("result.json")).unwrap();
-    std::fs::remove_file(root.join("summary.json")).unwrap();
-    for shard in 0..shards {
-        std::fs::remove_file(root.join("shards").join(format!("shard-{shard:04}.jsonl"))).unwrap();
-        std::fs::remove_file(
-            root.join("checkpoints").join(format!("shard-{shard:04}-epoch-0002.json")),
-        )
-        .unwrap();
-    }
-    std::fs::remove_file(root.join("epochs").join("epoch-0002.json")).unwrap();
+    kill_after_barrier_1(&root, shards);
 
     let resumed = Orchestrator::resume(&root).unwrap();
     assert_eq!(
@@ -274,6 +278,42 @@ fn interrupted_multi_epoch_runs_resume_from_the_latest_barrier() {
     assert_eq!(again.stats.shards_reused, shards);
     assert_eq!(again.stats.shards_computed, 0);
     assert_results_identical(&again.result, &full.result, "complete-run reuse");
+
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn leftover_epoch_pool_files_never_decide_restorability() {
+    // Older builds also copied the exchange pool to `epochs/` at every
+    // barrier. The checkpoints already hold the pool, so barriers persist
+    // nothing else, and a leftover pool file — even one torn by an older
+    // binary's crash — never shortens a resume.
+    let config = config(ApproachKind::Llm4Fp, 32, 27);
+    let (shards, epochs) = (4usize, 4usize);
+    let root = std::env::temp_dir()
+        .join("llm4fp-orchestrator-tests")
+        .join(format!("leftover-pool-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+
+    let full = Orchestrator::new(config.clone())
+        .shards(shards)
+        .workers(2)
+        .epochs(epochs)
+        .run_dir(root.clone())
+        .run()
+        .unwrap();
+    assert!(!root.join("epochs").exists(), "barriers persist checkpoints only");
+
+    kill_after_barrier_1(&root, shards);
+    std::fs::create_dir_all(root.join("epochs")).unwrap();
+    std::fs::write(root.join("epochs").join("epoch-0001.json"), "{truncated").unwrap();
+
+    let resumed = Orchestrator::resume(&root).unwrap();
+    assert_eq!(
+        resumed.stats.epochs_restored, 2,
+        "barrier 1's checkpoints all load, so epochs 0 and 1 restore"
+    );
+    assert_results_identical(&resumed.result, &full.result, "resume past a torn pool file");
 
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -145,7 +145,6 @@ fn main() {
             run_dir.join("checkpoints").join(format!("shard-{shard:04}-epoch-0002.json")),
         );
     }
-    let _ = std::fs::remove_file(run_dir.join("epochs").join("epoch-0002.json"));
     let resumed = Orchestrator::resume(&run_dir).expect("resume");
     println!(
         "\nresume demo: restored {} of {} epochs from barrier checkpoints; results identical: {}",

@@ -25,7 +25,7 @@ fn campaign(approach: ApproachKind, budget: usize) -> llm4fp_suite::core::Campai
 fn generated_corpora_are_clone_free_and_measurably_diverse() {
     for approach in [ApproachKind::Varity, ApproachKind::Llm4Fp] {
         let result = campaign(approach, 30);
-        let report = DiversityReport::measure(&result.sources, 4, usize::MAX);
+        let report = DiversityReport::measure(&result.sources, usize::MAX);
         assert!(report.clones.is_clone_free(), "{:?} corpus contains clones", approach);
         assert!(report.avg_codebleu > 0.05 && report.avg_codebleu < 0.95);
         assert_eq!(report.programs, result.sources.len());
