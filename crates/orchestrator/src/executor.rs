@@ -41,7 +41,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use llm4fp::{CampaignConfig, ProgramRecord, RunnerCheckpoint};
+use llm4fp::{CampaignConfig, RunnerCheckpoint};
 use llm4fp_difftest::{ProcessBudget, ResultCache};
 use llm4fp_telemetry::{keys, Telemetry};
 
@@ -181,15 +181,17 @@ pub struct ShardTask {
     pub checkpoint: Option<RunnerCheckpoint>,
 }
 
-/// Observes shard progress as it happens: one call per processed program
-/// and one per completed shard. The campaign driver behind
+/// Observes shard progress as it happens: progress ticks while a task
+/// runs and one call per completed shard. The campaign driver behind
 /// [`Orchestrator`](crate::Orchestrator) and [`Scheduler`](crate::Scheduler)
-/// has one sink: it streams records into a campaign's JSONL run directory
-/// (when it has one) and keeps each campaign's wall-clock window. `task`
-/// is the index into the `tasks` slice passed to [`ShardExecutor::begin`].
-pub trait RecordSink: Sync {
-    /// One program was processed by task `task`.
-    fn record(&self, task: usize, record: &ProgramRecord);
+/// has one sink: it writes each completed shard's file into its campaign's
+/// run directory (when it has one) and keeps each campaign's wall-clock
+/// window. `task` is the index into the `tasks` slice passed to
+/// [`ShardExecutor::begin`].
+pub trait ProgressSink: Sync {
+    /// Task `task` made progress: in process, once per program; out of
+    /// process, once per segment result accepted at a barrier.
+    fn progress(&self, task: usize);
     /// Task `task` ran its full budget; `output` is its final summary.
     fn complete(&self, task: usize, output: &ShardOutput);
 }
@@ -198,8 +200,8 @@ pub trait RecordSink: Sync {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;
 
-impl RecordSink for NullSink {
-    fn record(&self, _task: usize, _record: &ProgramRecord) {}
+impl ProgressSink for NullSink {
+    fn progress(&self, _task: usize) {}
     fn complete(&self, _task: usize, _output: &ShardOutput) {}
 }
 
@@ -218,13 +220,13 @@ pub trait ShardExecutor: Send + Sync + fmt::Debug {
         true
     }
 
-    /// Start a session over `tasks`. Progress streams into `sink` as it
+    /// Start a session over `tasks`. Progress reaches `sink` as it
     /// happens (subject to the transport's delivery granularity: an
-    /// out-of-process executor replays records at epoch barriers).
+    /// out-of-process executor reports it at epoch barriers).
     fn begin<'s>(
         &self,
         tasks: Vec<ShardTask>,
-        sink: &'s dyn RecordSink,
+        sink: &'s dyn ProgressSink,
     ) -> Result<Box<dyn ShardSession + 's>, OrchestratorError>;
 }
 
@@ -294,7 +296,7 @@ impl ShardExecutor for InProcessExecutor {
     fn begin<'s>(
         &self,
         tasks: Vec<ShardTask>,
-        sink: &'s dyn RecordSink,
+        sink: &'s dyn ProgressSink,
     ) -> Result<Box<dyn ShardSession + 's>, OrchestratorError> {
         let slots = tasks.iter().map(|_| Mutex::new(None)).collect();
         let outputs = tasks.iter().map(|_| Mutex::new(None)).collect();
@@ -328,7 +330,7 @@ fn build_runner(task: &ShardTask) -> ShardRunner {
 struct InProcessSession<'s> {
     workers: usize,
     tasks: Vec<ShardTask>,
-    sink: &'s dyn RecordSink,
+    sink: &'s dyn ProgressSink,
     /// Lazily constructed runners; `None` before the first segment and
     /// after the finishing one.
     slots: Vec<Mutex<Option<ShardRunner>>>,
@@ -349,7 +351,7 @@ impl ShardSession for InProcessSession<'_> {
             let _span = telemetry.span(keys::SPAN_SHARD_RUN);
             let mut slot = self.slots[task].lock().unwrap();
             let runner = slot.get_or_insert_with(|| build_runner(&self.tasks[task]));
-            let delta = runner.run_segment(segments[task], |record| self.sink.record(task, record));
+            let delta = runner.run_segment(segments[task], |_| self.sink.progress(task));
             if last {
                 let output = slot.take().expect("runner present").finish();
                 self.sink.complete(task, &output);

@@ -34,8 +34,7 @@ use std::time::Duration;
 use serde::{Deserialize, Error, Serialize, Value};
 
 /// Environment variable carrying a JSON [`WorkerFaultSet`] to a worker
-/// daemon (set by the coordinator per spawn; absent = no faults). For
-/// backward compatibility a bare JSON `Vec<WorkerFault>` still parses.
+/// daemon (set by the coordinator per spawn; absent = no faults).
 pub const FAULT_PLAN_ENV: &str = "LLM4FP_FAULT_PLAN";
 
 /// Exit code a worker uses for an injected crash.
@@ -230,8 +229,7 @@ impl FaultPlan {
 
 /// The per-spawn fault payload shipped to a worker via
 /// [`FAULT_PLAN_ENV`]: the process faults plus the worker-side network
-/// faults. (The worker also accepts a bare `Vec<WorkerFault>`, the
-/// pre-network payload shape.)
+/// faults.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
 pub struct WorkerFaultSet {
     /// Process-level faults (crash, stall, frame sabotage).
@@ -307,15 +305,11 @@ impl WorkerFaultHarness {
     /// fault plan was malformed — that would fault the *coordinator's*
     /// contract, not the planned failpoint).
     pub fn from_env() -> Self {
-        let Ok(text) = std::env::var(FAULT_PLAN_ENV) else {
-            return WorkerFaultHarness::default();
-        };
-        if let Ok(set) = serde_json::from_str::<WorkerFaultSet>(&text) {
-            return WorkerFaultHarness { faults: set.worker, network: set.network, handled: 0 };
-        }
-        // Pre-network payload shape: a bare worker-fault list.
-        let faults = serde_json::from_str(&text).unwrap_or_default();
-        WorkerFaultHarness { faults, network: Vec::new(), handled: 0 }
+        let set: WorkerFaultSet = std::env::var(FAULT_PLAN_ENV)
+            .ok()
+            .and_then(|text| serde_json::from_str(&text).ok())
+            .unwrap_or_default();
+        WorkerFaultHarness::with_network(set.worker, set.network)
     }
 
     /// A harness over an explicit fault list (tests).
@@ -527,11 +521,6 @@ mod tests {
         assert_eq!(second.delay, Some(Duration::from_millis(30)));
         let third = h.on_job(0, false);
         assert!(third.truncate_stream && !third.duplicate);
-        // The legacy bare-list payload still parses (round-trip through
-        // the set shape is covered by worker_env tests above).
-        let legacy: WorkerFaultSet =
-            serde_json::from_str(r#"{"worker": [{"CrashAtJob": 1}], "network": []}"#).unwrap();
-        assert_eq!(legacy.worker, vec![WorkerFault::CrashAtJob(1)]);
     }
 
     #[test]

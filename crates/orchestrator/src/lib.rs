@@ -62,8 +62,9 @@
 //!   ([`Orchestrator::resume`], including mid-campaign restore from
 //!   epoch-barrier checkpoints), telemetry, and the transport. It and
 //!   [`Scheduler`] are two front ends of one campaign driver in
-//!   [`orchestrate`], which owns the epoch-barrier loop, the record sink,
-//!   the [`RunStats`] and the fallback ladder;
+//!   [`orchestrate`], which owns the epoch-barrier loop, the progress
+//!   sink (which writes each completed shard's file), the [`RunStats`]
+//!   and the fallback ladder;
 //! * [`executor`] — the transport seam: [`ShardExecutor`] /
 //!   [`ShardSession`] and the in-process implementation;
 //! * [`remote`] — the out-of-process executor ([`WorkerExecutor`],
@@ -83,10 +84,11 @@
 //!   segment-capable [`ShardRunner`];
 //! * [`pool`] — the indexed worker pool ([`pool::run_indexed`]) the
 //!   in-process executor runs each epoch's segments on;
-//! * [`persist`] — the JSONL run-directory format with per-barrier shard
-//!   checkpoints (each holding the exchange pool), crash-safe (atomic
-//!   temp+rename artifacts, torn-tail tolerance, schema-versioned
-//!   manifests);
+//! * [`persist`] — the JSONL run-directory format: one summary line per
+//!   completed shard and per-barrier shard checkpoints (each holding the
+//!   exchange pool), crash-safe (every artifact written once through
+//!   atomic temp+rename, failed writes counted, damaged files recomputed,
+//!   schema-versioned manifests);
 //! * [`faults`] — deterministic fault injection ([`FaultPlan`]) for
 //!   chaos-testing the supervisor: worker crashes/stalls/frame sabotage,
 //!   respawn failures, torn run-dir writes, and network faults (dropped
@@ -126,7 +128,7 @@ pub mod supervisor;
 pub mod wire;
 
 pub use executor::{
-    FailurePolicy, InProcessExecutor, NullSink, OrchestratorError, RecordSink, SessionOutcome,
+    FailurePolicy, InProcessExecutor, NullSink, OrchestratorError, ProgressSink, SessionOutcome,
     ShardExecutor, ShardSession, ShardTask,
 };
 pub use faults::{

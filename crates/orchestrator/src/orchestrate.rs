@@ -11,7 +11,7 @@
 //! for one executor session. It owns everything the two front ends used
 //! to duplicate: one result cache per test context, one process budget
 //! for all external campaigns, barrier restore and shard reuse from a
-//! run directory, the epoch-barrier loop, the [`RecordSink`], the
+//! run directory, the epoch-barrier loop, the [`ProgressSink`], the
 //! [`RunStats`] of each campaign and the in-process fallback ladder.
 //!
 //! * [`Orchestrator`] runs one campaign and writes the run-directory
@@ -63,19 +63,17 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use llm4fp::{
-    BackendSpec, CampaignConfig, CampaignResult, ProgramRecord, RunnerCheckpoint, SuccessfulSet,
-};
+use llm4fp::{BackendSpec, CampaignConfig, CampaignResult, RunnerCheckpoint, SuccessfulSet};
 use llm4fp_compiler::{CompilerId, OptLevel};
 use llm4fp_difftest::{CacheStats, ProcessBudget, ResultCache};
 use llm4fp_fpir::Precision;
 use llm4fp_telemetry::{keys, TelemetryHub, TelemetrySpec, TelemetrySummary};
 
 use crate::executor::{
-    InProcessExecutor, OrchestratorError, RecordSink, SessionOutcome, ShardExecutor, ShardTask,
+    InProcessExecutor, OrchestratorError, ProgressSink, SessionOutcome, ShardExecutor, ShardTask,
 };
 use crate::faults::PersistFault;
-use crate::persist::{RunDir, RunManifest, ShardWriter};
+use crate::persist::{RunDir, RunManifest};
 use crate::shard::{
     merge_shards, plan_epoch_segments, plan_shards, ShardFailureReport, ShardOutput, ShardSpec,
 };
@@ -108,9 +106,9 @@ pub struct OrchestratorOptions {
     /// and merge order are unaffected. Defaults to the machine's
     /// available parallelism; ignored by virtual campaigns.
     pub process_slots: usize,
-    /// Persist the run (config, per-program progress, epoch barriers,
-    /// shard outputs, merged result) into this directory, and resume from
-    /// whatever complete state is already present.
+    /// Persist the run (config, epoch barriers, completed shard outputs,
+    /// merged result) into this directory, and resume from whatever
+    /// complete state is already present.
     pub run_dir: Option<PathBuf>,
     /// Telemetry collection for this run (off by default — the disabled
     /// path costs one branch per call site). With `metrics` on, persisted
@@ -174,9 +172,9 @@ pub struct RunStats {
     /// coordinator's cache).
     pub cache: Option<CacheStats>,
     /// Largest VM register file any shard's reused execution scratch
-    /// prepared during this run — a readout of the seal-time register
-    /// coalescing. `None` when no shard reported one (all shards reused
-    /// from a pre-optimizer run dir); telemetry only, never part of the
+    /// prepared during this run — the sealed register-file size. `None`
+    /// when no shard reported one (all shards reused from a
+    /// pre-optimizer run dir); telemetry only, never part of the
     /// determinism contract (resumed shards count only their recomputed
     /// segment).
     pub peak_regs: Option<usize>,
@@ -197,9 +195,9 @@ pub struct RunStats {
     /// telemetry — it describes this invocation's luck, never the
     /// deterministic `(config, K, E)` result.
     pub failures: Vec<ShardFailureReport>,
-    /// Best-effort persistence writes this run dropped (shard progress
-    /// lines, barrier artifacts). `0` on healthy runs; dropped lines only
-    /// cost recompute-on-resume, never results.
+    /// Best-effort persistence writes this run failed or tore (shard
+    /// files, barrier checkpoints). `0` on healthy runs; a failed write
+    /// only costs recompute-on-resume, never results.
     pub persist_errors: u64,
     /// Whether the configured transport was unavailable and the run
     /// completed on the in-process fallback instead (see
@@ -634,9 +632,7 @@ fn execute(
     // campaign-major and in shard-index order within a campaign.
     let mut tasks = Vec::new();
     let mut owners = Vec::new();
-    let mut writers = Vec::new();
     for (owner, (campaign, resume)) in campaigns.iter().zip(&mut resumes).enumerate() {
-        let hub = campaign.hub;
         // A restored barrier recomputes every shard, so its checkpoints
         // pair with the tasks in plan order.
         let mut checkpoints = std::mem::take(&mut resume.checkpoints).into_iter();
@@ -649,15 +645,10 @@ fn execute(
                 process_slots: options.process_slots,
                 // Telemetry is never part of checkpoints; the task's lane
                 // handle covers both the fresh and the restored path.
-                telemetry: hub.lane(spec.index),
+                telemetry: campaign.hub.lane(spec.index),
                 checkpoint: checkpoints.next(),
             });
             owners.push(owner);
-            // Dropped lines count into the shard's own lane, so the keyed
-            // ids match across transports.
-            writers.push(Mutex::new(
-                campaign.run_dir.and_then(|dir| dir.shard_writer(spec, hub.lane(spec.index)).ok()),
-            ));
         }
     }
     // Only a run-dir campaign restores a barrier, and only a single-campaign
@@ -667,8 +658,8 @@ fn execute(
     let segments: Vec<Vec<usize>> =
         specs.iter().map(|spec| plan_epoch_segments(spec.budget, epochs)).collect();
     let sink = CampaignSink {
+        runs: campaigns.iter().map(|c| c.run_dir).collect(),
         owners,
-        writers,
         windows: campaigns.iter().map(|_| Mutex::new(None)).collect(),
     };
     let persisting = campaigns.iter().any(|c| c.run_dir.is_some());
@@ -787,46 +778,40 @@ fn execute(
     Ok(results)
 }
 
-/// The driver's [`RecordSink`]. It streams each task's per-program
-/// progress lines into its campaign's run directory (if any) and seals
-/// the shard file when the shard completes; persistence failures on
-/// progress lines never kill the computation — the summary write decides
-/// completeness. It also keeps each campaign's activity window for
-/// [`Clock::PerCampaign`]: from the first program the pool processes to
-/// the last progress of its last shard.
-struct CampaignSink {
+/// The driver's [`ProgressSink`]. When a task's shard completes it writes
+/// the shard file into its campaign's run directory (if any), counting a
+/// failed write as a persist error: a missing shard file only costs
+/// recompute on resume, never the computation. It also keeps each
+/// campaign's activity window for [`Clock::PerCampaign`]: from the first
+/// progress the pool reports to the completion of its last shard.
+struct CampaignSink<'a> {
+    /// Campaign index -> its run directory.
+    runs: Vec<Option<&'a RunDir>>,
     /// Task index -> campaign index.
     owners: Vec<usize>,
-    /// Task index -> its shard file's writer.
-    writers: Vec<Mutex<Option<ShardWriter>>>,
     /// Campaign index -> (first, last) activity.
     windows: Vec<Mutex<Option<(Instant, Instant)>>>,
 }
 
-impl CampaignSink {
-    fn touch(&self, task: usize) {
-        let now = Instant::now();
-        let mut window = self.windows[self.owners[task]].lock().unwrap();
-        *window = Some((window.map_or(now, |(first, _)| first), now));
-    }
-
+impl CampaignSink<'_> {
     fn window(&self, campaign: usize) -> Option<Duration> {
         self.windows[campaign].lock().unwrap().map(|(first, last)| last - first)
     }
 }
 
-impl RecordSink for CampaignSink {
-    fn record(&self, task: usize, record: &ProgramRecord) {
-        self.touch(task);
-        if let Some(writer) = self.writers[task].lock().unwrap().as_mut() {
-            writer.record(record);
-        }
+impl ProgressSink for CampaignSink<'_> {
+    fn progress(&self, task: usize) {
+        let now = Instant::now();
+        let mut window = self.windows[self.owners[task]].lock().unwrap();
+        *window = Some((window.map_or(now, |(first, _)| first), now));
     }
 
     fn complete(&self, task: usize, output: &ShardOutput) {
-        self.touch(task);
-        if let Some(writer) = self.writers[task].lock().unwrap().take() {
-            let _ = writer.finish(output);
+        self.progress(task);
+        if let Some(dir) = self.runs[self.owners[task]] {
+            if dir.write_shard(output).is_err() {
+                dir.note_persist_error();
+            }
         }
     }
 }

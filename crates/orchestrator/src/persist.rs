@@ -23,43 +23,42 @@
 //! load, recomputing only the later epochs. (Pool files that older builds
 //! wrote beside the checkpoints are never read.)
 //!
-//! Each shard file is JSONL, streamed while the shard runs so an
-//! interrupted run keeps its progress visible:
+//! Each shard file is written once, when its shard completes, as a
+//! single JSONL line carrying the full `ShardOutput` (its spec included):
 //!
 //! ```text
-//! {"spec": {...}}          header: the ShardSpec being executed
-//! {"record": {...}}        one line per processed program
-//! {"summary": {...}}       final line: the full ShardOutput
+//! {"summary": {...}}
 //! ```
 //!
 //! A shard counts as complete exactly when its `summary` line parses and
-//! matches the planned spec; anything else (missing file, truncated tail,
+//! matches the planned spec; anything else (missing file, torn line,
 //! mismatched plan) makes the shard recompute on resume. The summary line
 //! carries everything the merge needs, so resumed and fresh runs produce
-//! bit-identical campaign results.
+//! bit-identical campaign results. Files that older builds streamed (a
+//! `spec` header, one `record` line per program, then the summary) still
+//! load: every line but the summary is skipped.
 //!
 //! ## Crash safety
 //!
-//! Every non-streamed artifact is written via a unique temp file in the
-//! same directory plus an atomic rename, so a crash mid-write can never
-//! leave a half-written `manifest.json`, checkpoint, or result — only
-//! a stale `.tmp` straggler, which [`RunDir::open`] sweeps away. The
-//! streamed shard JSONL files tolerate damage instead: a torn tail (the
-//! process died mid-`writeln!`) is *partial progress*, not corruption —
-//! unparseable lines are skipped and the shard simply recomputes unless
-//! its summary line survived. The manifest carries a schema version
-//! ([`MANIFEST_SCHEMA`]); a run dir written by a newer schema is refused
-//! with the typed [`PersistError::SchemaMismatch`] rather than being
-//! misread, while pre-versioning dirs (no `schema` field) still open.
+//! Every artifact, shard files included, is written via a unique temp
+//! file in the same directory plus an atomic rename, so a crash mid-write
+//! can never leave a half-written manifest, shard file, checkpoint or
+//! result — only a stale `.tmp` straggler, which [`RunDir::open`] sweeps
+//! away. Readers still tolerate damage from outside that path: a torn or
+//! garbled shard file just recomputes its whole shard, and a truncated
+//! checkpoint disqualifies only its barrier. The manifest carries a
+//! schema version ([`MANIFEST_SCHEMA`]); a run dir written by a newer
+//! schema is refused with the typed [`PersistError::SchemaMismatch`]
+//! rather than being misread, while pre-versioning dirs (no `schema`
+//! field) still open.
 //!
 //! Failures are never silent: artifact problems surface as the typed
-//! [`PersistError`] taxonomy, and best-effort paths (shard progress
-//! lines, checkpoint writes) count into [`RunDir::persist_errors`] and the
-//! [`llm4fp_telemetry::keys::PERSIST_ERRORS`] keyed counter so
-//! `summary.json` reports exactly how much was dropped.
+//! [`PersistError`] taxonomy, and the best-effort writes (shard files
+//! and checkpoints) count into [`RunDir::persist_errors`], which
+//! `summary.json` reports as `persist_errors`.
 
 use std::fs::{self, File};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -67,8 +66,8 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
-use llm4fp::{CampaignConfig, CampaignResult, ProgramRecord, RunnerCheckpoint};
-use llm4fp_telemetry::{keyed_id, keys, MetricsReport, Telemetry, TraceEvent};
+use llm4fp::{CampaignConfig, CampaignResult, RunnerCheckpoint};
+use llm4fp_telemetry::{MetricsReport, TraceEvent};
 
 use crate::faults::PersistFault;
 use crate::orchestrate::RunStats;
@@ -317,11 +316,11 @@ impl RunDir {
         self.state.errors.load(Ordering::Relaxed)
     }
 
-    /// The atomic-write path for every non-streamed artifact, with the
-    /// torn-write failpoint: a claimed write lands only its first half,
-    /// bypassing temp+rename, is counted as a persist error, and reports
-    /// success — artifact writes are best-effort, so the run continues
-    /// and the damaged file exercises the resume-side tolerance instead.
+    /// The atomic-write path for every artifact, with the torn-write
+    /// failpoint: a claimed write lands only its first half, bypassing
+    /// temp+rename, is counted as a persist error, and reports success —
+    /// artifact writes are best-effort, so the run continues and the
+    /// damaged file exercises the resume-side tolerance instead.
     fn write_artifact(&self, path: &Path, contents: &str) -> Result<(), PersistError> {
         if self.state.sabotage(path) {
             let _ = fs::write(path, &contents.as_bytes()[..contents.len() / 2]);
@@ -336,10 +335,10 @@ impl RunDir {
     }
 
     /// Load a shard's output if its file is complete and matches `spec`.
-    /// Incomplete or stale files yield `None` (the shard reruns). Damaged
-    /// lines — a torn tail from a mid-write crash, garbage from a torn
-    /// overwrite — are skipped, not fatal: only the summary line decides
-    /// completeness, so a torn tail is partial progress, never `Corrupt`.
+    /// Incomplete or stale files yield `None` (the shard reruns). Other
+    /// lines — torn or garbled ones, or the header and record lines older
+    /// builds streamed — are skipped, not fatal: only the summary line
+    /// decides completeness, so damage means recompute, never `Corrupt`.
     pub fn load_shard(&self, spec: &ShardSpec) -> Option<ShardOutput> {
         let file = File::open(self.shard_path(spec.index)).ok()?;
         let mut summary: Option<ShardOutput> = None;
@@ -360,27 +359,14 @@ impl RunDir {
         (output.spec == *spec).then_some(output)
     }
 
-    /// Start streaming one shard's progress to disk, counting dropped
-    /// lines into this run dir's persist-error counter and `telemetry`'s
-    /// [`keys::PERSIST_ERRORS`] keyed counter.
-    pub fn shard_writer(
-        &self,
-        spec: &ShardSpec,
-        telemetry: Telemetry,
-    ) -> Result<ShardWriter, PersistError> {
-        let path = self.shard_path(spec.index);
-        let mut writer = BufWriter::new(File::create(&path)?);
-        let mut header = serde_json::Map::new();
-        header.insert("spec".to_string(), serde_json::to_value(spec));
-        writeln!(writer, "{}", encode("shard header", &Value::Obj(header))?)?;
-        writer.flush()?;
-        Ok(ShardWriter {
-            writer,
-            shard: spec.index,
-            lines: 0,
-            state: Arc::clone(&self.state),
-            telemetry,
-        })
+    /// Atomically write one completed shard's file: its single summary
+    /// line.
+    pub fn write_shard(&self, output: &ShardOutput) -> Result<(), PersistError> {
+        let mut line = serde_json::Map::new();
+        line.insert("summary".to_string(), serde_json::to_value(output));
+        let mut text = encode("shard summary", &Value::Obj(line))?;
+        text.push('\n');
+        self.write_artifact(&self.shard_path(output.spec.index), &text)
     }
 
     fn checkpoint_path(&self, shard: usize, epoch: usize) -> PathBuf {
@@ -484,52 +470,6 @@ impl RunDir {
     }
 }
 
-/// Streams one shard's records and final summary to its JSONL file.
-pub struct ShardWriter {
-    writer: BufWriter<File>,
-    shard: usize,
-    lines: u64,
-    state: Arc<PersistState>,
-    telemetry: Telemetry,
-}
-
-impl ShardWriter {
-    /// Append one processed-program progress line. Progress lines are
-    /// best-effort — a shard with dropped lines just recomputes on
-    /// resume; only the summary line decides completeness — but failures
-    /// are *counted*, never silent: each dropped line increments the run
-    /// dir's persist-error counter and the [`keys::PERSIST_ERRORS`]
-    /// keyed telemetry counter (keyed by shard and line ordinal, so a
-    /// redispatched shard's retries collapse).
-    pub fn record(&mut self, record: &ProgramRecord) {
-        self.lines += 1;
-        let mut line = serde_json::Map::new();
-        line.insert("record".to_string(), serde_json::to_value(record));
-        let written = match serde_json::to_string(&Value::Obj(line)) {
-            Ok(text) => writeln!(self.writer, "{text}").and_then(|()| self.writer.flush()).is_ok(),
-            Err(_) => false,
-        };
-        if !written {
-            self.state.errors.fetch_add(1, Ordering::Relaxed);
-            self.telemetry.add_keyed(
-                keys::PERSIST_ERRORS,
-                keyed_id(self.shard as u64, self.lines),
-                1,
-            );
-        }
-    }
-
-    /// Append the completing summary line. The shard only counts as done
-    /// once this succeeds.
-    pub fn finish(mut self, output: &ShardOutput) -> Result<(), PersistError> {
-        let mut line = serde_json::Map::new();
-        line.insert("summary".to_string(), serde_json::to_value(output));
-        writeln!(self.writer, "{}", encode("shard summary", &Value::Obj(line))?)?;
-        self.writer.flush()?;
-        Ok(())
-    }
-}
-
 /// Remove `.tmp` stragglers a crashed writer left in the run dir's
 /// artifact directories (never recursive — artifacts live exactly one
 /// level deep). Best-effort: an unreadable dir just skips.
@@ -584,17 +524,6 @@ mod tests {
         )
     }
 
-    fn record(index: usize) -> ProgramRecord {
-        ProgramRecord {
-            index,
-            program_id: "p".into(),
-            strategy: "varity".into(),
-            valid: true,
-            inconsistencies: 0,
-            successful: false,
-        }
-    }
-
     #[test]
     fn manifests_round_trip_and_mismatches_are_rejected() {
         let root = temp_dir("manifest");
@@ -641,15 +570,38 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
+    /// A shard file in the layout older builds streamed: a spec header,
+    /// one line per record, then (if the shard completed) the summary.
+    fn streamed_layout(output: &ShardOutput, summary: bool) -> String {
+        let line = |key: &str, value: Value| {
+            let mut map = serde_json::Map::new();
+            map.insert(key.to_string(), value);
+            serde_json::to_string(&Value::Obj(map)).unwrap()
+        };
+        let mut lines = vec![line("spec", serde_json::to_value(&output.spec))];
+        lines.extend(output.records.iter().map(|r| line("record", serde_json::to_value(r))));
+        if summary {
+            lines.push(line("summary", serde_json::to_value(output)));
+        }
+        lines.join("\n") + "\n"
+    }
+
+    fn shard_output(config: &CampaignConfig, spec: ShardSpec) -> ShardOutput {
+        let mut runner = crate::shard::ShardRunner::new(config, spec, None);
+        runner.run_segment(spec.budget, |_| {});
+        runner.finish()
+    }
+
     #[test]
     fn incomplete_shard_files_do_not_load() {
         let root = temp_dir("incomplete");
         let dir = RunDir::open(&root, &manifest()).unwrap();
         let spec = ShardSpec { index: 0, budget: 3, offset: 0, seed: 2 };
-        // Header + records but no summary: must not load.
-        let mut writer = dir.shard_writer(&spec, Telemetry::disabled()).unwrap();
-        writer.record(&record(0));
-        drop(writer);
+        // Header + records but no summary, as an older build left a shard
+        // it was killed in: must not load.
+        let output = shard_output(&manifest().config, spec);
+        fs::write(root.join("shards").join("shard-0000.jsonl"), streamed_layout(&output, false))
+            .unwrap();
         assert!(dir.load_shard(&spec).is_none());
         let _ = fs::remove_dir_all(&root);
     }
@@ -660,21 +612,20 @@ mod tests {
         let dir = RunDir::open(&root, &manifest()).unwrap();
         let config = manifest().config;
         let spec = crate::shard::plan_shards(&config, 2)[0];
-        let mut writer = dir.shard_writer(&spec, Telemetry::disabled()).unwrap();
-        let mut runner = crate::shard::ShardRunner::new(&config, spec, None);
-        runner.run_segment(spec.budget, |r| writer.record(r));
-        let output = runner.finish();
-        writer.finish(&output).unwrap();
-        // Tear the tail mid-record, as a crash mid-`writeln!` would: the
+        let output = shard_output(&config, spec);
+        dir.write_shard(&output).unwrap();
+        // Tear the file mid-line, as an outside writer might: the
         // incomplete shard recomputes (None), with no panic or Corrupt.
         let path = root.join("shards").join("shard-0000.jsonl");
         let full = fs::read_to_string(&path).unwrap();
+        assert_eq!(full.lines().count(), 1, "a shard file is its summary line");
         let torn: String = full.chars().take(full.len() / 2).collect();
         fs::write(&path, &torn).unwrap();
         assert!(dir.load_shard(&spec).is_none());
-        // A damaged *middle* line doesn't disqualify a surviving summary:
-        // the skipped line is exactly the progress it failed to record.
-        let mut lines: Vec<&str> = full.lines().collect();
+        // In an older build's streamed layout, a damaged *middle* line
+        // doesn't disqualify a surviving summary: only the summary counts.
+        let streamed = streamed_layout(&output, true);
+        let mut lines: Vec<&str> = streamed.lines().collect();
         let torn_middle = &lines[1][..lines[1].len() / 2].to_string();
         lines[1] = torn_middle;
         fs::write(&path, lines.join("\n")).unwrap();
@@ -738,11 +689,8 @@ mod tests {
         let dir = RunDir::open(&root, &manifest()).unwrap();
         let config = manifest().config;
         let spec = crate::shard::plan_shards(&config, 2)[0];
-        let mut writer = dir.shard_writer(&spec, Telemetry::disabled()).unwrap();
-        let mut runner = crate::shard::ShardRunner::new(&config, spec, None);
-        runner.run_segment(spec.budget, |r| writer.record(r));
-        let output = runner.finish();
-        writer.finish(&output).unwrap();
+        let output = shard_output(&config, spec);
+        dir.write_shard(&output).unwrap();
         assert_eq!(dir.load_shard(&spec).unwrap(), output);
         assert_eq!(dir.persist_errors(), 0, "healthy writes count nothing");
         // A spec from a different plan must not accept this file.
@@ -793,19 +741,30 @@ mod tests {
     }
 
     #[test]
-    fn dropped_record_lines_are_counted_not_silent() {
-        let root = temp_dir("dropped-lines");
+    fn failed_shard_writes_are_counted_not_silent() {
+        let root = temp_dir("failed-shard-writes");
+        let config = manifest().config;
+        let spec = crate::shard::plan_shards(&config, 2)[0];
+        let output = shard_output(&config, spec);
+        // A directory squatting on the shard path fails the write with a
+        // real io error, which the caller counts.
         let dir = RunDir::open(&root, &manifest()).unwrap();
-        let spec = ShardSpec { index: 0, budget: 3, offset: 0, seed: 2 };
-        let hub = llm4fp_telemetry::TelemetryHub::new(llm4fp_telemetry::TelemetrySpec::METRICS);
-        let mut writer = dir.shard_writer(&spec, hub.lane(0)).unwrap();
-        // Swap in a read-only handle: every flush now fails with a real
-        // io error, deterministically exercising the dropped-line path.
-        writer.writer = BufWriter::new(File::open(root.join("manifest.json")).unwrap());
-        writer.record(&record(0));
-        writer.record(&record(1));
-        assert_eq!(dir.persist_errors(), 2, "both drops counted on the run dir");
-        assert_eq!(hub.metrics().get(keys::PERSIST_ERRORS), 2, "and in telemetry");
+        fs::create_dir_all(root.join("shards").join("shard-0000.jsonl")).unwrap();
+        assert!(matches!(dir.write_shard(&output), Err(PersistError::Io(_))));
+        assert!(dir.load_shard(&spec).is_none());
+        let _ = fs::remove_dir_all(&root);
+        // A torn shard write reports success but is counted, and the torn
+        // file never loads as complete.
+        let dir = RunDir::open(&root, &manifest())
+            .unwrap()
+            .with_persist_faults(&[PersistFault::TornWrite("shards/".into())]);
+        dir.write_shard(&output).unwrap();
+        assert_eq!(dir.persist_errors(), 1, "the torn write is counted");
+        assert!(dir.load_shard(&spec).is_none(), "a torn shard file must not load");
+        // The fault fired once: the rewrite lands whole.
+        dir.write_shard(&output).unwrap();
+        assert_eq!(dir.persist_errors(), 1);
+        assert_eq!(dir.load_shard(&spec).unwrap(), output);
         let _ = fs::remove_dir_all(&root);
     }
 }

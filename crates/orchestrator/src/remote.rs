@@ -70,7 +70,7 @@ use llm4fp_extcc::{group_spawn, kill_group};
 use llm4fp_telemetry::{keys, Telemetry};
 
 use crate::executor::{
-    FailurePolicy, OrchestratorError, RecordSink, SessionOutcome, ShardExecutor, ShardSession,
+    FailurePolicy, OrchestratorError, ProgressSink, SessionOutcome, ShardExecutor, ShardSession,
     ShardTask,
 };
 use crate::faults::{self, FaultPlan};
@@ -257,7 +257,7 @@ impl ShardExecutor for WorkerExecutor {
     fn begin<'s>(
         &self,
         tasks: Vec<ShardTask>,
-        sink: &'s dyn RecordSink,
+        sink: &'s dyn ProgressSink,
     ) -> Result<Box<dyn ShardSession + 's>, OrchestratorError> {
         let config = &self.config;
         if config.max_dispatch_attempts == 0 {

@@ -293,8 +293,8 @@ impl<'a> ShardCtx<'a> {
     }
 }
 
-/// Run one shard to completion without exchange barriers. Record
-/// streaming lives in the executor layer's `RecordSink`; this entry
+/// Run one shard to completion without exchange barriers. Progress
+/// reporting lives in the executor layer's `ProgressSink`; this entry
 /// point is the one-shot form of driving a [`ShardRunner`] by hand.
 pub fn run_shard(spec: &ShardSpec, ctx: &ShardCtx<'_>) -> ShardOutput {
     let mut runner = ShardRunner::new(ctx.config, *spec, ctx.cache.clone())

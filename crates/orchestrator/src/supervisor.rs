@@ -11,9 +11,9 @@
 //!   worker answers after its shard was re-dispatched elsewhere.
 //! * [`SessionCore`] is the transport-independent half of a
 //!   [`crate::executor::ShardSession`]: coordinator-side checkpoints,
-//!   record streaming offsets, quarantine reports, supervision counts,
-//!   and the epoch fold that turns accepted results into deltas, sink
-//!   replays and barrier state.
+//!   quarantine reports, supervision counts, and the epoch fold that
+//!   turns accepted results into deltas, sink progress and barrier
+//!   state.
 //!
 //! The executor keeps only what is genuinely its own: sockets,
 //! handshakes, heartbeats, reconnect acceptance and process respawn in
@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 use llm4fp::RunnerCheckpoint;
 use serde::{Deserialize, Error, Serialize, Value};
 
-use crate::executor::{FailurePolicy, OrchestratorError, RecordSink, SessionOutcome, ShardTask};
+use crate::executor::{FailurePolicy, OrchestratorError, ProgressSink, SessionOutcome, ShardTask};
 use crate::shard::{ShardFailureReport, ShardOutput};
 use crate::wire::{ShardJob, ShardJobResult};
 
@@ -247,7 +247,7 @@ impl EpochState {
 pub struct SessionCore<'s> {
     /// The session's tasks, in task order.
     pub tasks: Vec<ShardTask>,
-    sink: &'s dyn RecordSink,
+    sink: &'s dyn ProgressSink,
     max_attempts: u8,
     policy: FailurePolicy,
     /// Tasks quarantined in *any* epoch so far (sticky for the session).
@@ -256,8 +256,6 @@ pub struct SessionCore<'s> {
     failures: Vec<Option<ShardFailureReport>>,
     /// Coordinator-side shard state between epochs.
     checkpoints: Vec<Option<RunnerCheckpoint>>,
-    /// How many of each task's records already reached the sink.
-    streamed: Vec<usize>,
     outputs: Vec<Option<ShardOutput>>,
     /// Supervision counts so far; the executor adds its respawns before
     /// [`outcome`](Self::outcome).
@@ -265,27 +263,18 @@ pub struct SessionCore<'s> {
 }
 
 impl<'s> SessionCore<'s> {
-    /// A core over `tasks`, streaming into `sink`. On resume, records up
-    /// to the restored barrier are already accounted for (they live in
-    /// the checkpoint, not the fresh shard file) — only newly computed
-    /// segments reach the sink, mirroring the in-process writer.
+    /// A core over `tasks`, reporting progress and completed shards to
+    /// `sink`. Restored tasks start from their barrier checkpoints.
     pub fn new(
         tasks: Vec<ShardTask>,
-        sink: &'s dyn RecordSink,
+        sink: &'s dyn ProgressSink,
         max_attempts: u8,
         policy: FailurePolicy,
     ) -> Self {
-        let checkpoints: Vec<Option<RunnerCheckpoint>> =
-            tasks.iter().map(|task| task.checkpoint.clone()).collect();
-        let streamed = checkpoints
-            .iter()
-            .map(|checkpoint| checkpoint.as_ref().map_or(0, |c| c.records.len()))
-            .collect();
         SessionCore {
             quarantined: vec![false; tasks.len()],
             failures: tasks.iter().map(|_| None).collect(),
-            checkpoints,
-            streamed,
+            checkpoints: tasks.iter().map(|task| task.checkpoint.clone()).collect(),
             outputs: Vec::new(),
             supervision: SupervisionCounts::default(),
             tasks,
@@ -320,9 +309,10 @@ impl<'s> SessionCore<'s> {
     /// epoch into its typed error, absorb this epoch's quarantine
     /// decisions, then — single-threaded, in task order — absorb worker
     /// counters (exactly once per job; stale results were discarded),
-    /// replay newly computed records into the sink, and store barrier
-    /// state or final outputs. Returns each task's delta. The epoch's
-    /// stale results and redispatches add to [`Self::supervision`].
+    /// tick the sink once per accepted result, and store barrier state
+    /// or final outputs (completing each finished shard in the sink).
+    /// Returns each task's delta. The epoch's stale results and
+    /// redispatches add to [`Self::supervision`].
     pub fn fold_epoch(
         &mut self,
         mut state: EpochState,
@@ -367,15 +357,13 @@ impl<'s> SessionCore<'s> {
                 }
             }
             deltas.push(result.delta);
+            self.sink.progress(job);
             if last {
                 let output = result.output.ok_or_else(|| {
                     OrchestratorError::Executor(format!(
                         "protocol violation: no output for finished shard job {job}"
                     ))
                 })?;
-                for record in &output.records[self.streamed[job]..] {
-                    self.sink.record(job, record);
-                }
                 self.sink.complete(job, &output);
                 self.outputs[job] = Some(output);
             } else {
@@ -384,10 +372,6 @@ impl<'s> SessionCore<'s> {
                         "protocol violation: no checkpoint for paused shard job {job}"
                     ))
                 })?;
-                for record in &checkpoint.records[self.streamed[job]..] {
-                    self.sink.record(job, record);
-                }
-                self.streamed[job] = checkpoint.records.len();
                 self.checkpoints[job] = Some(checkpoint);
             }
         }

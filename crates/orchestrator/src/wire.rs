@@ -157,8 +157,7 @@ pub struct ShardJob {
     /// The worker echoes it back verbatim in [`ShardJobResult::lease`];
     /// the supervisor accepts a result only while that generation is
     /// still live, so a late answer from an expired lease is discarded
-    /// rather than racing the re-dispatch. Pipes use it too (one more
-    /// reason results stay a pure function of the job, not the worker).
+    /// rather than racing the re-dispatch.
     pub lease: u64,
 }
 
@@ -199,7 +198,8 @@ pub enum WireRequest {
     /// Liveness probe while idle; the worker answers [`WireReply::Pong`]
     /// with the same token.
     Ping(u64),
-    /// Exit cleanly (EOF on stdin means the same).
+    /// Exit cleanly; unlike a closed connection, the worker never
+    /// redials after it.
     Shutdown,
 }
 

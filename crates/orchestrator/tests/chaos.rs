@@ -2,12 +2,12 @@
 //! either recover bit-identically or fail with a typed error — never
 //! silently produce different results.
 //!
-//! The damage shapes here are the ones a real crash leaves behind:
-//! torn JSONL tails (the process died mid-`writeln!`), binary garbage
-//! from a torn overwrite, truncated barrier checkpoints, stale `.tmp`
-//! stragglers, and manifests from a different schema generation. The
-//! injected-at-runtime counterpart ([`PersistFault::TornWrite`]) drives
-//! the same recovery paths from the writing side.
+//! The damage shapes here are the ones a crash or a failing disk leaves
+//! behind: torn JSONL lines, binary garbage from a torn overwrite,
+//! truncated barrier checkpoints, stale `.tmp` stragglers, unwritable
+//! artifact paths, and manifests from a different schema generation.
+//! The injected-at-runtime counterpart ([`PersistFault::TornWrite`])
+//! drives the same recovery paths from the writing side.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -65,11 +65,10 @@ fn resume_survives_torn_tails_and_binary_garbage_in_shard_files() {
     let full = persisted_run(&config, &root, 1);
     force_recompute(&root);
 
-    // Shard 0: the tail is a half-written JSON line, as a crash mid-
-    // writeln! leaves it. Shard 1: a torn binary overwrite — non-UTF-8
-    // garbage splattered over the tail. Both are partial progress, not
-    // corruption: the shards recompute and the merged result is
-    // bit-identical.
+    // Shard 0: the tail is a half-written JSON line, as a torn
+    // non-atomic write leaves it. Shard 1: a torn binary overwrite —
+    // non-UTF-8 garbage splattered over the tail. Neither is corruption:
+    // the shards recompute and the merged result is bit-identical.
     let shard0 = root.join("shards").join("shard-0000.jsonl");
     let mut text = std::fs::read_to_string(&shard0).unwrap();
     let keep = text.len() - text.len() / 3;
@@ -251,6 +250,54 @@ fn torn_write_faults_are_counted_and_leave_results_bit_identical() {
     force_recompute(&root);
     let resumed = Orchestrator::resume(&root).unwrap();
     assert_results_identical(&resumed.result, &reference.result, "resume after torn write");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn unwritable_shard_files_are_counted_not_silent() {
+    let config = config(ApproachKind::Llm4Fp, 24, 61);
+    let reference = Orchestrator::new(config.clone()).shards(4).run().unwrap();
+
+    // A directory squatting on shard 1's file makes that shard's write
+    // fail: the run still completes with bit-identical results, and the
+    // failure is counted in the stats and in summary.json.
+    let root = temp_dir("unwritable-shard");
+    std::fs::create_dir_all(root.join("shards").join("shard-0001.jsonl")).unwrap();
+    let run = Orchestrator::new(config.clone()).shards(4).run_dir(root.clone()).run().unwrap();
+    assert_results_identical(&run.result, &reference.result, "run with an unwritable shard file");
+    assert_eq!(run.stats.persist_errors, 1, "the failed shard write is counted, not silent");
+    let summary = RunDir::open(&root, &RunManifest::new(config.clone(), 4, 1))
+        .unwrap()
+        .load_summary()
+        .expect("summary.json written");
+    assert_eq!(summary.persist_errors, 1, "summary.json reports it");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn torn_shard_writes_fire_once_and_only_that_shard_recomputes() {
+    let config = config(ApproachKind::Llm4Fp, 24, 67);
+    let reference = Orchestrator::new(config.clone()).shards(4).run().unwrap();
+
+    // Shard 1's file lands torn: the run's own result never reads it back,
+    // so it is bit-identical, and the tear is counted exactly once.
+    let root = temp_dir("torn-shard-write");
+    let torn = Orchestrator::new(config.clone())
+        .shards(4)
+        .run_dir(root.clone())
+        .persist_faults(vec![PersistFault::TornWrite("shards/shard-0001".into())])
+        .run()
+        .unwrap();
+    assert_results_identical(&torn.result, &reference.result, "run under a torn shard write");
+    assert_eq!(torn.stats.persist_errors, 1, "the torn shard write is counted once");
+
+    // On resume the torn file is incomplete, so exactly that shard
+    // recomputes; the other three load, and the merge is unchanged.
+    force_recompute(&root);
+    let resumed = Orchestrator::resume(&root).unwrap();
+    assert_eq!(resumed.stats.shards_reused, 3, "the intact shard files are reused");
+    assert_eq!(resumed.stats.shards_computed, 1, "only the torn shard recomputes");
+    assert_results_identical(&resumed.result, &reference.result, "resume after a torn shard");
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -207,12 +207,11 @@ fn interrupted_runs_resume_to_identical_results() {
     assert_eq!(full.stats.shards_reused, 0);
 
     // Simulate an interruption: delete one completed shard and truncate
-    // another mid-file (as a crash during streaming would leave it).
+    // another mid-file, cutting into its summary line.
     std::fs::remove_file(root.join("shards").join("shard-0001.jsonl")).unwrap();
     let truncated_path = root.join("shards").join("shard-0002.jsonl");
     let text = std::fs::read_to_string(&truncated_path).unwrap();
-    let keep: Vec<&str> = text.lines().take(3).collect();
-    std::fs::write(&truncated_path, keep.join("\n")).unwrap();
+    std::fs::write(&truncated_path, &text[..text.len() / 2]).unwrap();
 
     let resumed = Orchestrator::resume(&root).unwrap();
     assert_eq!(resumed.stats.shards_reused, shards - 2, "two shards had to recompute");

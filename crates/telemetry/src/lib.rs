@@ -77,12 +77,6 @@ pub mod keys {
     /// Prefix for `ExtError` taxonomy counters: `extcc.err.<taxonomy>`
     /// (keyed by program hash).
     pub const EXTCC_ERR_PREFIX: &str = "extcc.err.";
-    /// Run-dir persistence failures — dropped shard progress lines and
-    /// failed artifact writes (keyed by shard and line ordinal so a
-    /// redispatched shard's retries collapse). Zero on healthy runs, so
-    /// the deterministic `metrics.json` stays byte-identical; the plain
-    /// count also surfaces as `persist_errors` in `summary.json`.
-    pub const PERSIST_ERRORS: &str = "persist.errors";
 
     /// Span: one program through generate + difftest (histogram/trace).
     pub const SPAN_PROGRAM: &str = "campaign.program";
@@ -243,18 +237,6 @@ impl Drop for Span {
     }
 }
 
-/// Mix a stable sub-ordinal into a program id to key several distinct
-/// per-program contributions (e.g. one per seal pipeline) without
-/// collisions. Deterministic, order-free, and independent of where the
-/// program was computed.
-pub fn keyed_id(id: u64, ordinal: u64) -> u64 {
-    // SplitMix64 finalizer over the combined value: cheap, well mixed.
-    let mut z = id ^ ordinal.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,13 +261,6 @@ mod tests {
         assert!(!TelemetrySpec::METRICS.trace_enabled());
         assert!(TelemetrySpec::TRACE.enabled());
         assert!(TelemetrySpec::TRACE.trace_enabled());
-    }
-
-    #[test]
-    fn keyed_ids_separate_ordinals_and_stay_stable() {
-        assert_eq!(keyed_id(42, 0), keyed_id(42, 0));
-        assert_ne!(keyed_id(42, 0), keyed_id(42, 1));
-        assert_ne!(keyed_id(42, 0), keyed_id(43, 0));
     }
 
     #[test]
