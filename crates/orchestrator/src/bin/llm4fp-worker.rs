@@ -15,7 +15,7 @@
 //!
 //! The daemon holds **no state between jobs** — any job can be replayed
 //! on any worker with byte-identical results, which is what makes the
-//! coordinator's crash-redispatch, straggler duplication, and
+//! coordinator's crash-redispatch, lease-expiry redispatch and
 //! reconnect-and-resume sound. A dropped connection is redialed up to
 //! `--reconnect` times (spaced by `--reconnect-delay-ms`), and the same
 //! retry budget covers dialing a coordinator that has not bound its

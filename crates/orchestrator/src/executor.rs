@@ -29,8 +29,8 @@
 //! * [`crate::WorkerExecutor`] — `llm4fp-worker` daemon processes dialing
 //!   a TCP coordinator (`llm4fp-worker --connect`) and fed
 //!   length-prefixed JSON jobs (see [`crate::wire`]), supervised by
-//!   leases, heartbeats, reconnect-and-resume, respawn and straggler
-//!   re-dispatch at epoch barriers (see [`crate::remote`]).
+//!   leases, heartbeats, reconnect-and-resume, respawn and
+//!   crash-and-redispatch (see [`crate::remote`]).
 //!
 //! Determinism is preserved across transports because a shard segment is
 //! a pure function of `(config, spec, checkpoint, segment length)`:

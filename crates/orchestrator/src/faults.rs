@@ -59,8 +59,8 @@ pub enum WorkerFault {
     /// policy's reason to exist: under `every_worker` this fault survives
     /// respawns and exhausts the dispatch budget).
     CrashOnShard(usize),
-    /// Sleep this long before every answer (a straggler/hang for the
-    /// shard-timeout kill path).
+    /// Sleep this long before every answer (a slow or hung worker, for
+    /// the lease-expiry kill path).
     StallMs(u64),
     /// Answer the n-th job with garbage bytes instead of a frame (the
     /// coordinator sees a malformed-frame error, not a clean result).

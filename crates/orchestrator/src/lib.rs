@@ -19,7 +19,7 @@
 //!      |    (thread pool +             (llm4fp-worker --connect
 //!      |     shared cache)              daemons over TCP: leases,
 //!      |                                heartbeats, reconnect, respawn,
-//!      |                                crash/straggler redispatch)
+//!      |                                crash redispatch)
 //!      |                   |                      |
 //!   ShardOutput       ShardOutput            ShardOutput   --> JSONL run dir
 //!      +---------------- merge (shard order) ----------------+  (optional)
@@ -38,7 +38,7 @@
 //! the merged deltas), and outputs merge in shard order.
 //! Worker count, scheduling order, caching, **transport** (in-process
 //! threads or out-of-process worker daemons, including worker crashes and
-//! straggler re-dispatch), and interruption/resume all leave the result
+//! expired leases), and interruption/resume all leave the result
 //! bit-identical. For `K = 1`, shard 0's streams are exactly the
 //! sequential campaign's, so the orchestrated result matches
 //! [`llm4fp::Campaign::run`] field for field — for any `E`, since a
@@ -71,8 +71,8 @@
 //!   configured by one [`SupervisionConfig`]): `llm4fp-worker --connect`
 //!   daemons dial a TCP coordinator behind a versioned handshake and are
 //!   supervised by deadline leases, idle heartbeats,
-//!   reconnect-and-resume, respawn with backoff, crash-and-redispatch
-//!   and straggler re-dispatch;
+//!   reconnect-and-resume, respawn with backoff and
+//!   crash-and-redispatch;
 //! * [`supervisor`] — the supervision core: lease-based dispatch ledgers
 //!   ([`supervisor::EpochState`]), the session half the executor folds
 //!   epochs through ([`supervisor::SessionCore`]) and the

@@ -30,7 +30,8 @@
 //!
 //! * [`Scheduler`](crate::Scheduler) runs a suite of campaigns in memory.
 //!   Each campaign merges with its own pipeline time and reports its own
-//!   wall time, from its first record to its last.
+//!   wall time, from its first progress tick to its last shard
+//!   completion.
 //!
 //! Only the mechanics of running a segment differ between
 //! [`InProcessExecutor`] (the default) and out-of-process executors.
@@ -468,9 +469,9 @@ pub(crate) enum Clock {
     /// Merge with, and report, the wall time since the run started.
     Run,
     /// Merge with the campaign's own pipeline time, and report its wall
-    /// time from its first record to its last. A suite-wide clock would
-    /// charge every campaign for every other campaign's work and flatten
-    /// Table 2's time-cost comparison.
+    /// time from its first progress tick to its last shard completion.
+    /// A suite-wide clock would charge every campaign for every other
+    /// campaign's work and flatten Table 2's time-cost comparison.
     PerCampaign,
 }
 

@@ -43,7 +43,7 @@
 //! Every artifact, shard files included, is written via a unique temp
 //! file in the same directory plus an atomic rename, so a crash mid-write
 //! can never leave a half-written manifest, shard file, checkpoint or
-//! result — only a stale `.tmp` straggler, which [`RunDir::open`] sweeps
+//! result — only a stale `.tmp` leftover, which [`RunDir::open`] sweeps
 //! away. Readers still tolerate damage from outside that path: a torn or
 //! garbled shard file just recomputes its whole shard, and a truncated
 //! checkpoint disqualifies only its barrier. The manifest carries a
@@ -244,7 +244,7 @@ pub struct RunDir {
 
 impl RunDir {
     /// Open (creating directories as needed) a run directory for the given
-    /// manifest, sweeping any stale `.tmp` stragglers a crashed writer
+    /// manifest, sweeping any stale `.tmp` leftovers a crashed writer
     /// left behind. If a manifest is already present it must describe the
     /// same run — resuming with a different config or shard count would
     /// silently mix incompatible shard outputs — and must not come from a
@@ -470,7 +470,7 @@ impl RunDir {
     }
 }
 
-/// Remove `.tmp` stragglers a crashed writer left in the run dir's
+/// Remove `.tmp` leftovers a crashed writer left in the run dir's
 /// artifact directories (never recursive — artifacts live exactly one
 /// level deep). Best-effort: an unreadable dir just skips.
 fn sweep_stale_tmp_files(root: &Path) {
@@ -487,7 +487,7 @@ fn sweep_stale_tmp_files(root: &Path) {
 
 /// Write `contents` to a unique dot-prefixed temp file in `path`'s own
 /// directory, then atomically rename over `path` — a crash mid-write
-/// leaves the old artifact intact (plus a `.tmp` straggler for the next
+/// leaves the old artifact intact (plus a `.tmp` leftover for the next
 /// [`RunDir::open`] to sweep), never a torn one. Temp names mix the pid
 /// and a process-wide counter so concurrent writers can't collide.
 fn write_atomically(path: &Path, contents: &str) -> Result<(), PersistError> {
@@ -700,19 +700,19 @@ mod tests {
     }
 
     #[test]
-    fn stale_tmp_stragglers_are_swept_on_open() {
+    fn stale_tmp_leftovers_are_swept_on_open() {
         let root = temp_dir("sweep");
         let m = manifest();
         let _dir = RunDir::open(&root, &m).unwrap();
-        let straggler = root.join(".result.json.999-0.tmp");
+        let leftover = root.join(".result.json.999-0.tmp");
         let nested = root.join("checkpoints");
         fs::create_dir_all(&nested).unwrap();
-        let nested_straggler = nested.join(".shard-0000-epoch-0000.json.999-1.tmp");
-        fs::write(&straggler, "{half").unwrap();
-        fs::write(&nested_straggler, "{half").unwrap();
+        let nested_leftover = nested.join(".shard-0000-epoch-0000.json.999-1.tmp");
+        fs::write(&leftover, "{half").unwrap();
+        fs::write(&nested_leftover, "{half").unwrap();
         RunDir::open(&root, &m).unwrap();
-        assert!(!straggler.exists());
-        assert!(!nested_straggler.exists());
+        assert!(!leftover.exists());
+        assert!(!nested_leftover.exists());
         // The real artifacts survive the sweep.
         assert!(root.join("manifest.json").exists());
         let _ = fs::remove_dir_all(&root);

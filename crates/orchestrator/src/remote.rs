@@ -18,12 +18,15 @@
 //!
 //! * **Leases** — every dispatch holds a deadline lease
 //!   ([`SupervisionConfig::lease_timeout`]) identified by a generation
-//!   number stamped into the job. A worker that neither answers nor
-//!   disconnects within the deadline loses the lease: the job re-enters
-//!   the queue for any connection, and the late answer — should it ever
-//!   arrive — is discarded by generation ([`EpochState::complete`]),
-//!   never merged. Results stay a pure function of `(config, K, E)` no
-//!   matter how late the network delivers stale bytes.
+//!   number stamped into the job, unique across the session. A job is
+//!   dispatched once per attempt, so a connection awaits exactly one
+//!   lease. A worker that neither answers nor disconnects within the
+//!   deadline loses the lease: the job re-enters the queue for any
+//!   connection. Any result frame that does not carry the awaited lease
+//!   — the late answer, a retransmission, a leftover of a folded epoch —
+//!   is discarded and counted as stale, never merged. Results stay a
+//!   pure function of `(config, K, E)` no matter how late the network
+//!   delivers stale bytes.
 //! * **Heartbeats** — an idle connection is probed with
 //!   [`WireRequest::Ping`] every [`SupervisionConfig::heartbeat`]; a
 //!   missed [`WireReply::Pong`] retires the connection, so a silent
@@ -124,7 +127,9 @@ pub struct SupervisionConfig {
     /// The deadline lease on one dispatched segment. A worker that
     /// neither answers nor disconnects within it loses the lease — the
     /// job re-dispatches and the late answer is discarded by lease
-    /// generation. Defaults to 300 s.
+    /// generation. Defaults to 300 s. This is the only way a job leaves
+    /// a worker that hangs while still connected: nothing duplicates a
+    /// running job, so a hung worker holds its job for the full lease.
     pub lease_timeout: Duration,
     /// How long a connection may sit idle before the coordinator probes
     /// it with a ping; a missed pong retires the connection. Defaults to
@@ -290,6 +295,7 @@ impl ShardExecutor for WorkerExecutor {
             refuse_budget: AtomicU32::new(config.faults.refuse_handshakes()),
             children: Mutex::new(Vec::with_capacity(worker_procs)),
             respawns: AtomicU64::new(0),
+            stale_results: AtomicU64::new(0),
             lease_timeout: config.lease_timeout,
             heartbeat: config.heartbeat,
             max_frame_len: config.max_frame_len,
@@ -448,6 +454,8 @@ struct Shared {
     children: Mutex<Vec<ChildSlot>>,
     /// Successful respawns of self-spawned workers.
     respawns: AtomicU64,
+    /// Result frames discarded because they did not carry a live lease.
+    stale_results: AtomicU64,
     lease_timeout: Duration,
     heartbeat: Duration,
     max_frame_len: usize,
@@ -472,26 +480,24 @@ struct ActiveEpoch {
     pool_start: Instant,
 }
 
-/// One dispatch this connection made, so a stray result frame (a
-/// duplicate, or a late answer after lease expiry) can be routed to the
-/// ledger for stale-discard accounting. Entries are only trusted within
-/// their own epoch.
-struct Dispatch {
-    epoch_id: u64,
-    job: usize,
-    lease: u64,
+/// Count one result frame discarded as stale.
+fn discard_stale(shared: &Shared) {
+    shared.stale_results.fetch_add(1, Ordering::SeqCst);
 }
 
+/// Hand the awaited answer to its epoch's ledger. An answer whose epoch
+/// has folded, or whose lease the ledger refuses, is discarded as stale.
 fn settle(shared: &Shared, epoch_id: u64, job: usize, lease: u64, result: ShardJobResult) {
-    {
+    let accepted = {
         let mut slot = shared.slot.lock().unwrap();
-        if slot.epoch_id == epoch_id {
-            if let Some(epoch) = slot.active.as_mut() {
-                // `false` means the lease was no longer live — the result
-                // is discarded and counted, exactly as leases promise.
-                let _ = epoch.state.complete(job, lease, result);
-            }
+        let current = slot.epoch_id == epoch_id;
+        match slot.active.as_mut() {
+            Some(epoch) if current => epoch.state.complete(job, lease, result),
+            _ => false,
         }
+    };
+    if !accepted {
+        discard_stale(shared);
     }
     shared.cv.notify_all();
 }
@@ -506,16 +512,6 @@ fn abandon(shared: &Shared, epoch_id: u64, job: usize, lease: u64, why: String) 
         }
     }
     shared.cv.notify_all();
-}
-
-/// Route a result frame that is not the currently awaited answer: if it
-/// matches a dispatch this connection made *in the current epoch*, feed
-/// it to the ledger (which discards it by generation); anything else —
-/// a leftover from a folded epoch — is dropped on the floor.
-fn feed_stray(shared: &Shared, sent: &[Dispatch], result: ShardJobResult) {
-    if let Some(d) = sent.iter().find(|d| d.lease == result.lease) {
-        settle(shared, d.epoch_id, d.job, d.lease, result);
-    }
 }
 
 /// Kill the self-spawned worker behind a connection that went silent;
@@ -641,7 +637,6 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
             }
         }
     });
-    let mut sent: Vec<Dispatch> = Vec::new();
     let mut ping_token: u64 = 0;
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -691,7 +686,8 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
                 let left = deadline.saturating_duration_since(Instant::now());
                 match rx.recv_timeout(left) {
                     Ok(Ok(WireReply::Pong(_))) => break,
-                    Ok(Ok(WireReply::Result(result))) => feed_stray(shared, &sent, *result),
+                    // No lease is awaited while idle.
+                    Ok(Ok(WireReply::Result(_))) => discard_stale(shared),
                     // Missed heartbeat: the connection is dead.
                     Err(RecvTimeoutError::Timeout) => {
                         kill_silent_worker(shared, hello.pid);
@@ -702,12 +698,6 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
             }
             continue;
         };
-        // Dispatch records from folded epochs can never be trusted again
-        // (lease generations restart per epoch).
-        if sent.first().is_some_and(|d| d.epoch_id != epoch_id) {
-            sent.clear();
-        }
-        sent.push(Dispatch { epoch_id, job, lease });
         let shard = wire_job.spec.index;
         telemetry.observe(keys::QUEUE_WAIT, pool_start.elapsed());
         let span = telemetry.span(keys::SPAN_SHARD_RUN);
@@ -728,9 +718,9 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
                 Ok(Ok(WireReply::Result(result))) if result.lease == lease => {
                     break Verdict::Answered(result);
                 }
-                // A duplicate (or an even later straggler): route it to
-                // the ledger's stale-discard path and keep waiting.
-                Ok(Ok(WireReply::Result(result))) => feed_stray(shared, &sent, *result),
+                // Any other lease is stale: a retransmission, or a late
+                // answer to an expired lease. Keep waiting.
+                Ok(Ok(WireReply::Result(_))) => discard_stale(shared),
                 // A pong from an idle probe the worker answered late.
                 Ok(Ok(WireReply::Pong(_))) => {}
                 Ok(Ok(WireReply::Hello(_))) => {
@@ -762,9 +752,9 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
                 // The lease dies first — the job re-dispatches right away
                 // — then the connection gets one more lease-length window
                 // to prove it was slow rather than dead: its late answer
-                // (discarded as stale by generation) lets the connection
-                // be reused; silence retires it, and kills the worker if
-                // this session spawned it.
+                // (stale, like every result frame here) lets the
+                // connection be reused; silence retires it, and kills the
+                // worker if this session spawned it.
                 abandon(
                     shared,
                     epoch_id,
@@ -777,9 +767,8 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
                     let left = drain.saturating_duration_since(Instant::now());
                     match rx.recv_timeout(left) {
                         Ok(Ok(WireReply::Result(result))) => {
-                            let late_answer = result.lease == lease;
-                            feed_stray(shared, &sent, *result);
-                            if late_answer {
+                            discard_stale(shared);
+                            if result.lease == lease {
                                 break;
                             }
                         }
@@ -818,7 +807,7 @@ impl WorkerSession<'_> {
     /// Idempotent transport teardown: flag shutdown (connection threads
     /// forward `Shutdown` frames to their workers), stop respawning, give
     /// self-spawned workers a grace window to exit cleanly, kill the
-    /// stragglers, then wake and join the acceptor.
+    /// rest, then wake and join the acceptor.
     fn shutdown_transport(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.cv.notify_all();
@@ -932,6 +921,7 @@ impl ShardSession for WorkerSession<'_> {
     fn finish(mut self: Box<Self>) -> Result<SessionOutcome, OrchestratorError> {
         self.shutdown_transport();
         self.core.supervision.respawns = self.shared.respawns.load(Ordering::SeqCst);
+        self.core.supervision.stale_results = self.shared.stale_results.load(Ordering::SeqCst);
         self.core.outcome()
     }
 }

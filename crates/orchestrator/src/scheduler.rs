@@ -73,7 +73,8 @@ impl Scheduler {
     /// only ever merge into the pool of the campaign that produced them.
     ///
     /// Each campaign merges with its own pipeline time and reports its own
-    /// wall time, from its first record to its last. With
+    /// wall time, from its first progress tick to its last shard
+    /// completion. With
     /// `options.fallback_to_in_process`, a suite whose workers cannot be
     /// spawned reruns in process, exactly like a single campaign.
     /// Persistence (`options.run_dir`) applies to single-campaign runs via

@@ -34,9 +34,9 @@ use crate::wire::{ShardJob, ShardJobResult};
 /// deterministic `(config, K, E)` result.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct SupervisionCounts {
-    /// Results discarded because their lease was no longer live (late
-    /// answers after lease expiry, straggler-duplicate losers,
-    /// retransmitted frames).
+    /// Result frames discarded because they did not carry a live lease:
+    /// late answers after lease expiry, retransmitted frames, leftovers
+    /// of a folded epoch. The executor counts them where they arrive.
     pub stale_results: u64,
     /// Failed dispatches whose job went back into the queue (crash, lease
     /// expiry, dropped connection, protocol violation).
@@ -82,16 +82,15 @@ pub struct EpochFailure {
 /// One epoch's dispatch ledger (one lock, held only for bookkeeping).
 ///
 /// Jobs are indexed positions into the session's task list. Each
-/// dispatch is identified by its lease generation; at most two leases
-/// are live per job (the original plus one straggler duplicate), the
-/// first accepted answer wins, and everything else — duplicates, late
-/// answers from expired leases — is counted in
-/// [`stale_results`](EpochState::stale_results) and dropped.
+/// dispatch is identified by its lease generation, and a job holds at
+/// most one live lease: only queued jobs are leased, and only the live
+/// lease's answer is accepted. Anything else is refused; the executor
+/// counts it as stale.
 pub struct EpochState {
     /// Jobs not currently leased anywhere (fresh or requeued).
     queue: VecDeque<usize>,
-    /// Live lease generations per job (straggler duplication allows 2).
-    leases: Vec<Vec<u64>>,
+    /// The live lease generation per job (0: none).
+    leases: Vec<u64>,
     /// Failed attempts per job.
     attempts: Vec<u8>,
     /// Last failure per job, for quarantine reports.
@@ -103,12 +102,11 @@ pub struct EpochState {
     /// epoch (sticky `done`, no result, no requeue).
     quarantined: Vec<bool>,
     failed: Option<EpochFailure>,
-    /// Results discarded because their lease was no longer live (late
-    /// answers after expiry, straggler-duplicate losers).
-    stale_results: u64,
     /// Failed dispatches whose job was requeued.
     redispatches: u64,
-    /// The next lease generation to hand out (0 is never a live lease).
+    /// The next lease generation to hand out (0 is never issued). The
+    /// session carries it across epochs, so a leftover answer from a
+    /// folded epoch can never carry a live lease.
     next_lease: u64,
     max_attempts: u8,
     policy: FailurePolicy,
@@ -128,7 +126,7 @@ impl EpochState {
         let remaining = queue.len();
         EpochState {
             queue,
-            leases: vec![Vec::new(); jobs],
+            leases: vec![0; jobs],
             attempts: vec![0; jobs],
             last_error: (0..jobs).map(|_| None).collect(),
             done: already_quarantined.to_vec(),
@@ -136,7 +134,6 @@ impl EpochState {
             results: (0..jobs).map(|_| None).collect(),
             quarantined: vec![false; jobs],
             failed: None,
-            stale_results: 0,
             redispatches: 0,
             next_lease: 1,
             max_attempts,
@@ -158,42 +155,32 @@ impl EpochState {
         }
     }
 
-    /// How many results arrived under a lease that was no longer live
-    /// and were therefore discarded.
-    pub fn stale_results(&self) -> u64 {
-        self.stale_results
-    }
-
-    /// Lease the next job to an idle worker: queued work first, then a
-    /// straggler duplicate (first still-running job without one).
-    /// Returns the job index and the new lease generation.
+    /// Lease the next queued job to an idle worker; a job that is
+    /// already running is never leased twice. Returns the job index and
+    /// the new lease generation.
     pub fn next_job(&mut self) -> Option<(usize, u64)> {
-        let job = self.queue.pop_front().or_else(|| {
-            (0..self.done.len()).find(|&job| !self.done[job] && self.leases[job].len() == 1)
-        })?;
+        let job = self.queue.pop_front()?;
         let lease = self.next_lease;
         self.next_lease += 1;
-        self.leases[job].push(lease);
+        self.leases[job] = lease;
         Some((job, lease))
     }
 
+    /// Whether `lease` is `job`'s live lease.
+    fn is_live(&self, job: usize, lease: u64) -> bool {
+        lease != 0 && self.leases[job] == lease
+    }
+
     /// A dispatch answered under `lease`. The answer is accepted (and
-    /// `true` returned) only if that lease is still live and the job is
-    /// not already done; everything else is discarded as stale. First
-    /// answer wins; a duplicate's (identical) answer is dropped.
+    /// `true` returned) only under the job's live lease, which also
+    /// means the job is not done yet. An answer under an expired or
+    /// abandoned lease returns `false` and is dropped: the job has been
+    /// requeued, and this result must not race the recomputation.
     pub fn complete(&mut self, job: usize, lease: u64, result: ShardJobResult) -> bool {
-        let Some(position) = self.leases[job].iter().position(|&live| live == lease) else {
-            // The lease expired (or was abandoned) before the answer
-            // arrived — the job has been re-dispatched and this result
-            // must not race the recomputation.
-            self.stale_results += 1;
-            return false;
-        };
-        self.leases[job].swap_remove(position);
-        if self.done[job] {
-            self.stale_results += 1;
+        if !self.is_live(job, lease) {
             return false;
         }
+        self.leases[job] = 0;
         self.done[job] = true;
         self.remaining -= 1;
         self.results[job] = Some(result);
@@ -201,17 +188,16 @@ impl EpochState {
     }
 
     /// The dispatch under `lease` failed (crash, hang past the lease
-    /// deadline, dropped connection, protocol violation). The lease dies;
-    /// the job requeues unless it already completed elsewhere or ran
-    /// out of attempts — then the failure policy decides between
-    /// failing the epoch and quarantining the job.
+    /// deadline, dropped connection, protocol violation). The live lease
+    /// dies and the job requeues, unless it ran out of attempts — then
+    /// the failure policy decides between failing the epoch and
+    /// quarantining the job. A lease that is no longer live changes
+    /// nothing.
     pub fn abandon(&mut self, job: usize, lease: u64, why: String) {
-        if let Some(position) = self.leases[job].iter().position(|&live| live == lease) {
-            self.leases[job].swap_remove(position);
-        }
-        if self.done[job] {
+        if !self.is_live(job, lease) {
             return;
         }
+        self.leases[job] = 0;
         self.attempts[job] += 1;
         if self.attempts[job] >= self.max_attempts {
             let budget = self.max_attempts;
@@ -257,8 +243,10 @@ pub struct SessionCore<'s> {
     /// Coordinator-side shard state between epochs.
     checkpoints: Vec<Option<RunnerCheckpoint>>,
     outputs: Vec<Option<ShardOutput>>,
-    /// Supervision counts so far; the executor adds its respawns before
-    /// [`outcome`](Self::outcome).
+    /// The first lease generation of the next epoch.
+    next_lease: u64,
+    /// Supervision counts so far; the executor adds its respawns and
+    /// stale results before [`outcome`](Self::outcome).
     pub supervision: SupervisionCounts,
 }
 
@@ -276,6 +264,7 @@ impl<'s> SessionCore<'s> {
             failures: tasks.iter().map(|_| None).collect(),
             checkpoints: tasks.iter().map(|task| task.checkpoint.clone()).collect(),
             outputs: Vec::new(),
+            next_lease: 1,
             supervision: SupervisionCounts::default(),
             tasks,
             sink,
@@ -285,9 +274,12 @@ impl<'s> SessionCore<'s> {
     }
 
     /// A fresh dispatch ledger for the next epoch, skipping quarantined
-    /// tasks.
+    /// tasks. Its leases continue where the last epoch's stopped.
     pub fn epoch_state(&self) -> EpochState {
-        EpochState::new(self.tasks.len(), &self.quarantined, self.max_attempts, self.policy)
+        let mut state =
+            EpochState::new(self.tasks.len(), &self.quarantined, self.max_attempts, self.policy);
+        state.next_lease = self.next_lease;
+        state
     }
 
     /// The wire job for one dispatch of `job`, stamped with its lease.
@@ -311,14 +303,14 @@ impl<'s> SessionCore<'s> {
     /// counters (exactly once per job; stale results were discarded),
     /// tick the sink once per accepted result, and store barrier state
     /// or final outputs (completing each finished shard in the sink).
-    /// Returns each task's delta. The epoch's stale results and
-    /// redispatches add to [`Self::supervision`].
+    /// Returns each task's delta. The epoch's redispatches add to
+    /// [`Self::supervision`].
     pub fn fold_epoch(
         &mut self,
         mut state: EpochState,
         last: bool,
     ) -> Result<Vec<Vec<String>>, OrchestratorError> {
-        self.supervision.stale_results += state.stale_results;
+        self.next_lease = state.next_lease;
         self.supervision.redispatches += state.redispatches;
         if let Some(failure) = state.failed.take() {
             return Err(if failure.worker_unavailable {
@@ -530,26 +522,28 @@ mod tests {
     }
 
     #[test]
-    fn stragglers_get_one_duplicate_and_first_answer_wins() {
+    fn idle_workers_never_duplicate_a_running_job() {
         let mut state = abort_state(1);
-        let (job, first_lease) = state.next_job().unwrap();
+        let (job, first) = state.next_job().unwrap();
         assert_eq!(job, 0);
-        // Queue empty, job 0 still running: an idle worker duplicates it.
-        let (job, second_lease) = state.next_job().unwrap();
-        assert_eq!(job, 0);
-        assert_ne!(first_lease, second_lease);
-        assert_eq!(state.leases[0].len(), 2);
-        // No third concurrent attempt.
+        assert_eq!(state.leases[0], first);
+        // Queue empty, job 0 still running: an idle worker gets nothing.
         assert_eq!(state.next_job(), None);
-        assert!(state.complete(0, first_lease, answer(0, first_lease)));
+        // An abandon requeues the job under a fresh generation.
+        state.abandon(0, first, "crash".into());
+        assert_eq!(state.leases[0], 0);
+        let (job, second) = state.next_job().unwrap();
+        assert_eq!(job, 0);
+        assert!(second > first);
+        assert_eq!(state.next_job(), None);
+        // Neither the dead lease nor a lease never issued can abandon or
+        // complete the live dispatch.
+        state.abandon(0, first, "late crash report".into());
+        assert!(!state.complete(0, 0, answer(0, 0)));
+        assert_eq!(state.leases[0], second);
+        assert_eq!(state.attempts[0], 1);
+        assert!(state.complete(0, second, answer(0, second)));
         assert_eq!(state.remaining, 0);
-        // The loser's answer (identical anyway) is discarded, and a
-        // late failure of the duplicate no longer requeues anything.
-        assert!(!state.complete(0, second_lease, answer(0, second_lease)));
-        assert_eq!(state.remaining, 0);
-        assert_eq!(state.stale_results(), 1);
-        assert!(state.results[0].is_some());
-        assert!(state.queue.is_empty());
     }
 
     #[test]
@@ -566,20 +560,21 @@ mod tests {
         let (job, fresh) = state.next_job().unwrap();
         assert_eq!(job, 0);
         assert_ne!(expired, fresh);
-        // The slow worker's answer straggles in under the dead lease:
+        // The slow worker's answer arrives late, under the dead lease:
         // provably discarded, not merged.
         assert!(!state.complete(0, expired, answer(0, expired)));
-        assert_eq!(state.stale_results(), 1);
         assert_eq!(state.remaining, 1, "the job still awaits its live lease");
         assert!(state.results[0].is_none());
         // The re-dispatch answers under the live lease and wins.
         assert!(state.complete(0, fresh, answer(0, fresh)));
         assert_eq!(state.remaining, 0);
         assert_eq!(state.results[0].as_ref().unwrap().lease, fresh);
-        // And a *second* copy of the dead answer (duplicate-result
-        // fault) is still stale.
+        // And a *second* copy of either answer (duplicate-result fault)
+        // is still refused, and changes nothing.
         assert!(!state.complete(0, expired, answer(0, expired)));
-        assert_eq!(state.stale_results(), 2);
+        assert!(!state.complete(0, fresh, answer(0, fresh)));
+        assert_eq!(state.remaining, 0);
+        assert_eq!(state.results[0].as_ref().unwrap().lease, fresh);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! A worker is *stateless between jobs*: each job carries everything
 //! needed to restore (or freshly create) the shard runner, run one
 //! segment, and hand the updated state back. Statelessness is what makes
-//! crash-and-redispatch and straggler duplication sound — recomputing a
+//! crash-and-redispatch and lease-expiry redispatch sound — recomputing a
 //! job on another worker yields byte-identical results.
 //!
 //! Every stream opens with a **versioned handshake**: the worker's first

@@ -514,6 +514,55 @@ fn every_network_fault_heals_bit_identically_in_abort_mode() {
 }
 
 #[test]
+fn retransmitted_answers_count_as_stale_across_barriers() {
+    // The only worker sends its n-th answer twice. The copy reaches the
+    // coordinator while it awaits another lease: the next job of the
+    // same epoch (n = 1), or the first job after the barrier (n = 2,
+    // the epoch's last answer). Either way it is discarded and counted
+    // once. With K = 1 the copy is a leftover of a folded epoch, and
+    // lease generations that restarted per epoch would mistake it for
+    // the next epoch's answer.
+    let config = config(ApproachKind::Llm4Fp, 20, 5);
+    for (shards, n) in [(2usize, 1u64), (2, 2), (1, 1)] {
+        let what = format!("K={shards} DuplicateResultAtJob({n})");
+        let reference = in_process(&config, shards, 2);
+        let retransmitting = SupervisionConfig {
+            faults: network_plan(NetworkFault::DuplicateResultAtJob(n)),
+            ..workers(1)
+        };
+        let survived = on_workers(&config, shards, 2, retransmitting);
+        assert_results_identical(&survived.result, &reference.result, &what);
+        assert_eq!(survived.stats.supervision.stale_results, 1, "{what}");
+    }
+}
+
+#[test]
+fn fault_free_pools_dispatch_each_segment_once() {
+    // No fault, no expired lease: every shard-epoch segment is sent to
+    // exactly one worker, so the trace holds one dispatch span per
+    // segment and nothing is discarded. An idle worker at an epoch's
+    // tail waits rather than recomputing a running job.
+    let (shards, epochs) = (8usize, 4usize);
+    let config = config(ApproachKind::Llm4Fp, 64, 13);
+    let reference = in_process(&config, shards, epochs);
+    let root = temp_dir("dispatch-once");
+    let pooled = Orchestrator::new(config.clone())
+        .shards(shards)
+        .epochs(epochs)
+        .run_dir(root.clone())
+        .telemetry(TelemetrySpec::TRACE)
+        .executor(Arc::new(WorkerExecutor::new(workers(2))))
+        .run()
+        .unwrap();
+    assert_results_identical(&pooled.result, &reference.result, "dispatch once");
+    assert_eq!(pooled.stats.supervision.stale_results, 0);
+    let trace = std::fs::read_to_string(root.join("trace.jsonl")).expect("trace.jsonl written");
+    let dispatches = trace.lines().filter(|line| line.contains("\"shard.run\"")).count();
+    assert_eq!(dispatches, shards * epochs, "one shard.run span per segment");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn mid_epoch_disconnect_reconnects_and_resumes_bit_identically() {
     // The single worker drops its connection upon receiving its second
     // job, mid-epoch. Being the only worker, the run can finish *only*

@@ -319,8 +319,8 @@ mod tests {
             let snapshot = tel.export().expect("enabled lane exports");
             coordinator.lane(lane).absorb(&snapshot);
             // Absorbing the same snapshot twice must not double keyed
-            // contributions (straggler duplicates are filtered upstream,
-            // but keyed dedup is the second line of defence).
+            // contributions (stale answers are discarded upstream, but
+            // keyed dedup is the second line of defence).
             assert!(!snapshot.is_empty());
         }
         assert_eq!(coordinator.metrics(), direct.metrics());
