@@ -133,15 +133,23 @@ impl CampaignResult {
 /// [`CampaignResult::successful_sources`] — injected entries are reported
 /// by the shard that found them, which keeps the merged campaign result
 /// identical whether or not exchange ran.
+///
+/// Each entry keeps the structural hash it was deduplicated by, so sets
+/// merge into each other by hash: an own find carries the hash
+/// [`CampaignRunner::run_one`] computed when it tested the program, and
+/// no exchange barrier hashes a source again.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct SuccessfulSet {
     sources: Vec<String>,
+    /// `source_hash` of each entry, parallel to `sources`.
+    hashes: Vec<u64>,
     seen: HashSet<u64>,
     own: Vec<bool>,
 }
 
-/// Serializable image of a [`SuccessfulSet`] (the `seen` index is
-/// reconstructed on restore).
+/// Serializable image of a [`SuccessfulSet`]. It holds no hashes:
+/// [`SuccessfulSet::restore`] recomputes each entry's hash once, and
+/// storing them would change the checkpoint format.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SuccessfulSetSnapshot {
     pub sources: Vec<String>,
@@ -161,41 +169,69 @@ impl SuccessfulSet {
     /// [`SuccessfulSet::insert`] for a caller that already holds
     /// `source_hash(source)`.
     pub(crate) fn insert_hashed(&mut self, hash: u64, source: &str) -> bool {
-        if self.seen.insert(hash) {
-            self.sources.push(source.to_string());
-            self.own.push(true);
-            true
-        } else {
-            false
+        self.push(hash, source, true)
+    }
+
+    /// Append `source` under `hash` unless the set already holds that
+    /// structure; returns whether it was new.
+    fn push(&mut self, hash: u64, source: &str, own: bool) -> bool {
+        if !self.seen.insert(hash) {
+            return false;
         }
+        self.sources.push(source.to_string());
+        self.hashes.push(hash);
+        self.own.push(own);
+        true
     }
 
     /// Merge externally found sources (in their given order), returning
-    /// the number that were structurally new. Merging is associative,
-    /// commutative up to ordering, and idempotent — the properties the
-    /// exchange barrier's shard-order merge relies on.
+    /// the number that were structurally new. Each source is hashed once.
+    /// Merging is associative, commutative up to ordering, and idempotent
+    /// — the properties the exchange barrier's shard-order merge relies
+    /// on.
     pub fn merge_sources(&mut self, sources: &[String]) -> usize {
-        let mut added = 0;
-        for source in sources {
-            if self.seen.insert(source_hash(source)) {
-                self.sources.push(source.clone());
-                self.own.push(false);
-                added += 1;
-            }
-        }
-        added
+        sources.iter().filter(|source| self.push(source_hash(source), source, false)).count()
     }
 
     /// Merge another set's entries (own and injected alike) as injected
-    /// entries of this set.
+    /// entries of this set, by the hashes `other` already holds. Same
+    /// result as `merge_sources(other.sources())`, without hashing.
     pub fn merge(&mut self, other: &SuccessfulSet) -> usize {
-        self.merge_sources(&other.sources)
+        other
+            .hashes
+            .iter()
+            .zip(&other.sources)
+            .filter(|(&hash, source)| self.push(hash, source, false))
+            .count()
+    }
+
+    /// The entries from position `start` on, as a set of their own that
+    /// keeps their hashes and own flags.
+    pub(crate) fn tail(&self, start: usize) -> SuccessfulSet {
+        let start = start.min(self.len());
+        let hashes = self.hashes[start..].to_vec();
+        SuccessfulSet {
+            sources: self.sources[start..].to_vec(),
+            seen: hashes.iter().copied().collect(),
+            hashes,
+            own: self.own[start..].to_vec(),
+        }
+    }
+
+    /// The sources, in insertion order, without copying them.
+    pub fn into_sources(self) -> Vec<String> {
+        self.sources
     }
 
     /// All sources (own + injected) in insertion order — the pool seed
     /// selection draws from.
     pub fn sources(&self) -> &[String] {
         &self.sources
+    }
+
+    /// The structural hash of each entry of [`SuccessfulSet::sources`].
+    pub fn hashes(&self) -> &[u64] {
+        &self.hashes
     }
 
     /// The sources this set inserted itself, in insertion order.
@@ -227,12 +263,13 @@ impl SuccessfulSet {
     }
 
     /// Rebuild a set from a snapshot (restores insertion order, own flags
-    /// and the structural-hash index).
+    /// and the structural-hash index), hashing each source once.
     pub fn restore(snapshot: SuccessfulSetSnapshot) -> Self {
-        let seen = snapshot.sources.iter().map(|s| source_hash(s)).collect();
+        let hashes: Vec<u64> = snapshot.sources.iter().map(|s| source_hash(s)).collect();
+        let seen = hashes.iter().copied().collect();
         let mut own = snapshot.own;
         own.resize(snapshot.sources.len(), true);
-        SuccessfulSet { sources: snapshot.sources, seen, own }
+        SuccessfulSet { sources: snapshot.sources, hashes, seen, own }
     }
 }
 
@@ -301,11 +338,17 @@ pub struct RunnerCheckpoint {
 }
 
 impl RunnerCheckpoint {
-    /// Merge externally found successful sources into the checkpointed
-    /// feedback pool, exactly as [`CampaignRunner::inject_successful`]
-    /// would on a live runner: structurally deduplicated, order
-    /// preserved, injected entries flagged as not-own. Returns how many
-    /// were new.
+    /// Merge another set's entries into the checkpointed feedback pool,
+    /// exactly as [`CampaignRunner::inject_successful`] would on a live
+    /// runner: structurally deduplicated by the hashes `delta` carries,
+    /// order preserved, injected entries flagged as not-own. Returns how
+    /// many were new.
+    ///
+    /// The stored pool holds no hashes, so it is still rebuilt through
+    /// [`SuccessfulSet::restore`], which hashes every pooled source once.
+    /// Storing the hashes in the checkpoint would drop that rebuild, but
+    /// it changes the checkpoint format and needs a `MANIFEST_SCHEMA`
+    /// bump.
     ///
     /// Injection and checkpointing commute — the pool merge touches no
     /// RNG stream and no accumulated output — so a coordinator holding a
@@ -314,9 +357,9 @@ impl RunnerCheckpoint {
     /// machine) runs the next epoch segment. A runner restored from the
     /// result is bit-identical to one that ran [`Self`]-side injection
     /// before being checkpointed.
-    pub fn inject_successful(&mut self, sources: &[String]) -> usize {
+    pub fn inject_successful(&mut self, delta: &SuccessfulSet) -> usize {
         let mut set = SuccessfulSet::restore(self.successful.clone());
-        let added = set.merge_sources(sources);
+        let added = set.merge(delta);
         self.successful = set.snapshot();
         added
     }
@@ -411,20 +454,20 @@ impl CampaignRunner {
         self.successful.len()
     }
 
-    /// Clone the successful set's sources from position `start` on — the
-    /// exchange barrier reads each epoch's newly found sources this way
-    /// (injected entries sit below the caller's watermark by construction).
-    pub fn successful_sources_from(&self, start: usize) -> Vec<String> {
-        let sources = self.successful.sources();
-        sources[start.min(sources.len())..].to_vec()
+    /// The successful set's entries from position `start` on, with their
+    /// hashes — the exchange barrier reads each epoch's newly found
+    /// sources this way (injected entries sit below the caller's
+    /// watermark by construction).
+    pub fn successful_from(&self, start: usize) -> SuccessfulSet {
+        self.successful.tail(start)
     }
 
-    /// Merge externally found successful sources into this runner's
-    /// feedback pool (structurally deduplicated, order preserved).
-    /// Returns how many were new. Subsequent feedback mutation draws from
-    /// the union.
-    pub fn inject_successful(&mut self, sources: &[String]) -> usize {
-        self.successful.merge_sources(sources)
+    /// Merge another set's entries into this runner's feedback pool
+    /// (structurally deduplicated by the hashes `delta` carries, order
+    /// preserved). Returns how many were new. Subsequent feedback
+    /// mutation draws from the union.
+    pub fn inject_successful(&mut self, delta: &SuccessfulSet) -> usize {
+        self.successful.merge(delta)
     }
 
     /// Share a differential-testing result cache with this runner.
@@ -887,6 +930,61 @@ mod tests {
         assert!(!restored.insert("void compute(double y) { comp = y * 2.0; }"));
     }
 
+    /// A set holding `sources` as injected entries.
+    fn set_of(sources: &[String]) -> SuccessfulSet {
+        let mut set = SuccessfulSet::new();
+        set.merge_sources(sources);
+        set
+    }
+
+    #[test]
+    fn stored_hashes_match_their_sources_under_every_operation() {
+        let alphabet: Vec<String> = (0..6)
+            .map(|i| format!("void compute(double x) {{ comp = x * {i}.5 - cos(x); }}"))
+            .collect();
+        let check = |set: &SuccessfulSet| {
+            assert_eq!(set.hashes().len(), set.len());
+            for (hash, source) in set.hashes().iter().zip(set.sources()) {
+                assert_eq!(*hash, source_hash(source), "{source}");
+                assert!(set.contains(source));
+            }
+        };
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        let mut sets = [SuccessfulSet::new(), SuccessfulSet::new()];
+        for _ in 0..400 {
+            let (target, other) = (next(2), next(2));
+            match next(5) {
+                0 => {
+                    sets[target].insert(&alphabet[next(alphabet.len())]);
+                }
+                1 => {
+                    let start = next(alphabet.len());
+                    sets[target].merge_sources(&alphabet[start..]);
+                }
+                2 => {
+                    let from = sets[other].clone();
+                    sets[target].merge(&from);
+                }
+                3 => sets[target] = SuccessfulSet::restore(sets[target].snapshot()),
+                _ => {
+                    let start = next(sets[other].len() + 1);
+                    let tail = sets[other].tail(start);
+                    assert_eq!(tail.sources(), &sets[other].sources()[start..]);
+                    check(&tail);
+                    sets[target].merge(&tail);
+                }
+            }
+            check(&sets[target]);
+            if next(16) == 0 {
+                sets[target] = SuccessfulSet::new();
+            }
+        }
+    }
+
     #[test]
     fn checkpointed_runners_continue_the_exact_stream() {
         let config =
@@ -933,6 +1031,7 @@ mod tests {
             "void compute(double q) { comp = q / 3.0; }".to_string(),
             "void compute(double z) { comp = z - 0.5; }".to_string(),
         ];
+        let pool = set_of(&pool);
         let drive = |mut runner: CampaignRunner, from: usize| {
             for index in from..config.programs {
                 runner.run_one(index);
@@ -973,10 +1072,10 @@ mod tests {
             CampaignConfig::new(ApproachKind::Llm4Fp).with_budget(12).with_seed(23).with_threads(2);
         let mut runner = CampaignRunner::new(config.clone());
         let foreign = "void compute(double q) { comp = q / 3.0; }".to_string();
-        assert_eq!(runner.inject_successful(std::slice::from_ref(&foreign)), 1);
+        assert_eq!(runner.inject_successful(&set_of(std::slice::from_ref(&foreign))), 1);
         assert_eq!(runner.successful_len(), 1);
         // The injected source is visible to seed selection...
-        assert_eq!(runner.successful_sources_from(0), vec![foreign.clone()]);
+        assert_eq!(runner.successful_from(0).sources(), std::slice::from_ref(&foreign));
         for index in 0..config.programs {
             runner.run_one(index);
         }

@@ -12,8 +12,8 @@
 //!            |            Box<dyn ShardSession>     |
 //!            +------------------+-------------------+
 //!                               |
-//!            per epoch:  run_epoch(segments, last) -> deltas
-//!            at barrier: inject(merged deltas), checkpoints()
+//!            per epoch:  run_epoch(segments, last) -> hashed deltas
+//!            at barrier: inject(merged hashed deltas), checkpoints()
 //!            at the end: finish() -> Vec<ShardOutput>
 //! ```
 //!
@@ -41,7 +41,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use llm4fp::{CampaignConfig, RunnerCheckpoint};
+use llm4fp::{CampaignConfig, RunnerCheckpoint, SuccessfulSet};
 use llm4fp_difftest::{ProcessBudget, ResultCache};
 use llm4fp_telemetry::{keys, Telemetry};
 
@@ -237,24 +237,29 @@ pub trait ShardExecutor: Send + Sync + fmt::Debug {
 pub trait ShardSession {
     /// Run `segments[i]` programs of task `i` (zero-length segments are
     /// legal no-ops) and return each task's *delta* — the successful
-    /// sources it newly found this epoch, in task order. With `last` the
+    /// sources it newly found this epoch, in task order, each with its
+    /// structural hash. In process those are the hashes the shard's
+    /// runner computed when it tested the program; out of process the
+    /// coordinator hashes each received source once. With `last` the
     /// tasks also finish: their outputs become available to [`finish`]
-    /// and `sink.complete` fires per task.
+    /// and `sink.complete` fires per task; no barrier follows, so a
+    /// transport may return empty deltas.
     ///
     /// [`finish`]: ShardSession::finish
     fn run_epoch(
         &mut self,
         segments: &[usize],
         last: bool,
-    ) -> Result<Vec<Vec<String>>, OrchestratorError>;
+    ) -> Result<Vec<SuccessfulSet>, OrchestratorError>;
 
     /// Broadcast the epoch's merged deltas into the paused tasks
     /// (`deltas[i]`, its campaign's merged deltas, into task `i`; its set
     /// already holds every earlier broadcast). Injection is a pure
-    /// set-merge — see `llm4fp::RunnerCheckpoint::inject_successful` — so
-    /// transports may apply it to a live runner or to a stored checkpoint
+    /// set-merge by the hashes the deltas carry — see
+    /// `llm4fp::RunnerCheckpoint::inject_successful` — so transports may
+    /// apply it to a live runner or to a stored checkpoint
     /// interchangeably.
-    fn inject(&mut self, deltas: &[&[String]]) -> Result<(), OrchestratorError>;
+    fn inject(&mut self, deltas: &[&SuccessfulSet]) -> Result<(), OrchestratorError>;
 
     /// Snapshot every paused task for barrier persistence. Call after
     /// [`inject`](ShardSession::inject), mirroring the runner-side
@@ -343,7 +348,7 @@ impl ShardSession for InProcessSession<'_> {
         &mut self,
         segments: &[usize],
         last: bool,
-    ) -> Result<Vec<Vec<String>>, OrchestratorError> {
+    ) -> Result<Vec<SuccessfulSet>, OrchestratorError> {
         debug_assert_eq!(segments.len(), self.tasks.len());
         let deltas = run_indexed(self.tasks.len(), self.workers, |task| {
             let telemetry = &self.tasks[task].telemetry;
@@ -351,7 +356,7 @@ impl ShardSession for InProcessSession<'_> {
             let _span = telemetry.span(keys::SPAN_SHARD_RUN);
             let mut slot = self.slots[task].lock().unwrap();
             let runner = slot.get_or_insert_with(|| build_runner(&self.tasks[task]));
-            let delta = runner.run_segment(segments[task], |_| self.sink.progress(task));
+            let delta = runner.run_segment_hashed(segments[task], |_| self.sink.progress(task));
             if last {
                 let output = slot.take().expect("runner present").finish();
                 self.sink.complete(task, &output);
@@ -362,7 +367,7 @@ impl ShardSession for InProcessSession<'_> {
         Ok(deltas)
     }
 
-    fn inject(&mut self, deltas: &[&[String]]) -> Result<(), OrchestratorError> {
+    fn inject(&mut self, deltas: &[&SuccessfulSet]) -> Result<(), OrchestratorError> {
         debug_assert_eq!(deltas.len(), self.slots.len());
         for (slot, delta) in self.slots.iter().zip(deltas) {
             if let Some(runner) = slot.lock().unwrap().as_mut() {
@@ -476,6 +481,7 @@ mod tests {
             .unwrap();
         let deltas = session.run_epoch(&segments[..1], false).unwrap();
         let pool = deltas[0].clone();
+        assert!(!pool.is_empty(), "the first segment finds something to exchange");
         session.inject(&[&pool]).unwrap();
         let checkpoints: Vec<_> = session
             .checkpoints()
@@ -489,7 +495,7 @@ mod tests {
 
         let mut manual = ShardRunner::new(&config, spec, None);
         let manual_delta = manual.run_segment(segments[0], |_| {});
-        assert_eq!(manual_delta, pool);
+        assert_eq!(manual_delta, pool.sources());
         manual.inject(&pool);
         let mut manual_checkpoint = manual.checkpoint();
         // Wall clocks never replay; everything else must.
@@ -500,6 +506,42 @@ mod tests {
         assert_eq!(output.records, manual_output.records);
         assert_eq!(output.successful_sources, manual_output.successful_sources);
         assert_eq!(output.aggregates, manual_output.aggregates);
+    }
+
+    #[test]
+    fn in_process_deltas_carry_the_hashes_run_one_computed() {
+        let config = config(40, 13);
+        let specs = plan_shards(&config, 2);
+        let executor = InProcessExecutor::new(2);
+        let mut session = executor.begin(tasks_for(&config, 2), &NullSink).unwrap();
+        let mut ids: Vec<Vec<String>> = vec![Vec::new(); specs.len()];
+        // Only the deltas of epochs a barrier follows are merged.
+        for epoch in 0..3 {
+            let plan: Vec<usize> =
+                specs.iter().map(|spec| plan_epoch_segments(spec.budget, 3)[epoch]).collect();
+            let deltas = session.run_epoch(&plan, epoch == 2).unwrap();
+            if epoch == 2 {
+                break;
+            }
+            for (task, delta) in deltas.iter().enumerate() {
+                assert!(!delta.is_empty(), "task {task} epoch {epoch} found nothing");
+                for (hash, source) in delta.hashes().iter().zip(delta.sources()) {
+                    assert_eq!(*hash, llm4fp_fpir::source_hash(source));
+                    ids[task].push(llm4fp_fpir::hash_id(*hash));
+                }
+            }
+        }
+        // Each hash is the one `run_one` recorded as a successful
+        // program's id, in the order the shard found them.
+        for (task, output) in session.finish().unwrap().shards.into_iter().enumerate() {
+            let output = output.expect("in-process tasks never quarantine");
+            let successful: Vec<&String> =
+                output.records.iter().filter(|r| r.successful).map(|r| &r.program_id).collect();
+            let mut found = successful.into_iter();
+            for id in &ids[task] {
+                assert!(found.any(|recorded| recorded == id), "task {task}: {id} out of order");
+            }
+        }
     }
 
     #[test]

@@ -682,15 +682,16 @@ fn execute(
                 .collect();
             // Merge the epoch's deltas in task order — each campaign's in
             // shard-index order, into a set of its own (which deduplicates
-            // structurally) — then broadcast them back into its shards,
-            // whose sets already hold every earlier broadcast.
+            // by the hashes the deltas carry) — then broadcast them back
+            // into its shards, whose sets already hold every earlier
+            // broadcast.
             let mut merged: Vec<SuccessfulSet> =
                 campaigns.iter().map(|_| SuccessfulSet::new()).collect();
             for (&owner, delta) in sink.owners.iter().zip(&deltas) {
-                merged[owner].merge_sources(delta);
+                merged[owner].merge(delta);
             }
-            let broadcast: Vec<&[String]> =
-                sink.owners.iter().map(|&owner| merged[owner].sources()).collect();
+            let broadcast: Vec<&SuccessfulSet> =
+                sink.owners.iter().map(|&owner| &merged[owner]).collect();
             session.inject(&broadcast)?;
             if persisting {
                 // Checkpoints are taken after injection, mirroring the

@@ -640,7 +640,8 @@ mod tests {
         let config = manifest().config;
         let spec = crate::shard::plan_shards(&config, 2)[0];
 
-        let pool = vec!["void compute(double x) { comp = x; }".to_string()];
+        let mut pool = llm4fp::SuccessfulSet::new();
+        pool.insert("void compute(double x) { comp = x; }");
         let mut runner = crate::shard::ShardRunner::new(&config, spec, None);
         runner.run_segment(2, |_| {});
         runner.inject(&pool);

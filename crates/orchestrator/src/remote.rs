@@ -68,7 +68,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use llm4fp::RunnerCheckpoint;
+use llm4fp::{RunnerCheckpoint, SuccessfulSet};
 use llm4fp_extcc::{group_spawn, kill_group};
 use llm4fp_telemetry::{keys, Telemetry};
 
@@ -862,7 +862,7 @@ impl ShardSession for WorkerSession<'_> {
         &mut self,
         segments: &[usize],
         last: bool,
-    ) -> Result<Vec<Vec<String>>, OrchestratorError> {
+    ) -> Result<Vec<SuccessfulSet>, OrchestratorError> {
         debug_assert_eq!(segments.len(), self.core.tasks.len());
         let state = self.core.epoch_state();
         let jobs = (0..self.core.tasks.len())
@@ -910,7 +910,7 @@ impl ShardSession for WorkerSession<'_> {
         self.core.fold_epoch(state, last)
     }
 
-    fn inject(&mut self, deltas: &[&[String]]) -> Result<(), OrchestratorError> {
+    fn inject(&mut self, deltas: &[&SuccessfulSet]) -> Result<(), OrchestratorError> {
         self.core.inject(deltas)
     }
 

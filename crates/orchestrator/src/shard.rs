@@ -20,7 +20,9 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use llm4fp::{CampaignConfig, CampaignResult, CampaignRunner, ProgramRecord, RunnerCheckpoint};
+use llm4fp::{
+    CampaignConfig, CampaignResult, CampaignRunner, ProgramRecord, RunnerCheckpoint, SuccessfulSet,
+};
 use llm4fp_difftest::{Aggregates, ProcessBudget, ResultCache};
 use llm4fp_fpir::source_hash;
 use llm4fp_telemetry::Telemetry;
@@ -203,26 +205,38 @@ impl ShardRunner {
     /// Run the next `count` programs (clamped to the remaining budget) and
     /// return the sources this shard newly found during the segment — the
     /// delta the barrier merges. `on_record` observes every processed
-    /// program (the persistence layer streams progress lines through it).
+    /// program.
     pub fn run_segment(
         &mut self,
         count: usize,
-        mut on_record: impl FnMut(&ProgramRecord),
+        on_record: impl FnMut(&ProgramRecord),
     ) -> Vec<String> {
+        self.run_segment_hashed(count, on_record).into_sources()
+    }
+
+    /// [`ShardRunner::run_segment`] returning the delta with the hashes
+    /// `run_one` computed for it, so an in-process barrier merges and
+    /// broadcasts it without hashing.
+    pub(crate) fn run_segment_hashed(
+        &mut self,
+        count: usize,
+        mut on_record: impl FnMut(&ProgramRecord),
+    ) -> SuccessfulSet {
         let end = (self.next_local + count).min(self.spec.budget);
         for local in self.next_local..end {
             on_record(self.runner.run_one(local));
         }
         self.next_local = end;
-        let delta = self.runner.successful_sources_from(self.watermark);
+        let delta = self.runner.successful_from(self.watermark);
         self.watermark = self.runner.successful_len();
         delta
     }
 
     /// Inject merged cross-shard finds into this shard's feedback set
-    /// (structurally deduplicated; the shard's own finds stay first, in
-    /// their original order). Returns how many sources were new here.
-    pub fn inject(&mut self, pool: &[String]) -> usize {
+    /// (structurally deduplicated by the hashes `pool` carries; the
+    /// shard's own finds stay first, in their original order). Returns
+    /// how many sources were new here.
+    pub fn inject(&mut self, pool: &SuccessfulSet) -> usize {
         let added = self.runner.inject_successful(pool);
         self.watermark = self.runner.successful_len();
         added
@@ -455,8 +469,11 @@ mod tests {
         let config =
             CampaignConfig::new(ApproachKind::Llm4Fp).with_budget(24).with_seed(31).with_threads(1);
         let spec = plan_shards(&config, 2)[0];
-        let pool =
-            vec!["void compute(double z) { comp = z * z; }".to_string(), "bogus".to_string()];
+        let mut pool = SuccessfulSet::new();
+        pool.merge_sources(&[
+            "void compute(double z) { comp = z * z; }".to_string(),
+            "bogus".to_string(),
+        ]);
 
         let mut reference = ShardRunner::new(&config, spec, None);
         reference.run_segment(6, |_| {});

@@ -21,7 +21,7 @@
 
 use std::collections::VecDeque;
 
-use llm4fp::RunnerCheckpoint;
+use llm4fp::{RunnerCheckpoint, SuccessfulSet};
 use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::executor::{FailurePolicy, OrchestratorError, ProgressSink, SessionOutcome, ShardTask};
@@ -303,13 +303,15 @@ impl<'s> SessionCore<'s> {
     /// counters (exactly once per job; stale results were discarded),
     /// tick the sink once per accepted result, and store barrier state
     /// or final outputs (completing each finished shard in the sink).
-    /// Returns each task's delta. The epoch's redispatches add to
-    /// [`Self::supervision`].
+    /// Returns each task's delta, with every received source hashed
+    /// here once, so the barrier merges and injects by hash (with `last`
+    /// no barrier follows, and the deltas are returned empty). The
+    /// epoch's redispatches add to [`Self::supervision`].
     pub fn fold_epoch(
         &mut self,
         mut state: EpochState,
         last: bool,
-    ) -> Result<Vec<Vec<String>>, OrchestratorError> {
+    ) -> Result<Vec<SuccessfulSet>, OrchestratorError> {
         self.next_lease = state.next_lease;
         self.supervision.redispatches += state.redispatches;
         if let Some(failure) = state.failed.take() {
@@ -337,7 +339,7 @@ impl<'s> SessionCore<'s> {
         }
         for (job, result) in state.results.iter_mut().enumerate() {
             if self.quarantined[job] {
-                deltas.push(Vec::new());
+                deltas.push(SuccessfulSet::new());
                 continue;
             }
             let result = result.take().ok_or_else(|| {
@@ -348,7 +350,11 @@ impl<'s> SessionCore<'s> {
                     self.tasks[job].telemetry.absorb(snapshot);
                 }
             }
-            deltas.push(result.delta);
+            let mut delta = SuccessfulSet::new();
+            if !last {
+                delta.merge_sources(&result.delta);
+            }
+            deltas.push(delta);
             self.sink.progress(job);
             if last {
                 let output = result.output.ok_or_else(|| {
@@ -370,10 +376,10 @@ impl<'s> SessionCore<'s> {
         Ok(deltas)
     }
 
-    /// Broadcast the epoch's merged deltas into the stored checkpoints
-    /// (commutative with runner-side injection — see
-    /// `RunnerCheckpoint::inject_successful`).
-    pub fn inject(&mut self, deltas: &[&[String]]) -> Result<(), OrchestratorError> {
+    /// Broadcast the epoch's merged deltas into the stored checkpoints by
+    /// the hashes they carry (commutative with runner-side injection —
+    /// see `RunnerCheckpoint::inject_successful`).
+    pub fn inject(&mut self, deltas: &[&SuccessfulSet]) -> Result<(), OrchestratorError> {
         debug_assert_eq!(deltas.len(), self.checkpoints.len());
         for (job, delta) in deltas.iter().enumerate() {
             if self.quarantined[job] {

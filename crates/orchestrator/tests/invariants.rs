@@ -100,7 +100,7 @@ fn e1_reproduces_the_no_exchange_sharded_output() {
 #[test]
 fn sharded_runs_are_bit_identical_across_worker_counts() {
     let config = config(ApproachKind::Llm4Fp, 30, 7);
-    for epochs in [1usize, 4] {
+    for epochs in [1usize, 4, 16] {
         for shards in [1usize, 2, 4] {
             let reference = orchestrate(&config, shards, options(1, true, epochs)).unwrap();
             assert_eq!(reference.stats.shards, shards.min(config.programs));
@@ -114,6 +114,38 @@ fn sharded_runs_are_bit_identical_across_worker_counts() {
                 );
             }
         }
+    }
+}
+
+/// FNV-1a over a sequence of strings, each terminated by a byte no
+/// UTF-8 text contains, so moving a boundary changes the digest.
+fn digest<'a>(items: impl IntoIterator<Item = &'a str>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for item in items {
+        for byte in item.bytes().chain([0xff]) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+#[test]
+fn exchanged_campaigns_are_pinned_by_value() {
+    // Worker-count and executor comparisons cannot see a change to the
+    // barrier's merge order that every executor shares: each side of the
+    // comparison moves together. Literal digests of the successful set
+    // and the record ids catch it.
+    for (budget, shards, epochs, expected) in [
+        (64usize, 4usize, 4usize, (0x3702_1ff8_351e_b8fdu64, 58usize, 0x721b_4083_d494_a874u64)),
+        (128, 8, 16, (0xeac5_76f1_9f84_7b90, 109, 0xbf45_d25a_95d0_812d)),
+    ] {
+        let result = run_sharded_epochs(&config(ApproachKind::Llm4Fp, budget, 17), shards, epochs);
+        let pinned = (
+            digest(result.successful_sources.iter().map(String::as_str)),
+            result.successful_sources.len(),
+            digest(result.records.iter().map(|r| r.program_id.as_str())),
+        );
+        assert_eq!(pinned, expected, "K={shards} E={epochs}");
     }
 }
 

@@ -239,6 +239,28 @@ proptest! {
         prop_assert_eq!(ab.sources(), &before[..]);
     }
 
+    /// `SuccessfulSet::merge` (by the hashes the other set carries) is
+    /// `merge_sources` over its sources (which hashes each one): the
+    /// barrier that merges by hash builds the same pool as one that
+    /// re-hashes every exchanged source.
+    #[test]
+    fn successful_set_merge_by_hash_equals_merge_of_sources(seed in 0u64..50_000) {
+        let (a, b, c) = three_sets(seed);
+        let mut by_hash = a.clone();
+        let mut by_source = a.clone();
+        for other in [&b, &c] {
+            prop_assert_eq!(by_hash.merge(other), by_source.merge_sources(other.sources()));
+        }
+        prop_assert_eq!(by_hash.sources(), by_source.sources());
+        prop_assert_eq!(by_hash.own_sources(), by_source.own_sources());
+        prop_assert_eq!(by_hash.len(), by_source.len());
+        for source in a.sources().iter().chain(b.sources()).chain(c.sources()) {
+            prop_assert!(by_hash.contains(source));
+            prop_assert!(by_source.contains(source));
+        }
+        prop_assert!(by_hash == by_source);
+    }
+
     /// The sealed register VM is pinned bit-identical to the reference
     /// interpreter: for random valid programs × configurations × inputs
     /// both the single-configuration artifact and the matrix-sealed one
