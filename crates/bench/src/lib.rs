@@ -22,12 +22,12 @@
 //!   `--shards 1` exchange is a structural no-op, and `--epochs 1`
 //!   disables it so shards feed only on their own findings);
 //! * `--workers W` — shard worker threads (default: available parallelism);
+//!   each runs one shard at a time, so with `--backend extcc` this also
+//!   bounds how many compilers and test binaries run at once;
 //! * `--backend virtual|extcc` — execution backend (default `virtual`;
 //!   `extcc` detects host gcc/clang and drives the real toolchain,
 //!   restricting the matrix to the detected compilers — the binary exits
 //!   with a clear message when fewer than two are installed);
-//! * `--process-slots P` — bound on concurrently process-spawning shards
-//!   for `--backend extcc` (default: available parallelism);
 //! * `--run-dir PATH` — persist the run (and its telemetry flight
 //!   recorders) into a resumable run directory (single-campaign binaries;
 //!   suite binaries schedule in memory);
@@ -121,8 +121,6 @@ pub struct ExpOptions {
     pub epochs: usize,
     pub workers: usize,
     pub backend: CliBackend,
-    /// 0 = use the worker default.
-    pub process_slots: usize,
     /// Collect telemetry counters and histograms (on by default for
     /// experiment runs; `--no-metrics` turns everything off). Pure
     /// observation — results are bit-identical either way.
@@ -174,7 +172,6 @@ impl Default for ExpOptions {
             epochs: 4,
             workers: default_workers(),
             backend: CliBackend::Virtual,
-            process_slots: 0,
             metrics: true,
             trace: false,
             run_dir: None,
@@ -228,11 +225,6 @@ impl ExpOptions {
                         "extcc" => CliBackend::Extcc,
                         other => return Err(format!("invalid --backend `{other}`")),
                     };
-                }
-                "--process-slots" => {
-                    let v = iter.next().ok_or("--process-slots needs a value")?;
-                    opts.process_slots =
-                        v.parse().map_err(|_| format!("invalid --process-slots {v}"))?;
                 }
                 "--executor" => {
                     let v = iter.next().ok_or("--executor needs a value")?;
@@ -303,7 +295,7 @@ impl ExpOptions {
                 "--help" | "-h" => {
                     return Err("usage: [--programs N] [--paper] [--seed S] \
                          [--shards K] [--epochs E] [--workers W] \
-                         [--backend virtual|extcc] [--process-slots P] \
+                         [--backend virtual|extcc] \
                          [--run-dir PATH] [--trace] [--no-metrics] \
                          [--executor in-process|process-pool|remote] [--worker-procs N] \
                          [--listen ADDR] [--no-spawn-workers] [--max-frame-len BYTES] \
@@ -414,11 +406,6 @@ impl ExpOptions {
             workers: self.workers,
             cache: true,
             epochs: self.epochs,
-            process_slots: if self.process_slots == 0 {
-                default_workers()
-            } else {
-                self.process_slots
-            },
             run_dir: self.run_dir.clone(),
             telemetry: self.telemetry_spec(),
             fallback_to_in_process: self.fallback_in_process,
@@ -591,8 +578,6 @@ mod tests {
                 "3",
                 "--backend",
                 "extcc",
-                "--process-slots",
-                "5",
                 "--trace",
                 "--run-dir",
                 "/tmp/llm4fp-run",
@@ -633,7 +618,6 @@ mod tests {
                 epochs: 2,
                 workers: 3,
                 backend: CliBackend::Extcc,
-                process_slots: 5,
                 metrics: true,
                 trace: true,
                 run_dir: Some(PathBuf::from("/tmp/llm4fp-run")),
@@ -680,7 +664,7 @@ mod tests {
         assert_eq!(paper.programs, 1_000);
         assert!(ExpOptions::parse(["--programs".to_string(), "zero".to_string()]).is_err());
         assert!(ExpOptions::parse(["--bogus".to_string()]).is_err());
-        for retired in ["--no-seal-opt", "--threads", "--workers-addr"] {
+        for retired in ["--no-seal-opt", "--threads", "--workers-addr", "--process-slots"] {
             assert_eq!(
                 ExpOptions::parse([retired.to_string()]),
                 Err(format!("unknown argument `{retired}`"))

@@ -342,6 +342,38 @@ mod tests {
     }
 
     #[test]
+    fn full_matrix_maps_onto_ten_distinct_semantics() {
+        // Configurations that share a `Semantics` compile every program to
+        // the same bits in the virtual compiler: O1/O2/O3 are copies by
+        // construction, and `O0` differs from `O0_nofma` only on nvcc,
+        // which contracts FMAs at `O0` by default.
+        use CompilerId::*;
+        use OptLevel::*;
+        let mut classes: Vec<(Semantics, Vec<CompilerConfig>)> = Vec::new();
+        for config in CompilerConfig::full_matrix() {
+            let semantics = config.semantics();
+            match classes.iter_mut().find(|(known, _)| *known == semantics) {
+                Some((_, members)) => members.push(config),
+                None => classes.push((semantics, vec![config])),
+            }
+        }
+        let class = |compiler, levels: &[OptLevel]| -> Vec<CompilerConfig> {
+            levels.iter().map(|&level| CompilerConfig::new(compiler, level)).collect()
+        };
+        let mut expected = Vec::new();
+        for host in [Gcc, Clang] {
+            expected.extend([class(host, &[O0Nofma, O0]), class(host, &[O1, O2, O3])]);
+            expected.push(class(host, &[O3Fastmath]));
+        }
+        expected.extend([class(Nvcc, &[O0Nofma]), class(Nvcc, &[O0])]);
+        expected.extend([class(Nvcc, &[O1, O2, O3]), class(Nvcc, &[O3Fastmath])]);
+        let actual: Vec<Vec<CompilerConfig>> =
+            classes.into_iter().map(|(_, members)| members).collect();
+        assert_eq!(actual.len(), 10);
+        assert_eq!(actual, expected);
+    }
+
+    #[test]
     fn table1_flags_match_the_paper() {
         assert_eq!(OptLevel::O0Nofma.flags(CompilerId::Gcc), vec!["-O0", "-ffp-contract=off"]);
         assert_eq!(OptLevel::O0Nofma.flags(CompilerId::Nvcc), vec!["-O0", "--fmad=false"]);

@@ -41,7 +41,7 @@ use serde::{Deserialize, Serialize};
 
 use llm4fp_difftest::{
     record_outcome_metrics, Aggregates, CachedDiff, DiffTester, ExecBackend, ExecEngine,
-    MatrixScratch, ProcessBudget, ResultCache,
+    MatrixScratch, ResultCache,
 };
 use llm4fp_fpir::{hash_id, source_hash, to_compute_source, validate, Program};
 use llm4fp_generator::{
@@ -487,19 +487,6 @@ impl CampaignRunner {
         self.tester = self.tester.clone().with_engine(ExecEngine::Reference);
         self.cache_scope = self.tester.backend_fingerprint();
         self
-    }
-
-    /// Bound this runner's concurrent external process activity with a
-    /// budget shared across shards (the orchestrator's process-pool
-    /// knob). No effect on virtual campaigns.
-    pub fn with_process_budget(mut self, budget: Arc<ProcessBudget>) -> Self {
-        self.set_process_budget(budget);
-        self
-    }
-
-    /// In-place form of [`CampaignRunner::with_process_budget`].
-    pub fn set_process_budget(&mut self, budget: Arc<ProcessBudget>) {
-        self.tester.process_budget = Some(budget);
     }
 
     /// Attach a telemetry handle (the orchestrator passes this runner's

@@ -8,15 +8,8 @@
 //! Both paths flow into the same [`crate::ProgramDiffResult`] shape, so
 //! comparison, aggregation, caching, campaign and orchestrator code are
 //! backend-agnostic.
-//!
-//! External campaigns additionally throttle their process spawns through
-//! an optional [`ProcessBudget`] — a counting semaphore shared across
-//! shards that bounds how many program matrices spawn processes
-//! concurrently, independently of the orchestrator's thread pool (virtual
-//! shards never touch it). Throttling changes wall-clock interleaving
-//! only; recorded results stay a pure function of the toolchain.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 use llm4fp_extcc::HostToolchain;
 
@@ -42,11 +35,6 @@ impl Default for ExecBackend {
 }
 
 impl ExecBackend {
-    /// Shorthand for the default virtual backend.
-    pub fn virtual_default() -> Self {
-        ExecBackend::default()
-    }
-
     /// True for the external (process-spawning) backend.
     pub fn is_external(&self) -> bool {
         matches!(self, ExecBackend::External(_))
@@ -64,68 +52,9 @@ impl ExecBackend {
     }
 }
 
-/// A counting semaphore bounding concurrent external process activity.
-///
-/// The orchestrator hands one budget to every external shard of a run
-/// (`OrchestratorOptions::process_slots`); the differential tester
-/// acquires a permit around each program's compile-and-run matrix. This
-/// keeps a mixed virtual/real campaign suite from forking hundreds of
-/// compilers at once while the virtual shards saturate the thread pool.
-#[derive(Debug)]
-pub struct ProcessBudget {
-    slots: Mutex<usize>,
-    available: Condvar,
-    capacity: usize,
-}
-
-impl ProcessBudget {
-    /// A budget with `slots` permits (clamped to at least 1).
-    pub fn new(slots: usize) -> Self {
-        let slots = slots.max(1);
-        ProcessBudget { slots: Mutex::new(slots), available: Condvar::new(), capacity: slots }
-    }
-
-    /// Total number of permits.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Block until a permit is free and take it; the guard returns the
-    /// permit when dropped.
-    pub fn acquire(&self) -> BudgetGuard<'_> {
-        let mut slots = self.slots.lock().unwrap();
-        while *slots == 0 {
-            slots = self.available.wait(slots).unwrap();
-        }
-        *slots -= 1;
-        BudgetGuard { budget: self }
-    }
-
-    /// Permits currently free (advisory; for tests and stats).
-    pub fn free(&self) -> usize {
-        *self.slots.lock().unwrap()
-    }
-}
-
-/// RAII permit of a [`ProcessBudget`].
-#[derive(Debug)]
-pub struct BudgetGuard<'b> {
-    budget: &'b ProcessBudget,
-}
-
-impl Drop for BudgetGuard<'_> {
-    fn drop(&mut self) {
-        let mut slots = self.budget.slots.lock().unwrap();
-        *slots += 1;
-        drop(slots);
-        self.budget.available.notify_one();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn backend_fingerprints_distinguish_external_toolchains_only() {
@@ -138,34 +67,5 @@ mod tests {
         let external = ExecBackend::External(Arc::new(HostToolchain::new(vec![])));
         assert!(external.is_external());
         assert_ne!(external.fingerprint(), sealed.fingerprint());
-    }
-
-    #[test]
-    fn budget_bounds_concurrency() {
-        let budget = ProcessBudget::new(2);
-        assert_eq!(budget.capacity(), 2);
-        let live = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    let _guard = budget.acquire();
-                    let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                    live.fetch_sub(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert!(peak.load(Ordering::SeqCst) <= 2, "budget exceeded");
-        assert_eq!(budget.free(), 2, "all permits returned");
-    }
-
-    #[test]
-    fn zero_slot_budgets_clamp_to_one() {
-        let budget = ProcessBudget::new(0);
-        assert_eq!(budget.capacity(), 1);
-        let _guard = budget.acquire();
-        assert_eq!(budget.free(), 0);
     }
 }

@@ -24,7 +24,7 @@ pub mod compare;
 pub mod matrix;
 
 pub use aggregate::{Aggregates, KindByLevel, PairLevelStats, VsBaselineStats};
-pub use backend::{BudgetGuard, ExecBackend, ProcessBudget};
+pub use backend::ExecBackend;
 pub use cache::{CacheStats, CachedDiff, ResultCache};
 pub use compare::{classify, digit_difference, DiffRecord, InconsistencyKind, ValueClass};
 pub use matrix::{

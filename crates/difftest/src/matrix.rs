@@ -38,7 +38,7 @@ use llm4fp_extcc::HostToolchain;
 use llm4fp_fpir::{hash_id, program_hash, InputSet, Precision, Program};
 use llm4fp_telemetry::{keys, Telemetry};
 
-use crate::backend::{ExecBackend, ProcessBudget};
+use crate::backend::ExecBackend;
 use crate::compare::{classify, digit_difference, DiffRecord};
 
 /// Outcome of building + running one configuration.
@@ -137,10 +137,6 @@ pub struct DiffTester {
     /// Accepted and ignored: sealing has one mode. Kept for source
     /// compatibility.
     pub seal_mode: SealMode,
-    /// Optional bound on concurrent external process activity (shared
-    /// across shards by the orchestrator; ignored by the virtual
-    /// backend).
-    pub process_budget: Option<Arc<ProcessBudget>>,
     /// Telemetry handle (disabled by default — every recording call is a
     /// single branch). Pure observation: results are bit-identical with
     /// telemetry on or off, and compute-level counters are keyed by the
@@ -155,7 +151,6 @@ impl Default for DiffTester {
             levels: OptLevel::ALL.to_vec(),
             backend: ExecBackend::Virtual(ExecEngine::Sealed),
             seal_mode: SealMode::Optimized,
-            process_budget: None,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -217,13 +212,6 @@ impl DiffTester {
     #[deprecated(since = "0.2.0", note = "sealing has one mode; drop the call")]
     pub fn with_seal_mode(mut self, mode: SealMode) -> Self {
         self.seal_mode = mode;
-        self
-    }
-
-    /// Bound concurrent external process activity with a shared budget
-    /// (no effect on the virtual backend).
-    pub fn with_process_budget(mut self, budget: Arc<ProcessBudget>) -> Self {
-        self.process_budget = Some(budget);
         self
     }
 
@@ -323,8 +311,8 @@ impl DiffTester {
     /// External path: one scratch session per program, one compiler spawn
     /// and one binary spawn per configuration, in configuration order. All
     /// external failures land as `CompileFail`/`ExecFail` outcomes.
-    /// Process-level parallelism comes from the orchestrator's shards,
-    /// bounded by the shared [`ProcessBudget`].
+    /// Process-level parallelism comes from the orchestrator's shards:
+    /// at most one spawn per worker at a time.
     fn run_external(
         &self,
         toolchain: &Arc<HostToolchain>,
@@ -344,7 +332,6 @@ impl DiffTester {
         let mut record_error = |e: &llm4fp_extcc::ExtError| {
             *errors.entry(e.taxonomy()).or_insert(0) += 1;
         };
-        let _permit = self.process_budget.as_ref().map(|budget| budget.acquire());
         let outcomes = match toolchain.session() {
             Err(e) => {
                 record_error(&e);

@@ -176,20 +176,6 @@ impl MathFunc {
                 | MathFunc::Fmod
         )
     }
-
-    /// Functions that can overflow to infinity for moderate finite inputs.
-    pub fn can_overflow(self) -> bool {
-        matches!(
-            self,
-            MathFunc::Exp
-                | MathFunc::Exp2
-                | MathFunc::Expm1
-                | MathFunc::Sinh
-                | MathFunc::Cosh
-                | MathFunc::Pow
-                | MathFunc::Tan
-        )
-    }
 }
 
 impl std::fmt::Display for MathFunc {

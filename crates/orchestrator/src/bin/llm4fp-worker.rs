@@ -33,10 +33,8 @@
 
 use std::io::{self, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::Duration;
 
-use llm4fp_difftest::ProcessBudget;
 use llm4fp_orchestrator::faults::{FrameSabotage, WorkerFaultHarness, EXIT_SABOTAGED_ANSWER};
 use llm4fp_orchestrator::wire::{
     self, Hello, ShardJob, ShardJobResult, WireReply, WireRequest, MAX_FRAME_LEN,
@@ -55,11 +53,8 @@ fn run_job(job: ShardJob) -> ShardJobResult {
     let mut runner = match job.checkpoint {
         Some(checkpoint) => ShardRunner::from_checkpoint(&job.config, job.spec, None, checkpoint),
         None => ShardRunner::new(&job.config, job.spec, None),
-    };
-    if job.config.backend.is_external() {
-        runner = runner.with_process_budget(Arc::new(ProcessBudget::new(job.process_slots)));
     }
-    runner = runner.with_telemetry(telemetry.clone());
+    .with_telemetry(telemetry.clone());
     let delta = runner.run_segment(job.segment, |_| {});
     let (checkpoint, output) =
         if job.finish { (None, Some(runner.finish())) } else { (Some(runner.checkpoint()), None) };

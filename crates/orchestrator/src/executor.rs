@@ -42,7 +42,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use llm4fp::{CampaignConfig, RunnerCheckpoint, SuccessfulSet};
-use llm4fp_difftest::{ProcessBudget, ResultCache};
+use llm4fp_difftest::ResultCache;
 use llm4fp_telemetry::{keys, Telemetry};
 
 use crate::persist::PersistError;
@@ -155,10 +155,10 @@ impl SessionOutcome {
 }
 
 /// Everything one transport needs to run one shard: the campaign config,
-/// the shard plan, and the run-level wiring (cache/budget handles for
-/// in-process execution, the declarative `process_slots` knob for
-/// transports that must rebuild a budget elsewhere, the shard's telemetry
-/// lane, and an optional checkpoint to resume from).
+/// the shard plan, and the run-level wiring (the cache handle for
+/// in-process execution, the shard's telemetry lane, and an optional
+/// checkpoint to resume from). Each task runs on one thread, so the
+/// worker count bounds how many external compilers spawn at once.
 #[derive(Clone)]
 pub struct ShardTask {
     /// The parent campaign's configuration.
@@ -169,11 +169,6 @@ pub struct ShardTask {
     /// only; out-of-process workers run uncached — the cache is
     /// semantically transparent, so results are unaffected).
     pub cache: Option<Arc<ResultCache>>,
-    /// Shared external-process budget (in-process transports only).
-    pub budget: Option<Arc<ProcessBudget>>,
-    /// The process-slot count behind `budget`, for transports that must
-    /// materialize their own budget in another process.
-    pub process_slots: usize,
     /// This shard's telemetry lane. Out-of-process transports absorb the
     /// worker's exported counters into it at each barrier.
     pub telemetry: Telemetry,
@@ -320,16 +315,13 @@ impl ShardExecutor for InProcessExecutor {
 /// Construction happens lazily inside the pool so its cost parallelizes
 /// with the rest of the shard's work.
 fn build_runner(task: &ShardTask) -> ShardRunner {
-    let mut runner = match task.checkpoint.clone() {
+    match task.checkpoint.clone() {
         Some(checkpoint) => {
             ShardRunner::from_checkpoint(&task.config, task.spec, task.cache.clone(), checkpoint)
         }
         None => ShardRunner::new(&task.config, task.spec, task.cache.clone()),
-    };
-    if let Some(budget) = &task.budget {
-        runner = runner.with_process_budget(Arc::clone(budget));
     }
-    runner.with_telemetry(task.telemetry.clone())
+    .with_telemetry(task.telemetry.clone())
 }
 
 struct InProcessSession<'s> {
@@ -428,8 +420,6 @@ mod tests {
                 config: config.clone(),
                 spec,
                 cache: None,
-                budget: None,
-                process_slots: 1,
                 telemetry: Telemetry::disabled(),
                 checkpoint: None,
             })
@@ -471,8 +461,6 @@ mod tests {
                     config: config.clone(),
                     spec,
                     cache: None,
-                    budget: None,
-                    process_slots: 1,
                     telemetry: Telemetry::disabled(),
                     checkpoint: None,
                 }],

@@ -66,7 +66,7 @@ use serde::{Deserialize, Serialize};
 
 use llm4fp::{BackendSpec, CampaignConfig, CampaignResult, RunnerCheckpoint, SuccessfulSet};
 use llm4fp_compiler::{CompilerId, OptLevel};
-use llm4fp_difftest::{CacheStats, ProcessBudget, ResultCache};
+use llm4fp_difftest::{CacheStats, ResultCache};
 use llm4fp_fpir::Precision;
 use llm4fp_telemetry::{keys, TelemetryHub, TelemetrySpec, TelemetrySummary};
 
@@ -85,7 +85,8 @@ use crate::supervisor::SupervisionCounts;
 pub struct OrchestratorOptions {
     /// Worker threads for shard execution; each shard runs its difftest
     /// matrix on the worker thread that runs the shard, so this is the
-    /// run's only compute parallelism (`config.threads` is inert).
+    /// run's only compute parallelism (`config.threads` is inert) and the
+    /// bound on how many external compilers and test binaries run at once.
     /// Defaults to the machine's available parallelism. `0` is rejected
     /// with [`OrchestratorError::InvalidWorkers`] at run time.
     pub workers: usize,
@@ -98,15 +99,6 @@ pub struct OrchestratorOptions {
     /// every shard's budget into `E` segments with a merge-and-broadcast
     /// barrier between consecutive segments.
     pub epochs: usize,
-    /// The process-pool bound for external-backend campaigns: at most
-    /// this many shards spawn compiler/binary processes concurrently,
-    /// **separately** from the thread pool — a mixed virtual/real suite
-    /// keeps its virtual shards saturating `workers` threads on the
-    /// sealed VM while the external shards throttle their spawns.
-    /// Throttling changes wall-clock interleaving only; recorded results
-    /// and merge order are unaffected. Defaults to the machine's
-    /// available parallelism; ignored by virtual campaigns.
-    pub process_slots: usize,
     /// Persist the run (config, epoch barriers, completed shard outputs,
     /// merged result) into this directory, and resume from whatever
     /// complete state is already present.
@@ -138,7 +130,6 @@ impl Default for OrchestratorOptions {
             workers: default_workers(),
             cache: true,
             epochs: 1,
-            process_slots: default_workers(),
             run_dir: None,
             telemetry: TelemetrySpec::OFF,
             fallback_to_in_process: false,
@@ -331,13 +322,6 @@ impl Orchestrator {
     /// Toggle the shared differential-testing result cache.
     pub fn cache(mut self, cache: bool) -> Self {
         self.options.cache = cache;
-        self
-    }
-
-    /// External-process concurrency bound (see
-    /// [`OrchestratorOptions::process_slots`]).
-    pub fn process_slots(mut self, slots: usize) -> Self {
-        self.options.process_slots = slots;
         self
     }
 
@@ -620,15 +604,6 @@ fn execute(
             Some(cache)
         })
         .collect();
-    // One process budget bounds every external campaign's in-process
-    // spawns (out-of-process workers rebuild their own from
-    // `process_slots`); virtual campaigns never take it and stay
-    // unthrottled on the thread pool.
-    let budget = campaigns
-        .iter()
-        .any(|c| c.config.backend.is_external())
-        .then(|| Arc::new(ProcessBudget::new(options.process_slots)));
-
     // Flatten every campaign's shards still to compute into one task list,
     // campaign-major and in shard-index order within a campaign.
     let mut tasks = Vec::new();
@@ -642,8 +617,6 @@ fn execute(
                 config: campaign.config.clone(),
                 spec: *spec,
                 cache: caches[owner].clone(),
-                budget: budget.clone().filter(|_| campaign.config.backend.is_external()),
-                process_slots: options.process_slots,
                 // Telemetry is never part of checkpoints; the task's lane
                 // handle covers both the fresh and the restored path.
                 telemetry: campaign.hub.lane(spec.index),

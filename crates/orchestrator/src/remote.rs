@@ -971,8 +971,6 @@ mod tests {
                 config: config.clone(),
                 spec,
                 cache: None,
-                budget: None,
-                process_slots: 1,
                 telemetry: Telemetry::disabled(),
                 checkpoint: None,
             })

@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 use llm4fp::{
     CampaignConfig, CampaignResult, CampaignRunner, ProgramRecord, RunnerCheckpoint, SuccessfulSet,
 };
-use llm4fp_difftest::{Aggregates, ProcessBudget, ResultCache};
+use llm4fp_difftest::{Aggregates, ResultCache};
 use llm4fp_fpir::source_hash;
 use llm4fp_telemetry::Telemetry;
 
@@ -176,14 +176,6 @@ impl ShardRunner {
         ShardRunner { spec, runner, next_local, watermark }
     }
 
-    /// Throttle this shard's external process spawns with a budget shared
-    /// across the run (the orchestrator's process-pool knob; a no-op for
-    /// virtual-backend campaigns).
-    pub fn with_process_budget(mut self, budget: Arc<ProcessBudget>) -> Self {
-        self.runner.set_process_budget(budget);
-        self
-    }
-
     /// Attach a telemetry lane handle (pure observation: results are
     /// bit-identical with or without it). Telemetry is never part of
     /// checkpoints, so restored shards must re-attach their lane —
@@ -269,34 +261,26 @@ impl ShardRunner {
 }
 
 /// Everything a shard needs besides its own plan: the parent campaign's
-/// configuration plus the optional shared machinery (cache, process
-/// budget, telemetry lane). One context serves any number of shards, and
-/// every attachment is a pure observer or scheduler — the shard's output
-/// is a function of `(config, spec)` alone.
+/// configuration plus the optional shared machinery (cache, telemetry
+/// lane). One context serves any number of shards, and every attachment
+/// is a pure observer — the shard's output is a function of
+/// `(config, spec)` alone.
 #[derive(Debug, Clone)]
 pub struct ShardCtx<'a> {
     config: &'a CampaignConfig,
     cache: Option<Arc<ResultCache>>,
-    budget: Option<Arc<ProcessBudget>>,
     telemetry: Telemetry,
 }
 
 impl<'a> ShardCtx<'a> {
-    /// A bare context: no cache, no process budget, telemetry disabled.
+    /// A bare context: no cache, telemetry disabled.
     pub fn new(config: &'a CampaignConfig) -> Self {
-        ShardCtx { config, cache: None, budget: None, telemetry: Telemetry::disabled() }
+        ShardCtx { config, cache: None, telemetry: Telemetry::disabled() }
     }
 
     /// Share a cross-shard result cache (semantically transparent).
     pub fn with_cache(mut self, cache: Option<Arc<ResultCache>>) -> Self {
         self.cache = cache;
-        self
-    }
-
-    /// Throttle external process spawns with a shared budget (scheduling
-    /// only — never changes recorded output).
-    pub fn with_process_budget(mut self, budget: Option<Arc<ProcessBudget>>) -> Self {
-        self.budget = budget;
         self
     }
 
@@ -313,9 +297,6 @@ impl<'a> ShardCtx<'a> {
 pub fn run_shard(spec: &ShardSpec, ctx: &ShardCtx<'_>) -> ShardOutput {
     let mut runner = ShardRunner::new(ctx.config, *spec, ctx.cache.clone())
         .with_telemetry(ctx.telemetry.clone());
-    if let Some(budget) = &ctx.budget {
-        runner = runner.with_process_budget(budget.clone());
-    }
     runner.run_segment(spec.budget, |_| {});
     runner.finish()
 }

@@ -291,7 +291,7 @@ impl<'s> SessionCore<'s> {
             segment,
             finish,
             checkpoint: self.checkpoints[job].clone(),
-            process_slots: task.process_slots,
+            process_slots: 1,
             telemetry: task.telemetry.is_enabled(),
             lease,
         }

@@ -147,9 +147,10 @@ pub struct ShardJob {
     /// deltas already injected coordinator-side); `None` starts the shard
     /// fresh.
     pub checkpoint: Option<RunnerCheckpoint>,
-    /// Process-budget slots for external-backend campaigns (each worker
-    /// daemon materializes its own budget — the bound is per worker, not
-    /// global; results are unaffected either way).
+    /// Ignored; kept so `perfbench` literals and older coordinators'
+    /// frames decode. Coordinators write `1` and workers never read it:
+    /// a worker runs one job at a time, so it spawns one external
+    /// process at a time.
     pub process_slots: usize,
     /// Collect telemetry counters and return them in the result.
     pub telemetry: bool,

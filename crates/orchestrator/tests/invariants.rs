@@ -429,19 +429,8 @@ mod external_backend {
         config(approach, budget, seed).with_backend(BackendSpec::External(spec))
     }
 
-    fn ext_options(
-        workers: usize,
-        cache: bool,
-        epochs: usize,
-        slots: usize,
-    ) -> OrchestratorOptions {
-        OrchestratorOptions {
-            workers,
-            cache,
-            epochs,
-            process_slots: slots,
-            ..OrchestratorOptions::default()
-        }
+    fn ext_options(workers: usize, cache: bool, epochs: usize) -> OrchestratorOptions {
+        OrchestratorOptions { workers, cache, epochs, ..OrchestratorOptions::default() }
     }
 
     #[test]
@@ -462,20 +451,17 @@ mod external_backend {
     }
 
     #[test]
-    fn external_runs_are_bit_identical_across_worker_counts_and_process_slots() {
+    fn external_runs_are_bit_identical_across_worker_counts() {
         let dir = fake_dir("workers");
         let config = fake_config(&dir, ApproachKind::Llm4Fp, 8, 7);
         for epochs in [1usize, 2] {
-            let reference = orchestrate(&config, 2, ext_options(1, true, epochs, 1)).unwrap();
-            for (workers, slots) in [(4usize, 1usize), (4, 8)] {
-                let other =
-                    orchestrate(&config, 2, ext_options(workers, true, epochs, slots)).unwrap();
-                assert_results_identical(
-                    &other.result,
-                    &reference.result,
-                    &format!("external E={epochs} workers={workers} slots={slots}"),
-                );
-            }
+            let reference = orchestrate(&config, 2, ext_options(1, true, epochs)).unwrap();
+            let other = orchestrate(&config, 2, ext_options(4, true, epochs)).unwrap();
+            assert_results_identical(
+                &other.result,
+                &reference.result,
+                &format!("external E={epochs} workers=4"),
+            );
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -493,7 +479,7 @@ mod external_backend {
         // workers = 1 keeps cache counting exact (no double-computed
         // misses) — the bit-identity across worker counts is pinned by
         // the test above.
-        let cached = orchestrate(&config, 2, ext_options(1, true, 1, 1)).unwrap();
+        let cached = orchestrate(&config, 2, ext_options(1, true, 1)).unwrap();
         let stats = cached.stats.cache.expect("cache stats recorded");
         assert!(stats.hits > 0, "Direct-Prompt budget 30 must contain duplicates");
         assert_eq!(
@@ -509,7 +495,7 @@ mod external_backend {
         );
 
         // And the cache stays semantically transparent externally.
-        let uncached = orchestrate(&config, 2, ext_options(1, false, 1, 1)).unwrap();
+        let uncached = orchestrate(&config, 2, ext_options(1, false, 1)).unwrap();
         assert_results_identical(&cached.result, &uncached.result, "external cache on/off");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -524,13 +510,13 @@ mod external_backend {
         let dir = fake_dir("mixed");
         let virtual_config = config(ApproachKind::Llm4Fp, 16, 21);
         let external_config = fake_config(&dir, ApproachKind::GrammarGuided, 6, 21);
-        let suite = Scheduler::new(ext_options(4, true, 2, 1))
+        let suite = Scheduler::new(ext_options(4, true, 2))
             .shards(2)
             .run(&[virtual_config.clone(), external_config.clone()])
             .unwrap();
         assert_eq!(suite.len(), 2);
         for (cfg, orchestrated) in [&virtual_config, &external_config].into_iter().zip(&suite) {
-            let individual = orchestrate(cfg, 2, ext_options(1, false, 2, 1)).unwrap();
+            let individual = orchestrate(cfg, 2, ext_options(1, false, 2)).unwrap();
             assert_results_identical(
                 &orchestrated.result,
                 &individual.result,

@@ -4,8 +4,8 @@
 //! guards, counters and fixed-bucket duration histograms collected per
 //! shard *lane* and merged in shard-index order, so the aggregated
 //! [`MetricsReport`] is a pure function of `(config, K, E)` — exactly like
-//! campaign results themselves. Worker counts, process slots and thread
-//! interleavings change wall-clock numbers (histograms, trace events)
+//! campaign results themselves. Worker counts and thread interleavings
+//! change wall-clock numbers (histograms, trace events)
 //! but never a counter.
 //!
 //! Two invariants carry the whole design:

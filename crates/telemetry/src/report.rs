@@ -7,9 +7,9 @@ use std::time::Duration;
 use serde::{Deserialize, Serialize, Value};
 
 /// The merged counter set written to `metrics.json`. For a fixed
-/// `(config, K, E)` this is byte-identical across worker counts and
-/// process-slot bounds — the flight recorder can be diffed between runs
-/// like any other campaign artifact.
+/// `(config, K, E)` this is byte-identical across worker counts — the
+/// flight recorder can be diffed between runs like any other campaign
+/// artifact.
 ///
 /// Serialized as a real JSON object (sorted keys), not the map-as-pairs
 /// encoding derived containers use, so the recorder stays greppable.

@@ -111,13 +111,12 @@ fn external_section() {
     let configs_per_program = config.compilers.len() * config.levels.len();
     println!(
         "\nrunning {} programs x {} real configurations through the orchestrator \
-         (4 shards, 2 process slots)...",
+         (4 shards on 4 workers)...",
         config.programs, configs_per_program
     );
     let orchestrated = Orchestrator::new(config.clone())
         .shards(4)
         .workers(4)
-        .process_slots(2)
         .run()
         .expect("in-memory orchestrated run cannot fail");
     let result = &orchestrated.result;
