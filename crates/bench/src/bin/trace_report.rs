@@ -82,12 +82,6 @@ fn main() {
 fn print_summary(stats: &RunStats) {
     println!("\n== summary.json ==");
     println!("{}", stats.summary_line());
-    for report in &stats.failures {
-        println!(
-            "quarantined shard {}: {} dispatch attempt(s); last error: {}",
-            report.shard, report.attempts, report.last_error
-        );
-    }
     if let Some(t) = &stats.telemetry {
         println!(
             "telemetry: {} counter key(s), {} trace event(s), {} seal refusal(s), \

@@ -47,8 +47,6 @@
 //! * `--no-spawn-workers` — don't self-spawn loopback workers; the run
 //!   waits for external `llm4fp-worker --connect` daemons to dial
 //!   `--listen`;
-//! * `--max-frame-len BYTES` — cap on one wire frame's payload (default
-//!   256 MiB; `0` is rejected);
 //! * `--trace` — record span events; with `--run-dir` a Chrome
 //!   `trace_event`-compatible `trace.jsonl` is written (implies metrics);
 //! * `--no-metrics` — disable telemetry counters/histograms entirely
@@ -56,23 +54,18 @@
 //!   bit-identical either way);
 //! * `--max-dispatch-attempts N` — per-shard-job dispatch budget
 //!   (default 3; crashes, dropped connections and expired leases consume
-//!   attempts, results stay bit-identical across redispatch);
+//!   attempts, results stay bit-identical across redispatch). A job that
+//!   exhausts it fails the run (exit 1, "failed N time(s)"); rerunning
+//!   the same `--run-dir` under any executor resumes from its latest
+//!   complete barrier;
 //! * `--shard-timeout-ms N` — the dispatch lease per shard job: a worker
 //!   that stays silent past it loses the job to redispatch, and a
 //!   self-spawned worker still silent one lease later is killed and
 //!   respawned;
-//! * `--on-shard-failure abort|quarantine` — what happens when a shard
-//!   job exhausts its dispatch budget (default `abort`; `quarantine`
-//!   completes the surviving shards and reports the casualties in the
-//!   run stats);
-//! * `--fallback-in-process` — degrade to the in-process executor (same
-//!   results) when the workers cannot be spawned, or none connects
-//!   within the worker wait;
 //! * `--fault-plan PATH` — chaos testing: load a JSON
 //!   `llm4fp_orchestrator::FaultPlan` and inject its worker/persistence
-//!   faults into the run (deterministic supervision means an abort-mode
-//!   run that survives a fault plan is bit-identical to a fault-free
-//!   run).
+//!   faults into the run (deterministic supervision means a run that
+//!   survives a fault plan is bit-identical to a fault-free run).
 
 #![deny(unsafe_code)]
 
@@ -82,8 +75,8 @@ use std::time::Duration;
 
 use llm4fp::{ApproachKind, BackendSpec, CampaignConfig, CampaignResult, ExternalBackendSpec};
 use llm4fp_orchestrator::{
-    default_workers, FailurePolicy, FaultPlan, OrchestratedResult, Orchestrator,
-    OrchestratorOptions, Scheduler, ShardExecutor, SupervisionConfig, WorkerExecutor,
+    default_workers, FaultPlan, OrchestratedResult, Orchestrator, OrchestratorOptions, Scheduler,
+    ShardExecutor, SupervisionConfig, WorkerExecutor,
 };
 use llm4fp_telemetry::TelemetrySpec;
 
@@ -142,21 +135,12 @@ pub struct ExpOptions {
     /// `false` (via `--no-spawn-workers`) waits for external workers
     /// instead of self-spawning loopback daemons.
     pub spawn_workers: bool,
-    /// Wire-frame payload cap (`--max-frame-len`; 0 = executor default
-    /// of 256 MiB).
-    pub max_frame_len: usize,
     /// Dispatch budget per shard job (`--max-dispatch-attempts`; 0 =
     /// executor default).
     pub max_dispatch_attempts: u8,
     /// Dispatch lease per shard job (`--shard-timeout-ms`; 0 = executor
     /// default).
     pub shard_timeout_ms: u64,
-    /// What to do when a shard job exhausts its dispatch budget
-    /// (`--on-shard-failure abort|quarantine`).
-    pub on_shard_failure: FailurePolicy,
-    /// Degrade to the in-process executor when the selected transport's
-    /// workers cannot be spawned (`--fallback-in-process`).
-    pub fallback_in_process: bool,
     /// Deterministic chaos-testing plan loaded from `--fault-plan PATH`:
     /// worker faults ship to the out-of-process executor, persistence
     /// faults to the run directory.
@@ -179,11 +163,8 @@ impl Default for ExpOptions {
             worker_procs: 0,
             listen: None,
             spawn_workers: true,
-            max_frame_len: 0,
             max_dispatch_attempts: 0,
             shard_timeout_ms: 0,
-            on_shard_failure: FailurePolicy::default(),
-            fallback_in_process: false,
             fault_plan: None,
         }
     }
@@ -245,14 +226,6 @@ impl ExpOptions {
                     opts.listen = Some(v);
                 }
                 "--no-spawn-workers" => opts.spawn_workers = false,
-                "--max-frame-len" => {
-                    let v = iter.next().ok_or("--max-frame-len needs a byte count")?;
-                    opts.max_frame_len =
-                        v.parse().map_err(|_| format!("invalid --max-frame-len {v}"))?;
-                    if opts.max_frame_len == 0 {
-                        return Err("--max-frame-len must be at least 1 byte".into());
-                    }
-                }
                 "--max-dispatch-attempts" => {
                     let v = iter.next().ok_or("--max-dispatch-attempts needs a value")?;
                     opts.max_dispatch_attempts =
@@ -269,15 +242,6 @@ impl ExpOptions {
                         return Err("--shard-timeout-ms must be positive".into());
                     }
                 }
-                "--on-shard-failure" => {
-                    let v = iter.next().ok_or("--on-shard-failure needs a value")?;
-                    opts.on_shard_failure = match v.as_str() {
-                        "abort" => FailurePolicy::Abort,
-                        "quarantine" => FailurePolicy::Quarantine,
-                        other => return Err(format!("invalid --on-shard-failure `{other}`")),
-                    };
-                }
-                "--fallback-in-process" => opts.fallback_in_process = true,
                 "--fault-plan" => {
                     let v = iter.next().ok_or("--fault-plan needs a path")?;
                     let text = std::fs::read_to_string(&v)
@@ -298,9 +262,8 @@ impl ExpOptions {
                          [--backend virtual|extcc] \
                          [--run-dir PATH] [--trace] [--no-metrics] \
                          [--executor in-process|process-pool|remote] [--worker-procs N] \
-                         [--listen ADDR] [--no-spawn-workers] [--max-frame-len BYTES] \
+                         [--listen ADDR] [--no-spawn-workers] \
                          [--max-dispatch-attempts N] [--shard-timeout-ms N] \
-                         [--on-shard-failure abort|quarantine] [--fallback-in-process] \
                          [--fault-plan PATH]"
                         .into())
                 }
@@ -408,7 +371,6 @@ impl ExpOptions {
             epochs: self.epochs,
             run_dir: self.run_dir.clone(),
             telemetry: self.telemetry_spec(),
-            fallback_to_in_process: self.fallback_in_process,
             persist_faults: self
                 .fault_plan
                 .as_ref()
@@ -422,8 +384,8 @@ impl ExpOptions {
     /// `--executor process-pool` and `--executor remote` land here, so
     /// identical flags configure identical executors: the worker flags,
     /// the supervision knobs (`--max-dispatch-attempts`,
-    /// `--shard-timeout-ms` as the dispatch lease, `--on-shard-failure`,
-    /// `--max-frame-len`) and the worker half of any `--fault-plan`.
+    /// `--shard-timeout-ms` as the dispatch lease) and the worker half of
+    /// any `--fault-plan`.
     pub fn supervision_config(&self) -> Option<SupervisionConfig> {
         if self.executor == CliExecutor::InProcess {
             return None;
@@ -434,7 +396,6 @@ impl ExpOptions {
                 (true, 0) => default_workers(),
                 (true, procs) => procs,
             },
-            policy: self.on_shard_failure,
             faults: self.fault_plan.clone().unwrap_or_default(),
             ..SupervisionConfig::default()
         };
@@ -446,9 +407,6 @@ impl ExpOptions {
         }
         if self.shard_timeout_ms != 0 {
             config.lease_timeout = Duration::from_millis(self.shard_timeout_ms);
-        }
-        if self.max_frame_len != 0 {
-            config.max_frame_len = self.max_frame_len;
         }
         Some(config)
     }
@@ -589,16 +547,11 @@ mod tests {
                 "5",
                 "--shard-timeout-ms",
                 "2500",
-                "--on-shard-failure",
-                "quarantine",
-                "--fallback-in-process",
                 "--fault-plan",
                 plan_path.to_str().unwrap(),
                 "--listen",
                 "127.0.0.1:9911",
                 "--no-spawn-workers",
-                "--max-frame-len",
-                "1048576",
             ]
             .map(String::from),
         )
@@ -625,16 +578,12 @@ mod tests {
                 worker_procs: 6,
                 max_dispatch_attempts: 5,
                 shard_timeout_ms: 2500,
-                on_shard_failure: FailurePolicy::Quarantine,
-                fallback_in_process: true,
                 fault_plan: Some(expected_plan.clone()),
                 listen: Some("127.0.0.1:9911".to_string()),
                 spawn_workers: false,
-                max_frame_len: 1 << 20,
             }
         );
         let options = opts.orchestrator_options();
-        assert!(options.fallback_to_in_process);
         assert_eq!(options.persist_faults, expected_plan.persist);
         assert_eq!(opts.telemetry_spec(), TelemetrySpec::TRACE);
         assert!(opts.shard_executor().is_some(), "process-pool selects an executor");
@@ -651,10 +600,6 @@ mod tests {
         assert_eq!(remote.executor, CliExecutor::Remote);
         assert_eq!(remote.listen.as_deref(), Some("127.0.0.1:0"));
         assert!(remote.shard_executor().is_some(), "remote selects an executor");
-        assert!(
-            ExpOptions::parse(["--max-frame-len".to_string(), "0".to_string()]).is_err(),
-            "a zero frame cap is rejected at the CLI boundary"
-        );
         assert!(ExpOptions::parse(["--executor".to_string(), "bogus".to_string()]).is_err());
         let quiet = ExpOptions::parse(["--no-metrics".to_string()]).unwrap();
         assert_eq!(quiet.telemetry_spec(), TelemetrySpec::OFF);
@@ -664,7 +609,15 @@ mod tests {
         assert_eq!(paper.programs, 1_000);
         assert!(ExpOptions::parse(["--programs".to_string(), "zero".to_string()]).is_err());
         assert!(ExpOptions::parse(["--bogus".to_string()]).is_err());
-        for retired in ["--no-seal-opt", "--threads", "--workers-addr", "--process-slots"] {
+        for retired in [
+            "--no-seal-opt",
+            "--threads",
+            "--workers-addr",
+            "--process-slots",
+            "--on-shard-failure",
+            "--fallback-in-process",
+            "--max-frame-len",
+        ] {
             assert_eq!(
                 ExpOptions::parse([retired.to_string()]),
                 Err(format!("unknown argument `{retired}`"))
@@ -678,7 +631,6 @@ mod tests {
             "a zero dispatch budget is rejected at the CLI boundary"
         );
         assert!(ExpOptions::parse(["--shard-timeout-ms".to_string(), "0".to_string()]).is_err());
-        assert!(ExpOptions::parse(["--on-shard-failure".to_string(), "bogus".to_string()]).is_err());
         assert!(
             ExpOptions::parse(["--fault-plan".to_string(), "/nonexistent/plan.json".to_string()])
                 .is_err(),
@@ -705,10 +657,6 @@ mod tests {
                     "5",
                     "--shard-timeout-ms",
                     "2500",
-                    "--on-shard-failure",
-                    "quarantine",
-                    "--max-frame-len",
-                    "1048576",
                     "--fault-plan",
                     plan_path.to_str().unwrap(),
                 ]
@@ -727,12 +675,10 @@ mod tests {
                 listen: "127.0.0.1:0".into(),
                 lease_timeout: Duration::from_millis(2500),
                 max_dispatch_attempts: 5,
-                policy: FailurePolicy::Quarantine,
                 faults: FaultPlan {
                     every_worker: vec![llm4fp_orchestrator::WorkerFault::CrashOnShard(2)],
                     ..FaultPlan::default()
                 },
-                max_frame_len: 1 << 20,
                 ..SupervisionConfig::default()
             }
         );

@@ -36,9 +36,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use llm4fp_orchestrator::faults::{FrameSabotage, WorkerFaultHarness, EXIT_SABOTAGED_ANSWER};
-use llm4fp_orchestrator::wire::{
-    self, Hello, ShardJob, ShardJobResult, WireReply, WireRequest, MAX_FRAME_LEN,
-};
+use llm4fp_orchestrator::wire::{self, Hello, ShardJob, ShardJobResult, WireReply, WireRequest};
 use llm4fp_orchestrator::ShardRunner;
 use llm4fp_telemetry::{TelemetryHub, TelemetrySpec};
 
@@ -112,14 +110,13 @@ fn serve<R: Read, W: Write>(
     reader: &mut R,
     writer: &mut W,
     harness: &mut WorkerFaultHarness,
-    max_frame_len: usize,
 ) -> ServeEnd {
     let hello = Hello { pid: Some(std::process::id()), ..Hello::current() };
-    if let Err(e) = wire::write_frame_limited(writer, &WireReply::Hello(hello), max_frame_len) {
+    if let Err(e) = wire::write_frame(writer, &WireReply::Hello(hello)) {
         return ServeEnd::Error(e);
     }
     loop {
-        let request: WireRequest = match wire::read_frame_limited(reader, max_frame_len) {
+        let request: WireRequest = match wire::read_frame(reader) {
             Ok(request) => request,
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return ServeEnd::Eof,
             Err(e) => return ServeEnd::Error(e),
@@ -135,9 +132,7 @@ fn serve<R: Read, W: Write>(
             }
             WireRequest::Refuse(reason) => return ServeEnd::Refused(reason),
             WireRequest::Ping(token) => {
-                if let Err(e) =
-                    wire::write_frame_limited(writer, &WireReply::Pong(token), max_frame_len)
-                {
+                if let Err(e) = wire::write_frame(writer, &WireReply::Pong(token)) {
                     return ServeEnd::Error(e);
                 }
                 continue;
@@ -178,7 +173,7 @@ fn serve<R: Read, W: Write>(
         }
         let copies = if sabotage.duplicate { 2 } else { 1 };
         for _ in 0..copies {
-            if let Err(e) = wire::write_frame_limited(writer, &answer, max_frame_len) {
+            if let Err(e) = wire::write_frame(writer, &answer) {
                 return ServeEnd::Error(e);
             }
         }
@@ -192,18 +187,15 @@ struct WorkerArgs {
     reconnect: u32,
     /// Delay between redials.
     reconnect_delay: Duration,
-    /// Frame cap (must match the coordinator's).
-    max_frame_len: usize,
 }
 
 fn parse_args() -> WorkerArgs {
     let mut connect = None;
     let mut reconnect = 16;
     let mut reconnect_delay = Duration::from_millis(100);
-    let mut max_frame_len = MAX_FRAME_LEN;
     let mut argv = std::env::args().skip(1);
     let usage = "usage: llm4fp-worker --connect HOST:PORT [--reconnect N] \
-                 [--reconnect-delay-ms MS] [--max-frame-len BYTES]";
+                 [--reconnect-delay-ms MS]";
     let value = |argv: &mut dyn Iterator<Item = String>, flag: &str| -> String {
         argv.next().unwrap_or_else(|| {
             eprintln!("llm4fp-worker: {flag} needs a value\n{usage}");
@@ -227,16 +219,6 @@ fn parse_args() -> WorkerArgs {
                     });
                 reconnect_delay = Duration::from_millis(ms);
             }
-            "--max-frame-len" => {
-                max_frame_len = value(&mut argv, "--max-frame-len").parse().unwrap_or_else(|_| {
-                    eprintln!("llm4fp-worker: --max-frame-len needs a byte count\n{usage}");
-                    std::process::exit(2);
-                });
-                if max_frame_len == 0 {
-                    eprintln!("llm4fp-worker: --max-frame-len must be at least 1 byte (got 0)");
-                    std::process::exit(2);
-                }
-            }
             other => {
                 eprintln!("llm4fp-worker: unknown argument {other:?}\n{usage}");
                 std::process::exit(2);
@@ -247,7 +229,7 @@ fn parse_args() -> WorkerArgs {
         eprintln!("llm4fp-worker: --connect is required\n{usage}");
         std::process::exit(2);
     };
-    WorkerArgs { connect, reconnect, reconnect_delay, max_frame_len }
+    WorkerArgs { connect, reconnect, reconnect_delay }
 }
 
 /// Dial the coordinator, serve the stream, and redial (within the
@@ -282,7 +264,7 @@ fn serve_socket(args: &WorkerArgs, harness: &mut WorkerFaultHarness) -> ! {
             }
         };
         let mut writer = stream;
-        match serve(&mut reader, &mut writer, harness, args.max_frame_len) {
+        match serve(&mut reader, &mut writer, harness) {
             ServeEnd::Shutdown => std::process::exit(0),
             ServeEnd::Eof => {
                 fail(&mut redials_left, format!("coordinator {addr} closed the stream"))

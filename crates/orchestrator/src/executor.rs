@@ -47,7 +47,7 @@ use llm4fp_telemetry::{keys, Telemetry};
 
 use crate::persist::PersistError;
 use crate::pool::run_indexed;
-use crate::shard::{ShardFailureReport, ShardOutput, ShardRunner, ShardSpec};
+use crate::shard::{ShardOutput, ShardRunner, ShardSpec};
 use crate::supervisor::SupervisionCounts;
 
 /// Errors from orchestrated execution.
@@ -60,22 +60,18 @@ pub enum OrchestratorError {
     /// would fail every job before its first dispatch. Validated at the
     /// API boundary like [`InvalidWorkers`](Self::InvalidWorkers).
     InvalidDispatchAttempts,
-    /// `max_frame_len == 0` was requested — a zero cap would refuse
-    /// every wire frame. Validated at the API boundary like
-    /// [`InvalidWorkers`](Self::InvalidWorkers).
-    InvalidFrameLen,
     /// The persistence layer failed (run-dir I/O, manifest mismatch,
     /// corrupt files).
     Persist(PersistError),
-    /// The transport's workers cannot be spawned (or respawned) at all —
-    /// the binary is missing or every spawn attempt failed. This class
-    /// of failure is recoverable by *changing transports*: with
-    /// [`fallback_to_in_process`](crate::OrchestratorOptions::fallback_to_in_process)
-    /// the run restarts on [`InProcessExecutor`] with bit-identical
-    /// results (the determinism contract is transport-independent).
+    /// The transport has no workers: the binary is missing, a spawn
+    /// failed, the coordinator cannot bind, or no worker connected within
+    /// the worker wait. Like [`Executor`](Self::Executor), it leaves a run
+    /// directory resumable from its latest complete barrier under any
+    /// executor, with bit-identical results.
     WorkerUnavailable(String),
-    /// A shard executor failed in a way that cannot be retried away
-    /// (a shard crashing repeatedly, a protocol violation on the wire).
+    /// A shard executor failed in a way that redispatch cannot heal: a
+    /// job exhausted its dispatch budget ("failed 3 time(s)"), or a
+    /// protocol violation on the wire.
     Executor(String),
 }
 
@@ -87,9 +83,6 @@ impl fmt::Display for OrchestratorError {
             }
             OrchestratorError::InvalidDispatchAttempts => {
                 write!(f, "max_dispatch_attempts must be at least 1 (got 0)")
-            }
-            OrchestratorError::InvalidFrameLen => {
-                write!(f, "max_frame_len must be at least 1 byte (got 0)")
             }
             OrchestratorError::Persist(e) => write!(f, "{e}"),
             OrchestratorError::WorkerUnavailable(msg) => {
@@ -115,43 +108,16 @@ impl From<PersistError> for OrchestratorError {
     }
 }
 
-/// What a supervising transport does when one shard exhausts its dispatch
-/// budget (see [`SupervisionConfig::policy`](crate::SupervisionConfig::policy)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FailurePolicy {
-    /// Fail the whole run (the default). The only policy that preserves
-    /// the determinism contract: either the full `(config, K, E)` result
-    /// exists, or no result does.
-    #[default]
-    Abort,
-    /// Quarantine the shard and complete the campaign on the survivors.
-    /// The merged result then covers only the surviving shards' budgets —
-    /// a deliberate trade of completeness for progress on hours-long
-    /// unattended runs — and every quarantined shard is named in
-    /// [`RunStats::failures`](crate::RunStats::failures) /
-    /// `summary.json` with its attempt count and last error.
-    Quarantine,
-}
-
-/// What a session produced for every task, in task order: the shard's
-/// output, or (under [`FailurePolicy::Quarantine`]) the failure report
-/// that quarantined it.
+/// What a session produced: every task's output, in task order. A task
+/// that cannot complete fails the whole session with a typed error
+/// instead, so either the full `(config, K, E)` result exists or no
+/// result does.
+#[derive(Default)]
 pub struct SessionOutcome {
-    pub shards: Vec<Result<ShardOutput, ShardFailureReport>>,
+    pub shards: Vec<ShardOutput>,
     /// What supervision did along the way (all zero for transports
     /// without supervision).
     pub supervision: SupervisionCounts,
-}
-
-impl SessionOutcome {
-    /// Wrap an all-successful output list (transports without a
-    /// quarantine policy).
-    pub fn all_ok(outputs: Vec<ShardOutput>) -> Self {
-        SessionOutcome {
-            shards: outputs.into_iter().map(Ok).collect(),
-            supervision: SupervisionCounts::default(),
-        }
-    }
 }
 
 /// Everything one transport needs to run one shard: the campaign config,
@@ -256,22 +222,19 @@ pub trait ShardSession {
     /// interchangeably.
     fn inject(&mut self, deltas: &[&SuccessfulSet]) -> Result<(), OrchestratorError>;
 
-    /// Snapshot every paused task for barrier persistence. Call after
-    /// [`inject`](ShardSession::inject), mirroring the runner-side
-    /// checkpoint-after-injection order. `None` for a quarantined task
-    /// (it has no live state to persist); a task that simply never ran is
-    /// still an error.
-    fn checkpoints(&mut self) -> Result<Vec<Option<RunnerCheckpoint>>, OrchestratorError>;
+    /// Snapshot every paused task for barrier persistence, in task order.
+    /// Call after [`inject`](ShardSession::inject), mirroring the
+    /// runner-side checkpoint-after-injection order. A task that never
+    /// ran is an error.
+    fn checkpoints(&mut self) -> Result<Vec<RunnerCheckpoint>, OrchestratorError>;
 
-    /// Collect every task's outcome, in task order: its output, or — for
-    /// transports with a [`FailurePolicy::Quarantine`] policy — the
-    /// failure report explaining why it has none. Only valid after
+    /// Collect every task's output, in task order. Only valid after
     /// `run_epoch(.., last = true)` ran.
     fn finish(self: Box<Self>) -> Result<SessionOutcome, OrchestratorError>;
 }
 
 /// The in-process transport: shard runners on a worker-thread pool in
-/// this process, sharing the result cache and process budget directly.
+/// this process, sharing the result cache directly.
 /// This is the refactored classic engine — outputs are bit-identical to
 /// the pre-executor code path (pinned by `tests/invariants.rs`).
 #[derive(Debug, Clone)]
@@ -369,19 +332,15 @@ impl ShardSession for InProcessSession<'_> {
         Ok(())
     }
 
-    fn checkpoints(&mut self) -> Result<Vec<Option<RunnerCheckpoint>>, OrchestratorError> {
-        // In-process tasks are never quarantined, so every slot must hold
-        // a live runner here.
+    fn checkpoints(&mut self) -> Result<Vec<RunnerCheckpoint>, OrchestratorError> {
         self.slots
             .iter()
             .map(|slot| {
-                slot.lock().unwrap().as_ref().map(|runner| Some(runner.checkpoint())).ok_or_else(
-                    || {
-                        OrchestratorError::Executor(
-                            "checkpoint requested for a task that never ran".into(),
-                        )
-                    },
-                )
+                slot.lock().unwrap().as_ref().map(ShardRunner::checkpoint).ok_or_else(|| {
+                    OrchestratorError::Executor(
+                        "checkpoint requested for a task that never ran".into(),
+                    )
+                })
             })
             .collect()
     }
@@ -396,7 +355,7 @@ impl ShardSession for InProcessSession<'_> {
                 })
             })
             .collect::<Result<Vec<ShardOutput>, OrchestratorError>>()?;
-        Ok(SessionOutcome::all_ok(outputs))
+        Ok(SessionOutcome { shards: outputs, ..SessionOutcome::default() })
     }
 }
 
@@ -434,13 +393,7 @@ mod tests {
         let mut session = executor.begin(tasks_for(&config, 3), &NullSink).unwrap();
         let budgets: Vec<usize> = specs.iter().map(|s| s.budget).collect();
         session.run_epoch(&budgets, true).unwrap();
-        let outputs: Vec<ShardOutput> = session
-            .finish()
-            .unwrap()
-            .shards
-            .into_iter()
-            .map(|shard| shard.expect("in-process tasks never quarantine"))
-            .collect();
+        let outputs = session.finish().unwrap().shards;
         for (spec, output) in specs.iter().zip(&outputs) {
             let direct = run_shard(spec, &ShardCtx::new(&config));
             assert_eq!(output.records, direct.records);
@@ -471,15 +424,9 @@ mod tests {
         let pool = deltas[0].clone();
         assert!(!pool.is_empty(), "the first segment finds something to exchange");
         session.inject(&[&pool]).unwrap();
-        let checkpoints: Vec<_> = session
-            .checkpoints()
-            .unwrap()
-            .into_iter()
-            .map(|c| c.expect("live task has a checkpoint"))
-            .collect();
+        let checkpoints = session.checkpoints().unwrap();
         session.run_epoch(&[segments[1]], true).unwrap();
-        let output =
-            session.finish().unwrap().shards.remove(0).expect("in-process tasks never quarantine");
+        let output = session.finish().unwrap().shards.remove(0);
 
         let mut manual = ShardRunner::new(&config, spec, None);
         let manual_delta = manual.run_segment(segments[0], |_| {});
@@ -522,7 +469,6 @@ mod tests {
         // Each hash is the one `run_one` recorded as a successful
         // program's id, in the order the shard found them.
         for (task, output) in session.finish().unwrap().shards.into_iter().enumerate() {
-            let output = output.expect("in-process tasks never quarantine");
             let successful: Vec<&String> =
                 output.records.iter().filter(|r| r.successful).map(|r| &r.program_id).collect();
             let mut found = successful.into_iter();
@@ -536,7 +482,6 @@ mod tests {
     fn errors_render_and_convert() {
         assert!(OrchestratorError::InvalidWorkers.to_string().contains("at least 1"));
         assert!(OrchestratorError::InvalidDispatchAttempts.to_string().contains("at least 1"));
-        assert!(OrchestratorError::InvalidFrameLen.to_string().contains("max_frame_len"));
         assert!(OrchestratorError::Executor("boom".into()).to_string().contains("boom"));
         assert!(OrchestratorError::WorkerUnavailable("no binary".into())
             .to_string()

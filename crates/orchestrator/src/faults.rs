@@ -25,9 +25,9 @@
 //!
 //! Because every fault is keyed deterministically (job ordinals, shard
 //! indices, artifact names — never wall clock or randomness), a chaos run
-//! is reproducible, and the supervisor's recovery keeps Abort-mode results
-//! bit-identical to the fault-free run — the property the CI `chaos` job
-//! pins with `cmp`.
+//! is reproducible, and the supervisor's recovery keeps the results of a
+//! run that completes bit-identical to the fault-free run — the property
+//! the CI `chaos` job pins with `cmp`.
 
 use std::time::Duration;
 
@@ -55,9 +55,10 @@ pub enum WorkerFault {
     /// answering (a mid-epoch crash).
     CrashAtJob(u64),
     /// Exit with [`EXIT_CRASH`] whenever a job for this shard index
-    /// arrives — a deterministically poisonous shard (the quarantine
-    /// policy's reason to exist: under `every_worker` this fault survives
-    /// respawns and exhausts the dispatch budget).
+    /// arrives — a deterministically poisonous shard. Under
+    /// `every_worker` this fault survives respawns and exhausts the
+    /// dispatch budget, so the run fails with a typed error and its run
+    /// directory resumes once the fault is gone.
     CrashOnShard(usize),
     /// Sleep this long before every answer (a slow or hung worker, for
     /// the lease-expiry kill path).
@@ -112,7 +113,7 @@ pub enum PersistFault {
     /// is written torn: only the first half of its bytes land, bypassing
     /// the temp-file+rename protocol. Fires once per run. The write is
     /// counted as a persist error and the run continues — artifact writes
-    /// are best-effort, so Abort-mode results stay bit-identical and the
+    /// are best-effort, so results stay bit-identical and the
     /// damaged file exercises the resume-side tolerance instead.
     TornWrite(String),
 }
@@ -128,8 +129,8 @@ pub struct FaultPlan {
     /// redispatch-equivalence test uses.
     pub first_worker: Vec<WorkerFault>,
     /// Faults applied to *every* worker spawn — persistent poison that
-    /// survives respawns and exhausts the dispatch budget (the quarantine
-    /// and abort policies' test shape).
+    /// survives respawns and exhausts the dispatch budget (the
+    /// abort-then-resume test shape).
     pub every_worker: Vec<WorkerFault>,
     /// The first N *respawn* attempts fail coordinator-side (as if
     /// fork/exec itself failed), exercising the deterministic respawn

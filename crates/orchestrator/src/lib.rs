@@ -63,8 +63,8 @@
 //!   epoch-barrier checkpoints), telemetry, and the transport. It and
 //!   [`Scheduler`] are two front ends of one campaign driver in
 //!   [`orchestrate`], which owns the epoch-barrier loop, the progress
-//!   sink (which writes each completed shard's file), the [`RunStats`]
-//!   and the fallback ladder;
+//!   sink (which writes each completed shard's file) and the
+//!   [`RunStats`];
 //! * [`executor`] — the transport seam: [`ShardExecutor`] /
 //!   [`ShardSession`] and the in-process implementation;
 //! * [`remote`] — the out-of-process executor ([`WorkerExecutor`],
@@ -95,15 +95,16 @@
 //!   connections, delayed/duplicated/torn result frames, refused
 //!   handshakes).
 //!
-//! **Failure model.** Supervision is configurable per executor: a job
-//! that exhausts its dispatch budget either aborts the run (default —
-//! determinism preserved, error surfaced) or is *quarantined*
-//! ([`FailurePolicy::Quarantine`]) so the campaign completes on the
-//! surviving shards with per-shard [`ShardFailureReport`]s in
-//! [`RunStats::failures`]. A transport whose workers can't be spawned at
-//! all can degrade to in-process execution
-//! ([`OrchestratorOptions::fallback_to_in_process`], for a single
-//! campaign and for a suite alike) with bit-identical results.
+//! **Failure model.** Supervision redispatches a failed job (crash,
+//! expired lease, dropped connection) up to its dispatch budget, at no
+//! cost in bits. A failure that redispatch cannot heal is one typed
+//! error: a job that exhausts its budget fails the run with
+//! [`OrchestratorError::Executor`], and a transport with no workers
+//! fails it with [`OrchestratorError::WorkerUnavailable`]. Either way
+//! the run directory keeps what it had persisted, and
+//! [`Orchestrator::resume`] (or rerunning the same run directory under
+//! any executor) continues from its latest complete barrier with
+//! bit-identical results.
 //!
 //! ```no_run
 //! use llm4fp::{ApproachKind, CampaignConfig};
@@ -128,8 +129,8 @@ pub mod supervisor;
 pub mod wire;
 
 pub use executor::{
-    FailurePolicy, InProcessExecutor, NullSink, OrchestratorError, ProgressSink, SessionOutcome,
-    ShardExecutor, ShardSession, ShardTask,
+    InProcessExecutor, NullSink, OrchestratorError, ProgressSink, SessionOutcome, ShardExecutor,
+    ShardSession, ShardTask,
 };
 pub use faults::{
     FaultPlan, NetworkFault, PersistFault, WorkerFault, WorkerFaultSet, MAX_BACKOFF_DOUBLINGS,

@@ -9,10 +9,9 @@
 //! campaigns, each with its config, shard plan, telemetry hub and an
 //! optional run directory, and flattens their shards into one task list
 //! for one executor session. It owns everything the two front ends used
-//! to duplicate: one result cache per test context, one process budget
-//! for all external campaigns, barrier restore and shard reuse from a
-//! run directory, the epoch-barrier loop, the [`ProgressSink`], the
-//! [`RunStats`] of each campaign and the in-process fallback ladder.
+//! to duplicate: one result cache per test context, barrier restore and
+//! shard reuse from a run directory, the epoch-barrier loop, the
+//! [`ProgressSink`] and the [`RunStats`] of each campaign.
 //!
 //! * [`Orchestrator`] runs one campaign and writes the run-directory
 //!   artifacts. It merges with, and reports, the run's wall time:
@@ -35,6 +34,14 @@
 //!
 //! Only the mechanics of running a segment differ between
 //! [`InProcessExecutor`] (the default) and out-of-process executors.
+//!
+//! A failure that redispatch cannot heal fails the run with one typed
+//! error: [`OrchestratorError::Executor`] when a job exhausts its
+//! dispatch budget, [`OrchestratorError::WorkerUnavailable`] when the
+//! transport has no workers. Either way the run directory keeps every
+//! shard file and barrier checkpoint written so far, so rerunning the
+//! same run directory under any executor resumes from its latest complete
+//! barrier with bit-identical results.
 //!
 //! ## Cross-shard feedback exchange
 //!
@@ -110,15 +117,6 @@ pub struct OrchestratorOptions {
     /// Collection is pure observation: results are bit-identical with
     /// telemetry on or off.
     pub telemetry: TelemetrySpec,
-    /// The graceful-degradation rung: when the configured transport's
-    /// workers cannot be (re)spawned at all
-    /// ([`OrchestratorError::WorkerUnavailable`]), rerun the campaign on
-    /// the [`InProcessExecutor`] instead of failing. Sound because every
-    /// transport is pinned bit-identical — the degraded run's results
-    /// are *unchanged*, only slower/less isolated. Off by default (an
-    /// unavailable transport is then a hard error), and recorded in
-    /// [`RunStats::fell_back_to_in_process`] when it triggers.
-    pub fallback_to_in_process: bool,
     /// Deterministic persistence faults for chaos testing (see
     /// [`PersistFault`]); empty outside tests.
     pub persist_faults: Vec<PersistFault>,
@@ -132,7 +130,6 @@ impl Default for OrchestratorOptions {
             epochs: 1,
             run_dir: None,
             telemetry: TelemetrySpec::OFF,
-            fallback_to_in_process: false,
             persist_faults: Vec::new(),
         }
     }
@@ -180,25 +177,18 @@ pub struct RunStats {
     /// fields are deterministic for fully computed runs; the time fields
     /// describe only work computed in *this* invocation.
     pub telemetry: Option<TelemetrySummary>,
-    /// Shards the quarantine policy retired after exhausting their
-    /// dispatch budget, with attempt counts and last errors. Empty on
-    /// healthy runs and always empty under the default Abort policy
-    /// (which errors out instead). Supervision bookkeeping, not campaign
-    /// telemetry — it describes this invocation's luck, never the
-    /// deterministic `(config, K, E)` result.
+    /// Always empty: a shard that exhausts its dispatch budget fails the
+    /// run with [`OrchestratorError::Executor`] instead of reaching the
+    /// merge. Kept so existing readers of `RunStats` and `summary.json`
+    /// files that carry the key keep compiling and loading.
     pub failures: Vec<ShardFailureReport>,
     /// Best-effort persistence writes this run failed or tore (shard
     /// files, barrier checkpoints). `0` on healthy runs; a failed write
     /// only costs recompute-on-resume, never results.
     pub persist_errors: u64,
-    /// Whether the configured transport was unavailable and the run
-    /// completed on the in-process fallback instead (see
-    /// [`OrchestratorOptions::fallback_to_in_process`]).
-    pub fell_back_to_in_process: bool,
     /// What the out-of-process executor's supervision did: stale results
-    /// discarded, redispatches, respawns. All zero in process. Like
-    /// `failures`, it describes this invocation's luck and never reaches
-    /// `metrics.json`.
+    /// discarded, redispatches, respawns. All zero in process. It
+    /// describes this invocation's luck and never reaches `metrics.json`.
     pub supervision: SupervisionCounts,
 }
 
@@ -232,14 +222,8 @@ impl RunStats {
         };
         let health = {
             let mut parts = String::new();
-            if !self.failures.is_empty() {
-                parts.push_str(&format!(", {} shard(s) quarantined", self.failures.len()));
-            }
             if self.persist_errors > 0 {
                 parts.push_str(&format!(", {} persist error(s)", self.persist_errors));
-            }
-            if self.fell_back_to_in_process {
-                parts.push_str(", fell back to in-process");
             }
             let SupervisionCounts { stale_results, redispatches, respawns } = self.supervision;
             if stale_results + redispatches + respawns > 0 {
@@ -337,15 +321,6 @@ impl Orchestrator {
         self
     }
 
-    /// The graceful-degradation rung: rerun on the in-process executor
-    /// (with unchanged results — transports are pinned bit-identical) if
-    /// the configured transport's workers cannot be spawned at all. See
-    /// [`OrchestratorOptions::fallback_to_in_process`].
-    pub fn fallback_to_in_process(mut self, fallback: bool) -> Self {
-        self.options.fallback_to_in_process = fallback;
-        self
-    }
-
     /// Arm deterministic persistence faults for chaos testing (see
     /// [`PersistFault`] — worker faults are armed on the executor via
     /// [`crate::SupervisionConfig::faults`]).
@@ -391,25 +366,15 @@ impl Orchestrator {
             CampaignRun { config: &config, specs: &specs, hub: &hub, run_dir: run_dir.as_ref() };
         let outcome = drive(&[campaign], &options, executor, start, Clock::Run)?.remove(0);
         let stats = &outcome.stats;
-        // Quarantined shards contribute nothing to the merge; a run where
-        // *nothing* survived has no result to report at all.
-        if stats.shards_computed + stats.shards_reused == 0 && !stats.failures.is_empty() {
-            return Err(OrchestratorError::Executor(format!(
-                "every shard was quarantined ({} failure(s)); last: {}",
-                stats.failures.len(),
-                stats.failures.last().map_or("unknown", |f| f.last_error.as_str())
-            )));
-        }
         if let Some(dir) = &run_dir {
             dir.write_result(&outcome.result)?;
             dir.write_summary(stats)?;
-            // The flight recorder is only written for fully computed runs
-            // with no quarantined shards: reused shards, restored epochs
-            // and quarantined shards record nothing (or only part), so a
+            // The flight recorder is only written for fully computed runs:
+            // reused shards and restored epochs record nothing, so a
             // partial recompute would under-count relative to the
             // determinism contract's byte-identical promise.
             let fully_computed = stats.shards_reused == 0 && stats.epochs_restored == 0;
-            if hub.enabled() && fully_computed && stats.failures.is_empty() {
+            if hub.enabled() && fully_computed {
                 dir.write_metrics(&hub.metrics())?;
             }
             if hub.spec().trace_enabled() {
@@ -462,13 +427,6 @@ pub(crate) enum Clock {
 /// The campaign driver behind both front ends: run `campaigns` as one
 /// flattened shard task list through one executor session, and return
 /// each campaign's merged result and [`RunStats`] in input order.
-///
-/// The ladder: when the executor's workers cannot be spawned at all
-/// ([`OrchestratorError::WorkerUnavailable`]) and
-/// [`OrchestratorOptions::fallback_to_in_process`] is set, the whole run
-/// is retried once on the [`InProcessExecutor`], with unchanged results
-/// (anything the dead attempt persisted — sealed shards, checkpoints —
-/// is picked right back up by resume).
 pub(crate) fn drive(
     campaigns: &[CampaignRun],
     options: &OrchestratorOptions,
@@ -479,29 +437,11 @@ pub(crate) fn drive(
     if options.workers == 0 {
         return Err(OrchestratorError::InvalidWorkers);
     }
-    let mut executor: Arc<dyn ShardExecutor> =
+    let executor: Arc<dyn ShardExecutor> =
         executor.unwrap_or_else(|| Arc::new(InProcessExecutor::new(options.workers)));
-    let mut fell_back = false;
-    loop {
-        let attempt = {
-            let _run: Vec<_> =
-                campaigns.iter().map(|c| c.hub.lane(c.specs.len()).span(keys::SPAN_RUN)).collect();
-            execute(campaigns, options, executor.as_ref(), start, clock, fell_back)
-        };
-        match attempt {
-            Err(OrchestratorError::WorkerUnavailable(why))
-                if options.fallback_to_in_process && !fell_back =>
-            {
-                eprintln!(
-                    "llm4fp-orchestrator: worker transport unavailable ({why}); \
-                     falling back to in-process execution"
-                );
-                executor = Arc::new(InProcessExecutor::new(options.workers));
-                fell_back = true;
-            }
-            attempt => return attempt,
-        }
-    }
+    let _run: Vec<_> =
+        campaigns.iter().map(|c| c.hub.lane(c.specs.len()).span(keys::SPAN_RUN)).collect();
+    execute(campaigns, options, executor.as_ref(), start, clock)
 }
 
 /// What one campaign brings back from its run directory.
@@ -573,16 +513,15 @@ impl TestContext {
     }
 }
 
-/// One attempt of [`drive`] on one executor: load what the run
-/// directories hold, flatten the rest into tasks, drive the session
-/// through the epoch-barrier protocol, then merge each campaign.
+/// The body of [`drive`]: load what the run directories hold, flatten
+/// the rest into tasks, drive the session through the epoch-barrier
+/// protocol, then merge each campaign.
 fn execute(
     campaigns: &[CampaignRun],
     options: &OrchestratorOptions,
     executor: &dyn ShardExecutor,
     start: Instant,
     clock: Clock,
-    fell_back: bool,
 ) -> Result<Vec<OrchestratedResult>, OrchestratorError> {
     let epochs = options.epochs.max(1);
     let mut resumes: Vec<Resume> = campaigns.iter().map(|c| Resume::of(c, epochs)).collect();
@@ -639,7 +578,7 @@ fn execute(
     let persisting = campaigns.iter().any(|c| c.run_dir.is_some());
 
     let outcome = if tasks.is_empty() {
-        SessionOutcome::all_ok(Vec::new())
+        SessionOutcome::default()
     } else {
         let mut session = executor.begin(tasks, &sink)?;
         for epoch in start_epoch..epochs {
@@ -668,17 +607,13 @@ fn execute(
             session.inject(&broadcast)?;
             if persisting {
                 // Checkpoints are taken after injection, mirroring the
-                // runner-side checkpoint-after-inject order. Quarantined
-                // shards have no live barrier state (`None`) and persist
-                // nothing. Writes are best-effort (a missing checkpoint only
-                // costs recompute on resume) — but never silently so.
+                // runner-side checkpoint-after-inject order. Writes are
+                // best-effort (a missing checkpoint only costs recompute on
+                // resume) — but never silently so.
                 let checkpoints = session.checkpoints()?;
                 for ((&owner, spec), checkpoint) in sink.owners.iter().zip(&specs).zip(checkpoints)
                 {
-                    let (Some(dir), Some(checkpoint)) = (campaigns[owner].run_dir, checkpoint)
-                    else {
-                        continue;
-                    };
+                    let Some(dir) = campaigns[owner].run_dir else { continue };
                     if dir.write_checkpoint(spec.index, epoch, &checkpoint).is_err() {
                         dir.note_persist_error();
                     }
@@ -688,9 +623,8 @@ fn execute(
         session.finish()?
     };
 
-    // Regroup by campaign. A quarantined shard lands in its campaign's
-    // failure reports instead of its merge set — one poisonous shard
-    // degrades only its own campaign's coverage, never the whole suite.
+    // Regroup by campaign: loaded shards in plan order, computed ones
+    // filling the gaps.
     let mut fresh = outcome.shards.into_iter();
     let results = campaigns
         .iter()
@@ -699,24 +633,19 @@ fn execute(
         .enumerate()
         .map(|(index, ((campaign, resume), cache))| {
             let mut outputs = Vec::with_capacity(resume.loaded.len());
-            let mut failures = Vec::new();
             let (mut reused, mut computed, mut pipeline_time) = (0, 0, Duration::ZERO);
             for slot in resume.loaded {
-                let shard = match slot {
+                match slot {
                     Some(output) => {
                         reused += 1;
                         outputs.push(output);
-                        continue;
                     }
-                    None => fresh.next().expect("one session result per planned task"),
-                };
-                match shard {
-                    Ok(output) => {
+                    None => {
+                        let output = fresh.next().expect("one session output per planned task");
                         computed += 1;
                         pipeline_time += output.pipeline_time;
                         outputs.push(output);
                     }
-                    Err(report) => failures.push(report),
                 }
             }
             let peak_regs = outputs.iter().filter_map(|o| o.peak_regs).max();
@@ -740,9 +669,8 @@ fn execute(
                 wall_time: window.unwrap_or_else(|| start.elapsed()),
                 shard_pipeline_time: pipeline_time,
                 telemetry: campaign.hub.enabled().then(|| campaign.hub.summary()),
-                failures,
+                failures: Vec::new(),
                 persist_errors: campaign.run_dir.map_or(0, RunDir::persist_errors),
-                fell_back_to_in_process: fell_back,
                 // Supervision is suite-wide, like a shared cache: every
                 // campaign reports the session's totals.
                 supervision: outcome.supervision,

@@ -47,15 +47,17 @@
 //! * **Worker unavailability** — a session whose workers cannot be
 //!   spawned at all, or an epoch with no connected worker for
 //!   [`SupervisionConfig::worker_wait`], surfaces
-//!   [`OrchestratorError::WorkerUnavailable`], the trigger for the
-//!   in-process fallback rung of the degradation ladder.
+//!   [`OrchestratorError::WorkerUnavailable`]; a job that exhausts
+//!   [`SupervisionConfig::max_dispatch_attempts`] surfaces
+//!   [`OrchestratorError::Executor`]. Either way the run directory
+//!   resumes under any executor.
 //!
 //! Deterministic chaos drives all of this through
 //! [`SupervisionConfig::faults`]: worker and worker-side network faults
 //! ship to the first self-spawned worker via the fault env,
 //! `respawn_failures` fail the coordinator's respawn attempts, and
 //! `RefuseHandshake` arms the acceptor. A fault may cost time, never
-//! bits — Abort-mode results under every fault are bit-identical to the
+//! bits — a run that completes under any fault is bit-identical to the
 //! fault-free in-process run.
 
 use std::io;
@@ -73,13 +75,12 @@ use llm4fp_extcc::{group_spawn, kill_group};
 use llm4fp_telemetry::{keys, Telemetry};
 
 use crate::executor::{
-    FailurePolicy, OrchestratorError, ProgressSink, SessionOutcome, ShardExecutor, ShardSession,
-    ShardTask,
+    OrchestratorError, ProgressSink, SessionOutcome, ShardExecutor, ShardSession, ShardTask,
 };
 use crate::faults::{self, FaultPlan};
 use crate::orchestrate::default_workers;
 use crate::supervisor::{EpochFailure, EpochState, SessionCore};
-use crate::wire::{self, Hello, ShardJob, ShardJobResult, WireReply, WireRequest, MAX_FRAME_LEN};
+use crate::wire::{self, Hello, ShardJob, ShardJobResult, WireReply, WireRequest};
 
 /// Default dispatch-attempt budget per job (crash, hang, dropped
 /// connection all count).
@@ -140,8 +141,8 @@ pub struct SupervisionConfig {
     /// resets whenever any worker is connected. Defaults to 30 s.
     pub worker_wait: Duration,
     /// How many times one job may fail (crash, lease expiry, dropped
-    /// connection, protocol violation) before [`policy`](Self::policy)
-    /// applies. Defaults to [`MAX_DISPATCH_ATTEMPTS`]; `0` is rejected at
+    /// connection, protocol violation) before it fails the run with
+    /// [`OrchestratorError::Executor`]. Defaults to [`MAX_DISPATCH_ATTEMPTS`]; `0` is rejected at
     /// [`begin`](ShardExecutor::begin) with
     /// [`OrchestratorError::InvalidDispatchAttempts`].
     pub max_dispatch_attempts: u8,
@@ -150,11 +151,6 @@ pub struct SupervisionConfig {
     /// jitter — see [`crate::faults::respawn_backoff`]). Defaults to
     /// [`DEFAULT_RESPAWN_BACKOFF`].
     pub respawn_backoff: Duration,
-    /// What happens when a shard job exhausts its dispatch budget:
-    /// [`FailurePolicy::Abort`] (default) fails the run,
-    /// [`FailurePolicy::Quarantine`] completes the surviving shards and
-    /// reports the losses in `RunStats::failures` / `summary.json`.
-    pub policy: FailurePolicy,
     /// A deterministic [`FaultPlan`] for chaos testing (empty by default,
     /// which costs one branch per site). Worker and worker-side network
     /// faults ship to the first self-spawned worker via
@@ -165,12 +161,6 @@ pub struct SupervisionConfig {
     /// belong to the orchestrator — see
     /// [`crate::Orchestrator::persist_faults`].)
     pub faults: FaultPlan,
-    /// Cap on one wire frame's payload, both directions of every
-    /// connection (forwarded to self-spawned workers via
-    /// `--max-frame-len`). Defaults to [`MAX_FRAME_LEN`] (256 MiB); `0`
-    /// is rejected at [`begin`](ShardExecutor::begin) with
-    /// [`OrchestratorError::InvalidFrameLen`].
-    pub max_frame_len: usize,
 }
 
 impl Default for SupervisionConfig {
@@ -184,9 +174,7 @@ impl Default for SupervisionConfig {
             worker_wait: Duration::from_secs(30),
             max_dispatch_attempts: MAX_DISPATCH_ATTEMPTS,
             respawn_backoff: DEFAULT_RESPAWN_BACKOFF,
-            policy: FailurePolicy::default(),
             faults: FaultPlan::none(),
-            max_frame_len: MAX_FRAME_LEN,
         }
     }
 }
@@ -268,11 +256,8 @@ impl ShardExecutor for WorkerExecutor {
         if config.max_dispatch_attempts == 0 {
             return Err(OrchestratorError::InvalidDispatchAttempts);
         }
-        if config.max_frame_len == 0 {
-            return Err(OrchestratorError::InvalidFrameLen);
-        }
         // A coordinator that cannot even bind has no transport at all —
-        // the WorkerUnavailable class, so the degradation ladder applies.
+        // the WorkerUnavailable class.
         let listener = TcpListener::bind(&config.listen).map_err(|e| {
             OrchestratorError::WorkerUnavailable(format!(
                 "cannot bind coordinator socket {}: {e}",
@@ -298,14 +283,13 @@ impl ShardExecutor for WorkerExecutor {
             stale_results: AtomicU64::new(0),
             lease_timeout: config.lease_timeout,
             heartbeat: config.heartbeat,
-            max_frame_len: config.max_frame_len,
         });
         let acceptor = thread::spawn({
             let shared = Arc::clone(&shared);
             move || accept_loop(&listener, &shared)
         });
         let mut session = WorkerSession {
-            core: SessionCore::new(tasks, sink, config.max_dispatch_attempts, config.policy),
+            core: SessionCore::new(tasks, sink, config.max_dispatch_attempts),
             shared,
             acceptor: Some(acceptor),
             supervisor: None,
@@ -319,7 +303,6 @@ impl ShardExecutor for WorkerExecutor {
             let spawner = Spawner {
                 bin: resolve_worker_bin(config.worker_bin.as_deref())?,
                 addr,
-                max_frame_len: config.max_frame_len,
                 faults: config.faults.clone(),
             };
             for slot in 0..worker_procs {
@@ -349,7 +332,6 @@ impl ShardExecutor for WorkerExecutor {
 struct Spawner {
     bin: PathBuf,
     addr: SocketAddr,
-    max_frame_len: usize,
     faults: FaultPlan,
 }
 
@@ -368,9 +350,6 @@ impl Spawner {
             .stdin(Stdio::null())
             .stdout(Stdio::null())
             .stderr(Stdio::inherit());
-        if self.max_frame_len != MAX_FRAME_LEN {
-            cmd.arg("--max-frame-len").arg(self.max_frame_len.to_string());
-        }
         if let Some(value) = self.faults.worker_env(first_of_slot0) {
             cmd.env(faults::FAULT_PLAN_ENV, value);
         }
@@ -458,7 +437,6 @@ struct Shared {
     stale_results: AtomicU64,
     lease_timeout: Duration,
     heartbeat: Duration,
-    max_frame_len: usize,
 }
 
 /// The one live epoch (or none, between epochs), versioned by
@@ -586,9 +564,8 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
     let Ok(mut reader_stream) = stream.try_clone() else { return };
     let mut writer = stream;
-    let max = shared.max_frame_len;
     // The worker opens: its Hello must be the stream's first frame.
-    let hello = match wire::read_frame_limited::<WireReply, _>(&mut reader_stream, max) {
+    let hello = match wire::read_frame::<WireReply, _>(&mut reader_stream) {
         Ok(WireReply::Hello(hello)) => hello,
         // Not a worker (or a worker that never spoke): nothing to refuse
         // in words, just hang up.
@@ -596,7 +573,7 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
     };
     if let Err(skew) = hello.check() {
         // A version skew is a refusal in words, never undefined framing.
-        let _ = wire::write_frame_limited(&mut writer, &WireRequest::Refuse(skew.to_string()), max);
+        let _ = wire::write_frame(&mut writer, &WireRequest::Refuse(skew.to_string()));
         return;
     }
     if shared
@@ -604,14 +581,13 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
         .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
         .is_ok()
     {
-        let _ = wire::write_frame_limited(
+        let _ = wire::write_frame(
             &mut writer,
             &WireRequest::Refuse("injected handshake refusal (fault plan)".into()),
-            max,
         );
         return;
     }
-    if wire::write_frame_limited(&mut writer, &WireRequest::Hello(Hello::current()), max).is_err() {
+    if wire::write_frame(&mut writer, &WireRequest::Hello(Hello::current())).is_err() {
         return;
     }
     let _ = writer.set_read_timeout(None);
@@ -625,7 +601,7 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
     // socket closes (worker death, SocketGuard) or the driver drops `rx`.
     let (tx, rx) = mpsc::channel::<io::Result<WireReply>>();
     thread::spawn(move || loop {
-        match wire::read_frame_limited::<WireReply, _>(&mut reader_stream, max) {
+        match wire::read_frame::<WireReply, _>(&mut reader_stream) {
             Ok(frame) => {
                 if tx.send(Ok(frame)).is_err() {
                     break;
@@ -640,7 +616,7 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
     let mut ping_token: u64 = 0;
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
-            let _ = wire::write_frame_limited(&mut writer, &WireRequest::Shutdown, max);
+            let _ = wire::write_frame(&mut writer, &WireRequest::Shutdown);
             return;
         }
         let next = {
@@ -677,8 +653,7 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
                 continue; // the top of the loop sends the Shutdown frame
             }
             ping_token += 1;
-            if wire::write_frame_limited(&mut writer, &WireRequest::Ping(ping_token), max).is_err()
-            {
+            if wire::write_frame(&mut writer, &WireRequest::Ping(ping_token)).is_err() {
                 return;
             }
             let deadline = Instant::now() + shared.heartbeat.max(Duration::from_secs(1));
@@ -701,9 +676,7 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
         let shard = wire_job.spec.index;
         telemetry.observe(keys::QUEUE_WAIT, pool_start.elapsed());
         let span = telemetry.span(keys::SPAN_SHARD_RUN);
-        if let Err(e) =
-            wire::write_frame_limited(&mut writer, &WireRequest::Job(Box::new(wire_job)), max)
-        {
+        if let Err(e) = wire::write_frame(&mut writer, &WireRequest::Job(Box::new(wire_job))) {
             drop(span);
             abandon(shared, epoch_id, job, lease, format!("write to worker failed: {e}"));
             return;
@@ -791,7 +764,7 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
 
 struct WorkerSession<'s> {
     /// The transport-independent session half (tasks, checkpoints,
-    /// quarantine ledger, epoch folding) — see [`crate::supervisor`].
+    /// epoch folding) — see [`crate::supervisor`].
     core: SessionCore<'s>,
     shared: Arc<Shared>,
     acceptor: Option<thread::JoinHandle<()>>,
@@ -914,7 +887,7 @@ impl ShardSession for WorkerSession<'_> {
         self.core.inject(deltas)
     }
 
-    fn checkpoints(&mut self) -> Result<Vec<Option<RunnerCheckpoint>>, OrchestratorError> {
+    fn checkpoints(&mut self) -> Result<Vec<RunnerCheckpoint>, OrchestratorError> {
         self.core.checkpoints()
     }
 
@@ -943,14 +916,6 @@ mod tests {
             executor.begin(Vec::new(), &NullSink),
             Err(OrchestratorError::InvalidDispatchAttempts)
         ));
-        let executor =
-            WorkerExecutor::new(SupervisionConfig { max_frame_len: 0, ..external_only() });
-        let err = match executor.begin(Vec::new(), &NullSink) {
-            Ok(_) => panic!("begin must reject a zero frame cap"),
-            Err(err) => err,
-        };
-        assert!(matches!(err, OrchestratorError::InvalidFrameLen), "got {err}");
-        assert!(err.to_string().contains("max_frame_len"), "{err}");
         let executor = WorkerExecutor::new(external_only());
         assert_eq!(executor.name(), "workers");
         assert!(!executor.shares_cache());
@@ -997,19 +962,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_max_frame_len_is_rejected_at_begin() {
-        let (supervision, tasks) = doomed_spawn();
-        let executor = WorkerExecutor::new(SupervisionConfig { max_frame_len: 0, ..supervision });
-        let err = match executor.begin(tasks, &NullSink) {
-            Ok(_) => panic!("begin must reject a zero frame cap"),
-            Err(err) => err,
-        };
-        assert!(matches!(err, OrchestratorError::InvalidFrameLen), "got {err}");
-        assert!(err.to_string().contains("max_frame_len"), "{err}");
-        assert_eq!(executor.bound_addr(), None, "rejected before binding");
-    }
-
-    #[test]
     fn missing_worker_binary_is_a_clean_error() {
         // A pinned path is handed through untouched; spawning it fails at
         // `begin` as `WorkerUnavailable` (covered by the integration
@@ -1023,7 +975,7 @@ mod tests {
     #[test]
     fn unbindable_listen_address_is_worker_unavailable() {
         // An unroutable bind target: the transport cannot exist, which is
-        // exactly the degradation ladder's WorkerUnavailable class.
+        // the WorkerUnavailable class.
         let executor = WorkerExecutor::new(SupervisionConfig {
             listen: "256.256.256.256:0".into(),
             ..external_only()

@@ -7,8 +7,7 @@
 //! [`crate::orchestrate`]): the driver flattens every campaign's shards
 //! into one task list on one executor session, so the pool stays
 //! saturated across campaign boundaries, and it runs the same barrier
-//! protocol, cache sharing and fallback ladder as a single
-//! [`crate::Orchestrator`] run.
+//! protocol and cache sharing as a single [`crate::Orchestrator`] run.
 //!
 //! Campaigns whose test context matches — same seed, precision,
 //! compiler/level matrix and backend — share one result cache, so
@@ -74,10 +73,9 @@ impl Scheduler {
     ///
     /// Each campaign merges with its own pipeline time and reports its own
     /// wall time, from its first progress tick to its last shard
-    /// completion. With
-    /// `options.fallback_to_in_process`, a suite whose workers cannot be
-    /// spawned reruns in process, exactly like a single campaign.
-    /// Persistence (`options.run_dir`) applies to single-campaign runs via
+    /// completion. A suite whose workers cannot be spawned fails with
+    /// [`OrchestratorError::WorkerUnavailable`], exactly like a single
+    /// campaign. Persistence (`options.run_dir`) applies to single-campaign runs via
     /// [`crate::Orchestrator`]; the scheduler itself executes in memory.
     pub fn run(
         &self,

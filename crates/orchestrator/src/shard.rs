@@ -95,16 +95,17 @@ pub struct ShardOutput {
     pub peak_regs: Option<usize>,
 }
 
-/// Why one shard contributed nothing to a merged campaign: it exhausted
-/// its dispatch budget and was quarantined instead of aborting the run
-/// (see [`crate::executor::FailurePolicy::Quarantine`]). Serialized into
-/// `summary.json` so an unattended chaos run leaves an auditable record
-/// of exactly which shards were lost, after how many attempts, and why.
+/// One shard lost from a merged campaign. Nothing produces these any
+/// more: a shard that exhausts its dispatch budget fails the run with
+/// [`OrchestratorError::Executor`](crate::OrchestratorError::Executor)
+/// instead, so [`RunStats::failures`](crate::RunStats::failures) is
+/// always empty. The type stays so existing readers of `RunStats` and
+/// `summary.json` files that carry the key keep compiling and loading.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardFailureReport {
     /// The failed shard's index within its campaign plan.
     pub shard: usize,
-    /// Dispatch attempts spent before quarantining.
+    /// Dispatch attempts spent before the shard was given up.
     pub attempts: u32,
     /// The last dispatch's failure, verbatim.
     pub last_error: String,

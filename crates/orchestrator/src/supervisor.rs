@@ -11,9 +11,8 @@
 //!   worker answers after its shard was re-dispatched elsewhere.
 //! * [`SessionCore`] is the transport-independent half of a
 //!   [`crate::executor::ShardSession`]: coordinator-side checkpoints,
-//!   quarantine reports, supervision counts, and the epoch fold that
-//!   turns accepted results into deltas, sink progress and barrier
-//!   state.
+//!   supervision counts, and the epoch fold that turns accepted results
+//!   into deltas, sink progress and barrier state.
 //!
 //! The executor keeps only what is genuinely its own: sockets,
 //! handshakes, heartbeats, reconnect acceptance and process respawn in
@@ -24,8 +23,8 @@ use std::collections::VecDeque;
 use llm4fp::{RunnerCheckpoint, SuccessfulSet};
 use serde::{Deserialize, Error, Serialize, Value};
 
-use crate::executor::{FailurePolicy, OrchestratorError, ProgressSink, SessionOutcome, ShardTask};
-use crate::shard::{ShardFailureReport, ShardOutput};
+use crate::executor::{OrchestratorError, ProgressSink, SessionOutcome, ShardTask};
+use crate::shard::ShardOutput;
 use crate::wire::{ShardJob, ShardJobResult};
 
 /// What supervision did during a run: every recovery that cost time but
@@ -70,8 +69,8 @@ impl Deserialize for SupervisionCounts {
 
 /// Why an epoch gave up, and whether the terminal failure means no
 /// worker can be had at all (which maps to
-/// [`OrchestratorError::WorkerUnavailable`] — the in-process fallback's
-/// trigger) rather than a job-execution failure.
+/// [`OrchestratorError::WorkerUnavailable`]) rather than a job-execution
+/// failure (which maps to [`OrchestratorError::Executor`]).
 pub struct EpochFailure {
     /// Human-readable description of the terminal failure.
     pub message: String,
@@ -93,14 +92,8 @@ pub struct EpochState {
     leases: Vec<u64>,
     /// Failed attempts per job.
     attempts: Vec<u8>,
-    /// Last failure per job, for quarantine reports.
-    last_error: Vec<Option<String>>,
-    done: Vec<bool>,
     remaining: usize,
     results: Vec<Option<ShardJobResult>>,
-    /// Jobs that exhausted their budget under the quarantine policy this
-    /// epoch (sticky `done`, no result, no requeue).
-    quarantined: Vec<bool>,
     failed: Option<EpochFailure>,
     /// Failed dispatches whose job was requeued.
     redispatches: u64,
@@ -109,35 +102,22 @@ pub struct EpochState {
     /// folded epoch can never carry a live lease.
     next_lease: u64,
     max_attempts: u8,
-    policy: FailurePolicy,
 }
 
 impl EpochState {
-    /// Dispatch state over `jobs` jobs, skipping the ones already
-    /// quarantined in earlier epochs.
-    pub fn new(
-        jobs: usize,
-        already_quarantined: &[bool],
-        max_attempts: u8,
-        policy: FailurePolicy,
-    ) -> Self {
-        debug_assert_eq!(already_quarantined.len(), jobs);
-        let queue: VecDeque<usize> = (0..jobs).filter(|&job| !already_quarantined[job]).collect();
-        let remaining = queue.len();
+    /// Dispatch state over `jobs` jobs, each with `max_attempts`
+    /// dispatches before it fails the epoch.
+    pub fn new(jobs: usize, max_attempts: u8) -> Self {
         EpochState {
-            queue,
+            queue: (0..jobs).collect(),
             leases: vec![0; jobs],
             attempts: vec![0; jobs],
-            last_error: (0..jobs).map(|_| None).collect(),
-            done: already_quarantined.to_vec(),
-            remaining,
+            remaining: jobs,
             results: (0..jobs).map(|_| None).collect(),
-            quarantined: vec![false; jobs],
             failed: None,
             redispatches: 0,
             next_lease: 1,
             max_attempts,
-            policy,
         }
     }
 
@@ -173,7 +153,7 @@ impl EpochState {
 
     /// A dispatch answered under `lease`. The answer is accepted (and
     /// `true` returned) only under the job's live lease, which also
-    /// means the job is not done yet. An answer under an expired or
+    /// means the job has not answered yet. An answer under an expired or
     /// abandoned lease returns `false` and is dropped: the job has been
     /// requeued, and this result must not race the recomputation.
     pub fn complete(&mut self, job: usize, lease: u64, result: ShardJobResult) -> bool {
@@ -181,7 +161,6 @@ impl EpochState {
             return false;
         }
         self.leases[job] = 0;
-        self.done[job] = true;
         self.remaining -= 1;
         self.results[job] = Some(result);
         true
@@ -190,9 +169,7 @@ impl EpochState {
     /// The dispatch under `lease` failed (crash, hang past the lease
     /// deadline, dropped connection, protocol violation). The live lease
     /// dies and the job requeues, unless it ran out of attempts — then
-    /// the failure policy decides between failing the epoch and
-    /// quarantining the job. A lease that is no longer live changes
-    /// nothing.
+    /// the epoch fails. A lease that is no longer live changes nothing.
     pub fn abandon(&mut self, job: usize, lease: u64, why: String) {
         if !self.is_live(job, lease) {
             return;
@@ -201,24 +178,11 @@ impl EpochState {
         self.attempts[job] += 1;
         if self.attempts[job] >= self.max_attempts {
             let budget = self.max_attempts;
-            match self.policy {
-                FailurePolicy::Abort => {
-                    self.failed = Some(EpochFailure {
-                        message: format!(
-                            "shard job {job} failed {budget} time(s); last error: {why}"
-                        ),
-                        worker_unavailable: false,
-                    });
-                }
-                FailurePolicy::Quarantine => {
-                    self.quarantined[job] = true;
-                    self.done[job] = true;
-                    self.remaining -= 1;
-                }
-            }
-            self.last_error[job] = Some(why);
+            self.fail(EpochFailure {
+                message: format!("shard job {job} failed {budget} time(s); last error: {why}"),
+                worker_unavailable: false,
+            });
         } else {
-            self.last_error[job] = Some(why);
             self.redispatches += 1;
             self.queue.push_front(job);
         }
@@ -226,8 +190,7 @@ impl EpochState {
 }
 
 /// The transport-independent half of an out-of-process shard session:
-/// the task list, coordinator-side barrier state, quarantine ledger and
-/// the epoch fold. A transport owns one [`SessionCore`], builds an
+/// the task list, coordinator-side barrier state and the epoch fold. A transport owns one [`SessionCore`], builds an
 /// [`EpochState`] per epoch, moves jobs and results however it likes,
 /// and folds the settled state back in.
 pub struct SessionCore<'s> {
@@ -235,11 +198,6 @@ pub struct SessionCore<'s> {
     pub tasks: Vec<ShardTask>,
     sink: &'s dyn ProgressSink,
     max_attempts: u8,
-    policy: FailurePolicy,
-    /// Tasks quarantined in *any* epoch so far (sticky for the session).
-    quarantined: Vec<bool>,
-    /// Failure report per quarantined task.
-    failures: Vec<Option<ShardFailureReport>>,
     /// Coordinator-side shard state between epochs.
     checkpoints: Vec<Option<RunnerCheckpoint>>,
     outputs: Vec<Option<ShardOutput>>,
@@ -253,15 +211,8 @@ pub struct SessionCore<'s> {
 impl<'s> SessionCore<'s> {
     /// A core over `tasks`, reporting progress and completed shards to
     /// `sink`. Restored tasks start from their barrier checkpoints.
-    pub fn new(
-        tasks: Vec<ShardTask>,
-        sink: &'s dyn ProgressSink,
-        max_attempts: u8,
-        policy: FailurePolicy,
-    ) -> Self {
+    pub fn new(tasks: Vec<ShardTask>, sink: &'s dyn ProgressSink, max_attempts: u8) -> Self {
         SessionCore {
-            quarantined: vec![false; tasks.len()],
-            failures: tasks.iter().map(|_| None).collect(),
             checkpoints: tasks.iter().map(|task| task.checkpoint.clone()).collect(),
             outputs: Vec::new(),
             next_lease: 1,
@@ -269,15 +220,13 @@ impl<'s> SessionCore<'s> {
             tasks,
             sink,
             max_attempts,
-            policy,
         }
     }
 
-    /// A fresh dispatch ledger for the next epoch, skipping quarantined
-    /// tasks. Its leases continue where the last epoch's stopped.
+    /// A fresh dispatch ledger for the next epoch. Its leases continue
+    /// where the last epoch's stopped.
     pub fn epoch_state(&self) -> EpochState {
-        let mut state =
-            EpochState::new(self.tasks.len(), &self.quarantined, self.max_attempts, self.policy);
+        let mut state = EpochState::new(self.tasks.len(), self.max_attempts);
         state.next_lease = self.next_lease;
         state
     }
@@ -298,8 +247,7 @@ impl<'s> SessionCore<'s> {
     }
 
     /// Fold one settled epoch back into the session: translate a failed
-    /// epoch into its typed error, absorb this epoch's quarantine
-    /// decisions, then — single-threaded, in task order — absorb worker
+    /// epoch into its typed error, then — single-threaded, in task order — absorb worker
     /// counters (exactly once per job; stale results were discarded),
     /// tick the sink once per accepted result, and store barrier state
     /// or final outputs (completing each finished shard in the sink).
@@ -321,27 +269,11 @@ impl<'s> SessionCore<'s> {
                 OrchestratorError::Executor(failure.message)
             });
         }
-        // Fold this epoch's quarantine decisions into the session; the
-        // reports surface through `outcome` and `RunStats::failures`.
-        for job in 0..self.tasks.len() {
-            if state.quarantined[job] && !self.quarantined[job] {
-                self.quarantined[job] = true;
-                self.failures[job] = Some(ShardFailureReport {
-                    shard: self.tasks[job].spec.index,
-                    attempts: u32::from(state.attempts[job]),
-                    last_error: state.last_error[job].clone().unwrap_or_default(),
-                });
-            }
-        }
         let mut deltas = Vec::with_capacity(self.tasks.len());
         if last {
             self.outputs = (0..self.tasks.len()).map(|_| None).collect();
         }
         for (job, result) in state.results.iter_mut().enumerate() {
-            if self.quarantined[job] {
-                deltas.push(SuccessfulSet::new());
-                continue;
-            }
             let result = result.take().ok_or_else(|| {
                 OrchestratorError::Executor(format!("shard job {job} never completed"))
             })?;
@@ -382,9 +314,6 @@ impl<'s> SessionCore<'s> {
     pub fn inject(&mut self, deltas: &[&SuccessfulSet]) -> Result<(), OrchestratorError> {
         debug_assert_eq!(deltas.len(), self.checkpoints.len());
         for (job, delta) in deltas.iter().enumerate() {
-            if self.quarantined[job] {
-                continue;
-            }
             let checkpoint = self.checkpoints[job].as_mut().ok_or_else(|| {
                 OrchestratorError::Executor(format!(
                     "inject before shard job {job} ever ran an epoch"
@@ -395,20 +324,13 @@ impl<'s> SessionCore<'s> {
         Ok(())
     }
 
-    /// Snapshot every paused task for barrier persistence (`None` for a
-    /// quarantined task — it has no live barrier state).
-    pub fn checkpoints(&mut self) -> Result<Vec<Option<RunnerCheckpoint>>, OrchestratorError> {
+    /// Snapshot every paused task for barrier persistence.
+    pub fn checkpoints(&mut self) -> Result<Vec<RunnerCheckpoint>, OrchestratorError> {
         self.checkpoints
             .iter()
             .enumerate()
             .map(|(job, checkpoint)| {
-                if self.quarantined[job] {
-                    // A quarantined job has no live barrier state; its
-                    // stale checkpoint (if any) must not be persisted as
-                    // if the barrier were complete.
-                    return Ok(None);
-                }
-                checkpoint.clone().map(Some).ok_or_else(|| {
+                checkpoint.clone().ok_or_else(|| {
                     OrchestratorError::Executor(format!(
                         "checkpoint requested before shard job {job} ever ran"
                     ))
@@ -417,8 +339,7 @@ impl<'s> SessionCore<'s> {
             .collect()
     }
 
-    /// Collect every task's outcome after the final epoch: its output,
-    /// or the quarantine report explaining why it has none.
+    /// Collect every task's output after the final epoch.
     pub fn outcome(&mut self) -> Result<SessionOutcome, OrchestratorError> {
         let outputs = std::mem::take(&mut self.outputs);
         if outputs.len() != self.tasks.len() {
@@ -428,14 +349,11 @@ impl<'s> SessionCore<'s> {
         }
         let shards = outputs
             .into_iter()
-            .zip(std::mem::take(&mut self.failures))
             .enumerate()
-            .map(|(job, (output, failure))| match (output, failure) {
-                (Some(output), _) => Ok(Ok(output)),
-                (None, Some(report)) => Ok(Err(report)),
-                (None, None) => {
-                    Err(OrchestratorError::Executor(format!("shard job {job} has no output")))
-                }
+            .map(|(job, output)| {
+                output.ok_or_else(|| {
+                    OrchestratorError::Executor(format!("shard job {job} has no output"))
+                })
             })
             .collect::<Result<Vec<_>, OrchestratorError>>()?;
         Ok(SessionOutcome { shards, supervision: self.supervision })
@@ -448,7 +366,7 @@ mod tests {
     use crate::remote::MAX_DISPATCH_ATTEMPTS;
 
     fn abort_state(jobs: usize) -> EpochState {
-        EpochState::new(jobs, &vec![false; jobs], MAX_DISPATCH_ATTEMPTS, FailurePolicy::Abort)
+        EpochState::new(jobs, MAX_DISPATCH_ATTEMPTS)
     }
 
     fn answer(index: usize, lease: u64) -> ShardJobResult {
@@ -500,31 +418,6 @@ mod tests {
         let back: SupervisionCounts =
             serde_json::from_str(&serde_json::to_string(&full).unwrap()).unwrap();
         assert_eq!(back, full);
-    }
-
-    #[test]
-    fn quarantine_policy_retires_the_job_instead_of_failing_the_epoch() {
-        let mut state = EpochState::new(2, &[false, false], 2, FailurePolicy::Quarantine);
-        let (job, lease) = state.next_job().unwrap();
-        assert_eq!(job, 0);
-        state.abandon(0, lease, "crash".into());
-        let (job, lease) = state.next_job().unwrap();
-        assert_eq!(job, 0);
-        state.abandon(0, lease, "crash again".into());
-        // Budget exhausted: quarantined, not failed; the epoch continues
-        // with the surviving job.
-        assert!(state.failed.is_none());
-        assert!(state.quarantined[0]);
-        assert!(state.done[0]);
-        assert_eq!(state.remaining, 1);
-        assert_eq!(state.last_error[0].as_deref(), Some("crash again"));
-        assert_eq!(state.attempts[0], 2);
-        assert_eq!(state.next_job().map(|(job, _)| job), Some(1));
-        // Later epochs skip quarantined jobs entirely.
-        let later = EpochState::new(2, &[true, false], 2, FailurePolicy::Quarantine);
-        assert_eq!(later.remaining, 1);
-        assert!(later.done[0]);
-        assert_eq!(later.queue, VecDeque::from([1]));
     }
 
     #[test]

@@ -225,18 +225,17 @@ const HEADER_LEN: usize = 11;
 /// allocation or an OOM kill of the coordinator.
 pub const MAX_FRAME_LEN: usize = 256 << 20;
 
-/// Write `value` as one frame under the default [`MAX_FRAME_LEN`] cap.
+/// Write `value` as one frame. Refuses (with
+/// [`io::ErrorKind::InvalidData`]) payloads over [`MAX_FRAME_LEN`] — the
+/// receiver would reject them anyway, so fail at the producer where the
+/// diagnosis is cheap.
 pub fn write_frame<T: Serialize, W: Write>(writer: &mut W, value: &T) -> io::Result<()> {
     write_frame_limited(writer, value, MAX_FRAME_LEN)
 }
 
-/// Write `value` as one frame. Refuses (with
-/// [`io::ErrorKind::InvalidData`]) payloads over `max_frame_len` — the
-/// receiver would reject them anyway, so fail at the producer where the
-/// diagnosis is cheap. Both ends of a stream must agree on the cap
-/// (the coordinator forwards a non-default cap to the workers it
-/// spawns via `--max-frame-len`).
-pub fn write_frame_limited<T: Serialize, W: Write>(
+/// [`write_frame`] under an explicit cap (tests shrink it to exercise
+/// the producer-side refusal).
+fn write_frame_limited<T: Serialize, W: Write>(
     writer: &mut W,
     value: &T,
     max_frame_len: usize,
@@ -254,16 +253,17 @@ pub fn write_frame_limited<T: Serialize, W: Write>(
     writer.flush()
 }
 
-/// Read one frame under the default [`MAX_FRAME_LEN`] cap.
+/// Read one frame. An EOF *before the first header byte* surfaces as
+/// [`io::ErrorKind::UnexpectedEof`] (the clean end-of-stream signal);
+/// anything malformed — including a length over [`MAX_FRAME_LEN`] — is
+/// [`io::ErrorKind::InvalidData`].
 pub fn read_frame<T: serde::de::DeserializeOwned, R: Read>(reader: &mut R) -> io::Result<T> {
     read_frame_limited(reader, MAX_FRAME_LEN)
 }
 
-/// Read one frame. An EOF *before the first header byte* surfaces as
-/// [`io::ErrorKind::UnexpectedEof`] (the clean end-of-stream signal);
-/// anything malformed — including a length over `max_frame_len` — is
-/// [`io::ErrorKind::InvalidData`].
-pub fn read_frame_limited<T: serde::de::DeserializeOwned, R: Read>(
+/// [`read_frame`] under an explicit cap (tests shrink it to exercise
+/// the consumer-side refusal).
+fn read_frame_limited<T: serde::de::DeserializeOwned, R: Read>(
     reader: &mut R,
     max_frame_len: usize,
 ) -> io::Result<T> {

@@ -15,9 +15,8 @@ use std::time::Duration;
 
 use llm4fp::{ApproachKind, CampaignConfig, CampaignResult};
 use llm4fp_orchestrator::{
-    FailurePolicy, FaultPlan, OrchestratedResult, Orchestrator, OrchestratorError, PersistError,
-    PersistFault, RunDir, RunManifest, SupervisionConfig, WorkerExecutor, WorkerFault,
-    MANIFEST_SCHEMA,
+    FaultPlan, OrchestratedResult, Orchestrator, OrchestratorError, PersistError, PersistFault,
+    RunDir, RunManifest, SupervisionConfig, WorkerExecutor, WorkerFault, MANIFEST_SCHEMA,
 };
 use serde::{Number, Value};
 
@@ -302,49 +301,43 @@ fn torn_shard_writes_fire_once_and_only_that_shard_recomputes() {
 }
 
 #[test]
-fn quarantined_run_dirs_resume_bit_identically_once_faults_clear() {
-    // Quarantine-and-degrade meets crash-safe persistence: a shard
-    // poisoned by the fault plan is quarantined, the run dir records the
-    // partial campaign, and — once the faults clear — resuming the same
-    // dir recomputes exactly the casualty, reuses the survivors, and
-    // merges to the bit-identical never-faulted result. Degraded runs
-    // are a checkpoint, not a dead end.
+fn aborted_run_dirs_resume_bit_identically_once_faults_clear() {
+    // A failure redispatch cannot heal meets crash-safe persistence: a
+    // shard poisoned by the fault plan exhausts its dispatch budget, the
+    // run fails with the typed executor error and publishes no result,
+    // and — once the faults clear — resuming the same dir in process
+    // merges to the bit-identical never-faulted result. An aborted run
+    // is a checkpoint, not a dead end.
     let config = config(ApproachKind::Llm4Fp, 24, 59);
-    let reference = Orchestrator::new(config.clone()).shards(3).workers(2).run().unwrap();
+    let reference = Orchestrator::new(config.clone()).shards(3).epochs(2).workers(2).run().unwrap();
 
-    let root = temp_dir("quarantine-resume");
+    let root = temp_dir("abort-resume");
     let poisoned = WorkerExecutor::new(SupervisionConfig {
         worker_procs: 2,
         worker_bin: Some(PathBuf::from(env!("CARGO_BIN_EXE_llm4fp-worker"))),
         respawn_backoff: Duration::from_millis(1),
-        policy: FailurePolicy::Quarantine,
         faults: FaultPlan {
             every_worker: vec![WorkerFault::CrashOnShard(1)],
             ..FaultPlan::default()
         },
         ..SupervisionConfig::default()
     });
-    let partial = Orchestrator::new(config.clone())
+    let err = Orchestrator::new(config.clone())
         .shards(3)
+        .epochs(2)
         .run_dir(root.clone())
         .executor(Arc::new(poisoned))
         .run()
-        .unwrap();
-    assert_eq!(partial.stats.failures.len(), 1, "the poisoned shard was quarantined");
-    assert_eq!(partial.stats.failures[0].shard, 1);
-    assert!(
-        partial.result.records.len() < reference.result.records.len(),
-        "the quarantined run is visibly partial"
-    );
+        .expect_err("a shard that can never complete aborts the run");
+    assert!(matches!(err, OrchestratorError::Executor(_)), "got {err}");
+    assert!(err.to_string().contains("failed 3 time(s)"), "{err}");
+    assert!(!root.join("result.json").exists(), "an aborted run publishes no result");
+    assert!(!root.join("metrics.json").exists(), "nor a flight recorder");
 
-    // The faults clear (a resume runs in process, with no plan armed):
-    // the casualty recomputes from its spec, the survivors are reused.
-    force_recompute(&root);
+    // The faults clear (a resume runs in process, with no plan armed).
     let resumed = Orchestrator::resume(&root).unwrap();
-    assert!(resumed.stats.failures.is_empty(), "nothing left to quarantine");
-    assert_eq!(resumed.stats.shards_reused, 2, "the surviving shards are reused");
-    assert_eq!(resumed.stats.shards_computed, 1, "only the casualty recomputes");
-    assert_results_identical(&resumed.result, &reference.result, "post-quarantine resume");
+    assert_eq!(resumed.stats.shards_computed + resumed.stats.shards_reused, 3);
+    assert_results_identical(&resumed.result, &reference.result, "post-abort resume");
     let _ = std::fs::remove_dir_all(&root);
 }
 

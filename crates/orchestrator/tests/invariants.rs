@@ -256,6 +256,12 @@ fn interrupted_runs_resume_to_identical_results() {
     assert_results_identical(&persisted, &full.result, "persisted result");
     let summary = dir.load_summary().expect("summary.json written");
     assert_eq!(summary.cache, resumed.stats.cache, "summary records cache hit stats");
+    // Run dirs written before the in-process fallback was removed carry
+    // its key; they still load, so `trace_report` keeps reading them.
+    let text = std::fs::read_to_string(root.join("summary.json")).unwrap();
+    let old = text.replacen('{', r#"{"fell_back_to_in_process": false, "#, 1);
+    std::fs::write(root.join("summary.json"), old).unwrap();
+    assert_eq!(dir.load_summary(), Some(summary), "an old summary.json still loads");
 
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -5,7 +5,7 @@
 //! worker crash (the job redispatches and the worker is respawned), a
 //! stalled worker (its lease expires, it is killed and respawned),
 //! sabotaged answer frames, failed respawns, every [`NetworkFault`]
-//! variant in Abort mode (a fault may cost time, never bits), a
+//! variant (a fault may cost time, never bits), a
 //! mid-epoch disconnect-reconnect-resume, and expired leases whose late
 //! answers arrive anyway (discarded by lease generation, never merged).
 //! The merged `metrics.json` flight recorder is byte-identical across
@@ -23,9 +23,9 @@ use std::time::{Duration, Instant};
 use llm4fp::{ApproachKind, CampaignConfig, CampaignResult};
 use llm4fp_orchestrator::wire::{read_frame, write_frame, WireReply, WireRequest};
 use llm4fp_orchestrator::{
-    FailurePolicy, FaultPlan, Hello, NetworkFault, NullSink, OrchestratedResult, Orchestrator,
-    OrchestratorError, OrchestratorOptions, Scheduler, ShardExecutor, SupervisionConfig,
-    WorkerExecutor, WorkerFault, PROTOCOL_VERSION,
+    FaultPlan, Hello, NetworkFault, NullSink, OrchestratedResult, Orchestrator, OrchestratorError,
+    OrchestratorOptions, Scheduler, ShardExecutor, SupervisionConfig, WorkerExecutor, WorkerFault,
+    PROTOCOL_VERSION,
 };
 use llm4fp_telemetry::TelemetrySpec;
 
@@ -335,7 +335,7 @@ fn sabotaged_answer_frames_redispatch_and_stay_bit_identical() {
         let sabotaged = SupervisionConfig { faults: first_worker_plan(fault), ..workers(2) };
         let survived = on_workers(&config, 3, 1, sabotaged);
         assert_results_identical(&survived.result, &reference.result, &what);
-        assert!(survived.stats.failures.is_empty(), "{what}: healed, not quarantined");
+        assert!(survived.stats.failures.is_empty(), "{what}: healed, not a shard failure");
     }
 }
 
@@ -364,10 +364,9 @@ fn injected_respawn_failures_back_off_and_recover() {
 
 /// Shard 1 crashes every worker that touches it, and respawns inherit
 /// the poison.
-fn poisoned(policy: FailurePolicy) -> SupervisionConfig {
+fn poisoned() -> SupervisionConfig {
     SupervisionConfig {
         respawn_backoff: Duration::from_millis(1),
-        policy,
         faults: FaultPlan {
             every_worker: vec![WorkerFault::CrashOnShard(1)],
             ..FaultPlan::default()
@@ -379,83 +378,14 @@ fn poisoned(policy: FailurePolicy) -> SupervisionConfig {
 #[test]
 fn poisonous_shard_aborts_the_run_under_the_default_policy() {
     // `every_worker` poison survives respawns: shard 1's job crashes
-    // every daemon that touches it, exhausting the dispatch budget. The
-    // default Abort policy must fail the whole run with a typed error
-    // naming the job and the spent budget.
+    // every daemon that touches it, exhausting the dispatch budget. That
+    // must fail the whole run with a typed error naming the job and the
+    // spent budget.
     let config = config(ApproachKind::Varity, 12, 23);
-    let err = run(&config, 3, 1, poisoned(FailurePolicy::Abort))
+    let err = run(&config, 3, 1, poisoned())
         .expect_err("a shard that can never complete must abort the run");
     assert!(matches!(err, OrchestratorError::Executor(_)), "got {err}");
     assert!(err.to_string().contains("failed 3 time(s)"), "{err}");
-}
-
-#[test]
-fn quarantine_policy_completes_the_surviving_shards() {
-    // Same poison, opposite policy: the campaign completes on shards 0
-    // and 2, and the casualty is reported — shard index, attempt count,
-    // and the last error — instead of sinking the run.
-    let config = config(ApproachKind::Varity, 12, 23);
-    let survived = on_workers(&config, 3, 1, poisoned(FailurePolicy::Quarantine));
-    assert_eq!(survived.stats.failures.len(), 1, "exactly one shard was lost");
-    let report = &survived.stats.failures[0];
-    assert_eq!(report.shard, 1);
-    assert_eq!(report.attempts, 3, "the full dispatch budget was spent");
-    assert!(!report.last_error.is_empty(), "the last error is preserved");
-    assert!(!survived.result.records.is_empty(), "surviving shards produced records");
-    assert!(
-        survived.result.records.len() < in_process(&config, 3, 1).result.records.len(),
-        "a quarantined run is visibly partial, never silently complete"
-    );
-    assert!(
-        survived.stats.summary_line().contains("quarantined"),
-        "stats advertise the quarantine: {}",
-        survived.stats.summary_line()
-    );
-}
-
-#[test]
-fn unavailable_transport_falls_back_to_in_process_when_allowed() {
-    // The bottom rung of the degradation ladder: an executor whose
-    // workers can never spawn degrades to the in-process executor and
-    // the results are bit-identical (the determinism contract is
-    // transport-independent).
-    let config = config(ApproachKind::Llm4Fp, 16, 29);
-    let reference = in_process(&config, 3, 2);
-    let doomed = SupervisionConfig {
-        worker_bin: Some("/nonexistent/llm4fp-worker".into()),
-        respawn_backoff: Duration::from_millis(1),
-        ..workers(2)
-    };
-    assert_eq!(doomed.max_dispatch_attempts, 3);
-    let degraded = Orchestrator::new(config)
-        .shards(3)
-        .epochs(2)
-        .executor(Arc::new(WorkerExecutor::new(doomed.clone())))
-        .fallback_to_in_process(true)
-        .run()
-        .expect("fallback completes the run in process");
-    assert!(degraded.stats.fell_back_to_in_process, "stats record the degradation");
-    assert_results_identical(&degraded.result, &reference.result, "in-process fallback");
-
-    // A suite takes the same ladder: two campaigns finish in process,
-    // each bit-identical to the in-process suite and each reporting the
-    // degradation.
-    let configs: Vec<CampaignConfig> = [ApproachKind::Varity, ApproachKind::Llm4Fp]
-        .iter()
-        .map(|&a| crate::config(a, 12, 8))
-        .collect();
-    let options = OrchestratorOptions { workers: 2, epochs: 2, ..Default::default() };
-    let reference = Scheduler::new(options.clone()).shards(2).run(&configs).unwrap();
-    let degraded = Scheduler::new(OrchestratorOptions { fallback_to_in_process: true, ..options })
-        .shards(2)
-        .executor(Arc::new(WorkerExecutor::new(doomed)))
-        .run(&configs)
-        .expect("fallback completes the suite in process");
-    assert_eq!(degraded.len(), reference.len());
-    for (d, r) in degraded.iter().zip(&reference) {
-        assert!(d.stats.fell_back_to_in_process, "every campaign records the degradation");
-        assert_results_identical(&d.result, &r.result, "suite in-process fallback");
-    }
 }
 
 #[test]
@@ -491,7 +421,7 @@ fn network_plan(fault: NetworkFault) -> FaultPlan {
 #[test]
 fn every_network_fault_heals_bit_identically_in_abort_mode() {
     // The whole FaultPlan::network vocabulary, one variant at a time,
-    // under the default Abort policy: a dropped connection redials and
+    // one variant at a time: a dropped connection redials and
     // resumes, a delayed frame just arrives later, a duplicated result
     // is discarded as stale by lease generation, a torn stream is a
     // dispatch failure that replays elsewhere, and a refused handshake
@@ -509,7 +439,7 @@ fn every_network_fault_heals_bit_identically_in_abort_mode() {
         let chaotic = SupervisionConfig { faults: network_plan(fault), ..workers(2) };
         let survived = on_workers(&config, 4, 1, chaotic);
         assert_results_identical(&survived.result, &reference.result, &what);
-        assert!(survived.stats.failures.is_empty(), "{what}: healed, not quarantined");
+        assert!(survived.stats.failures.is_empty(), "{what}: healed, not a shard failure");
     }
 }
 
@@ -710,43 +640,55 @@ fn worker_without_connect_exits_2_with_usage() {
         stderr.contains("--connect is required") && stderr.contains("usage: llm4fp-worker"),
         "stderr names the missing flag and the usage: {stderr}"
     );
+    // The frame cap is a fixed constant: the retired flag is refused
+    // before any dial.
+    let out = Command::new(worker_bin())
+        .args(["--connect", "127.0.0.1:1", "--max-frame-len", "1"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .output()
+        .expect("run the worker binary");
+    assert_eq!(out.status.code(), Some(2), "a usage error, not a crash or a dial");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown argument"), "stderr names the retired flag: {stderr}");
 }
 
 #[test]
 fn worker_starvation_is_a_typed_worker_unavailable_error() {
     // No worker ever dials in: the epoch's starvation deadline trips and
-    // surfaces as WorkerUnavailable — the degradation ladder's trigger.
+    // surfaces as WorkerUnavailable.
     let config = config(ApproachKind::Varity, 4, 1);
-    let starved =
-        || SupervisionConfig { worker_wait: Duration::from_millis(200), ..external_only() };
-    let err = run(&config, 2, 1, starved()).unwrap_err();
+    let starved = SupervisionConfig { worker_wait: Duration::from_millis(200), ..external_only() };
+    let err = run(&config, 2, 1, starved).unwrap_err();
     assert!(matches!(err, OrchestratorError::WorkerUnavailable(_)), "got {err}");
-    // And the ladder itself: the same starving executor with the
-    // fallback opt-in completes in process, bit-identically.
-    let reference = in_process(&config, 2, 1);
-    let degraded = Orchestrator::new(config)
-        .shards(2)
-        .executor(Arc::new(WorkerExecutor::new(starved())))
-        .fallback_to_in_process(true)
-        .run()
-        .expect("fallback completes the run in process");
-    assert!(degraded.stats.fell_back_to_in_process);
-    assert_results_identical(&degraded.result, &reference.result, "starvation fallback");
 }
 
 #[test]
 fn unspawnable_loopback_workers_are_worker_unavailable() {
     // Self-spawned mode with a dead binary path: the executor cannot
     // raise its own workers, which is the typed WorkerUnavailable class
-    // the degradation ladder (and any caller-side retry logic) keys on —
-    // and the session must tear the listener down on the way out.
+    // any caller-side retry logic keys on — and the session must tear
+    // the listener down on the way out.
     let config = config(ApproachKind::Varity, 4, 1);
+    let doomed = |worker_procs| SupervisionConfig {
+        worker_bin: Some("/nonexistent/llm4fp-worker".into()),
+        ..workers(worker_procs)
+    };
     for worker_procs in [1usize, 2] {
-        let doomed = SupervisionConfig {
-            worker_bin: Some("/nonexistent/llm4fp-worker".into()),
-            ..workers(worker_procs)
-        };
-        let err = run(&config, 2, 1, doomed).unwrap_err();
+        let err = run(&config, 2, 1, doomed(worker_procs)).unwrap_err();
         assert!(matches!(err, OrchestratorError::WorkerUnavailable(_)), "got {err}");
     }
+    // A suite on the same executor fails the same typed way.
+    let configs: Vec<CampaignConfig> = [ApproachKind::Varity, ApproachKind::Llm4Fp]
+        .iter()
+        .map(|&a| crate::config(a, 12, 8))
+        .collect();
+    let options = OrchestratorOptions { workers: 2, epochs: 2, ..Default::default() };
+    let err = Scheduler::new(options)
+        .shards(2)
+        .executor(Arc::new(WorkerExecutor::new(doomed(2))))
+        .run(&configs)
+        .expect_err("a suite without workers fails");
+    assert!(matches!(err, OrchestratorError::WorkerUnavailable(_)), "got {err}");
 }
