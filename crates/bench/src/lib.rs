@@ -52,16 +52,14 @@
 //! * `--no-metrics` — disable telemetry counters/histograms entirely
 //!   (they are on by default for experiment runs; campaign results are
 //!   bit-identical either way);
-//! * `--max-dispatch-attempts N` — per-shard-job dispatch budget
-//!   (default 3; crashes, dropped connections and expired leases consume
-//!   attempts, results stay bit-identical across redispatch). A job that
-//!   exhausts it fails the run (exit 1, "failed N time(s)"); rerunning
-//!   the same `--run-dir` under any executor resumes from its latest
-//!   complete barrier;
 //! * `--shard-timeout-ms N` — the dispatch lease per shard job: a worker
-//!   that stays silent past it loses the job to redispatch, and a
-//!   self-spawned worker still silent one lease later is killed and
-//!   respawned;
+//!   that stays silent past it loses the job to redispatch, and is killed
+//!   and respawned if the run spawned it. Crashes, dropped connections
+//!   and expired leases each consume one of a job's 3 dispatch attempts
+//!   (results stay bit-identical across redispatch); a job that fails 3
+//!   times fails the run (exit 1, "failed 3 time(s)"), and rerunning the
+//!   same `--run-dir` under any executor resumes from its latest
+//!   complete barrier;
 //! * `--fault-plan PATH` — chaos testing: load a JSON
 //!   `llm4fp_orchestrator::FaultPlan` and inject its worker/persistence
 //!   faults into the run (deterministic supervision means a run that
@@ -135,9 +133,6 @@ pub struct ExpOptions {
     /// `false` (via `--no-spawn-workers`) waits for external workers
     /// instead of self-spawning loopback daemons.
     pub spawn_workers: bool,
-    /// Dispatch budget per shard job (`--max-dispatch-attempts`; 0 =
-    /// executor default).
-    pub max_dispatch_attempts: u8,
     /// Dispatch lease per shard job (`--shard-timeout-ms`; 0 = executor
     /// default).
     pub shard_timeout_ms: u64,
@@ -163,7 +158,6 @@ impl Default for ExpOptions {
             worker_procs: 0,
             listen: None,
             spawn_workers: true,
-            max_dispatch_attempts: 0,
             shard_timeout_ms: 0,
             fault_plan: None,
         }
@@ -226,14 +220,6 @@ impl ExpOptions {
                     opts.listen = Some(v);
                 }
                 "--no-spawn-workers" => opts.spawn_workers = false,
-                "--max-dispatch-attempts" => {
-                    let v = iter.next().ok_or("--max-dispatch-attempts needs a value")?;
-                    opts.max_dispatch_attempts =
-                        v.parse().map_err(|_| format!("invalid --max-dispatch-attempts {v}"))?;
-                    if opts.max_dispatch_attempts == 0 {
-                        return Err("--max-dispatch-attempts must be at least 1".into());
-                    }
-                }
                 "--shard-timeout-ms" => {
                     let v = iter.next().ok_or("--shard-timeout-ms needs a value")?;
                     opts.shard_timeout_ms =
@@ -263,7 +249,7 @@ impl ExpOptions {
                          [--run-dir PATH] [--trace] [--no-metrics] \
                          [--executor in-process|process-pool|remote] [--worker-procs N] \
                          [--listen ADDR] [--no-spawn-workers] \
-                         [--max-dispatch-attempts N] [--shard-timeout-ms N] \
+                         [--shard-timeout-ms N] \
                          [--fault-plan PATH]"
                         .into())
                 }
@@ -383,8 +369,7 @@ impl ExpOptions {
     /// `None` for the orchestrator's in-process default. Both
     /// `--executor process-pool` and `--executor remote` land here, so
     /// identical flags configure identical executors: the worker flags,
-    /// the supervision knobs (`--max-dispatch-attempts`,
-    /// `--shard-timeout-ms` as the dispatch lease) and the worker half of
+    /// `--shard-timeout-ms` as the dispatch lease and the worker half of
     /// any `--fault-plan`.
     pub fn supervision_config(&self) -> Option<SupervisionConfig> {
         if self.executor == CliExecutor::InProcess {
@@ -401,9 +386,6 @@ impl ExpOptions {
         };
         if let Some(addr) = &self.listen {
             config.listen = addr.clone();
-        }
-        if self.max_dispatch_attempts != 0 {
-            config.max_dispatch_attempts = self.max_dispatch_attempts;
         }
         if self.shard_timeout_ms != 0 {
             config.lease_timeout = Duration::from_millis(self.shard_timeout_ms);
@@ -543,8 +525,6 @@ mod tests {
                 "process-pool",
                 "--worker-procs",
                 "6",
-                "--max-dispatch-attempts",
-                "5",
                 "--shard-timeout-ms",
                 "2500",
                 "--fault-plan",
@@ -576,7 +556,6 @@ mod tests {
                 run_dir: Some(PathBuf::from("/tmp/llm4fp-run")),
                 executor: CliExecutor::ProcessPool,
                 worker_procs: 6,
-                max_dispatch_attempts: 5,
                 shard_timeout_ms: 2500,
                 fault_plan: Some(expected_plan.clone()),
                 listen: Some("127.0.0.1:9911".to_string()),
@@ -617,6 +596,7 @@ mod tests {
             "--on-shard-failure",
             "--fallback-in-process",
             "--max-frame-len",
+            "--max-dispatch-attempts",
         ] {
             assert_eq!(
                 ExpOptions::parse([retired.to_string()]),
@@ -626,10 +606,6 @@ mod tests {
         assert!(ExpOptions::parse(["--programs".to_string(), "0".to_string()]).is_err());
         assert!(ExpOptions::parse(["--shards".to_string(), "0".to_string()]).is_err());
         assert!(ExpOptions::parse(["--epochs".to_string(), "0".to_string()]).is_err());
-        assert!(
-            ExpOptions::parse(["--max-dispatch-attempts".to_string(), "0".to_string()]).is_err(),
-            "a zero dispatch budget is rejected at the CLI boundary"
-        );
         assert!(ExpOptions::parse(["--shard-timeout-ms".to_string(), "0".to_string()]).is_err());
         assert!(
             ExpOptions::parse(["--fault-plan".to_string(), "/nonexistent/plan.json".to_string()])
@@ -653,8 +629,6 @@ mod tests {
                     "3",
                     "--listen",
                     "127.0.0.1:0",
-                    "--max-dispatch-attempts",
-                    "5",
                     "--shard-timeout-ms",
                     "2500",
                     "--fault-plan",
@@ -674,7 +648,6 @@ mod tests {
                 worker_procs: 3,
                 listen: "127.0.0.1:0".into(),
                 lease_timeout: Duration::from_millis(2500),
-                max_dispatch_attempts: 5,
                 faults: FaultPlan {
                     every_worker: vec![llm4fp_orchestrator::WorkerFault::CrashOnShard(2)],
                     ..FaultPlan::default()

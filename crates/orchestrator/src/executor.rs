@@ -56,10 +56,6 @@ pub enum OrchestratorError {
     /// `workers == 0` was requested. Worker counts are validated at the
     /// API boundary instead of being silently clamped.
     InvalidWorkers,
-    /// `max_dispatch_attempts == 0` was requested — a budget of zero
-    /// would fail every job before its first dispatch. Validated at the
-    /// API boundary like [`InvalidWorkers`](Self::InvalidWorkers).
-    InvalidDispatchAttempts,
     /// The persistence layer failed (run-dir I/O, manifest mismatch,
     /// corrupt files).
     Persist(PersistError),
@@ -80,9 +76,6 @@ impl fmt::Display for OrchestratorError {
         match self {
             OrchestratorError::InvalidWorkers => {
                 write!(f, "workers must be at least 1 (got 0)")
-            }
-            OrchestratorError::InvalidDispatchAttempts => {
-                write!(f, "max_dispatch_attempts must be at least 1 (got 0)")
             }
             OrchestratorError::Persist(e) => write!(f, "{e}"),
             OrchestratorError::WorkerUnavailable(msg) => {
@@ -481,7 +474,6 @@ mod tests {
     #[test]
     fn errors_render_and_convert() {
         assert!(OrchestratorError::InvalidWorkers.to_string().contains("at least 1"));
-        assert!(OrchestratorError::InvalidDispatchAttempts.to_string().contains("at least 1"));
         assert!(OrchestratorError::Executor("boom".into()).to_string().contains("boom"));
         assert!(OrchestratorError::WorkerUnavailable("no binary".into())
             .to_string()

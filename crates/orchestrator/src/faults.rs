@@ -133,8 +133,7 @@ pub struct FaultPlan {
     /// abort-then-resume test shape).
     pub every_worker: Vec<WorkerFault>,
     /// The first N *respawn* attempts fail coordinator-side (as if
-    /// fork/exec itself failed), exercising the deterministic respawn
-    /// backoff. The workers a session spawns at its start are never
+    /// fork/exec itself failed), exercising the respawn retry. The workers a session spawns at its start are never
     /// affected; a respawn follows a worker's exit or kill.
     pub respawn_failures: u32,
     /// Persistence-layer faults (see [`PersistFault`]).
@@ -380,44 +379,6 @@ impl WorkerFaultHarness {
     }
 }
 
-/// The respawn backoff's documented saturation point: the delay doubles
-/// at most this many times, capping at `2^MAX_BACKOFF_DOUBLINGS * base`
-/// (64x). The cap exists for two reasons: a worker slot that has failed
-/// this often is waiting on an operator, not on more patience, and an
-/// unclamped `base << failures` would be a shift overflow once the
-/// failure count (bounded only by the dispatch budget times epochs, not
-/// by 32) reaches the width of the type.
-pub const MAX_BACKOFF_DOUBLINGS: u32 = 6;
-
-/// Deterministic exponential backoff before the `failures`-th consecutive
-/// respawn attempt of worker slot `slot` (`failures >= 1`): doubles from
-/// `base` up to [`MAX_BACKOFF_DOUBLINGS`] times (64x), plus a
-/// seed-derived jitter in `[0, base)` so slots retrying in lockstep fan
-/// out — without any wall-clock or RNG dependence, keeping chaos runs
-/// reproducible. Saturates (never shift-overflows) for any `failures`
-/// up to `u32::MAX`.
-pub fn respawn_backoff(seed: u64, slot: usize, failures: u32, base: Duration) -> Duration {
-    let exponent = failures.saturating_sub(1).min(MAX_BACKOFF_DOUBLINGS);
-    // The clamp above keeps the shift in range for any conceivable cap;
-    // `checked_shl` documents that even a misconfigured cap saturates
-    // instead of overflowing.
-    let factor = 1u32.checked_shl(exponent).unwrap_or(u32::MAX);
-    let jitter_unit =
-        splitmix(seed ^ (slot as u64).wrapping_mul(0x9e3779b97f4a7c15) ^ failures as u64);
-    let base_nanos = base.as_nanos() as u64;
-    let jitter = if base_nanos == 0 { 0 } else { jitter_unit % base_nanos };
-    base.saturating_mul(factor) + Duration::from_nanos(jitter)
-}
-
-/// SplitMix64 finalizer — the same style of golden-ratio mixing the shard
-/// seeds use, good enough to decorrelate backoff jitter across slots.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,34 +512,5 @@ mod tests {
         assert_eq!(frames.on_job(0, false).answer, None);
         assert!(WorkerFaultHarness::default().is_empty());
         assert!(!h.is_empty());
-    }
-
-    #[test]
-    fn respawn_backoff_is_deterministic_exponential_and_capped() {
-        let base = Duration::from_millis(25);
-        let a = respawn_backoff(42, 0, 1, base);
-        assert_eq!(a, respawn_backoff(42, 0, 1, base), "pure function of its inputs");
-        // Exponential growth: each consecutive failure at least doubles
-        // the floor, up to the 64x cap.
-        for failures in 1..=6 {
-            let floor = base.saturating_mul(1 << (failures - 1));
-            let delay = respawn_backoff(42, 0, failures, base);
-            assert!(delay >= floor, "failure {failures}: {delay:?} < {floor:?}");
-            assert!(delay < floor + base, "jitter bounded by base");
-        }
-        assert_eq!(
-            respawn_backoff(42, 0, 50, base).as_millis() / 25,
-            respawn_backoff(42, 0, 7, base).as_millis() / 25,
-            "caps at 64x"
-        );
-        // The documented saturation point: even a pathological failure
-        // count never shifts past the cap (and never overflows).
-        let cap = base.saturating_mul(1 << MAX_BACKOFF_DOUBLINGS);
-        let extreme = respawn_backoff(42, 0, u32::MAX, base);
-        assert!(extreme >= cap && extreme < cap + base, "{extreme:?}");
-        // Different slots fan out (jitter decorrelates lockstep retries).
-        assert_ne!(respawn_backoff(42, 0, 1, base), respawn_backoff(42, 1, 1, base));
-        // Zero base degenerates to zero without dividing by it.
-        assert_eq!(respawn_backoff(42, 0, 1, Duration::ZERO), Duration::ZERO);
     }
 }

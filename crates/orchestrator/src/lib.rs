@@ -71,11 +71,12 @@
 //!   configured by one [`SupervisionConfig`]): `llm4fp-worker --connect`
 //!   daemons dial a TCP coordinator behind a versioned handshake and are
 //!   supervised by deadline leases, idle heartbeats,
-//!   reconnect-and-resume, respawn with backoff and
-//!   crash-and-redispatch;
-//! * [`supervisor`] — the supervision core: lease-based dispatch ledgers
-//!   ([`supervisor::EpochState`]), the session half the executor folds
-//!   epochs through ([`supervisor::SessionCore`]) and the
+//!   reconnect-and-resume, respawn and crash-and-redispatch; a failed
+//!   dispatch ends its connection one way (lease abandoned, connection
+//!   closed, a silent self-spawned worker killed);
+//! * [`supervisor`] — the supervision core: the lease-based dispatch
+//!   ledger of one epoch ([`supervisor::EpochState`]), the dispatch
+//!   budget ([`supervisor::MAX_DISPATCH_ATTEMPTS`]) and the
 //!   [`SupervisionCounts`] reported in [`RunStats::supervision`];
 //! * [`Scheduler`] — multi-campaign suites (all four Table 2 approaches)
 //!   over one shared worker budget, with per-campaign exchange, cache per
@@ -96,8 +97,8 @@
 //!   handshakes).
 //!
 //! **Failure model.** Supervision redispatches a failed job (crash,
-//! expired lease, dropped connection) up to its dispatch budget, at no
-//! cost in bits. A failure that redispatch cannot heal is one typed
+//! expired lease, dropped connection) up to
+//! [`supervisor::MAX_DISPATCH_ATTEMPTS`] times, at no cost in bits. A failure that redispatch cannot heal is one typed
 //! error: a job that exhausts its budget fails the run with
 //! [`OrchestratorError::Executor`], and a transport with no workers
 //! fails it with [`OrchestratorError::WorkerUnavailable`]. Either way
@@ -132,9 +133,7 @@ pub use executor::{
     InProcessExecutor, NullSink, OrchestratorError, ProgressSink, SessionOutcome, ShardExecutor,
     ShardSession, ShardTask,
 };
-pub use faults::{
-    FaultPlan, NetworkFault, PersistFault, WorkerFault, WorkerFaultSet, MAX_BACKOFF_DOUBLINGS,
-};
+pub use faults::{FaultPlan, NetworkFault, PersistFault, WorkerFault, WorkerFaultSet};
 pub use orchestrate::{
     default_workers, OrchestratedResult, Orchestrator, OrchestratorOptions, RunStats,
 };

@@ -14,41 +14,47 @@
 //! workers dialing from anywhere (`worker_procs = 0` spawns nothing and
 //! waits). Every setting lives in one [`SupervisionConfig`].
 //!
-//! Supervision runs on the shared [`crate::supervisor`] machinery:
+//! The session owns the tasks and their coordinator-side checkpoints;
+//! connection threads move jobs and answers through one
+//! [`EpochState`] dispatch ledger per epoch ([`crate::supervisor`]),
+//! and the session folds each settled ledger into deltas, sink progress
+//! and barrier state.
 //!
 //! * **Leases** — every dispatch holds a deadline lease
 //!   ([`SupervisionConfig::lease_timeout`]) identified by a generation
 //!   number stamped into the job, unique across the session. A job is
 //!   dispatched once per attempt, so a connection awaits exactly one
-//!   lease. A worker that neither answers nor disconnects within the
-//!   deadline loses the lease: the job re-enters the queue for any
-//!   connection. Any result frame that does not carry the awaited lease
-//!   — the late answer, a retransmission, a leftover of a folded epoch —
-//!   is discarded and counted as stale, never merged. Results stay a
-//!   pure function of `(config, K, E)` no matter how late the network
-//!   delivers stale bytes.
+//!   lease. Any result frame that does not carry the awaited lease — a
+//!   retransmission, a leftover of a folded epoch — is discarded and
+//!   counted as stale, never merged. Results stay a pure function of
+//!   `(config, K, E)` no matter how late the network delivers stale
+//!   bytes.
+//! * **One end for a failed dispatch** — a crash, a dropped or torn
+//!   stream, a protocol violation or an expired lease all end the
+//!   connection the same way: the lease is abandoned (the job re-enters
+//!   the queue for any connection) and the connection closes. A worker
+//!   that went silent — its lease expired, or it missed a heartbeat — is
+//!   also killed, process group and all, if this session spawned it;
+//!   its `Hello` names its pid, which is how the connection finds its
+//!   process.
 //! * **Heartbeats** — an idle connection is probed with
-//!   [`WireRequest::Ping`] every [`SupervisionConfig::heartbeat`]; a
-//!   missed [`WireReply::Pong`] retires the connection, so a silent
-//!   half-open socket cannot hold a future lease forever.
+//!   [`WireRequest::Ping`] every 2 s and must answer
+//!   [`WireReply::Pong`] within another 2 s, so a silent half-open
+//!   socket cannot hold a future lease forever.
 //! * **Reconnect-and-resume** — a dropped worker redials (the worker
 //!   binary's `--reconnect` budget), passes the handshake again, and is
 //!   simply handed the next queued job: shard state lives
-//!   coordinator-side between epochs (checkpoints in the
-//!   [`SessionCore`]), so the resumed job carries everything the fresh
-//!   connection needs. Worker processes hold no state between jobs.
-//! * **Respawn** — a self-spawned worker that exits is respawned, with a
-//!   deterministic seed-derived exponential backoff between failed spawn
-//!   attempts ([`crate::faults::respawn_backoff`]). A self-spawned worker
-//!   whose lease expired and that stayed silent through the drain window
-//!   (or missed a heartbeat) is killed, process group and all, and
-//!   respawned the same way; its `Hello` names its pid, which is how the
-//!   connection finds its process.
+//!   coordinator-side between epochs, so the resumed job carries
+//!   everything the fresh connection needs. Worker processes hold no
+//!   state between jobs.
+//! * **Respawn** — a self-spawned worker that exits or is killed is
+//!   respawned; a failed spawn attempt retries after a fixed 25 ms.
 //! * **Worker unavailability** — a session whose workers cannot be
 //!   spawned at all, or an epoch with no connected worker for
 //!   [`SupervisionConfig::worker_wait`], surfaces
-//!   [`OrchestratorError::WorkerUnavailable`]; a job that exhausts
-//!   [`SupervisionConfig::max_dispatch_attempts`] surfaces
+//!   [`OrchestratorError::WorkerUnavailable`]; a job that fails
+//!   [`MAX_DISPATCH_ATTEMPTS`](crate::supervisor::MAX_DISPATCH_ATTEMPTS)
+//!   times surfaces
 //!   [`OrchestratorError::Executor`]. Either way the run directory
 //!   resumes under any executor.
 //!
@@ -79,15 +85,9 @@ use crate::executor::{
 };
 use crate::faults::{self, FaultPlan};
 use crate::orchestrate::default_workers;
-use crate::supervisor::{EpochFailure, EpochState, SessionCore};
+use crate::shard::ShardOutput;
+use crate::supervisor::{EpochState, SupervisionCounts};
 use crate::wire::{self, Hello, ShardJob, ShardJobResult, WireReply, WireRequest};
-
-/// Default dispatch-attempt budget per job (crash, hang, dropped
-/// connection all count).
-pub const MAX_DISPATCH_ATTEMPTS: u8 = 3;
-
-/// Default base delay of the deterministic exponential respawn backoff.
-pub const DEFAULT_RESPAWN_BACKOFF: Duration = Duration::from_millis(25);
 
 /// Environment variable overriding the worker binary path (useful for
 /// driving an explicitly built binary from scripts and CI).
@@ -101,6 +101,14 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 /// How often the session checks its self-spawned workers for exits.
 const EXIT_POLL: Duration = Duration::from_millis(2);
 
+/// How long a connection may sit idle before the coordinator probes it
+/// with a ping, and how long the worker then has to answer with a pong.
+const HEARTBEAT: Duration = Duration::from_secs(2);
+
+/// How long a worker slot waits after a failed spawn attempt before the
+/// next one.
+const RESPAWN_RETRY: Duration = Duration::from_millis(25);
+
 /// Everything that configures a [`WorkerExecutor`]. Build it as a struct
 /// literal over [`Default`]:
 ///
@@ -108,7 +116,7 @@ const EXIT_POLL: Duration = Duration::from_millis(2);
 /// use llm4fp_orchestrator::SupervisionConfig;
 ///
 /// let config = SupervisionConfig { worker_procs: 4, ..SupervisionConfig::default() };
-/// assert_eq!(config.max_dispatch_attempts, 3);
+/// assert_eq!(config.worker_wait.as_secs(), 30);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupervisionConfig {
@@ -126,31 +134,17 @@ pub struct SupervisionConfig {
     /// `llm4fp-worker` next to the current executable.
     pub worker_bin: Option<PathBuf>,
     /// The deadline lease on one dispatched segment. A worker that
-    /// neither answers nor disconnects within it loses the lease — the
-    /// job re-dispatches and the late answer is discarded by lease
-    /// generation. Defaults to 300 s. This is the only way a job leaves
-    /// a worker that hangs while still connected: nothing duplicates a
-    /// running job, so a hung worker holds its job for the full lease.
+    /// neither answers nor disconnects within it loses the lease: the
+    /// job re-dispatches, the connection closes, and the worker is
+    /// killed if this session spawned it. Defaults to 300 s. This is the
+    /// only way a job leaves a worker that hangs while still connected:
+    /// nothing duplicates a running job, so a hung worker holds its job
+    /// for the full lease.
     pub lease_timeout: Duration,
-    /// How long a connection may sit idle before the coordinator probes
-    /// it with a ping; a missed pong retires the connection. Defaults to
-    /// 2 s.
-    pub heartbeat: Duration,
     /// How long an epoch tolerates *zero connected workers* before
     /// failing with [`OrchestratorError::WorkerUnavailable`]. The clock
     /// resets whenever any worker is connected. Defaults to 30 s.
     pub worker_wait: Duration,
-    /// How many times one job may fail (crash, lease expiry, dropped
-    /// connection, protocol violation) before it fails the run with
-    /// [`OrchestratorError::Executor`]. Defaults to [`MAX_DISPATCH_ATTEMPTS`]; `0` is rejected at
-    /// [`begin`](ShardExecutor::begin) with
-    /// [`OrchestratorError::InvalidDispatchAttempts`].
-    pub max_dispatch_attempts: u8,
-    /// Base delay of the backoff between consecutive failed respawn
-    /// attempts of one worker slot (doubles up to 64x, with seed-derived
-    /// jitter — see [`crate::faults::respawn_backoff`]). Defaults to
-    /// [`DEFAULT_RESPAWN_BACKOFF`].
-    pub respawn_backoff: Duration,
     /// A deterministic [`FaultPlan`] for chaos testing (empty by default,
     /// which costs one branch per site). Worker and worker-side network
     /// faults ship to the first self-spawned worker via
@@ -170,10 +164,7 @@ impl Default for SupervisionConfig {
             listen: "127.0.0.1:0".into(),
             worker_bin: None,
             lease_timeout: Duration::from_secs(300),
-            heartbeat: Duration::from_secs(2),
             worker_wait: Duration::from_secs(30),
-            max_dispatch_attempts: MAX_DISPATCH_ATTEMPTS,
-            respawn_backoff: DEFAULT_RESPAWN_BACKOFF,
             faults: FaultPlan::none(),
         }
     }
@@ -253,9 +244,6 @@ impl ShardExecutor for WorkerExecutor {
         sink: &'s dyn ProgressSink,
     ) -> Result<Box<dyn ShardSession + 's>, OrchestratorError> {
         let config = &self.config;
-        if config.max_dispatch_attempts == 0 {
-            return Err(OrchestratorError::InvalidDispatchAttempts);
-        }
         // A coordinator that cannot even bind has no transport at all —
         // the WorkerUnavailable class.
         let listener = TcpListener::bind(&config.listen).map_err(|e| {
@@ -268,9 +256,6 @@ impl ShardExecutor for WorkerExecutor {
             OrchestratorError::WorkerUnavailable(format!("cannot resolve bound address: {e}"))
         })?;
         *self.bound.lock().unwrap() = Some(addr);
-        // Backoff jitter derives from the campaign seed so chaos runs
-        // replay identically.
-        let backoff_seed = tasks.first().map_or(0, |task| task.config.seed);
         let worker_procs = config.worker_procs.min(tasks.len());
         let shared = Arc::new(Shared {
             slot: Mutex::new(EpochSlot { epoch_id: 0, active: None }),
@@ -282,14 +267,18 @@ impl ShardExecutor for WorkerExecutor {
             respawns: AtomicU64::new(0),
             stale_results: AtomicU64::new(0),
             lease_timeout: config.lease_timeout,
-            heartbeat: config.heartbeat,
         });
         let acceptor = thread::spawn({
             let shared = Arc::clone(&shared);
             move || accept_loop(&listener, &shared)
         });
         let mut session = WorkerSession {
-            core: SessionCore::new(tasks, sink, config.max_dispatch_attempts),
+            checkpoints: tasks.iter().map(|task| task.checkpoint.clone()).collect(),
+            outputs: Vec::new(),
+            next_lease: 1,
+            redispatches: 0,
+            tasks,
+            sink,
             shared,
             acceptor: Some(acceptor),
             supervisor: None,
@@ -312,17 +301,15 @@ impl ShardExecutor for WorkerExecutor {
                         spawner.bin.display()
                     ))
                 })?;
-                session.shared.children.lock().unwrap().push(ChildSlot {
-                    child: Some(child),
-                    failures: 0,
-                    retry_at: Instant::now(),
-                });
+                session
+                    .shared
+                    .children
+                    .lock()
+                    .unwrap()
+                    .push(ChildSlot { child: Some(child), retry_at: Instant::now() });
             }
             let shared = Arc::clone(&session.shared);
-            let backoff_base = config.respawn_backoff;
-            session.supervisor = Some(thread::spawn(move || {
-                supervise_children(&shared, &spawner, backoff_seed, backoff_base)
-            }));
+            session.supervisor = Some(thread::spawn(move || supervise_children(&shared, &spawner)));
         }
         Ok(Box::new(session))
     }
@@ -363,21 +350,19 @@ struct ChildSlot {
     /// The live process; `None` from its exit (or kill) until the
     /// respawn.
     child: Option<Child>,
-    /// Consecutive failed spawn attempts, for the backoff.
-    failures: u32,
     /// When the next spawn attempt is due.
     retry_at: Instant,
 }
 
 /// Respawn self-spawned workers as they exit, until the session shuts
 /// down. Injected [`FaultPlan::respawn_failures`] fail the first respawn
-/// attempts; each failure waits out the deterministic backoff.
-fn supervise_children(shared: &Shared, spawner: &Spawner, seed: u64, base: Duration) {
+/// attempts; each failure waits [`RESPAWN_RETRY`] before the next.
+fn supervise_children(shared: &Shared, spawner: &Spawner) {
     let mut injected_failures = spawner.faults.respawn_failures;
     while !shared.shutdown.load(Ordering::SeqCst) {
         {
             let mut children = shared.children.lock().unwrap();
-            for (index, slot) in children.iter_mut().enumerate() {
+            for slot in children.iter_mut() {
                 if let Some(child) = slot.child.as_mut() {
                     if !matches!(child.try_wait(), Ok(Some(_))) {
                         continue;
@@ -402,14 +387,9 @@ fn supervise_children(shared: &Shared, spawner: &Spawner, seed: u64, base: Durat
                 match spawned {
                     Ok(child) => {
                         slot.child = Some(child);
-                        slot.failures = 0;
                         shared.respawns.fetch_add(1, Ordering::SeqCst);
                     }
-                    Err(_) => {
-                        slot.failures += 1;
-                        slot.retry_at = Instant::now()
-                            + faults::respawn_backoff(seed, index, slot.failures, base);
-                    }
+                    Err(_) => slot.retry_at = Instant::now() + RESPAWN_RETRY,
                 }
             }
         }
@@ -436,7 +416,6 @@ struct Shared {
     /// Result frames discarded because they did not carry a live lease.
     stale_results: AtomicU64,
     lease_timeout: Duration,
-    heartbeat: Duration,
 }
 
 /// The one live epoch (or none, between epochs), versioned by
@@ -557,6 +536,39 @@ enum Verdict {
     Dead(String),
 }
 
+/// Wait out one dispatch's lease for the answer that carries it. Every
+/// other result frame is a retransmitted copy of an earlier answer: it
+/// is discarded as stale, and the wait goes on.
+fn await_answer(
+    rx: &mpsc::Receiver<io::Result<WireReply>>,
+    shared: &Shared,
+    lease: u64,
+) -> Verdict {
+    let deadline = Instant::now() + shared.lease_timeout;
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Verdict::LeaseExpired;
+        }
+        match rx.recv_timeout(left) {
+            Ok(Ok(WireReply::Result(result))) if result.lease == lease => {
+                return Verdict::Answered(result);
+            }
+            Ok(Ok(WireReply::Result(_))) => discard_stale(shared),
+            // A pong from an idle probe the worker answered late.
+            Ok(Ok(WireReply::Pong(_))) => {}
+            Ok(Ok(WireReply::Hello(_))) => {
+                return Verdict::Dead("protocol violation: mid-stream Hello".into());
+            }
+            Ok(Err(e)) => return Verdict::Dead(format!("worker connection failed: {e}")),
+            Err(RecvTimeoutError::Timeout) => return Verdict::LeaseExpired,
+            Err(RecvTimeoutError::Disconnected) => {
+                return Verdict::Dead("worker stream closed".into());
+            }
+        }
+    }
+}
+
 /// Serve one accepted connection end to end: handshake, then a loop of
 /// lease → dispatch → bounded wait, with heartbeat probes while idle.
 fn drive_connection(stream: TcpStream, shared: &Shared) {
@@ -599,6 +611,9 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
     // Detached reader: turns the blocking socket into a channel of
     // frames the driver can wait on with deadlines. It exits when the
     // socket closes (worker death, SocketGuard) or the driver drops `rx`.
+    // A stream that ends (at or inside a frame) just drops the sender, so
+    // the driver reads it as "worker stream closed"; any other I/O error
+    // is forwarded with its own text.
     let (tx, rx) = mpsc::channel::<io::Result<WireReply>>();
     thread::spawn(move || loop {
         match wire::read_frame::<WireReply, _>(&mut reader_stream) {
@@ -607,6 +622,7 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
                     break;
                 }
             }
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
             Err(e) => {
                 let _ = tx.send(Err(e));
                 break;
@@ -644,7 +660,7 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
             // Idle: park until new work arrives or the heartbeat is due.
             {
                 let slot = shared.slot.lock().unwrap();
-                let (_slot, timeout) = shared.cv.wait_timeout(slot, shared.heartbeat).unwrap();
+                let (_slot, timeout) = shared.cv.wait_timeout(slot, HEARTBEAT).unwrap();
                 if !timeout.timed_out() {
                     continue;
                 }
@@ -656,7 +672,7 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
             if wire::write_frame(&mut writer, &WireRequest::Ping(ping_token)).is_err() {
                 return;
             }
-            let deadline = Instant::now() + shared.heartbeat.max(Duration::from_secs(1));
+            let deadline = Instant::now() + HEARTBEAT;
             loop {
                 let left = deadline.saturating_duration_since(Instant::now());
                 match rx.recv_timeout(left) {
@@ -676,96 +692,52 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
         let shard = wire_job.spec.index;
         telemetry.observe(keys::QUEUE_WAIT, pool_start.elapsed());
         let span = telemetry.span(keys::SPAN_SHARD_RUN);
-        if let Err(e) = wire::write_frame(&mut writer, &WireRequest::Job(Box::new(wire_job))) {
-            drop(span);
-            abandon(shared, epoch_id, job, lease, format!("write to worker failed: {e}"));
-            return;
-        }
-        let deadline = Instant::now() + shared.lease_timeout;
-        let verdict = loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break Verdict::LeaseExpired;
-            }
-            match rx.recv_timeout(left) {
-                Ok(Ok(WireReply::Result(result))) if result.lease == lease => {
-                    break Verdict::Answered(result);
-                }
-                // Any other lease is stale: a retransmission, or a late
-                // answer to an expired lease. Keep waiting.
-                Ok(Ok(WireReply::Result(_))) => discard_stale(shared),
-                // A pong from an idle probe the worker answered late.
-                Ok(Ok(WireReply::Pong(_))) => {}
-                Ok(Ok(WireReply::Hello(_))) => {
-                    break Verdict::Dead("protocol violation: mid-stream Hello".into());
-                }
-                Ok(Err(e)) => break Verdict::Dead(format!("worker connection failed: {e}")),
-                Err(RecvTimeoutError::Timeout) => break Verdict::LeaseExpired,
-                Err(RecvTimeoutError::Disconnected) => {
-                    break Verdict::Dead("worker stream closed".into());
-                }
-            }
+        let verdict = match wire::write_frame(&mut writer, &WireRequest::Job(Box::new(wire_job))) {
+            Ok(()) => await_answer(&rx, shared, lease),
+            Err(e) => Verdict::Dead(format!("write to worker failed: {e}")),
         };
         drop(span);
-        match verdict {
-            Verdict::Answered(result) => {
-                if result.index != shard {
-                    abandon(
-                        shared,
-                        epoch_id,
-                        job,
-                        lease,
-                        format!("protocol violation: answer for shard {}", result.index),
-                    );
-                    return;
-                }
+        let silent = matches!(verdict, Verdict::LeaseExpired);
+        let why = match verdict {
+            Verdict::Answered(result) if result.index == shard => {
                 settle(shared, epoch_id, job, lease, *result);
+                continue;
+            }
+            Verdict::Answered(result) => {
+                format!("protocol violation: answer for shard {}", result.index)
             }
             Verdict::LeaseExpired => {
-                // The lease dies first — the job re-dispatches right away
-                // — then the connection gets one more lease-length window
-                // to prove it was slow rather than dead: its late answer
-                // (stale, like every result frame here) lets the
-                // connection be reused; silence retires it, and kills the
-                // worker if this session spawned it.
-                abandon(
-                    shared,
-                    epoch_id,
-                    job,
-                    lease,
-                    format!("lease expired after {:.1}s", shared.lease_timeout.as_secs_f64()),
-                );
-                let drain = Instant::now() + shared.lease_timeout;
-                loop {
-                    let left = drain.saturating_duration_since(Instant::now());
-                    match rx.recv_timeout(left) {
-                        Ok(Ok(WireReply::Result(result))) => {
-                            discard_stale(shared);
-                            if result.lease == lease {
-                                break;
-                            }
-                        }
-                        Ok(Ok(WireReply::Pong(_))) => {}
-                        Err(RecvTimeoutError::Timeout) => {
-                            kill_silent_worker(shared, hello.pid);
-                            return;
-                        }
-                        Ok(Ok(WireReply::Hello(_))) | Ok(Err(_)) | Err(_) => return,
-                    }
-                }
+                format!("lease expired after {:.1}s", shared.lease_timeout.as_secs_f64())
             }
-            Verdict::Dead(why) => {
-                abandon(shared, epoch_id, job, lease, why);
-                return;
-            }
+            Verdict::Dead(why) => why,
+        };
+        // Every failed dispatch ends the connection the same way: the
+        // lease dies first, so the job re-dispatches right away; a worker
+        // that stayed silent through its lease is killed if this session
+        // spawned it; returning closes the connection.
+        abandon(shared, epoch_id, job, lease, why);
+        if silent {
+            kill_silent_worker(shared, hello.pid);
         }
+        return;
     }
 }
 
 struct WorkerSession<'s> {
-    /// The transport-independent session half (tasks, checkpoints,
-    /// epoch folding) — see [`crate::supervisor`].
-    core: SessionCore<'s>,
+    /// The session's tasks, in task order.
+    tasks: Vec<ShardTask>,
+    sink: &'s dyn ProgressSink,
+    /// Coordinator-side shard state between epochs: each task's barrier
+    /// checkpoint (its restored one before the first epoch).
+    checkpoints: Vec<Option<RunnerCheckpoint>>,
+    /// Each task's final output, filled by the last epoch.
+    outputs: Vec<Option<ShardOutput>>,
+    /// The first lease generation of the next epoch: leases stay unique
+    /// across the session, so a leftover answer from a folded epoch can
+    /// never carry a live lease.
+    next_lease: u64,
+    /// Failed dispatches whose job went back into the queue, so far.
+    redispatches: u64,
     shared: Arc<Shared>,
     acceptor: Option<thread::JoinHandle<()>>,
     /// The respawn loop over self-spawned workers (`None` with external
@@ -819,6 +791,59 @@ impl WorkerSession<'_> {
             }
         }
     }
+
+    /// Fold one settled epoch back into the session: a failed epoch
+    /// returns its typed error; otherwise — single-threaded, in task
+    /// order — absorb worker counters (exactly once per job; stale
+    /// results were discarded), tick the sink once per accepted result,
+    /// and store barrier checkpoints or final outputs (completing each
+    /// finished shard in the sink). Returns each task's delta, with every
+    /// received source hashed here once, so the barrier merges and
+    /// injects by hash (with `last` no barrier follows, and the deltas
+    /// are returned empty).
+    fn fold_epoch(
+        &mut self,
+        state: EpochState,
+        last: bool,
+    ) -> Result<Vec<SuccessfulSet>, OrchestratorError> {
+        self.next_lease = state.next_lease();
+        self.redispatches += state.redispatches();
+        let results = state.into_results()?;
+        if last {
+            self.outputs = (0..self.tasks.len()).map(|_| None).collect();
+        }
+        let mut deltas = Vec::with_capacity(results.len());
+        for (job, result) in results.into_iter().enumerate() {
+            if let Some(snapshot) = &result.telemetry {
+                if !snapshot.is_empty() {
+                    self.tasks[job].telemetry.absorb(snapshot);
+                }
+            }
+            let mut delta = SuccessfulSet::new();
+            if !last {
+                delta.merge_sources(&result.delta);
+            }
+            deltas.push(delta);
+            self.sink.progress(job);
+            if last {
+                let output = result.output.ok_or_else(|| {
+                    OrchestratorError::Executor(format!(
+                        "protocol violation: no output for finished shard job {job}"
+                    ))
+                })?;
+                self.sink.complete(job, &output);
+                self.outputs[job] = Some(output);
+            } else {
+                let checkpoint = result.checkpoint.ok_or_else(|| {
+                    OrchestratorError::Executor(format!(
+                        "protocol violation: no checkpoint for paused shard job {job}"
+                    ))
+                })?;
+                self.checkpoints[job] = Some(checkpoint);
+            }
+        }
+        Ok(deltas)
+    }
 }
 
 impl Drop for WorkerSession<'_> {
@@ -836,12 +861,25 @@ impl ShardSession for WorkerSession<'_> {
         segments: &[usize],
         last: bool,
     ) -> Result<Vec<SuccessfulSet>, OrchestratorError> {
-        debug_assert_eq!(segments.len(), self.core.tasks.len());
-        let state = self.core.epoch_state();
-        let jobs = (0..self.core.tasks.len())
-            .map(|job| self.core.build_job(job, segments[job], last, 0))
+        debug_assert_eq!(segments.len(), self.tasks.len());
+        let state = EpochState::new(self.tasks.len(), self.next_lease);
+        let jobs = self
+            .tasks
+            .iter()
+            .zip(&self.checkpoints)
+            .zip(segments)
+            .map(|((task, checkpoint), &segment)| ShardJob {
+                config: task.config.clone(),
+                spec: task.spec,
+                segment,
+                finish: last,
+                checkpoint: checkpoint.clone(),
+                process_slots: 1,
+                telemetry: task.telemetry.is_enabled(),
+                lease: 0,
+            })
             .collect();
-        let telemetry = self.core.tasks.iter().map(|task| task.telemetry.clone()).collect();
+        let telemetry = self.tasks.iter().map(|task| task.telemetry.clone()).collect();
         let epoch_id = {
             let mut slot = self.shared.slot.lock().unwrap();
             slot.epoch_id += 1;
@@ -862,14 +900,11 @@ impl ShardSession for WorkerSession<'_> {
             if self.shared.workers_live.load(Ordering::SeqCst) > 0 {
                 starving_since = Instant::now();
             } else if starving_since.elapsed() >= self.worker_wait {
-                epoch.state.fail(EpochFailure {
-                    message: format!(
-                        "no workers connected to {} within {:.1}s",
-                        self.addr,
-                        self.worker_wait.as_secs_f64()
-                    ),
-                    worker_unavailable: true,
-                });
+                epoch.state.fail(OrchestratorError::WorkerUnavailable(format!(
+                    "no workers connected to {} within {:.1}s",
+                    self.addr,
+                    self.worker_wait.as_secs_f64()
+                )));
                 break;
             }
             // Short tick: doubles as the starvation clock's resolution
@@ -880,22 +915,61 @@ impl ShardSession for WorkerSession<'_> {
         }
         let state = slot.active.take().expect("epoch installed above").state;
         drop(slot);
-        self.core.fold_epoch(state, last)
+        self.fold_epoch(state, last)
     }
 
+    /// Broadcast the epoch's merged deltas into the stored checkpoints by
+    /// the hashes they carry (commutative with runner-side injection —
+    /// see `RunnerCheckpoint::inject_successful`).
     fn inject(&mut self, deltas: &[&SuccessfulSet]) -> Result<(), OrchestratorError> {
-        self.core.inject(deltas)
+        debug_assert_eq!(deltas.len(), self.checkpoints.len());
+        for (job, (checkpoint, delta)) in self.checkpoints.iter_mut().zip(deltas).enumerate() {
+            let checkpoint = checkpoint.as_mut().ok_or_else(|| {
+                OrchestratorError::Executor(format!(
+                    "inject before shard job {job} ever ran an epoch"
+                ))
+            })?;
+            checkpoint.inject_successful(delta);
+        }
+        Ok(())
     }
 
     fn checkpoints(&mut self) -> Result<Vec<RunnerCheckpoint>, OrchestratorError> {
-        self.core.checkpoints()
+        self.checkpoints
+            .iter()
+            .enumerate()
+            .map(|(job, checkpoint)| {
+                checkpoint.clone().ok_or_else(|| {
+                    OrchestratorError::Executor(format!(
+                        "checkpoint requested before shard job {job} ever ran"
+                    ))
+                })
+            })
+            .collect()
     }
 
     fn finish(mut self: Box<Self>) -> Result<SessionOutcome, OrchestratorError> {
         self.shutdown_transport();
-        self.core.supervision.respawns = self.shared.respawns.load(Ordering::SeqCst);
-        self.core.supervision.stale_results = self.shared.stale_results.load(Ordering::SeqCst);
-        self.core.outcome()
+        if self.outputs.len() != self.tasks.len() {
+            return Err(OrchestratorError::Executor(
+                "finish called before the final epoch ran".into(),
+            ));
+        }
+        let shards = std::mem::take(&mut self.outputs)
+            .into_iter()
+            .enumerate()
+            .map(|(job, output)| {
+                output.ok_or_else(|| {
+                    OrchestratorError::Executor(format!("shard job {job} has no output"))
+                })
+            })
+            .collect::<Result<Vec<_>, OrchestratorError>>()?;
+        let supervision = SupervisionCounts {
+            stale_results: self.shared.stale_results.load(Ordering::SeqCst),
+            redispatches: self.redispatches,
+            respawns: self.shared.respawns.load(Ordering::SeqCst),
+        };
+        Ok(SessionOutcome { shards, supervision })
     }
 }
 
@@ -910,55 +984,10 @@ mod tests {
 
     #[test]
     fn builder_knobs_are_validated_at_begin() {
-        let executor =
-            WorkerExecutor::new(SupervisionConfig { max_dispatch_attempts: 0, ..external_only() });
-        assert!(matches!(
-            executor.begin(Vec::new(), &NullSink),
-            Err(OrchestratorError::InvalidDispatchAttempts)
-        ));
         let executor = WorkerExecutor::new(external_only());
         assert_eq!(executor.name(), "workers");
         assert!(!executor.shares_cache());
         assert_eq!(executor.bound_addr(), None);
-    }
-
-    /// A self-spawning config whose worker binary cannot run, plus one
-    /// real task so `begin` would have a worker to raise: a knob error
-    /// must win over the spawn failure, before any socket or child.
-    fn doomed_spawn() -> (SupervisionConfig, Vec<ShardTask>) {
-        let config = llm4fp::CampaignConfig::new(llm4fp::ApproachKind::Varity)
-            .with_budget(4)
-            .with_seed(1)
-            .with_threads(1);
-        let tasks = crate::shard::plan_shards(&config, 1)
-            .into_iter()
-            .map(|spec| ShardTask {
-                config: config.clone(),
-                spec,
-                cache: None,
-                telemetry: Telemetry::disabled(),
-                checkpoint: None,
-            })
-            .collect();
-        let supervision = SupervisionConfig {
-            worker_procs: 1,
-            worker_bin: Some("/nonexistent/llm4fp-worker".into()),
-            ..SupervisionConfig::default()
-        };
-        (supervision, tasks)
-    }
-
-    #[test]
-    fn zero_dispatch_attempts_is_rejected_at_begin() {
-        let (supervision, tasks) = doomed_spawn();
-        let executor =
-            WorkerExecutor::new(SupervisionConfig { max_dispatch_attempts: 0, ..supervision });
-        let err = match executor.begin(tasks, &NullSink) {
-            Ok(_) => panic!("begin must reject a zero dispatch budget"),
-            Err(err) => err,
-        };
-        assert!(matches!(err, OrchestratorError::InvalidDispatchAttempts), "got {err}");
-        assert_eq!(executor.bound_addr(), None, "rejected before binding");
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Transport-shared supervision: lease-based dispatch state and the
-//! barrier bookkeeping the out-of-process executor
-//! ([`crate::WorkerExecutor`]) folds results through.
+//! The supervision core of the out-of-process executor
+//! ([`crate::WorkerExecutor`]): the per-epoch dispatch ledger its
+//! connection threads share, and the counts of what supervision did.
 //!
 //! * [`EpochState`] is one epoch's dispatch ledger. Every dispatch holds
 //!   a **lease**: a monotonically increasing generation number stamped
@@ -8,24 +8,26 @@
 //!   only while its lease generation is still live; an expired or
 //!   superseded lease's answer is *discarded*, never merged — which is
 //!   what keeps results a pure function of `(config, K, E)` when a slow
-//!   worker answers after its shard was re-dispatched elsewhere.
-//! * [`SessionCore`] is the transport-independent half of a
-//!   [`crate::executor::ShardSession`]: coordinator-side checkpoints,
-//!   supervision counts, and the epoch fold that turns accepted results
-//!   into deltas, sink progress and barrier state.
+//!   worker answers after its shard was re-dispatched elsewhere. A job
+//!   that fails [`MAX_DISPATCH_ATTEMPTS`] times fails the epoch.
+//! * [`SupervisionCounts`] reports the recoveries that cost time but no
+//!   bits.
 //!
-//! The executor keeps only what is genuinely its own: sockets,
-//! handshakes, heartbeats, reconnect acceptance and process respawn in
-//! [`crate::remote`].
+//! Everything else — sockets, handshakes, heartbeats, reconnect
+//! acceptance, process respawn and the session's coordinator-side
+//! checkpoints — lives in [`crate::remote`].
 
 use std::collections::VecDeque;
 
-use llm4fp::{RunnerCheckpoint, SuccessfulSet};
 use serde::{Deserialize, Error, Serialize, Value};
 
-use crate::executor::{OrchestratorError, ProgressSink, SessionOutcome, ShardTask};
-use crate::shard::ShardOutput;
-use crate::wire::{ShardJob, ShardJobResult};
+use crate::executor::OrchestratorError;
+use crate::wire::ShardJobResult;
+
+/// How many times one job may fail (crash, lease expiry, dropped
+/// connection, protocol violation) before it fails the run with
+/// [`OrchestratorError::Executor`].
+pub const MAX_DISPATCH_ATTEMPTS: u8 = 3;
 
 /// What supervision did during a run: every recovery that cost time but
 /// no bits. Reported in `RunStats` and `summary.json`, never in
@@ -67,17 +69,6 @@ impl Deserialize for SupervisionCounts {
     }
 }
 
-/// Why an epoch gave up, and whether the terminal failure means no
-/// worker can be had at all (which maps to
-/// [`OrchestratorError::WorkerUnavailable`]) rather than a job-execution
-/// failure (which maps to [`OrchestratorError::Executor`]).
-pub struct EpochFailure {
-    /// Human-readable description of the terminal failure.
-    pub message: String,
-    /// Whether the failure means "no worker can be had at all".
-    pub worker_unavailable: bool,
-}
-
 /// One epoch's dispatch ledger (one lock, held only for bookkeeping).
 ///
 /// Jobs are indexed positions into the session's task list. Each
@@ -94,20 +85,20 @@ pub struct EpochState {
     attempts: Vec<u8>,
     remaining: usize,
     results: Vec<Option<ShardJobResult>>,
-    failed: Option<EpochFailure>,
+    /// The typed error that failed the epoch, if one did.
+    failed: Option<OrchestratorError>,
     /// Failed dispatches whose job was requeued.
     redispatches: u64,
     /// The next lease generation to hand out (0 is never issued). The
     /// session carries it across epochs, so a leftover answer from a
     /// folded epoch can never carry a live lease.
     next_lease: u64,
-    max_attempts: u8,
 }
 
 impl EpochState {
-    /// Dispatch state over `jobs` jobs, each with `max_attempts`
-    /// dispatches before it fails the epoch.
-    pub fn new(jobs: usize, max_attempts: u8) -> Self {
+    /// Dispatch state over `jobs` jobs whose first lease generation is
+    /// `first_lease` (at least 1).
+    pub fn new(jobs: usize, first_lease: u64) -> Self {
         EpochState {
             queue: (0..jobs).collect(),
             leases: vec![0; jobs],
@@ -116,8 +107,7 @@ impl EpochState {
             results: (0..jobs).map(|_| None).collect(),
             failed: None,
             redispatches: 0,
-            next_lease: 1,
-            max_attempts,
+            next_lease: first_lease,
         }
     }
 
@@ -128,10 +118,11 @@ impl EpochState {
     }
 
     /// Fail the whole epoch from outside the per-job budget accounting
-    /// (the executor's worker-starvation deadline uses this).
-    pub fn fail(&mut self, failure: EpochFailure) {
+    /// (the executor's worker-starvation deadline uses this). The first
+    /// failure wins.
+    pub fn fail(&mut self, error: OrchestratorError) {
         if self.failed.is_none() {
-            self.failed = Some(failure);
+            self.failed = Some(error);
         }
     }
 
@@ -176,197 +167,50 @@ impl EpochState {
         }
         self.leases[job] = 0;
         self.attempts[job] += 1;
-        if self.attempts[job] >= self.max_attempts {
-            let budget = self.max_attempts;
-            self.fail(EpochFailure {
-                message: format!("shard job {job} failed {budget} time(s); last error: {why}"),
-                worker_unavailable: false,
-            });
+        if self.attempts[job] >= MAX_DISPATCH_ATTEMPTS {
+            self.fail(OrchestratorError::Executor(format!(
+                "shard job {job} failed {MAX_DISPATCH_ATTEMPTS} time(s); last error: {why}"
+            )));
         } else {
             self.redispatches += 1;
             self.queue.push_front(job);
         }
     }
-}
 
-/// The transport-independent half of an out-of-process shard session:
-/// the task list, coordinator-side barrier state and the epoch fold. A transport owns one [`SessionCore`], builds an
-/// [`EpochState`] per epoch, moves jobs and results however it likes,
-/// and folds the settled state back in.
-pub struct SessionCore<'s> {
-    /// The session's tasks, in task order.
-    pub tasks: Vec<ShardTask>,
-    sink: &'s dyn ProgressSink,
-    max_attempts: u8,
-    /// Coordinator-side shard state between epochs.
-    checkpoints: Vec<Option<RunnerCheckpoint>>,
-    outputs: Vec<Option<ShardOutput>>,
-    /// The first lease generation of the next epoch.
-    next_lease: u64,
-    /// Supervision counts so far; the executor adds its respawns and
-    /// stale results before [`outcome`](Self::outcome).
-    pub supervision: SupervisionCounts,
-}
-
-impl<'s> SessionCore<'s> {
-    /// A core over `tasks`, reporting progress and completed shards to
-    /// `sink`. Restored tasks start from their barrier checkpoints.
-    pub fn new(tasks: Vec<ShardTask>, sink: &'s dyn ProgressSink, max_attempts: u8) -> Self {
-        SessionCore {
-            checkpoints: tasks.iter().map(|task| task.checkpoint.clone()).collect(),
-            outputs: Vec::new(),
-            next_lease: 1,
-            supervision: SupervisionCounts::default(),
-            tasks,
-            sink,
-            max_attempts,
-        }
+    /// The first lease generation the next epoch may issue.
+    pub fn next_lease(&self) -> u64 {
+        self.next_lease
     }
 
-    /// A fresh dispatch ledger for the next epoch. Its leases continue
-    /// where the last epoch's stopped.
-    pub fn epoch_state(&self) -> EpochState {
-        let mut state = EpochState::new(self.tasks.len(), self.max_attempts);
-        state.next_lease = self.next_lease;
-        state
+    /// Failed dispatches whose job was requeued this epoch.
+    pub fn redispatches(&self) -> u64 {
+        self.redispatches
     }
 
-    /// The wire job for one dispatch of `job`, stamped with its lease.
-    pub fn build_job(&self, job: usize, segment: usize, finish: bool, lease: u64) -> ShardJob {
-        let task = &self.tasks[job];
-        ShardJob {
-            config: task.config.clone(),
-            spec: task.spec,
-            segment,
-            finish,
-            checkpoint: self.checkpoints[job].clone(),
-            process_slots: 1,
-            telemetry: task.telemetry.is_enabled(),
-            lease,
+    /// Consume a settled epoch: every job's accepted answer, in job
+    /// order, or the typed error that failed the epoch.
+    pub fn into_results(self) -> Result<Vec<ShardJobResult>, OrchestratorError> {
+        if let Some(error) = self.failed {
+            return Err(error);
         }
-    }
-
-    /// Fold one settled epoch back into the session: translate a failed
-    /// epoch into its typed error, then — single-threaded, in task order — absorb worker
-    /// counters (exactly once per job; stale results were discarded),
-    /// tick the sink once per accepted result, and store barrier state
-    /// or final outputs (completing each finished shard in the sink).
-    /// Returns each task's delta, with every received source hashed
-    /// here once, so the barrier merges and injects by hash (with `last`
-    /// no barrier follows, and the deltas are returned empty). The
-    /// epoch's redispatches add to [`Self::supervision`].
-    pub fn fold_epoch(
-        &mut self,
-        mut state: EpochState,
-        last: bool,
-    ) -> Result<Vec<SuccessfulSet>, OrchestratorError> {
-        self.next_lease = state.next_lease;
-        self.supervision.redispatches += state.redispatches;
-        if let Some(failure) = state.failed.take() {
-            return Err(if failure.worker_unavailable {
-                OrchestratorError::WorkerUnavailable(failure.message)
-            } else {
-                OrchestratorError::Executor(failure.message)
-            });
-        }
-        let mut deltas = Vec::with_capacity(self.tasks.len());
-        if last {
-            self.outputs = (0..self.tasks.len()).map(|_| None).collect();
-        }
-        for (job, result) in state.results.iter_mut().enumerate() {
-            let result = result.take().ok_or_else(|| {
-                OrchestratorError::Executor(format!("shard job {job} never completed"))
-            })?;
-            if let Some(snapshot) = &result.telemetry {
-                if !snapshot.is_empty() {
-                    self.tasks[job].telemetry.absorb(snapshot);
-                }
-            }
-            let mut delta = SuccessfulSet::new();
-            if !last {
-                delta.merge_sources(&result.delta);
-            }
-            deltas.push(delta);
-            self.sink.progress(job);
-            if last {
-                let output = result.output.ok_or_else(|| {
-                    OrchestratorError::Executor(format!(
-                        "protocol violation: no output for finished shard job {job}"
-                    ))
-                })?;
-                self.sink.complete(job, &output);
-                self.outputs[job] = Some(output);
-            } else {
-                let checkpoint = result.checkpoint.ok_or_else(|| {
-                    OrchestratorError::Executor(format!(
-                        "protocol violation: no checkpoint for paused shard job {job}"
-                    ))
-                })?;
-                self.checkpoints[job] = Some(checkpoint);
-            }
-        }
-        Ok(deltas)
-    }
-
-    /// Broadcast the epoch's merged deltas into the stored checkpoints by
-    /// the hashes they carry (commutative with runner-side injection —
-    /// see `RunnerCheckpoint::inject_successful`).
-    pub fn inject(&mut self, deltas: &[&SuccessfulSet]) -> Result<(), OrchestratorError> {
-        debug_assert_eq!(deltas.len(), self.checkpoints.len());
-        for (job, delta) in deltas.iter().enumerate() {
-            let checkpoint = self.checkpoints[job].as_mut().ok_or_else(|| {
-                OrchestratorError::Executor(format!(
-                    "inject before shard job {job} ever ran an epoch"
-                ))
-            })?;
-            checkpoint.inject_successful(delta);
-        }
-        Ok(())
-    }
-
-    /// Snapshot every paused task for barrier persistence.
-    pub fn checkpoints(&mut self) -> Result<Vec<RunnerCheckpoint>, OrchestratorError> {
-        self.checkpoints
-            .iter()
+        self.results
+            .into_iter()
             .enumerate()
-            .map(|(job, checkpoint)| {
-                checkpoint.clone().ok_or_else(|| {
-                    OrchestratorError::Executor(format!(
-                        "checkpoint requested before shard job {job} ever ran"
-                    ))
+            .map(|(job, result)| {
+                result.ok_or_else(|| {
+                    OrchestratorError::Executor(format!("shard job {job} never completed"))
                 })
             })
             .collect()
-    }
-
-    /// Collect every task's output after the final epoch.
-    pub fn outcome(&mut self) -> Result<SessionOutcome, OrchestratorError> {
-        let outputs = std::mem::take(&mut self.outputs);
-        if outputs.len() != self.tasks.len() {
-            return Err(OrchestratorError::Executor(
-                "finish called before the final epoch ran".into(),
-            ));
-        }
-        let shards = outputs
-            .into_iter()
-            .enumerate()
-            .map(|(job, output)| {
-                output.ok_or_else(|| {
-                    OrchestratorError::Executor(format!("shard job {job} has no output"))
-                })
-            })
-            .collect::<Result<Vec<_>, OrchestratorError>>()?;
-        Ok(SessionOutcome { shards, supervision: self.supervision })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::remote::MAX_DISPATCH_ATTEMPTS;
 
     fn abort_state(jobs: usize) -> EpochState {
-        EpochState::new(jobs, MAX_DISPATCH_ATTEMPTS)
+        EpochState::new(jobs, 1)
     }
 
     fn answer(index: usize, lease: u64) -> ShardJobResult {
@@ -396,9 +240,10 @@ mod tests {
         assert_eq!(job, 0);
         // Third failure exhausts the attempt budget.
         state.abandon(0, lease, "crash".into());
-        let failure = state.failed.as_ref().unwrap();
-        assert!(failure.message.contains("3 time(s)"));
-        assert!(!failure.worker_unavailable);
+        assert!(
+            matches!(&state.failed, Some(OrchestratorError::Executor(msg)) if msg.contains("3 time(s)")),
+            "the exhausted job fails the epoch as an executor error"
+        );
         assert!(state.is_settled());
         // Two failures requeued the job; the third exhausted it.
         assert_eq!(state.redispatches, 2);
@@ -479,10 +324,12 @@ mod tests {
     #[test]
     fn external_failures_settle_the_epoch_once() {
         let mut state = abort_state(1);
-        state.fail(EpochFailure { message: "no workers".into(), worker_unavailable: true });
-        state.fail(EpochFailure { message: "second".into(), worker_unavailable: false });
+        state.fail(OrchestratorError::WorkerUnavailable("no workers".into()));
+        state.fail(OrchestratorError::Executor("second".into()));
         assert!(state.is_settled());
-        assert_eq!(state.failed.as_ref().unwrap().message, "no workers");
-        assert!(state.failed.as_ref().unwrap().worker_unavailable);
+        match state.into_results() {
+            Err(OrchestratorError::WorkerUnavailable(msg)) => assert_eq!(msg, "no workers"),
+            other => panic!("the first failure wins, got {:?}", other.err()),
+        }
     }
 }

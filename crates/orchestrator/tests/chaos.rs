@@ -11,7 +11,6 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 use llm4fp::{ApproachKind, CampaignConfig, CampaignResult};
 use llm4fp_orchestrator::{
@@ -315,7 +314,6 @@ fn aborted_run_dirs_resume_bit_identically_once_faults_clear() {
     let poisoned = WorkerExecutor::new(SupervisionConfig {
         worker_procs: 2,
         worker_bin: Some(PathBuf::from(env!("CARGO_BIN_EXE_llm4fp-worker"))),
-        respawn_backoff: Duration::from_millis(1),
         faults: FaultPlan {
             every_worker: vec![WorkerFault::CrashOnShard(1)],
             ..FaultPlan::default()

@@ -6,8 +6,9 @@
 //! stalled worker (its lease expires, it is killed and respawned),
 //! sabotaged answer frames, failed respawns, every [`NetworkFault`]
 //! variant (a fault may cost time, never bits), a
-//! mid-epoch disconnect-reconnect-resume, and expired leases whose late
-//! answers arrive anyway (discarded by lease generation, never merged).
+//! mid-epoch disconnect-reconnect-resume, expired leases (the silent
+//! worker is killed, so its answer can never merge) and retransmitted
+//! answers (discarded by lease generation, never merged).
 //! The merged `metrics.json` flight recorder is byte-identical across
 //! executors, which is what the CI smoke campaigns assert end to end.
 //! The handshake half pins the version contract: a skewed `Hello` is
@@ -250,11 +251,7 @@ fn missing_worker_binary_is_a_typed_worker_unavailable_error() {
     let plain_file = dir.join("llm4fp-worker");
     std::fs::write(&plain_file, b"not a program").unwrap();
     for bin in [plain_file, dir.clone()] {
-        let doomed = SupervisionConfig {
-            worker_bin: Some(bin.clone()),
-            respawn_backoff: Duration::from_millis(1),
-            ..workers(2)
-        };
+        let doomed = SupervisionConfig { worker_bin: Some(bin.clone()), ..workers(2) };
         let err = run(&config, 2, 1, doomed).unwrap_err();
         assert!(
             matches!(err, OrchestratorError::WorkerUnavailable(_)),
@@ -302,10 +299,11 @@ fn worker_crash_redispatches_and_stays_bit_identical() {
 #[test]
 fn stalled_worker_is_killed_and_its_job_redispatched() {
     // Worker slot 0's first daemon stalls far past the lease on every job
-    // it receives. Its lease expires, it stays silent through the drain
-    // window, and the coordinator kills its process group and respawns a
-    // clean worker — again with bit-identical results. With one worker,
-    // nothing but the kill and the respawn can finish the run.
+    // it receives. Its lease expires, and the coordinator abandons the
+    // lease, closes the connection, kills the worker's process group and
+    // respawns a clean worker — again with bit-identical results. With
+    // one worker, nothing but the kill and the respawn can finish the
+    // run.
     let config = config(ApproachKind::Varity, 12, 3);
     let reference = in_process(&config, 3, 1);
     for worker_procs in [1usize, 2] {
@@ -314,12 +312,13 @@ fn stalled_worker_is_killed_and_its_job_redispatched() {
             lease_timeout: Duration::from_millis(500),
             ..workers(worker_procs)
         };
+        let what = format!("stall kill and redispatch, procs={worker_procs}");
         let survived = on_workers(&config, 3, 1, stalling);
-        assert_results_identical(
-            &survived.result,
-            &reference.result,
-            &format!("stall kill and redispatch, procs={worker_procs}"),
-        );
+        assert_results_identical(&survived.result, &reference.result, &what);
+        let supervision = survived.stats.supervision;
+        if worker_procs == 1 {
+            assert!(supervision.respawns >= 1, "{what}: the worker was killed: {supervision:?}");
+        }
     }
 }
 
@@ -340,16 +339,15 @@ fn sabotaged_answer_frames_redispatch_and_stay_bit_identical() {
 }
 
 #[test]
-fn injected_respawn_failures_back_off_and_recover() {
+fn injected_respawn_failures_retry_and_recover() {
     // Chaos shape: slot 0's first daemon crashes AND the coordinator's
     // first respawn attempt is itself made to fail (as if fork/exec
-    // died). The slot waits out the deterministic backoff and the next
+    // died). The slot waits out the fixed retry delay and the next
     // respawn succeeds — results stay bit-identical, and with a single
     // worker the run can only finish through that second attempt.
     let config = config(ApproachKind::Varity, 12, 17);
     let reference = in_process(&config, 3, 1);
     let flaky = SupervisionConfig {
-        respawn_backoff: Duration::from_millis(1),
         faults: FaultPlan {
             first_worker: vec![WorkerFault::CrashAtJob(1)],
             respawn_failures: 1,
@@ -366,7 +364,6 @@ fn injected_respawn_failures_back_off_and_recover() {
 /// the poison.
 fn poisoned() -> SupervisionConfig {
     SupervisionConfig {
-        respawn_backoff: Duration::from_millis(1),
         faults: FaultPlan {
             every_worker: vec![WorkerFault::CrashOnShard(1)],
             ..FaultPlan::default()
@@ -379,13 +376,16 @@ fn poisoned() -> SupervisionConfig {
 fn poisonous_shard_aborts_the_run_under_the_default_policy() {
     // `every_worker` poison survives respawns: shard 1's job crashes
     // every daemon that touches it, exhausting the dispatch budget. That
-    // must fail the whole run with a typed error naming the job and the
-    // spent budget.
+    // must fail the whole run with a typed error naming the job, the
+    // spent budget and the worker's death (not the I/O call that saw it).
     let config = config(ApproachKind::Varity, 12, 23);
     let err = run(&config, 3, 1, poisoned())
         .expect_err("a shard that can never complete must abort the run");
     assert!(matches!(err, OrchestratorError::Executor(_)), "got {err}");
-    assert!(err.to_string().contains("failed 3 time(s)"), "{err}");
+    let message = err.to_string();
+    assert!(message.contains("failed 3 time(s)"), "{message}");
+    assert!(message.contains("worker stream closed"), "{message}");
+    assert!(!message.contains("fill whole buffer"), "{message}");
 }
 
 #[test]
@@ -519,18 +519,16 @@ fn mid_epoch_disconnect_reconnects_and_resumes_bit_identically() {
 #[test]
 fn expired_leases_redispatch_and_late_answers_never_merge() {
     // Worker process 0 delays every answer past the lease deadline, so
-    // each of its dispatches expires, re-queues, and eventually lands on
-    // the healthy worker — while process 0's late answers keep arriving
-    // and must every one be discarded by lease generation. If a single
-    // stale result were merged, the bit-identity assertion would catch
-    // the duplicate delta. (The generous dispatch budget is for process
-    // 0 repeatedly winning the re-dispatch race before the healthy
-    // worker does.)
+    // its dispatch expires and re-queues, and the coordinator kills it;
+    // its respawn carries no fault, so the default dispatch budget
+    // suffices. Process 0's late answer can never land: its lease is
+    // dead and its connection closed. If a single stale result were
+    // merged, the bit-identity assertion would catch the duplicate
+    // delta.
     let config = config(ApproachKind::Varity, 12, 3);
     let reference = in_process(&config, 3, 1);
     let laggy = SupervisionConfig {
         lease_timeout: Duration::from_millis(300),
-        max_dispatch_attempts: 50,
         faults: network_plan(NetworkFault::DelayFrameMs(450)),
         ..workers(2)
     };
