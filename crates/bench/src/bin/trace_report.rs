@@ -3,8 +3,9 @@
 //! Reads `summary.json`, `metrics.json` and (when present) `trace.jsonl`
 //! from a run directory written with telemetry enabled (`--run-dir` plus
 //! the default metrics mode or `--trace` on any experiment binary) and
-//! prints the run's health at a glance: the merged counters, seal-refusal
-//! and interpreter-fallback rates, the external-backend error taxonomy,
+//! prints the run's health at a glance: the bytes its frames and barrier
+//! artifacts took, the merged counters, seal-refusal and
+//! interpreter-fallback rates, the external-backend error taxonomy,
 //! per-shard span imbalance and the top spans by total time.
 //!
 //! Usage:
@@ -82,6 +83,10 @@ fn main() {
 fn print_summary(stats: &RunStats) {
     println!("\n== summary.json ==");
     println!("{}", stats.summary_line());
+    println!(
+        "bytes: {} of wire frames, {} of checkpoints and pool",
+        stats.frame_bytes, stats.checkpoint_bytes
+    );
     if let Some(t) = &stats.telemetry {
         println!(
             "telemetry: {} counter key(s), {} trace event(s), {} seal refusal(s), \

@@ -138,22 +138,68 @@ impl CampaignResult {
 /// merge into each other by hash: an own find carries the hash
 /// [`CampaignRunner::run_one`] computed when it tested the program, and
 /// no exchange barrier hashes a source again.
+///
+/// Entries hold their text as a shared `Arc<str>`: a merge, a tail, an
+/// injection and a snapshot clone handles, never text, so K shards
+/// exchanging one pool in process hold one copy of each pooled program.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct SuccessfulSet {
-    sources: Vec<String>,
+    sources: Vec<Arc<str>>,
     /// `source_hash` of each entry, parallel to `sources`.
     hashes: Vec<u64>,
     seen: HashSet<u64>,
     own: Vec<bool>,
 }
 
-/// Serializable image of a [`SuccessfulSet`]. It holds no hashes:
-/// [`SuccessfulSet::restore`] recomputes each entry's hash once, and
-/// storing them would change the checkpoint format.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Serializable image of a [`SuccessfulSet`]: each entry's text,
+/// structural hash and own flag, as three parallel lists.
+///
+/// In memory a snapshot is self-contained. Whoever writes one to the wire
+/// or to disk may leave out the texts its reader already holds
+/// ([`SuccessfulSetSnapshot::leave_out`]): a left-out entry keeps its hash
+/// and carries the empty text, which no real source is. The reader fills
+/// each one back by hash ([`SuccessfulSetSnapshot::fill`]) before it
+/// restores. [`SuccessfulSet::restore`] takes the carried hashes as they
+/// are and never hashes a source.
+#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SuccessfulSetSnapshot {
-    pub sources: Vec<String>,
+    pub sources: Vec<Arc<str>>,
+    pub hashes: Vec<u64>,
     pub own: Vec<bool>,
+}
+
+impl SuccessfulSetSnapshot {
+    /// Replace the text of every entry whose hash `held` names by the
+    /// empty text (the hash and own flag stay).
+    pub fn leave_out(&mut self, held: impl Fn(u64) -> bool) {
+        let empty: Arc<str> = Arc::from("");
+        for (source, &hash) in self.sources.iter_mut().zip(&self.hashes) {
+            if held(hash) {
+                *source = Arc::clone(&empty);
+            }
+        }
+    }
+
+    /// Fill every left-out text by its hash from `store`. Fails, naming
+    /// the problem, when the three lists differ in length or `store`
+    /// lacks a left-out hash; the snapshot is then unusable.
+    pub fn fill(&mut self, store: impl Fn(u64) -> Option<Arc<str>>) -> Result<(), String> {
+        if self.hashes.len() != self.sources.len() || self.own.len() != self.sources.len() {
+            return Err(format!(
+                "ragged pool: {} texts, {} hashes, {} own flags",
+                self.sources.len(),
+                self.hashes.len(),
+                self.own.len()
+            ));
+        }
+        for (source, &hash) in self.sources.iter_mut().zip(&self.hashes) {
+            if source.is_empty() {
+                *source =
+                    store(hash).ok_or_else(|| format!("pool text {hash:016x} is not held"))?;
+            }
+        }
+        Ok(())
+    }
 }
 
 impl SuccessfulSet {
@@ -169,16 +215,16 @@ impl SuccessfulSet {
     /// [`SuccessfulSet::insert`] for a caller that already holds
     /// `source_hash(source)`.
     pub(crate) fn insert_hashed(&mut self, hash: u64, source: &str) -> bool {
-        self.push(hash, source, true)
+        self.push(hash, || Arc::from(source), true)
     }
 
-    /// Append `source` under `hash` unless the set already holds that
-    /// structure; returns whether it was new.
-    fn push(&mut self, hash: u64, source: &str, own: bool) -> bool {
+    /// Append the text `source` makes under `hash` unless the set already
+    /// holds that structure; returns whether it was new.
+    fn push(&mut self, hash: u64, source: impl FnOnce() -> Arc<str>, own: bool) -> bool {
         if !self.seen.insert(hash) {
             return false;
         }
-        self.sources.push(source.to_string());
+        self.sources.push(source());
         self.hashes.push(hash);
         self.own.push(own);
         true
@@ -189,19 +235,24 @@ impl SuccessfulSet {
     /// Merging is associative, commutative up to ordering, and idempotent
     /// — the properties the exchange barrier's shard-order merge relies
     /// on.
-    pub fn merge_sources(&mut self, sources: &[String]) -> usize {
-        sources.iter().filter(|source| self.push(source_hash(source), source, false)).count()
+    pub fn merge_sources<S: AsRef<str>>(&mut self, sources: &[S]) -> usize {
+        sources
+            .iter()
+            .map(AsRef::as_ref)
+            .filter(|source| self.push(source_hash(source), || Arc::from(*source), false))
+            .count()
     }
 
     /// Merge another set's entries (own and injected alike) as injected
     /// entries of this set, by the hashes `other` already holds. Same
-    /// result as `merge_sources(other.sources())`, without hashing.
+    /// result as `merge_sources(other.sources())`, without hashing or
+    /// copying text.
     pub fn merge(&mut self, other: &SuccessfulSet) -> usize {
         other
             .hashes
             .iter()
             .zip(&other.sources)
-            .filter(|(&hash, source)| self.push(hash, source, false))
+            .filter(|(&hash, source)| self.push(hash, || Arc::clone(source), false))
             .count()
     }
 
@@ -218,14 +269,14 @@ impl SuccessfulSet {
         }
     }
 
-    /// The sources, in insertion order, without copying them.
+    /// The sources, in insertion order, as owned strings.
     pub fn into_sources(self) -> Vec<String> {
-        self.sources
+        self.sources.iter().map(|source| source.to_string()).collect()
     }
 
     /// All sources (own + injected) in insertion order — the pool seed
     /// selection draws from.
-    pub fn sources(&self) -> &[String] {
+    pub fn sources(&self) -> &[Arc<str>] {
         &self.sources
     }
 
@@ -240,7 +291,7 @@ impl SuccessfulSet {
             .iter()
             .zip(&self.own)
             .filter(|(_, own)| **own)
-            .map(|(s, _)| s.clone())
+            .map(|(s, _)| s.to_string())
             .collect()
     }
 
@@ -259,17 +310,22 @@ impl SuccessfulSet {
 
     /// Serializable image of the set; [`SuccessfulSet::restore`] inverts.
     pub fn snapshot(&self) -> SuccessfulSetSnapshot {
-        SuccessfulSetSnapshot { sources: self.sources.clone(), own: self.own.clone() }
+        SuccessfulSetSnapshot {
+            sources: self.sources.clone(),
+            hashes: self.hashes.clone(),
+            own: self.own.clone(),
+        }
     }
 
-    /// Rebuild a set from a snapshot (restores insertion order, own flags
-    /// and the structural-hash index), hashing each source once.
+    /// Rebuild a set from a self-contained snapshot (restores insertion
+    /// order, own flags and the structural-hash index) by the hashes it
+    /// carries. Snapshots read from outside the process pass
+    /// [`SuccessfulSetSnapshot::fill`] first, which refuses ragged ones.
     pub fn restore(snapshot: SuccessfulSetSnapshot) -> Self {
-        let hashes: Vec<u64> = snapshot.sources.iter().map(|s| source_hash(s)).collect();
+        let SuccessfulSetSnapshot { sources, hashes, own } = snapshot;
+        debug_assert!(sources.len() == hashes.len() && own.len() == hashes.len());
         let seen = hashes.iter().copied().collect();
-        let mut own = snapshot.own;
-        own.resize(snapshot.sources.len(), true);
-        SuccessfulSet { sources: snapshot.sources, hashes, seen, own }
+        SuccessfulSet { sources, hashes, seen, own }
     }
 }
 
@@ -342,13 +398,8 @@ impl RunnerCheckpoint {
     /// exactly as [`CampaignRunner::inject_successful`] would on a live
     /// runner: structurally deduplicated by the hashes `delta` carries,
     /// order preserved, injected entries flagged as not-own. Returns how
-    /// many were new.
-    ///
-    /// The stored pool holds no hashes, so it is still rebuilt through
-    /// [`SuccessfulSet::restore`], which hashes every pooled source once.
-    /// Storing the hashes in the checkpoint would drop that rebuild, but
-    /// it changes the checkpoint format and needs a `MANIFEST_SCHEMA`
-    /// bump.
+    /// many were new. The pool is rebuilt from the hashes it carries, so
+    /// no source is hashed and no text is copied.
     ///
     /// Injection and checkpointing commute — the pool merge touches no
     /// RNG stream and no accumulated output — so a coordinator holding a
@@ -358,7 +409,7 @@ impl RunnerCheckpoint {
     /// result is bit-identical to one that ran [`Self`]-side injection
     /// before being checkpointed.
     pub fn inject_successful(&mut self, delta: &SuccessfulSet) -> usize {
-        let mut set = SuccessfulSet::restore(self.successful.clone());
+        let mut set = SuccessfulSet::restore(std::mem::take(&mut self.successful));
         let added = set.merge(delta);
         self.successful = set.snapshot();
         added
@@ -1062,7 +1113,7 @@ mod tests {
         assert_eq!(runner.inject_successful(&set_of(std::slice::from_ref(&foreign))), 1);
         assert_eq!(runner.successful_len(), 1);
         // The injected source is visible to seed selection...
-        assert_eq!(runner.successful_from(0).sources(), std::slice::from_ref(&foreign));
+        assert_eq!(runner.successful_from(0).into_sources(), vec![foreign.clone()]);
         for index in 0..config.programs {
             runner.run_one(index);
         }

@@ -13,10 +13,15 @@
 //! [`WireRequest::Shutdown`] frame exits cleanly; idle
 //! [`WireRequest::Ping`]s are answered with `Pong`.
 //!
-//! The daemon holds **no state between jobs** — any job can be replayed
-//! on any worker with byte-identical results, which is what makes the
-//! coordinator's crash-redispatch, lease-expiry redispatch and
-//! reconnect-and-resume sound. A dropped connection is redialed up to
+//! The daemon holds **no shard state between jobs** — any job can be
+//! replayed on any worker with byte-identical results, which is what makes
+//! the coordinator's crash-redispatch, lease-expiry redispatch and
+//! reconnect-and-resume sound. What a connection does remember is the
+//! feedback pool's text: a [`PoolStore`] per stream holds every pooled
+//! program the stream has carried, by hash, and fills the texts a job
+//! leaves out. A job naming a hash the store lacks drops the connection,
+//! and the coordinator redispatches it on a fresh one (see
+//! [`llm4fp_orchestrator::wire`]). A dropped connection is redialed up to
 //! `--reconnect` times (spaced by `--reconnect-delay-ms`), and the same
 //! retry budget covers dialing a coordinator that has not bound its
 //! socket yet.
@@ -31,8 +36,10 @@
 //! stall, sabotage the answer frame, drop the connection, delay or
 //! duplicate the answer, or tear the stream mid-frame.
 
+use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Duration;
 
 use llm4fp_orchestrator::faults::{FrameSabotage, WorkerFaultHarness, EXIT_SABOTAGED_ANSWER};
@@ -40,29 +47,56 @@ use llm4fp_orchestrator::wire::{self, Hello, ShardJob, ShardJobResult, WireReply
 use llm4fp_orchestrator::ShardRunner;
 use llm4fp_telemetry::{TelemetryHub, TelemetrySpec};
 
-/// Run one job: restore-or-create the runner, run the segment, hand the
-/// state back. Pure — everything derives from the job's bytes (the
-/// lease generation is echoed back verbatim for the coordinator's
-/// stale-result discard).
-fn run_job(job: ShardJob) -> ShardJobResult {
+/// The pool texts one stream has carried, by structural hash.
+type PoolStore = HashMap<u64, Arc<str>>;
+
+/// Run one job: fill its checkpoint's left-out pool texts from `store`,
+/// restore-or-create the runner, run the segment, hand the state back.
+/// Pure — everything derives from the job's bytes plus the pool texts
+/// earlier frames of this connection carried (the lease generation is
+/// echoed back verbatim for the coordinator's stale-result discard).
+/// The store keeps every text the job and its answer carry; the answer's
+/// checkpoint leaves every pool text out, since the coordinator holds
+/// them all. A job whose left-out texts the store cannot fill is an
+/// error: the stream can no longer be trusted.
+fn run_job(job: ShardJob, store: &mut PoolStore) -> io::Result<ShardJobResult> {
     let hub =
         TelemetryHub::new(if job.telemetry { TelemetrySpec::METRICS } else { TelemetrySpec::OFF });
     let telemetry = hub.lane(0);
     let mut runner = match job.checkpoint {
-        Some(checkpoint) => ShardRunner::from_checkpoint(&job.config, job.spec, None, checkpoint),
+        Some(mut checkpoint) => {
+            let pool = &mut checkpoint.successful;
+            pool.fill(|hash| store.get(&hash).cloned())
+                .map_err(|why| io::Error::new(io::ErrorKind::InvalidData, why))?;
+            remember(store, pool);
+            ShardRunner::from_checkpoint(&job.config, job.spec, None, checkpoint)
+        }
         None => ShardRunner::new(&job.config, job.spec, None),
     }
     .with_telemetry(telemetry.clone());
     let delta = runner.run_segment(job.segment, |_| {});
-    let (checkpoint, output) =
-        if job.finish { (None, Some(runner.finish())) } else { (Some(runner.checkpoint()), None) };
-    ShardJobResult {
+    let (checkpoint, output) = if job.finish {
+        (None, Some(runner.finish()))
+    } else {
+        let mut checkpoint = runner.checkpoint();
+        remember(store, &checkpoint.successful);
+        checkpoint.successful.leave_out(|_| true);
+        (Some(checkpoint), None)
+    };
+    Ok(ShardJobResult {
         index: job.spec.index,
         delta,
         checkpoint,
         output,
         telemetry: telemetry.export(),
         lease: job.lease,
+    })
+}
+
+/// Keep every text of `pool` in `store`.
+fn remember(store: &mut PoolStore, pool: &llm4fp::SuccessfulSetSnapshot) {
+    for (&hash, source) in pool.hashes.iter().zip(&pool.sources) {
+        store.entry(hash).or_insert_with(|| Arc::clone(source));
     }
 }
 
@@ -115,6 +149,7 @@ fn serve<R: Read, W: Write>(
     if let Err(e) = wire::write_frame(writer, &WireReply::Hello(hello)) {
         return ServeEnd::Error(e);
     }
+    let mut store = PoolStore::new();
     loop {
         let request: WireRequest = match wire::read_frame(reader) {
             Ok(request) => request,
@@ -153,8 +188,14 @@ fn serve<R: Read, W: Write>(
             if let Some(stall) = sabotage.stall {
                 std::thread::sleep(stall);
             }
+            if sabotage.forget_pool {
+                store.clear();
+            }
         }
-        let answer = WireReply::Result(Box::new(run_job(job)));
+        let answer = match run_job(job, &mut store) {
+            Ok(result) => WireReply::Result(Box::new(result)),
+            Err(e) => return ServeEnd::Error(e),
+        };
         if let Some(how) = sabotage.answer {
             sabotage_answer(writer, &answer, how);
         }

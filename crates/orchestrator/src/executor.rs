@@ -111,6 +111,9 @@ pub struct SessionOutcome {
     /// What supervision did along the way (all zero for transports
     /// without supervision).
     pub supervision: SupervisionCounts,
+    /// Bytes of wire frames moved: job frames written plus result frames
+    /// read (0 in process).
+    pub frame_bytes: u64,
 }
 
 /// Everything one transport needs to run one shard: the campaign config,
@@ -192,9 +195,9 @@ pub trait ShardSession {
     /// Run `segments[i]` programs of task `i` (zero-length segments are
     /// legal no-ops) and return each task's *delta* — the successful
     /// sources it newly found this epoch, in task order, each with its
-    /// structural hash. In process those are the hashes the shard's
-    /// runner computed when it tested the program; out of process the
-    /// coordinator hashes each received source once. With `last` the
+    /// structural hash. Those are the hashes the shard's runner computed
+    /// when it tested the program, in process or carried home by the
+    /// result frame; no transport hashes a source. With `last` the
     /// tasks also finish: their outputs become available to [`finish`]
     /// and `sink.complete` fires per task; no barrier follows, so a
     /// transport may return empty deltas.
@@ -423,7 +426,7 @@ mod tests {
 
         let mut manual = ShardRunner::new(&config, spec, None);
         let manual_delta = manual.run_segment(segments[0], |_| {});
-        assert_eq!(manual_delta, pool.sources());
+        assert_eq!(manual_delta, pool.clone().into_sources());
         manual.inject(&pool);
         let mut manual_checkpoint = manual.checkpoint();
         // Wall clocks never replay; everything else must.

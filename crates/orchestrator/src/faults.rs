@@ -100,6 +100,11 @@ pub enum NetworkFault {
     /// than are sent, then close the connection (a stream torn
     /// mid-frame; the coordinator sees a malformed frame / EOF).
     TruncateStreamAtJob(u64),
+    /// Forget every pool text the connection carried upon receiving the
+    /// n-th job, so a job that leaves texts out names hashes the worker
+    /// cannot fill: the worker drops the connection, and the job
+    /// redispatches on a fresh one that resends every text.
+    ForgetPoolAtJob(u64),
     /// The coordinator refuses the first incoming handshake with a
     /// typed [`crate::wire::WireRequest::Refuse`]; the worker must
     /// retry its dial and be accepted on the next attempt.
@@ -276,6 +281,9 @@ pub struct JobSabotage {
     /// Write half the answer frame, then close the connection
     /// ([`NetworkFault::TruncateStreamAtJob`]).
     pub truncate_stream: bool,
+    /// Clear the connection's pool store before filling the job
+    /// ([`NetworkFault::ForgetPoolAtJob`]).
+    pub forget_pool: bool,
 }
 
 /// How a worker sabotages one answer frame.
@@ -370,6 +378,9 @@ impl WorkerFaultHarness {
                 NetworkFault::TruncateStreamAtJob(n) if n == self.handled => {
                     sabotage.truncate_stream = true;
                 }
+                NetworkFault::ForgetPoolAtJob(n) if n == self.handled => {
+                    sabotage.forget_pool = true;
+                }
                 // Coordinator-side; never ships to a worker.
                 NetworkFault::RefuseHandshake => {}
                 _ => {}
@@ -395,6 +406,7 @@ mod tests {
                 NetworkFault::DelayFrameMs(40),
                 NetworkFault::DuplicateResultAtJob(2),
                 NetworkFault::TruncateStreamAtJob(3),
+                NetworkFault::ForgetPoolAtJob(2),
                 NetworkFault::RefuseHandshake,
             ],
         };
@@ -470,6 +482,7 @@ mod tests {
                 NetworkFault::DelayFrameMs(30),
                 NetworkFault::DuplicateResultAtJob(2),
                 NetworkFault::TruncateStreamAtJob(3),
+                NetworkFault::ForgetPoolAtJob(2),
                 NetworkFault::RefuseHandshake,
             ],
         );
@@ -479,10 +492,10 @@ mod tests {
         assert_eq!(first.delay, Some(Duration::from_millis(30)));
         assert!(!first.duplicate && !first.truncate_stream);
         let second = h.on_job(0, false);
-        assert!(!second.drop_conn && second.duplicate);
+        assert!(!second.drop_conn && second.duplicate && second.forget_pool);
         assert_eq!(second.delay, Some(Duration::from_millis(30)));
         let third = h.on_job(0, false);
-        assert!(third.truncate_stream && !third.duplicate);
+        assert!(third.truncate_stream && !third.duplicate && !third.forget_pool);
     }
 
     #[test]

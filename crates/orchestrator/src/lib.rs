@@ -86,8 +86,9 @@
 //! * [`pool`] — the indexed worker pool ([`pool::run_indexed`]) the
 //!   in-process executor runs each epoch's segments on;
 //! * [`persist`] — the JSONL run-directory format: one summary line per
-//!   completed shard and per-barrier shard checkpoints (each holding the
-//!   exchange pool), crash-safe (every artifact written once through
+//!   completed shard, one pool artifact per barrier (its merged delta)
+//!   and per-barrier shard checkpoints that name pooled programs by
+//!   hash, crash-safe (every artifact written once through
 //!   atomic temp+rename, failed writes counted, damaged files recomputed,
 //!   schema-versioned manifests);
 //! * [`faults`] — deterministic fault injection ([`FaultPlan`]) for

@@ -61,7 +61,8 @@
 //! fixed by shard index (never completion order), so results stay
 //! bit-identical across worker counts *and transports*, and `E = 1` runs
 //! the exact no-exchange code path. Persisted multi-epoch runs record
-//! every shard's paused checkpoint (pool included) at each barrier, so a
+//! each barrier's merged delta once (the `pool/` artifact) and every
+//! shard's paused checkpoint, whose pool names those texts by hash, so a
 //! killed campaign resumes mid-run from the latest complete barrier and
 //! still reproduces the uninterrupted result bit for bit.
 
@@ -183,9 +184,15 @@ pub struct RunStats {
     /// files that carry the key keep compiling and loading.
     pub failures: Vec<ShardFailureReport>,
     /// Best-effort persistence writes this run failed or tore (shard
-    /// files, barrier checkpoints). `0` on healthy runs; a failed write
-    /// only costs recompute-on-resume, never results.
+    /// files, pool artifacts, barrier checkpoints). `0` on healthy runs; a
+    /// failed write only costs recompute-on-resume, never results.
     pub persist_errors: u64,
+    /// Bytes of wire frames the coordinator moved: job frames written
+    /// plus result frames read. `0` in process.
+    pub frame_bytes: u64,
+    /// Bytes of barrier artifacts written to the run dir: `pool/` plus
+    /// `checkpoints/`. `0` without a run dir or without exchange.
+    pub checkpoint_bytes: u64,
     /// What the out-of-process executor's supervision did: stale results
     /// discarded, redispatches, respawns. All zero in process. It
     /// describes this invocation's luck and never reaches `metrics.json`.
@@ -222,6 +229,13 @@ impl RunStats {
         };
         let health = {
             let mut parts = String::new();
+            if self.frame_bytes > 0 {
+                parts.push_str(&format!(", {:.2} MB of frames", self.frame_bytes as f64 / 1e6));
+            }
+            if self.checkpoint_bytes > 0 {
+                let mb = self.checkpoint_bytes as f64 / 1e6;
+                parts.push_str(&format!(", {mb:.2} MB of checkpoints and pool"));
+            }
             if self.persist_errors > 0 {
                 parts.push_str(&format!(", {} persist error(s)", self.persist_errors));
             }
@@ -606,10 +620,18 @@ fn execute(
                 sink.owners.iter().map(|&owner| &merged[owner]).collect();
             session.inject(&broadcast)?;
             if persisting {
-                // Checkpoints are taken after injection, mirroring the
-                // runner-side checkpoint-after-inject order. Writes are
-                // best-effort (a missing checkpoint only costs recompute on
-                // resume) — but never silently so.
+                // The barrier's pool artifact goes first, so its texts are
+                // left out of the checkpoints that follow. Checkpoints are
+                // taken after injection, mirroring the runner-side
+                // checkpoint-after-inject order. Writes are best-effort (a
+                // missing artifact only costs recompute on resume) — but
+                // never silently so.
+                for (campaign, pool) in campaigns.iter().zip(&merged) {
+                    let Some(dir) = campaign.run_dir else { continue };
+                    if dir.write_pool(epoch, pool).is_err() {
+                        dir.note_persist_error();
+                    }
+                }
                 let checkpoints = session.checkpoints()?;
                 for ((&owner, spec), checkpoint) in sink.owners.iter().zip(&specs).zip(checkpoints)
                 {
@@ -671,6 +693,9 @@ fn execute(
                 telemetry: campaign.hub.enabled().then(|| campaign.hub.summary()),
                 failures: Vec::new(),
                 persist_errors: campaign.run_dir.map_or(0, RunDir::persist_errors),
+                // Frames, like supervision, are counted session-wide.
+                frame_bytes: outcome.frame_bytes,
+                checkpoint_bytes: campaign.run_dir.map_or(0, RunDir::checkpoint_bytes),
                 // Supervision is suite-wide, like a shared cache: every
                 // campaign reports the session's totals.
                 supervision: outcome.supervision,

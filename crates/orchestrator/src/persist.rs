@@ -8,6 +8,9 @@
 //!   shards/
 //!     shard-0000.jsonl     one file per shard (see below)
 //!     ...
+//!   pool/
+//!     epoch-0000.json      barrier 0's merged delta: [hash, source] pairs
+//!     ...
 //!   checkpoints/
 //!     shard-0000-epoch-0000.json   runner checkpoint at barrier 0
 //!     ...
@@ -15,13 +18,17 @@
 //!   summary.json           RunStats (incl. cache hit rate), on completion
 //! ```
 //!
-//! The `checkpoints/` files exist only for multi-epoch runs (cross-shard
-//! feedback exchange): each barrier atomically records, per shard, the
-//! paused runner's checkpoint *after* injection, whose successful set
-//! holds the campaign's whole exchange pool. Resuming a killed multi-epoch
-//! run restores every shard at the latest barrier whose checkpoints all
-//! load, recomputing only the later epochs. (Pool files that older builds
-//! wrote beside the checkpoints are never read.)
+//! The `pool/` and `checkpoints/` files exist only for multi-epoch runs
+//! (cross-shard feedback exchange). Each barrier atomically writes one
+//! pool artifact, the barrier's merged delta as `[hash, source]` pairs,
+//! and then, per shard, the paused runner's checkpoint *after* injection.
+//! A pooled program's text is written once, in the pool artifact of the
+//! barrier that first exchanged it: a checkpoint's feedback pool keeps
+//! every entry's hash and own flag but leaves out each text a pool
+//! artifact holds. Resuming a killed multi-epoch run restores every shard
+//! at the latest barrier whose checkpoints all load and whose left-out
+//! texts the pool artifacts fill, recomputing only the later epochs — so
+//! a torn pool artifact falls back to the barrier before it.
 //!
 //! Each shard file is written once, when its shard completes, as a
 //! single JSONL line carrying the full `ShardOutput` (its spec included):
@@ -47,26 +54,27 @@
 //! away. Readers still tolerate damage from outside that path: a torn or
 //! garbled shard file just recomputes its whole shard, and a truncated
 //! checkpoint disqualifies only its barrier. The manifest carries a
-//! schema version ([`MANIFEST_SCHEMA`]); a run dir written by a newer
-//! schema is refused with the typed [`PersistError::SchemaMismatch`]
-//! rather than being misread, while pre-versioning dirs (no `schema`
-//! field) still open.
+//! schema version ([`MANIFEST_SCHEMA`]); a run dir written under any
+//! other schema — older, newer, or pre-versioning (no `schema` field) —
+//! is refused with the typed [`PersistError::SchemaMismatch`] rather
+//! than being misread.
 //!
 //! Failures are never silent: artifact problems surface as the typed
-//! [`PersistError`] taxonomy, and the best-effort writes (shard files
-//! and checkpoints) count into [`RunDir::persist_errors`], which
-//! `summary.json` reports as `persist_errors`.
+//! [`PersistError`] taxonomy, and the best-effort writes (shard files,
+//! pool artifacts and checkpoints) count into [`RunDir::persist_errors`],
+//! which `summary.json` reports as `persist_errors`.
 
+use std::collections::HashMap;
 use std::fs::{self, File};
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
-use llm4fp::{CampaignConfig, CampaignResult, RunnerCheckpoint};
+use llm4fp::{CampaignConfig, CampaignResult, RunnerCheckpoint, SuccessfulSet};
 use llm4fp_telemetry::{MetricsReport, TraceEvent};
 
 use crate::faults::PersistFault;
@@ -75,9 +83,11 @@ use crate::shard::{ShardOutput, ShardSpec};
 
 /// The manifest schema this build reads and writes. Version 1 is the
 /// pre-versioning layout (no `schema` field); version 2 added the field
-/// itself. Opening a run dir written by a *newer* schema fails with
-/// [`PersistError::SchemaMismatch`] instead of silently misreading it.
-pub const MANIFEST_SCHEMA: u32 = 2;
+/// itself; version 3 moved the feedback pool's text out of the
+/// checkpoints into the `pool/` artifacts. Opening a run dir written by
+/// any other schema fails with [`PersistError::SchemaMismatch`] instead
+/// of silently misreading it.
+pub const MANIFEST_SCHEMA: u32 = 3;
 
 /// Which run-dir artifact a persistence error is about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,8 +126,8 @@ pub enum PersistError {
         artifact: Artifact,
         detail: String,
     },
-    /// The run dir was written by a newer manifest schema than this build
-    /// understands.
+    /// The run dir was written by a manifest schema other than the one
+    /// this build reads.
     SchemaMismatch {
         found: u32,
         supported: u32,
@@ -145,7 +155,7 @@ impl std::fmt::Display for PersistError {
             }
             PersistError::SchemaMismatch { found, supported } => write!(
                 f,
-                "manifest schema {found} is newer than this build supports (max {supported}); \
+                "manifest schema {found} is not the schema this build reads ({supported}); \
                  refusing to misread the run dir"
             ),
             PersistError::Encode(msg) => write!(f, "serialization failed: {msg}"),
@@ -197,20 +207,25 @@ impl RunManifest {
     }
 
     /// Whether two manifests describe the same run (config, decomposition
-    /// and epoch plan — the schema version is a layout property, not an
-    /// identity property, so resuming a schema-1 dir with this build is
-    /// fine).
+    /// and epoch plan — the schema version is a layout property, checked
+    /// on its own).
     fn same_run(&self, other: &RunManifest) -> bool {
         self.config == other.config && self.shards == other.shards && self.epochs == other.epochs
     }
 }
 
-/// Shared mutable state of a [`RunDir`]: the persist-error counter and
-/// the armed torn-write faults (empty outside chaos tests — one branch
-/// per write).
+/// Shared mutable state of a [`RunDir`]: the persist-error and byte
+/// counters, the pool texts the pool artifacts hold, and the armed
+/// torn-write faults (empty outside chaos tests — one branch per write).
 #[derive(Debug, Default)]
 struct PersistState {
     errors: AtomicU64,
+    /// Bytes of pool artifacts and checkpoints written.
+    bytes: AtomicU64,
+    /// Every text a pool artifact of this run dir holds, by hash: those
+    /// this handle wrote (torn writes included — a writer cannot tell)
+    /// and those it loaded. Checkpoints leave these texts out.
+    pool: Mutex<HashMap<u64, Arc<str>>>,
     /// `(file-name substring, already fired)` — each fault fires once.
     torn_writes: Vec<(String, AtomicBool)>,
 }
@@ -247,8 +262,8 @@ impl RunDir {
     /// manifest, sweeping any stale `.tmp` leftovers a crashed writer
     /// left behind. If a manifest is already present it must describe the
     /// same run — resuming with a different config or shard count would
-    /// silently mix incompatible shard outputs — and must not come from a
-    /// newer [`MANIFEST_SCHEMA`] than this build understands.
+    /// silently mix incompatible shard outputs — and must come from this
+    /// build's [`MANIFEST_SCHEMA`].
     pub fn open(root: impl Into<PathBuf>, manifest: &RunManifest) -> Result<Self, PersistError> {
         let root = root.into();
         fs::create_dir_all(root.join("shards"))?;
@@ -259,7 +274,7 @@ impl RunDir {
             let existing: RunManifest = serde_json::from_str(&text)
                 .map_err(|e| PersistError::corrupt(Artifact::Manifest, e.to_string()))?;
             let found = existing.schema_version();
-            if found > MANIFEST_SCHEMA {
+            if found != MANIFEST_SCHEMA {
                 return Err(PersistError::SchemaMismatch { found, supported: MANIFEST_SCHEMA });
             }
             if !existing.same_run(manifest) {
@@ -289,6 +304,7 @@ impl RunDir {
         self.state = Arc::new(PersistState {
             errors: AtomicU64::new(self.state.errors.load(Ordering::Relaxed)),
             torn_writes,
+            ..PersistState::default()
         });
         self
     }
@@ -314,6 +330,13 @@ impl RunDir {
     /// How many best-effort writes this run dir has dropped so far.
     pub fn persist_errors(&self) -> u64 {
         self.state.errors.load(Ordering::Relaxed)
+    }
+
+    /// Bytes of pool artifacts and checkpoints this handle has written
+    /// (torn writes count in full). Surfaced as `checkpoint_bytes` in
+    /// `RunStats` / `summary.json`.
+    pub fn checkpoint_bytes(&self) -> u64 {
+        self.state.bytes.load(Ordering::Relaxed)
     }
 
     /// The atomic-write path for every artifact, with the torn-write
@@ -373,8 +396,48 @@ impl RunDir {
         self.root.join("checkpoints").join(format!("shard-{shard:04}-epoch-{epoch:04}.json"))
     }
 
+    fn pool_path(&self, epoch: usize) -> PathBuf {
+        self.root.join("pool").join(format!("epoch-{epoch:04}.json"))
+    }
+
+    /// [`RunDir::write_artifact`] for a pool artifact or checkpoint,
+    /// counting its bytes.
+    fn write_counted(&self, path: &Path, contents: &str) -> Result<(), PersistError> {
+        self.write_artifact(path, contents)?;
+        self.state.bytes.fetch_add(contents.len() as u64, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Atomically record a barrier's merged delta as `[hash, source]`
+    /// pairs. Write it before the barrier's checkpoints: once written,
+    /// checkpoints leave its texts out.
+    pub fn write_pool(&self, epoch: usize, delta: &SuccessfulSet) -> Result<(), PersistError> {
+        fs::create_dir_all(self.root.join("pool"))?;
+        let entries: Vec<(u64, &str)> =
+            delta.hashes().iter().copied().zip(delta.sources().iter().map(|s| &**s)).collect();
+        self.write_counted(&self.pool_path(epoch), &encode("pool artifact", &entries)?)?;
+        let mut pool = self.state.pool.lock().unwrap();
+        for (&hash, source) in delta.hashes().iter().zip(delta.sources()) {
+            pool.entry(hash).or_insert_with(|| Arc::clone(source));
+        }
+        Ok(())
+    }
+
+    /// Load one barrier's pool artifact into the texts this handle fills
+    /// checkpoints from. Returns whether it was present and parseable.
+    fn load_pool(&self, epoch: usize) -> bool {
+        let Ok(text) = fs::read_to_string(self.pool_path(epoch)) else { return false };
+        let Ok(entries) = serde_json::from_str::<Vec<(u64, String)>>(&text) else { return false };
+        let mut pool = self.state.pool.lock().unwrap();
+        for (hash, source) in entries {
+            pool.entry(hash).or_insert_with(|| Arc::from(source));
+        }
+        true
+    }
+
     /// Atomically record one shard's paused-runner checkpoint at a barrier
-    /// (taken after the barrier's injection).
+    /// (taken after the barrier's injection). Its feedback pool leaves out
+    /// every text a pool artifact holds.
     pub fn write_checkpoint(
         &self,
         shard: usize,
@@ -382,27 +445,44 @@ impl RunDir {
         checkpoint: &RunnerCheckpoint,
     ) -> Result<(), PersistError> {
         fs::create_dir_all(self.root.join("checkpoints"))?;
-        self.write_artifact(&self.checkpoint_path(shard, epoch), &encode("checkpoint", checkpoint)?)
+        let mut checkpoint = checkpoint.clone();
+        {
+            let pool = self.state.pool.lock().unwrap();
+            checkpoint.successful.leave_out(|hash| pool.contains_key(&hash));
+        }
+        self.write_counted(&self.checkpoint_path(shard, epoch), &encode("checkpoint", &checkpoint)?)
     }
 
-    /// Load one shard's checkpoint at a barrier, if present and parseable
-    /// (a truncated checkpoint simply disqualifies its barrier — resume
-    /// falls back to an earlier restorable one).
+    /// Load one shard's checkpoint at a barrier, if present, parseable and
+    /// fillable: every text it leaves out must be one this handle holds
+    /// from a pool artifact. Anything else (a truncated checkpoint, a lost
+    /// pool text) simply disqualifies its barrier — resume falls back to
+    /// an earlier restorable one.
     pub fn load_checkpoint(&self, shard: usize, epoch: usize) -> Option<RunnerCheckpoint> {
         let text = fs::read_to_string(self.checkpoint_path(shard, epoch)).ok()?;
-        serde_json::from_str(&text).ok()
+        let mut checkpoint: RunnerCheckpoint = serde_json::from_str(&text).ok()?;
+        let pool = self.state.pool.lock().unwrap();
+        checkpoint.successful.fill(|hash| pool.get(&hash).cloned()).ok()?;
+        Some(checkpoint)
     }
 
     /// The latest barrier a killed multi-epoch run can restore from: the
-    /// highest epoch `< epochs - 1` at which *all* shard checkpoints load,
-    /// returned with those checkpoints in shard order. `None` means
-    /// restart from scratch.
+    /// highest epoch `< epochs - 1` at which *all* shard checkpoints load
+    /// and fill from the pool artifacts, returned with those checkpoints
+    /// in shard order. `None` means restart from scratch.
     pub fn latest_restorable_epoch(
         &self,
         shards: usize,
         epochs: usize,
     ) -> Option<(usize, Vec<RunnerCheckpoint>)> {
-        (0..epochs.saturating_sub(1)).rev().find_map(|epoch| {
+        let barriers = epochs.saturating_sub(1);
+        // Barriers merge only what no shard held before, so no text sits
+        // in two pool artifacts: every readable one can fill any barrier,
+        // and a lost one only fails the barriers that need its texts.
+        for epoch in 0..barriers {
+            self.load_pool(epoch);
+        }
+        (0..barriers).rev().find_map(|epoch| {
             let checkpoints: Option<Vec<_>> =
                 (0..shards).map(|shard| self.load_checkpoint(shard, epoch)).collect();
             Some((epoch, checkpoints?))
@@ -474,7 +554,9 @@ impl RunDir {
 /// artifact directories (never recursive — artifacts live exactly one
 /// level deep). Best-effort: an unreadable dir just skips.
 fn sweep_stale_tmp_files(root: &Path) {
-    for dir in [root.to_path_buf(), root.join("shards"), root.join("checkpoints")] {
+    for dir in
+        [root.to_path_buf(), root.join("shards"), root.join("pool"), root.join("checkpoints")]
+    {
         let Ok(entries) = fs::read_dir(dir) else { continue };
         for entry in entries.flatten() {
             let path = entry.path();
@@ -541,26 +623,27 @@ mod tests {
     }
 
     #[test]
-    fn newer_schema_dirs_are_refused_and_older_ones_accepted() {
+    fn other_schema_dirs_are_refused_with_a_typed_mismatch() {
         let root = temp_dir("schema");
         let m = manifest();
         let _dir = RunDir::open(&root, &m).unwrap();
-        // A dir written by a future schema must not be misread.
-        let newer = RunManifest { schema: Some(MANIFEST_SCHEMA + 97), ..m.clone() };
-        fs::write(root.join("manifest.json"), serde_json::to_string_pretty(&newer).unwrap())
-            .unwrap();
-        match RunDir::open(&root, &m) {
-            Err(PersistError::SchemaMismatch { found, supported }) => {
-                assert_eq!(found, MANIFEST_SCHEMA + 97);
-                assert_eq!(supported, MANIFEST_SCHEMA);
+        // A dir written by any other schema must not be misread: a future
+        // one, schema 2 (whose checkpoints hold the pool's text), and a
+        // pre-versioning one (no schema field at all, read as schema 1).
+        for schema in [Some(MANIFEST_SCHEMA + 97), Some(2), None] {
+            let other = RunManifest { schema, ..m.clone() };
+            fs::write(root.join("manifest.json"), serde_json::to_string_pretty(&other).unwrap())
+                .unwrap();
+            match RunDir::open(&root, &m) {
+                Err(PersistError::SchemaMismatch { found, supported }) => {
+                    assert_eq!(found, other.schema_version());
+                    assert_eq!(supported, MANIFEST_SCHEMA);
+                }
+                other => panic!("expected SchemaMismatch for {schema:?}, got {other:?}"),
             }
-            other => panic!("expected SchemaMismatch, got {other:?}"),
         }
-        // A pre-versioning dir (no schema field at all) still opens.
-        let old = RunManifest { schema: None, ..m.clone() };
-        fs::write(root.join("manifest.json"), serde_json::to_string_pretty(&old).unwrap()).unwrap();
-        assert_eq!(RunDir::read_manifest(&root).unwrap().schema_version(), 1);
-        RunDir::open(&root, &m).unwrap();
+        let refusal = PersistError::SchemaMismatch { found: 2, supported: MANIFEST_SCHEMA };
+        assert!(refusal.to_string().contains("schema 2"), "{refusal}");
         // Unparseable manifests are typed corruption, naming the artifact.
         fs::write(root.join("manifest.json"), "{torn").unwrap();
         assert!(matches!(
@@ -657,6 +740,40 @@ mod tests {
             Some((0, vec![checkpoint.clone(), checkpoint])),
             "a restorable barrier comes with its checkpoints, in shard order"
         );
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn checkpoints_leave_pool_texts_out_and_fill_them_from_pool_artifacts() {
+        let root = temp_dir("pool");
+        let m = RunManifest::new(manifest().config, 1, 3);
+        let dir = RunDir::open(&root, &m).unwrap();
+        let spec = crate::shard::plan_shards(&m.config, 1)[0];
+        let mut pool = llm4fp::SuccessfulSet::new();
+        pool.insert("void compute(double x) { comp = x * 2.0; }");
+        let mut runner = crate::shard::ShardRunner::new(&m.config, spec, None);
+        runner.run_segment(2, |_| {});
+        runner.inject(&pool);
+        let checkpoint = runner.checkpoint();
+
+        dir.write_pool(0, &pool).unwrap();
+        dir.write_checkpoint(0, 0, &checkpoint).unwrap();
+        let text = fs::read_to_string(root.join("checkpoints/shard-0000-epoch-0000.json")).unwrap();
+        assert!(!text.contains("comp = x * 2.0"), "the pooled text is written once, in pool/");
+        assert_eq!(dir.load_checkpoint(0, 0).unwrap(), checkpoint, "filled from the pool");
+        assert_eq!(
+            dir.checkpoint_bytes(),
+            fs::metadata(root.join("pool/epoch-0000.json")).unwrap().len() + text.len() as u64,
+            "pool and checkpoint bytes are counted"
+        );
+        // A fresh handle fills from the artifact on disk; without it the
+        // barrier cannot restore.
+        let reopened = RunDir::open(&root, &m).unwrap();
+        assert_eq!(reopened.latest_restorable_epoch(1, 3), Some((0, vec![checkpoint])));
+        fs::remove_file(root.join("pool/epoch-0000.json")).unwrap();
+        let reopened = RunDir::open(&root, &m).unwrap();
+        assert_eq!(reopened.load_checkpoint(0, 0), None, "a left-out text nobody holds");
+        assert_eq!(reopened.latest_restorable_epoch(1, 3), None);
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -20,6 +20,11 @@
 //! and the session folds each settled ledger into deltas, sink progress
 //! and barrier state.
 //!
+//! * **The pool travels by hash** — each connection remembers the hashes
+//!   whose text it has carried, and a job leaves those texts out; an
+//!   answer's checkpoint carries no pool text, and the session fills it
+//!   from the job's pool and the answer's delta (see [`crate::wire`]).
+//!
 //! * **Leases** — every dispatch holds a deadline lease
 //!   ([`SupervisionConfig::lease_timeout`]) identified by a generation
 //!   number stamped into the job, unique across the session. A job is
@@ -66,6 +71,7 @@
 //! bits — a run that completes under any fault is bit-identical to the
 //! fault-free in-process run.
 
+use std::collections::HashSet;
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -76,7 +82,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use llm4fp::{RunnerCheckpoint, SuccessfulSet};
+use llm4fp::{RunnerCheckpoint, SuccessfulSet, SuccessfulSetSnapshot};
 use llm4fp_extcc::{group_spawn, kill_group};
 use llm4fp_telemetry::{keys, Telemetry};
 
@@ -266,6 +272,7 @@ impl ShardExecutor for WorkerExecutor {
             children: Mutex::new(Vec::with_capacity(worker_procs)),
             respawns: AtomicU64::new(0),
             stale_results: AtomicU64::new(0),
+            frame_bytes: AtomicU64::new(0),
             lease_timeout: config.lease_timeout,
         });
         let acceptor = thread::spawn({
@@ -415,6 +422,8 @@ struct Shared {
     respawns: AtomicU64,
     /// Result frames discarded because they did not carry a live lease.
     stale_results: AtomicU64,
+    /// Bytes of job frames written and result frames read.
+    frame_bytes: AtomicU64,
     lease_timeout: Duration,
 }
 
@@ -571,7 +580,7 @@ fn await_answer(
 
 /// Serve one accepted connection end to end: handshake, then a loop of
 /// lease → dispatch → bounded wait, with heartbeat probes while idle.
-fn drive_connection(stream: TcpStream, shared: &Shared) {
+fn drive_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
     let Ok(mut reader_stream) = stream.try_clone() else { return };
@@ -615,9 +624,13 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
     // the driver reads it as "worker stream closed"; any other I/O error
     // is forwarded with its own text.
     let (tx, rx) = mpsc::channel::<io::Result<WireReply>>();
+    let reader_shared = Arc::clone(shared);
     thread::spawn(move || loop {
-        match wire::read_frame::<WireReply, _>(&mut reader_stream) {
-            Ok(frame) => {
+        match wire::read_frame_sized::<WireReply, _>(&mut reader_stream) {
+            Ok((frame, len)) => {
+                if matches!(frame, WireReply::Result(_)) {
+                    reader_shared.frame_bytes.fetch_add(len as u64, Ordering::Relaxed);
+                }
                 if tx.send(Ok(frame)).is_err() {
                     break;
                 }
@@ -630,6 +643,9 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
         }
     });
     let mut ping_token: u64 = 0;
+    // The hashes whose text this connection has carried either way: the
+    // worker's store holds exactly these, so jobs leave them out.
+    let mut have: HashSet<u64> = HashSet::new();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             let _ = wire::write_frame(&mut writer, &WireRequest::Shutdown);
@@ -656,7 +672,7 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
                 _ => None,
             }
         };
-        let Some((epoch_id, job, lease, wire_job, telemetry, pool_start)) = next else {
+        let Some((epoch_id, job, lease, mut wire_job, telemetry, pool_start)) = next else {
             // Idle: park until new work arrives or the heartbeat is due.
             {
                 let slot = shared.slot.lock().unwrap();
@@ -690,16 +706,28 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
             continue;
         };
         let shard = wire_job.spec.index;
+        if let Some(checkpoint) = wire_job.checkpoint.as_mut() {
+            checkpoint.successful.leave_out(|hash| have.contains(&hash));
+            have.extend(&checkpoint.successful.hashes);
+        }
         telemetry.observe(keys::QUEUE_WAIT, pool_start.elapsed());
         let span = telemetry.span(keys::SPAN_SHARD_RUN);
         let verdict = match wire::write_frame(&mut writer, &WireRequest::Job(Box::new(wire_job))) {
-            Ok(()) => await_answer(&rx, shared, lease),
+            Ok(len) => {
+                shared.frame_bytes.fetch_add(len as u64, Ordering::Relaxed);
+                await_answer(&rx, shared, lease)
+            }
             Err(e) => Verdict::Dead(format!("write to worker failed: {e}")),
         };
         drop(span);
         let silent = matches!(verdict, Verdict::LeaseExpired);
         let why = match verdict {
             Verdict::Answered(result) if result.index == shard => {
+                // The worker stored every text of its answer's pool,
+                // the segment's finds included.
+                if let Some(checkpoint) = &result.checkpoint {
+                    have.extend(&checkpoint.successful.hashes);
+                }
                 settle(shared, epoch_id, job, lease, *result);
                 continue;
             }
@@ -796,11 +824,12 @@ impl WorkerSession<'_> {
     /// returns its typed error; otherwise — single-threaded, in task
     /// order — absorb worker counters (exactly once per job; stale
     /// results were discarded), tick the sink once per accepted result,
-    /// and store barrier checkpoints or final outputs (completing each
-    /// finished shard in the sink). Returns each task's delta, with every
-    /// received source hashed here once, so the barrier merges and
-    /// injects by hash (with `last` no barrier follows, and the deltas
-    /// are returned empty).
+    /// and store barrier checkpoints (their pools filled by
+    /// [`fill_answer_pool`]) or final outputs (completing each finished
+    /// shard in the sink). Returns each task's delta with the hashes its
+    /// answer carried, so the barrier merges and injects by hash without
+    /// hashing (with `last` no barrier follows, and the deltas are
+    /// returned empty).
     fn fold_epoch(
         &mut self,
         state: EpochState,
@@ -819,13 +848,9 @@ impl WorkerSession<'_> {
                     self.tasks[job].telemetry.absorb(snapshot);
                 }
             }
-            let mut delta = SuccessfulSet::new();
-            if !last {
-                delta.merge_sources(&result.delta);
-            }
-            deltas.push(delta);
             self.sink.progress(job);
             if last {
+                deltas.push(SuccessfulSet::new());
                 let output = result.output.ok_or_else(|| {
                     OrchestratorError::Executor(format!(
                         "protocol violation: no output for finished shard job {job}"
@@ -834,16 +859,57 @@ impl WorkerSession<'_> {
                 self.sink.complete(job, &output);
                 self.outputs[job] = Some(output);
             } else {
-                let checkpoint = result.checkpoint.ok_or_else(|| {
+                let mut checkpoint = result.checkpoint.ok_or_else(|| {
                     OrchestratorError::Executor(format!(
                         "protocol violation: no checkpoint for paused shard job {job}"
                     ))
                 })?;
+                let sent = self.checkpoints[job].as_ref().map(|sent| &sent.successful);
+                let delta = fill_answer_pool(sent, &mut checkpoint.successful, result.delta)
+                    .map_err(|why| {
+                        OrchestratorError::Executor(format!(
+                            "protocol violation: shard job {job} answered {why}"
+                        ))
+                    })?;
+                deltas.push(delta);
                 self.checkpoints[job] = Some(checkpoint);
             }
         }
         Ok(deltas)
     }
+}
+
+/// Fill an answer's pool, which carries hashes and own flags but no text:
+/// its first entries are the pool the job was sent with (`sent`, whose
+/// texts the session holds), the rest are the segment's `delta`, in
+/// order. Returns the delta as a set, under the hashes the answer
+/// carried.
+fn fill_answer_pool(
+    sent: Option<&SuccessfulSetSnapshot>,
+    answer: &mut SuccessfulSetSnapshot,
+    delta: Vec<String>,
+) -> Result<SuccessfulSet, String> {
+    let (sent_sources, sent_hashes) =
+        sent.map_or((&[][..], &[][..]), |sent| (&sent.sources[..], &sent.hashes[..]));
+    let len = answer.hashes.len();
+    if len != sent_hashes.len() + delta.len()
+        || answer.own.len() != len
+        || answer.sources.len() != len
+        || answer.hashes[..sent_hashes.len()] != *sent_hashes
+    {
+        return Err(format!(
+            "a pool of {len} entries that is not the {} it was sent plus its {} finds",
+            sent_hashes.len(),
+            delta.len()
+        ));
+    }
+    answer.sources = sent_sources.iter().cloned().chain(delta.into_iter().map(Arc::from)).collect();
+    let start = sent_hashes.len();
+    Ok(SuccessfulSet::restore(SuccessfulSetSnapshot {
+        sources: answer.sources[start..].to_vec(),
+        hashes: answer.hashes[start..].to_vec(),
+        own: answer.own[start..].to_vec(),
+    }))
 }
 
 impl Drop for WorkerSession<'_> {
@@ -969,7 +1035,8 @@ impl ShardSession for WorkerSession<'_> {
             redispatches: self.redispatches,
             respawns: self.shared.respawns.load(Ordering::SeqCst),
         };
-        Ok(SessionOutcome { shards, supervision })
+        let frame_bytes = self.shared.frame_bytes.load(Ordering::Relaxed);
+        Ok(SessionOutcome { shards, supervision, frame_bytes })
     }
 }
 

@@ -18,11 +18,31 @@
 //! serializable types the persistence layer already round-trips, which
 //! is what makes a worker interchangeable with an in-process runner.
 //!
-//! A worker is *stateless between jobs*: each job carries everything
-//! needed to restore (or freshly create) the shard runner, run one
-//! segment, and hand the updated state back. Statelessness is what makes
+//! A worker holds no *shard* state between jobs: each job carries
+//! everything needed to restore (or freshly create) the shard runner, run
+//! one segment, and hand the updated state back. That is what makes
 //! crash-and-redispatch and lease-expiry redispatch sound — recomputing a
 //! job on another worker yields byte-identical results.
+//!
+//! The one thing a connection remembers is the **feedback pool's text**
+//! (protocol version 2). Every pooled program travels by its structural
+//! hash, and its text crosses a connection at most once:
+//!
+//! * the coordinator keeps, per connection, the set of hashes whose text
+//!   it has sent or received there. A job's checkpoint leaves out every
+//!   text in that set (see `llm4fp::SuccessfulSetSnapshot::leave_out`);
+//! * the worker keeps, per connection, a hash → text store. It fills the
+//!   job's left-out texts from it and stores every text the job carries
+//!   and every text its segment finds. A job naming a hash the store
+//!   lacks makes the worker drop the connection; the coordinator then
+//!   redispatches the job on a fresh connection, whose set and store
+//!   start empty;
+//! * a result's checkpoint carries no pool text at all: its pool is the
+//!   job's pool (which the coordinator holds) followed by the segment's
+//!   `delta`, position for position.
+//!
+//! Both ends forget the pool with the connection, so a reconnect, a
+//! respawn or a redispatch costs resending texts, never results.
 //!
 //! Every stream opens with a **versioned handshake**: the worker's first
 //! frame is [`WireReply::Hello`] and the coordinator answers
@@ -44,7 +64,7 @@ use crate::shard::{ShardOutput, ShardSpec};
 /// The wire-protocol version this build speaks. Bump on any frame-shape
 /// change; the handshake refuses mismatches in words instead of letting
 /// two builds mis-parse each other's frames.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// The opening frame of every stream, sent by both ends (worker first).
 /// Carries the two version numbers whose skew could silently corrupt a
@@ -130,8 +150,8 @@ impl From<WireError> for io::Error {
     }
 }
 
-/// One segment of one shard, self-contained: everything a stateless
-/// worker needs to produce the next barrier state.
+/// One segment of one shard: everything a worker needs to produce the
+/// next barrier state, given the pool texts its connection has carried.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardJob {
     /// The parent campaign's configuration.
@@ -145,7 +165,8 @@ pub struct ShardJob {
     pub finish: bool,
     /// Resume state from the previous barrier (with the barrier's merged
     /// deltas already injected coordinator-side); `None` starts the shard
-    /// fresh.
+    /// fresh. On the wire its pool leaves out every text the connection
+    /// already carried (see the module docs).
     pub checkpoint: Option<RunnerCheckpoint>,
     /// Ignored; kept so `perfbench` literals and older coordinators'
     /// frames decode. Coordinators write `1` and workers never read it:
@@ -168,9 +189,12 @@ pub struct ShardJobResult {
     /// The shard index this result answers (protocol sanity check).
     pub index: usize,
     /// Successful sources newly found during the segment, in discovery
-    /// order — the delta the barrier merges.
+    /// order — the delta the barrier merges. Their hashes are the tail of
+    /// the checkpoint's pool hashes.
     pub delta: Vec<String>,
     /// The paused runner's state after the segment (`None` on `finish`).
+    /// On the wire its pool carries hashes and own flags but no text: the
+    /// coordinator fills it from the job's pool and `delta`.
     pub checkpoint: Option<RunnerCheckpoint>,
     /// The finished shard's output (`Some` exactly on `finish`).
     pub output: Option<ShardOutput>,
@@ -225,11 +249,11 @@ const HEADER_LEN: usize = 11;
 /// allocation or an OOM kill of the coordinator.
 pub const MAX_FRAME_LEN: usize = 256 << 20;
 
-/// Write `value` as one frame. Refuses (with
-/// [`io::ErrorKind::InvalidData`]) payloads over [`MAX_FRAME_LEN`] — the
-/// receiver would reject them anyway, so fail at the producer where the
-/// diagnosis is cheap.
-pub fn write_frame<T: Serialize, W: Write>(writer: &mut W, value: &T) -> io::Result<()> {
+/// Write `value` as one frame and return its length in bytes, header
+/// included. Refuses (with [`io::ErrorKind::InvalidData`]) payloads over
+/// [`MAX_FRAME_LEN`] — the receiver would reject them anyway, so fail at
+/// the producer where the diagnosis is cheap.
+pub fn write_frame<T: Serialize, W: Write>(writer: &mut W, value: &T) -> io::Result<usize> {
     write_frame_limited(writer, value, MAX_FRAME_LEN)
 }
 
@@ -239,7 +263,7 @@ fn write_frame_limited<T: Serialize, W: Write>(
     writer: &mut W,
     value: &T,
     max_frame_len: usize,
-) -> io::Result<()> {
+) -> io::Result<usize> {
     let payload = serde_json::to_string(value)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("encode frame: {e}")))?;
     if payload.len() > max_frame_len {
@@ -250,7 +274,8 @@ fn write_frame_limited<T: Serialize, W: Write>(
     }
     writeln!(writer, "{:010}", payload.len())?;
     writer.write_all(payload.as_bytes())?;
-    writer.flush()
+    writer.flush()?;
+    Ok(HEADER_LEN + payload.len())
 }
 
 /// Read one frame. An EOF *before the first header byte* surfaces as
@@ -258,6 +283,14 @@ fn write_frame_limited<T: Serialize, W: Write>(
 /// anything malformed — including a length over [`MAX_FRAME_LEN`] — is
 /// [`io::ErrorKind::InvalidData`].
 pub fn read_frame<T: serde::de::DeserializeOwned, R: Read>(reader: &mut R) -> io::Result<T> {
+    read_frame_sized(reader).map(|(value, _)| value)
+}
+
+/// [`read_frame`] that also returns the frame's length in bytes, header
+/// included.
+pub fn read_frame_sized<T: serde::de::DeserializeOwned, R: Read>(
+    reader: &mut R,
+) -> io::Result<(T, usize)> {
     read_frame_limited(reader, MAX_FRAME_LEN)
 }
 
@@ -266,7 +299,7 @@ pub fn read_frame<T: serde::de::DeserializeOwned, R: Read>(reader: &mut R) -> io
 fn read_frame_limited<T: serde::de::DeserializeOwned, R: Read>(
     reader: &mut R,
     max_frame_len: usize,
-) -> io::Result<T> {
+) -> io::Result<(T, usize)> {
     let mut header = [0u8; HEADER_LEN];
     reader.read_exact(&mut header)?;
     if header[HEADER_LEN - 1] != b'\n' {
@@ -283,7 +316,9 @@ fn read_frame_limited<T: serde::de::DeserializeOwned, R: Read>(
     let mut payload = vec![0u8; len];
     reader.read_exact(&mut payload)?;
     let text = std::str::from_utf8(&payload).map_err(|_| bad_frame("payload is not UTF-8"))?;
-    serde_json::from_str(text).map_err(|e| bad_frame(&format!("payload does not parse: {e}")))
+    let value = serde_json::from_str(text)
+        .map_err(|e| bad_frame(&format!("payload does not parse: {e}")))?;
+    Ok((value, HEADER_LEN + len))
 }
 
 fn bad_frame(what: &str) -> io::Error {
@@ -376,8 +411,10 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("MAX_FRAME_LEN"), "{err}");
         // A generous custom cap behaves like the default.
-        let back: WireRequest = read_frame_limited(&mut buf.as_slice(), MAX_FRAME_LEN).unwrap();
+        let (back, len): (WireRequest, usize) =
+            read_frame_limited(&mut buf.as_slice(), MAX_FRAME_LEN).unwrap();
         assert_eq!(back, WireRequest::Shutdown);
+        assert_eq!(len, buf.len(), "the sized read counts header and payload");
     }
 
     #[test]
@@ -398,7 +435,8 @@ mod tests {
     #[test]
     fn header_is_fixed_width_decimal_plus_newline() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, &WireRequest::Shutdown).unwrap();
+        let written = write_frame(&mut buf, &WireRequest::Shutdown).unwrap();
+        assert_eq!(written, buf.len(), "write_frame returns the frame's length");
         assert_eq!(&buf[..10], format!("{:010}", buf.len() - HEADER_LEN).as_bytes());
         assert_eq!(buf[10], b'\n');
     }

@@ -150,25 +150,37 @@ fn newer_schema_manifests_are_refused_with_a_typed_error() {
 }
 
 #[test]
-fn pre_versioning_manifests_still_resume_bit_identically() {
+fn older_schema_run_dirs_are_refused_with_a_typed_error() {
     let config = config(ApproachKind::Llm4Fp, 16, 43);
     let root = temp_dir("schema-v1");
-    let full = persisted_run(&config, &root, 2);
+    persisted_run(&config, &root, 2);
     force_recompute(&root);
 
-    // Strip the schema field entirely — the manifest a pre-versioning
-    // build wrote. It reads as schema 1 and resumes normally.
+    // Schema 2 kept the pool's text in every checkpoint, and a
+    // pre-versioning build wrote no schema field at all (schema 1).
+    // Neither layout is this build's, so both are refused outright.
     let manifest_path = root.join("manifest.json");
     let text = std::fs::read_to_string(&manifest_path).unwrap();
-    let Value::Obj(mut map) = serde_json::parse(&text).unwrap() else {
+    let Value::Obj(map) = serde_json::parse(&text).unwrap() else {
         panic!("manifest.json is an object")
     };
-    map.remove("schema");
-    std::fs::write(&manifest_path, serde_json::to_string(&Value::Obj(map)).unwrap()).unwrap();
-    assert_eq!(RunDir::read_manifest(&root).unwrap().schema_version(), 1);
-
-    let resumed = Orchestrator::resume(&root).unwrap();
-    assert_results_identical(&resumed.result, &full.result, "schema-1 resume");
+    for schema in [Some(2u64), None] {
+        let mut map = map.clone();
+        match schema {
+            Some(schema) => map.insert("schema".to_string(), Value::Num(Number::U(schema))),
+            None => map.remove("schema"),
+        };
+        std::fs::write(&manifest_path, serde_json::to_string(&Value::Obj(map)).unwrap()).unwrap();
+        let found = RunDir::read_manifest(&root).unwrap().schema_version();
+        assert_eq!(u64::from(found), schema.unwrap_or(1));
+        match Orchestrator::resume(&root).expect_err("an older schema must refuse to open") {
+            OrchestratorError::Persist(PersistError::SchemaMismatch { found: f, supported }) => {
+                assert_eq!(f, found);
+                assert_eq!(supported, MANIFEST_SCHEMA);
+            }
+            other => panic!("expected SchemaMismatch, got {other}"),
+        }
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -216,6 +228,40 @@ fn manifests_carrying_four_threads_resume_bit_identically() {
         assert_results_identical(&resumed.result, &single.result, &format!("{what} vs 1 thread"));
         let _ = std::fs::remove_dir_all(&root);
     }
+}
+
+#[test]
+fn torn_pool_artifacts_fall_back_to_the_barrier_before_them() {
+    let config = config(ApproachKind::Llm4Fp, 36, 71);
+    let (shards, epochs) = (3usize, 4usize);
+    let reference = Orchestrator::new(config.clone()).shards(shards).epochs(epochs).run().unwrap();
+
+    // Barrier 1's pool artifact lands torn. Its texts are written nowhere
+    // else — the checkpoints of barriers 1 and 2 name them by hash only —
+    // so neither barrier can restore, and resume falls back to barrier 0.
+    let root = temp_dir("torn-pool");
+    let torn = Orchestrator::new(config.clone())
+        .shards(shards)
+        .workers(2)
+        .epochs(epochs)
+        .run_dir(root.clone())
+        .persist_faults(vec![PersistFault::TornWrite("pool/epoch-0001".into())])
+        .run()
+        .unwrap();
+    assert_results_identical(&torn.result, &reference.result, "run under a torn pool write");
+    assert_eq!(torn.stats.persist_errors, 1, "the torn pool artifact is counted once");
+    assert!(torn.stats.checkpoint_bytes > 0, "barrier artifacts are counted");
+
+    force_recompute(&root);
+    for shard in 0..shards {
+        let _ = std::fs::remove_file(root.join("shards").join(format!("shard-{shard:04}.jsonl")));
+    }
+    let dir = RunDir::open(&root, &RunManifest::new(config.clone(), shards, epochs)).unwrap();
+    assert_eq!(dir.latest_restorable_epoch(shards, epochs).map(|(b, _)| b), Some(0));
+    let resumed = Orchestrator::resume(&root).unwrap();
+    assert_eq!(resumed.stats.epochs_restored, 1, "restored through barrier 0");
+    assert_results_identical(&resumed.result, &reference.result, "resume after a torn pool");
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]

@@ -444,6 +444,23 @@ fn every_network_fault_heals_bit_identically_in_abort_mode() {
 }
 
 #[test]
+fn a_worker_that_cannot_fill_a_pool_text_drops_and_the_job_redispatches_bit_identically() {
+    // With K = 2 on one worker, the third job (shard 0, epoch 1) leaves
+    // out every pool text: the connection already carried both shards'
+    // epoch-0 finds. The worker forgets them just before, so it cannot
+    // fill the job. It drops the connection, and the job redispatches on
+    // the worker's next connection, which resends every text.
+    let config = config(ApproachKind::Llm4Fp, 24, 5);
+    let reference = in_process(&config, 2, 3);
+    let forgetful =
+        SupervisionConfig { faults: network_plan(NetworkFault::ForgetPoolAtJob(3)), ..workers(1) };
+    let survived = on_workers(&config, 2, 3, forgetful);
+    assert_results_identical(&survived.result, &reference.result, "unfillable pool text");
+    assert_eq!(survived.stats.supervision.redispatches, 1, "the unfillable job redispatched");
+    assert!(survived.stats.frame_bytes > 0, "frame bytes are counted");
+}
+
+#[test]
 fn retransmitted_answers_count_as_stale_across_barriers() {
     // The only worker sends its n-th answer twice. The copy reaches the
     // coordinator while it awaits another lease: the next job of the

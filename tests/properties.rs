@@ -4,6 +4,9 @@
 //! CodeBLEU bounds, and the successful-set merge algebra the
 //! orchestrator's cross-shard feedback exchange relies on.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use llm4fp_suite::compiler::interp::DEFAULT_FUEL;
@@ -259,6 +262,43 @@ proptest! {
             prop_assert!(by_source.contains(source));
         }
         prop_assert!(by_hash == by_source);
+    }
+
+    /// A snapshot that leaves pool texts out and fills them back by hash
+    /// is the snapshot it was, and `SuccessfulSet::restore` by the hashes
+    /// it carries equals the set rebuilt by hashing every source — the
+    /// two halves of carrying the feedback pool by hash.
+    #[test]
+    fn pool_texts_left_out_and_filled_by_hash_restore_the_same_set(
+        seed in 0u64..50_000,
+        mask in 0u64..256,
+    ) {
+        let (a, b, c) = three_sets(seed);
+        let mut set = a.clone();
+        set.merge(&b);
+        set.merge(&c);
+        let snapshot = set.snapshot();
+        let store: HashMap<u64, Arc<str>> =
+            snapshot.hashes.iter().copied().zip(snapshot.sources.iter().cloned()).collect();
+        let mut sent = snapshot.clone();
+        sent.leave_out(|hash| (mask >> (hash % 8)) & 1 == 1);
+        let left_out = sent.sources.iter().filter(|text| text.is_empty()).count();
+        prop_assert_eq!(sent.clone().fill(|_| None).is_ok(), left_out == 0);
+        let mut filled = sent;
+        prop_assert!(filled.fill(|hash| store.get(&hash).cloned()).is_ok());
+        prop_assert_eq!(&filled, &snapshot);
+
+        let restored = SuccessfulSet::restore(filled);
+        let mut rebuilt = SuccessfulSet::new();
+        for (source, own) in snapshot.sources.iter().zip(&snapshot.own) {
+            if *own {
+                rebuilt.insert(source);
+            } else {
+                rebuilt.merge_sources(std::slice::from_ref(source));
+            }
+        }
+        prop_assert!(restored == rebuilt);
+        prop_assert!(restored == set);
     }
 
     /// The sealed register VM is pinned bit-identical to the reference
