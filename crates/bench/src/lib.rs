@@ -21,9 +21,11 @@
 //! * `--epochs E` — cross-shard feedback-exchange epochs (default 4; at
 //!   `--shards 1` exchange is a structural no-op, and `--epochs 1`
 //!   disables it so shards feed only on their own findings);
-//! * `--workers W` — shard worker threads (default: available parallelism);
-//!   each runs one shard at a time, so with `--backend extcc` this also
-//!   bounds how many compilers and test binaries run at once;
+//! * `--workers W` — shard workers (default: available parallelism): threads
+//!   in process, worker daemons spawned on loopback out of process
+//!   (`--worker-procs N` is another spelling). Each runs one shard at a
+//!   time, so with `--backend extcc` this also bounds how many compilers
+//!   and test binaries run at once;
 //! * `--backend virtual|extcc` — execution backend (default `virtual`;
 //!   `extcc` detects host gcc/clang and drives the real toolchain,
 //!   restricting the matrix to the detected compilers — the binary exits
@@ -38,8 +40,6 @@
 //!   socket, supervised by leases, heartbeats, reconnect-and-resume and
 //!   respawn. Results are bit-identical across all of them. Every flag
 //!   below that configures workers applies to both spellings;
-//! * `--worker-procs N` — worker daemons to spawn on loopback (default:
-//!   available parallelism);
 //! * `--listen ADDR` — bind the
 //!   coordinator to this address (default `127.0.0.1:0`, an ephemeral
 //!   loopback port for self-spawned workers; use e.g. `0.0.0.0:7070` for
@@ -124,9 +124,6 @@ pub struct ExpOptions {
     pub run_dir: Option<PathBuf>,
     /// The shard transport (`--executor in-process|process-pool|remote`).
     pub executor: CliExecutor,
-    /// Worker daemons to spawn on loopback (`--worker-procs`; 0 =
-    /// available parallelism).
-    pub worker_procs: usize,
     /// Bind address for the coordinator (`--listen`; `None` =
     /// `127.0.0.1:0`).
     pub listen: Option<String>,
@@ -155,7 +152,6 @@ impl Default for ExpOptions {
             trace: false,
             run_dir: None,
             executor: CliExecutor::InProcess,
-            worker_procs: 0,
             listen: None,
             spawn_workers: true,
             shard_timeout_ms: 0,
@@ -189,9 +185,9 @@ impl ExpOptions {
                     let v = iter.next().ok_or("--epochs needs a value")?;
                     opts.epochs = v.parse().map_err(|_| format!("invalid --epochs {v}"))?;
                 }
-                "--workers" => {
-                    let v = iter.next().ok_or("--workers needs a value")?;
-                    opts.workers = v.parse().map_err(|_| format!("invalid --workers {v}"))?;
+                "--workers" | "--worker-procs" => {
+                    let v = iter.next().ok_or(format!("{arg} needs a value"))?;
+                    opts.workers = v.parse().map_err(|_| format!("invalid {arg} {v}"))?;
                 }
                 "--backend" => {
                     let v = iter.next().ok_or("--backend needs a value")?;
@@ -209,11 +205,6 @@ impl ExpOptions {
                         "remote" => CliExecutor::Remote,
                         other => return Err(format!("invalid --executor `{other}`")),
                     };
-                }
-                "--worker-procs" => {
-                    let v = iter.next().ok_or("--worker-procs needs a value")?;
-                    opts.worker_procs =
-                        v.parse().map_err(|_| format!("invalid --worker-procs {v}"))?;
                 }
                 "--listen" => {
                     let v = iter.next().ok_or("--listen needs an address")?;
@@ -247,7 +238,7 @@ impl ExpOptions {
                          [--shards K] [--epochs E] [--workers W] \
                          [--backend virtual|extcc] \
                          [--run-dir PATH] [--trace] [--no-metrics] \
-                         [--executor in-process|process-pool|remote] [--worker-procs N] \
+                         [--executor in-process|process-pool|remote] \
                          [--listen ADDR] [--no-spawn-workers] \
                          [--shard-timeout-ms N] \
                          [--fault-plan PATH]"
@@ -368,7 +359,8 @@ impl ExpOptions {
     /// The out-of-process executor's settings these options select, or
     /// `None` for the orchestrator's in-process default. Both
     /// `--executor process-pool` and `--executor remote` land here, so
-    /// identical flags configure identical executors: the worker flags,
+    /// identical flags configure identical executors: `--workers` as the
+    /// count of spawned workers, the other worker flags,
     /// `--shard-timeout-ms` as the dispatch lease and the worker half of
     /// any `--fault-plan`.
     pub fn supervision_config(&self) -> Option<SupervisionConfig> {
@@ -376,11 +368,7 @@ impl ExpOptions {
             return None;
         }
         let mut config = SupervisionConfig {
-            worker_procs: match (self.spawn_workers, self.worker_procs) {
-                (false, _) => 0,
-                (true, 0) => default_workers(),
-                (true, procs) => procs,
-            },
+            worker_procs: if self.spawn_workers { self.workers } else { 0 },
             faults: self.fault_plan.clone().unwrap_or_default(),
             ..SupervisionConfig::default()
         };
@@ -523,8 +511,6 @@ mod tests {
                 "/tmp/llm4fp-run",
                 "--executor",
                 "process-pool",
-                "--worker-procs",
-                "6",
                 "--shard-timeout-ms",
                 "2500",
                 "--fault-plan",
@@ -536,7 +522,6 @@ mod tests {
             .map(String::from),
         )
         .unwrap();
-        std::fs::remove_file(&plan_path).ok();
         let expected_plan = FaultPlan {
             first_worker: vec![llm4fp_orchestrator::WorkerFault::CrashAtJob(1)],
             persist: vec![llm4fp_orchestrator::PersistFault::TornWrite("checkpoint".into())],
@@ -555,7 +540,6 @@ mod tests {
                 trace: true,
                 run_dir: Some(PathBuf::from("/tmp/llm4fp-run")),
                 executor: CliExecutor::ProcessPool,
-                worker_procs: 6,
                 shard_timeout_ms: 2500,
                 fault_plan: Some(expected_plan.clone()),
                 listen: Some("127.0.0.1:9911".to_string()),
@@ -574,8 +558,17 @@ mod tests {
         assert_eq!(
             remote.supervision_config().unwrap().worker_procs,
             default_workers(),
-            "--worker-procs defaults to the available parallelism"
+            "the spawned worker count defaults to the available parallelism"
         );
+        // `--worker-procs` is another spelling of `--workers`: one count
+        // sizes the process pool and is what the run reports.
+        let procs = |flag: &str| {
+            ExpOptions::parse(["--executor", "process-pool", flag, "5"].map(String::from)).unwrap()
+        };
+        assert_eq!(procs("--worker-procs"), procs("--workers"));
+        assert_eq!(procs("--worker-procs").workers, 5);
+        assert_eq!(procs("--worker-procs").supervision_config().unwrap().worker_procs, 5);
+        assert_eq!(procs("--worker-procs").orchestrator_options().workers, 5);
         assert_eq!(remote.executor, CliExecutor::Remote);
         assert_eq!(remote.listen.as_deref(), Some("127.0.0.1:0"));
         assert!(remote.shard_executor().is_some(), "remote selects an executor");
@@ -612,6 +605,22 @@ mod tests {
                 .is_err(),
             "an unreadable fault plan is a parse error, not a silent no-op"
         );
+        // So is a plan in a retired spelling, named in the message: run
+        // fault-free, it would pass every chaos check.
+        for (plan, named) in [
+            (r#"{"network":[{"DropConnAtJob":1}]}"#, "network"),
+            (r#"{"first_worker":[{"DelayFrameMs":450}]}"#, "DelayFrameMs"),
+            (r#"{"first_worker":[{"TruncateStreamAtJob":1}]}"#, "TruncateStreamAtJob"),
+            (r#"{"every_worker":["ExtccSpawnError"]}"#, "ExtccSpawnError"),
+        ] {
+            std::fs::write(&plan_path, plan).unwrap();
+            let err =
+                ExpOptions::parse(["--fault-plan", plan_path.to_str().unwrap()].map(String::from))
+                    .expect_err(plan);
+            assert!(err.starts_with("cannot parse --fault-plan"), "{plan}: {err}");
+            assert!(err.contains(named), "{plan}: {err}");
+        }
+        std::fs::remove_file(&plan_path).ok();
         assert_eq!(ExpOptions::parse(std::iter::empty::<String>()).unwrap(), ExpOptions::default());
     }
 
@@ -625,7 +634,7 @@ mod tests {
                 [
                     "--executor",
                     executor,
-                    "--worker-procs",
+                    "--workers",
                     "3",
                     "--listen",
                     "127.0.0.1:0",

@@ -27,14 +27,14 @@
 //! socket yet.
 //!
 //! Deterministic fault injection: the coordinator ships this spawn's
-//! effective fault set ([`WorkerFault`](llm4fp_orchestrator::WorkerFault)
-//! plus worker-side
-//! [`NetworkFault`](llm4fp_orchestrator::NetworkFault)s) as JSON in the
-//! `LLM4FP_FAULT_PLAN` environment variable (absent on production
+//! [`WorkerFault`](llm4fp_orchestrator::WorkerFault)s as a JSON list in
+//! the `LLM4FP_FAULT_PLAN` environment variable (absent on production
 //! spawns — the per-job check is then a single branch). The
 //! [`WorkerFaultHarness`] decides per received job whether to crash,
-//! stall, sabotage the answer frame, drop the connection, delay or
-//! duplicate the answer, or tear the stream mid-frame.
+//! stall, forget the connection's pool texts, or sabotage the answer: a
+//! dropped connection, a corrupt or truncated frame, or a duplicate. Every
+//! sabotaged answer but the duplicate ends the connection, and the daemon
+//! redials.
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
@@ -42,7 +42,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use llm4fp_orchestrator::faults::{FrameSabotage, WorkerFaultHarness, EXIT_SABOTAGED_ANSWER};
+use llm4fp_orchestrator::faults::{AnswerSabotage, WorkerFaultHarness, EXIT_CRASH};
 use llm4fp_orchestrator::wire::{self, Hello, ShardJob, ShardJobResult, WireReply, WireRequest};
 use llm4fp_orchestrator::ShardRunner;
 use llm4fp_telemetry::{TelemetryHub, TelemetrySpec};
@@ -100,25 +100,21 @@ fn remember(store: &mut PoolStore, pool: &llm4fp::SuccessfulSetSnapshot) {
     }
 }
 
-/// Write a deliberately broken answer in place of `result`'s frame, then
-/// exit: the stream is unusable afterwards, so the daemon does not
-/// linger. `Corrupt` sends bytes that parse as no frame header at all;
-/// `Truncate` sends a header promising the full payload but only half of
-/// the bytes, so the coordinator sees a mid-frame EOF.
-fn sabotage_answer(writer: &mut impl Write, result: &WireReply, how: FrameSabotage) -> ! {
-    match how {
-        FrameSabotage::Corrupt => {
-            let _ = writer.write_all(b"!corrupt!!\n{\"not\":\"a frame\"}");
-        }
-        FrameSabotage::Truncate => {
-            let payload = serde_json::to_string(result).expect("job results always serialize");
-            let bytes = payload.as_bytes();
-            let _ = writer.write_all(format!("{:010}\n", bytes.len()).as_bytes());
-            let _ = writer.write_all(&bytes[..bytes.len() / 2]);
-        }
+/// Write a deliberately broken answer in place of `answer`'s frame.
+/// `Corrupt` sends bytes that parse as no frame header at all; `Truncate`
+/// sends a header promising the full payload but only half of the bytes,
+/// so the coordinator sees a mid-frame EOF. (A dropped connection writes
+/// nothing, and a duplicate is two whole frames.)
+fn sabotage_answer(writer: &mut impl Write, answer: &WireReply, how: AnswerSabotage) {
+    if how == AnswerSabotage::Corrupt {
+        let _ = writer.write_all(b"!corrupt!!\n{\"not\":\"a frame\"}");
+    } else {
+        let payload = serde_json::to_string(answer).expect("job results always serialize");
+        let bytes = payload.as_bytes();
+        let _ = writer.write_all(format!("{:010}\n", bytes.len()).as_bytes());
+        let _ = writer.write_all(&bytes[..bytes.len() / 2]);
     }
     let _ = writer.flush();
-    std::process::exit(EXIT_SABOTAGED_ANSWER);
 }
 
 /// How one stream's service ended.
@@ -127,7 +123,7 @@ enum ServeEnd {
     Shutdown,
     /// Clean EOF from the peer (socket shut down).
     Eof,
-    /// An injected fault closed the connection (the process survives and
+    /// An injected fault ended the connection (the process survives and
     /// reconnects).
     Dropped,
     /// The coordinator refused the handshake (and said why).
@@ -176,11 +172,11 @@ fn serve<R: Read, W: Write>(
         };
         let mut sabotage = Default::default();
         if !harness.is_empty() {
-            sabotage = harness.on_job(job.spec.index, job.config.backend.is_external());
-            if let Some(code) = sabotage.exit_code {
-                std::process::exit(code);
+            sabotage = harness.on_job(job.spec.index);
+            if sabotage.crash {
+                std::process::exit(EXIT_CRASH);
             }
-            if sabotage.drop_conn {
+            if sabotage.answer == Some(AnswerSabotage::Drop) {
                 // The partition hits before any answer bytes; the
                 // coordinator re-dispatches under a fresh lease.
                 return ServeEnd::Dropped;
@@ -196,23 +192,14 @@ fn serve<R: Read, W: Write>(
             Ok(result) => WireReply::Result(Box::new(result)),
             Err(e) => return ServeEnd::Error(e),
         };
-        if let Some(how) = sabotage.answer {
-            sabotage_answer(writer, &answer, how);
-        }
-        if let Some(delay) = sabotage.delay {
-            std::thread::sleep(delay);
-        }
-        if sabotage.truncate_stream {
-            // Half a frame, then the stream tears: the coordinator sees
-            // a malformed frame / mid-frame EOF.
-            let payload = serde_json::to_string(&answer).expect("job results always serialize");
-            let bytes = payload.as_bytes();
-            let _ = writer.write_all(format!("{:010}\n", bytes.len()).as_bytes());
-            let _ = writer.write_all(&bytes[..bytes.len() / 2]);
-            let _ = writer.flush();
-            return ServeEnd::Dropped;
-        }
-        let copies = if sabotage.duplicate { 2 } else { 1 };
+        let copies = match sabotage.answer {
+            Some(AnswerSabotage::Duplicate) => 2,
+            Some(how) => {
+                sabotage_answer(writer, &answer, how);
+                return ServeEnd::Dropped;
+            }
+            None => 1,
+        };
         for _ in 0..copies {
             if let Err(e) = wire::write_frame(writer, &answer) {
                 return ServeEnd::Error(e);
@@ -310,7 +297,7 @@ fn serve_socket(args: &WorkerArgs, harness: &mut WorkerFaultHarness) -> ! {
             ServeEnd::Eof => {
                 fail(&mut redials_left, format!("coordinator {addr} closed the stream"))
             }
-            ServeEnd::Dropped => fail(&mut redials_left, "injected connection drop".into()),
+            ServeEnd::Dropped => fail(&mut redials_left, "injected fault ended the stream".into()),
             ServeEnd::Refused(reason) => {
                 fail(&mut redials_left, format!("handshake refused: {reason}"))
             }

@@ -92,10 +92,11 @@
 //!   atomic temp+rename, failed writes counted, damaged files recomputed,
 //!   schema-versioned manifests);
 //! * [`faults`] — deterministic fault injection ([`FaultPlan`]) for
-//!   chaos-testing the supervisor: worker crashes/stalls/frame sabotage,
-//!   respawn failures, torn run-dir writes, and network faults (dropped
-//!   connections, delayed/duplicated/torn result frames, refused
-//!   handshakes).
+//!   chaos-testing the supervisor: one [`WorkerFault`] list for slot 0's
+//!   first worker and one for every worker (crashes, stalls, corrupt or
+//!   truncated frames, dropped connections, duplicated answers,
+//!   forgotten pool texts, refused handshakes), plus respawn failures and
+//!   torn run-dir writes.
 //!
 //! **Failure model.** Supervision redispatches a failed job (crash,
 //! expired lease, dropped connection) up to
@@ -134,7 +135,7 @@ pub use executor::{
     InProcessExecutor, NullSink, OrchestratorError, ProgressSink, SessionOutcome, ShardExecutor,
     ShardSession, ShardTask,
 };
-pub use faults::{FaultPlan, NetworkFault, PersistFault, WorkerFault, WorkerFaultSet};
+pub use faults::{FaultPlan, PersistFault, WorkerFault};
 pub use orchestrate::{
     default_workers, OrchestratedResult, Orchestrator, OrchestratorOptions, RunStats,
 };

@@ -41,9 +41,7 @@
 //! matches the planned spec; anything else (missing file, torn line,
 //! mismatched plan) makes the shard recompute on resume. The summary line
 //! carries everything the merge needs, so resumed and fresh runs produce
-//! bit-identical campaign results. Files that older builds streamed (a
-//! `spec` header, one `record` line per program, then the summary) still
-//! load: every line but the summary is skipped.
+//! bit-identical campaign results.
 //!
 //! ## Crash safety
 //!
@@ -65,8 +63,7 @@
 //! which `summary.json` reports as `persist_errors`.
 
 use std::collections::HashMap;
-use std::fs::{self, File};
-use std::io::{BufRead, BufReader};
+use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -357,28 +354,16 @@ impl RunDir {
         self.root.join("shards").join(format!("shard-{index:04}.jsonl"))
     }
 
-    /// Load a shard's output if its file is complete and matches `spec`.
-    /// Incomplete or stale files yield `None` (the shard reruns). Other
-    /// lines — torn or garbled ones, or the header and record lines older
-    /// builds streamed — are skipped, not fatal: only the summary line
-    /// decides completeness, so damage means recompute, never `Corrupt`.
+    /// Load a shard's output if its file is its one complete summary line
+    /// and matches `spec`. Anything else — a missing, torn, garbled or
+    /// stale file — yields `None` and the shard reruns: damage means
+    /// recompute, never `Corrupt`.
     pub fn load_shard(&self, spec: &ShardSpec) -> Option<ShardOutput> {
-        let file = File::open(self.shard_path(spec.index)).ok()?;
-        let mut summary: Option<ShardOutput> = None;
-        for line in BufReader::new(file).lines() {
-            // An unreadable rest-of-file can hide no valid summary line.
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let Ok(value) = serde_json::parse(&line) else { continue };
-            if let Some(obj) = value.as_obj() {
-                if let Some(inner) = obj.get("summary") {
-                    summary = serde_json::from_value(inner).ok();
-                }
-            }
-        }
-        let output = summary?;
+        let text = fs::read_to_string(self.shard_path(spec.index)).ok()?;
+        // A file without its closing newline was torn mid-write.
+        let line = text.strip_suffix('\n')?;
+        let value = serde_json::parse(line).ok()?;
+        let output: ShardOutput = serde_json::from_value(value.as_obj()?.get("summary")?).ok()?;
         (output.spec == *spec).then_some(output)
     }
 
@@ -653,22 +638,6 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
-    /// A shard file in the layout older builds streamed: a spec header,
-    /// one line per record, then (if the shard completed) the summary.
-    fn streamed_layout(output: &ShardOutput, summary: bool) -> String {
-        let line = |key: &str, value: Value| {
-            let mut map = serde_json::Map::new();
-            map.insert(key.to_string(), value);
-            serde_json::to_string(&Value::Obj(map)).unwrap()
-        };
-        let mut lines = vec![line("spec", serde_json::to_value(&output.spec))];
-        lines.extend(output.records.iter().map(|r| line("record", serde_json::to_value(r))));
-        if summary {
-            lines.push(line("summary", serde_json::to_value(output)));
-        }
-        lines.join("\n") + "\n"
-    }
-
     fn shard_output(config: &CampaignConfig, spec: ShardSpec) -> ShardOutput {
         let mut runner = crate::shard::ShardRunner::new(config, spec, None);
         runner.run_segment(spec.budget, |_| {});
@@ -679,12 +648,30 @@ mod tests {
     fn incomplete_shard_files_do_not_load() {
         let root = temp_dir("incomplete");
         let dir = RunDir::open(&root, &manifest()).unwrap();
-        let spec = ShardSpec { index: 0, budget: 3, offset: 0, seed: 2 };
-        // Header + records but no summary, as an older build left a shard
-        // it was killed in: must not load.
-        let output = shard_output(&manifest().config, spec);
-        fs::write(root.join("shards").join("shard-0000.jsonl"), streamed_layout(&output, false))
-            .unwrap();
+        let config = manifest().config;
+        let spec = crate::shard::plan_shards(&config, 2)[0];
+        let output = shard_output(&config, spec);
+        dir.write_shard(&output).unwrap();
+        let path = root.join("shards").join("shard-0000.jsonl");
+        let full = fs::read_to_string(&path).unwrap();
+        assert_eq!(dir.load_shard(&spec).unwrap(), output);
+        // The summary line without its closing newline, a line that is
+        // no summary, a summary for another plan, a second line, and no
+        // file at all: none of them is a complete shard.
+        let mut other = output.clone();
+        other.spec.seed ^= 1;
+        let mut stale = serde_json::Map::new();
+        stale.insert("summary".to_string(), serde_json::to_value(&other));
+        for damaged in [
+            full.trim_end().to_string(),
+            full.replacen("summary", "record", 1),
+            serde_json::to_string(&Value::Obj(stale)).unwrap() + "\n",
+            format!("{full}{full}"),
+        ] {
+            fs::write(&path, &damaged).unwrap();
+            assert!(dir.load_shard(&spec).is_none(), "{}", &damaged[..damaged.len().min(40)]);
+        }
+        fs::remove_file(&path).unwrap();
         assert!(dir.load_shard(&spec).is_none());
         let _ = fs::remove_dir_all(&root);
     }
@@ -705,14 +692,17 @@ mod tests {
         let torn: String = full.chars().take(full.len() / 2).collect();
         fs::write(&path, &torn).unwrap();
         assert!(dir.load_shard(&spec).is_none());
-        // In an older build's streamed layout, a damaged *middle* line
-        // doesn't disqualify a surviving summary: only the summary counts.
-        let streamed = streamed_layout(&output, true);
-        let mut lines: Vec<&str> = streamed.lines().collect();
-        let torn_middle = &lines[1][..lines[1].len() / 2].to_string();
-        lines[1] = torn_middle;
-        fs::write(&path, lines.join("\n")).unwrap();
-        assert_eq!(dir.load_shard(&spec).unwrap(), output);
+        // Binary garbage over the tail, newline kept: still no shard.
+        let mut garbled = full.clone().into_bytes();
+        let tail = garbled.len() / 2;
+        let end = garbled.len() - 1;
+        garbled[tail..end].fill(0xFF);
+        fs::write(&path, &garbled).unwrap();
+        assert!(dir.load_shard(&spec).is_none());
+        // ASCII garbage that keeps the file valid UTF-8: still no shard.
+        garbled[tail..end].fill(b'#');
+        fs::write(&path, &garbled).unwrap();
+        assert!(dir.load_shard(&spec).is_none());
         let _ = fs::remove_dir_all(&root);
     }
 

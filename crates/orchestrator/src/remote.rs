@@ -64,12 +64,11 @@
 //!   resumes under any executor.
 //!
 //! Deterministic chaos drives all of this through
-//! [`SupervisionConfig::faults`]: worker and worker-side network faults
-//! ship to the first self-spawned worker via the fault env,
-//! `respawn_failures` fail the coordinator's respawn attempts, and
-//! `RefuseHandshake` arms the acceptor. A fault may cost time, never
-//! bits — a run that completes under any fault is bit-identical to the
-//! fault-free in-process run.
+//! [`SupervisionConfig::faults`]: worker faults ship to the self-spawned
+//! workers via the fault env, `respawn_failures` fail the coordinator's
+//! respawn attempts, and `RefuseHandshake` arms the acceptor. A fault may
+//! cost time, never bits — a run that completes under any fault is
+//! bit-identical to the fault-free in-process run.
 
 use std::collections::HashSet;
 use std::io;
@@ -94,10 +93,6 @@ use crate::orchestrate::default_workers;
 use crate::shard::ShardOutput;
 use crate::supervisor::{EpochState, SupervisionCounts};
 use crate::wire::{self, Hello, ShardJob, ShardJobResult, WireReply, WireRequest};
-
-/// Environment variable overriding the worker binary path (useful for
-/// driving an explicitly built binary from scripts and CI).
-pub const WORKER_BIN_ENV: &str = "LLM4FP_WORKER_BIN";
 
 /// How long an accepted connection gets to present its `Hello` before
 /// the handler gives up on it (keeps a port-scanner's silent connection
@@ -136,8 +131,8 @@ pub struct SupervisionConfig {
     /// ephemeral loopback port); use e.g. `0.0.0.0:7070` to accept
     /// workers from other machines.
     pub listen: String,
-    /// The worker daemon binary. `None` resolves [`WORKER_BIN_ENV`], then
-    /// `llm4fp-worker` next to the current executable.
+    /// The worker daemon binary. `None` resolves `llm4fp-worker` next to
+    /// the current executable.
     pub worker_bin: Option<PathBuf>,
     /// The deadline lease on one dispatched segment. A worker that
     /// neither answers nor disconnects within it loses the lease: the
@@ -152,11 +147,10 @@ pub struct SupervisionConfig {
     /// resets whenever any worker is connected. Defaults to 30 s.
     pub worker_wait: Duration,
     /// A deterministic [`FaultPlan`] for chaos testing (empty by default,
-    /// which costs one branch per site). Worker and worker-side network
-    /// faults ship to the first self-spawned worker via
-    /// [`crate::faults::FAULT_PLAN_ENV`], `respawn_failures` fail the
-    /// coordinator's respawn attempts, and
-    /// [`RefuseHandshake`](crate::faults::NetworkFault::RefuseHandshake)
+    /// which costs one branch per site). Worker faults ship to the
+    /// self-spawned workers via [`crate::faults::FAULT_PLAN_ENV`],
+    /// `respawn_failures` fail the coordinator's respawn attempts, and
+    /// [`RefuseHandshake`](crate::faults::WorkerFault::RefuseHandshake)
     /// arms the acceptor. ([`PersistFault`](crate::faults::PersistFault)s
     /// belong to the orchestrator — see
     /// [`crate::Orchestrator::persist_faults`].)
@@ -201,15 +195,11 @@ impl WorkerExecutor {
     }
 }
 
-/// Resolve the `llm4fp-worker` binary: the explicit override, then
-/// [`WORKER_BIN_ENV`], then `llm4fp-worker` next to the current
-/// executable.
+/// Resolve the `llm4fp-worker` binary: the explicit path, else
+/// `llm4fp-worker` next to the current executable.
 fn resolve_worker_bin(explicit: Option<&Path>) -> Result<PathBuf, OrchestratorError> {
     if let Some(bin) = explicit {
         return Ok(bin.to_path_buf());
-    }
-    if let Some(bin) = std::env::var_os(WORKER_BIN_ENV) {
-        return Ok(PathBuf::from(bin));
     }
     let exe = std::env::current_exe().map_err(|e| {
         OrchestratorError::WorkerUnavailable(format!("cannot locate current executable: {e}"))
@@ -226,7 +216,7 @@ fn resolve_worker_bin(explicit: Option<&Path>) -> Result<PathBuf, OrchestratorEr
     } else {
         Err(OrchestratorError::WorkerUnavailable(format!(
             "worker binary not found at {} (build it with `cargo build -p \
-             llm4fp-orchestrator --bin llm4fp-worker`, set {WORKER_BIN_ENV}, or set \
+             llm4fp-orchestrator --bin llm4fp-worker`, or set \
              SupervisionConfig::worker_bin)",
             bin.display()
         )))
@@ -267,6 +257,7 @@ impl ShardExecutor for WorkerExecutor {
             slot: Mutex::new(EpochSlot { epoch_id: 0, active: None }),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            accepting: AtomicBool::new(true),
             workers_live: AtomicUsize::new(0),
             refuse_budget: AtomicU32::new(config.faults.refuse_handshakes()),
             children: Mutex::new(Vec::with_capacity(worker_procs)),
@@ -330,8 +321,8 @@ struct Spawner {
 }
 
 impl Spawner {
-    /// Launch one worker dialing the session. Fault payloads ship to the
-    /// first spawn of slot 0 only; job ordinals count across its
+    /// Launch one worker dialing the session. `first_worker` faults ship
+    /// to the first spawn of slot 0 only; job ordinals count across its
     /// reconnects, so "drop at job 1, then heal" stays deterministic.
     fn spawn(&self, first_of_slot0: bool) -> io::Result<Child> {
         let mut cmd = Command::new(&self.bin);
@@ -410,11 +401,16 @@ struct Shared {
     /// Notified on: epoch installed, job completed/abandoned, shutdown.
     cv: Condvar,
     shutdown: AtomicBool,
+    /// Cleared once shutdown has reaped every self-spawned worker. Until
+    /// then the acceptor keeps serving, so a worker that redials during
+    /// shutdown is handed its `Shutdown` frame instead of being left to
+    /// the kill at the end of the grace window.
+    accepting: AtomicBool,
     /// Connections that passed the handshake and are serving (feeds the
     /// session's worker-starvation clock).
     workers_live: AtomicUsize,
     /// Remaining injected handshake refusals
-    /// ([`crate::faults::NetworkFault::RefuseHandshake`]).
+    /// ([`crate::faults::WorkerFault::RefuseHandshake`]).
     refuse_budget: AtomicU32,
     /// Self-spawned workers, one per slot (empty with external workers).
     children: Mutex<Vec<ChildSlot>>,
@@ -497,11 +493,11 @@ fn kill_silent_worker(shared: &Shared, pid: Option<u32>) {
     }
 }
 
-/// The accept loop: a blocking accept, woken for shutdown by one
-/// self-connect; every accepted stream gets its own handler thread.
+/// The accept loop: a blocking accept, woken for the end of shutdown by
+/// one self-connect; every accepted stream gets its own handler thread.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if !shared.accepting.load(Ordering::SeqCst) {
             return;
         }
         match stream {
@@ -801,10 +797,11 @@ impl WorkerSession<'_> {
         for child in children.iter_mut().filter_map(|slot| slot.child.as_mut()) {
             kill_group(child);
         }
+        self.shared.accepting.store(false, Ordering::SeqCst);
         if let Some(acceptor) = self.acceptor.take() {
             // One self-connect wakes the blocking accept, which then sees
-            // the shutdown flag. An unspecified bind IP is reachable on
-            // loopback.
+            // the cleared `accepting` flag. An unspecified bind IP is
+            // reachable on loopback.
             let mut wake = self.addr;
             if wake.ip().is_unspecified() {
                 wake.set_ip(match wake.ip() {

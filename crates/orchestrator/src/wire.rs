@@ -215,7 +215,7 @@ pub enum WireRequest {
     /// [`WireReply::Hello`].
     Hello(Hello),
     /// The coordinator refuses the handshake (version skew or injected
-    /// [`crate::faults::NetworkFault::RefuseHandshake`]); the worker must
+    /// [`crate::faults::WorkerFault::RefuseHandshake`]); the worker must
     /// not send jobsward frames on this stream.
     Refuse(String),
     /// Run one shard segment and answer with a [`WireReply::Result`].

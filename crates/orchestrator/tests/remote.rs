@@ -4,8 +4,8 @@
 //! in-process run for any `(K, E, worker_procs)` — under an injected
 //! worker crash (the job redispatches and the worker is respawned), a
 //! stalled worker (its lease expires, it is killed and respawned),
-//! sabotaged answer frames, failed respawns, every [`NetworkFault`]
-//! variant (a fault may cost time, never bits), a
+//! sabotaged answer frames, failed respawns, every connection-level
+//! [`WorkerFault`] (a fault may cost time, never bits), a
 //! mid-epoch disconnect-reconnect-resume, expired leases (the silent
 //! worker is killed, so its answer can never merge) and retransmitted
 //! answers (discarded by lease generation, never merged).
@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use llm4fp::{ApproachKind, CampaignConfig, CampaignResult};
 use llm4fp_orchestrator::wire::{read_frame, write_frame, WireReply, WireRequest};
 use llm4fp_orchestrator::{
-    FaultPlan, Hello, NetworkFault, NullSink, OrchestratedResult, Orchestrator, OrchestratorError,
+    FaultPlan, Hello, NullSink, OrchestratedResult, Orchestrator, OrchestratorError,
     OrchestratorOptions, Scheduler, ShardExecutor, SupervisionConfig, WorkerExecutor, WorkerFault,
     PROTOCOL_VERSION,
 };
@@ -212,7 +212,8 @@ fn metrics_json_is_byte_identical_across_transports() {
         SupervisionConfig { faults: first_worker_plan(WorkerFault::CrashAtJob(1)), ..workers(2) };
     let mut reference: Option<String> = None;
     for (tag, supervision) in [("in-process", None), ("healed-workers", Some(crashing))] {
-        let root = temp_dir(&format!("metrics-{tag}"));
+        // Apart from the other metrics test's dirs: tests run in parallel.
+        let root = temp_dir(&format!("healed-metrics-{tag}"));
         let mut builder = Orchestrator::new(config.clone())
             .shards(3)
             .epochs(2)
@@ -324,17 +325,25 @@ fn stalled_worker_is_killed_and_its_job_redispatched() {
 
 #[test]
 fn sabotaged_answer_frames_redispatch_and_stay_bit_identical() {
-    // A worker that answers with garbage (or a truncated frame) is as
-    // dead as one that crashed: the coordinator must treat the malformed
-    // answer as a dispatch failure and replay the job elsewhere.
+    // A worker that answers with garbage (or a truncated frame) ends
+    // its connection: the coordinator must treat the malformed answer as
+    // a dispatch failure and replay the job. With one worker the replay
+    // runs on the worker's redialed connection.
     let config = config(ApproachKind::Llm4Fp, 16, 21);
     let reference = in_process(&config, 3, 1);
     for fault in [WorkerFault::CorruptFrameAtJob(1), WorkerFault::TruncateFrameAtJob(1)] {
-        let what = format!("{fault:?}");
-        let sabotaged = SupervisionConfig { faults: first_worker_plan(fault), ..workers(2) };
-        let survived = on_workers(&config, 3, 1, sabotaged);
-        assert_results_identical(&survived.result, &reference.result, &what);
-        assert!(survived.stats.failures.is_empty(), "{what}: healed, not a shard failure");
+        for worker_procs in [1usize, 2] {
+            let what = format!("{fault:?} procs={worker_procs}");
+            let sabotaged = SupervisionConfig {
+                faults: first_worker_plan(fault.clone()),
+                ..workers(worker_procs)
+            };
+            let survived = on_workers(&config, 3, 1, sabotaged);
+            assert_results_identical(&survived.result, &reference.result, &what);
+            assert!(survived.stats.failures.is_empty(), "{what}: healed, not a shard failure");
+            let supervision = survived.stats.supervision;
+            assert_eq!(supervision.redispatches, 1, "{what}: {supervision:?}");
+        }
     }
 }
 
@@ -411,32 +420,23 @@ fn scheduler_suites_run_on_the_process_pool() {
     }
 }
 
-/// A plan arming exactly one network fault — the network-chaos
-/// equivalence shape: the fault fires deterministically and the
-/// supervisor's recovery heals it without changing a bit.
-fn network_plan(fault: NetworkFault) -> FaultPlan {
-    FaultPlan { network: vec![fault], ..FaultPlan::default() }
-}
-
 #[test]
 fn every_network_fault_heals_bit_identically_in_abort_mode() {
-    // The whole FaultPlan::network vocabulary, one variant at a time,
-    // one variant at a time: a dropped connection redials and
-    // resumes, a delayed frame just arrives later, a duplicated result
-    // is discarded as stale by lease generation, a torn stream is a
-    // dispatch failure that replays elsewhere, and a refused handshake
-    // heals on the worker's next dial. None of it may cost a bit.
+    // The connection-level faults, one at a time: a dropped connection
+    // redials and resumes, a duplicated result is discarded as stale by
+    // lease generation, a slow answer just arrives later, and a refused
+    // handshake heals on the worker's next dial. None of it may cost a
+    // bit.
     let config = config(ApproachKind::Llm4Fp, 20, 5);
     let reference = in_process(&config, 4, 1);
     for fault in [
-        NetworkFault::DropConnAtJob(1),
-        NetworkFault::DelayFrameMs(50),
-        NetworkFault::DuplicateResultAtJob(1),
-        NetworkFault::TruncateStreamAtJob(1),
-        NetworkFault::RefuseHandshake,
+        WorkerFault::DropConnAtJob(1),
+        WorkerFault::DuplicateResultAtJob(1),
+        WorkerFault::StallMs(50),
+        WorkerFault::RefuseHandshake,
     ] {
         let what = format!("{fault:?}");
-        let chaotic = SupervisionConfig { faults: network_plan(fault), ..workers(2) };
+        let chaotic = SupervisionConfig { faults: first_worker_plan(fault), ..workers(2) };
         let survived = on_workers(&config, 4, 1, chaotic);
         assert_results_identical(&survived.result, &reference.result, &what);
         assert!(survived.stats.failures.is_empty(), "{what}: healed, not a shard failure");
@@ -452,8 +452,10 @@ fn a_worker_that_cannot_fill_a_pool_text_drops_and_the_job_redispatches_bit_iden
     // the worker's next connection, which resends every text.
     let config = config(ApproachKind::Llm4Fp, 24, 5);
     let reference = in_process(&config, 2, 3);
-    let forgetful =
-        SupervisionConfig { faults: network_plan(NetworkFault::ForgetPoolAtJob(3)), ..workers(1) };
+    let forgetful = SupervisionConfig {
+        faults: first_worker_plan(WorkerFault::ForgetPoolAtJob(3)),
+        ..workers(1)
+    };
     let survived = on_workers(&config, 2, 3, forgetful);
     assert_results_identical(&survived.result, &reference.result, "unfillable pool text");
     assert_eq!(survived.stats.supervision.redispatches, 1, "the unfillable job redispatched");
@@ -474,7 +476,7 @@ fn retransmitted_answers_count_as_stale_across_barriers() {
         let what = format!("K={shards} DuplicateResultAtJob({n})");
         let reference = in_process(&config, shards, 2);
         let retransmitting = SupervisionConfig {
-            faults: network_plan(NetworkFault::DuplicateResultAtJob(n)),
+            faults: first_worker_plan(WorkerFault::DuplicateResultAtJob(n)),
             ..workers(1)
         };
         let survived = on_workers(&config, shards, 2, retransmitting);
@@ -520,7 +522,7 @@ fn mid_epoch_disconnect_reconnects_and_resumes_bit_identically() {
     for epochs in [1usize, 2] {
         let reference = in_process(&config, 3, epochs);
         let partitioned = SupervisionConfig {
-            faults: network_plan(NetworkFault::DropConnAtJob(2)),
+            faults: first_worker_plan(WorkerFault::DropConnAtJob(2)),
             ..workers(1)
         };
         let survived = on_workers(&config, 3, epochs, partitioned);
@@ -535,7 +537,7 @@ fn mid_epoch_disconnect_reconnects_and_resumes_bit_identically() {
 
 #[test]
 fn expired_leases_redispatch_and_late_answers_never_merge() {
-    // Worker process 0 delays every answer past the lease deadline, so
+    // Worker process 0 stalls every answer past the lease deadline, so
     // its dispatch expires and re-queues, and the coordinator kills it;
     // its respawn carries no fault, so the default dispatch budget
     // suffices. Process 0's late answer can never land: its lease is
@@ -546,7 +548,7 @@ fn expired_leases_redispatch_and_late_answers_never_merge() {
     let reference = in_process(&config, 3, 1);
     let laggy = SupervisionConfig {
         lease_timeout: Duration::from_millis(300),
-        faults: network_plan(NetworkFault::DelayFrameMs(450)),
+        faults: first_worker_plan(WorkerFault::StallMs(450)),
         ..workers(2)
     };
     let survived = on_workers(&config, 3, 1, laggy);
