@@ -193,11 +193,8 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         ("sharded_campaign_trace", TelemetrySpec::TRACE),
     ] {
         group.bench_function(label, |b| {
-            let orchestrator = Orchestrator::new(config.clone())
-                .shards(4)
-                .workers(2)
-                .cache(false)
-                .telemetry(telemetry);
+            let orchestrator =
+                Orchestrator::new(config.clone()).shards(4).workers(2).telemetry(telemetry);
             b.iter(|| black_box(orchestrator.clone().run().unwrap()))
         });
     }

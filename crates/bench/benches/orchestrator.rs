@@ -1,17 +1,9 @@
 //! Orchestrator benchmarks: sequential driver vs sharded execution of the
-//! same 200-program Varity campaign, plus the result cache's effect on a
-//! duplicate-heavy Direct-Prompt campaign (the approach whose unguided
-//! sampling repeats knowledge-base programs — ~30% duplicates at a
-//! 600-program budget). The sharded/sequential pair is the acceptance
-//! benchmark for the sharded engine: on a 4-core runner the 8-shard
-//! configuration should finish at least ~2x faster than the sequential
-//! baseline. On fewer cores, expect parity — the interesting number there
-//! is the orchestration overhead, which should be negligible.
-//!
-//! The cache pair measures bookkeeping overhead vs duplicate savings. On
-//! the *virtual* compiler a matrix run costs microseconds, so expect the
-//! two near parity; the cache's real payoff is the `extcc` backend and
-//! larger matrices, where one cached program saves 18 process spawns.
+//! same 200-program Varity campaign. The sharded/sequential pair is the
+//! acceptance benchmark for the sharded engine: on a 4-core runner the
+//! 8-shard configuration should finish at least ~2x faster than the
+//! sequential baseline. On fewer cores, expect parity — the interesting
+//! number there is the orchestration overhead, which should be negligible.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use llm4fp::{ApproachKind, Campaign, CampaignConfig};
@@ -31,34 +23,18 @@ fn bench_sharding(c: &mut Criterion) {
     });
     for shards in [2usize, 4, 8] {
         group.bench_function(format!("sharded_k{shards}"), |b| {
-            let orchestrator = Orchestrator::new(varity_200(1)).shards(shards).cache(false);
+            let orchestrator = Orchestrator::new(varity_200(1)).shards(shards);
             b.iter(|| orchestrator.clone().run().unwrap())
         });
     }
     // Feedback exchange adds E - 1 barrier synchronizations per campaign;
     // against sharded_k8 this prices the barrier overhead.
     group.bench_function("sharded_k8_e4_exchange", |b| {
-        let orchestrator = Orchestrator::new(varity_200(1)).shards(8).epochs(4).cache(false);
+        let orchestrator = Orchestrator::new(varity_200(1)).shards(8).epochs(4);
         b.iter(|| orchestrator.clone().run().unwrap())
     });
     group.finish();
 }
 
-fn bench_cache(c: &mut Criterion) {
-    let mut group = c.benchmark_group("orchestrator_direct_prompt_600_cache");
-    group.sample_size(10);
-    let config = CampaignConfig::new(ApproachKind::DirectPrompt)
-        .with_budget(600)
-        .with_seed(3)
-        .with_threads(1);
-    for (label, cache) in [("cache_off", false), ("cache_on", true)] {
-        group.bench_function(label, |b| {
-            let orchestrator = Orchestrator::new(config.clone()).shards(4).cache(cache);
-            b.iter(|| orchestrator.clone().run().unwrap())
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_sharding, bench_cache);
+criterion_group!(benches, bench_sharding);
 criterion_main!(benches);

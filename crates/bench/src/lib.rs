@@ -5,7 +5,8 @@
 //! Criterion benchmarks that measure the cost of each pipeline stage.
 //!
 //! Campaigns run through the `llm4fp-orchestrator` engine: sharded over a
-//! worker pool with the differential-testing result cache enabled. With
+//! worker pool, with the differential-testing result cache serving
+//! `--backend extcc` campaigns in process. With
 //! the default `--shards 1` the results are bit-identical to the
 //! sequential driver; higher shard counts trade the single global
 //! feedback set for wall-clock scalability (results stay deterministic
@@ -344,7 +345,6 @@ impl ExpOptions {
     pub fn orchestrator_options(&self) -> OrchestratorOptions {
         OrchestratorOptions {
             workers: self.workers,
-            cache: true,
             epochs: self.epochs,
             run_dir: self.run_dir.clone(),
             telemetry: self.telemetry_spec(),

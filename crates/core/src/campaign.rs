@@ -342,9 +342,6 @@ pub struct CampaignRunner {
     comparisons_per_program: usize,
     input_seed: u64,
     cache: Option<Arc<ResultCache>>,
-    /// Backend fingerprint scoping this runner's cache keys: entries from
-    /// different backends (or different external toolchains) never mix.
-    cache_scope: String,
     /// The feedback loop's successful set: what Feedback-Based Mutation
     /// draws its seeds from.
     successful: SuccessfulSet,
@@ -426,7 +423,6 @@ impl CampaignRunner {
         if let BackendSpec::External(spec) = &config.backend {
             tester = tester.with_backend(ExecBackend::External(Arc::new(spec.toolchain())));
         }
-        let cache_scope = tester.backend_fingerprint();
         let comparisons_per_program = tester.comparisons_per_program();
         CampaignRunner {
             rng: StdRng::seed_from_u64(seed),
@@ -444,7 +440,6 @@ impl CampaignRunner {
             comparisons_per_program,
             input_seed: seed ^ 0x5eed_0003,
             cache: None,
-            cache_scope,
             successful: SuccessfulSet::default(),
             scratch: MatrixScratch::new(),
             aggregates: Aggregates::new(),
@@ -523,7 +518,9 @@ impl CampaignRunner {
 
     /// Share a differential-testing result cache with this runner.
     /// Caching is semantically transparent (see the module docs on input
-    /// derivation), so results are bit-identical with or without it.
+    /// derivation), so results are bit-identical with or without it. Keys
+    /// are scoped by everything besides the program that determines its
+    /// result, so any runners may share one cache.
     pub fn with_cache(mut self, cache: Arc<ResultCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -536,7 +533,6 @@ impl CampaignRunner {
     /// (A virtual-backend knob: it overrides any external backend.)
     pub fn with_reference_execution(mut self) -> Self {
         self.tester = self.tester.clone().with_engine(ExecEngine::Reference);
-        self.cache_scope = self.tester.backend_fingerprint();
         self
     }
 
@@ -652,13 +648,24 @@ impl CampaignRunner {
     }
 
     /// Differential-test one program, consulting the shared cache when one
-    /// is attached. Inputs are a pure function of (campaign seed, program
-    /// structure), so cached results are bit-identical to recomputation.
-    /// Keys are scoped by the backend fingerprint: a hit on the external
-    /// backend skips every process spawn of the duplicate's matrix; a
-    /// virtual entry can never satisfy an external lookup or vice versa.
+    /// is attached. A result is a pure function of the program and of what
+    /// the key's scope names: the backend fingerprint, the input seed, the
+    /// precision and the compiler × level matrix. So a hit is bit-identical
+    /// to recomputation, and runners that differ in any of these never
+    /// serve each other. On the external backend a hit skips every process
+    /// spawn of the duplicate's matrix.
     fn test_program(&mut self, program: &Program, hash: u64, id: &str) -> CachedDiff {
-        let key = self.cache.as_ref().map(|_| ResultCache::scoped_key(&self.cache_scope, id));
+        let key = self.cache.as_ref().map(|_| {
+            let scope = format!(
+                "{}/{:016x}/{:?}/{:?}x{:?}",
+                self.tester.backend_fingerprint(),
+                self.input_seed,
+                self.config.precision,
+                self.config.compilers,
+                self.config.levels
+            );
+            ResultCache::scoped_key(&scope, id)
+        });
         if let (Some(cache), Some(key)) = (&self.cache, &key) {
             if let Some(cached) = cache.get(key) {
                 return cached;
@@ -1223,6 +1230,39 @@ mod tests {
         assert_eq!(cache.stats().hits, stats.hits + (stats.hits + stats.misses));
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn runners_sharing_a_cache_never_serve_each_other_across_input_seeds_or_matrices() {
+        // Varity's program stream ignores test results, so the two runners
+        // of each pair generate the same programs: every lookup of the
+        // second one would hit the first one's entries if the key scope did
+        // not tell the runners apart.
+        let base =
+            CampaignConfig::new(ApproachKind::Varity).with_budget(12).with_seed(4).with_threads(1);
+        let mut fewer_levels = base.clone();
+        fewer_levels.levels.truncate(2);
+        let run = |config: &CampaignConfig, input_seed: u64, cache: Option<&Arc<ResultCache>>| {
+            let mut runner = CampaignRunner::new(config.clone()).with_input_seed(input_seed);
+            if let Some(cache) = cache {
+                runner = runner.with_cache(Arc::clone(cache));
+            }
+            for index in 0..config.programs {
+                runner.run_one(index);
+            }
+            runner.finish()
+        };
+        let pairs =
+            [("input seed", (&base, 4), (&base, 5)), ("levels", (&base, 4), (&fewer_levels, 4))];
+        for (what, first, second) in pairs {
+            let cache = Arc::new(ResultCache::new());
+            for (config, input_seed) in [first, second] {
+                let cached = run(config, input_seed, Some(&cache));
+                let plain = run(config, input_seed, None);
+                assert_eq!(cached.records, plain.records, "runners differing in {what}");
+                assert_eq!(cached.aggregates, plain.aggregates, "runners differing in {what}");
+            }
+        }
     }
 
     #[test]

@@ -1,37 +1,31 @@
-//! A concurrent result cache over the differential-testing matrix.
+//! The result cache of external-backend campaigns.
 //!
-//! Generators produce structurally duplicate programs — Direct-Prompt's
-//! unguided sampling repeats knowledge-base programs outright (~30% of a
-//! 600-program budget), and campaigns sharing a seed regenerate each
-//! other's programs — and every duplicate re-runs the full
-//! 18-configuration compile/execute/compare matrix, the most expensive
-//! stage of the pipeline. Campaigns derive each program's input set from
-//! the program's structural hash (see `llm4fp::campaign`), so a duplicate
-//! program is guaranteed to produce a bit-identical [`ProgramDiffResult`];
-//! caching by structural `program_id` is therefore semantically
-//! transparent: a campaign with the cache enabled returns exactly the same
-//! result as one without it.
+//! Generators produce structurally duplicate programs: Direct-Prompt's
+//! unguided sampling repeats knowledge-base programs outright, and
+//! campaigns that share a seed regenerate each other's programs.
+//! Campaigns derive each program's input set from the program's
+//! structural hash (see `llm4fp::campaign`), so a duplicate program is
+//! guaranteed to produce a bit-identical [`ProgramDiffResult`], and
+//! caching by structural `program_id` is semantically transparent: a
+//! campaign served by the cache returns exactly the result it would have
+//! computed.
 //!
-//! The cache is **backend-aware**: entries computed by different
-//! execution backends are never interchangeable (a real toolchain's bits
-//! legitimately differ from the virtual compiler's), so lookups key on a
-//! [`ResultCache::scoped_key`] composed of the backend's fingerprint and
-//! the structural program id. On the external backend a hit is the big
-//! win the ROADMAP promised: all of a duplicate's process spawns — one
-//! compiler spawn per configuration plus one binary spawn per input set,
-//! so 24 for the usual detected gcc + clang matrix (2 compilers × 6
-//! levels) and 36 if every personality of the full 18-configuration
-//! matrix had a host binary — are skipped outright.
+//! The orchestrator builds at most one cache per run, in process, and
+//! hands it only to campaigns on the external backend. There a hit skips
+//! every process spawn of the duplicate's matrix: one compiler spawn per
+//! configuration plus one binary spawn per input set, so 24 for the usual
+//! detected gcc + clang matrix (2 compilers × 6 levels). On the virtual
+//! backend recomputing a duplicate costs less than holding every result.
 //!
-//! The map is sharded 16 ways to keep lock contention negligible when many
-//! campaign shards share one cache. Hit/miss counters are advisory
-//! statistics: under concurrent execution two workers may both miss on the
-//! same program and compute it twice — the merged campaign result is
+//! Keys are [`ResultCache::scoped_key`]s: the caller's scope (the
+//! runner's backend fingerprint, input seed, precision and matrix) joined
+//! to the structural program id, so campaigns share an entry only when
+//! they would compute the same result. Hit/miss counters are advisory
+//! statistics: under concurrent execution two workers may both miss on
+//! the same program and compute it twice — the merged campaign result is
 //! unaffected because both computations are bit-identical.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -40,8 +34,6 @@ use serde::{Deserialize, Serialize};
 use llm4fp_compiler::{CompilerId, OptLevel};
 
 use crate::matrix::ProgramDiffResult;
-
-const SHARDS: usize = 16;
 
 /// One cached test outcome: the full matrix result plus the RQ4 baseline
 /// comparisons.
@@ -70,22 +62,13 @@ impl CacheStats {
     }
 }
 
-/// Sharded concurrent map from structural `program_id` to [`CachedDiff`].
-#[derive(Debug)]
+/// Concurrent map from scoped program key to [`CachedDiff`]. One lock
+/// suffices: each lookup stands in for a whole matrix of process spawns.
+#[derive(Debug, Default)]
 pub struct ResultCache {
-    shards: [Mutex<HashMap<String, CachedDiff>>; SHARDS],
+    entries: Mutex<HashMap<String, CachedDiff>>,
     hits: AtomicU64,
     misses: AtomicU64,
-}
-
-impl Default for ResultCache {
-    fn default() -> Self {
-        ResultCache {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
 }
 
 impl ResultCache {
@@ -93,24 +76,19 @@ impl ResultCache {
         Self::default()
     }
 
-    /// Compose the backend-scoped cache key for a program: the backend
-    /// fingerprint (see `ExecBackend::fingerprint`) joined to the
+    /// Compose the scoped cache key for a program: a scope (everything
+    /// besides the program that determines its result, starting with the
+    /// backend fingerprint, see `ExecBackend::fingerprint`) joined to the
     /// structural program id with a separator neither side contains.
-    /// Different backends therefore occupy disjoint key spaces of one
-    /// shared cache — sharing the map is always sound.
-    pub fn scoped_key(backend_fingerprint: &str, program_id: &str) -> String {
-        format!("{backend_fingerprint}\u{1f}{program_id}")
+    /// Different scopes therefore occupy disjoint key spaces of one shared
+    /// cache — sharing the map is always sound.
+    pub fn scoped_key(scope: &str, program_id: &str) -> String {
+        format!("{scope}\u{1f}{program_id}")
     }
 
-    fn shard(&self, key: &str) -> &Mutex<HashMap<String, CachedDiff>> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % SHARDS]
-    }
-
-    /// Look up a program by structural id, counting a hit or miss.
+    /// Look up a program by scoped key, counting a hit or miss.
     pub fn get(&self, program_id: &str) -> Option<CachedDiff> {
-        let found = self.shard(program_id).lock().unwrap().get(program_id).cloned();
+        let found = self.entries.lock().unwrap().get(program_id).cloned();
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -122,12 +100,12 @@ impl ResultCache {
     /// Insert a freshly computed outcome. Last write wins; concurrent
     /// writers always insert bit-identical values (see module docs).
     pub fn insert(&self, program_id: String, cached: CachedDiff) {
-        self.shard(&program_id).lock().unwrap().insert(program_id, cached);
+        self.entries.lock().unwrap().insert(program_id, cached);
     }
 
     /// Number of distinct programs currently cached.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
+        self.entries.lock().unwrap().len()
     }
 
     pub fn is_empty(&self) -> bool {

@@ -117,9 +117,9 @@ pub struct SessionOutcome {
 }
 
 /// Everything one transport needs to run one shard: the campaign config,
-/// the shard plan, and the run-level wiring (the cache handle for
-/// in-process execution, the shard's telemetry lane, and an optional
-/// checkpoint to resume from). Each task runs on one thread, so the
+/// the shard plan, and the run-level wiring (the run's result cache for
+/// an external-backend campaign, the shard's telemetry lane, and an
+/// optional checkpoint to resume from). Each task runs on one thread, so the
 /// worker count bounds how many external compilers spawn at once.
 #[derive(Clone)]
 pub struct ShardTask {
@@ -127,9 +127,10 @@ pub struct ShardTask {
     pub config: CampaignConfig,
     /// The shard plan to execute.
     pub spec: ShardSpec,
-    /// Shared differential-testing result cache (in-process transports
-    /// only; out-of-process workers run uncached — the cache is
-    /// semantically transparent, so results are unaffected).
+    /// The run's result cache, for external-backend campaigns only. Only
+    /// the in-process transport consults it; out-of-process workers run
+    /// uncached — the cache is semantically transparent, so results are
+    /// unaffected.
     pub cache: Option<Arc<ResultCache>>,
     /// This shard's telemetry lane. Out-of-process transports absorb the
     /// worker's exported counters into it at each barrier.
@@ -168,14 +169,6 @@ impl ProgressSink for NullSink {
 pub trait ShardExecutor: Send + Sync + fmt::Debug {
     /// Short stable name for logs (`"in-process"`, `"workers"`).
     fn name(&self) -> &'static str;
-
-    /// Whether the shared [`ShardTask::cache`] handles are actually
-    /// consulted by this transport. Out-of-process executors return
-    /// `false`: their workers run uncached, so coordinator-side cache
-    /// statistics would be meaningless.
-    fn shares_cache(&self) -> bool {
-        true
-    }
 
     /// Start a session over `tasks`. Progress reaches `sink` as it
     /// happens (subject to the transport's delivery granularity: an
@@ -230,7 +223,8 @@ pub trait ShardSession {
 }
 
 /// The in-process transport: shard runners on a worker-thread pool in
-/// this process, sharing the result cache directly.
+/// this process, where an external campaign's tasks share the run's
+/// result cache directly.
 /// This is the refactored classic engine — outputs are bit-identical to
 /// the pre-executor code path (pinned by `tests/invariants.rs`).
 #[derive(Debug, Clone)]

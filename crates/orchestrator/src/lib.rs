@@ -16,8 +16,8 @@
 //!      |        ShardExecutor::begin(tasks, sink) |
 //!      |                   |                      |
 //!      |    InProcessExecutor          WorkerExecutor  |
-//!      |    (thread pool +             (llm4fp-worker --connect
-//!      |     shared cache)              daemons over TCP: leases,
+//!      |    (thread pool; one          (llm4fp-worker --connect
+//!      |     cache for extcc)           daemons over TCP: leases,
 //!      |                                heartbeats, reconnect, respawn,
 //!      |                                crash redispatch)
 //!      |                   |                      |
@@ -32,11 +32,12 @@
 //! every shard derives its RNG streams from
 //! `config.seed ^ mix(shard_index)` (mix(0) = 0, so shard 0 replays the
 //! sequential stream), program inputs
-//! are derived from the program's structural hash (so the shared result
-//! cache is semantically transparent), shards only communicate at
+//! are derived from the program's structural hash (so the result cache
+//! that external-backend campaigns share in process is semantically
+//! transparent), shards only communicate at
 //! deterministic epoch barriers (merge in shard-index order, broadcast of
 //! the merged deltas), and outputs merge in shard order.
-//! Worker count, scheduling order, caching, **transport** (in-process
+//! Worker count, scheduling order, cache hits, **transport** (in-process
 //! threads or out-of-process worker daemons, including worker crashes and
 //! expired leases), and interruption/resume all leave the result
 //! bit-identical. For `K = 1`, shard 0's streams are exactly the
@@ -58,7 +59,7 @@
 //! Provided here:
 //!
 //! * [`Orchestrator`] — the builder API for one campaign: shard count,
-//!   exchange epochs, caching, persistent resumable run directories
+//!   exchange epochs, persistent resumable run directories
 //!   ([`Orchestrator::resume`], including mid-campaign restore from
 //!   epoch-barrier checkpoints), telemetry, and the transport. It and
 //!   [`Scheduler`] are two front ends of one campaign driver in
@@ -79,8 +80,8 @@
 //!   budget ([`supervisor::MAX_DISPATCH_ATTEMPTS`]) and the
 //!   [`SupervisionCounts`] reported in [`RunStats::supervision`];
 //! * [`Scheduler`] — multi-campaign suites (all four Table 2 approaches)
-//!   over one shared worker budget, with per-campaign exchange, cache per
-//!   test context and per-campaign time;
+//!   over one shared worker budget, with per-campaign exchange and
+//!   per-campaign time;
 //! * [`shard`] — the shard planning/merging primitives and the
 //!   segment-capable [`ShardRunner`];
 //! * [`pool`] — the indexed worker pool ([`pool::run_indexed`]) the

@@ -9,9 +9,9 @@
 //! campaigns, each with its config, shard plan, telemetry hub and an
 //! optional run directory, and flattens their shards into one task list
 //! for one executor session. It owns everything the two front ends used
-//! to duplicate: one result cache per test context, barrier restore and
-//! shard reuse from a run directory, the epoch-barrier loop, the
-//! [`ProgressSink`] and the [`RunStats`] of each campaign.
+//! to duplicate: the run's result cache, barrier restore and shard reuse
+//! from a run directory, the epoch-barrier loop, the [`ProgressSink`] and
+//! the [`RunStats`] of each campaign.
 //!
 //! * [`Orchestrator`] runs one campaign and writes the run-directory
 //!   artifacts. It merges with, and reports, the run's wall time:
@@ -34,6 +34,18 @@
 //!
 //! Only the mechanics of running a segment differ between
 //! [`InProcessExecutor`] (the default) and out-of-process executors.
+//!
+//! ## The result cache
+//!
+//! The backend decides whether a campaign uses the result cache; no
+//! option does. A run builds at most one cache and hands it to the tasks
+//! of its external-backend campaigns, where a hit skips a duplicate
+//! program's compiler and binary spawns. Virtual campaigns hold no cache:
+//! recomputing a duplicate costs them less than holding every result. The
+//! runner scopes each key by everything that determines a result, so
+//! same-seed campaigns of a suite share hits and no other pair can. Only
+//! an in-process executor consults the cache; out-of-process workers
+//! never see it, so their runs report no cache statistics.
 //!
 //! A failure that redispatch cannot heal fails the run with one typed
 //! error: [`OrchestratorError::Executor`] when a job exhausts its
@@ -73,9 +85,7 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use llm4fp::{BackendSpec, CampaignConfig, CampaignResult, RunnerCheckpoint, SuccessfulSet};
-use llm4fp_compiler::{CompilerId, OptLevel};
 use llm4fp_difftest::{CacheStats, ResultCache};
-use llm4fp_fpir::Precision;
 use llm4fp_telemetry::{keys, TelemetryHub, TelemetrySpec, TelemetrySummary};
 
 use crate::executor::{
@@ -98,10 +108,6 @@ pub struct OrchestratorOptions {
     /// Defaults to the machine's available parallelism. `0` is rejected
     /// with [`OrchestratorError::InvalidWorkers`] at run time.
     pub workers: usize,
-    /// Share a differential-testing result cache across shards (only
-    /// consulted by executors whose
-    /// [`shares_cache`](ShardExecutor::shares_cache) is true).
-    pub cache: bool,
     /// Feedback-exchange epochs. `1` (the default) disables exchange and
     /// reproduces the independent-shard output exactly; `E > 1` slices
     /// every shard's budget into `E` segments with a merge-and-broadcast
@@ -127,7 +133,6 @@ impl Default for OrchestratorOptions {
     fn default() -> Self {
         OrchestratorOptions {
             workers: default_workers(),
-            cache: true,
             epochs: 1,
             run_dir: None,
             telemetry: TelemetrySpec::OFF,
@@ -157,9 +162,11 @@ pub struct RunStats {
     /// Epochs skipped by restoring persisted barrier checkpoints instead
     /// of recomputing them (multi-epoch resume).
     pub epochs_restored: usize,
-    /// Result-cache statistics (`None` when caching was off, or when the
-    /// executor runs its shards out of process and never consults the
-    /// coordinator's cache).
+    /// The run's result-cache statistics for an external-backend campaign
+    /// whose cache served at least one lookup; `None` otherwise (virtual
+    /// campaigns hold no cache, and out-of-process workers never consult
+    /// it). The campaigns of a suite share the one cache, so each reports
+    /// its totals.
     pub cache: Option<CacheStats>,
     /// Largest VM register file any shard's reused execution scratch
     /// prepared during this run — the sealed register-file size. `None`
@@ -201,17 +208,17 @@ pub struct RunStats {
 
 impl RunStats {
     /// One-line human-readable summary, including the result-cache hit
-    /// rate (the JSONL run directory persists the same data as
-    /// `summary.json`).
+    /// rate when a cache served the run (the JSONL run directory persists
+    /// the same data as `summary.json`).
     pub fn summary_line(&self) -> String {
         let cache = match &self.cache {
             Some(c) => format!(
-                "cache {}/{} hits ({:.1}%)",
+                ", cache {}/{} hits ({:.1}%)",
                 c.hits,
                 c.hits + c.misses,
                 100.0 * c.hit_rate()
             ),
-            None => "cache off".to_string(),
+            None => String::new(),
         };
         let peak = match self.peak_regs {
             Some(regs) => format!(", peak register file {regs}"),
@@ -250,7 +257,7 @@ impl RunStats {
         };
         format!(
             "{} shard(s) x {} epoch(s) on {} worker(s), {} reused, \
-             {:.2}s wall ({:.2}s shard time), {}{}{}{}",
+             {:.2}s wall ({:.2}s shard time){}{}{}{}",
             self.shards,
             self.epochs,
             self.workers,
@@ -292,7 +299,7 @@ pub struct Orchestrator {
 
 impl Orchestrator {
     /// A builder for one campaign with default options: one shard, one
-    /// epoch, default worker pool, caching on, in-process execution.
+    /// epoch, default worker pool, in-process execution.
     pub fn new(config: CampaignConfig) -> Self {
         Orchestrator { config, shards: 1, options: OrchestratorOptions::default(), executor: None }
     }
@@ -314,12 +321,6 @@ impl Orchestrator {
     /// run time with [`OrchestratorError::InvalidWorkers`]).
     pub fn workers(mut self, workers: usize) -> Self {
         self.options.workers = workers;
-        self
-    }
-
-    /// Toggle the shared differential-testing result cache.
-    pub fn cache(mut self, cache: bool) -> Self {
-        self.options.cache = cache;
         self
     }
 
@@ -353,7 +354,7 @@ impl Orchestrator {
     /// Execute shard segments through this transport instead of the
     /// default [`InProcessExecutor`]. The merged result is bit-identical
     /// for any executor — only wall-clock behavior and cache statistics
-    /// differ.
+    /// (in process only) differ.
     pub fn executor(mut self, executor: Arc<dyn ShardExecutor>) -> Self {
         self.executor = Some(executor);
         self
@@ -497,36 +498,6 @@ impl Resume {
     }
 }
 
-/// The part of a campaign config that determines differential-testing
-/// results for a given program: campaigns with equal contexts share a
-/// result cache. Program inputs are derived from `(seed, program
-/// structure)` (see `llm4fp::campaign`), so a cached matrix result is
-/// valid for any campaign in the same context, and cross-approach
-/// duplicates are only tested once per suite. Backend identity is part
-/// of the context — cache keys are backend-scoped anyway, so sharing
-/// across backends would be sound but would conflate the per-campaign
-/// hit-rate statistics.
-#[derive(Debug, Clone, PartialEq)]
-struct TestContext {
-    seed: u64,
-    precision: Precision,
-    compilers: Vec<CompilerId>,
-    levels: Vec<OptLevel>,
-    backend: BackendSpec,
-}
-
-impl TestContext {
-    fn of(config: &CampaignConfig) -> Self {
-        TestContext {
-            seed: config.seed,
-            precision: config.precision,
-            compilers: config.compilers.clone(),
-            levels: config.levels.clone(),
-            backend: config.backend.clone(),
-        }
-    }
-}
-
 /// The body of [`drive`]: load what the run directories hold, flatten
 /// the rest into tasks, drive the session through the epoch-barrier
 /// protocol, then merge each campaign.
@@ -539,24 +510,9 @@ fn execute(
 ) -> Result<Vec<OrchestratedResult>, OrchestratorError> {
     let epochs = options.epochs.max(1);
     let mut resumes: Vec<Resume> = campaigns.iter().map(|c| Resume::of(c, epochs)).collect();
-    // Cache statistics only make sense when the transport actually
-    // consults the coordinator's cache handles.
-    let mut contexts: Vec<(TestContext, Arc<ResultCache>)> = Vec::new();
-    let caches: Vec<Option<Arc<ResultCache>>> = campaigns
-        .iter()
-        .map(|campaign| {
-            if !options.cache || !executor.shares_cache() {
-                return None;
-            }
-            let context = TestContext::of(campaign.config);
-            if let Some((_, cache)) = contexts.iter().find(|(known, _)| *known == context) {
-                return Some(Arc::clone(cache));
-            }
-            let cache = Arc::new(ResultCache::new());
-            contexts.push((context, Arc::clone(&cache)));
-            Some(cache)
-        })
-        .collect();
+    // One cache per run, for the external-backend campaigns only.
+    let external = |c: &CampaignRun| matches!(c.config.backend, BackendSpec::External(_));
+    let cache = campaigns.iter().any(external).then(|| Arc::new(ResultCache::new()));
     // Flatten every campaign's shards still to compute into one task list,
     // campaign-major and in shard-index order within a campaign.
     let mut tasks = Vec::new();
@@ -569,7 +525,7 @@ fn execute(
             tasks.push(ShardTask {
                 config: campaign.config.clone(),
                 spec: *spec,
-                cache: caches[owner].clone(),
+                cache: cache.clone().filter(|_| external(campaign)),
                 // Telemetry is never part of checkpoints; the task's lane
                 // handle covers both the fresh and the restored path.
                 telemetry: campaign.hub.lane(spec.index),
@@ -651,9 +607,8 @@ fn execute(
     let results = campaigns
         .iter()
         .zip(resumes)
-        .zip(caches)
         .enumerate()
-        .map(|(index, ((campaign, resume), cache))| {
+        .map(|(index, (campaign, resume))| {
             let mut outputs = Vec::with_capacity(resume.loaded.len());
             let (mut reused, mut computed, mut pipeline_time) = (0, 0, Duration::ZERO);
             for slot in resume.loaded {
@@ -683,10 +638,13 @@ fn execute(
                 shards_reused: reused,
                 shards_computed: computed,
                 epochs_restored: resume.barrier.map_or(0, |barrier| barrier + 1),
-                // Campaigns sharing a cache (equal test contexts) report
-                // that cache's suite-wide totals: per-campaign attribution
-                // isn't separable from shared counters.
-                cache: cache.map(|c| c.stats()),
+                // Per-campaign attribution isn't separable from the shared
+                // counters, so every external campaign reports the run's.
+                cache: cache
+                    .as_ref()
+                    .filter(|_| external(campaign))
+                    .map(|c| c.stats())
+                    .filter(|s| s.hits + s.misses > 0),
                 peak_regs,
                 wall_time: window.unwrap_or_else(|| start.elapsed()),
                 shard_pipeline_time: pipeline_time,
@@ -696,7 +654,7 @@ fn execute(
                 // Frames, like supervision, are counted session-wide.
                 frame_bytes: outcome.frame_bytes,
                 checkpoint_bytes: campaign.run_dir.map_or(0, RunDir::checkpoint_bytes),
-                // Supervision is suite-wide, like a shared cache: every
+                // Supervision is suite-wide, like the cache: every
                 // campaign reports the session's totals.
                 supervision: outcome.supervision,
             };

@@ -15,7 +15,7 @@
 //!     shard-0000-epoch-0000.json   runner checkpoint at barrier 0
 //!     ...
 //!   result.json            merged CampaignResult, written on completion
-//!   summary.json           RunStats (incl. cache hit rate), on completion
+//!   summary.json           RunStats (incl. the extcc cache hit rate), on completion
 //! ```
 //!
 //! The `pool/` and `checkpoints/` files exist only for multi-epoch runs
@@ -486,7 +486,8 @@ impl RunDir {
     }
 
     /// Persist the run's execution statistics (worker/shard/epoch counts
-    /// and the result-cache hit rate) alongside the merged result.
+    /// and, for an external-backend run in process, the result-cache hit
+    /// rate) alongside the merged result.
     /// Serialization failures propagate as [`PersistError::Encode`] —
     /// completeness checks depend on `summary.json`, so a silently
     /// missing or partial summary must never look like success.

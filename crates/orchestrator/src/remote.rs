@@ -228,12 +228,6 @@ impl ShardExecutor for WorkerExecutor {
         "workers"
     }
 
-    /// Workers run in other processes (possibly other machines) and
-    /// never see the coordinator's result cache.
-    fn shares_cache(&self) -> bool {
-        false
-    }
-
     fn begin<'s>(
         &self,
         tasks: Vec<ShardTask>,
@@ -1050,7 +1044,6 @@ mod tests {
     fn builder_knobs_are_validated_at_begin() {
         let executor = WorkerExecutor::new(external_only());
         assert_eq!(executor.name(), "workers");
-        assert!(!executor.shares_cache());
         assert_eq!(executor.bound_addr(), None);
     }
 

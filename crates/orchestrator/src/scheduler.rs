@@ -7,12 +7,14 @@
 //! [`crate::orchestrate`]): the driver flattens every campaign's shards
 //! into one task list on one executor session, so the pool stays
 //! saturated across campaign boundaries, and it runs the same barrier
-//! protocol and cache sharing as a single [`crate::Orchestrator`] run.
+//! protocol and result cache as a single [`crate::Orchestrator`] run.
 //!
-//! Campaigns whose test context matches — same seed, precision,
-//! compiler/level matrix and backend — share one result cache, so
-//! cross-approach duplicates (Varity and the LLM approaches drawing the
-//! same idiom) are only tested once per suite.
+//! The suite's external-backend campaigns share the run's one result
+//! cache, in process. Keys are scoped by everything that determines a
+//! result — backend, input seed, precision and matrix — so same-seed
+//! campaigns test a cross-approach duplicate (an LLM approach repeating
+//! another's program) only once per suite. Virtual campaigns hold no
+//! cache.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -64,10 +66,10 @@ impl Scheduler {
 
     /// Run every campaign (each split into the configured shard count
     /// and, when `options.epochs > 1`, its own cross-shard feedback
-    /// exchange), sharing the worker pool and, where sound, the result
-    /// cache. Results come back in input order and are bit-identical to
-    /// orchestrating each campaign individually with the same shard and
-    /// epoch counts: exchange barriers are suite-wide (the pool stays
+    /// exchange), sharing the worker pool and, for external-backend
+    /// campaigns, the result cache. Results come back in input order and
+    /// are bit-identical to orchestrating each campaign individually with
+    /// the same shard and epoch counts: exchange barriers are suite-wide (the pool stays
     /// saturated across campaign boundaries within an epoch), but deltas
     /// only ever merge into the pool of the campaign that produced them.
     ///

@@ -262,27 +262,19 @@ impl ShardRunner {
 }
 
 /// Everything a shard needs besides its own plan: the parent campaign's
-/// configuration plus the optional shared machinery (cache, telemetry
-/// lane). One context serves any number of shards, and every attachment
-/// is a pure observer — the shard's output is a function of
-/// `(config, spec)` alone.
+/// configuration plus an optional telemetry lane. One context serves any
+/// number of shards, and the lane is a pure observer — the shard's output
+/// is a function of `(config, spec)` alone.
 #[derive(Debug, Clone)]
 pub struct ShardCtx<'a> {
     config: &'a CampaignConfig,
-    cache: Option<Arc<ResultCache>>,
     telemetry: Telemetry,
 }
 
 impl<'a> ShardCtx<'a> {
-    /// A bare context: no cache, telemetry disabled.
+    /// A bare context: telemetry disabled.
     pub fn new(config: &'a CampaignConfig) -> Self {
-        ShardCtx { config, cache: None, telemetry: Telemetry::disabled() }
-    }
-
-    /// Share a cross-shard result cache (semantically transparent).
-    pub fn with_cache(mut self, cache: Option<Arc<ResultCache>>) -> Self {
-        self.cache = cache;
-        self
+        ShardCtx { config, telemetry: Telemetry::disabled() }
     }
 
     /// Attach a telemetry lane handle (pure observation).
@@ -296,8 +288,8 @@ impl<'a> ShardCtx<'a> {
 /// reporting lives in the executor layer's `ProgressSink`; this entry
 /// point is the one-shot form of driving a [`ShardRunner`] by hand.
 pub fn run_shard(spec: &ShardSpec, ctx: &ShardCtx<'_>) -> ShardOutput {
-    let mut runner = ShardRunner::new(ctx.config, *spec, ctx.cache.clone())
-        .with_telemetry(ctx.telemetry.clone());
+    let mut runner =
+        ShardRunner::new(ctx.config, *spec, None).with_telemetry(ctx.telemetry.clone());
     runner.run_segment(spec.budget, |_| {});
     runner.finish()
 }

@@ -6,7 +6,7 @@
 //!   counts;
 //! * `E = 1` exactly reproduces the no-exchange sharded output (the
 //!   independent-shard primitive `run_shard` + `merge_shards`);
-//! * the result cache is semantically transparent (on/off agree);
+//! * virtual runs hold no result cache;
 //! * interrupted runs resume to bit-identical results — recomputing only
 //!   the missing shards (`E = 1`) or restarting every shard from the
 //!   latest exchange barrier whose checkpoints all load (`E > 1`);
@@ -17,8 +17,9 @@
 //! * every guarantee above extends to the **external** (real-compiler)
 //!   backend, exercised hermetically through the `fakecc` mock
 //!   toolchain: `K = 1 ≡` sequential, bit-identical recorded results
-//!   across worker counts and process-slot bounds, and cache hits that
-//!   demonstrably skip compiler/binary process spawns.
+//!   across worker counts, and result-cache hits that demonstrably skip
+//!   compiler/binary process spawns, within a campaign and across the
+//!   same-seed campaigns of a suite.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -34,8 +35,8 @@ fn config(approach: ApproachKind, budget: usize, seed: u64) -> CampaignConfig {
     CampaignConfig::new(approach).with_budget(budget).with_seed(seed).with_threads(1)
 }
 
-fn options(workers: usize, cache: bool, epochs: usize) -> OrchestratorOptions {
-    OrchestratorOptions { workers, cache, epochs, run_dir: None, ..Default::default() }
+fn options(workers: usize, epochs: usize) -> OrchestratorOptions {
+    OrchestratorOptions { workers, epochs, run_dir: None, ..Default::default() }
 }
 
 /// The builder invocation most tests drive: explicit options bag, shard
@@ -92,7 +93,7 @@ fn e1_reproduces_the_no_exchange_sharded_output() {
             .map(|spec| run_shard(spec, &ShardCtx::new(&config)))
             .collect();
         let reference = merge_shards(&config, outputs, Duration::ZERO);
-        let orchestrated = orchestrate(&config, shards, options(4, false, 1)).unwrap();
+        let orchestrated = orchestrate(&config, shards, options(4, 1)).unwrap();
         assert_results_identical(&orchestrated.result, &reference, &format!("E=1 K={shards}"));
     }
 }
@@ -102,11 +103,11 @@ fn sharded_runs_are_bit_identical_across_worker_counts() {
     let config = config(ApproachKind::Llm4Fp, 30, 7);
     for epochs in [1usize, 4, 16] {
         for shards in [1usize, 2, 4] {
-            let reference = orchestrate(&config, shards, options(1, true, epochs)).unwrap();
+            let reference = orchestrate(&config, shards, options(1, epochs)).unwrap();
             assert_eq!(reference.stats.shards, shards.min(config.programs));
             assert_eq!(reference.stats.epochs, epochs);
             for workers in [2usize, 8] {
-                let other = orchestrate(&config, shards, options(workers, true, epochs)).unwrap();
+                let other = orchestrate(&config, shards, options(workers, epochs)).unwrap();
                 assert_results_identical(
                     &other.result,
                     &reference.result,
@@ -199,23 +200,14 @@ fn exchange_broadcasts_the_global_pool_at_k4() {
 }
 
 #[test]
-fn cache_is_semantically_transparent_and_reports_stats() {
-    let config = config(ApproachKind::Llm4Fp, 40, 5);
+fn virtual_runs_hold_no_cache() {
+    // The result cache is for the external backend: a virtual run,
+    // duplicates and all, recomputes every program and reports no cache.
+    let config = config(ApproachKind::DirectPrompt, 40, 5);
     for epochs in [1usize, 4] {
-        let cached = orchestrate(&config, 4, options(4, true, epochs)).unwrap();
-        let uncached = orchestrate(&config, 4, options(4, false, epochs)).unwrap();
-        assert_results_identical(
-            &cached.result,
-            &uncached.result,
-            &format!("cache on/off E={epochs}"),
-        );
-        let stats = cached.stats.cache.expect("cache stats present when caching is on");
-        assert_eq!(
-            stats.misses + stats.hits,
-            cached.result.sources.len() as u64,
-            "every valid program performs exactly one cache lookup"
-        );
-        assert!(uncached.stats.cache.is_none());
+        let run = orchestrate(&config, 4, options(4, epochs)).unwrap();
+        assert!(run.stats.cache.is_none(), "E={epochs}: a virtual run holds no cache");
+        assert!(!run.stats.summary_line().contains("cache"), "E={epochs}: no cache clause");
     }
 }
 
@@ -364,7 +356,6 @@ fn mismatched_manifests_refuse_to_mix_runs() {
     let config_a = config(ApproachKind::Varity, 8, 1);
     let persisted = |epochs: usize, root: PathBuf| OrchestratorOptions {
         workers: 1,
-        cache: false,
         epochs,
         run_dir: Some(root),
         ..Default::default()
@@ -386,18 +377,17 @@ fn scheduler_suite_matches_individual_orchestration() {
     let configs: Vec<CampaignConfig> =
         ApproachKind::ALL.iter().map(|&a| config(a, 16, 21)).collect();
     for epochs in [1usize, 2] {
-        let suite = Scheduler::new(options(4, true, epochs)).shards(2).run(&configs).unwrap();
+        let suite = Scheduler::new(options(4, epochs)).shards(2).run(&configs).unwrap();
         assert_eq!(suite.len(), configs.len());
         for (cfg, orchestrated) in configs.iter().zip(&suite) {
-            let individual = orchestrate(cfg, 2, options(1, false, epochs)).unwrap();
+            let individual = orchestrate(cfg, 2, options(1, epochs)).unwrap();
             assert_results_identical(
                 &orchestrated.result,
                 &individual.result,
                 &format!("suite {:?} E={epochs}", cfg.approach),
             );
             assert_eq!(orchestrated.result.config.approach, cfg.approach);
-            // The accounting agrees too. (`cache` is left out: campaigns
-            // with equal test contexts share one cache in a suite.)
+            // The accounting agrees too.
             let (s, i) = (&orchestrated.stats, &individual.stats);
             let what = format!("suite stats {:?} E={epochs}", cfg.approach);
             assert_eq!(s.shards, i.shards, "{what}: shards");
@@ -407,6 +397,7 @@ fn scheduler_suite_matches_individual_orchestration() {
             assert_eq!(s.epochs_restored, i.epochs_restored, "{what}: epochs_restored");
             assert_eq!(s.failures, i.failures, "{what}: failures");
             assert_eq!(s.supervision, i.supervision, "{what}: supervision");
+            assert_eq!(s.cache, None, "{what}: virtual campaigns hold no cache");
         }
     }
 }
@@ -435,10 +426,6 @@ mod external_backend {
         config(approach, budget, seed).with_backend(BackendSpec::External(spec))
     }
 
-    fn ext_options(workers: usize, cache: bool, epochs: usize) -> OrchestratorOptions {
-        OrchestratorOptions { workers, cache, epochs, ..OrchestratorOptions::default() }
-    }
-
     #[test]
     fn external_k1_matches_the_sequential_campaign() {
         let dir = fake_dir("k1");
@@ -461,8 +448,8 @@ mod external_backend {
         let dir = fake_dir("workers");
         let config = fake_config(&dir, ApproachKind::Llm4Fp, 8, 7);
         for epochs in [1usize, 2] {
-            let reference = orchestrate(&config, 2, ext_options(1, true, epochs)).unwrap();
-            let other = orchestrate(&config, 2, ext_options(4, true, epochs)).unwrap();
+            let reference = orchestrate(&config, 2, options(1, epochs)).unwrap();
+            let other = orchestrate(&config, 2, options(4, epochs)).unwrap();
             assert_results_identical(
                 &other.result,
                 &reference.result,
@@ -485,8 +472,8 @@ mod external_backend {
         // workers = 1 keeps cache counting exact (no double-computed
         // misses) — the bit-identity across worker counts is pinned by
         // the test above.
-        let cached = orchestrate(&config, 2, ext_options(1, true, 1)).unwrap();
-        let stats = cached.stats.cache.expect("cache stats recorded");
+        let cached = orchestrate(&config, 2, options(1, 1)).unwrap();
+        let stats = cached.stats.cache.expect("an external run reports its cache");
         assert!(stats.hits > 0, "Direct-Prompt budget 30 must contain duplicates");
         assert_eq!(
             fakecc::compile_count(&dir),
@@ -500,9 +487,43 @@ mod external_backend {
             "one binary spawn per compiled configuration (single input set)"
         );
 
-        // And the cache stays semantically transparent externally.
-        let uncached = orchestrate(&config, 2, ext_options(1, false, 1)).unwrap();
-        assert_results_identical(&cached.result, &uncached.result, "external cache on/off");
+        // And the cache stays semantically transparent externally: the
+        // uncached shard primitive reproduces the run bit for bit.
+        let outputs: Vec<_> = plan_shards(&config, 2)
+            .iter()
+            .map(|spec| run_shard(spec, &ShardCtx::new(&config)))
+            .collect();
+        let uncached = merge_shards(&config, outputs, Duration::ZERO);
+        assert_results_identical(&cached.result, &uncached, "external cached/uncached");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn same_seed_suite_campaigns_share_the_external_cache() {
+        // LLM4FP's first programs come from the grammar-guided prompt, so
+        // a same-seed LLM4FP campaign repeats some of Grammar-Guided's
+        // programs (3 of them at this seed and budget). In a suite the
+        // second campaign is served those from the run's cache, so the
+        // suite spawns fewer compilers than the two campaigns run alone.
+        // (Direct-Prompt and Grammar-Guided never repeat each other.)
+        let dir = fake_dir("suite");
+        let configs = [
+            fake_config(&dir, ApproachKind::GrammarGuided, 6, 2),
+            fake_config(&dir, ApproachKind::Llm4Fp, 6, 2),
+        ];
+        let mut alone = 0;
+        for config in &configs {
+            let before = fakecc::compile_count(&dir);
+            orchestrate(config, 2, options(1, 1)).unwrap();
+            alone += fakecc::compile_count(&dir) - before;
+        }
+        let before = fakecc::compile_count(&dir);
+        let suite = Scheduler::new(options(1, 1)).shards(2).run(&configs).unwrap();
+        let together = fakecc::compile_count(&dir) - before;
+        assert!(together < alone, "suite {together} compiles, campaigns alone {alone}");
+        let stats = suite[1].stats.cache.expect("an external suite reports its cache");
+        let configs_per_program = (configs[0].compilers.len() * configs[0].levels.len()) as u64;
+        assert_eq!(together, stats.misses * configs_per_program);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -516,24 +537,22 @@ mod external_backend {
         let dir = fake_dir("mixed");
         let virtual_config = config(ApproachKind::Llm4Fp, 16, 21);
         let external_config = fake_config(&dir, ApproachKind::GrammarGuided, 6, 21);
-        let suite = Scheduler::new(ext_options(4, true, 2))
+        let suite = Scheduler::new(options(4, 2))
             .shards(2)
             .run(&[virtual_config.clone(), external_config.clone()])
             .unwrap();
         assert_eq!(suite.len(), 2);
         for (cfg, orchestrated) in [&virtual_config, &external_config].into_iter().zip(&suite) {
-            let individual = orchestrate(cfg, 2, ext_options(1, false, 2)).unwrap();
+            let individual = orchestrate(cfg, 2, options(1, 2)).unwrap();
             assert_results_identical(
                 &orchestrated.result,
                 &individual.result,
                 &format!("mixed suite {:?}", cfg.approach),
             );
         }
-        // The two campaigns must not have shared a cache (different
-        // backends => different test contexts), so each reports its own
-        // lookup totals.
-        let virtual_stats = suite[0].stats.cache.expect("virtual cache stats");
-        assert_eq!(virtual_stats.hits + virtual_stats.misses, suite[0].result.sources.len() as u64);
+        // Only the external campaign holds the run's cache, so its lookups
+        // are its own programs'.
+        assert!(suite[0].stats.cache.is_none(), "a virtual campaign holds no cache");
         let external_stats = suite[1].stats.cache.expect("external cache stats");
         assert_eq!(
             external_stats.hits + external_stats.misses,
@@ -551,9 +570,9 @@ fn zero_workers_is_a_typed_error_everywhere() {
     let cfg = config(ApproachKind::Varity, 4, 1);
     let err = Orchestrator::new(cfg.clone()).workers(0).run().unwrap_err();
     assert!(matches!(err, OrchestratorError::InvalidWorkers), "got {err}");
-    let err = orchestrate(&cfg, 2, options(0, false, 1)).unwrap_err();
+    let err = orchestrate(&cfg, 2, options(0, 1)).unwrap_err();
     assert!(matches!(err, OrchestratorError::InvalidWorkers), "got {err}");
-    let err = Scheduler::new(options(0, false, 1)).run(&[cfg]).unwrap_err();
+    let err = Scheduler::new(options(0, 1)).run(&[cfg]).unwrap_err();
     assert!(matches!(err, OrchestratorError::InvalidWorkers), "got {err}");
 }
 

@@ -4,12 +4,13 @@
 //! practical use case the paper's introduction motivates (selecting
 //! compilers/flags that give consistent floating-point behaviour).
 //!
-//! Campaigns run through the orchestrator (sharded, cached). When this
-//! machine has at least two real host compilers (gcc, clang), a second
-//! campaign drives them for real through the `extcc` backend — same
-//! comparison code, actual `std::process` compiles — including the
-//! result cache's headline win: duplicate programs skip every process
-//! spawn of their matrix. Without a toolchain the external section skips
+//! Campaigns run through the orchestrator (sharded). When this machine
+//! has at least two real host compilers (gcc, clang), a second campaign
+//! drives them for real through the `extcc` backend — same comparison
+//! code, actual `std::process` compiles — and the run's result cache,
+//! which serves external campaigns in process, lets duplicate programs
+//! skip every process spawn of their matrix. Without a toolchain the
+//! external section skips
 //! with a message (CI's default jobs cover that path hermetically via
 //! `fakecc`).
 //!

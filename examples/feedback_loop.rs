@@ -1,11 +1,12 @@
 //! Run a small end-to-end LLM4FP campaign through the orchestrator and
 //! watch the feedback loop work: how quickly the successful-program set
-//! grows, which strategies were used, what the result cache saved, and
-//! what the corpus diversity looks like. The run is persisted to a run
-//! directory and resumed to demonstrate that interrupted campaigns pick
-//! up where they left off, and the same campaign is re-run with
-//! cross-shard feedback exchange on and off to show what the exchanged
-//! global pool buys at K > 1.
+//! grows, which strategies were used, and what the corpus diversity looks
+//! like. The campaign is virtual, so no result cache serves it: the cache
+//! is for external-backend campaigns, one per run, in process. The run is
+//! persisted to a run directory and resumed to demonstrate that
+//! interrupted campaigns pick up where they left off, and the same
+//! campaign is re-run with cross-shard feedback exchange on and off to
+//! show what the exchanged global pool buys at K > 1.
 //!
 //! Run with: `cargo run --release --example feedback_loop`
 
