@@ -97,40 +97,15 @@ impl CompiledProgram {
 
 /// Accepted and ignored. Sealing has one mode: flatten the pass
 /// pipeline's output to bytecode. The type stays so that persisted
-/// campaign configs carrying a `seal_mode` field (`"Optimized"`, `"Raw"`
-/// or null) keep decoding and resuming; both variants seal identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// campaign configs carrying a `seal_mode` field (`"Optimized"` or
+/// `"Raw"`) keep decoding and resuming; both variants seal identically.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SealMode {
     /// The value new configs persist.
     #[default]
     Optimized,
     /// The value older configs may carry.
     Raw,
-}
-
-// Hand-written (de)serialization: a missing/null field decodes as
-// `Optimized`, so configs persisted before the field existed keep loading.
-impl serde::Serialize for SealMode {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(
-            match self {
-                SealMode::Optimized => "Optimized",
-                SealMode::Raw => "Raw",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl serde::Deserialize for SealMode {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Null => Ok(SealMode::Optimized),
-            serde::Value::Str(s) if s == "Optimized" => Ok(SealMode::Optimized),
-            serde::Value::Str(s) if s == "Raw" => Ok(SealMode::Raw),
-            _ => Err(serde::Error::msg("unexpected value for SealMode")),
-        }
-    }
 }
 
 /// Accepted and ignored: matrix sealing keeps no work buffers between
@@ -421,13 +396,12 @@ mod tests {
     }
 
     #[test]
-    fn seal_modes_round_trip_through_serde_and_null_defaults_to_optimized() {
+    fn seal_modes_round_trip_through_serde() {
         use serde::{Deserialize, Serialize};
-        for mode in [SealMode::Raw, SealMode::Optimized] {
+        for (mode, name) in [(SealMode::Raw, "Raw"), (SealMode::Optimized, "Optimized")] {
+            assert_eq!(mode.to_value(), serde::Value::Str(name.into()));
             assert_eq!(SealMode::from_value(&mode.to_value()).unwrap(), mode);
         }
-        // Configs persisted before the field existed have no value.
-        assert_eq!(SealMode::from_value(&serde::Value::Null).unwrap(), SealMode::Optimized);
         assert!(SealMode::from_value(&serde::Value::Str("bogus".into())).is_err());
     }
 

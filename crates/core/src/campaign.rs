@@ -479,6 +479,9 @@ impl CampaignRunner {
     /// calls, final [`Self::finish`] result, and further checkpoints are
     /// bit-identical to the uninterrupted runner's (pipeline time excepted
     /// — wall clocks are not replayable).
+    ///
+    /// Panics when an RNG state is not four words. The checkpoint readers
+    /// (the run dir's and the worker's) refuse such a checkpoint first.
     pub fn restore(config: CampaignConfig, checkpoint: RunnerCheckpoint) -> Self {
         let mut runner = CampaignRunner::new(config);
         runner.rng = StdRng::from_state(rng_words(&checkpoint.rng));
@@ -759,15 +762,11 @@ impl Campaign {
     }
 }
 
-/// Widen a checkpointed RNG state (serialized as a `Vec` because the
-/// vendored serde shim has no fixed-size-array support) back to the four
-/// xoshiro words, zero-padding defensively on corrupt input.
+/// A checkpointed RNG state (serialized as a `Vec` because the vendored
+/// serde shim has no fixed-size-array support) as the four xoshiro words.
+/// Panics on any other length: a padded state would resume to other bits.
 fn rng_words(words: &[u64]) -> [u64; 4] {
-    let mut out = [0u64; 4];
-    for (slot, word) in out.iter_mut().zip(words) {
-        *slot = *word;
-    }
-    out
+    words.try_into().expect("a checkpointed RNG state is four words")
 }
 
 fn parse_valid(source: &str) -> Option<Program> {

@@ -32,7 +32,7 @@
 //! spawns — the per-job check is then a single branch). The
 //! [`WorkerFaultHarness`] decides per received job whether to crash,
 //! stall, forget the connection's pool texts, or sabotage the answer: a
-//! dropped connection, a corrupt or truncated frame, or a duplicate. Every
+//! dropped connection, a corrupt frame, or a duplicate. Every
 //! sabotaged answer but the duplicate ends the connection, and the daemon
 //! redials.
 
@@ -57,14 +57,19 @@ type PoolStore = HashMap<u64, Arc<str>>;
 /// echoed back verbatim for the coordinator's stale-result discard).
 /// The store keeps every text the job and its answer carry; the answer's
 /// checkpoint leaves every pool text out, since the coordinator holds
-/// them all. A job whose left-out texts the store cannot fill is an
-/// error: the stream can no longer be trusted.
+/// them all. A job whose left-out texts the store cannot fill, or whose
+/// RNG states are not four words each, is an error: the stream can no
+/// longer be trusted.
 fn run_job(job: ShardJob, store: &mut PoolStore) -> io::Result<ShardJobResult> {
     let hub =
         TelemetryHub::new(if job.telemetry { TelemetrySpec::METRICS } else { TelemetrySpec::OFF });
     let telemetry = hub.lane(0);
     let mut runner = match job.checkpoint {
         Some(mut checkpoint) => {
+            let rngs = [&checkpoint.rng, &checkpoint.varity_rng, &checkpoint.llm_rng];
+            if rngs.iter().any(|words| words.len() != 4) {
+                return Err(io::Error::new(io::ErrorKind::InvalidData, "damaged RNG state"));
+            }
             let pool = &mut checkpoint.successful;
             pool.fill(|hash| store.get(&hash).cloned())
                 .map_err(|why| io::Error::new(io::ErrorKind::InvalidData, why))?;
@@ -98,23 +103,6 @@ fn remember(store: &mut PoolStore, pool: &llm4fp::SuccessfulSetSnapshot) {
     for (&hash, source) in pool.hashes.iter().zip(&pool.sources) {
         store.entry(hash).or_insert_with(|| Arc::clone(source));
     }
-}
-
-/// Write a deliberately broken answer in place of `answer`'s frame.
-/// `Corrupt` sends bytes that parse as no frame header at all; `Truncate`
-/// sends a header promising the full payload but only half of the bytes,
-/// so the coordinator sees a mid-frame EOF. (A dropped connection writes
-/// nothing, and a duplicate is two whole frames.)
-fn sabotage_answer(writer: &mut impl Write, answer: &WireReply, how: AnswerSabotage) {
-    if how == AnswerSabotage::Corrupt {
-        let _ = writer.write_all(b"!corrupt!!\n{\"not\":\"a frame\"}");
-    } else {
-        let payload = serde_json::to_string(answer).expect("job results always serialize");
-        let bytes = payload.as_bytes();
-        let _ = writer.write_all(format!("{:010}\n", bytes.len()).as_bytes());
-        let _ = writer.write_all(&bytes[..bytes.len() / 2]);
-    }
-    let _ = writer.flush();
 }
 
 /// How one stream's service ended.
@@ -194,11 +182,14 @@ fn serve<R: Read, W: Write>(
         };
         let copies = match sabotage.answer {
             Some(AnswerSabotage::Duplicate) => 2,
-            Some(how) => {
-                sabotage_answer(writer, &answer, how);
+            Some(AnswerSabotage::Corrupt) => {
+                // Bytes that parse as no frame header at all.
+                let _ = writer.write_all(b"!corrupt!!\n{\"not\":\"a frame\"}");
+                let _ = writer.flush();
                 return ServeEnd::Dropped;
             }
-            None => 1,
+            // A drop ended the connection before computing.
+            Some(AnswerSabotage::Drop) | None => 1,
         };
         for _ in 0..copies {
             if let Err(e) = wire::write_frame(writer, &answer) {

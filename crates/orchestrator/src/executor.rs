@@ -19,7 +19,7 @@
 //!
 //! Everything a transport needs to run one shard is a serializable
 //! [`ShardTask`]; everything it produces is the serializable
-//! [`crate::ShardOutput`] — the same contract the JSONL run directory
+//! [`crate::ShardOutput`] — the same contract the JSON run directory
 //! already persists, promoted to a wire contract. Two implementations
 //! share all merge/barrier logic in the coordinator:
 //!

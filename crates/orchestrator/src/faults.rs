@@ -1,8 +1,8 @@
 //! Deterministic fault injection for chaos-testing the orchestrator.
 //!
 //! A [`FaultPlan`] is a serializable description of *where the next run
-//! should break*: worker crashes at a numbered job, stalls, corrupt or
-//! truncated answer frames, dropped connections, duplicated answers,
+//! should break*: worker crashes at a numbered job, stalls, corrupt
+//! answer frames, dropped connections, duplicated answers,
 //! forgotten pool texts, refused handshakes, coordinator-side respawn
 //! failures and torn run-dir writes. The plan is threaded through the
 //! whole stack —
@@ -60,11 +60,10 @@ pub enum WorkerFault {
     /// Answer the n-th job with garbage bytes instead of a frame (the
     /// coordinator sees a malformed-frame error, not a clean result).
     CorruptFrameAtJob(u64),
-    /// Answer the n-th job with a frame header promising more bytes than
-    /// are sent (the coordinator sees a mid-frame EOF).
-    TruncateFrameAtJob(u64),
     /// Close the connection upon receiving the n-th job, *before*
-    /// answering (a mid-epoch partition).
+    /// answering (a mid-epoch partition). The coordinator reads a stream
+    /// that ends inside a frame the same way, so this also stands for a
+    /// truncated answer.
     DropConnAtJob(u64),
     /// Answer the n-th job twice — two byte-identical result frames
     /// (a retransmission; the second copy must be discarded as stale).
@@ -229,8 +228,6 @@ pub enum AnswerSabotage {
     Drop,
     /// Write garbage bytes that parse as no frame header.
     Corrupt,
-    /// Write a valid header promising more payload than is sent.
-    Truncate,
     /// Write the answer frame twice.
     Duplicate,
 }
@@ -288,9 +285,6 @@ impl WorkerFaultHarness {
                 WorkerFault::CorruptFrameAtJob(n) if n == job => {
                     sabotage.answer = Some(AnswerSabotage::Corrupt);
                 }
-                WorkerFault::TruncateFrameAtJob(n) if n == job => {
-                    sabotage.answer = Some(AnswerSabotage::Truncate);
-                }
                 WorkerFault::DropConnAtJob(n) if n == job => {
                     sabotage.answer = Some(AnswerSabotage::Drop);
                 }
@@ -316,7 +310,6 @@ mod tests {
                 WorkerFault::CrashAtJob(1),
                 WorkerFault::StallMs(250),
                 WorkerFault::CorruptFrameAtJob(1),
-                WorkerFault::TruncateFrameAtJob(2),
                 WorkerFault::DropConnAtJob(1),
                 WorkerFault::DuplicateResultAtJob(2),
                 WorkerFault::ForgetPoolAtJob(2),
@@ -357,6 +350,7 @@ mod tests {
             (r#"{"network": [{"DropConnAtJob": 1}]}"#, "`network`"),
             (r#"{"first_worker": [{"DelayFrameMs": 450}]}"#, "DelayFrameMs"),
             (r#"{"first_worker": [{"TruncateStreamAtJob": 1}]}"#, "TruncateStreamAtJob"),
+            (r#"{"first_worker": [{"TruncateFrameAtJob": 1}]}"#, "TruncateFrameAtJob"),
             (r#"{"every_worker": ["ExtccSpawnError"]}"#, "ExtccSpawnError"),
         ] {
             let err = serde_json::from_str::<FaultPlan>(plan).expect_err(plan).to_string();
@@ -449,17 +443,15 @@ mod tests {
 
         let mut answers = WorkerFaultHarness::new(vec![
             WorkerFault::CorruptFrameAtJob(1),
-            WorkerFault::TruncateFrameAtJob(2),
-            WorkerFault::DropConnAtJob(3),
-            WorkerFault::DuplicateResultAtJob(4),
-            WorkerFault::ForgetPoolAtJob(4),
+            WorkerFault::DropConnAtJob(2),
+            WorkerFault::DuplicateResultAtJob(3),
+            WorkerFault::ForgetPoolAtJob(3),
         ]);
         assert_eq!(answers.on_job(0).answer, Some(AnswerSabotage::Corrupt));
-        assert_eq!(answers.on_job(0).answer, Some(AnswerSabotage::Truncate));
         assert_eq!(answers.on_job(0).answer, Some(AnswerSabotage::Drop));
-        let fourth = answers.on_job(0);
-        assert_eq!(fourth.answer, Some(AnswerSabotage::Duplicate));
-        assert!(fourth.forget_pool);
+        let third = answers.on_job(0);
+        assert_eq!(third.answer, Some(AnswerSabotage::Duplicate));
+        assert!(third.forget_pool);
         assert_eq!(answers.on_job(0), JobSabotage::default());
         assert!(WorkerFaultHarness::default().is_empty());
         assert!(!h.is_empty());

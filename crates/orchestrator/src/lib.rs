@@ -21,7 +21,7 @@
 //!      |                                heartbeats, reconnect, respawn,
 //!      |                                crash redispatch)
 //!      |                   |                      |
-//!   ShardOutput       ShardOutput            ShardOutput   --> JSONL run dir
+//!   ShardOutput       ShardOutput            ShardOutput   --> JSON run dir
 //!      +---------------- merge (shard order) ----------------+  (optional)
 //!                          |
 //!                   CampaignResult
@@ -86,16 +86,16 @@
 //!   segment-capable [`ShardRunner`];
 //! * [`pool`] — the indexed worker pool ([`pool::run_indexed`]) the
 //!   in-process executor runs each epoch's segments on;
-//! * [`persist`] — the JSONL run-directory format: one summary line per
+//! * [`persist`] — the whole run-directory format: one JSON document per
 //!   completed shard, one pool artifact per barrier (its merged delta)
 //!   and per-barrier shard checkpoints that name pooled programs by
-//!   hash, crash-safe (every artifact written once through
-//!   atomic temp+rename, failed writes counted, damaged files recomputed,
-//!   schema-versioned manifests);
+//!   hash, crash-safe (every artifact written by one writer through
+//!   atomic temp+rename and read by one reader, failed writes counted,
+//!   damaged files recomputed, one manifest schema gate);
 //! * [`faults`] — deterministic fault injection ([`FaultPlan`]) for
 //!   chaos-testing the supervisor: one [`WorkerFault`] list for slot 0's
-//!   first worker and one for every worker (crashes, stalls, corrupt or
-//!   truncated frames, dropped connections, duplicated answers,
+//!   first worker and one for every worker (crashes, stalls, corrupt
+//!   frames, dropped connections, duplicated answers,
 //!   forgotten pool texts, refused handshakes), plus respawn failures and
 //!   torn run-dir writes.
 //!

@@ -169,12 +169,11 @@ pub struct RunStats {
     /// its totals.
     pub cache: Option<CacheStats>,
     /// Largest VM register file any shard's reused execution scratch
-    /// prepared during this run — the sealed register-file size. `None`
-    /// when no shard reported one (all shards reused from a
-    /// pre-optimizer run dir); telemetry only, never part of the
-    /// determinism contract (resumed shards count only their recomputed
-    /// segment).
-    pub peak_regs: Option<usize>,
+    /// prepared — the sealed register-file size (0 when no shard ran a
+    /// virtual matrix). Telemetry only, never part of the determinism
+    /// contract: a shard restored from a barrier counts only the
+    /// segments it recomputed.
+    pub peak_regs: usize,
     /// Wall-clock duration of the orchestrated run.
     pub wall_time: Duration,
     /// Sum of the computed shards' pipeline times (the work the pool
@@ -208,7 +207,7 @@ pub struct RunStats {
 
 impl RunStats {
     /// One-line human-readable summary, including the result-cache hit
-    /// rate when a cache served the run (the JSONL run directory persists
+    /// rate when a cache served the run (the run directory persists
     /// the same data as `summary.json`).
     pub fn summary_line(&self) -> String {
         let cache = match &self.cache {
@@ -218,10 +217,6 @@ impl RunStats {
                 c.hits + c.misses,
                 100.0 * c.hit_rate()
             ),
-            None => String::new(),
-        };
-        let peak = match self.peak_regs {
-            Some(regs) => format!(", peak register file {regs}"),
             None => String::new(),
         };
         let telemetry = match &self.telemetry {
@@ -257,7 +252,7 @@ impl RunStats {
         };
         format!(
             "{} shard(s) x {} epoch(s) on {} worker(s), {} reused, \
-             {:.2}s wall ({:.2}s shard time){}{}{}{}",
+             {:.2}s wall ({:.2}s shard time){}, peak register file {}{}{}",
             self.shards,
             self.epochs,
             self.workers,
@@ -265,7 +260,7 @@ impl RunStats {
             self.wall_time.as_secs_f64(),
             self.shard_pipeline_time.as_secs_f64(),
             cache,
-            peak,
+            self.peak_regs,
             telemetry,
             health
         )
@@ -625,7 +620,7 @@ fn execute(
                     }
                 }
             }
-            let peak_regs = outputs.iter().filter_map(|o| o.peak_regs).max();
+            let peak_regs = outputs.iter().map(|o| o.peak_regs).max().unwrap_or(0);
             let (merge_time, window) = match clock {
                 Clock::Run => (start.elapsed(), None),
                 Clock::PerCampaign => (pipeline_time, sink.window(index)),

@@ -1,12 +1,13 @@
-//! Persistent run directories with resume-from-partial-run.
+//! Persistent run directories with resume-from-partial-run. The whole
+//! run-dir format lives in this module.
 //!
-//! Layout of a run directory:
+//! Layout of a run directory (schema [`MANIFEST_SCHEMA`]):
 //!
 //! ```text
 //! <run_dir>/
-//!   manifest.json          campaign config + shard count + epoch count
+//!   manifest.json          config, shard count, epoch count, schema
 //!   shards/
-//!     shard-0000.jsonl     one file per shard (see below)
+//!     shard-0000.json      one completed shard's ShardOutput
 //!     ...
 //!   pool/
 //!     epoch-0000.json      barrier 0's merged delta: [hash, source] pairs
@@ -16,7 +17,13 @@
 //!     ...
 //!   result.json            merged CampaignResult, written on completion
 //!   summary.json           RunStats (incl. the extcc cache hit rate), on completion
+//!   metrics.json           telemetry flight recorder (with telemetry on)
+//!   trace.jsonl            Chrome trace events, one per line (with tracing on)
 //! ```
+//!
+//! Every artifact is one JSON document (the trace excepted: it is JSON
+//! lines), written by one writer (`RunDir::write_artifact`) and read
+//! by one reader (`read_artifact`); the manifest is no exception.
 //!
 //! The `pool/` and `checkpoints/` files exist only for multi-epoch runs
 //! (cross-shard feedback exchange). Each barrier atomically writes one
@@ -30,32 +37,29 @@
 //! texts the pool artifacts fill, recomputing only the later epochs — so
 //! a torn pool artifact falls back to the barrier before it.
 //!
-//! Each shard file is written once, when its shard completes, as a
-//! single JSONL line carrying the full `ShardOutput` (its spec included):
-//!
-//! ```text
-//! {"summary": {...}}
-//! ```
-//!
-//! A shard counts as complete exactly when its `summary` line parses and
-//! matches the planned spec; anything else (missing file, torn line,
-//! mismatched plan) makes the shard recompute on resume. The summary line
+//! Each shard file is written once, when its shard completes, and holds
+//! the full `ShardOutput` (its spec included). A shard counts as complete
+//! exactly when its file parses as one `ShardOutput` whose spec matches
+//! the planned one; anything else (missing file, torn or garbled bytes,
+//! mismatched plan) makes the shard recompute on resume. The file
 //! carries everything the merge needs, so resumed and fresh runs produce
 //! bit-identical campaign results.
 //!
-//! ## Crash safety
+//! ## Crash safety and the version gate
 //!
-//! Every artifact, shard files included, is written via a unique temp
-//! file in the same directory plus an atomic rename, so a crash mid-write
-//! can never leave a half-written manifest, shard file, checkpoint or
-//! result — only a stale `.tmp` leftover, which [`RunDir::open`] sweeps
-//! away. Readers still tolerate damage from outside that path: a torn or
-//! garbled shard file just recomputes its whole shard, and a truncated
-//! checkpoint disqualifies only its barrier. The manifest carries a
-//! schema version ([`MANIFEST_SCHEMA`]); a run dir written under any
-//! other schema — older, newer, or pre-versioning (no `schema` field) —
-//! is refused with the typed [`PersistError::SchemaMismatch`] rather
-//! than being misread.
+//! Every artifact is written via a unique temp file in the same
+//! directory plus an atomic rename, so a crash mid-write can never leave
+//! a half-written artifact — only a stale `.tmp` leftover, which
+//! [`RunDir::open`] sweeps away. Readers still tolerate damage from
+//! outside that path: a torn or garbled shard file just recomputes its
+//! whole shard, and a truncated checkpoint disqualifies only its barrier.
+//!
+//! [`RunDir::read_manifest`] is the version gate, and [`RunDir::open`]
+//! goes through it. It reads the manifest's raw `schema` key before the
+//! body, so a run dir written under any other schema — older, newer, or
+//! pre-versioning (no `schema` key) — is refused with the typed
+//! [`PersistError::SchemaMismatch`] whatever fields its body has. Behind
+//! the gate every reader decodes this build's shapes only.
 //!
 //! Failures are never silent: artifact problems surface as the typed
 //! [`PersistError`] taxonomy, and the best-effort writes (shard files,
@@ -64,12 +68,13 @@
 
 use std::collections::HashMap;
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
 
 use llm4fp::{CampaignConfig, CampaignResult, RunnerCheckpoint, SuccessfulSet};
 use llm4fp_telemetry::{MetricsReport, TraceEvent};
@@ -79,35 +84,25 @@ use crate::orchestrate::RunStats;
 use crate::shard::{ShardOutput, ShardSpec};
 
 /// The manifest schema this build reads and writes. Version 1 is the
-/// pre-versioning layout (no `schema` field); version 2 added the field
+/// pre-versioning layout (no `schema` key); version 2 added the key
 /// itself; version 3 moved the feedback pool's text out of the
-/// checkpoints into the `pool/` artifacts. Opening a run dir written by
-/// any other schema fails with [`PersistError::SchemaMismatch`] instead
-/// of silently misreading it.
-pub const MANIFEST_SCHEMA: u32 = 3;
+/// checkpoints into the `pool/` artifacts; version 4 writes each shard
+/// file as one plain JSON document (`shards/shard-NNNN.json`). Opening a
+/// run dir written by any other schema fails with
+/// [`PersistError::SchemaMismatch`] instead of silently misreading it.
+pub const MANIFEST_SCHEMA: u32 = 4;
 
-/// Which run-dir artifact a persistence error is about.
+/// Which run-dir artifact a persistence error is about. Only the
+/// manifest fails typed: any other damaged artifact just recomputes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Artifact {
     Manifest,
-    ShardFile,
-    Checkpoint,
-    Result,
-    Summary,
-    Metrics,
-    Trace,
 }
 
 impl std::fmt::Display for Artifact {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             Artifact::Manifest => "manifest.json",
-            Artifact::ShardFile => "shard file",
-            Artifact::Checkpoint => "checkpoint",
-            Artifact::Result => "result.json",
-            Artifact::Summary => "summary.json",
-            Artifact::Metrics => "metrics.json",
-            Artifact::Trace => "trace.jsonl",
         })
     }
 }
@@ -178,29 +173,35 @@ fn encode_pretty<T: Serialize + ?Sized>(what: &str, value: &T) -> Result<String,
     serde_json::to_string_pretty(value).map_err(|e| PersistError::Encode(format!("{what}: {e}")))
 }
 
+/// The one reader of artifact bytes.
+fn read_artifact(path: &Path) -> io::Result<String> {
+    fs::read_to_string(path)
+}
+
+/// Decode the JSON artifact at `path`. `None` when it is missing,
+/// unreadable or not a `T`: callers treat a damaged artifact as absent.
+fn load<T: DeserializeOwned>(path: &Path) -> Option<T> {
+    serde_json::from_str(&read_artifact(path).ok()?).ok()
+}
+
 /// The run's identity: what was asked for, and how it was decomposed.
 /// `epochs` is part of the identity — exchanged and non-exchanged runs of
 /// the same `(config, shards)` produce different results, so their shard
-/// outputs must never mix. `schema` versions the layout itself (`None`
-/// means a pre-versioning dir, schema 1) and is *not* part of the
-/// identity comparison.
+/// outputs must never mix. `schema` versions the layout itself and is
+/// *not* part of the identity comparison; [`RunDir::read_manifest`]
+/// returns only manifests of [`MANIFEST_SCHEMA`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunManifest {
     pub config: CampaignConfig,
     pub shards: usize,
     pub epochs: usize,
-    pub schema: Option<u32>,
+    pub schema: u32,
 }
 
 impl RunManifest {
     /// A manifest for this build's schema version.
     pub fn new(config: CampaignConfig, shards: usize, epochs: usize) -> Self {
-        RunManifest { config, shards, epochs, schema: Some(MANIFEST_SCHEMA) }
-    }
-
-    /// The effective schema version (`None` = pre-versioning = 1).
-    pub fn schema_version(&self) -> u32 {
-        self.schema.unwrap_or(1)
+        RunManifest { config, shards, epochs, schema: MANIFEST_SCHEMA }
     }
 
     /// Whether two manifests describe the same run (config, decomposition
@@ -255,36 +256,31 @@ pub struct RunDir {
 }
 
 impl RunDir {
-    /// Open (creating directories as needed) a run directory for the given
+    /// Open (creating it as needed) a run directory for the given
     /// manifest, sweeping any stale `.tmp` leftovers a crashed writer
-    /// left behind. If a manifest is already present it must describe the
-    /// same run — resuming with a different config or shard count would
-    /// silently mix incompatible shard outputs — and must come from this
-    /// build's [`MANIFEST_SCHEMA`].
+    /// left behind. If a manifest is already present it must pass
+    /// [`RunDir::read_manifest`]'s schema gate and describe the same run —
+    /// resuming with a different config or shard count would silently mix
+    /// incompatible shard outputs.
     pub fn open(root: impl Into<PathBuf>, manifest: &RunManifest) -> Result<Self, PersistError> {
-        let root = root.into();
-        fs::create_dir_all(root.join("shards"))?;
-        sweep_stale_tmp_files(&root);
-        let manifest_path = root.join("manifest.json");
-        if manifest_path.exists() {
-            let text = fs::read_to_string(&manifest_path)?;
-            let existing: RunManifest = serde_json::from_str(&text)
-                .map_err(|e| PersistError::corrupt(Artifact::Manifest, e.to_string()))?;
-            let found = existing.schema_version();
-            if found != MANIFEST_SCHEMA {
-                return Err(PersistError::SchemaMismatch { found, supported: MANIFEST_SCHEMA });
-            }
-            if !existing.same_run(manifest) {
+        let dir = RunDir { root: root.into(), state: Arc::new(PersistState::default()) };
+        sweep_stale_tmp_files(&dir.root);
+        match RunDir::read_manifest(&dir.root) {
+            Ok(existing) if existing.same_run(manifest) => {}
+            Ok(_) => {
                 return Err(PersistError::ManifestMismatch(format!(
                     "run dir {} was created for a different (config, shards); \
                      refusing to mix shard outputs",
-                    root.display()
-                )));
+                    dir.root.display()
+                )))
             }
-        } else {
-            write_atomically(&manifest_path, &encode_pretty("manifest.json", manifest)?)?;
+            Err(PersistError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {
+                let text = encode_pretty("manifest.json", manifest)?;
+                dir.write_artifact(&dir.root.join("manifest.json"), &text)?;
+            }
+            Err(e) => return Err(e),
         }
-        Ok(RunDir { root, state: Arc::new(PersistState::default()) })
+        Ok(dir)
     }
 
     /// Arm deterministic persistence faults for chaos testing (see
@@ -306,12 +302,28 @@ impl RunDir {
         self
     }
 
-    /// Read the manifest of an existing run directory.
+    /// Read the manifest of an existing run directory: the one manifest
+    /// reader and the version gate. The raw `schema` key is checked
+    /// before the body is decoded, so a manifest of any other schema is
+    /// a [`PersistError::SchemaMismatch`] whatever its body holds (no key
+    /// at all is the pre-versioning schema 1). A manifest that is no JSON
+    /// object, or whose body this schema cannot decode, is
+    /// [`PersistError::Corrupt`].
     pub fn read_manifest(root: impl AsRef<Path>) -> Result<RunManifest, PersistError> {
-        let path = root.as_ref().join("manifest.json");
-        let text = fs::read_to_string(&path)?;
-        serde_json::from_str(&text)
-            .map_err(|e| PersistError::corrupt(Artifact::Manifest, e.to_string()))
+        let text = read_artifact(&root.as_ref().join("manifest.json"))?;
+        let corrupt = |e: serde::Error| PersistError::corrupt(Artifact::Manifest, e.to_string());
+        let value = serde_json::parse(&text).map_err(corrupt)?;
+        let fields = value
+            .as_obj()
+            .ok_or_else(|| PersistError::corrupt(Artifact::Manifest, "not a JSON object"))?;
+        let found = match fields.get("schema") {
+            None => 1,
+            Some(schema) => u32::from_value(schema).map_err(corrupt)?,
+        };
+        if found != MANIFEST_SCHEMA {
+            return Err(PersistError::SchemaMismatch { found, supported: MANIFEST_SCHEMA });
+        }
+        serde_json::from_value(&value).map_err(corrupt)
     }
 
     pub fn root(&self) -> &Path {
@@ -336,45 +348,55 @@ impl RunDir {
         self.state.bytes.load(Ordering::Relaxed)
     }
 
-    /// The atomic-write path for every artifact, with the torn-write
-    /// failpoint: a claimed write lands only its first half, bypassing
-    /// temp+rename, is counted as a persist error, and reports success —
-    /// artifact writes are best-effort, so the run continues and the
-    /// damaged file exercises the resume-side tolerance instead.
+    /// The one writer of artifact bytes. It creates the artifact's
+    /// directory, writes `contents` to a unique dot-prefixed temp file
+    /// there, then atomically renames it over `path` — a crash mid-write
+    /// leaves the old artifact intact (plus a `.tmp` leftover for the
+    /// next [`RunDir::open`] to sweep), never a torn one. Temp names mix
+    /// the pid and a process-wide counter so concurrent writers can't
+    /// collide.
+    ///
+    /// The torn-write failpoint: a claimed write lands only its first
+    /// half, bypassing temp+rename, is counted as a persist error, and
+    /// reports success — artifact writes are best-effort, so the run
+    /// continues and the damaged file exercises the resume-side
+    /// tolerance instead.
     fn write_artifact(&self, path: &Path, contents: &str) -> Result<(), PersistError> {
+        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+        if let Some(dir) = path.parent() {
+            fs::create_dir_all(dir)?;
+        }
         if self.state.sabotage(path) {
             let _ = fs::write(path, &contents.as_bytes()[..contents.len() / 2]);
             self.note_persist_error();
             return Ok(());
         }
-        write_atomically(path, contents)
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
+        let tmp = path.with_file_name(format!(".{name}.{}-{seq}.tmp", std::process::id()));
+        fs::write(&tmp, contents)?;
+        if let Err(e) = fs::rename(&tmp, path) {
+            let _ = fs::remove_file(&tmp);
+            return Err(e.into());
+        }
+        Ok(())
     }
 
     fn shard_path(&self, index: usize) -> PathBuf {
-        self.root.join("shards").join(format!("shard-{index:04}.jsonl"))
+        self.root.join("shards").join(format!("shard-{index:04}.json"))
     }
 
-    /// Load a shard's output if its file is its one complete summary line
-    /// and matches `spec`. Anything else — a missing, torn, garbled or
+    /// Load a shard's output if its file is one complete `ShardOutput`
+    /// that matches `spec`. Anything else — a missing, torn, garbled or
     /// stale file — yields `None` and the shard reruns: damage means
     /// recompute, never `Corrupt`.
     pub fn load_shard(&self, spec: &ShardSpec) -> Option<ShardOutput> {
-        let text = fs::read_to_string(self.shard_path(spec.index)).ok()?;
-        // A file without its closing newline was torn mid-write.
-        let line = text.strip_suffix('\n')?;
-        let value = serde_json::parse(line).ok()?;
-        let output: ShardOutput = serde_json::from_value(value.as_obj()?.get("summary")?).ok()?;
-        (output.spec == *spec).then_some(output)
+        load::<ShardOutput>(&self.shard_path(spec.index)).filter(|output| output.spec == *spec)
     }
 
-    /// Atomically write one completed shard's file: its single summary
-    /// line.
+    /// Atomically write one completed shard's file.
     pub fn write_shard(&self, output: &ShardOutput) -> Result<(), PersistError> {
-        let mut line = serde_json::Map::new();
-        line.insert("summary".to_string(), serde_json::to_value(output));
-        let mut text = encode("shard summary", &Value::Obj(line))?;
-        text.push('\n');
-        self.write_artifact(&self.shard_path(output.spec.index), &text)
+        self.write_artifact(&self.shard_path(output.spec.index), &encode("shard file", output)?)
     }
 
     fn checkpoint_path(&self, shard: usize, epoch: usize) -> PathBuf {
@@ -397,7 +419,6 @@ impl RunDir {
     /// pairs. Write it before the barrier's checkpoints: once written,
     /// checkpoints leave its texts out.
     pub fn write_pool(&self, epoch: usize, delta: &SuccessfulSet) -> Result<(), PersistError> {
-        fs::create_dir_all(self.root.join("pool"))?;
         let entries: Vec<(u64, &str)> =
             delta.hashes().iter().copied().zip(delta.sources().iter().map(|s| &**s)).collect();
         self.write_counted(&self.pool_path(epoch), &encode("pool artifact", &entries)?)?;
@@ -408,16 +429,14 @@ impl RunDir {
         Ok(())
     }
 
-    /// Load one barrier's pool artifact into the texts this handle fills
-    /// checkpoints from. Returns whether it was present and parseable.
-    fn load_pool(&self, epoch: usize) -> bool {
-        let Ok(text) = fs::read_to_string(self.pool_path(epoch)) else { return false };
-        let Ok(entries) = serde_json::from_str::<Vec<(u64, String)>>(&text) else { return false };
+    /// Load one barrier's pool artifact, if present and parseable, into
+    /// the texts this handle fills checkpoints from.
+    fn load_pool(&self, epoch: usize) {
+        let Some(entries) = load::<Vec<(u64, String)>>(&self.pool_path(epoch)) else { return };
         let mut pool = self.state.pool.lock().unwrap();
         for (hash, source) in entries {
             pool.entry(hash).or_insert_with(|| Arc::from(source));
         }
-        true
     }
 
     /// Atomically record one shard's paused-runner checkpoint at a barrier
@@ -429,7 +448,6 @@ impl RunDir {
         epoch: usize,
         checkpoint: &RunnerCheckpoint,
     ) -> Result<(), PersistError> {
-        fs::create_dir_all(self.root.join("checkpoints"))?;
         let mut checkpoint = checkpoint.clone();
         {
             let pool = self.state.pool.lock().unwrap();
@@ -438,14 +456,18 @@ impl RunDir {
         self.write_counted(&self.checkpoint_path(shard, epoch), &encode("checkpoint", &checkpoint)?)
     }
 
-    /// Load one shard's checkpoint at a barrier, if present, parseable and
-    /// fillable: every text it leaves out must be one this handle holds
-    /// from a pool artifact. Anything else (a truncated checkpoint, a lost
-    /// pool text) simply disqualifies its barrier — resume falls back to
-    /// an earlier restorable one.
+    /// Load one shard's checkpoint at a barrier, if present, parseable,
+    /// whole and fillable: each RNG state must be the four words it was
+    /// written as, and every text it leaves out must be one this handle
+    /// holds from a pool artifact. Anything else (a truncated checkpoint,
+    /// a damaged RNG state, a lost pool text) simply disqualifies its
+    /// barrier — resume falls back to an earlier restorable one.
     pub fn load_checkpoint(&self, shard: usize, epoch: usize) -> Option<RunnerCheckpoint> {
-        let text = fs::read_to_string(self.checkpoint_path(shard, epoch)).ok()?;
-        let mut checkpoint: RunnerCheckpoint = serde_json::from_str(&text).ok()?;
+        let mut checkpoint: RunnerCheckpoint = load(&self.checkpoint_path(shard, epoch))?;
+        let rngs = [&checkpoint.rng, &checkpoint.varity_rng, &checkpoint.llm_rng];
+        if rngs.iter().any(|words| words.len() != 4) {
+            return None;
+        }
         let pool = self.state.pool.lock().unwrap();
         checkpoint.successful.fill(|hash| pool.get(&hash).cloned()).ok()?;
         Some(checkpoint)
@@ -481,8 +503,7 @@ impl RunDir {
 
     /// Load a previously persisted merged result, if any.
     pub fn load_result(&self) -> Option<CampaignResult> {
-        let text = fs::read_to_string(self.root.join("result.json")).ok()?;
-        serde_json::from_str(&text).ok()
+        load(&self.root.join("result.json"))
     }
 
     /// Persist the run's execution statistics (worker/shard/epoch counts
@@ -497,8 +518,7 @@ impl RunDir {
 
     /// Load a previously persisted run summary, if any.
     pub fn load_summary(&self) -> Option<RunStats> {
-        let text = fs::read_to_string(self.root.join("summary.json")).ok()?;
-        serde_json::from_str(&text).ok()
+        load(&self.root.join("summary.json"))
     }
 
     /// Persist the deterministic metrics flight recorder. For fully
@@ -513,8 +533,7 @@ impl RunDir {
 
     /// Load a previously persisted metrics report, if any.
     pub fn load_metrics(&self) -> Option<MetricsReport> {
-        let text = fs::read_to_string(self.root.join("metrics.json")).ok()?;
-        serde_json::from_str(&text).ok()
+        load(&self.root.join("metrics.json"))
     }
 
     /// Persist the Chrome `trace_event` flight recorder as JSON lines
@@ -531,7 +550,7 @@ impl RunDir {
 
     /// Load the persisted trace's JSON lines, if any.
     pub fn load_trace_lines(&self) -> Option<Vec<String>> {
-        let text = fs::read_to_string(self.root.join("trace.jsonl")).ok()?;
+        let text = read_artifact(&self.root.join("trace.jsonl")).ok()?;
         Some(text.lines().map(str::to_string).collect())
     }
 }
@@ -553,28 +572,11 @@ fn sweep_stale_tmp_files(root: &Path) {
     }
 }
 
-/// Write `contents` to a unique dot-prefixed temp file in `path`'s own
-/// directory, then atomically rename over `path` — a crash mid-write
-/// leaves the old artifact intact (plus a `.tmp` leftover for the next
-/// [`RunDir::open`] to sweep), never a torn one. Temp names mix the pid
-/// and a process-wide counter so concurrent writers can't collide.
-fn write_atomically(path: &Path, contents: &str) -> Result<(), PersistError> {
-    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    let name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-    let tmp = path.with_file_name(format!(".{name}.{}-{seq}.tmp", std::process::id()));
-    fs::write(&tmp, contents)?;
-    if let Err(e) = fs::rename(&tmp, path) {
-        let _ = fs::remove_file(&tmp);
-        return Err(e.into());
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use llm4fp::ApproachKind;
+    use serde_json::Value;
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -599,7 +601,7 @@ mod tests {
         let _dir = RunDir::open(&root, &m).unwrap();
         let read = RunDir::read_manifest(&root).unwrap();
         assert_eq!(read, m);
-        assert_eq!(read.schema_version(), MANIFEST_SCHEMA);
+        assert_eq!(read.schema, MANIFEST_SCHEMA);
         // Reopening with the same manifest is fine.
         RunDir::open(&root, &m).unwrap();
         // A different plan is refused.
@@ -613,16 +615,26 @@ mod tests {
         let root = temp_dir("schema");
         let m = manifest();
         let _dir = RunDir::open(&root, &m).unwrap();
+        let body = serde_json::to_value(&m);
+        let Value::Obj(fields) = &body else { panic!("a manifest is an object") };
         // A dir written by any other schema must not be misread: a future
-        // one, schema 2 (whose checkpoints hold the pool's text), and a
-        // pre-versioning one (no schema field at all, read as schema 1).
-        for schema in [Some(MANIFEST_SCHEMA + 97), Some(2), None] {
-            let other = RunManifest { schema, ..m.clone() };
-            fs::write(root.join("manifest.json"), serde_json::to_string_pretty(&other).unwrap())
-                .unwrap();
+        // one, schema 3 (one-line JSONL shard files), schema 2 (whose
+        // checkpoints hold the pool's text), and a pre-versioning one (no
+        // schema key at all, read as schema 1).
+        for schema in [Some(MANIFEST_SCHEMA + 97), Some(3), Some(2), None] {
+            let mut other = fields.clone();
+            match schema {
+                Some(schema) => other.insert("schema".into(), serde_json::to_value(&schema)),
+                None => other.remove("schema"),
+            };
+            fs::write(
+                root.join("manifest.json"),
+                serde_json::to_string(&Value::Obj(other)).unwrap(),
+            )
+            .unwrap();
             match RunDir::open(&root, &m) {
                 Err(PersistError::SchemaMismatch { found, supported }) => {
-                    assert_eq!(found, other.schema_version());
+                    assert_eq!(found, schema.unwrap_or(1));
                     assert_eq!(supported, MANIFEST_SCHEMA);
                 }
                 other => panic!("expected SchemaMismatch for {schema:?}, got {other:?}"),
@@ -630,12 +642,15 @@ mod tests {
         }
         let refusal = PersistError::SchemaMismatch { found: 2, supported: MANIFEST_SCHEMA };
         assert!(refusal.to_string().contains("schema 2"), "{refusal}");
-        // Unparseable manifests are typed corruption, naming the artifact.
-        fs::write(root.join("manifest.json"), "{torn").unwrap();
-        assert!(matches!(
-            RunDir::open(&root, &m),
-            Err(PersistError::Corrupt { artifact: Artifact::Manifest, .. })
-        ));
+        // Unparseable manifests, and manifests that are no JSON object,
+        // are typed corruption, naming the artifact.
+        for damaged in ["{torn", "[4]"] {
+            fs::write(root.join("manifest.json"), damaged).unwrap();
+            assert!(matches!(
+                RunDir::open(&root, &m),
+                Err(PersistError::Corrupt { artifact: Artifact::Manifest, .. })
+            ));
+        }
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -653,20 +668,18 @@ mod tests {
         let spec = crate::shard::plan_shards(&config, 2)[0];
         let output = shard_output(&config, spec);
         dir.write_shard(&output).unwrap();
-        let path = root.join("shards").join("shard-0000.jsonl");
+        let path = root.join("shards").join("shard-0000.json");
         let full = fs::read_to_string(&path).unwrap();
         assert_eq!(dir.load_shard(&spec).unwrap(), output);
-        // The summary line without its closing newline, a line that is
-        // no summary, a summary for another plan, a second line, and no
-        // file at all: none of them is a complete shard.
+        // Half the document, the output wrapped as a schema-3 summary
+        // line, the output of another plan, two documents, and no file
+        // at all: none of them is a complete shard.
         let mut other = output.clone();
         other.spec.seed ^= 1;
-        let mut stale = serde_json::Map::new();
-        stale.insert("summary".to_string(), serde_json::to_value(&other));
         for damaged in [
-            full.trim_end().to_string(),
-            full.replacen("summary", "record", 1),
-            serde_json::to_string(&Value::Obj(stale)).unwrap() + "\n",
+            full[..full.len() / 2].to_string(),
+            format!("{{\"summary\":{full}}}\n"),
+            serde_json::to_string(&other).unwrap(),
             format!("{full}{full}"),
         ] {
             fs::write(&path, &damaged).unwrap();
@@ -678,6 +691,27 @@ mod tests {
     }
 
     #[test]
+    fn schema_3_shard_files_are_never_loaded() {
+        // Schema 3 wrote `shards/shard-NNNN.jsonl`, one `{"summary":…}`
+        // line. This schema never opens that name, whatever it holds.
+        let root = temp_dir("schema-3-shards");
+        let dir = RunDir::open(&root, &manifest()).unwrap();
+        let config = manifest().config;
+        let spec = crate::shard::plan_shards(&config, 2)[0];
+        let output = shard_output(&config, spec);
+        let plain = serde_json::to_string(&output).unwrap();
+        let legacy = root.join("shards").join("shard-0000.jsonl");
+        fs::create_dir_all(root.join("shards")).unwrap();
+        for text in [format!("{{\"summary\":{plain}}}\n"), plain] {
+            fs::write(&legacy, text).unwrap();
+            assert!(dir.load_shard(&spec).is_none(), "a .jsonl shard file loaded");
+        }
+        dir.write_shard(&output).unwrap();
+        assert_eq!(dir.load_shard(&spec).unwrap(), output);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn torn_shard_tails_are_partial_progress_not_corruption() {
         let root = temp_dir("torn-tail");
         let dir = RunDir::open(&root, &manifest()).unwrap();
@@ -685,23 +719,23 @@ mod tests {
         let spec = crate::shard::plan_shards(&config, 2)[0];
         let output = shard_output(&config, spec);
         dir.write_shard(&output).unwrap();
-        // Tear the file mid-line, as an outside writer might: the
+        // Tear the file mid-document, as an outside writer might: the
         // incomplete shard recomputes (None), with no panic or Corrupt.
-        let path = root.join("shards").join("shard-0000.jsonl");
+        let path = root.join("shards").join("shard-0000.json");
         let full = fs::read_to_string(&path).unwrap();
-        assert_eq!(full.lines().count(), 1, "a shard file is its summary line");
+        let parsed: ShardOutput = serde_json::from_str(&full).unwrap();
+        assert_eq!(parsed, output, "a shard file is one ShardOutput document");
         let torn: String = full.chars().take(full.len() / 2).collect();
         fs::write(&path, &torn).unwrap();
         assert!(dir.load_shard(&spec).is_none());
-        // Binary garbage over the tail, newline kept: still no shard.
+        // Binary garbage over the tail: still no shard.
         let mut garbled = full.clone().into_bytes();
         let tail = garbled.len() / 2;
-        let end = garbled.len() - 1;
-        garbled[tail..end].fill(0xFF);
+        garbled[tail..].fill(0xFF);
         fs::write(&path, &garbled).unwrap();
         assert!(dir.load_shard(&spec).is_none());
         // ASCII garbage that keeps the file valid UTF-8: still no shard.
-        garbled[tail..end].fill(b'#');
+        garbled[tail..].fill(b'#');
         fs::write(&path, &garbled).unwrap();
         assert!(dir.load_shard(&spec).is_none());
         let _ = fs::remove_dir_all(&root);
@@ -858,7 +892,7 @@ mod tests {
         // A directory squatting on the shard path fails the write with a
         // real io error, which the caller counts.
         let dir = RunDir::open(&root, &manifest()).unwrap();
-        fs::create_dir_all(root.join("shards").join("shard-0000.jsonl")).unwrap();
+        fs::create_dir_all(root.join("shards").join("shard-0000.json")).unwrap();
         assert!(matches!(dir.write_shard(&output), Err(PersistError::Io(_))));
         assert!(dir.load_shard(&spec).is_none());
         let _ = fs::remove_dir_all(&root);

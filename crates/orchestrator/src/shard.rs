@@ -24,7 +24,6 @@ use llm4fp::{
     CampaignConfig, CampaignResult, CampaignRunner, ProgramRecord, RunnerCheckpoint, SuccessfulSet,
 };
 use llm4fp_difftest::{Aggregates, ResultCache};
-use llm4fp_fpir::source_hash;
 use llm4fp_telemetry::Telemetry;
 
 /// Plan for one shard of a campaign.
@@ -90,9 +89,8 @@ pub struct ShardOutput {
     /// Wall-clock time this shard actually spent computing.
     pub pipeline_time: Duration,
     /// Largest VM register file the shard's reused execution scratch
-    /// prepared (`None` in shard files persisted before it was recorded;
-    /// 0 for campaigns that never ran a virtual matrix).
-    pub peak_regs: Option<usize>,
+    /// prepared (0 for campaigns that never ran a virtual matrix).
+    pub peak_regs: usize,
 }
 
 /// One shard lost from a merged campaign. Nothing produces these any
@@ -256,7 +254,7 @@ impl ShardRunner {
             llm_calls: result.llm_calls,
             simulated_llm_time: result.simulated_llm_time,
             pipeline_time: result.pipeline_time,
-            peak_regs: Some(peak_regs),
+            peak_regs,
         }
     }
 }
@@ -299,9 +297,11 @@ pub fn run_shard(spec: &ShardSpec, ctx: &ShardCtx<'_>) -> ShardOutput {
 /// the successful-source union is re-deduplicated (shards dedup only
 /// internally, so the same program triggering in two shards would
 /// otherwise appear twice — `CampaignResult::successful_sources`
-/// promises structural uniqueness). Deterministic: depends only on the
-/// outputs, not on how they were scheduled. `pipeline_time` becomes the
-/// merged result's pipeline time.
+/// promises structural uniqueness). Every successful source is printer
+/// output, so two of them have equal text exactly when they have equal
+/// tokens: the merge dedups by text and hashes nothing. Deterministic:
+/// depends only on the outputs, not on how they were scheduled.
+/// `pipeline_time` becomes the merged result's pipeline time.
 pub fn merge_shards(
     config: &CampaignConfig,
     mut outputs: Vec<ShardOutput>,
@@ -325,7 +325,7 @@ pub fn merge_shards(
         }));
         sources.extend(output.sources);
         for source in output.successful_sources {
-            if successful_seen.insert(source_hash(&source)) {
+            if successful_seen.insert(source.clone()) {
                 successful_sources.push(source);
             }
         }

@@ -19,7 +19,7 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::executor::OrchestratorError;
 use crate::wire::ShardJobResult;
@@ -33,7 +33,7 @@ pub const MAX_DISPATCH_ATTEMPTS: u8 = 3;
 /// no bits. Reported in `RunStats` and `summary.json`, never in
 /// `metrics.json` — the counts describe this invocation's luck, not the
 /// deterministic `(config, K, E)` result.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SupervisionCounts {
     /// Result frames discarded because they did not carry a live lease:
     /// late answers after lease expiry, retransmitted frames, leftovers
@@ -45,28 +45,6 @@ pub struct SupervisionCounts {
     /// Self-spawned workers the executor respawned after they exited or
     /// were killed.
     pub respawns: u64,
-}
-
-/// Missing fields (and a missing object, as in `summary.json` files
-/// written before these counts existed) deserialize as zero.
-impl Deserialize for SupervisionCounts {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let Some(m) = v.as_obj() else {
-            return match v {
-                Value::Null => Ok(SupervisionCounts::default()),
-                _ => Err(Error::msg("expected object for SupervisionCounts")),
-            };
-        };
-        let field = |name: &str| match m.get(name) {
-            None | Some(Value::Null) => Ok(0),
-            Some(v) => u64::from_value(v),
-        };
-        Ok(SupervisionCounts {
-            stale_results: field("stale_results")?,
-            redispatches: field("redispatches")?,
-            respawns: field("respawns")?,
-        })
-    }
 }
 
 /// One epoch's dispatch ledger (one lock, held only for bookkeeping).
@@ -247,22 +225,6 @@ mod tests {
         assert!(state.is_settled());
         // Two failures requeued the job; the third exhausted it.
         assert_eq!(state.redispatches, 2);
-    }
-
-    #[test]
-    fn supervision_counts_read_zero_when_absent() {
-        // `summary.json` files written before the counts existed carry no
-        // `supervision` object at all; partial objects default per field.
-        assert_eq!(
-            SupervisionCounts::from_value(&Value::Null).unwrap(),
-            SupervisionCounts::default()
-        );
-        let partial: SupervisionCounts = serde_json::from_str(r#"{"respawns": 2}"#).unwrap();
-        assert_eq!(partial, SupervisionCounts { respawns: 2, ..SupervisionCounts::default() });
-        let full = SupervisionCounts { stale_results: 1, redispatches: 3, respawns: 2 };
-        let back: SupervisionCounts =
-            serde_json::from_str(&serde_json::to_string(&full).unwrap()).unwrap();
-        assert_eq!(back, full);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! to eyeball in a captured stream, and unambiguous under partial reads.
 //! Every message is one frame; the stream carries no other bytes.
 //!
-//! The payloads are the run directory's JSONL vocabulary promoted to a
+//! The payloads are the run directory's JSON vocabulary promoted to a
 //! wire contract: a job is `(config, spec, segment, checkpoint)` and an
 //! answer is `(delta, checkpoint | output, counters)` — the same
 //! serializable types the persistence layer already round-trips, which
@@ -76,9 +76,9 @@ pub struct Hello {
     pub protocol: u32,
     /// The sender's [`crate::persist::MANIFEST_SCHEMA`].
     pub manifest_schema: u32,
-    /// The worker's process id (`None` from the coordinator, and from
-    /// workers that predate it): how the coordinator finds the process
-    /// behind a connection it must kill. Not part of the version check.
+    /// The worker's process id (`None` from the coordinator): how the
+    /// coordinator finds the process behind a connection it must kill.
+    /// Not part of the version check.
     pub pid: Option<u32>,
 }
 

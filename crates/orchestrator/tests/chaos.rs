@@ -3,9 +3,10 @@
 //! silently produce different results.
 //!
 //! The damage shapes here are the ones a crash or a failing disk leaves
-//! behind: torn JSONL lines, binary garbage from a torn overwrite,
-//! truncated barrier checkpoints, stale `.tmp` stragglers, unwritable
-//! artifact paths, and manifests from a different schema generation.
+//! behind: torn JSON documents, binary garbage from a torn overwrite,
+//! truncated barrier checkpoints, damaged RNG states, stale `.tmp`
+//! stragglers, unwritable artifact paths, and manifests from a different
+//! schema generation.
 //! The injected-at-runtime counterpart ([`PersistFault::TornWrite`])
 //! drives the same recovery paths from the writing side.
 
@@ -63,17 +64,17 @@ fn resume_survives_torn_tails_and_binary_garbage_in_shard_files() {
     let full = persisted_run(&config, &root, 1);
     force_recompute(&root);
 
-    // Shard 0: the tail is a half-written JSON line, as a torn
+    // Shard 0: the tail is a half-written JSON document, as a torn
     // non-atomic write leaves it. Shard 1: a torn binary overwrite —
     // non-UTF-8 garbage splattered over the tail. Neither is corruption:
     // the shards recompute and the merged result is bit-identical.
-    let shard0 = root.join("shards").join("shard-0000.jsonl");
+    let shard0 = root.join("shards").join("shard-0000.json");
     let mut text = std::fs::read_to_string(&shard0).unwrap();
     let keep = text.len() - text.len() / 3;
     text.truncate(keep);
     std::fs::write(&shard0, text).unwrap();
 
-    let shard1 = root.join("shards").join("shard-0001.jsonl");
+    let shard1 = root.join("shards").join("shard-0001.json");
     let mut bytes = std::fs::read(&shard1).unwrap();
     let tail = bytes.len() / 2;
     for b in &mut bytes[tail..] {
@@ -97,7 +98,7 @@ fn truncated_checkpoints_fall_back_to_an_earlier_barrier() {
     force_recompute(&root);
     // Make every shard recompute so the barrier restore actually runs.
     for shard in 0..shards {
-        let _ = std::fs::remove_file(root.join("shards").join(format!("shard-{shard:04}.jsonl")));
+        let _ = std::fs::remove_file(root.join("shards").join(format!("shard-{shard:04}.json")));
     }
 
     // The latest barrier (epoch 1) has one checkpoint cut in half — a
@@ -119,6 +120,41 @@ fn truncated_checkpoints_fall_back_to_an_earlier_barrier() {
     let resumed = Orchestrator::resume(&root).unwrap();
     assert_eq!(resumed.stats.epochs_restored, 1, "restored through barrier 0");
     assert_results_identical(&resumed.result, &full.result, "earlier-barrier resume");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn checkpoints_with_a_damaged_rng_state_fall_back_to_an_earlier_barrier() {
+    let config = config(ApproachKind::Llm4Fp, 24, 37);
+    let (shards, epochs) = (3usize, 3usize);
+    let root = temp_dir("damaged-rng");
+    let full = persisted_run(&config, &root, epochs);
+    force_recompute(&root);
+    for shard in 0..shards {
+        let _ = std::fs::remove_file(root.join("shards").join(format!("shard-{shard:04}.json")));
+    }
+
+    // One word of the campaign RNG state goes missing from a barrier-1
+    // checkpoint. The file still parses, but padding the state back to
+    // four words would resume to other bits: the checkpoint is refused,
+    // and resume falls back to barrier 0 with bit-identical results.
+    let damaged = root.join("checkpoints").join("shard-0001-epoch-0001.json");
+    let text = std::fs::read_to_string(&damaged).unwrap();
+    let Value::Obj(mut checkpoint) = serde_json::parse(&text).unwrap() else {
+        panic!("a checkpoint is an object")
+    };
+    let Some(Value::Arr(rng)) = checkpoint.get_mut("rng") else {
+        panic!("a checkpoint carries its rng state")
+    };
+    assert_eq!(rng.len(), 4);
+    rng.pop();
+    std::fs::write(&damaged, serde_json::to_string(&Value::Obj(checkpoint)).unwrap()).unwrap();
+    let dir = RunDir::open(&root, &RunManifest::new(config.clone(), shards, epochs)).unwrap();
+    assert_eq!(dir.latest_restorable_epoch(shards, epochs).map(|(b, _)| b), Some(0));
+
+    let resumed = Orchestrator::resume(&root).unwrap();
+    assert_eq!(resumed.stats.epochs_restored, 1, "restored through barrier 0");
+    assert_results_identical(&resumed.result, &full.result, "damaged-rng resume");
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -156,29 +192,58 @@ fn older_schema_run_dirs_are_refused_with_a_typed_error() {
     persisted_run(&config, &root, 2);
     force_recompute(&root);
 
-    // Schema 2 kept the pool's text in every checkpoint, and a
-    // pre-versioning build wrote no schema field at all (schema 1).
-    // Neither layout is this build's, so both are refused outright.
+    // Schema 3 wrote one-line JSONL shard files, schema 2 kept the pool's
+    // text in every checkpoint, and a pre-versioning build wrote no
+    // schema key at all (schema 1) and, earlier still, no `backend` or
+    // `seal_mode` in its config. No such layout is this build's, so each
+    // is refused by its schema before its body is decoded: a body this
+    // build could not decode is still a mismatch, never `Corrupt`.
     let manifest_path = root.join("manifest.json");
     let text = std::fs::read_to_string(&manifest_path).unwrap();
     let Value::Obj(map) = serde_json::parse(&text).unwrap() else {
         panic!("manifest.json is an object")
     };
-    for schema in [Some(2u64), None] {
+    let without = |keys: &[&str]| {
         let mut map = map.clone();
+        let Some(Value::Obj(config)) = map.get_mut("config") else {
+            panic!("manifest.json carries the campaign config")
+        };
+        for key in keys {
+            assert!(config.remove(*key).is_some(), "the config carries `{key}`");
+        }
+        map
+    };
+    for (schema, missing) in [
+        (Some(3u64), &[][..]),
+        (Some(2), &[]),
+        (None, &[]),
+        (None, &["backend"]),
+        (None, &["seal_mode"]),
+        (None, &["backend", "seal_mode"]),
+    ] {
+        let mut map = without(missing);
         match schema {
             Some(schema) => map.insert("schema".to_string(), Value::Num(Number::U(schema))),
             None => map.remove("schema"),
         };
         std::fs::write(&manifest_path, serde_json::to_string(&Value::Obj(map)).unwrap()).unwrap();
-        let found = RunDir::read_manifest(&root).unwrap().schema_version();
-        assert_eq!(u64::from(found), schema.unwrap_or(1));
-        match Orchestrator::resume(&root).expect_err("an older schema must refuse to open") {
-            OrchestratorError::Persist(PersistError::SchemaMismatch { found: f, supported }) => {
-                assert_eq!(f, found);
-                assert_eq!(supported, MANIFEST_SCHEMA);
+        let what = format!("schema {schema:?} without {missing:?}");
+        let found = u32::try_from(schema.unwrap_or(1)).unwrap();
+        let refusals = [
+            RunDir::read_manifest(&root).expect_err(&what),
+            match Orchestrator::resume(&root).expect_err(&what) {
+                OrchestratorError::Persist(e) => e,
+                other => panic!("{what}: expected a persist error, got {other}"),
+            },
+        ];
+        for refusal in refusals {
+            match refusal {
+                PersistError::SchemaMismatch { found: f, supported } => {
+                    assert_eq!(f, found, "{what}");
+                    assert_eq!(supported, MANIFEST_SCHEMA, "{what}");
+                }
+                other => panic!("{what}: expected SchemaMismatch, got {other}"),
             }
-            other => panic!("expected SchemaMismatch, got {other}"),
         }
     }
     let _ = std::fs::remove_dir_all(&root);
@@ -200,7 +265,7 @@ fn manifests_carrying_four_threads_resume_bit_identically() {
         force_recompute(&root);
         for shard in 0..3 {
             let _ =
-                std::fs::remove_file(root.join("shards").join(format!("shard-{shard:04}.jsonl")));
+                std::fs::remove_file(root.join("shards").join(format!("shard-{shard:04}.json")));
         }
         if let Some(mode) = seal_mode {
             let manifest_path = root.join("manifest.json");
@@ -217,7 +282,7 @@ fn manifests_carrying_four_threads_resume_bit_identically() {
         }
         let manifest = RunDir::read_manifest(&root).unwrap();
         assert_eq!(manifest.config.threads, 4);
-        assert_eq!(manifest.schema_version(), MANIFEST_SCHEMA);
+        assert_eq!(manifest.schema, MANIFEST_SCHEMA);
         let persisted_mode = serde_json::to_string(&manifest.config.seal_mode).unwrap();
         assert_eq!(persisted_mode, format!("\"{}\"", seal_mode.unwrap_or("Optimized")));
 
@@ -254,7 +319,7 @@ fn torn_pool_artifacts_fall_back_to_the_barrier_before_them() {
 
     force_recompute(&root);
     for shard in 0..shards {
-        let _ = std::fs::remove_file(root.join("shards").join(format!("shard-{shard:04}.jsonl")));
+        let _ = std::fs::remove_file(root.join("shards").join(format!("shard-{shard:04}.json")));
     }
     let dir = RunDir::open(&root, &RunManifest::new(config.clone(), shards, epochs)).unwrap();
     assert_eq!(dir.latest_restorable_epoch(shards, epochs).map(|(b, _)| b), Some(0));
@@ -306,7 +371,7 @@ fn unwritable_shard_files_are_counted_not_silent() {
     // fail: the run still completes with bit-identical results, and the
     // failure is counted in the stats and in summary.json.
     let root = temp_dir("unwritable-shard");
-    std::fs::create_dir_all(root.join("shards").join("shard-0001.jsonl")).unwrap();
+    std::fs::create_dir_all(root.join("shards").join("shard-0001.json")).unwrap();
     let run = Orchestrator::new(config.clone()).shards(4).run_dir(root.clone()).run().unwrap();
     assert_results_identical(&run.result, &reference.result, "run with an unwritable shard file");
     assert_eq!(run.stats.persist_errors, 1, "the failed shard write is counted, not silent");
@@ -395,7 +460,7 @@ fn stale_tmp_stragglers_never_block_or_pollute_a_resume() {
     // Simulate a crash mid-atomic-write in every artifact directory.
     for (dir, name) in [
         ("", ".result.json.999-0.tmp"),
-        ("shards", ".shard-0000.jsonl.999-1.tmp"),
+        ("shards", ".shard-0000.json.999-1.tmp"),
         ("checkpoints", ".shard-0000-epoch-0000.json.999-3.tmp"),
     ] {
         let at = if dir.is_empty() { root.clone() } else { root.join(dir) };

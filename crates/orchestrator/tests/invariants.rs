@@ -231,9 +231,9 @@ fn interrupted_runs_resume_to_identical_results() {
     assert_eq!(full.stats.shards_reused, 0);
 
     // Simulate an interruption: delete one completed shard and truncate
-    // another mid-file, cutting into its summary line.
-    std::fs::remove_file(root.join("shards").join("shard-0001.jsonl")).unwrap();
-    let truncated_path = root.join("shards").join("shard-0002.jsonl");
+    // another mid-file, cutting into its document.
+    std::fs::remove_file(root.join("shards").join("shard-0001.json")).unwrap();
+    let truncated_path = root.join("shards").join("shard-0002.json");
     let text = std::fs::read_to_string(&truncated_path).unwrap();
     std::fs::write(&truncated_path, &text[..text.len() / 2]).unwrap();
 
@@ -265,7 +265,7 @@ fn kill_after_barrier_1(root: &std::path::Path, shards: usize) {
     std::fs::remove_file(root.join("result.json")).unwrap();
     std::fs::remove_file(root.join("summary.json")).unwrap();
     for shard in 0..shards {
-        std::fs::remove_file(root.join("shards").join(format!("shard-{shard:04}.jsonl"))).unwrap();
+        std::fs::remove_file(root.join("shards").join(format!("shard-{shard:04}.json"))).unwrap();
         std::fs::remove_file(
             root.join("checkpoints").join(format!("shard-{shard:04}-epoch-0002.json")),
         )

@@ -13,20 +13,22 @@
 //! executors, which is what the CI smoke campaigns assert end to end.
 //! The handshake half pins the version contract: a skewed `Hello` is
 //! refused in words — a typed [`WireRequest::Refuse`] — never undefined
-//! framing.
+//! framing. A worker driven by hand refuses a job whose checkpoint lost
+//! an RNG word, ending the connection instead of resuming to other bits.
 
-use std::net::TcpStream;
+use std::io;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use llm4fp::{ApproachKind, CampaignConfig, CampaignResult};
-use llm4fp_orchestrator::wire::{read_frame, write_frame, WireReply, WireRequest};
+use llm4fp_orchestrator::wire::{read_frame, write_frame, ShardJob, WireReply, WireRequest};
 use llm4fp_orchestrator::{
-    FaultPlan, Hello, NullSink, OrchestratedResult, Orchestrator, OrchestratorError,
-    OrchestratorOptions, Scheduler, ShardExecutor, SupervisionConfig, WorkerExecutor, WorkerFault,
-    PROTOCOL_VERSION,
+    plan_shards, FaultPlan, Hello, NullSink, OrchestratedResult, Orchestrator, OrchestratorError,
+    OrchestratorOptions, Scheduler, ShardExecutor, ShardRunner, SupervisionConfig, WorkerExecutor,
+    WorkerFault, PROTOCOL_VERSION,
 };
 use llm4fp_telemetry::TelemetrySpec;
 
@@ -325,13 +327,14 @@ fn stalled_worker_is_killed_and_its_job_redispatched() {
 
 #[test]
 fn sabotaged_answer_frames_redispatch_and_stay_bit_identical() {
-    // A worker that answers with garbage (or a truncated frame) ends
-    // its connection: the coordinator must treat the malformed answer as
-    // a dispatch failure and replay the job. With one worker the replay
-    // runs on the worker's redialed connection.
+    // A worker that answers with garbage ends its connection, and so
+    // does one that drops it instead of answering (the coordinator reads
+    // an answer truncated mid-frame the same way): the coordinator must
+    // treat either as a dispatch failure and replay the job. With one
+    // worker the replay runs on the worker's redialed connection.
     let config = config(ApproachKind::Llm4Fp, 16, 21);
     let reference = in_process(&config, 3, 1);
-    for fault in [WorkerFault::CorruptFrameAtJob(1), WorkerFault::TruncateFrameAtJob(1)] {
+    for fault in [WorkerFault::CorruptFrameAtJob(1), WorkerFault::DropConnAtJob(1)] {
         for worker_procs in [1usize, 2] {
             let what = format!("{fault:?} procs={worker_procs}");
             let sabotaged = SupervisionConfig {
@@ -638,6 +641,54 @@ fn version_skewed_handshake_is_refused_in_words() {
         other => panic!("expected the coordinator's Hello, got {other:?}"),
     }
     drop(session);
+}
+
+#[test]
+fn workers_refuse_checkpoints_with_a_damaged_rng_state() {
+    // Driven by hand over loopback, a worker answers a job whose
+    // checkpoint is whole, and hangs up on the same job once one word of
+    // an RNG state is gone — the way it hangs up on a pool text it cannot
+    // fill — instead of padding the state and resuming to other bits.
+    let config = config(ApproachKind::Llm4Fp, 8, 3);
+    let spec = plan_shards(&config, 1)[0];
+    let mut runner = ShardRunner::new(&config, spec, None);
+    runner.run_segment(2, |_| {});
+    let whole = runner.checkpoint();
+    let mut damaged = whole.clone();
+    damaged.llm_rng.pop();
+    let job = |checkpoint| {
+        WireRequest::Job(Box::new(ShardJob {
+            config: config.clone(),
+            spec,
+            segment: 2,
+            finish: false,
+            checkpoint: Some(checkpoint),
+            process_slots: 1,
+            telemetry: false,
+            lease: 1,
+        }))
+    };
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap().to_string();
+    let mut worker = Command::new(worker_bin())
+        .args(["--connect", &addr, "--reconnect", "0"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("worker spawns");
+    let (mut stream, _) = listener.accept().expect("the worker dials in");
+    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    assert!(matches!(read_frame::<WireReply, _>(&mut stream), Ok(WireReply::Hello(_))));
+    write_frame(&mut stream, &WireRequest::Hello(Hello::current())).unwrap();
+    write_frame(&mut stream, &job(whole)).unwrap();
+    assert!(matches!(read_frame::<WireReply, _>(&mut stream), Ok(WireReply::Result(_))));
+    write_frame(&mut stream, &job(damaged)).unwrap();
+    let hangup = read_frame::<WireReply, _>(&mut stream).expect_err("the worker hangs up");
+    assert_eq!(hangup.kind(), io::ErrorKind::UnexpectedEof, "{hangup}");
+    // With no redials left, the dropped stream ends the worker.
+    assert_eq!(worker.wait().expect("reap the worker").code(), Some(1));
 }
 
 #[test]

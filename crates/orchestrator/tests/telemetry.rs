@@ -149,7 +149,7 @@ fn resume_with_telemetry_files_present_stays_bit_identical() {
 
     // Interrupt: one shard recomputes while metrics.json and trace.jsonl
     // from the complete run sit in the directory.
-    std::fs::remove_file(root.join("shards").join("shard-0002.jsonl")).unwrap();
+    std::fs::remove_file(root.join("shards").join("shard-0002.json")).unwrap();
     let resumed = orchestrate(&config, 4, persisted());
     assert_eq!(resumed.stats.shards_reused, 3);
     assert_eq!(resumed.stats.shards_computed, 1);

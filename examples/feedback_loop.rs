@@ -140,8 +140,7 @@ fn main() {
     // only the rest recompute, and the merged result is bit-identical.
     std::fs::remove_file(run_dir.join("result.json")).expect("result exists");
     for shard in 0..shards {
-        let _ =
-            std::fs::remove_file(run_dir.join("shards").join(format!("shard-{shard:04}.jsonl")));
+        let _ = std::fs::remove_file(run_dir.join("shards").join(format!("shard-{shard:04}.json")));
         let _ = std::fs::remove_file(
             run_dir.join("checkpoints").join(format!("shard-{shard:04}-epoch-0002.json")),
         );
