@@ -48,12 +48,10 @@ fn main() {
     }
     let Some(root) = root else { usage() };
 
-    let manifest = RunDir::read_manifest(&root).unwrap_or_else(|e| {
-        eprintln!("trace_report: cannot read {root}/manifest.json: {e}");
-        exit(2)
-    });
-    let dir = RunDir::open(&root, &manifest).unwrap_or_else(|e| {
-        eprintln!("trace_report: cannot open run dir {root}: {e}");
+    // Read only: a run dir a campaign is still writing keeps its
+    // in-flight temp files.
+    let (dir, manifest) = RunDir::inspect(&root).unwrap_or_else(|e| {
+        eprintln!("trace_report: cannot read run dir {root}: {e}");
         exit(2)
     });
 

@@ -317,6 +317,12 @@ impl SuccessfulSet {
         }
     }
 
+    /// [`SuccessfulSet::snapshot`] that moves the entries instead of
+    /// copying them.
+    fn into_snapshot(self) -> SuccessfulSetSnapshot {
+        SuccessfulSetSnapshot { sources: self.sources, hashes: self.hashes, own: self.own }
+    }
+
     /// Rebuild a set from a self-contained snapshot (restores insertion
     /// order, own flags and the structural-hash index) by the hashes it
     /// carries. Snapshots read from outside the process pass
@@ -408,8 +414,20 @@ impl RunnerCheckpoint {
     pub fn inject_successful(&mut self, delta: &SuccessfulSet) -> usize {
         let mut set = SuccessfulSet::restore(std::mem::take(&mut self.successful));
         let added = set.merge(delta);
-        self.successful = set.snapshot();
+        self.successful = set.into_snapshot();
         added
+    }
+
+    /// The one check every reader of an untrusted checkpoint (the run
+    /// dir's and the worker's) makes before [`CampaignRunner::restore`]:
+    /// each RNG state must be the four words it was written as. A damaged
+    /// state is refused here, never padded into other bits.
+    pub fn validate(&self) -> Result<(), String> {
+        let rngs = [&self.rng, &self.varity_rng, &self.llm_rng];
+        if rngs.iter().any(|words| words.len() != 4) {
+            return Err("damaged RNG state".into());
+        }
+        Ok(())
     }
 }
 
@@ -474,6 +492,16 @@ impl CampaignRunner {
         }
     }
 
+    /// [`CampaignRunner::checkpoint`] that moves the runner's history
+    /// (records, sources, feedback pool) into the checkpoint instead of
+    /// copying it — the form a runner paused at every barrier takes.
+    pub fn into_checkpoint(mut self) -> RunnerCheckpoint {
+        let records = std::mem::take(&mut self.records);
+        let sources = std::mem::take(&mut self.sources);
+        let successful = std::mem::take(&mut self.successful).into_snapshot();
+        RunnerCheckpoint { records, sources, successful, ..self.checkpoint() }
+    }
+
     /// Rebuild a runner from a checkpoint taken with the same
     /// configuration. The restored runner's subsequent [`Self::run_one`]
     /// calls, final [`Self::finish`] result, and further checkpoints are
@@ -481,7 +509,8 @@ impl CampaignRunner {
     /// — wall clocks are not replayable).
     ///
     /// Panics when an RNG state is not four words. The checkpoint readers
-    /// (the run dir's and the worker's) refuse such a checkpoint first.
+    /// (the run dir's and the worker's) refuse such a checkpoint first,
+    /// through [`RunnerCheckpoint::validate`].
     pub fn restore(config: CampaignConfig, checkpoint: RunnerCheckpoint) -> Self {
         let mut runner = CampaignRunner::new(config);
         runner.rng = StdRng::from_state(rng_words(&checkpoint.rng));

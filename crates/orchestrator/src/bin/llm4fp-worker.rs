@@ -7,10 +7,11 @@
 //! [`llm4fp_orchestrator::wire`]), opened by a **versioned handshake**
 //! (the worker sends `WireReply::Hello` with its pid first; the
 //! coordinator accepts with `WireRequest::Hello` or refuses in words).
-//! Each [`WireRequest::Job`] restores (or freshly creates) a shard runner
-//! from the job's checkpoint, runs one segment, and answers with the
-//! updated checkpoint — or, on `finish`, the shard's final output. A
-//! [`WireRequest::Shutdown`] frame exits cleanly; idle
+//! Each [`WireRequest::Job`] runs through [`run_job`], the function every
+//! executor runs its jobs through: it restores (or freshly creates) a
+//! shard runner from the job's checkpoint, runs one segment, and answers
+//! with the updated checkpoint — or, on `finish`, the shard's final
+//! output. A [`WireRequest::Shutdown`] frame exits cleanly; idle
 //! [`WireRequest::Ping`]s are answered with `Pong`.
 //!
 //! The daemon holds **no shard state between jobs** — any job can be
@@ -43,59 +44,43 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use llm4fp_orchestrator::faults::{AnswerSabotage, WorkerFaultHarness, EXIT_CRASH};
+use llm4fp_orchestrator::run_job;
 use llm4fp_orchestrator::wire::{self, Hello, ShardJob, ShardJobResult, WireReply, WireRequest};
-use llm4fp_orchestrator::ShardRunner;
 use llm4fp_telemetry::{TelemetryHub, TelemetrySpec};
 
 /// The pool texts one stream has carried, by structural hash.
 type PoolStore = HashMap<u64, Arc<str>>;
 
-/// Run one job: fill its checkpoint's left-out pool texts from `store`,
-/// restore-or-create the runner, run the segment, hand the state back.
-/// Pure — everything derives from the job's bytes plus the pool texts
-/// earlier frames of this connection carried (the lease generation is
-/// echoed back verbatim for the coordinator's stale-result discard).
-/// The store keeps every text the job and its answer carry; the answer's
-/// checkpoint leaves every pool text out, since the coordinator holds
-/// them all. A job whose left-out texts the store cannot fill, or whose
-/// RNG states are not four words each, is an error: the stream can no
-/// longer be trusted.
-fn run_job(job: ShardJob, store: &mut PoolStore) -> io::Result<ShardJobResult> {
+/// Run one job through [`run_job`], adding only what the wire needs. The
+/// job's checkpoint must pass [`RunnerCheckpoint::validate`], and its
+/// left-out pool texts are filled from `store`; the store keeps every
+/// text the job and its answer carry, and the answer's checkpoint leaves
+/// every pool text out, since the coordinator holds them all. The answer
+/// carries the job's counters when the job asks for telemetry. Pure —
+/// everything derives from the job's bytes plus the pool texts earlier
+/// frames of this connection carried. A job that fails the check, or
+/// whose left-out texts the store cannot fill, is an error: the stream
+/// can no longer be trusted.
+///
+/// [`RunnerCheckpoint::validate`]: llm4fp::RunnerCheckpoint::validate
+fn run_wire_job(mut job: ShardJob, store: &mut PoolStore) -> io::Result<ShardJobResult> {
+    let invalid = |why: String| io::Error::new(io::ErrorKind::InvalidData, why);
+    if let Some(checkpoint) = job.checkpoint.as_mut() {
+        checkpoint.validate().map_err(invalid)?;
+        let pool = &mut checkpoint.successful;
+        pool.fill(|hash| store.get(&hash).cloned()).map_err(invalid)?;
+        remember(store, pool);
+    }
     let hub =
         TelemetryHub::new(if job.telemetry { TelemetrySpec::METRICS } else { TelemetrySpec::OFF });
     let telemetry = hub.lane(0);
-    let mut runner = match job.checkpoint {
-        Some(mut checkpoint) => {
-            let rngs = [&checkpoint.rng, &checkpoint.varity_rng, &checkpoint.llm_rng];
-            if rngs.iter().any(|words| words.len() != 4) {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, "damaged RNG state"));
-            }
-            let pool = &mut checkpoint.successful;
-            pool.fill(|hash| store.get(&hash).cloned())
-                .map_err(|why| io::Error::new(io::ErrorKind::InvalidData, why))?;
-            remember(store, pool);
-            ShardRunner::from_checkpoint(&job.config, job.spec, None, checkpoint)
-        }
-        None => ShardRunner::new(&job.config, job.spec, None),
-    }
-    .with_telemetry(telemetry.clone());
-    let delta = runner.run_segment(job.segment, |_| {});
-    let (checkpoint, output) = if job.finish {
-        (None, Some(runner.finish()))
-    } else {
-        let mut checkpoint = runner.checkpoint();
+    let mut result = run_job(job, None, telemetry.clone(), |_| {});
+    if let Some(checkpoint) = result.checkpoint.as_mut() {
         remember(store, &checkpoint.successful);
         checkpoint.successful.leave_out(|_| true);
-        (Some(checkpoint), None)
-    };
-    Ok(ShardJobResult {
-        index: job.spec.index,
-        delta,
-        checkpoint,
-        output,
-        telemetry: telemetry.export(),
-        lease: job.lease,
-    })
+    }
+    result.telemetry = telemetry.export();
+    Ok(result)
 }
 
 /// Keep every text of `pool` in `store`.
@@ -176,7 +161,7 @@ fn serve<R: Read, W: Write>(
                 store.clear();
             }
         }
-        let answer = match run_job(job, &mut store) {
+        let answer = match run_wire_job(job, &mut store) {
             Ok(result) => WireReply::Result(Box::new(result)),
             Err(e) => return ServeEnd::Error(e),
         };

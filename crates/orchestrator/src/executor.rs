@@ -2,35 +2,43 @@
 //!
 //! [`ShardExecutor`] is the seam between the orchestrator's *planning*
 //! (shard decomposition, epoch barriers, delta merging, persistence) and
-//! the *mechanics* of running shard segments somewhere. The coordinator
-//! talks to every transport through the same session protocol:
+//! the *mechanics* of running shard jobs somewhere. Every executor runs
+//! under the same [`Session`], which holds each shard's state between
+//! epochs; an executor only contributes the [`ShardTransport`] that runs
+//! one epoch's jobs:
 //!
 //! ```text
-//!   campaign driver                   ShardExecutor::begin(tasks, sink)
+//!   campaign driver                  ShardExecutor::begin(tasks, sink)
 //!   (Orchestrator | Scheduler)                      |
-//!            |                                      |
-//!            |            Box<dyn ShardSession>     |
+//!            |                  Session { checkpoints, outputs, transport }
 //!            +------------------+-------------------+
 //!                               |
-//!            per epoch:  run_epoch(segments, last) -> hashed deltas
-//!            at barrier: inject(merged hashed deltas), checkpoints()
-//!            at the end: finish() -> Vec<ShardOutput>
+//!   per epoch:  run_epoch(segments, last): jobs from the checkpoints
+//!                 -> ShardTransport::run_jobs(jobs) -> answers, in job order
+//!                 -> fold: checkpoints (pools filled) + hashed deltas,
+//!                    or outputs
+//!   at barrier: inject(merged hashed deltas) into the checkpoints,
+//!               checkpoints() for persistence
+//!   at the end: finish() -> SessionOutcome
 //! ```
 //!
 //! Everything a transport needs to run one shard is a serializable
-//! [`ShardTask`]; everything it produces is the serializable
-//! [`crate::ShardOutput`] — the same contract the JSON run directory
-//! already persists, promoted to a wire contract. Two implementations
-//! share all merge/barrier logic in the coordinator:
+//! [`ShardJob`]; everything it produces is a serializable
+//! [`ShardJobResult`] — the same contract the JSON run directory already
+//! persists, promoted to a wire contract. Every job runs through one
+//! function, [`run_job`]: restore the shard from the job's checkpoint (or
+//! start it fresh), run the segment, answer with the checkpoint or the
+//! output. Two transports share everything else:
 //!
-//! * [`InProcessExecutor`] — shard runners on a worker-thread pool inside
-//!   this process (the classic engine, bit-identical to the pre-executor
-//!   code path);
+//! * [`InProcessExecutor`] — [`run_indexed`] over a worker-thread pool
+//!   inside this process; it reports progress once per program, and each
+//!   shard's completion on the pool thread as its final segment returns;
 //! * [`crate::WorkerExecutor`] — `llm4fp-worker` daemon processes dialing
 //!   a TCP coordinator (`llm4fp-worker --connect`) and fed
 //!   length-prefixed JSON jobs (see [`crate::wire`]), supervised by
 //!   leases, heartbeats, reconnect-and-resume, respawn and
-//!   crash-and-redispatch (see [`crate::remote`]).
+//!   crash-and-redispatch (see [`crate::remote`]); it reports progress
+//!   and completions at each epoch's fold.
 //!
 //! Determinism is preserved across transports because a shard segment is
 //! a pure function of `(config, spec, checkpoint, segment length)`:
@@ -41,14 +49,16 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use llm4fp::{CampaignConfig, RunnerCheckpoint, SuccessfulSet};
+use llm4fp::CampaignConfig;
+use llm4fp::{RunnerCheckpoint, SuccessfulSet, SuccessfulSetSnapshot};
 use llm4fp_difftest::ResultCache;
 use llm4fp_telemetry::{keys, Telemetry};
 
 use crate::persist::PersistError;
 use crate::pool::run_indexed;
-use crate::shard::{ShardOutput, ShardRunner, ShardSpec};
+use crate::shard::{run_job, ShardOutput, ShardSpec};
 use crate::supervisor::SupervisionCounts;
+use crate::wire::{ShardJob, ShardJobResult};
 
 /// Errors from orchestrated execution.
 #[derive(Debug)]
@@ -116,10 +126,10 @@ pub struct SessionOutcome {
     pub frame_bytes: u64,
 }
 
-/// Everything one transport needs to run one shard: the campaign config,
+/// Everything one session needs to run one shard: the campaign config,
 /// the shard plan, and the run-level wiring (the run's result cache for
 /// an external-backend campaign, the shard's telemetry lane, and an
-/// optional checkpoint to resume from). Each task runs on one thread, so the
+/// optional checkpoint to resume from). Each job runs on one thread, so the
 /// worker count bounds how many external compilers spawn at once.
 #[derive(Clone)]
 pub struct ShardTask {
@@ -132,8 +142,8 @@ pub struct ShardTask {
     /// uncached — the cache is semantically transparent, so results are
     /// unaffected.
     pub cache: Option<Arc<ResultCache>>,
-    /// This shard's telemetry lane. Out-of-process transports absorb the
-    /// worker's exported counters into it at each barrier.
+    /// This shard's telemetry lane. Out-of-process answers carry the
+    /// worker's counters, which the session absorbs into it.
     pub telemetry: Telemetry,
     /// Resume from this barrier checkpoint instead of starting fresh.
     pub checkpoint: Option<RunnerCheckpoint>,
@@ -163,77 +173,217 @@ impl ProgressSink for NullSink {
     fn complete(&self, _task: usize, _output: &ShardOutput) {}
 }
 
-/// A transport for running shard tasks. Implementations are cheap,
-/// reusable handles; all per-run state lives in the [`ShardSession`]
-/// returned by [`ShardExecutor::begin`].
+/// A way of running shard jobs. Implementations are cheap, reusable
+/// handles; all per-run state lives in the [`Session`] returned by
+/// [`ShardExecutor::begin`] and the [`ShardTransport`] it runs on.
 pub trait ShardExecutor: Send + Sync + fmt::Debug {
     /// Short stable name for logs (`"in-process"`, `"workers"`).
     fn name(&self) -> &'static str;
 
-    /// Start a session over `tasks`. Progress reaches `sink` as it
-    /// happens (subject to the transport's delivery granularity: an
-    /// out-of-process executor reports it at epoch barriers).
+    /// Open this executor's transport for a session over `tasks`.
+    /// Progress reaches `sink` as the transport delivers it: in process
+    /// as it happens, out of process at each epoch's fold.
+    fn connect<'s>(
+        &self,
+        tasks: &[ShardTask],
+        sink: &'s dyn ProgressSink,
+    ) -> Result<Box<dyn ShardTransport + 's>, OrchestratorError>;
+
+    /// Start a session over `tasks` on this executor's transport.
     fn begin<'s>(
         &self,
         tasks: Vec<ShardTask>,
         sink: &'s dyn ProgressSink,
-    ) -> Result<Box<dyn ShardSession + 's>, OrchestratorError>;
+    ) -> Result<Session<'s>, OrchestratorError> {
+        let transport = self.connect(&tasks, sink)?;
+        Ok(Session::new(tasks, transport))
+    }
 }
 
-/// One run's worth of live shard state behind a [`ShardExecutor`]. The
-/// coordinator drives the same barrier protocol against every transport:
-/// `run_epoch` for each epoch (with `last = true` on the final one),
-/// `inject`/`checkpoints` between epochs, `finish` at the end.
-pub trait ShardSession {
+/// What a [`Session`] runs its jobs on. A transport holds no shard state
+/// between epochs: each job carries everything its shard needs.
+pub trait ShardTransport {
+    /// Run one epoch's jobs (`jobs[i]` is task `i`'s) and return their
+    /// answers in job order.
+    fn run_jobs(&mut self, jobs: Vec<ShardJob>) -> Result<Vec<ShardJobResult>, OrchestratorError>;
+
+    /// Tear the transport down and report the frames it moved and what
+    /// its supervision did; the session fills in the shards.
+    fn finish(self: Box<Self>) -> SessionOutcome;
+}
+
+/// One run's shard state between epochs, the same for every executor.
+/// The session owns each task's barrier checkpoint and final output. Each
+/// epoch it moves every checkpoint into its task's [`ShardJob`], has the
+/// transport run the jobs, and folds the answers back: a paused shard's
+/// checkpoint gets its pool filled (`fill_answer_pool`) and its delta
+/// returned under the hashes the answer carried; a finished shard's output
+/// is kept. A barrier injects the merged deltas into the checkpoints by
+/// hash ([`RunnerCheckpoint::inject_successful`]).
+pub struct Session<'s> {
+    /// The session's tasks, in task order.
+    tasks: Vec<ShardTask>,
+    /// Each task's checkpoint at the latest barrier (its restored one, or
+    /// none, before the first epoch).
+    checkpoints: Vec<Option<RunnerCheckpoint>>,
+    /// Each task's final output, filled by the last epoch.
+    outputs: Vec<Option<ShardOutput>>,
+    transport: Box<dyn ShardTransport + 's>,
+}
+
+impl<'s> Session<'s> {
+    fn new(mut tasks: Vec<ShardTask>, transport: Box<dyn ShardTransport + 's>) -> Self {
+        let checkpoints = tasks.iter_mut().map(|task| task.checkpoint.take()).collect();
+        let outputs = tasks.iter().map(|_| None).collect();
+        Session { tasks, checkpoints, outputs, transport }
+    }
+
     /// Run `segments[i]` programs of task `i` (zero-length segments are
     /// legal no-ops) and return each task's *delta* — the successful
-    /// sources it newly found this epoch, in task order, each with its
-    /// structural hash. Those are the hashes the shard's runner computed
-    /// when it tested the program, in process or carried home by the
-    /// result frame; no transport hashes a source. With `last` the
-    /// tasks also finish: their outputs become available to [`finish`]
-    /// and `sink.complete` fires per task; no barrier follows, so a
-    /// transport may return empty deltas.
-    ///
-    /// [`finish`]: ShardSession::finish
-    fn run_epoch(
+    /// sources it newly found this epoch, in task order, each with the
+    /// structural hash the shard's runner computed when it tested the
+    /// program; nothing here hashes a source. With `last` the tasks
+    /// finish instead: their outputs become available to
+    /// [`finish`](Session::finish), no barrier follows, and the deltas
+    /// are empty.
+    pub fn run_epoch(
         &mut self,
         segments: &[usize],
         last: bool,
-    ) -> Result<Vec<SuccessfulSet>, OrchestratorError>;
+    ) -> Result<Vec<SuccessfulSet>, OrchestratorError> {
+        debug_assert_eq!(segments.len(), self.tasks.len());
+        // Each job takes its task's checkpoint along; the session keeps
+        // the pool it was sent with, to fill the answer's.
+        let mut sent = Vec::with_capacity(self.tasks.len());
+        let mut jobs = Vec::with_capacity(self.tasks.len());
+        for ((task, checkpoint), &segment) in
+            self.tasks.iter().zip(&mut self.checkpoints).zip(segments)
+        {
+            let checkpoint = checkpoint.take();
+            sent.push(checkpoint.as_ref().map(|sent| sent.successful.clone()));
+            jobs.push(ShardJob {
+                config: task.config.clone(),
+                spec: task.spec,
+                segment,
+                finish: last,
+                checkpoint,
+                process_slots: 1,
+                telemetry: task.telemetry.is_enabled(),
+                lease: 0,
+            });
+        }
+        let results = self.transport.run_jobs(jobs)?;
+        let mut deltas = Vec::with_capacity(results.len());
+        for (job, (result, sent)) in results.into_iter().zip(sent).enumerate() {
+            if let Some(snapshot) = &result.telemetry {
+                if !snapshot.is_empty() {
+                    self.tasks[job].telemetry.absorb(snapshot);
+                }
+            }
+            let violation = |why: String| {
+                OrchestratorError::Executor(format!("protocol violation: shard job {job} {why}"))
+            };
+            if last {
+                deltas.push(SuccessfulSet::new());
+                let output =
+                    result.output.ok_or_else(|| violation("finished without output".into()))?;
+                self.outputs[job] = Some(output);
+            } else {
+                let mut checkpoint = result
+                    .checkpoint
+                    .ok_or_else(|| violation("paused without a checkpoint".into()))?;
+                let delta =
+                    fill_answer_pool(sent.as_ref(), &mut checkpoint.successful, result.delta)
+                        .map_err(|why| violation(format!("answered {why}")))?;
+                deltas.push(delta);
+                self.checkpoints[job] = Some(checkpoint);
+            }
+        }
+        Ok(deltas)
+    }
 
-    /// Broadcast the epoch's merged deltas into the paused tasks
-    /// (`deltas[i]`, its campaign's merged deltas, into task `i`; its set
-    /// already holds every earlier broadcast). Injection is a pure
-    /// set-merge by the hashes the deltas carry — see
-    /// `llm4fp::RunnerCheckpoint::inject_successful` — so transports may
-    /// apply it to a live runner or to a stored checkpoint
-    /// interchangeably.
-    fn inject(&mut self, deltas: &[&SuccessfulSet]) -> Result<(), OrchestratorError>;
+    /// Broadcast the epoch's merged deltas into the paused tasks'
+    /// checkpoints (`deltas[i]`, its campaign's merged deltas, into task
+    /// `i`; its pool already holds every earlier broadcast), by the hashes
+    /// they carry — see [`RunnerCheckpoint::inject_successful`].
+    pub fn inject(&mut self, deltas: &[&SuccessfulSet]) -> Result<(), OrchestratorError> {
+        debug_assert_eq!(deltas.len(), self.checkpoints.len());
+        for (job, (checkpoint, delta)) in self.checkpoints.iter_mut().zip(deltas).enumerate() {
+            checkpoint.as_mut().ok_or_else(|| never_ran(job))?.inject_successful(delta);
+        }
+        Ok(())
+    }
 
-    /// Snapshot every paused task for barrier persistence, in task order.
-    /// Call after [`inject`](ShardSession::inject), mirroring the
-    /// runner-side checkpoint-after-injection order. A task that never
-    /// ran is an error.
-    fn checkpoints(&mut self) -> Result<Vec<RunnerCheckpoint>, OrchestratorError>;
+    /// Every paused task's checkpoint, in task order, for barrier
+    /// persistence. Call after [`inject`](Session::inject): checkpoints
+    /// are taken after injection.
+    pub fn checkpoints(&self) -> Result<Vec<&RunnerCheckpoint>, OrchestratorError> {
+        self.checkpoints
+            .iter()
+            .enumerate()
+            .map(|(job, checkpoint)| checkpoint.as_ref().ok_or_else(|| never_ran(job)))
+            .collect()
+    }
 
-    /// Collect every task's output, in task order. Only valid after
-    /// `run_epoch(.., last = true)` ran.
-    fn finish(self: Box<Self>) -> Result<SessionOutcome, OrchestratorError>;
+    /// Tear the transport down and collect every task's output, in task
+    /// order. Only valid after `run_epoch(.., last = true)` ran.
+    pub fn finish(self) -> Result<SessionOutcome, OrchestratorError> {
+        let mut outcome = self.transport.finish();
+        outcome.shards = self.outputs.into_iter().collect::<Option<_>>().ok_or_else(|| {
+            OrchestratorError::Executor("finish called before the final epoch ran".into())
+        })?;
+        Ok(outcome)
+    }
 }
 
-/// The in-process transport: shard runners on a worker-thread pool in
+fn never_ran(job: usize) -> OrchestratorError {
+    OrchestratorError::Executor(format!("shard job {job} has not run an epoch"))
+}
+
+/// Fill an answer's pool, which may carry hashes and own flags but no
+/// text: its first entries are the pool the job was sent with (`sent`,
+/// whose texts the session holds), the rest are the segment's `delta`, in
+/// order. Returns the delta as a set, under the hashes the answer
+/// carried.
+fn fill_answer_pool(
+    sent: Option<&SuccessfulSetSnapshot>,
+    answer: &mut SuccessfulSetSnapshot,
+    delta: Vec<String>,
+) -> Result<SuccessfulSet, String> {
+    let (sent_sources, sent_hashes) =
+        sent.map_or((&[][..], &[][..]), |sent| (&sent.sources[..], &sent.hashes[..]));
+    let len = answer.hashes.len();
+    if len != sent_hashes.len() + delta.len()
+        || answer.own.len() != len
+        || answer.sources.len() != len
+        || answer.hashes[..sent_hashes.len()] != *sent_hashes
+    {
+        return Err(format!(
+            "a pool of {len} entries that is not the {} it was sent plus its {} finds",
+            sent_hashes.len(),
+            delta.len()
+        ));
+    }
+    answer.sources = sent_sources.iter().cloned().chain(delta.into_iter().map(Arc::from)).collect();
+    let start = sent_hashes.len();
+    Ok(SuccessfulSet::restore(SuccessfulSetSnapshot {
+        sources: answer.sources[start..].to_vec(),
+        hashes: answer.hashes[start..].to_vec(),
+        own: answer.own[start..].to_vec(),
+    }))
+}
+
+/// The in-process executor: each epoch's jobs on a worker-thread pool in
 /// this process, where an external campaign's tasks share the run's
-/// result cache directly.
-/// This is the refactored classic engine — outputs are bit-identical to
-/// the pre-executor code path (pinned by `tests/invariants.rs`).
+/// result cache directly. Outputs are bit-identical to every other
+/// executor's (pinned by `tests/invariants.rs` and `tests/remote.rs`).
 #[derive(Debug, Clone)]
 pub struct InProcessExecutor {
     workers: usize,
 }
 
 impl InProcessExecutor {
-    /// An executor running tasks on up to `workers` threads (clamped to
+    /// An executor running jobs on up to `workers` threads (clamped to
     /// at least 1; the orchestrator builder rejects `workers == 0` with
     /// [`OrchestratorError::InvalidWorkers`] before constructing one).
     pub fn new(workers: usize) -> Self {
@@ -246,113 +396,56 @@ impl ShardExecutor for InProcessExecutor {
         "in-process"
     }
 
-    fn begin<'s>(
+    fn connect<'s>(
         &self,
-        tasks: Vec<ShardTask>,
+        tasks: &[ShardTask],
         sink: &'s dyn ProgressSink,
-    ) -> Result<Box<dyn ShardSession + 's>, OrchestratorError> {
-        let slots = tasks.iter().map(|_| Mutex::new(None)).collect();
-        let outputs = tasks.iter().map(|_| Mutex::new(None)).collect();
-        Ok(Box::new(InProcessSession {
+    ) -> Result<Box<dyn ShardTransport + 's>, OrchestratorError> {
+        Ok(Box::new(InProcessTransport {
             workers: self.workers,
-            tasks,
+            lanes: tasks.iter().map(|task| (task.cache.clone(), task.telemetry.clone())).collect(),
             sink,
-            slots,
-            outputs,
             pool_start: Instant::now(),
         }))
     }
 }
 
-/// Build the live runner for one task (first time its segment runs).
-/// Construction happens lazily inside the pool so its cost parallelizes
-/// with the rest of the shard's work.
-fn build_runner(task: &ShardTask) -> ShardRunner {
-    match task.checkpoint.clone() {
-        Some(checkpoint) => {
-            ShardRunner::from_checkpoint(&task.config, task.spec, task.cache.clone(), checkpoint)
-        }
-        None => ShardRunner::new(&task.config, task.spec, task.cache.clone()),
-    }
-    .with_telemetry(task.telemetry.clone())
-}
-
-struct InProcessSession<'s> {
+struct InProcessTransport<'s> {
     workers: usize,
-    tasks: Vec<ShardTask>,
+    /// Each task's result cache (external campaigns only) and telemetry
+    /// lane.
+    lanes: Vec<(Option<Arc<ResultCache>>, Telemetry)>,
     sink: &'s dyn ProgressSink,
-    /// Lazily constructed runners; `None` before the first segment and
-    /// after the finishing one.
-    slots: Vec<Mutex<Option<ShardRunner>>>,
-    outputs: Vec<Mutex<Option<ShardOutput>>>,
     pool_start: Instant,
 }
 
-impl ShardSession for InProcessSession<'_> {
-    fn run_epoch(
-        &mut self,
-        segments: &[usize],
-        last: bool,
-    ) -> Result<Vec<SuccessfulSet>, OrchestratorError> {
-        debug_assert_eq!(segments.len(), self.tasks.len());
-        let deltas = run_indexed(self.tasks.len(), self.workers, |task| {
-            let telemetry = &self.tasks[task].telemetry;
+impl ShardTransport for InProcessTransport<'_> {
+    fn run_jobs(&mut self, jobs: Vec<ShardJob>) -> Result<Vec<ShardJobResult>, OrchestratorError> {
+        let jobs: Vec<Mutex<Option<ShardJob>>> =
+            jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
+        Ok(run_indexed(jobs.len(), self.workers, |task| {
+            let job = jobs[task].lock().unwrap().take().expect("each job runs once");
+            let (cache, telemetry) = &self.lanes[task];
             telemetry.observe(keys::QUEUE_WAIT, self.pool_start.elapsed());
             let _span = telemetry.span(keys::SPAN_SHARD_RUN);
-            let mut slot = self.slots[task].lock().unwrap();
-            let runner = slot.get_or_insert_with(|| build_runner(&self.tasks[task]));
-            let delta = runner.run_segment_hashed(segments[task], |_| self.sink.progress(task));
-            if last {
-                let output = slot.take().expect("runner present").finish();
-                self.sink.complete(task, &output);
-                *self.outputs[task].lock().unwrap() = Some(output);
+            let result =
+                run_job(job, cache.clone(), telemetry.clone(), |_| self.sink.progress(task));
+            if let Some(output) = &result.output {
+                self.sink.complete(task, output);
             }
-            delta
-        });
-        Ok(deltas)
+            result
+        }))
     }
 
-    fn inject(&mut self, deltas: &[&SuccessfulSet]) -> Result<(), OrchestratorError> {
-        debug_assert_eq!(deltas.len(), self.slots.len());
-        for (slot, delta) in self.slots.iter().zip(deltas) {
-            if let Some(runner) = slot.lock().unwrap().as_mut() {
-                runner.inject(delta);
-            }
-        }
-        Ok(())
-    }
-
-    fn checkpoints(&mut self) -> Result<Vec<RunnerCheckpoint>, OrchestratorError> {
-        self.slots
-            .iter()
-            .map(|slot| {
-                slot.lock().unwrap().as_ref().map(ShardRunner::checkpoint).ok_or_else(|| {
-                    OrchestratorError::Executor(
-                        "checkpoint requested for a task that never ran".into(),
-                    )
-                })
-            })
-            .collect()
-    }
-
-    fn finish(self: Box<Self>) -> Result<SessionOutcome, OrchestratorError> {
-        let outputs = self
-            .outputs
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner().unwrap().ok_or_else(|| {
-                    OrchestratorError::Executor("finish called before the final epoch ran".into())
-                })
-            })
-            .collect::<Result<Vec<ShardOutput>, OrchestratorError>>()?;
-        Ok(SessionOutcome { shards: outputs, ..SessionOutcome::default() })
+    fn finish(self: Box<Self>) -> SessionOutcome {
+        SessionOutcome::default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::{plan_epoch_segments, plan_shards, run_shard, ShardCtx};
+    use crate::shard::{plan_epoch_segments, plan_shards, run_shard, ShardCtx, ShardRunner};
     use llm4fp::ApproachKind;
 
     fn config(budget: usize, seed: u64) -> CampaignConfig {
@@ -414,7 +507,7 @@ mod tests {
         let pool = deltas[0].clone();
         assert!(!pool.is_empty(), "the first segment finds something to exchange");
         session.inject(&[&pool]).unwrap();
-        let checkpoints = session.checkpoints().unwrap();
+        let checkpoint = session.checkpoints().unwrap()[0].clone();
         session.run_epoch(&[segments[1]], true).unwrap();
         let output = session.finish().unwrap().shards.remove(0);
 
@@ -424,8 +517,8 @@ mod tests {
         manual.inject(&pool);
         let mut manual_checkpoint = manual.checkpoint();
         // Wall clocks never replay; everything else must.
-        manual_checkpoint.pipeline_time = checkpoints[0].pipeline_time;
-        assert_eq!(checkpoints[0], manual_checkpoint);
+        manual_checkpoint.pipeline_time = checkpoint.pipeline_time;
+        assert_eq!(checkpoint, manual_checkpoint);
         manual.run_segment(segments[1], |_| {});
         let manual_output = manual.finish();
         assert_eq!(output.records, manual_output.records);
@@ -469,14 +562,44 @@ mod tests {
     }
 
     #[test]
+    fn in_process_shards_complete_as_their_final_segment_returns() {
+        // One worker runs the tasks one after another, so task 0's
+        // completion — which writes its shard file — must land before
+        // task 1 makes any progress: a run killed mid-way keeps the shard
+        // files of every shard that finished.
+        #[derive(Default)]
+        struct Events(Mutex<Vec<(&'static str, usize)>>);
+        impl ProgressSink for Events {
+            fn progress(&self, task: usize) {
+                self.0.lock().unwrap().push(("progress", task));
+            }
+            fn complete(&self, task: usize, _output: &ShardOutput) {
+                self.0.lock().unwrap().push(("complete", task));
+            }
+        }
+        let config = config(8, 3);
+        let events = Events::default();
+        let budgets: Vec<usize> = plan_shards(&config, 2).iter().map(|s| s.budget).collect();
+        let mut session = InProcessExecutor::new(1).begin(tasks_for(&config, 2), &events).unwrap();
+        session.run_epoch(&budgets, true).unwrap();
+        session.finish().unwrap();
+        let events = events.0.into_inner().unwrap();
+        let complete_0 =
+            events.iter().position(|&e| e == ("complete", 0)).expect("task 0 completes");
+        let first_1 = events.iter().position(|&e| e == ("progress", 1)).expect("task 1 progresses");
+        assert!(complete_0 < first_1, "{events:?}");
+        let ticks = |task| events.iter().filter(|&&e| e == ("progress", task)).count();
+        assert_eq!((ticks(0), ticks(1)), (budgets[0], budgets[1]), "one tick per program");
+    }
+
+    #[test]
     fn errors_render_and_convert() {
         assert!(OrchestratorError::InvalidWorkers.to_string().contains("at least 1"));
         assert!(OrchestratorError::Executor("boom".into()).to_string().contains("boom"));
         assert!(OrchestratorError::WorkerUnavailable("no binary".into())
             .to_string()
             .contains("no binary"));
-        let persist: OrchestratorError =
-            PersistError::corrupt(crate::persist::Artifact::Manifest, "bad manifest").into();
+        let persist: OrchestratorError = PersistError::Corrupt("bad manifest".into()).into();
         assert!(persist.to_string().contains("bad manifest"));
         assert!(persist.to_string().contains("manifest"));
     }

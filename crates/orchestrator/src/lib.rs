@@ -12,17 +12,22 @@
 //!                  plan_shards(config, K)
 //!                          |
 //!      +------- K shards, seed S ^ mix(k) -------+
-//!      |                   |                      |
-//!      |        ShardExecutor::begin(tasks, sink) |
-//!      |                   |                      |
-//!      |    InProcessExecutor          WorkerExecutor  |
-//!      |    (thread pool; one          (llm4fp-worker --connect
-//!      |     cache for extcc)           daemons over TCP: leases,
-//!      |                                heartbeats, reconnect, respawn,
-//!      |                                crash redispatch)
-//!      |                   |                      |
-//!   ShardOutput       ShardOutput            ShardOutput   --> JSON run dir
-//!      +---------------- merge (shard order) ----------------+  (optional)
+//!                          |
+//!          ShardExecutor::begin(tasks, sink) -> Session
+//!          (every executor: each shard's checkpoint held between
+//!           epochs, barrier deltas injected into it by hash)
+//!                          |
+//!          per epoch: ShardTransport::run_jobs(jobs), each job run_job
+//!             /                                  \
+//!      InProcessExecutor                   WorkerExecutor
+//!      (run_indexed on a thread            (llm4fp-worker --connect
+//!       pool; one cache for extcc)          daemons over TCP: leases,
+//!                                           heartbeats, reconnect, respawn,
+//!                                           crash redispatch)
+//!                          |
+//!          K ShardOutputs  --> JSON run dir (optional)
+//!                          |
+//!                merge (shard order)
 //!                          |
 //!                   CampaignResult
 //! ```
@@ -66,8 +71,9 @@
 //!   [`orchestrate`], which owns the epoch-barrier loop, the progress
 //!   sink (which writes each completed shard's file) and the
 //!   [`RunStats`];
-//! * [`executor`] — the transport seam: [`ShardExecutor`] /
-//!   [`ShardSession`] and the in-process implementation;
+//! * [`executor`] — the one shard [`Session`] every executor runs under,
+//!   the transport seam ([`ShardExecutor`] / [`ShardTransport`]) and the
+//!   in-process transport;
 //! * [`remote`] — the out-of-process executor ([`WorkerExecutor`],
 //!   configured by one [`SupervisionConfig`]): `llm4fp-worker --connect`
 //!   daemons dial a TCP coordinator behind a versioned handshake and are
@@ -82,10 +88,11 @@
 //! * [`Scheduler`] — multi-campaign suites (all four Table 2 approaches)
 //!   over one shared worker budget, with per-campaign exchange and
 //!   per-campaign time;
-//! * [`shard`] — the shard planning/merging primitives and the
-//!   segment-capable [`ShardRunner`];
+//! * [`shard`] — the shard planning/merging primitives, the
+//!   segment-capable [`ShardRunner`] and [`run_job`], the one function
+//!   every executor runs a shard job through;
 //! * [`pool`] — the indexed worker pool ([`pool::run_indexed`]) the
-//!   in-process executor runs each epoch's segments on;
+//!   in-process executor runs each epoch's jobs on;
 //! * [`persist`] — the whole run-directory format: one JSON document per
 //!   completed shard, one pool artifact per barrier (its merged delta)
 //!   and per-barrier shard checkpoints that name pooled programs by
@@ -133,18 +140,18 @@ pub mod supervisor;
 pub mod wire;
 
 pub use executor::{
-    InProcessExecutor, NullSink, OrchestratorError, ProgressSink, SessionOutcome, ShardExecutor,
-    ShardSession, ShardTask,
+    InProcessExecutor, NullSink, OrchestratorError, ProgressSink, Session, SessionOutcome,
+    ShardExecutor, ShardTask, ShardTransport,
 };
 pub use faults::{FaultPlan, PersistFault, WorkerFault};
 pub use orchestrate::{
     default_workers, OrchestratedResult, Orchestrator, OrchestratorOptions, RunStats,
 };
-pub use persist::{Artifact, PersistError, RunDir, RunManifest, MANIFEST_SCHEMA};
+pub use persist::{PersistError, RunDir, RunManifest, MANIFEST_SCHEMA};
 pub use remote::{SupervisionConfig, WorkerExecutor};
 pub use scheduler::Scheduler;
 pub use shard::{
-    merge_shards, plan_epoch_segments, plan_shards, run_shard, shard_seed, ShardCtx,
+    merge_shards, plan_epoch_segments, plan_shards, run_job, run_shard, shard_seed, ShardCtx,
     ShardFailureReport, ShardOutput, ShardRunner, ShardSpec,
 };
 pub use supervisor::SupervisionCounts;

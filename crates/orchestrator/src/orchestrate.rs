@@ -171,8 +171,8 @@ pub struct RunStats {
     /// Largest VM register file any shard's reused execution scratch
     /// prepared — the sealed register-file size (0 when no shard ran a
     /// virtual matrix). Telemetry only, never part of the determinism
-    /// contract: a shard restored from a barrier counts only the
-    /// segments it recomputed.
+    /// contract: every executor restores a shard at each barrier with a
+    /// fresh scratch, so each shard's peak covers its final segment only.
     pub peak_regs: usize,
     /// Wall-clock duration of the orchestrated run.
     pub wall_time: Duration,
@@ -572,11 +572,9 @@ fn execute(
             session.inject(&broadcast)?;
             if persisting {
                 // The barrier's pool artifact goes first, so its texts are
-                // left out of the checkpoints that follow. Checkpoints are
-                // taken after injection, mirroring the runner-side
-                // checkpoint-after-inject order. Writes are best-effort (a
-                // missing artifact only costs recompute on resume) — but
-                // never silently so.
+                // left out of the checkpoints that follow, which hold the
+                // injection. Writes are best-effort (a missing artifact
+                // only costs recompute on resume) — but never silently so.
                 for (campaign, pool) in campaigns.iter().zip(&merged) {
                     let Some(dir) = campaign.run_dir else { continue };
                     if dir.write_pool(epoch, pool).is_err() {
@@ -587,7 +585,7 @@ fn execute(
                 for ((&owner, spec), checkpoint) in sink.owners.iter().zip(&specs).zip(checkpoints)
                 {
                     let Some(dir) = campaigns[owner].run_dir else { continue };
-                    if dir.write_checkpoint(spec.index, epoch, &checkpoint).is_err() {
+                    if dir.write_checkpoint(spec.index, epoch, checkpoint).is_err() {
                         dir.note_persist_error();
                     }
                 }

@@ -92,32 +92,15 @@ use crate::shard::{ShardOutput, ShardSpec};
 /// [`PersistError::SchemaMismatch`] instead of silently misreading it.
 pub const MANIFEST_SCHEMA: u32 = 4;
 
-/// Which run-dir artifact a persistence error is about. Only the
-/// manifest fails typed: any other damaged artifact just recomputes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Artifact {
-    Manifest,
-}
-
-impl std::fmt::Display for Artifact {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Artifact::Manifest => "manifest.json",
-        })
-    }
-}
-
 /// Errors from the persistence layer.
 #[derive(Debug)]
 pub enum PersistError {
     Io(std::io::Error),
     /// A manifest exists but doesn't match the requested run.
     ManifestMismatch(String),
-    /// An artifact exists but cannot be read as what it claims to be.
-    Corrupt {
-        artifact: Artifact,
-        detail: String,
-    },
+    /// The manifest exists but cannot be read as one. Only the manifest
+    /// fails typed: any other damaged artifact just recomputes.
+    Corrupt(String),
     /// The run dir was written by a manifest schema other than the one
     /// this build reads.
     SchemaMismatch {
@@ -130,20 +113,13 @@ pub enum PersistError {
     Encode(String),
 }
 
-impl PersistError {
-    /// A typed corruption error naming the damaged artifact.
-    pub fn corrupt(artifact: Artifact, detail: impl Into<String>) -> Self {
-        PersistError::Corrupt { artifact, detail: detail.into() }
-    }
-}
-
 impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PersistError::Io(e) => write!(f, "run-dir io error: {e}"),
             PersistError::ManifestMismatch(msg) => write!(f, "manifest mismatch: {msg}"),
-            PersistError::Corrupt { artifact, detail } => {
-                write!(f, "corrupt run dir ({artifact}): {detail}")
+            PersistError::Corrupt(detail) => {
+                write!(f, "corrupt run dir (manifest.json): {detail}")
             }
             PersistError::SchemaMismatch { found, supported } => write!(
                 f,
@@ -283,6 +259,16 @@ impl RunDir {
         Ok(dir)
     }
 
+    /// Open an existing run directory for reading only, with its
+    /// manifest, which must pass [`RunDir::read_manifest`]'s gate. Unlike
+    /// [`RunDir::open`] it neither sweeps `.tmp` files nor writes, so a
+    /// report may read a run dir that a campaign is still writing.
+    pub fn inspect(root: impl Into<PathBuf>) -> Result<(Self, RunManifest), PersistError> {
+        let root = root.into();
+        let manifest = RunDir::read_manifest(&root)?;
+        Ok((RunDir { root, state: Arc::default() }, manifest))
+    }
+
     /// Arm deterministic persistence faults for chaos testing (see
     /// [`PersistFault`]). Call right after [`open`](RunDir::open), before
     /// any artifact writes; an empty slice (the default) keeps every
@@ -311,11 +297,10 @@ impl RunDir {
     /// [`PersistError::Corrupt`].
     pub fn read_manifest(root: impl AsRef<Path>) -> Result<RunManifest, PersistError> {
         let text = read_artifact(&root.as_ref().join("manifest.json"))?;
-        let corrupt = |e: serde::Error| PersistError::corrupt(Artifact::Manifest, e.to_string());
+        let corrupt = |e: serde::Error| PersistError::Corrupt(e.to_string());
         let value = serde_json::parse(&text).map_err(corrupt)?;
-        let fields = value
-            .as_obj()
-            .ok_or_else(|| PersistError::corrupt(Artifact::Manifest, "not a JSON object"))?;
+        let fields =
+            value.as_obj().ok_or_else(|| PersistError::Corrupt("not a JSON object".into()))?;
         let found = match fields.get("schema") {
             None => 1,
             Some(schema) => u32::from_value(schema).map_err(corrupt)?,
@@ -457,17 +442,14 @@ impl RunDir {
     }
 
     /// Load one shard's checkpoint at a barrier, if present, parseable,
-    /// whole and fillable: each RNG state must be the four words it was
-    /// written as, and every text it leaves out must be one this handle
+    /// whole and fillable: it must pass [`RunnerCheckpoint::validate`], and
+    /// every text it leaves out must be one this handle
     /// holds from a pool artifact. Anything else (a truncated checkpoint,
     /// a damaged RNG state, a lost pool text) simply disqualifies its
     /// barrier — resume falls back to an earlier restorable one.
     pub fn load_checkpoint(&self, shard: usize, epoch: usize) -> Option<RunnerCheckpoint> {
         let mut checkpoint: RunnerCheckpoint = load(&self.checkpoint_path(shard, epoch))?;
-        let rngs = [&checkpoint.rng, &checkpoint.varity_rng, &checkpoint.llm_rng];
-        if rngs.iter().any(|words| words.len() != 4) {
-            return None;
-        }
+        checkpoint.validate().ok()?;
         let pool = self.state.pool.lock().unwrap();
         checkpoint.successful.fill(|hash| pool.get(&hash).cloned()).ok()?;
         Some(checkpoint)
@@ -646,10 +628,9 @@ mod tests {
         // are typed corruption, naming the artifact.
         for damaged in ["{torn", "[4]"] {
             fs::write(root.join("manifest.json"), damaged).unwrap();
-            assert!(matches!(
-                RunDir::open(&root, &m),
-                Err(PersistError::Corrupt { artifact: Artifact::Manifest, .. })
-            ));
+            let err = RunDir::open(&root, &m).unwrap_err();
+            assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
+            assert!(err.to_string().contains("manifest.json"), "{err}");
         }
         let _ = fs::remove_dir_all(&root);
     }

@@ -14,11 +14,14 @@
 //! workers dialing from anywhere (`worker_procs = 0` spawns nothing and
 //! waits). Every setting lives in one [`SupervisionConfig`].
 //!
-//! The session owns the tasks and their coordinator-side checkpoints;
-//! connection threads move jobs and answers through one
-//! [`EpochState`] dispatch ledger per epoch ([`crate::supervisor`]),
-//! and the session folds each settled ledger into deltas, sink progress
-//! and barrier state.
+//! The executor is a [`ShardTransport`]: the [`Session`] that every
+//! executor shares holds the shards' checkpoints between epochs and hands
+//! each epoch's jobs over. Connection threads move jobs and answers
+//! through one [`EpochState`] dispatch ledger per epoch
+//! ([`crate::supervisor`]); the settled ledger's answers go back to the
+//! session in job order, after sink progress and completions fire.
+//!
+//! [`Session`]: crate::executor::Session
 //!
 //! * **The pool travels by hash** — each connection remembers the hashes
 //!   whose text it has carried, and a job leaves those texts out; an
@@ -81,16 +84,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use llm4fp::{RunnerCheckpoint, SuccessfulSet, SuccessfulSetSnapshot};
 use llm4fp_extcc::{group_spawn, kill_group};
 use llm4fp_telemetry::{keys, Telemetry};
 
 use crate::executor::{
-    OrchestratorError, ProgressSink, SessionOutcome, ShardExecutor, ShardSession, ShardTask,
+    OrchestratorError, ProgressSink, SessionOutcome, ShardExecutor, ShardTask, ShardTransport,
 };
 use crate::faults::{self, FaultPlan};
 use crate::orchestrate::default_workers;
-use crate::shard::ShardOutput;
 use crate::supervisor::{EpochState, SupervisionCounts};
 use crate::wire::{self, Hello, ShardJob, ShardJobResult, WireReply, WireRequest};
 
@@ -228,11 +229,11 @@ impl ShardExecutor for WorkerExecutor {
         "workers"
     }
 
-    fn begin<'s>(
+    fn connect<'s>(
         &self,
-        tasks: Vec<ShardTask>,
+        tasks: &[ShardTask],
         sink: &'s dyn ProgressSink,
-    ) -> Result<Box<dyn ShardSession + 's>, OrchestratorError> {
+    ) -> Result<Box<dyn ShardTransport + 's>, OrchestratorError> {
         let config = &self.config;
         // A coordinator that cannot even bind has no transport at all —
         // the WorkerUnavailable class.
@@ -248,7 +249,7 @@ impl ShardExecutor for WorkerExecutor {
         *self.bound.lock().unwrap() = Some(addr);
         let worker_procs = config.worker_procs.min(tasks.len());
         let shared = Arc::new(Shared {
-            slot: Mutex::new(EpochSlot { epoch_id: 0, active: None }),
+            slot: Mutex::new(None),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             accepting: AtomicBool::new(true),
@@ -259,27 +260,25 @@ impl ShardExecutor for WorkerExecutor {
             stale_results: AtomicU64::new(0),
             frame_bytes: AtomicU64::new(0),
             lease_timeout: config.lease_timeout,
+            lanes: tasks.iter().map(|task| task.telemetry.clone()).collect(),
+            pool_start: Instant::now(),
         });
         let acceptor = thread::spawn({
             let shared = Arc::clone(&shared);
             move || accept_loop(&listener, &shared)
         });
-        let mut session = WorkerSession {
-            checkpoints: tasks.iter().map(|task| task.checkpoint.clone()).collect(),
-            outputs: Vec::new(),
+        let mut transport = WorkerTransport {
+            sink,
             next_lease: 1,
             redispatches: 0,
-            tasks,
-            sink,
             shared,
             acceptor: Some(acceptor),
             supervisor: None,
             addr,
             worker_wait: config.worker_wait,
-            pool_start: Instant::now(),
         };
         if worker_procs > 0 {
-            // On any failure below `session` drops: transport shut down,
+            // On any failure below `transport` drops: shut down, and
             // already-spawned siblings reaped.
             let spawner = Spawner {
                 bin: resolve_worker_bin(config.worker_bin.as_deref())?,
@@ -293,17 +292,18 @@ impl ShardExecutor for WorkerExecutor {
                         spawner.bin.display()
                     ))
                 })?;
-                session
+                transport
                     .shared
                     .children
                     .lock()
                     .unwrap()
                     .push(ChildSlot { child: Some(child), retry_at: Instant::now() });
             }
-            let shared = Arc::clone(&session.shared);
-            session.supervisor = Some(thread::spawn(move || supervise_children(&shared, &spawner)));
+            let shared = Arc::clone(&transport.shared);
+            transport.supervisor =
+                Some(thread::spawn(move || supervise_children(&shared, &spawner)));
         }
-        Ok(Box::new(session))
+        Ok(Box::new(transport))
     }
 }
 
@@ -391,7 +391,8 @@ fn supervise_children(shared: &Shared, spawner: &Spawner) {
 
 /// Coordinator state every connection thread shares.
 struct Shared {
-    slot: Mutex<EpochSlot>,
+    /// The one live epoch, or none between epochs.
+    slot: Mutex<Option<ActiveEpoch>>,
     /// Notified on: epoch installed, job completed/abandoned, shutdown.
     cv: Condvar,
     shutdown: AtomicBool,
@@ -415,25 +416,19 @@ struct Shared {
     /// Bytes of job frames written and result frames read.
     frame_bytes: AtomicU64,
     lease_timeout: Duration,
+    /// Each job's telemetry lane, for the dispatch span and queue wait.
+    lanes: Vec<Telemetry>,
+    pool_start: Instant,
 }
 
-/// The one live epoch (or none, between epochs), versioned by
-/// `epoch_id` so a result or abandonment that outlives its epoch can
-/// never touch the next epoch's ledger.
-struct EpochSlot {
-    epoch_id: u64,
-    active: Option<ActiveEpoch>,
-}
-
+/// One epoch's ledger and jobs. Its leases are unique across the session,
+/// so an answer or abandonment that outlives its epoch never matches a
+/// live lease of the next one.
 struct ActiveEpoch {
     state: EpochState,
-    /// Pre-built wire jobs (lease 0); a dispatch clones one and stamps
+    /// The epoch's wire jobs (lease 0); a dispatch clones one and stamps
     /// the live lease generation.
     jobs: Vec<ShardJob>,
-    /// Each job's telemetry lane, cloned out of the session's tasks so
-    /// connection threads can observe without borrowing the session.
-    telemetry: Vec<Telemetry>,
-    pool_start: Instant,
 }
 
 /// Count one result frame discarded as stale.
@@ -441,16 +436,13 @@ fn discard_stale(shared: &Shared) {
     shared.stale_results.fetch_add(1, Ordering::SeqCst);
 }
 
-/// Hand the awaited answer to its epoch's ledger. An answer whose epoch
-/// has folded, or whose lease the ledger refuses, is discarded as stale.
-fn settle(shared: &Shared, epoch_id: u64, job: usize, lease: u64, result: ShardJobResult) {
-    let accepted = {
-        let mut slot = shared.slot.lock().unwrap();
-        let current = slot.epoch_id == epoch_id;
-        match slot.active.as_mut() {
-            Some(epoch) if current => epoch.state.complete(job, lease, result),
-            _ => false,
-        }
+/// Hand the awaited answer to the live epoch's ledger. An answer whose
+/// lease the ledger refuses (its epoch folded, or its lease died) is
+/// discarded as stale.
+fn settle(shared: &Shared, job: usize, lease: u64, result: ShardJobResult) {
+    let accepted = match shared.slot.lock().unwrap().as_mut() {
+        Some(epoch) => epoch.state.complete(job, lease, result),
+        None => false,
     };
     if !accepted {
         discard_stale(shared);
@@ -458,14 +450,9 @@ fn settle(shared: &Shared, epoch_id: u64, job: usize, lease: u64, result: ShardJ
     shared.cv.notify_all();
 }
 
-fn abandon(shared: &Shared, epoch_id: u64, job: usize, lease: u64, why: String) {
-    {
-        let mut slot = shared.slot.lock().unwrap();
-        if slot.epoch_id == epoch_id {
-            if let Some(epoch) = slot.active.as_mut() {
-                epoch.state.abandon(job, lease, why);
-            }
-        }
+fn abandon(shared: &Shared, job: usize, lease: u64, why: String) {
+    if let Some(epoch) = shared.slot.lock().unwrap().as_mut() {
+        epoch.state.abandon(job, lease, why);
     }
     shared.cv.notify_all();
 }
@@ -641,28 +628,17 @@ fn drive_connection(stream: TcpStream, shared: &Arc<Shared>) {
             let _ = wire::write_frame(&mut writer, &WireRequest::Shutdown);
             return;
         }
-        let next = {
-            let mut slot = shared.slot.lock().unwrap();
-            let epoch_id = slot.epoch_id;
-            match slot.active.as_mut() {
-                Some(epoch) if !epoch.state.is_settled() => {
-                    epoch.state.next_job().map(|(job, lease)| {
-                        let mut wire_job = epoch.jobs[job].clone();
-                        wire_job.lease = lease;
-                        (
-                            epoch_id,
-                            job,
-                            lease,
-                            wire_job,
-                            epoch.telemetry[job].clone(),
-                            epoch.pool_start,
-                        )
-                    })
-                }
-                _ => None,
+        let next = match shared.slot.lock().unwrap().as_mut() {
+            Some(epoch) if !epoch.state.is_settled() => {
+                epoch.state.next_job().map(|(job, lease)| {
+                    let mut wire_job = epoch.jobs[job].clone();
+                    wire_job.lease = lease;
+                    (job, lease, wire_job)
+                })
             }
+            _ => None,
         };
-        let Some((epoch_id, job, lease, mut wire_job, telemetry, pool_start)) = next else {
+        let Some((job, lease, mut wire_job)) = next else {
             // Idle: park until new work arrives or the heartbeat is due.
             {
                 let slot = shared.slot.lock().unwrap();
@@ -700,7 +676,8 @@ fn drive_connection(stream: TcpStream, shared: &Arc<Shared>) {
             checkpoint.successful.leave_out(|hash| have.contains(&hash));
             have.extend(&checkpoint.successful.hashes);
         }
-        telemetry.observe(keys::QUEUE_WAIT, pool_start.elapsed());
+        let telemetry = &shared.lanes[job];
+        telemetry.observe(keys::QUEUE_WAIT, shared.pool_start.elapsed());
         let span = telemetry.span(keys::SPAN_SHARD_RUN);
         let verdict = match wire::write_frame(&mut writer, &WireRequest::Job(Box::new(wire_job))) {
             Ok(len) => {
@@ -718,7 +695,7 @@ fn drive_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 if let Some(checkpoint) = &result.checkpoint {
                     have.extend(&checkpoint.successful.hashes);
                 }
-                settle(shared, epoch_id, job, lease, *result);
+                settle(shared, job, lease, *result);
                 continue;
             }
             Verdict::Answered(result) => {
@@ -733,7 +710,7 @@ fn drive_connection(stream: TcpStream, shared: &Arc<Shared>) {
         // lease dies first, so the job re-dispatches right away; a worker
         // that stayed silent through its lease is killed if this session
         // spawned it; returning closes the connection.
-        abandon(shared, epoch_id, job, lease, why);
+        abandon(shared, job, lease, why);
         if silent {
             kill_silent_worker(shared, hello.pid);
         }
@@ -741,15 +718,8 @@ fn drive_connection(stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-struct WorkerSession<'s> {
-    /// The session's tasks, in task order.
-    tasks: Vec<ShardTask>,
+struct WorkerTransport<'s> {
     sink: &'s dyn ProgressSink,
-    /// Coordinator-side shard state between epochs: each task's barrier
-    /// checkpoint (its restored one before the first epoch).
-    checkpoints: Vec<Option<RunnerCheckpoint>>,
-    /// Each task's final output, filled by the last epoch.
-    outputs: Vec<Option<ShardOutput>>,
     /// The first lease generation of the next epoch: leases stay unique
     /// across the session, so a leftover answer from a folded epoch can
     /// never carry a live lease.
@@ -763,10 +733,9 @@ struct WorkerSession<'s> {
     supervisor: Option<thread::JoinHandle<()>>,
     addr: SocketAddr,
     worker_wait: Duration,
-    pool_start: Instant,
 }
 
-impl WorkerSession<'_> {
+impl WorkerTransport<'_> {
     /// Idempotent transport teardown: flag shutdown (connection threads
     /// forward `Shutdown` frames to their workers), stop respawning, give
     /// self-spawned workers a grace window to exit cleanly, kill the
@@ -810,100 +779,9 @@ impl WorkerSession<'_> {
             }
         }
     }
-
-    /// Fold one settled epoch back into the session: a failed epoch
-    /// returns its typed error; otherwise — single-threaded, in task
-    /// order — absorb worker counters (exactly once per job; stale
-    /// results were discarded), tick the sink once per accepted result,
-    /// and store barrier checkpoints (their pools filled by
-    /// [`fill_answer_pool`]) or final outputs (completing each finished
-    /// shard in the sink). Returns each task's delta with the hashes its
-    /// answer carried, so the barrier merges and injects by hash without
-    /// hashing (with `last` no barrier follows, and the deltas are
-    /// returned empty).
-    fn fold_epoch(
-        &mut self,
-        state: EpochState,
-        last: bool,
-    ) -> Result<Vec<SuccessfulSet>, OrchestratorError> {
-        self.next_lease = state.next_lease();
-        self.redispatches += state.redispatches();
-        let results = state.into_results()?;
-        if last {
-            self.outputs = (0..self.tasks.len()).map(|_| None).collect();
-        }
-        let mut deltas = Vec::with_capacity(results.len());
-        for (job, result) in results.into_iter().enumerate() {
-            if let Some(snapshot) = &result.telemetry {
-                if !snapshot.is_empty() {
-                    self.tasks[job].telemetry.absorb(snapshot);
-                }
-            }
-            self.sink.progress(job);
-            if last {
-                deltas.push(SuccessfulSet::new());
-                let output = result.output.ok_or_else(|| {
-                    OrchestratorError::Executor(format!(
-                        "protocol violation: no output for finished shard job {job}"
-                    ))
-                })?;
-                self.sink.complete(job, &output);
-                self.outputs[job] = Some(output);
-            } else {
-                let mut checkpoint = result.checkpoint.ok_or_else(|| {
-                    OrchestratorError::Executor(format!(
-                        "protocol violation: no checkpoint for paused shard job {job}"
-                    ))
-                })?;
-                let sent = self.checkpoints[job].as_ref().map(|sent| &sent.successful);
-                let delta = fill_answer_pool(sent, &mut checkpoint.successful, result.delta)
-                    .map_err(|why| {
-                        OrchestratorError::Executor(format!(
-                            "protocol violation: shard job {job} answered {why}"
-                        ))
-                    })?;
-                deltas.push(delta);
-                self.checkpoints[job] = Some(checkpoint);
-            }
-        }
-        Ok(deltas)
-    }
 }
 
-/// Fill an answer's pool, which carries hashes and own flags but no text:
-/// its first entries are the pool the job was sent with (`sent`, whose
-/// texts the session holds), the rest are the segment's `delta`, in
-/// order. Returns the delta as a set, under the hashes the answer
-/// carried.
-fn fill_answer_pool(
-    sent: Option<&SuccessfulSetSnapshot>,
-    answer: &mut SuccessfulSetSnapshot,
-    delta: Vec<String>,
-) -> Result<SuccessfulSet, String> {
-    let (sent_sources, sent_hashes) =
-        sent.map_or((&[][..], &[][..]), |sent| (&sent.sources[..], &sent.hashes[..]));
-    let len = answer.hashes.len();
-    if len != sent_hashes.len() + delta.len()
-        || answer.own.len() != len
-        || answer.sources.len() != len
-        || answer.hashes[..sent_hashes.len()] != *sent_hashes
-    {
-        return Err(format!(
-            "a pool of {len} entries that is not the {} it was sent plus its {} finds",
-            sent_hashes.len(),
-            delta.len()
-        ));
-    }
-    answer.sources = sent_sources.iter().cloned().chain(delta.into_iter().map(Arc::from)).collect();
-    let start = sent_hashes.len();
-    Ok(SuccessfulSet::restore(SuccessfulSetSnapshot {
-        sources: answer.sources[start..].to_vec(),
-        hashes: answer.hashes[start..].to_vec(),
-        own: answer.own[start..].to_vec(),
-    }))
-}
-
-impl Drop for WorkerSession<'_> {
+impl Drop for WorkerTransport<'_> {
     fn drop(&mut self) {
         // Safety net for sessions abandoned mid-run (a failed epoch whose
         // error aborted the campaign): no worker processes or acceptor
@@ -912,45 +790,19 @@ impl Drop for WorkerSession<'_> {
     }
 }
 
-impl ShardSession for WorkerSession<'_> {
-    fn run_epoch(
-        &mut self,
-        segments: &[usize],
-        last: bool,
-    ) -> Result<Vec<SuccessfulSet>, OrchestratorError> {
-        debug_assert_eq!(segments.len(), self.tasks.len());
-        let state = EpochState::new(self.tasks.len(), self.next_lease);
-        let jobs = self
-            .tasks
-            .iter()
-            .zip(&self.checkpoints)
-            .zip(segments)
-            .map(|((task, checkpoint), &segment)| ShardJob {
-                config: task.config.clone(),
-                spec: task.spec,
-                segment,
-                finish: last,
-                checkpoint: checkpoint.clone(),
-                process_slots: 1,
-                telemetry: task.telemetry.is_enabled(),
-                lease: 0,
-            })
-            .collect();
-        let telemetry = self.tasks.iter().map(|task| task.telemetry.clone()).collect();
-        let epoch_id = {
-            let mut slot = self.shared.slot.lock().unwrap();
-            slot.epoch_id += 1;
-            slot.active = Some(ActiveEpoch { state, jobs, telemetry, pool_start: self.pool_start });
-            slot.epoch_id
-        };
+impl ShardTransport for WorkerTransport<'_> {
+    /// Install the epoch's jobs for the connection threads, wait (with a
+    /// worker-starvation deadline) until they settle its ledger, then —
+    /// in job order — tick the sink once per accepted answer and complete
+    /// each finished shard.
+    fn run_jobs(&mut self, jobs: Vec<ShardJob>) -> Result<Vec<ShardJobResult>, OrchestratorError> {
+        let state = EpochState::new(jobs.len(), self.next_lease);
+        *self.shared.slot.lock().unwrap() = Some(ActiveEpoch { state, jobs });
         self.shared.cv.notify_all();
-        // Wait (with a worker-starvation deadline) until the connection
-        // threads settle the epoch.
         let mut starving_since = Instant::now();
         let mut slot = self.shared.slot.lock().unwrap();
         loop {
-            debug_assert_eq!(slot.epoch_id, epoch_id);
-            let epoch = slot.active.as_mut().expect("epoch installed above");
+            let epoch = slot.as_mut().expect("epoch installed above");
             if epoch.state.is_settled() {
                 break;
             }
@@ -970,64 +822,31 @@ impl ShardSession for WorkerSession<'_> {
                 self.shared.cv.wait_timeout(slot, Duration::from_millis(50)).unwrap();
             slot = reacquired;
         }
-        let state = slot.active.take().expect("epoch installed above").state;
+        let state = slot.take().expect("epoch installed above").state;
         drop(slot);
-        self.fold_epoch(state, last)
-    }
-
-    /// Broadcast the epoch's merged deltas into the stored checkpoints by
-    /// the hashes they carry (commutative with runner-side injection —
-    /// see `RunnerCheckpoint::inject_successful`).
-    fn inject(&mut self, deltas: &[&SuccessfulSet]) -> Result<(), OrchestratorError> {
-        debug_assert_eq!(deltas.len(), self.checkpoints.len());
-        for (job, (checkpoint, delta)) in self.checkpoints.iter_mut().zip(deltas).enumerate() {
-            let checkpoint = checkpoint.as_mut().ok_or_else(|| {
-                OrchestratorError::Executor(format!(
-                    "inject before shard job {job} ever ran an epoch"
-                ))
-            })?;
-            checkpoint.inject_successful(delta);
+        self.next_lease = state.next_lease();
+        self.redispatches += state.redispatches();
+        let results = state.into_results()?;
+        for (job, result) in results.iter().enumerate() {
+            self.sink.progress(job);
+            if let Some(output) = &result.output {
+                self.sink.complete(job, output);
+            }
         }
-        Ok(())
+        Ok(results)
     }
 
-    fn checkpoints(&mut self) -> Result<Vec<RunnerCheckpoint>, OrchestratorError> {
-        self.checkpoints
-            .iter()
-            .enumerate()
-            .map(|(job, checkpoint)| {
-                checkpoint.clone().ok_or_else(|| {
-                    OrchestratorError::Executor(format!(
-                        "checkpoint requested before shard job {job} ever ran"
-                    ))
-                })
-            })
-            .collect()
-    }
-
-    fn finish(mut self: Box<Self>) -> Result<SessionOutcome, OrchestratorError> {
+    fn finish(mut self: Box<Self>) -> SessionOutcome {
         self.shutdown_transport();
-        if self.outputs.len() != self.tasks.len() {
-            return Err(OrchestratorError::Executor(
-                "finish called before the final epoch ran".into(),
-            ));
+        SessionOutcome {
+            shards: Vec::new(),
+            supervision: SupervisionCounts {
+                stale_results: self.shared.stale_results.load(Ordering::SeqCst),
+                redispatches: self.redispatches,
+                respawns: self.shared.respawns.load(Ordering::SeqCst),
+            },
+            frame_bytes: self.shared.frame_bytes.load(Ordering::Relaxed),
         }
-        let shards = std::mem::take(&mut self.outputs)
-            .into_iter()
-            .enumerate()
-            .map(|(job, output)| {
-                output.ok_or_else(|| {
-                    OrchestratorError::Executor(format!("shard job {job} has no output"))
-                })
-            })
-            .collect::<Result<Vec<_>, OrchestratorError>>()?;
-        let supervision = SupervisionCounts {
-            stale_results: self.shared.stale_results.load(Ordering::SeqCst),
-            redispatches: self.redispatches,
-            respawns: self.shared.respawns.load(Ordering::SeqCst),
-        };
-        let frame_bytes = self.shared.frame_bytes.load(Ordering::Relaxed);
-        Ok(SessionOutcome { shards, supervision, frame_bytes })
     }
 }
 

@@ -26,6 +26,8 @@ use llm4fp::{
 use llm4fp_difftest::{Aggregates, ResultCache};
 use llm4fp_telemetry::Telemetry;
 
+use crate::wire::{ShardJob, ShardJobResult};
+
 /// Plan for one shard of a campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardSpec {
@@ -89,7 +91,9 @@ pub struct ShardOutput {
     /// Wall-clock time this shard actually spent computing.
     pub pipeline_time: Duration,
     /// Largest VM register file the shard's reused execution scratch
-    /// prepared (0 for campaigns that never ran a virtual matrix).
+    /// prepared (0 for campaigns that never ran a virtual matrix). A
+    /// shard restored at a barrier starts a fresh scratch, so on every
+    /// executor this covers the shard's final segment only.
     pub peak_regs: usize,
 }
 
@@ -184,10 +188,6 @@ impl ShardRunner {
         self
     }
 
-    pub fn spec(&self) -> ShardSpec {
-        self.spec
-    }
-
     /// Local index of the next program to run (== programs processed).
     pub fn programs_run(&self) -> usize {
         self.next_local
@@ -200,19 +200,8 @@ impl ShardRunner {
     pub fn run_segment(
         &mut self,
         count: usize,
-        on_record: impl FnMut(&ProgramRecord),
-    ) -> Vec<String> {
-        self.run_segment_hashed(count, on_record).into_sources()
-    }
-
-    /// [`ShardRunner::run_segment`] returning the delta with the hashes
-    /// `run_one` computed for it, so an in-process barrier merges and
-    /// broadcasts it without hashing.
-    pub(crate) fn run_segment_hashed(
-        &mut self,
-        count: usize,
         mut on_record: impl FnMut(&ProgramRecord),
-    ) -> SuccessfulSet {
+    ) -> Vec<String> {
         let end = (self.next_local + count).min(self.spec.budget);
         for local in self.next_local..end {
             on_record(self.runner.run_one(local));
@@ -220,13 +209,16 @@ impl ShardRunner {
         self.next_local = end;
         let delta = self.runner.successful_from(self.watermark);
         self.watermark = self.runner.successful_len();
-        delta
+        delta.into_sources()
     }
 
     /// Inject merged cross-shard finds into this shard's feedback set
     /// (structurally deduplicated by the hashes `pool` carries; the
     /// shard's own finds stay first, in their original order). Returns
-    /// how many sources were new here.
+    /// how many sources were new here. Sessions inject into the paused
+    /// shard's checkpoint instead
+    /// ([`RunnerCheckpoint::inject_successful`]); this live form is what
+    /// tests pin that against.
     pub fn inject(&mut self, pool: &SuccessfulSet) -> usize {
         let added = self.runner.inject_successful(pool);
         self.watermark = self.runner.successful_len();
@@ -237,6 +229,12 @@ impl ShardRunner {
     /// after [`ShardRunner::inject`]).
     pub fn checkpoint(&self) -> RunnerCheckpoint {
         self.runner.checkpoint()
+    }
+
+    /// [`ShardRunner::checkpoint`] that moves the shard's history into
+    /// the checkpoint instead of copying it.
+    pub(crate) fn into_checkpoint(self) -> RunnerCheckpoint {
+        self.runner.into_checkpoint()
     }
 
     /// Finish the shard (all segments run) and assemble its output.
@@ -290,6 +288,46 @@ pub fn run_shard(spec: &ShardSpec, ctx: &ShardCtx<'_>) -> ShardOutput {
         ShardRunner::new(ctx.config, *spec, None).with_telemetry(ctx.telemetry.clone());
     runner.run_segment(spec.budget, |_| {});
     runner.finish()
+}
+
+/// Run one [`ShardJob`]: restore the shard from the job's checkpoint (or
+/// start it fresh), run its segment, and answer with the paused shard's
+/// checkpoint — or, on `finish`, its output. Every executor runs its jobs
+/// through this one function: the in-process transport with the run's
+/// result cache and the shard's own telemetry lane, the `llm4fp-worker`
+/// daemon uncached, on a lane of its own whose counters it exports into
+/// the answer's `telemetry` (left `None` here). The shard's history moves
+/// from the checkpoint into the runner and back, never copied.
+/// `on_record` observes every processed program.
+///
+/// The job's checkpoint must be whole: every pool text present, and
+/// [`RunnerCheckpoint::validate`] passed by whoever read it from outside
+/// the process.
+pub fn run_job(
+    job: ShardJob,
+    cache: Option<Arc<ResultCache>>,
+    telemetry: Telemetry,
+    on_record: impl FnMut(&ProgramRecord),
+) -> ShardJobResult {
+    let mut runner = match job.checkpoint {
+        Some(checkpoint) => ShardRunner::from_checkpoint(&job.config, job.spec, cache, checkpoint),
+        None => ShardRunner::new(&job.config, job.spec, cache),
+    }
+    .with_telemetry(telemetry);
+    let delta = runner.run_segment(job.segment, on_record);
+    let (checkpoint, output) = if job.finish {
+        (None, Some(runner.finish()))
+    } else {
+        (Some(runner.into_checkpoint()), None)
+    };
+    ShardJobResult {
+        index: job.spec.index,
+        delta,
+        checkpoint,
+        output,
+        telemetry: None,
+        lease: job.lease,
+    }
 }
 
 /// Merge shard outputs (in shard order) into one campaign result.

@@ -13,9 +13,10 @@
 //! * [`SupervisionCounts`] reports the recoveries that cost time but no
 //!   bits.
 //!
-//! Everything else — sockets, handshakes, heartbeats, reconnect
-//! acceptance, process respawn and the session's coordinator-side
-//! checkpoints — lives in [`crate::remote`].
+//! Sockets, handshakes, heartbeats, reconnect acceptance and process
+//! respawn live in [`crate::remote`]; the shards' checkpoints between
+//! epochs live in the [`Session`](crate::executor::Session) every
+//! executor shares.
 
 use std::collections::VecDeque;
 

@@ -10,7 +10,9 @@
 //! worker is killed, so its answer can never merge) and retransmitted
 //! answers (discarded by lease generation, never merged).
 //! The merged `metrics.json` flight recorder is byte-identical across
-//! executors, which is what the CI smoke campaigns assert end to end.
+//! executors, which is what the CI smoke campaigns assert end to end, and
+//! so is every barrier's persisted state (checkpoints up to their wall
+//! clock, pool artifacts byte for byte).
 //! The handshake half pins the version contract: a skewed `Hello` is
 //! refused in words — a typed [`WireRequest::Refuse`] — never undefined
 //! framing. A worker driven by hand refuses a job whose checkpoint lost
@@ -23,7 +25,7 @@ use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use llm4fp::{ApproachKind, CampaignConfig, CampaignResult};
+use llm4fp::{ApproachKind, CampaignConfig, CampaignResult, RunnerCheckpoint};
 use llm4fp_orchestrator::wire::{read_frame, write_frame, ShardJob, WireReply, WireRequest};
 use llm4fp_orchestrator::{
     plan_shards, FaultPlan, Hello, NullSink, OrchestratedResult, Orchestrator, OrchestratorError,
@@ -159,6 +161,66 @@ fn metrics_json_is_byte_identical_on_the_remote_transport() {
             }
         }
         let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+#[test]
+fn barrier_artifacts_are_identical_in_process_and_on_the_process_pool() {
+    // Every executor runs the same session, so every barrier persists the
+    // same state: each checkpoint decodes equal once its wall clock is
+    // zeroed, and each pool artifact is the same bytes.
+    let config = config(ApproachKind::Llm4Fp, 48, 11);
+    let (shards, epochs) = (4usize, 4usize);
+    let dirs: Vec<PathBuf> = [("in-process", None), ("process-pool", Some(workers(2)))]
+        .into_iter()
+        .map(|(tag, supervision)| {
+            let root = temp_dir(&format!("barriers-{tag}"));
+            let mut builder = Orchestrator::new(config.clone())
+                .shards(shards)
+                .epochs(epochs)
+                .run_dir(root.clone());
+            if let Some(supervision) = supervision {
+                builder = builder.executor(Arc::new(WorkerExecutor::new(supervision)));
+            }
+            builder.run().unwrap();
+            root
+        })
+        .collect();
+    let names = |root: &PathBuf, artifacts: &str| {
+        let mut names: Vec<String> = std::fs::read_dir(root.join(artifacts))
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    let read = |artifacts: &str, name: &str| -> Vec<String> {
+        dirs.iter()
+            .map(|root| std::fs::read_to_string(root.join(artifacts).join(name)).unwrap())
+            .collect()
+    };
+    let checkpoints = names(&dirs[0], "checkpoints");
+    assert_eq!(checkpoints.len(), shards * (epochs - 1));
+    assert_eq!(names(&dirs[1], "checkpoints"), checkpoints);
+    for name in &checkpoints {
+        let decoded: Vec<RunnerCheckpoint> = read("checkpoints", name)
+            .iter()
+            .map(|text| RunnerCheckpoint {
+                pipeline_time: Duration::ZERO,
+                ..serde_json::from_str(text).unwrap()
+            })
+            .collect();
+        assert_eq!(decoded[0], decoded[1], "{name}");
+    }
+    let pools = names(&dirs[0], "pool");
+    assert_eq!(pools.len(), epochs - 1);
+    assert_eq!(names(&dirs[1], "pool"), pools);
+    for name in &pools {
+        let bytes = read("pool", name);
+        assert_eq!(bytes[0], bytes[1], "{name}");
+    }
+    for root in &dirs {
+        let _ = std::fs::remove_dir_all(root);
     }
 }
 
