@@ -301,8 +301,32 @@ pub fn compile_matrix(program: &Program) -> Result<Vec<CompiledProgram>, Compile
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytecode::Instr;
     use crate::config::{CompilerId, OptLevel};
     use llm4fp_fpir::{parse_compute, InputValue};
+
+    /// Whether two instruction streams are the same bit for bit. `Instr`'s
+    /// derived `PartialEq` compares `Const` values as `f64`s, which calls
+    /// `0.0` and `-0.0` equal (they execute differently) and a NaN
+    /// constant unequal to itself.
+    fn same_instrs(a: &[Instr], b: &[Instr]) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|pair| match pair {
+                (Instr::Const { dst: x, value: v }, Instr::Const { dst: y, value: w }) => {
+                    x == y && v.to_bits() == w.to_bits()
+                }
+                (x, y) => x == y,
+            })
+    }
+
+    #[test]
+    fn instruction_streams_compare_constants_by_bits() {
+        let constant = |value| [Instr::Burn, Instr::Const { dst: 0, value }];
+        assert!(same_instrs(&constant(f64::NAN), &constant(f64::NAN)));
+        assert!(!same_instrs(&constant(0.0), &constant(-0.0)));
+        assert!(same_instrs(&constant(1.5), &constant(1.5)));
+        assert!(!same_instrs(&constant(1.5), &constant(1.5)[..1]));
+    }
 
     #[test]
     fn invalid_programs_are_rejected_with_details() {
@@ -388,7 +412,12 @@ mod tests {
                 let batched = batched
                     .as_ref()
                     .unwrap_or_else(|e| panic!("matrix seal failed under {config}: {e}"));
-                assert_eq!(batched.instrs, single.instrs, "{config}");
+                assert!(
+                    same_instrs(&batched.instrs, &single.instrs),
+                    "{config}: {:?} vs {:?}",
+                    batched.instrs,
+                    single.instrs
+                );
                 assert_eq!(batched.register_count(), single.register_count(), "{config}");
                 assert_eq!(batched.instruction_count(), single.instruction_count());
             }
@@ -440,7 +469,9 @@ mod tests {
                 let single = frontend.seal(config);
                 let seals = fastmath_seals && config.level == OptLevel::O3Fastmath;
                 match (result, &single) {
-                    (Ok(a), Ok(b)) if seals => assert_eq!(a.instrs, b.instrs, "{config}"),
+                    (Ok(a), Ok(b)) if seals => {
+                        assert!(same_instrs(&a.instrs, &b.instrs), "{config}: {a:?} vs {b:?}")
+                    }
                     (Err(a), Err(b)) if !seals => {
                         assert_eq!(a, b, "{config}");
                         assert_eq!(a, &SealError::AmbiguousName("t".into()), "{config}");

@@ -928,7 +928,7 @@ mod tests {
     #[test]
     fn thread_counts_change_neither_results_nor_the_diversity_report() {
         // `threads` is inert: the matrix runs on the campaign's own
-        // thread and CodeBLEU on the caller's.
+        // thread and CodeBLEU on every available core.
         let config = CampaignConfig::new(ApproachKind::Llm4Fp).with_budget(30).with_seed(29);
         let reference = Campaign::new(config.clone().with_threads(1)).run();
         let reference_diversity = reference.measure_diversity();

@@ -218,7 +218,7 @@ pub struct CampaignConfig {
     pub levels: Vec<OptLevel>,
     /// Inert. Its one reader, the diversity report
     /// ([`CampaignResult::measure_diversity`](crate::CampaignResult::measure_diversity)),
-    /// ignores it and scores CodeBLEU on the calling thread; the
+    /// ignores it and scores CodeBLEU pairs on every available core; the
     /// differential-testing matrix runs on the shard's own thread. It
     /// stays a field because run manifests and wire jobs serialize it.
     pub threads: usize,

@@ -5,11 +5,22 @@
 //! quadratic, so every program is profiled once and each pair is scored
 //! from the two profiles; very large corpora can be estimated from a
 //! deterministic subsample of pairs.
+//!
+//! Profiling stays sequential: one `Vocabulary` interns ids in source
+//! order. The pair scores are split across the machine's cores
+//! ([`std::thread::available_parallelism`]), each lane filling one
+//! contiguous slice of a single score buffer, and the calling thread sums
+//! that buffer in pair order. Every score is computed exactly as on one
+//! thread and added in the same order, so the average is bit-identical at
+//! every lane count.
+
+use std::num::NonZeroUsize;
+use std::thread;
 
 use serde::{Deserialize, Serialize};
 
 use crate::clones::{detect_clones, CloneReport, CloneType};
-use crate::codebleu::{score, CodeBleuWeights, Vocabulary};
+use crate::codebleu::{score, CodeBleuProfile, CodeBleuWeights, Vocabulary};
 
 /// Combined diversity report for one approach's corpus.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -25,7 +36,9 @@ pub struct DiversityReport {
 }
 
 impl DiversityReport {
-    /// Build the full report for a corpus of program sources.
+    /// Build the full report for a corpus of program sources. CodeBLEU
+    /// pairs are scored on every core ([`average_pairwise_codebleu`]);
+    /// clone detection runs on the calling thread.
     pub fn measure(sources: &[String], max_pairs: usize) -> DiversityReport {
         let (avg, pairs) = average_pairwise_codebleu(sources, 1, max_pairs);
         DiversityReport {
@@ -44,9 +57,13 @@ impl DiversityReport {
 
 /// Average pairwise CodeBLEU over a corpus.
 ///
-/// Scores the pairs of [`sampled_pairs`] in order on the calling thread,
-/// each program profiled once. `threads` is ignored: it is kept so that
-/// existing callers still compile.
+/// Profiles each program once, in source order, then scores the pairs of
+/// [`sampled_pairs`] on one lane per available core (the calling thread
+/// is one of them). Each lane takes a contiguous range of at least 1,024
+/// pairs, so a small corpus is scored on the calling thread alone. The
+/// scores are summed in pair order, so the result is bit-identical to a
+/// single-threaded run. `threads` is ignored: it is kept so that existing
+/// callers still compile.
 /// Returns `(average, pairs_scored)`.
 pub fn average_pairwise_codebleu(
     sources: &[String],
@@ -55,18 +72,47 @@ pub fn average_pairwise_codebleu(
 ) -> (f64, usize) {
     let mut vocabulary = Vocabulary::default();
     let profiles: Vec<_> = sources.iter().map(|source| vocabulary.profile(source)).collect();
+    let lanes = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    score_pairs(&profiles, max_pairs, lanes)
+}
+
+/// Fewest pairs a lane is given: milliseconds of scoring (a pair takes a
+/// few microseconds), far above the cost of spawning the lane's thread.
+const MIN_PAIRS_PER_LANE: usize = 1024;
+
+/// Average CodeBLEU over the [`sampled_pairs`] of `profiles`, scored on
+/// up to `lanes` threads. Returns `(average, pairs_scored)`, bit-identical
+/// at every lane count.
+fn score_pairs(profiles: &[CodeBleuProfile], max_pairs: usize, lanes: usize) -> (f64, usize) {
+    let pairs = PairSample::new(profiles.len(), max_pairs);
+    if pairs.len == 0 {
+        return (0.0, 0);
+    }
     let weights = CodeBleuWeights::default();
+    let score_range = |first: usize, scores: &mut [f64]| {
+        for (k, slot) in (first..).zip(scores.iter_mut()) {
+            let (i, j) = pairs.get(k);
+            *slot = score(&profiles[i], &profiles[j], weights).combined;
+        }
+    };
+    let mut scores = vec![0.0; pairs.len];
+    let per_lane = pairs.len.div_ceil(lanes.max(1)).max(MIN_PAIRS_PER_LANE);
+    thread::scope(|scope| {
+        let mut chunks = scores.chunks_mut(per_lane).enumerate();
+        let own = chunks.next();
+        for (lane, chunk) in chunks {
+            scope.spawn(move || score_range(lane * per_lane, chunk));
+        }
+        if let Some((_, chunk)) = own {
+            score_range(0, chunk);
+        }
+    });
+    // One sequential sum in pair order: the bits do not depend on `lanes`.
     let mut total = 0.0;
-    let mut count = 0usize;
-    for (i, j) in sampled_pairs(sources.len(), max_pairs) {
-        total += score(&profiles[i], &profiles[j], weights).combined;
-        count += 1;
+    for value in &scores {
+        total += value;
     }
-    if count == 0 {
-        (0.0, 0)
-    } else {
-        (total / count as f64, count)
-    }
+    (total / pairs.len as f64, pairs.len)
 }
 
 /// The ordered pairs `(i, j), i ≠ j` of an `n`-program corpus that
@@ -78,12 +124,32 @@ pub fn average_pairwise_codebleu(
 /// come out (no RNG, so results are reproducible). The k-th pair is
 /// computed from its index; nothing is materialized.
 pub fn sampled_pairs(n: usize, max_pairs: usize) -> impl Iterator<Item = (usize, usize)> {
-    let all = n * n.saturating_sub(1);
-    let stride = all.div_ceil(max_pairs.max(1)).max(1);
-    (0..all).step_by(stride).map(move |k| {
-        let (i, r) = (k / (n - 1), k % (n - 1));
+    let pairs = PairSample::new(n, max_pairs);
+    (0..pairs.len).map(move |k| pairs.get(k))
+}
+
+/// The index space of [`sampled_pairs`]: `len` pairs, the k-th of which is
+/// the `k·stride`-th ordered pair of `n` programs.
+#[derive(Debug, Clone, Copy)]
+struct PairSample {
+    n: usize,
+    stride: usize,
+    len: usize,
+}
+
+impl PairSample {
+    fn new(n: usize, max_pairs: usize) -> PairSample {
+        let all = n * n.saturating_sub(1);
+        let stride = all.div_ceil(max_pairs.max(1)).max(1);
+        PairSample { n, stride, len: all.div_ceil(stride) }
+    }
+
+    /// The k-th sampled pair, `k < len`.
+    fn get(&self, k: usize) -> (usize, usize) {
+        let flat = k * self.stride;
+        let (i, r) = (flat / (self.n - 1), flat % (self.n - 1));
         (i, if r < i { r } else { r + 1 })
-    })
+    }
 }
 
 #[cfg(test)]
@@ -158,6 +224,43 @@ mod tests {
         let (a, _) = average_pairwise_codebleu(&sources, 1, usize::MAX);
         let (b, _) = average_pairwise_codebleu(&sources, 4, usize::MAX);
         assert_eq!(a.to_bits(), b.to_bits());
+    }
+
+    /// The LLM4FP corpus of `pairwise_codebleu_is_pinned_bit_for_bit`
+    /// (160 programs, seed 7), each program ending at its closing brace.
+    fn llm4fp_corpus() -> Vec<String> {
+        include_str!("../testdata/llm4fp_160_seed7.txt")
+            .split_inclusive("\n}\n")
+            .map(str::to_string)
+            .collect()
+    }
+
+    fn profiles(sources: &[String]) -> Vec<CodeBleuProfile> {
+        let mut vocabulary = Vocabulary::default();
+        sources.iter().map(|source| vocabulary.profile(source)).collect()
+    }
+
+    #[test]
+    fn lane_count_does_not_change_a_single_bit() {
+        let corpus = llm4fp_corpus();
+        assert_eq!(corpus.len(), 160);
+        let profiles = profiles(&corpus);
+        let (avg, pairs) = score_pairs(&profiles, 20_000, 1);
+        // The pinned Table 2 value, so the corpus file is the pinned corpus.
+        assert_eq!((avg.to_bits(), pairs), (0x3fd5_16e5_23fa_efea, 12_720));
+        for lanes in [2, 3, 7, pairs + 1] {
+            let (lane_avg, lane_pairs) = score_pairs(&profiles, 20_000, lanes);
+            assert_eq!((lane_avg.to_bits(), lane_pairs), (avg.to_bits(), pairs), "lanes={lanes}");
+        }
+    }
+
+    #[test]
+    fn corpora_without_pairs_score_zero_at_every_lane_count() {
+        let single = profiles(&corpus_similar()[..1]);
+        for lanes in [1, 2, 3, 7, 100] {
+            assert_eq!(score_pairs(&[], usize::MAX, lanes), (0.0, 0), "lanes={lanes}");
+            assert_eq!(score_pairs(&single, usize::MAX, lanes), (0.0, 0), "lanes={lanes}");
+        }
     }
 
     #[test]
