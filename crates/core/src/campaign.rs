@@ -92,7 +92,10 @@ pub struct CampaignResult {
     /// Total simulated LLM API latency (what the wall clock would have spent
     /// waiting on the API; reported, not slept).
     pub simulated_llm_time: Duration,
-    /// Wall-clock time actually spent generating, compiling and executing.
+    /// Wall-clock time actually spent generating, compiling and executing
+    /// programs. A sharded run merges the sum of its shards' pipeline
+    /// times (work done, not elapsed time), so at one shard this is what
+    /// [`Campaign::run`] measures.
     pub pipeline_time: Duration,
 }
 

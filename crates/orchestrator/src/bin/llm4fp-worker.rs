@@ -74,7 +74,7 @@ fn run_wire_job(mut job: ShardJob, store: &mut PoolStore) -> io::Result<ShardJob
     let hub =
         TelemetryHub::new(if job.telemetry { TelemetrySpec::METRICS } else { TelemetrySpec::OFF });
     let telemetry = hub.lane(0);
-    let mut result = run_job(job, None, telemetry.clone(), |_| {});
+    let mut result = run_job(job, None, telemetry.clone());
     if let Some(checkpoint) = result.checkpoint.as_mut() {
         remember(store, &checkpoint.successful);
         checkpoint.successful.leave_out(|_| true);

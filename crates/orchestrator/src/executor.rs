@@ -8,7 +8,7 @@
 //! one epoch's jobs:
 //!
 //! ```text
-//!   campaign driver                  ShardExecutor::begin(tasks, sink)
+//!   orchestrate::drive               ShardExecutor::begin(tasks)
 //!   (Orchestrator | Scheduler)                      |
 //!            |                  Session { checkpoints, outputs, transport }
 //!            +------------------+-------------------+
@@ -28,17 +28,19 @@
 //! persists, promoted to a wire contract. Every job runs through one
 //! function, [`run_job`]: restore the shard from the job's checkpoint (or
 //! start it fresh), run the segment, answer with the checkpoint or the
-//! output. Two transports share everything else:
+//! output. Two transports share everything else, and each writes a
+//! finished shard's file into its task's run directory (if any):
 //!
 //! * [`InProcessExecutor`] — [`run_indexed`] over a worker-thread pool
-//!   inside this process; it reports progress once per program, and each
-//!   shard's completion on the pool thread as its final segment returns;
+//!   inside this process; it writes each shard's file on the pool thread
+//!   as the shard's final segment returns, so a run killed mid-epoch keeps
+//!   every shard that finished;
 //! * [`crate::WorkerExecutor`] — `llm4fp-worker` daemon processes dialing
 //!   a TCP coordinator (`llm4fp-worker --connect`) and fed
 //!   length-prefixed JSON jobs (see [`crate::wire`]), supervised by
 //!   leases, heartbeats, reconnect-and-resume, respawn and
-//!   crash-and-redispatch (see [`crate::remote`]); it reports progress
-//!   and completions at each epoch's fold.
+//!   crash-and-redispatch (see [`crate::remote`]); it writes the shard
+//!   files at the final epoch's fold.
 //!
 //! Determinism is preserved across transports because a shard segment is
 //! a pure function of `(config, spec, checkpoint, segment length)`:
@@ -54,7 +56,7 @@ use llm4fp::{RunnerCheckpoint, SuccessfulSet, SuccessfulSetSnapshot};
 use llm4fp_difftest::ResultCache;
 use llm4fp_telemetry::{keys, Telemetry};
 
-use crate::persist::PersistError;
+use crate::persist::{PersistError, RunDir};
 use crate::pool::run_indexed;
 use crate::shard::{run_job, ShardOutput, ShardSpec};
 use crate::supervisor::SupervisionCounts;
@@ -128,9 +130,10 @@ pub struct SessionOutcome {
 
 /// Everything one session needs to run one shard: the campaign config,
 /// the shard plan, and the run-level wiring (the run's result cache for
-/// an external-backend campaign, the shard's telemetry lane, and an
-/// optional checkpoint to resume from). Each job runs on one thread, so the
-/// worker count bounds how many external compilers spawn at once.
+/// an external-backend campaign, the shard's telemetry lane, its
+/// campaign's run directory and an optional checkpoint to resume from).
+/// Each job runs on one thread, so the worker count bounds how many
+/// external compilers spawn at once.
 #[derive(Clone)]
 pub struct ShardTask {
     /// The parent campaign's configuration.
@@ -145,63 +148,42 @@ pub struct ShardTask {
     /// This shard's telemetry lane. Out-of-process answers carry the
     /// worker's counters, which the session absorbs into it.
     pub telemetry: Telemetry,
+    /// The campaign's run directory, which receives the shard's file when
+    /// the shard finishes (`None` for runs in memory).
+    pub run_dir: Option<RunDir>,
     /// Resume from this barrier checkpoint instead of starting fresh.
     pub checkpoint: Option<RunnerCheckpoint>,
 }
 
-/// Observes shard progress as it happens: progress ticks while a task
-/// runs and one call per completed shard. The campaign driver behind
-/// [`Orchestrator`](crate::Orchestrator) and [`Scheduler`](crate::Scheduler)
-/// has one sink: it writes each completed shard's file into its campaign's
-/// run directory (when it has one) and keeps each campaign's wall-clock
-/// window. `task` is the index into the `tasks` slice passed to
-/// [`ShardExecutor::begin`].
-pub trait ProgressSink: Sync {
-    /// Task `task` made progress: in process, once per program; out of
-    /// process, once per segment result accepted at a barrier.
-    fn progress(&self, task: usize);
-    /// Task `task` ran its full budget; `output` is its final summary.
-    fn complete(&self, task: usize, output: &ShardOutput);
-}
-
-/// A sink that observes nothing (memory-only runs).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl ProgressSink for NullSink {
-    fn progress(&self, _task: usize) {}
-    fn complete(&self, _task: usize, _output: &ShardOutput) {}
+/// Write a finished shard's file into its campaign's run directory, if
+/// it has one. A failed write counts as a persist error: a missing shard
+/// file only costs recompute on resume, never the computation.
+pub(crate) fn persist_output(run_dir: Option<&RunDir>, output: &ShardOutput) {
+    if let Some(dir) = run_dir {
+        if dir.write_shard(output).is_err() {
+            dir.note_persist_error();
+        }
+    }
 }
 
 /// A way of running shard jobs. Implementations are cheap, reusable
 /// handles; all per-run state lives in the [`Session`] returned by
 /// [`ShardExecutor::begin`] and the [`ShardTransport`] it runs on.
 pub trait ShardExecutor: Send + Sync + fmt::Debug {
-    /// Short stable name for logs (`"in-process"`, `"workers"`).
-    fn name(&self) -> &'static str;
-
     /// Open this executor's transport for a session over `tasks`.
-    /// Progress reaches `sink` as the transport delivers it: in process
-    /// as it happens, out of process at each epoch's fold.
-    fn connect<'s>(
-        &self,
-        tasks: &[ShardTask],
-        sink: &'s dyn ProgressSink,
-    ) -> Result<Box<dyn ShardTransport + 's>, OrchestratorError>;
+    fn connect(&self, tasks: &[ShardTask]) -> Result<Box<dyn ShardTransport>, OrchestratorError>;
 
     /// Start a session over `tasks` on this executor's transport.
-    fn begin<'s>(
-        &self,
-        tasks: Vec<ShardTask>,
-        sink: &'s dyn ProgressSink,
-    ) -> Result<Session<'s>, OrchestratorError> {
-        let transport = self.connect(&tasks, sink)?;
+    fn begin(&self, tasks: Vec<ShardTask>) -> Result<Session, OrchestratorError> {
+        let transport = self.connect(&tasks)?;
         Ok(Session::new(tasks, transport))
     }
 }
 
 /// What a [`Session`] runs its jobs on. A transport holds no shard state
-/// between epochs: each job carries everything its shard needs.
+/// between epochs: each job carries everything its shard needs. It
+/// writes each finished shard's file into the shard's run directory
+/// ([`ShardTask::run_dir`]).
 pub trait ShardTransport {
     /// Run one epoch's jobs (`jobs[i]` is task `i`'s) and return their
     /// answers in job order.
@@ -220,7 +202,7 @@ pub trait ShardTransport {
 /// returned under the hashes the answer carried; a finished shard's output
 /// is kept. A barrier injects the merged deltas into the checkpoints by
 /// hash ([`RunnerCheckpoint::inject_successful`]).
-pub struct Session<'s> {
+pub struct Session {
     /// The session's tasks, in task order.
     tasks: Vec<ShardTask>,
     /// Each task's checkpoint at the latest barrier (its restored one, or
@@ -228,11 +210,11 @@ pub struct Session<'s> {
     checkpoints: Vec<Option<RunnerCheckpoint>>,
     /// Each task's final output, filled by the last epoch.
     outputs: Vec<Option<ShardOutput>>,
-    transport: Box<dyn ShardTransport + 's>,
+    transport: Box<dyn ShardTransport>,
 }
 
-impl<'s> Session<'s> {
-    fn new(mut tasks: Vec<ShardTask>, transport: Box<dyn ShardTransport + 's>) -> Self {
+impl Session {
+    fn new(mut tasks: Vec<ShardTask>, transport: Box<dyn ShardTransport>) -> Self {
         let checkpoints = tasks.iter_mut().map(|task| task.checkpoint.take()).collect();
         let outputs = tasks.iter().map(|_| None).collect();
         Session { tasks, checkpoints, outputs, transport }
@@ -392,46 +374,38 @@ impl InProcessExecutor {
 }
 
 impl ShardExecutor for InProcessExecutor {
-    fn name(&self) -> &'static str {
-        "in-process"
-    }
-
-    fn connect<'s>(
-        &self,
-        tasks: &[ShardTask],
-        sink: &'s dyn ProgressSink,
-    ) -> Result<Box<dyn ShardTransport + 's>, OrchestratorError> {
+    fn connect(&self, tasks: &[ShardTask]) -> Result<Box<dyn ShardTransport>, OrchestratorError> {
         Ok(Box::new(InProcessTransport {
             workers: self.workers,
-            lanes: tasks.iter().map(|task| (task.cache.clone(), task.telemetry.clone())).collect(),
-            sink,
+            lanes: tasks
+                .iter()
+                .map(|task| (task.cache.clone(), task.telemetry.clone(), task.run_dir.clone()))
+                .collect(),
             pool_start: Instant::now(),
         }))
     }
 }
 
-struct InProcessTransport<'s> {
+struct InProcessTransport {
     workers: usize,
-    /// Each task's result cache (external campaigns only) and telemetry
-    /// lane.
-    lanes: Vec<(Option<Arc<ResultCache>>, Telemetry)>,
-    sink: &'s dyn ProgressSink,
+    /// Each task's result cache (external campaigns only), telemetry lane
+    /// and run directory.
+    lanes: Vec<(Option<Arc<ResultCache>>, Telemetry, Option<RunDir>)>,
     pool_start: Instant,
 }
 
-impl ShardTransport for InProcessTransport<'_> {
+impl ShardTransport for InProcessTransport {
     fn run_jobs(&mut self, jobs: Vec<ShardJob>) -> Result<Vec<ShardJobResult>, OrchestratorError> {
         let jobs: Vec<Mutex<Option<ShardJob>>> =
             jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
         Ok(run_indexed(jobs.len(), self.workers, |task| {
             let job = jobs[task].lock().unwrap().take().expect("each job runs once");
-            let (cache, telemetry) = &self.lanes[task];
+            let (cache, telemetry, run_dir) = &self.lanes[task];
             telemetry.observe(keys::QUEUE_WAIT, self.pool_start.elapsed());
             let _span = telemetry.span(keys::SPAN_SHARD_RUN);
-            let result =
-                run_job(job, cache.clone(), telemetry.clone(), |_| self.sink.progress(task));
+            let result = run_job(job, cache.clone(), telemetry.clone());
             if let Some(output) = &result.output {
-                self.sink.complete(task, output);
+                persist_output(run_dir.as_ref(), output);
             }
             result
         }))
@@ -463,6 +437,7 @@ mod tests {
                 spec,
                 cache: None,
                 telemetry: Telemetry::disabled(),
+                run_dir: None,
                 checkpoint: None,
             })
             .collect()
@@ -473,7 +448,7 @@ mod tests {
         let config = config(12, 5);
         let specs = plan_shards(&config, 3);
         let executor = InProcessExecutor::new(2);
-        let mut session = executor.begin(tasks_for(&config, 3), &NullSink).unwrap();
+        let mut session = executor.begin(tasks_for(&config, 3)).unwrap();
         let budgets: Vec<usize> = specs.iter().map(|s| s.budget).collect();
         session.run_epoch(&budgets, true).unwrap();
         let outputs = session.finish().unwrap().shards;
@@ -492,16 +467,14 @@ mod tests {
 
         let executor = InProcessExecutor::new(1);
         let mut session = executor
-            .begin(
-                vec![ShardTask {
-                    config: config.clone(),
-                    spec,
-                    cache: None,
-                    telemetry: Telemetry::disabled(),
-                    checkpoint: None,
-                }],
-                &NullSink,
-            )
+            .begin(vec![ShardTask {
+                config: config.clone(),
+                spec,
+                cache: None,
+                telemetry: Telemetry::disabled(),
+                run_dir: None,
+                checkpoint: None,
+            }])
             .unwrap();
         let deltas = session.run_epoch(&segments[..1], false).unwrap();
         let pool = deltas[0].clone();
@@ -531,7 +504,7 @@ mod tests {
         let config = config(40, 13);
         let specs = plan_shards(&config, 2);
         let executor = InProcessExecutor::new(2);
-        let mut session = executor.begin(tasks_for(&config, 2), &NullSink).unwrap();
+        let mut session = executor.begin(tasks_for(&config, 2)).unwrap();
         let mut ids: Vec<Vec<String>> = vec![Vec::new(); specs.len()];
         // Only the deltas of epochs a barrier follows are merged.
         for epoch in 0..3 {
@@ -562,34 +535,37 @@ mod tests {
     }
 
     #[test]
-    fn in_process_shards_complete_as_their_final_segment_returns() {
-        // One worker runs the tasks one after another, so task 0's
-        // completion — which writes its shard file — must land before
-        // task 1 makes any progress: a run killed mid-way keeps the shard
-        // files of every shard that finished.
-        #[derive(Default)]
-        struct Events(Mutex<Vec<(&'static str, usize)>>);
-        impl ProgressSink for Events {
-            fn progress(&self, task: usize) {
-                self.0.lock().unwrap().push(("progress", task));
-            }
-            fn complete(&self, task: usize, _output: &ShardOutput) {
-                self.0.lock().unwrap().push(("complete", task));
-            }
-        }
+    fn in_process_shard_files_land_before_a_later_task_panics() {
+        // One worker runs the tasks one after another. Task 1's config
+        // fails validation, so its runner panics before running anything;
+        // task 0's shard file, written on the pool thread as its final
+        // segment returned, must already be on disk: a run killed mid-way
+        // keeps the shard files of every shard that finished.
         let config = config(8, 3);
-        let events = Events::default();
-        let budgets: Vec<usize> = plan_shards(&config, 2).iter().map(|s| s.budget).collect();
-        let mut session = InProcessExecutor::new(1).begin(tasks_for(&config, 2), &events).unwrap();
-        session.run_epoch(&budgets, true).unwrap();
-        session.finish().unwrap();
-        let events = events.0.into_inner().unwrap();
-        let complete_0 =
-            events.iter().position(|&e| e == ("complete", 0)).expect("task 0 completes");
-        let first_1 = events.iter().position(|&e| e == ("progress", 1)).expect("task 1 progresses");
-        assert!(complete_0 < first_1, "{events:?}");
-        let ticks = |task| events.iter().filter(|&&e| e == ("progress", task)).count();
-        assert_eq!((ticks(0), ticks(1)), (budgets[0], budgets[1]), "one tick per program");
+        let root = std::env::temp_dir()
+            .join("llm4fp-orchestrator-tests")
+            .join(format!("early-shard-file-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let dir =
+            RunDir::open(&root, &crate::persist::RunManifest::new(config.clone(), 2, 1)).unwrap();
+        let mut tasks = tasks_for(&config, 2);
+        tasks[1].config.grammar_probability = 2.0;
+        assert!(tasks[1].config.validate().is_err());
+        for task in &mut tasks {
+            task.run_dir = Some(dir.clone());
+        }
+        let budgets: Vec<usize> = tasks.iter().map(|task| task.spec.budget).collect();
+        let spec = tasks[0].spec;
+        let mut session = InProcessExecutor::new(1).begin(tasks).unwrap();
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            session.run_epoch(&budgets, true).map(|_| ())
+        }));
+        assert!(run.is_err(), "task 1's invalid config panics");
+        assert!(root.join("shards/shard-0000.json").is_file());
+        let stored = dir.load_shard(&spec).expect("task 0's shard file loads");
+        assert_eq!(stored.records, run_shard(&spec, &ShardCtx::new(&config)).records);
+        assert_eq!(dir.persist_errors(), 0);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!                          |
 //!      +------- K shards, seed S ^ mix(k) -------+
 //!                          |
-//!          ShardExecutor::begin(tasks, sink) -> Session
+//!          ShardExecutor::begin(tasks) -> Session
 //!          (every executor: each shard's checkpoint held between
 //!           epochs, barrier deltas injected into it by hash)
 //!                          |
@@ -25,9 +25,10 @@
 //!                                           heartbeats, reconnect, respawn,
 //!                                           crash redispatch)
 //!                          |
-//!          K ShardOutputs  --> JSON run dir (optional)
+//!          K ShardOutputs  --> JSON run dir (optional: the transport
+//!                          |   writes each shard's file as it finishes)
 //!                          |
-//!                merge (shard order)
+//!         merge (shard order; pipeline time = sum over shards)
 //!                          |
 //!                   CampaignResult
 //! ```
@@ -68,12 +69,12 @@
 //!   ([`Orchestrator::resume`], including mid-campaign restore from
 //!   epoch-barrier checkpoints), telemetry, and the transport. It and
 //!   [`Scheduler`] are two front ends of one campaign driver in
-//!   [`orchestrate`], which owns the epoch-barrier loop, the progress
-//!   sink (which writes each completed shard's file) and the
-//!   [`RunStats`];
+//!   [`orchestrate`], which owns the epoch-barrier loop, one campaign
+//!   clock and the [`RunStats`];
 //! * [`executor`] — the one shard [`Session`] every executor runs under,
-//!   the transport seam ([`ShardExecutor`] / [`ShardTransport`]) and the
-//!   in-process transport;
+//!   the transport seam ([`ShardExecutor`] / [`ShardTransport`]; a
+//!   transport writes each finished shard's file into its task's run
+//!   directory) and the in-process transport;
 //! * [`remote`] — the out-of-process executor ([`WorkerExecutor`],
 //!   configured by one [`SupervisionConfig`]): `llm4fp-worker --connect`
 //!   daemons dial a TCP coordinator behind a versioned handshake and are
@@ -87,7 +88,7 @@
 //!   [`SupervisionCounts`] reported in [`RunStats::supervision`];
 //! * [`Scheduler`] — multi-campaign suites (all four Table 2 approaches)
 //!   over one shared worker budget, with per-campaign exchange and
-//!   per-campaign time;
+//!   per-campaign pipeline time;
 //! * [`shard`] — the shard planning/merging primitives, the
 //!   segment-capable [`ShardRunner`] and [`run_job`], the one function
 //!   every executor runs a shard job through;
@@ -140,8 +141,8 @@ pub mod supervisor;
 pub mod wire;
 
 pub use executor::{
-    InProcessExecutor, NullSink, OrchestratorError, ProgressSink, Session, SessionOutcome,
-    ShardExecutor, ShardTask, ShardTransport,
+    InProcessExecutor, OrchestratorError, Session, SessionOutcome, ShardExecutor, ShardTask,
+    ShardTransport,
 };
 pub use faults::{FaultPlan, PersistFault, WorkerFault};
 pub use orchestrate::{

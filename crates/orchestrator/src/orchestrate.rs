@@ -10,11 +10,13 @@
 //! optional run directory, and flattens their shards into one task list
 //! for one executor session. It owns everything the two front ends used
 //! to duplicate: the run's result cache, barrier restore and shard reuse
-//! from a run directory, the epoch-barrier loop, the [`ProgressSink`] and
-//! the [`RunStats`] of each campaign.
+//! from a run directory, the epoch-barrier loop and the [`RunStats`] of
+//! each campaign. It keeps one clock: every campaign's merged pipeline
+//! time is the sum of its shards' pipeline times, and every campaign's
+//! [`RunStats::wall_time`] is the time elapsed since the front end started.
 //!
 //! * [`Orchestrator`] runs one campaign and writes the run-directory
-//!   artifacts. It merges with, and reports, the run's wall time:
+//!   artifacts:
 //!
 //! ```ignore
 //! let outcome = Orchestrator::new(config)
@@ -28,9 +30,6 @@
 //! ```
 //!
 //! * [`Scheduler`](crate::Scheduler) runs a suite of campaigns in memory.
-//!   Each campaign merges with its own pipeline time and reports its own
-//!   wall time, from its first progress tick to its last shard
-//!   completion.
 //!
 //! Only the mechanics of running a segment differ between
 //! [`InProcessExecutor`] (the default) and out-of-process executors.
@@ -79,7 +78,7 @@
 //! still reproduces the uninterrupted result bit for bit.
 
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -89,7 +88,7 @@ use llm4fp_difftest::{CacheStats, ResultCache};
 use llm4fp_telemetry::{keys, TelemetryHub, TelemetrySpec, TelemetrySummary};
 
 use crate::executor::{
-    InProcessExecutor, OrchestratorError, ProgressSink, SessionOutcome, ShardExecutor, ShardTask,
+    InProcessExecutor, OrchestratorError, SessionOutcome, ShardExecutor, ShardTask,
 };
 use crate::faults::PersistFault;
 use crate::persist::{RunDir, RunManifest};
@@ -174,7 +173,10 @@ pub struct RunStats {
     /// contract: every executor restores a shard at each barrier with a
     /// fresh scratch, so each shard's peak covers its final segment only.
     pub peak_regs: usize,
-    /// Wall-clock duration of the orchestrated run.
+    /// Wall-clock duration of the orchestrated run, from the front end's
+    /// start to this campaign's merge. Every campaign of a suite reports
+    /// the suite's elapsed time: a suite's campaigns share one session,
+    /// so their walls overlap.
     pub wall_time: Duration,
     /// Sum of the computed shards' pipeline times (the work the pool
     /// actually performed; `wall_time` approaches this divided by the
@@ -374,7 +376,7 @@ impl Orchestrator {
         let hub = TelemetryHub::new(options.telemetry);
         let campaign =
             CampaignRun { config: &config, specs: &specs, hub: &hub, run_dir: run_dir.as_ref() };
-        let outcome = drive(&[campaign], &options, executor, start, Clock::Run)?.remove(0);
+        let outcome = drive(&[campaign], &options, executor, start)?.remove(0);
         let stats = &outcome.stats;
         if let Some(dir) = &run_dir {
             dir.write_result(&outcome.result)?;
@@ -422,18 +424,6 @@ pub(crate) struct CampaignRun<'a> {
     pub(crate) run_dir: Option<&'a RunDir>,
 }
 
-/// How [`drive`] reports a campaign's time.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Clock {
-    /// Merge with, and report, the wall time since the run started.
-    Run,
-    /// Merge with the campaign's own pipeline time, and report its wall
-    /// time from its first progress tick to its last shard completion.
-    /// A suite-wide clock would charge every campaign for every other
-    /// campaign's work and flatten Table 2's time-cost comparison.
-    PerCampaign,
-}
-
 /// The campaign driver behind both front ends: run `campaigns` as one
 /// flattened shard task list through one executor session, and return
 /// each campaign's merged result and [`RunStats`] in input order.
@@ -442,7 +432,6 @@ pub(crate) fn drive(
     options: &OrchestratorOptions,
     executor: Option<Arc<dyn ShardExecutor>>,
     start: Instant,
-    clock: Clock,
 ) -> Result<Vec<OrchestratedResult>, OrchestratorError> {
     if options.workers == 0 {
         return Err(OrchestratorError::InvalidWorkers);
@@ -451,7 +440,7 @@ pub(crate) fn drive(
         executor.unwrap_or_else(|| Arc::new(InProcessExecutor::new(options.workers)));
     let _run: Vec<_> =
         campaigns.iter().map(|c| c.hub.lane(c.specs.len()).span(keys::SPAN_RUN)).collect();
-    execute(campaigns, options, executor.as_ref(), start, clock)
+    execute(campaigns, options, executor.as_ref(), start)
 }
 
 /// What one campaign brings back from its run directory.
@@ -501,7 +490,6 @@ fn execute(
     options: &OrchestratorOptions,
     executor: &dyn ShardExecutor,
     start: Instant,
-    clock: Clock,
 ) -> Result<Vec<OrchestratedResult>, OrchestratorError> {
     let epochs = options.epochs.max(1);
     let mut resumes: Vec<Resume> = campaigns.iter().map(|c| Resume::of(c, epochs)).collect();
@@ -524,6 +512,7 @@ fn execute(
                 // Telemetry is never part of checkpoints; the task's lane
                 // handle covers both the fresh and the restored path.
                 telemetry: campaign.hub.lane(spec.index),
+                run_dir: campaign.run_dir.cloned(),
                 checkpoint: checkpoints.next(),
             });
             owners.push(owner);
@@ -535,17 +524,12 @@ fn execute(
     let specs: Vec<ShardSpec> = tasks.iter().map(|task| task.spec).collect();
     let segments: Vec<Vec<usize>> =
         specs.iter().map(|spec| plan_epoch_segments(spec.budget, epochs)).collect();
-    let sink = CampaignSink {
-        runs: campaigns.iter().map(|c| c.run_dir).collect(),
-        owners,
-        windows: campaigns.iter().map(|_| Mutex::new(None)).collect(),
-    };
     let persisting = campaigns.iter().any(|c| c.run_dir.is_some());
 
     let outcome = if tasks.is_empty() {
         SessionOutcome::default()
     } else {
-        let mut session = executor.begin(tasks, &sink)?;
+        let mut session = executor.begin(tasks)?;
         for epoch in start_epoch..epochs {
             let last = epoch + 1 == epochs;
             let plan: Vec<usize> = segments.iter().map(|segments| segments[epoch]).collect();
@@ -564,11 +548,11 @@ fn execute(
             // broadcast.
             let mut merged: Vec<SuccessfulSet> =
                 campaigns.iter().map(|_| SuccessfulSet::new()).collect();
-            for (&owner, delta) in sink.owners.iter().zip(&deltas) {
+            for (&owner, delta) in owners.iter().zip(&deltas) {
                 merged[owner].merge(delta);
             }
             let broadcast: Vec<&SuccessfulSet> =
-                sink.owners.iter().map(|&owner| &merged[owner]).collect();
+                owners.iter().map(|&owner| &merged[owner]).collect();
             session.inject(&broadcast)?;
             if persisting {
                 // The barrier's pool artifact goes first, so its texts are
@@ -582,8 +566,7 @@ fn execute(
                     }
                 }
                 let checkpoints = session.checkpoints()?;
-                for ((&owner, spec), checkpoint) in sink.owners.iter().zip(&specs).zip(checkpoints)
-                {
+                for ((&owner, spec), checkpoint) in owners.iter().zip(&specs).zip(checkpoints) {
                     let Some(dir) = campaigns[owner].run_dir else { continue };
                     if dir.write_checkpoint(spec.index, epoch, checkpoint).is_err() {
                         dir.note_persist_error();
@@ -600,8 +583,7 @@ fn execute(
     let results = campaigns
         .iter()
         .zip(resumes)
-        .enumerate()
-        .map(|(index, (campaign, resume))| {
+        .map(|(campaign, resume)| {
             let mut outputs = Vec::with_capacity(resume.loaded.len());
             let (mut reused, mut computed, mut pipeline_time) = (0, 0, Duration::ZERO);
             for slot in resume.loaded {
@@ -619,11 +601,7 @@ fn execute(
                 }
             }
             let peak_regs = outputs.iter().map(|o| o.peak_regs).max().unwrap_or(0);
-            let (merge_time, window) = match clock {
-                Clock::Run => (start.elapsed(), None),
-                Clock::PerCampaign => (pipeline_time, sink.window(index)),
-            };
-            let result = merge_shards(campaign.config, outputs, merge_time);
+            let result = merge_shards(campaign.config, outputs);
             let stats = RunStats {
                 shards: campaign.specs.len(),
                 workers: options.workers,
@@ -639,7 +617,7 @@ fn execute(
                     .map(|c| c.stats())
                     .filter(|s| s.hits + s.misses > 0),
                 peak_regs,
-                wall_time: window.unwrap_or_else(|| start.elapsed()),
+                wall_time: start.elapsed(),
                 shard_pipeline_time: pipeline_time,
                 telemetry: campaign.hub.enabled().then(|| campaign.hub.summary()),
                 failures: Vec::new(),
@@ -655,42 +633,4 @@ fn execute(
         })
         .collect();
     Ok(results)
-}
-
-/// The driver's [`ProgressSink`]. When a task's shard completes it writes
-/// the shard file into its campaign's run directory (if any), counting a
-/// failed write as a persist error: a missing shard file only costs
-/// recompute on resume, never the computation. It also keeps each
-/// campaign's activity window for [`Clock::PerCampaign`]: from the first
-/// progress the pool reports to the completion of its last shard.
-struct CampaignSink<'a> {
-    /// Campaign index -> its run directory.
-    runs: Vec<Option<&'a RunDir>>,
-    /// Task index -> campaign index.
-    owners: Vec<usize>,
-    /// Campaign index -> (first, last) activity.
-    windows: Vec<Mutex<Option<(Instant, Instant)>>>,
-}
-
-impl CampaignSink<'_> {
-    fn window(&self, campaign: usize) -> Option<Duration> {
-        self.windows[campaign].lock().unwrap().map(|(first, last)| last - first)
-    }
-}
-
-impl ProgressSink for CampaignSink<'_> {
-    fn progress(&self, task: usize) {
-        let now = Instant::now();
-        let mut window = self.windows[self.owners[task]].lock().unwrap();
-        *window = Some((window.map_or(now, |(first, _)| first), now));
-    }
-
-    fn complete(&self, task: usize, output: &ShardOutput) {
-        self.progress(task);
-        if let Some(dir) = self.runs[self.owners[task]] {
-            if dir.write_shard(output).is_err() {
-                dir.note_persist_error();
-            }
-        }
-    }
 }

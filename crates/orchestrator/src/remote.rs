@@ -19,7 +19,7 @@
 //! each epoch's jobs over. Connection threads move jobs and answers
 //! through one [`EpochState`] dispatch ledger per epoch
 //! ([`crate::supervisor`]); the settled ledger's answers go back to the
-//! session in job order, after sink progress and completions fire.
+//! session in job order, after the finished shards' files are written.
 //!
 //! [`Session`]: crate::executor::Session
 //!
@@ -88,10 +88,11 @@ use llm4fp_extcc::{group_spawn, kill_group};
 use llm4fp_telemetry::{keys, Telemetry};
 
 use crate::executor::{
-    OrchestratorError, ProgressSink, SessionOutcome, ShardExecutor, ShardTask, ShardTransport,
+    persist_output, OrchestratorError, SessionOutcome, ShardExecutor, ShardTask, ShardTransport,
 };
 use crate::faults::{self, FaultPlan};
 use crate::orchestrate::default_workers;
+use crate::persist::RunDir;
 use crate::supervisor::{EpochState, SupervisionCounts};
 use crate::wire::{self, Hello, ShardJob, ShardJobResult, WireReply, WireRequest};
 
@@ -225,15 +226,7 @@ fn resolve_worker_bin(explicit: Option<&Path>) -> Result<PathBuf, OrchestratorEr
 }
 
 impl ShardExecutor for WorkerExecutor {
-    fn name(&self) -> &'static str {
-        "workers"
-    }
-
-    fn connect<'s>(
-        &self,
-        tasks: &[ShardTask],
-        sink: &'s dyn ProgressSink,
-    ) -> Result<Box<dyn ShardTransport + 's>, OrchestratorError> {
+    fn connect(&self, tasks: &[ShardTask]) -> Result<Box<dyn ShardTransport>, OrchestratorError> {
         let config = &self.config;
         // A coordinator that cannot even bind has no transport at all —
         // the WorkerUnavailable class.
@@ -268,7 +261,7 @@ impl ShardExecutor for WorkerExecutor {
             move || accept_loop(&listener, &shared)
         });
         let mut transport = WorkerTransport {
-            sink,
+            run_dirs: tasks.iter().map(|task| task.run_dir.clone()).collect(),
             next_lease: 1,
             redispatches: 0,
             shared,
@@ -718,8 +711,10 @@ fn drive_connection(stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-struct WorkerTransport<'s> {
-    sink: &'s dyn ProgressSink,
+struct WorkerTransport {
+    /// Each task's run directory, which receives its shard file at the
+    /// final epoch's fold.
+    run_dirs: Vec<Option<RunDir>>,
     /// The first lease generation of the next epoch: leases stay unique
     /// across the session, so a leftover answer from a folded epoch can
     /// never carry a live lease.
@@ -735,7 +730,7 @@ struct WorkerTransport<'s> {
     worker_wait: Duration,
 }
 
-impl WorkerTransport<'_> {
+impl WorkerTransport {
     /// Idempotent transport teardown: flag shutdown (connection threads
     /// forward `Shutdown` frames to their workers), stop respawning, give
     /// self-spawned workers a grace window to exit cleanly, kill the
@@ -781,7 +776,7 @@ impl WorkerTransport<'_> {
     }
 }
 
-impl Drop for WorkerTransport<'_> {
+impl Drop for WorkerTransport {
     fn drop(&mut self) {
         // Safety net for sessions abandoned mid-run (a failed epoch whose
         // error aborted the campaign): no worker processes or acceptor
@@ -790,11 +785,10 @@ impl Drop for WorkerTransport<'_> {
     }
 }
 
-impl ShardTransport for WorkerTransport<'_> {
+impl ShardTransport for WorkerTransport {
     /// Install the epoch's jobs for the connection threads, wait (with a
     /// worker-starvation deadline) until they settle its ledger, then —
-    /// in job order — tick the sink once per accepted answer and complete
-    /// each finished shard.
+    /// in job order — write each finished shard's file.
     fn run_jobs(&mut self, jobs: Vec<ShardJob>) -> Result<Vec<ShardJobResult>, OrchestratorError> {
         let state = EpochState::new(jobs.len(), self.next_lease);
         *self.shared.slot.lock().unwrap() = Some(ActiveEpoch { state, jobs });
@@ -827,10 +821,9 @@ impl ShardTransport for WorkerTransport<'_> {
         self.next_lease = state.next_lease();
         self.redispatches += state.redispatches();
         let results = state.into_results()?;
-        for (job, result) in results.iter().enumerate() {
-            self.sink.progress(job);
+        for (run_dir, result) in self.run_dirs.iter().zip(&results) {
             if let Some(output) = &result.output {
-                self.sink.complete(job, output);
+                persist_output(run_dir.as_ref(), output);
             }
         }
         Ok(results)
@@ -853,7 +846,6 @@ impl ShardTransport for WorkerTransport<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::NullSink;
 
     fn external_only() -> SupervisionConfig {
         SupervisionConfig { worker_procs: 0, ..SupervisionConfig::default() }
@@ -862,7 +854,6 @@ mod tests {
     #[test]
     fn builder_knobs_are_validated_at_begin() {
         let executor = WorkerExecutor::new(external_only());
-        assert_eq!(executor.name(), "workers");
         assert_eq!(executor.bound_addr(), None);
     }
 
@@ -885,7 +876,7 @@ mod tests {
             listen: "256.256.256.256:0".into(),
             ..external_only()
         });
-        match executor.begin(Vec::new(), &NullSink) {
+        match executor.begin(Vec::new()) {
             Err(OrchestratorError::WorkerUnavailable(msg)) => {
                 assert!(msg.contains("cannot bind"), "{msg}");
             }
@@ -898,7 +889,7 @@ mod tests {
         // Zero tasks settle instantly (remaining == 0), so no worker ever
         // needs to connect and finish() yields an empty outcome.
         let executor = WorkerExecutor::new(external_only());
-        let mut session = executor.begin(Vec::new(), &NullSink).unwrap();
+        let mut session = executor.begin(Vec::new()).unwrap();
         assert!(executor.bound_addr().is_some(), "begin records the bound address");
         let deltas = session.run_epoch(&[], true).unwrap();
         assert!(deltas.is_empty());

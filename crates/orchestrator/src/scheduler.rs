@@ -23,7 +23,7 @@ use llm4fp::CampaignConfig;
 use llm4fp_telemetry::TelemetryHub;
 
 use crate::executor::{OrchestratorError, ShardExecutor};
-use crate::orchestrate::{drive, CampaignRun, Clock, OrchestratedResult, OrchestratorOptions};
+use crate::orchestrate::{drive, CampaignRun, OrchestratedResult, OrchestratorOptions};
 use crate::shard::{plan_shards, ShardSpec};
 
 /// Runs a suite of campaigns concurrently over one worker pool. Builder
@@ -73,9 +73,10 @@ impl Scheduler {
     /// saturated across campaign boundaries within an epoch), but deltas
     /// only ever merge into the pool of the campaign that produced them.
     ///
-    /// Each campaign merges with its own pipeline time and reports its own
-    /// wall time, from its first progress tick to its last shard
-    /// completion. A suite whose workers cannot be spawned fails with
+    /// Each campaign's merged pipeline time is the sum of its own shards'
+    /// pipeline times; its
+    /// [`RunStats::wall_time`](crate::RunStats::wall_time) is the suite's
+    /// elapsed time. A suite whose workers cannot be spawned fails with
     /// [`OrchestratorError::WorkerUnavailable`], exactly like a single
     /// campaign. Persistence (`options.run_dir`) applies to single-campaign runs via
     /// [`crate::Orchestrator`]; the scheduler itself executes in memory.
@@ -94,6 +95,6 @@ impl Scheduler {
             .zip(&hubs)
             .map(|((config, specs), hub)| CampaignRun { config, specs, hub, run_dir: None })
             .collect();
-        drive(&campaigns, &self.options, self.executor.clone(), start, Clock::PerCampaign)
+        drive(&campaigns, &self.options, self.executor.clone(), start)
     }
 }

@@ -280,9 +280,8 @@ impl<'a> ShardCtx<'a> {
     }
 }
 
-/// Run one shard to completion without exchange barriers. Progress
-/// reporting lives in the executor layer's `ProgressSink`; this entry
-/// point is the one-shot form of driving a [`ShardRunner`] by hand.
+/// Run one shard to completion without exchange barriers: the one-shot
+/// form of driving a [`ShardRunner`] by hand.
 pub fn run_shard(spec: &ShardSpec, ctx: &ShardCtx<'_>) -> ShardOutput {
     let mut runner =
         ShardRunner::new(ctx.config, *spec, None).with_telemetry(ctx.telemetry.clone());
@@ -298,7 +297,6 @@ pub fn run_shard(spec: &ShardSpec, ctx: &ShardCtx<'_>) -> ShardOutput {
 /// daemon uncached, on a lane of its own whose counters it exports into
 /// the answer's `telemetry` (left `None` here). The shard's history moves
 /// from the checkpoint into the runner and back, never copied.
-/// `on_record` observes every processed program.
 ///
 /// The job's checkpoint must be whole: every pool text present, and
 /// [`RunnerCheckpoint::validate`] passed by whoever read it from outside
@@ -307,14 +305,13 @@ pub fn run_job(
     job: ShardJob,
     cache: Option<Arc<ResultCache>>,
     telemetry: Telemetry,
-    on_record: impl FnMut(&ProgramRecord),
 ) -> ShardJobResult {
     let mut runner = match job.checkpoint {
         Some(checkpoint) => ShardRunner::from_checkpoint(&job.config, job.spec, cache, checkpoint),
         None => ShardRunner::new(&job.config, job.spec, cache),
     }
     .with_telemetry(telemetry);
-    let delta = runner.run_segment(job.segment, on_record);
+    let delta = runner.run_segment(job.segment, |_| {});
     let (checkpoint, output) = if job.finish {
         (None, Some(runner.finish()))
     } else {
@@ -338,13 +335,10 @@ pub fn run_job(
 /// promises structural uniqueness). Every successful source is printer
 /// output, so two of them have equal text exactly when they have equal
 /// tokens: the merge dedups by text and hashes nothing. Deterministic:
-/// depends only on the outputs, not on how they were scheduled.
-/// `pipeline_time` becomes the merged result's pipeline time.
-pub fn merge_shards(
-    config: &CampaignConfig,
-    mut outputs: Vec<ShardOutput>,
-    pipeline_time: Duration,
-) -> CampaignResult {
+/// depends only on the outputs, not on how they were scheduled. The
+/// merged pipeline time is the sum of the shards' pipeline times, so at
+/// `K = 1` it means what [`llm4fp::Campaign::run`] reports.
+pub fn merge_shards(config: &CampaignConfig, mut outputs: Vec<ShardOutput>) -> CampaignResult {
     outputs.sort_by_key(|o| o.spec.index);
     let mut aggregates = Aggregates::new();
     let mut records = Vec::with_capacity(config.programs);
@@ -354,6 +348,7 @@ pub fn merge_shards(
     let mut generation_failures = 0;
     let mut llm_calls = 0;
     let mut simulated_llm_time = Duration::ZERO;
+    let mut pipeline_time = Duration::ZERO;
     for output in outputs {
         aggregates.merge(&output.aggregates);
         let offset = output.spec.offset;
@@ -370,6 +365,7 @@ pub fn merge_shards(
         generation_failures += output.generation_failures;
         llm_calls += output.llm_calls;
         simulated_llm_time += output.simulated_llm_time;
+        pipeline_time += output.pipeline_time;
     }
     CampaignResult {
         config: config.clone(),
@@ -508,7 +504,7 @@ mod tests {
             .iter()
             .map(|spec| run_shard(spec, &ShardCtx::new(&config)))
             .collect();
-        let merged = merge_shards(&config, outputs, Duration::ZERO);
+        let merged = merge_shards(&config, outputs);
         assert_eq!(merged.records.len(), 9);
         for (i, record) in merged.records.iter().enumerate() {
             assert_eq!(record.index, i);

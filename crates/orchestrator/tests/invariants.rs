@@ -92,7 +92,7 @@ fn e1_reproduces_the_no_exchange_sharded_output() {
             .iter()
             .map(|spec| run_shard(spec, &ShardCtx::new(&config)))
             .collect();
-        let reference = merge_shards(&config, outputs, Duration::ZERO);
+        let reference = merge_shards(&config, outputs);
         let orchestrated = orchestrate(&config, shards, options(4, 1)).unwrap();
         assert_results_identical(&orchestrated.result, &reference, &format!("E=1 K={shards}"));
     }
@@ -402,6 +402,55 @@ fn scheduler_suite_matches_individual_orchestration() {
     }
 }
 
+#[test]
+fn table2_time_cost_is_simulated_llm_time_plus_summed_pipeline_time() {
+    // Table 2's Time Cost is `simulated_llm_time + pipeline_time`. The
+    // simulated half is a pure function of `(config, K, E)`, so it is
+    // pinned by value (whole ms, with the LLM calls behind it); the
+    // pipeline half is measured, and both front ends merge it the same
+    // way: as the sum of the shards' pipeline times.
+    let configs: Vec<CampaignConfig> =
+        ApproachKind::ALL.iter().map(|&a| config(a, 16, 21)).collect();
+    for (shards, epochs, expected) in [
+        (1usize, 1usize, [(0u128, 0u64), (236_280, 16), (266_643, 16), (246_103, 16)]),
+        (4, 2, [(0, 0), (224_819, 16), (219_081, 16), (214_851, 16)]),
+    ] {
+        let suite = Scheduler::new(options(2, epochs)).shards(shards).run(&configs).unwrap();
+        let pinned: Vec<(u128, u64)> = suite
+            .iter()
+            .map(|o| (o.result.simulated_llm_time.as_millis(), o.result.llm_calls))
+            .collect();
+        assert_eq!(pinned, expected, "K={shards} E={epochs}");
+        for orchestrated in &suite {
+            let result = &orchestrated.result;
+            assert_eq!(result.total_time_cost(), result.simulated_llm_time + result.pipeline_time);
+            // Nothing was reused, so every shard's time is also the
+            // computed shard time.
+            assert_eq!(result.pipeline_time, orchestrated.stats.shard_pipeline_time);
+        }
+    }
+
+    let root = std::env::temp_dir()
+        .join("llm4fp-orchestrator-tests")
+        .join(format!("time-cost-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let config = &configs[3];
+    let run = orchestrate(
+        config,
+        4,
+        OrchestratorOptions { run_dir: Some(root.clone()), ..options(2, 2) },
+    )
+    .unwrap();
+    let dir = RunDir::open(&root, &RunManifest::new(config.clone(), 4, 2)).unwrap();
+    let on_disk: Duration = plan_shards(config, 4)
+        .iter()
+        .map(|spec| dir.load_shard(spec).expect("shard file written").pipeline_time)
+        .sum();
+    assert_eq!(run.result.pipeline_time, on_disk, "merged time is the shard files' sum");
+    assert_eq!(dir.load_result().expect("result.json written").pipeline_time, on_disk);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// External-backend invariants, hermetic via the `fakecc` mock compiler.
 #[cfg(unix)]
 mod external_backend {
@@ -493,7 +542,7 @@ mod external_backend {
             .iter()
             .map(|spec| run_shard(spec, &ShardCtx::new(&config)))
             .collect();
-        let uncached = merge_shards(&config, outputs, Duration::ZERO);
+        let uncached = merge_shards(&config, outputs);
         assert_results_identical(&cached.result, &uncached, "external cached/uncached");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use llm4fp::{ApproachKind, CampaignConfig, CampaignResult, RunnerCheckpoint};
 use llm4fp_orchestrator::wire::{read_frame, write_frame, ShardJob, WireReply, WireRequest};
 use llm4fp_orchestrator::{
-    plan_shards, FaultPlan, Hello, NullSink, OrchestratedResult, Orchestrator, OrchestratorError,
+    plan_shards, FaultPlan, Hello, OrchestratedResult, Orchestrator, OrchestratorError,
     OrchestratorOptions, Scheduler, ShardExecutor, ShardRunner, SupervisionConfig, WorkerExecutor,
     WorkerFault, PROTOCOL_VERSION,
 };
@@ -682,7 +682,7 @@ fn version_skewed_handshake_is_refused_in_words() {
     // never a job. A well-versioned handshake on the same live session
     // is answered with the coordinator's Hello.
     let executor = WorkerExecutor::new(external_only());
-    let session = executor.begin(Vec::new(), &NullSink).expect("session binds");
+    let session = executor.begin(Vec::new()).expect("session binds");
     let addr = executor.bound_addr().expect("bound address recorded");
 
     let mut skewed = TcpStream::connect(addr).expect("dial coordinator");

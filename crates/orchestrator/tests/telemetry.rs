@@ -191,9 +191,9 @@ fn scheduler_suites_report_per_campaign_telemetry_and_wall_times() {
         assert!(off.stats.telemetry.is_none());
         let summary = on.stats.telemetry.expect("per-campaign telemetry summary");
         assert!(summary.counter_keys > 0);
-        // Satellite fix: wall_time is the campaign's own first-start to
-        // last-end window, not one suite-wide clock — it can never
-        // exceed the whole suite's elapsed time.
+        // Every campaign of a suite reports the time elapsed since
+        // `run` started, which never exceeds the suite's elapsed time
+        // measured around it.
         assert!(on.stats.wall_time <= suite_elapsed, "per-campaign wall within suite elapsed");
         assert!(on.stats.wall_time > std::time::Duration::ZERO);
     }
