@@ -9,7 +9,11 @@
 //! to show the break-even point (sealing pays for itself on the first
 //! run). `difftest_matrix` prices the full 18-configuration driver per
 //! program on each engine, and with one `MatrixScratch` reused across
-//! the corpus as a shard's worker loop does.
+//! the corpus as a shard's worker loop does. Its `llm4fp_corpus_160`
+//! entry runs the sealed matrix over the 160 LLM4FP programs below:
+//! they call math functions more often than Varity's, so fewer of their
+//! configurations share an artifact, and each program runs more distinct
+//! executions.
 //! `seal_matrix` prices the build side: 18 independent `Frontend::seal`
 //! calls against one matrix-shared `Frontend::seal_matrix` (prefix-tree
 //! pass pipelines + one layout per program).
@@ -45,7 +49,7 @@ use llm4fp_compiler::{
     SealedProgram,
 };
 use llm4fp_difftest::{DiffTester, ExecEngine, MatrixScratch};
-use llm4fp_fpir::{parse_compute, to_compute_source, InputSet, Program};
+use llm4fp_fpir::{parse_compute, program_hash, to_compute_source, InputSet, Program};
 use llm4fp_generator::{InputGenerator, VarityGenerator};
 use llm4fp_metrics::average_pairwise_codebleu;
 use llm4fp_orchestrator::wire::{read_frame, write_frame, ShardJob, WireRequest};
@@ -140,6 +144,26 @@ fn bench_difftest_matrix(c: &mut Criterion) {
         let mut scratch = MatrixScratch::new();
         b.iter(|| {
             for (program, inputs) in &corpus {
+                black_box(tester.run_with(program, inputs, &mut scratch));
+            }
+        })
+    });
+
+    // The same worker loop over LLM4FP's programs.
+    let (sources, _) = llm4fp_corpus_160();
+    let llm4fp: Vec<(Program, InputSet)> = sources
+        .iter()
+        .map(|source| {
+            let program = parse_compute(source).expect("campaign sources parse");
+            let inputs = InputGenerator::new(program_hash(&program)).generate(&program);
+            (program, inputs)
+        })
+        .collect();
+    group.bench_function("llm4fp_corpus_160", |b| {
+        let tester = DiffTester::new();
+        let mut scratch = MatrixScratch::new();
+        b.iter(|| {
+            for (program, inputs) in &llm4fp {
                 black_box(tester.run_with(program, inputs, &mut scratch));
             }
         })

@@ -4,30 +4,41 @@
 //! `specialize` run over this representation. One program's expressions
 //! live in a single [`Arena`]: nodes in one `Vec` with `u32` children,
 //! math-call arguments in a side `Vec<u32>`, and one root per expression
-//! site. Leaves are `Copy` and borrow their names from the lowered
-//! [`OStmt`] body, so a stage that rewrites an arena allocates a few
-//! vectors, not one box and one string per node.
+//! site. Leaves are `Copy` and borrow their names from the body they were
+//! lowered from (an [`OStmt`] body, or a source program, which sealing
+//! lowers straight into an arena), so a stage that rewrites an arena
+//! allocates a few vectors, not one box and one string per node.
 //!
-//! The statement skeleton is not copied: it stays the lowered body, whose
+//! The statement skeleton is not copied: it stays the body, whose
 //! statement structure no stage changes. The arena holds the body's
 //! expression sites in walk order: an `Assign`/`Store` expression, then an
 //! `If`'s condition operands (left, then right), then the nested
 //! statements of an `If` or `For`. [`Arena::raise`] pairs the two back
 //! into an [`OStmt`] body.
+//!
+//! Each name leaf (`Var`, `Index`) carries a [`LeafId`]: its position
+//! among the leaves of the body, numbered in walk order as the body is
+//! lowered. Stages copy leaves and never make new ones, so the id
+//! survives every rewrite, and the sealing flattener finds the leaf's
+//! resolved slot by it instead of by name.
 
-use llm4fp_fpir::{BinOp, IndexExpr, MathFunc};
+use llm4fp_fpir::{BinOp, Expr, IndexExpr, MathFunc};
 
 use crate::ir::{OCond, OExpr, OStmt};
 
 /// Index of a node in an [`Arena`].
 pub(crate) type NodeId = u32;
 
+/// Position of a name leaf among the leaves of the lowered body (see the
+/// module docs).
+pub(crate) type LeafId = u32;
+
 /// One expression node. Children are indices into the same arena.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Node<'s> {
     Const(f64),
-    Var(&'s str),
-    Index(&'s str, &'s IndexExpr),
+    Var(&'s str, LeafId),
+    Index(&'s str, &'s IndexExpr, LeafId),
     Neg(NodeId),
     Bin(BinOp, NodeId, NodeId),
     Fma(NodeId, NodeId, NodeId),
@@ -43,6 +54,9 @@ pub(crate) struct Arena<'s> {
     pub(crate) args: Vec<NodeId>,
     /// One root per expression site, in walk order.
     pub(crate) roots: Vec<NodeId>,
+    /// Number of name leaves of the body (the next free [`LeafId`] while
+    /// the body is lowered).
+    pub(crate) leaves: u32,
 }
 
 impl<'s> Arena<'s> {
@@ -52,19 +66,26 @@ impl<'s> Arena<'s> {
             nodes: Vec::with_capacity(other.nodes.len()),
             args: Vec::with_capacity(other.args.len()),
             roots: Vec::with_capacity(other.roots.len()),
+            leaves: other.leaves,
+        }
+    }
+
+    /// An empty arena to lower a body into.
+    pub(crate) fn new() -> Arena<'s> {
+        // Sized for a typical generated program (a few dozen nodes): growing
+        // from empty reallocates several times and costs about as much as
+        // the walk itself.
+        Arena {
+            nodes: Vec::with_capacity(64),
+            args: Vec::with_capacity(8),
+            roots: Vec::with_capacity(16),
+            leaves: 0,
         }
     }
 
     /// Lower every expression site of `body` into a fresh arena.
     pub(crate) fn from_body(body: &'s [OStmt]) -> Arena<'s> {
-        // Sized for a typical generated program (a few dozen nodes): growing
-        // from empty reallocates several times and costs about as much as
-        // the walk itself.
-        let mut arena = Arena {
-            nodes: Vec::with_capacity(64),
-            args: Vec::with_capacity(8),
-            roots: Vec::with_capacity(16),
-        };
+        let mut arena = Arena::new();
         arena.add_block(body);
         arena
     }
@@ -72,11 +93,13 @@ impl<'s> Arena<'s> {
     fn add_block(&mut self, body: &'s [OStmt]) {
         for stmt in body {
             match stmt {
-                OStmt::Assign { expr, .. } | OStmt::Store { expr, .. } => self.add_root(expr),
+                OStmt::Assign { expr, .. } | OStmt::Store { expr, .. } => {
+                    self.push_site(expr, &mut |_| {})
+                }
                 OStmt::DeclArray { .. } => {}
                 OStmt::If { cond, then_block } => {
-                    self.add_root(&cond.lhs);
-                    self.add_root(&cond.rhs);
+                    self.push_site(&cond.lhs, &mut |_| {});
+                    self.push_site(&cond.rhs, &mut |_| {});
                     self.add_block(then_block);
                 }
                 OStmt::For { body, .. } => self.add_block(body),
@@ -84,36 +107,102 @@ impl<'s> Arena<'s> {
         }
     }
 
-    fn add_root(&mut self, expr: &'s OExpr) {
-        let root = self.add_expr(expr);
+    /// Lower the next expression site of a body (in the walk order above)
+    /// as this arena's next root. Each name leaf gets the next
+    /// [`LeafId`] and is handed to `leaf`, in id order.
+    pub(crate) fn push_site(&mut self, expr: &'s OExpr, leaf: &mut impl FnMut(Node<'s>)) {
+        let root = self.add_expr(expr, leaf);
         self.roots.push(root);
     }
 
-    fn add_expr(&mut self, expr: &'s OExpr) -> NodeId {
+    /// [`Arena::push_site`] for an expression site of the source program,
+    /// lowered the way [`crate::lower`] lowers it: parentheses vanish,
+    /// integer literals become constants, and a compound assignment
+    /// `current op= expr` becomes `current op expr`, its `current` leaf
+    /// (a `Var` or `Index` node, whose id is replaced) numbered first.
+    pub(crate) fn push_source_site(
+        &mut self,
+        compound: Option<(BinOp, Node<'s>)>,
+        expr: &'s Expr,
+        leaf: &mut impl FnMut(Node<'s>),
+    ) {
+        let root = match compound {
+            None => self.add_source_expr(expr, leaf),
+            Some((op, current)) => {
+                let lhs = self.add_leaf(current, leaf);
+                let rhs = self.add_source_expr(expr, leaf);
+                self.push(Node::Bin(op, lhs, rhs))
+            }
+        };
+        self.roots.push(root);
+    }
+
+    fn add_expr(&mut self, expr: &'s OExpr, leaf: &mut impl FnMut(Node<'s>)) -> NodeId {
         let node = match expr {
             OExpr::Const(v) => Node::Const(*v),
-            OExpr::Var(name) => Node::Var(name),
-            OExpr::Index { array, index } => Node::Index(array, index),
-            OExpr::Neg(inner) => Node::Neg(self.add_expr(inner)),
+            OExpr::Var(name) => return self.add_leaf(Node::Var(name, 0), leaf),
+            OExpr::Index { array, index } => {
+                return self.add_leaf(Node::Index(array, index, 0), leaf)
+            }
+            OExpr::Neg(inner) => Node::Neg(self.add_expr(inner, leaf)),
             OExpr::Bin { op, lhs, rhs } => {
-                let lhs = self.add_expr(lhs);
-                Node::Bin(*op, lhs, self.add_expr(rhs))
+                let lhs = self.add_expr(lhs, leaf);
+                Node::Bin(*op, lhs, self.add_expr(rhs, leaf))
             }
             OExpr::Fma { a, b, c } => {
-                let a = self.add_expr(a);
-                let b = self.add_expr(b);
-                Node::Fma(a, b, self.add_expr(c))
+                let a = self.add_expr(a, leaf);
+                let b = self.add_expr(b, leaf);
+                Node::Fma(a, b, self.add_expr(c, leaf))
             }
-            OExpr::Recip { value, approx } => Node::Recip(self.add_expr(value), *approx),
+            OExpr::Recip { value, approx } => Node::Recip(self.add_expr(value, leaf), *approx),
             OExpr::Call { func, args } => {
                 let start = self.reserve_args(args.len());
                 for (k, arg) in args.iter().enumerate() {
-                    let id = self.add_expr(arg);
+                    let id = self.add_expr(arg, leaf);
                     self.args[start as usize + k] = id;
                 }
                 Node::Call(*func, start, args.len() as u32)
             }
         };
+        self.push(node)
+    }
+
+    fn add_source_expr(&mut self, expr: &'s Expr, leaf: &mut impl FnMut(Node<'s>)) -> NodeId {
+        let node = match expr {
+            Expr::Num(v) => Node::Const(*v),
+            Expr::Int(v) => Node::Const(*v as f64),
+            Expr::Var(name) => return self.add_leaf(Node::Var(name, 0), leaf),
+            Expr::Index { array, index } => {
+                return self.add_leaf(Node::Index(array, index, 0), leaf)
+            }
+            Expr::Paren(inner) => return self.add_source_expr(inner, leaf),
+            Expr::Neg(inner) => Node::Neg(self.add_source_expr(inner, leaf)),
+            Expr::Bin { op, lhs, rhs } => {
+                let lhs = self.add_source_expr(lhs, leaf);
+                Node::Bin(*op, lhs, self.add_source_expr(rhs, leaf))
+            }
+            Expr::Call { func, args } => {
+                let start = self.reserve_args(args.len());
+                for (k, arg) in args.iter().enumerate() {
+                    let id = self.add_source_expr(arg, leaf);
+                    self.args[start as usize + k] = id;
+                }
+                Node::Call(*func, start, args.len() as u32)
+            }
+        };
+        self.push(node)
+    }
+
+    /// Number a `Var` or `Index` leaf, hand it to `leaf` and append it.
+    fn add_leaf(&mut self, node: Node<'s>, leaf: &mut impl FnMut(Node<'s>)) -> NodeId {
+        let id = self.leaves;
+        self.leaves += 1;
+        let node = match node {
+            Node::Var(name, _) => Node::Var(name, id),
+            Node::Index(array, index, _) => Node::Index(array, index, id),
+            other => unreachable!("{other:?} is not a name leaf"),
+        };
+        leaf(node);
         self.push(node)
     }
 
@@ -158,8 +247,8 @@ impl<'s> Arena<'s> {
     pub(crate) fn same_tree(&self, a: NodeId, b: NodeId) -> bool {
         match (self.node(a), self.node(b)) {
             (Node::Const(x), Node::Const(y)) => x == y,
-            (Node::Var(x), Node::Var(y)) => x == y,
-            (Node::Index(x, i), Node::Index(y, j)) => x == y && i == j,
+            (Node::Var(x, _), Node::Var(y, _)) => x == y,
+            (Node::Index(x, i, _), Node::Index(y, j, _)) => x == y && i == j,
             (Node::Neg(x), Node::Neg(y)) => self.same_tree(x, y),
             (Node::Bin(p, l, r), Node::Bin(q, m, s)) => {
                 p == q && self.same_tree(l, m) && self.same_tree(r, s)
@@ -224,8 +313,8 @@ impl<'s> Arena<'s> {
         let boxed = |id| Box::new(self.raise_expr(id));
         match self.node(id) {
             Node::Const(v) => OExpr::Const(v),
-            Node::Var(name) => OExpr::Var(name.to_string()),
-            Node::Index(array, index) => {
+            Node::Var(name, _) => OExpr::Var(name.to_string()),
+            Node::Index(array, index, _) => {
                 OExpr::Index { array: array.to_string(), index: index.clone() }
             }
             Node::Neg(inner) => OExpr::Neg(boxed(inner)),
@@ -265,14 +354,14 @@ mod tests {
 
     #[test]
     fn same_tree_keeps_f64_equality_on_constants() {
-        let mut arena = Arena { nodes: Vec::new(), args: Vec::new(), roots: Vec::new() };
+        let mut arena = Arena { nodes: Vec::new(), args: Vec::new(), roots: Vec::new(), leaves: 0 };
         let zero = arena.push(Node::Const(0.0));
         let neg_zero = arena.push(Node::Const(-0.0));
         let nan = arena.push(Node::Const(f64::NAN));
         assert!(arena.same_tree(zero, neg_zero));
         assert!(!arena.same_tree(nan, nan));
-        let x = arena.push(Node::Var("x"));
-        let y = arena.push(Node::Var("x"));
+        let x = arena.push(Node::Var("x", 0));
+        let y = arena.push(Node::Var("x", 1));
         let sum = arena.push(Node::Bin(BinOp::Add, x, zero));
         let same = arena.push(Node::Bin(BinOp::Add, y, neg_zero));
         let other = arena.push(Node::Bin(BinOp::Mul, y, neg_zero));

@@ -15,14 +15,22 @@
 //! The work splits into two phases. A `SealPlan` performs everything
 //! that is *configuration-independent* — the assigned-name census, the
 //! scalar/int/array slot layout, the parameter binding plan, the name
-//! pool and the pre-rounded initializer pool — once per program. (The
+//! pool, the pre-rounded initializer pool and the resolution of every
+//! name a leaf or an assignment reads — once per program. (The
 //! optimization pass pipeline rewrites expressions only; statement
 //! structure, assignment targets, loop variables and array declarations
 //! are identical under every configuration, so one layout serves the
-//! whole 18-configuration matrix.) A `Flattener` then emits the `Instr`
-//! stream for one configuration's optimized expressions — an expression
-//! arena (`crate::arena`) laid over the plan's statement skeleton — which
-//! *is* configuration-dependent.
+//! whole 18-configuration matrix.) The plan's walk also lowers the body's
+//! expressions into the arena (`crate::arena`) the pass pipeline starts
+//! from, and records the statement skeleton as a flat list of ops. It
+//! reads either an IR body or, for [`crate::Frontend`], the validated
+//! source program itself, so the sealed path never builds the lowered IR
+//! tree. A `Flattener` then emits the `Instr` stream for one
+//! configuration's optimized arena laid over that skeleton, which *is*
+//! configuration-dependent. It compares no strings: every leaf carries
+//! the id the plan's walk gave it, the pipeline keeps the id, and the
+//! plan holds that leaf's resolution (or its refusal, so a configuration
+//! whose rewrites drop the leaf still seals).
 //! The layout lands in an [`Arc<SealLayout>`] shared by every
 //! [`SealedProgram`] of the matrix, so sealing a full matrix allocates
 //! the string tables and initializer pools once instead of once per
@@ -50,11 +58,13 @@
 
 use std::sync::Arc;
 
-use llm4fp_fpir::{BinOp, CmpOp, IndexExpr, MathFunc, Param, ParamType, Precision};
+use llm4fp_fpir::{
+    BinOp, Block, CmpOp, IndexExpr, MathFunc, Param, ParamType, Precision, Program, Stmt,
+};
 use llm4fp_mathlib::{FastMathLib, MathLib};
 
-use crate::arena::{Arena, Node, NodeId};
-use crate::config::Semantics;
+use crate::arena::{Arena, LeafId, Node, NodeId};
+use crate::config::{MathLibKind, Semantics};
 use crate::ir::OStmt;
 
 /// Round an exact `f64` to a program precision — the single
@@ -278,8 +288,12 @@ pub struct SealedProgram {
     /// stateless, so sharing one instance across runs is observationally
     /// identical to the interpreter's per-run instantiation).
     pub(crate) math: Arc<dyn MathLib>,
+    /// Which library `math` is (the only semantics a `Call` reads).
+    pub(crate) math_lib: MathLibKind,
     pub(crate) fast: FastMathLib,
     pub(crate) instrs: Vec<Instr>,
+    /// Whether `instrs` holds a `Call` (so `math` matters).
+    pub(crate) calls_math: bool,
     /// Configuration-independent layout, shared across a matrix.
     pub(crate) layout: Arc<SealLayout>,
     pub(crate) n_regs: usize,
@@ -312,6 +326,52 @@ impl SealedProgram {
     pub fn register_count(&self) -> usize {
         self.n_regs
     }
+
+    /// Whether executing `self` and `other` gives the same result on every
+    /// input set. Both come from one seal plan (one matrix of one
+    /// program), their instruction streams are bit-identical, their
+    /// register counts and flush-to-zero modes are equal, and they link
+    /// the same math library unless the stream calls none. The VM reads
+    /// nothing else, so the differential tester runs such a pair once.
+    pub fn runs_identically(&self, other: &SealedProgram) -> bool {
+        Arc::ptr_eq(&self.layout, &other.layout)
+            && self.flush_to_zero == other.flush_to_zero
+            && self.n_regs == other.n_regs
+            && self.calls_math == other.calls_math
+            && (self.math_lib == other.math_lib || !self.calls_math)
+            && same_instrs(&self.instrs, &other.instrs)
+    }
+}
+
+/// Whether two instruction streams are the same bit for bit. `Instr`'s
+/// derived `PartialEq` compares `Const` values as `f64`s, which calls
+/// `0.0` and `-0.0` equal (they execute differently) and a NaN constant
+/// unequal to itself.
+pub(crate) fn same_instrs(a: &[Instr], b: &[Instr]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|pair| match pair {
+            (Instr::Const { dst: x, value: v }, Instr::Const { dst: y, value: w }) => {
+                x == y && v.to_bits() == w.to_bits()
+            }
+            (x, y) => x == y,
+        })
+}
+
+/// One flattened instruction stream, with what execution needs to know
+/// about it beyond the configuration's semantics.
+#[derive(Debug, Clone)]
+pub(crate) struct Stream {
+    instrs: Vec<Instr>,
+    n_regs: usize,
+    calls_math: bool,
+}
+
+/// What a leaf read compiles to, resolved once per program by the plan.
+#[derive(Debug, Clone, Copy)]
+enum Leaf {
+    Scalar(u16),
+    Int(u16),
+    Elem { array: u16, index: SlotIndex },
 }
 
 /// A scalar slot plus the point in the statement walk at which its
@@ -319,56 +379,184 @@ impl SealedProgram {
 /// it stood* at the reading statement (replicating the interpreter's
 /// dynamic map, which only contains already-executed assignments — for
 /// validated programs every read lexically follows its definition, so the
-/// distinction is invisible, but the flattener keeps the exact refusal
+/// distinction is invisible, but the plan keeps the exact refusal
 /// behaviour for anything else).
 #[derive(Debug, Clone, Copy)]
 struct ScalarSlot<'p> {
     name: &'p str,
     slot: u16,
-    /// Visible to reads once this many `Assign` statements have been
-    /// flattened (0 = parameters and `comp`, visible from the start).
+    /// Visible to reads once this many assignments have been walked (0 =
+    /// parameters and `comp`, visible from the start).
     visible_from: u32,
+}
+
+/// One statement of the plan's skeleton, in walk order: what the flattener
+/// emits around the body's expression sites. `If` and `For` open a block
+/// that the matching `End` closes.
+#[derive(Debug, Clone)]
+enum Op {
+    /// An assignment to a scalar: one expression site, then its store, or
+    /// why its target is ambiguous (which refuses before the expression
+    /// compiles).
+    Assign(Result<Instr, SealError>),
+    /// An assignment to an array element: one expression site, then its
+    /// store, or why the array is not in scope (which refuses after).
+    Store(Result<Instr, SealError>),
+    /// A local array declaration, as its `DeclArray` instruction.
+    DeclArray(Instr),
+    /// A conditional: two expression sites and their comparison.
+    If(CmpOp),
+    /// A loop with its exclusive bound.
+    For(i64),
+    End,
 }
 
 /// The per-program half of sealing: everything the optimization pipeline
 /// cannot change. Built once, then flattened against each configuration's
 /// optimized expression arena.
-pub(crate) struct SealPlan<'p> {
+pub(crate) struct SealPlan {
     precision: Precision,
     layout: Arc<SealLayout>,
     /// The statement skeleton every flattened arena is laid over.
-    body: &'p [OStmt],
-    /// Every scalar assignment target anywhere in the program (used to
-    /// detect dynamically ambiguous int/scalar names). Linear tables
-    /// throughout: generated programs bind a handful of names, so vector
-    /// scans beat hashing and keep sealing allocation-light — sealing sits
-    /// on the campaign hot path (once per program × configuration).
-    assigned_anywhere: Vec<&'p str>,
-    scalar_slots: Vec<ScalarSlot<'p>>,
-    int_params: Vec<(&'p str, u16)>,
-    /// Array parameters, in declaration order (the base of the flattener's
-    /// array scope).
-    param_arrays: Vec<(&'p str, u16)>,
-    /// `(array slot, init-pool offset)` of the k-th `DeclArray` statement
-    /// in walk order.
-    decl_arrays: Vec<(u16, u32)>,
+    ops: Vec<Op>,
+    /// The resolution of every leaf, indexed by its [`LeafId`]. A refusal
+    /// stays here until a flatten reaches the leaf, so a configuration
+    /// whose rewrites drop every refused leaf still seals.
+    leaves: Vec<Result<Leaf, SealError>>,
+    /// Statements in the body, nested ones included (sizes the stream).
+    n_stmts: usize,
     n_int_params: u16,
     /// Total int slots: parameters plus one per `for` statement.
     n_ints: usize,
+    n_scalars: usize,
     comp_slot: u16,
 }
 
-impl<'p> SealPlan<'p> {
-    /// Compute the configuration-independent layout of one program.
-    pub(crate) fn new(
+impl SealPlan {
+    /// Plan an IR body (lowered, or optimized by the pass pipeline): its
+    /// configuration-independent layout and the resolution of every name
+    /// it reads. The same walk lowers the body's expressions into the
+    /// arena the pass pipeline starts from ([`Arena::from_body`]'s), which
+    /// is returned with the plan.
+    pub(crate) fn new<'p>(
         precision: Precision,
         params: &'p [Param],
         body: &'p [OStmt],
-    ) -> Result<Self, SealError> {
-        let mut assigned_anywhere = Vec::new();
-        collect_assigned(body, &mut assigned_anywhere);
+    ) -> Result<(Self, Arena<'p>), SealError> {
+        let mut walk = PlanWalk::new(precision, params)?;
+        let mut arena = Arena::new();
+        walk.walk(body, &mut arena)?;
+        Ok((walk.finish(), arena))
+    }
 
-        let mut builder = PlanBuilder {
+    /// [`SealPlan::new`] for a validated source program, read without
+    /// lowering it to IR first: the walk lowers each expression site into
+    /// the arena the way [`crate::lower`] would, so plan and arena equal
+    /// those of the lowered body.
+    pub(crate) fn from_source(program: &Program) -> Result<(Self, Arena<'_>), SealError> {
+        let mut walk = PlanWalk::new(program.precision, &program.params)?;
+        let mut arena = Arena::new();
+        walk.walk_source(&program.body, &mut arena)?;
+        Ok((walk.finish(), arena))
+    }
+
+    /// Flatten one optimized arena against this plan. The arena must be
+    /// the one the plan was built with, or a pass-pipeline rewrite of it
+    /// (one root per expression site of the body).
+    pub(crate) fn flatten(
+        &self,
+        arena: &Arena<'_>,
+        semantics: &Semantics,
+    ) -> Result<SealedProgram, SealError> {
+        Ok(self.assemble(self.flatten_instrs(arena)?, semantics))
+    }
+
+    /// The configuration-dependent half of [`SealPlan::flatten`]: emit the
+    /// instruction stream. Split out so matrix sealing can memoize it per
+    /// distinct pass pipeline (configurations sharing a pipeline share the
+    /// identical arena, hence one stream).
+    pub(crate) fn flatten_instrs(&self, arena: &Arena<'_>) -> Result<Stream, SealError> {
+        debug_assert_eq!(arena.leaves as usize, self.leaves.len(), "arena of another body");
+        let mut flattener = Flattener {
+            plan: self,
+            arena,
+            next_op: 0,
+            next_root: 0,
+            next_int: self.n_int_params as usize,
+            // One instruction per live node (the arena holds them all),
+            // at most six per statement (a loop's) and the final `Halt`.
+            instrs: Vec::with_capacity(arena.nodes.len() + 6 * self.n_stmts + 1),
+            n_regs: 0,
+            calls_math: false,
+        };
+        flattener.seal_block()?;
+        flattener.instrs.push(Instr::Halt);
+        if flattener.instrs.len() > u32::MAX as usize {
+            return Err(SealError::TooComplex("instruction count"));
+        }
+        Ok(Stream {
+            instrs: flattener.instrs,
+            n_regs: flattener.n_regs,
+            calls_math: flattener.calls_math,
+        })
+    }
+
+    /// Pair a flattened instruction stream with one configuration's
+    /// execution semantics.
+    pub(crate) fn assemble(&self, stream: Stream, semantics: &Semantics) -> SealedProgram {
+        SealedProgram {
+            precision: self.precision,
+            flush_to_zero: semantics.flush_to_zero,
+            math: semantics.math_lib.shared(),
+            math_lib: semantics.math_lib,
+            fast: FastMathLib::new(),
+            instrs: stream.instrs,
+            calls_math: stream.calls_math,
+            layout: Arc::clone(&self.layout),
+            n_regs: stream.n_regs,
+            n_scalars: self.n_scalars,
+            n_ints: self.n_ints,
+            comp_slot: self.comp_slot,
+        }
+    }
+}
+
+/// Mutable state of a plan's single statement walk (the plan itself is
+/// immutable once built, with its layout behind an `Arc`). The walk visits
+/// statements and leaves in the order every flatten does, with the scopes
+/// a flatten would see at each one. Its two entry points read the two
+/// forms of a body, an IR body ([`PlanWalk::walk`]) and a source
+/// program ([`PlanWalk::walk_source`]); both record the same plan.
+struct PlanWalk<'p> {
+    precision: Precision,
+    layout: SealLayout,
+    /// `comp`, the fp parameters and every assignment target walked so
+    /// far. Linear tables throughout: generated programs bind a handful of
+    /// names, so vector scans beat hashing.
+    scalar_slots: Vec<ScalarSlot<'p>>,
+    int_params: Vec<(&'p str, u16)>,
+    /// Loop variables currently in scope, innermost last.
+    int_scope: Vec<(&'p str, u16)>,
+    /// Arrays in scope, innermost last; parameters at the bottom.
+    array_scope: Vec<(&'p str, u16)>,
+    ops: Vec<Op>,
+    leaves: Vec<Result<Leaf, SealError>>,
+    /// Leaves read as an int, by index, with their names: `finish` refuses
+    /// those the program also assigns as a scalar anywhere, earlier or
+    /// later (the interpreter resolves such reads dynamically).
+    int_reads: Vec<(usize, &'p str)>,
+    n_int_params: u16,
+    n_ints: usize,
+    /// Number of assignments walked so far — the clock scalar visibility
+    /// is measured against.
+    assigns_done: u32,
+    comp_slot: u16,
+}
+
+impl<'p> PlanWalk<'p> {
+    /// A fresh walk, with `comp` and the parameters bound.
+    fn new(precision: Precision, params: &'p [Param]) -> Result<Self, SealError> {
+        let mut walk = PlanWalk {
             precision,
             layout: SealLayout {
                 params: Vec::with_capacity(params.len()),
@@ -378,165 +566,261 @@ impl<'p> SealPlan<'p> {
             },
             scalar_slots: Vec::with_capacity(8),
             int_params: Vec::new(),
-            param_arrays: Vec::new(),
-            decl_arrays: Vec::new(),
+            int_scope: Vec::new(),
+            array_scope: Vec::new(),
+            ops: Vec::with_capacity(16),
+            leaves: Vec::with_capacity(32),
+            int_reads: Vec::new(),
             n_int_params: 0,
             n_ints: 0,
+            assigns_done: 0,
+            comp_slot: 0,
         };
-
         // The accumulator owns scalar slot 0, mirroring its implicit
         // declaration in the interpreter.
-        let comp_slot = builder.intern_scalar(llm4fp_fpir::COMP, 0)?;
-
+        walk.comp_slot = walk.intern_scalar(llm4fp_fpir::COMP, 0)?;
         for p in params {
             let bind = match p.ty {
                 ParamType::Int => {
-                    let slot = checked_u16(builder.n_int_params as usize, "int slots")?;
-                    builder.n_int_params += 1;
-                    builder.int_params.push((p.name.as_str(), slot));
+                    let slot = checked_u16(walk.n_int_params as usize, "int slots")?;
+                    walk.n_int_params += 1;
+                    walk.int_params.push((p.name.as_str(), slot));
                     ParamBind::Int { slot }
                 }
-                ParamType::Fp => ParamBind::Fp { slot: builder.intern_scalar(&p.name, 0)? },
+                ParamType::Fp => ParamBind::Fp { slot: walk.intern_scalar(&p.name, 0)? },
                 ParamType::FpArray(len) => {
-                    let slot = builder.new_array(&p.name, len)?;
-                    builder.param_arrays.push((p.name.as_str(), slot));
+                    let slot = walk.new_array(&p.name, len)?;
+                    walk.array_scope.push((p.name.as_str(), slot));
                     ParamBind::Array { slot }
                 }
             };
-            builder.layout.params.push(SealedParam { name: p.name.clone(), bind });
+            walk.layout.params.push(SealedParam { name: p.name.clone(), bind });
         }
-
-        builder.n_ints = builder.n_int_params as usize;
-        let mut assign_seq = 0u32;
-        builder.walk(body, &mut assign_seq)?;
-        Ok(SealPlan {
-            precision,
-            layout: Arc::new(builder.layout),
-            body,
-            assigned_anywhere,
-            scalar_slots: builder.scalar_slots,
-            int_params: builder.int_params,
-            param_arrays: builder.param_arrays,
-            decl_arrays: builder.decl_arrays,
-            n_int_params: builder.n_int_params,
-            n_ints: builder.n_ints,
-            comp_slot,
-        })
+        walk.n_ints = walk.n_int_params as usize;
+        Ok(walk)
     }
 
-    /// Flatten one optimized arena against this plan. The arena must be
-    /// the plan's body lowered by [`Arena::from_body`], or a pass-pipeline
-    /// rewrite of it (one root per expression site of the body).
-    pub(crate) fn flatten(
-        &self,
-        arena: &Arena<'_>,
-        semantics: &Semantics,
-    ) -> Result<SealedProgram, SealError> {
-        let (instrs, n_regs) = self.flatten_instrs(arena)?;
-        Ok(self.assemble(instrs, n_regs, semantics))
-    }
-
-    /// The configuration-dependent half of [`SealPlan::flatten`]: emit the
-    /// instruction stream. Split out so matrix sealing can memoize it per
-    /// distinct pass pipeline (configurations sharing a pipeline share the
-    /// identical arena, hence the identical raw stream).
-    pub(crate) fn flatten_instrs(
-        &self,
-        arena: &Arena<'_>,
-    ) -> Result<(Vec<Instr>, usize), SealError> {
-        let mut flattener = Flattener {
-            plan: self,
-            arena,
-            next_root: 0,
-            int_scope: Vec::new(),
-            array_scope: self.param_arrays.clone(),
-            next_int: self.n_int_params as usize,
-            next_decl: 0,
-            assigns_done: 0,
-            instrs: Vec::with_capacity(64),
-            n_regs: 0,
-        };
-        flattener.seal_block(self.body)?;
-        flattener.instrs.push(Instr::Halt);
-        if flattener.instrs.len() > u32::MAX as usize {
-            return Err(SealError::TooComplex("instruction count"));
+    fn finish(mut self) -> SealPlan {
+        // Every assignment target is interned now. A name read as an int is
+        // never a visible scalar at the read, so it is interned only if
+        // some assignment targets it.
+        for &(leaf, name) in &self.int_reads {
+            if self.scalar_slots.iter().any(|s| s.name == name) {
+                self.leaves[leaf] = Err(SealError::AmbiguousName(name.to_string()));
+            }
         }
-        Ok((flattener.instrs, flattener.n_regs))
-    }
-
-    /// Pair a flattened instruction stream with one configuration's
-    /// execution semantics.
-    pub(crate) fn assemble(
-        &self,
-        instrs: Vec<Instr>,
-        n_regs: usize,
-        semantics: &Semantics,
-    ) -> SealedProgram {
-        SealedProgram {
+        SealPlan {
             precision: self.precision,
-            flush_to_zero: semantics.flush_to_zero,
-            math: semantics.math_lib.shared(),
-            fast: FastMathLib::new(),
-            instrs,
-            layout: Arc::clone(&self.layout),
-            n_regs,
-            n_scalars: self.scalar_slots.len(),
+            layout: Arc::new(self.layout),
+            n_stmts: self.ops.iter().filter(|op| !matches!(op, Op::End)).count(),
+            ops: self.ops,
+            leaves: self.leaves,
+            n_int_params: self.n_int_params,
             n_ints: self.n_ints,
+            n_scalars: self.scalar_slots.len(),
             comp_slot: self.comp_slot,
         }
     }
-}
 
-/// Mutable state of [`SealPlan::new`]'s single statement walk (the plan
-/// itself is immutable once built, with its layout behind an `Arc`).
-struct PlanBuilder<'p> {
-    precision: Precision,
-    layout: SealLayout,
-    scalar_slots: Vec<ScalarSlot<'p>>,
-    int_params: Vec<(&'p str, u16)>,
-    param_arrays: Vec<(&'p str, u16)>,
-    decl_arrays: Vec<(u16, u32)>,
-    n_int_params: u16,
-    n_ints: usize,
-}
-
-impl<'p> PlanBuilder<'p> {
-    /// Walk the statement tree once, interning assignment targets, loop
-    /// int slots and array declarations in the exact order the flattener
-    /// will encounter them under every configuration (the pass pipeline
+    /// Walk an IR body once, interning assignment targets, loop int slots
+    /// and array declarations, lowering each expression site into `arena`
+    /// and resolving every read, in the exact order the flattener will
+    /// encounter them under every configuration (the pass pipeline
     /// rewrites expressions only — statement structure is invariant).
-    fn walk(&mut self, body: &'p [OStmt], assign_seq: &mut u32) -> Result<(), SealError> {
+    fn walk(&mut self, body: &'p [OStmt], arena: &mut Arena<'p>) -> Result<(), SealError> {
+        let arrays_before = self.array_scope.len();
         for stmt in body {
             match stmt {
-                OStmt::Assign { target, .. } => {
-                    // The target becomes visible to reads only *after*
-                    // this assignment (the expression is compiled first).
-                    *assign_seq += 1;
-                    self.intern_scalar(target, *assign_seq)?;
+                OStmt::Assign { target, expr } => {
+                    arena.push_site(expr, &mut |leaf| self.resolve_leaf(leaf));
+                    self.assign(target)?;
                 }
-                OStmt::Store { .. } => {}
-                OStmt::DeclArray { name, size, init } => {
-                    let slot = self.new_array(name, *size)?;
-                    let offset = self.layout.init_pool.len();
-                    if offset + *size > u32::MAX as usize {
-                        return Err(SealError::TooComplex("initializer pool"));
-                    }
-                    let precision = self.precision;
-                    self.layout
-                        .init_pool
-                        .extend(init.iter().take(*size).map(|&v| round_to(precision, v)));
-                    self.layout.init_pool.resize(offset + *size, 0.0);
-                    self.decl_arrays.push((slot, offset as u32));
+                OStmt::Store { array, index, expr } => {
+                    arena.push_site(expr, &mut |leaf| self.resolve_leaf(leaf));
+                    self.store(array, index);
                 }
-                OStmt::If { then_block, .. } => self.walk(then_block, assign_seq)?,
-                OStmt::For { body, .. } => {
-                    checked_u16(self.n_ints, "int slots")?;
-                    self.n_ints += 1;
-                    self.walk(body, assign_seq)?;
+                OStmt::DeclArray { name, size, init } => self.decl_array(name, *size, init)?,
+                OStmt::If { cond, then_block } => {
+                    arena.push_site(&cond.lhs, &mut |leaf| self.resolve_leaf(leaf));
+                    arena.push_site(&cond.rhs, &mut |leaf| self.resolve_leaf(leaf));
+                    self.ops.push(Op::If(cond.op));
+                    self.walk(then_block, arena)?;
+                    self.ops.push(Op::End);
+                }
+                OStmt::For { var, bound, body } => {
+                    self.enter_for(var, *bound)?;
+                    self.walk(body, arena)?;
+                    self.exit_for();
                 }
             }
         }
+        self.array_scope.truncate(arrays_before);
         Ok(())
+    }
+
+    /// [`PlanWalk::walk`] over a source block, lowering as
+    /// [`crate::lower`] does: a declaration is an assignment, and a
+    /// compound assignment reads its target before its expression.
+    fn walk_source(&mut self, block: &'p Block, arena: &mut Arena<'p>) -> Result<(), SealError> {
+        let arrays_before = self.array_scope.len();
+        for stmt in &block.stmts {
+            match stmt {
+                Stmt::Assign { target, op, expr } => {
+                    let current = op.bin_op().map(|bin| (bin, Node::Var(target, 0)));
+                    arena.push_source_site(current, expr, &mut |leaf| self.resolve_leaf(leaf));
+                    self.assign(target)?;
+                }
+                Stmt::DeclScalar { name, expr } => {
+                    arena.push_source_site(None, expr, &mut |leaf| self.resolve_leaf(leaf));
+                    self.assign(name)?;
+                }
+                Stmt::AssignIndex { array, index, op, expr } => {
+                    let current = op.bin_op().map(|bin| (bin, Node::Index(array, index, 0)));
+                    arena.push_source_site(current, expr, &mut |leaf| self.resolve_leaf(leaf));
+                    self.store(array, index);
+                }
+                Stmt::DeclArray { name, size, init } => self.decl_array(name, *size, init)?,
+                Stmt::If { cond, then_block } => {
+                    arena.push_source_site(None, &cond.lhs, &mut |leaf| self.resolve_leaf(leaf));
+                    arena.push_source_site(None, &cond.rhs, &mut |leaf| self.resolve_leaf(leaf));
+                    self.ops.push(Op::If(cond.op));
+                    self.walk_source(then_block, arena)?;
+                    self.ops.push(Op::End);
+                }
+                Stmt::For { var, bound, body } => {
+                    self.enter_for(var, *bound)?;
+                    self.walk_source(body, arena)?;
+                    self.exit_for();
+                }
+            }
+        }
+        self.array_scope.truncate(arrays_before);
+        Ok(())
+    }
+
+    /// Record an assignment to `target` whose expression site was just
+    /// lowered. A target that is also an in-scope int refuses to seal.
+    fn assign(&mut self, target: &'p str) -> Result<(), SealError> {
+        let ambiguous = self.int_binding(target).is_some();
+        // The target becomes visible to reads only *after* this assignment
+        // (the expression is compiled first).
+        self.assigns_done += 1;
+        let slot = self.intern_scalar(target, self.assigns_done)?;
+        self.ops.push(Op::Assign(if ambiguous {
+            Err(SealError::AmbiguousName(target.to_string()))
+        } else {
+            Ok(Instr::StoreScalar { slot, src: 0 })
+        }));
+        Ok(())
+    }
+
+    /// Record a store to `array[index]` whose expression site was just
+    /// lowered.
+    fn store(&mut self, array: &str, index: &IndexExpr) {
+        let store = self.resolve_array(array).map(|array| Instr::StoreElem {
+            array,
+            index: self.seal_index(index),
+            src: 0,
+        });
+        self.ops.push(Op::Store(store));
+    }
+
+    fn decl_array(&mut self, name: &'p str, size: usize, init: &[f64]) -> Result<(), SealError> {
+        let slot = self.new_array(name, size)?;
+        let offset = self.layout.init_pool.len();
+        if offset + size > u32::MAX as usize {
+            return Err(SealError::TooComplex("initializer pool"));
+        }
+        let precision = self.precision;
+        self.layout.init_pool.extend(init.iter().take(size).map(|&v| round_to(precision, v)));
+        self.layout.init_pool.resize(offset + size, 0.0);
+        self.array_scope.push((name, slot));
+        self.ops.push(Op::DeclArray(Instr::DeclArray { array: slot, init: offset as u32 }));
+        Ok(())
+    }
+
+    fn enter_for(&mut self, var: &'p str, bound: i64) -> Result<(), SealError> {
+        let slot = checked_u16(self.n_ints, "int slots")?;
+        self.n_ints += 1;
+        self.int_scope.push((var, slot));
+        self.ops.push(Op::For(bound));
+        Ok(())
+    }
+
+    fn exit_for(&mut self) {
+        self.int_scope.pop();
+        self.ops.push(Op::End);
+    }
+
+    /// Resolve the next name leaf, in [`LeafId`] order.
+    fn resolve_leaf(&mut self, leaf: Node<'p>) {
+        let resolved = match leaf {
+            Node::Var(name, _) => self.resolve_var(name),
+            Node::Index(array, index, _) => self
+                .resolve_array(array)
+                .map(|array| Leaf::Elem { array, index: self.seal_index(index) }),
+            other => unreachable!("{other:?} is not a name leaf"),
+        };
+        self.leaves.push(resolved);
+    }
+
+    fn scalar_binding(&self, name: &str) -> Option<u16> {
+        self.scalar_slots
+            .iter()
+            .find(|s| s.name == name && s.visible_from <= self.assigns_done)
+            .map(|s| s.slot)
+    }
+
+    fn int_binding(&self, name: &str) -> Option<u16> {
+        self.int_scope
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == name)
+            .or_else(|| self.int_params.iter().find(|(n, _)| *n == name))
+            .map(|&(_, s)| s)
+    }
+
+    fn resolve_array(&self, name: &str) -> Result<u16, SealError> {
+        self.array_scope
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, s)| s)
+            .ok_or_else(|| SealError::UnresolvedArray(name.to_string()))
+    }
+
+    /// Resolve a scalar-expression variable read the way the interpreter
+    /// would at runtime (scalars first, then ints), rejecting reads whose
+    /// dynamic resolution cannot be proven static.
+    fn resolve_var(&mut self, name: &'p str) -> Result<Leaf, SealError> {
+        match (self.scalar_binding(name), self.int_binding(name)) {
+            (Some(slot), None) => Ok(Leaf::Scalar(slot)),
+            (None, Some(slot)) => {
+                // An assignment elsewhere could have (or could later) put
+                // this name into the interpreter's scalar map: `finish`
+                // checks once every assignment is known.
+                self.int_reads.push((self.leaves.len(), name));
+                Ok(Leaf::Int(slot))
+            }
+            (Some(_), Some(_)) => Err(SealError::AmbiguousName(name.to_string())),
+            (None, None) => Err(SealError::UnresolvedVariable(name.to_string())),
+        }
+    }
+
+    fn seal_index(&self, index: &IndexExpr) -> SlotIndex {
+        let slot = index.var().and_then(|v| self.int_binding(v));
+        match (index, slot) {
+            // No variable in scope: the interpreter substitutes 0.
+            (_, None) => SlotIndex::Const(index.eval(0)),
+            (IndexExpr::Const(k), _) => SlotIndex::Const(*k),
+            (IndexExpr::Var(_), Some(slot)) => SlotIndex::Var(slot),
+            (IndexExpr::Offset { offset, .. }, Some(slot)) => {
+                SlotIndex::Offset { slot, offset: *offset }
+            }
+            (IndexExpr::Mod { modulus, .. }, Some(slot)) => {
+                SlotIndex::Mod { slot, modulus: *modulus }
+            }
+        }
     }
 
     fn intern_scalar(&mut self, name: &'p str, visible_from: u32) -> Result<u16, SealError> {
@@ -564,187 +848,99 @@ impl<'p> PlanBuilder<'p> {
 
 /// Per-configuration instruction emission over a shared [`SealPlan`]:
 /// walks the plan's statement skeleton and compiles each expression site
-/// from the next root of the arena.
-///
-/// `'a` is the borrow of the plan and of the arena (scope entries for
-/// declared arrays borrow their names from the plan's layout pool).
+/// from the next root of the arena. Every name was resolved by the plan,
+/// so emission looks leaves up by id and takes store targets from the
+/// ops.
 struct Flattener<'a> {
-    plan: &'a SealPlan<'a>,
+    plan: &'a SealPlan,
     arena: &'a Arena<'a>,
+    /// The plan's next op.
+    next_op: usize,
     /// The arena root of the next expression site.
     next_root: usize,
-    /// Loop variables currently in scope, innermost last.
-    int_scope: Vec<(&'a str, u16)>,
-    /// Arrays in scope, innermost last; parameters at the bottom. Slot
-    /// numbers come from the plan (declarations are numbered in walk
-    /// order, which the flattener replays).
-    array_scope: Vec<(&'a str, u16)>,
     /// Next loop int slot in walk order (usize so a program with exactly
     /// `u16::MAX + 1` slots — which the plan's per-slot `checked_u16`
     /// accepts — doesn't overflow on the final increment; each assigned
     /// slot itself is plan-validated to fit `u16`).
     next_int: usize,
-    next_decl: usize,
-    /// Number of `Assign` statements flattened so far — the clock scalar
-    /// visibility is measured against.
-    assigns_done: u32,
     instrs: Vec<Instr>,
     n_regs: usize,
+    calls_math: bool,
 }
 
 impl<'a> Flattener<'a> {
-    fn scalar_binding(&self, name: &str) -> Option<u16> {
-        self.plan
-            .scalar_slots
-            .iter()
-            .find(|s| s.name == name && s.visible_from <= self.assigns_done)
-            .map(|s| s.slot)
-    }
-
-    fn int_binding(&self, name: &str) -> Option<u16> {
-        self.int_scope
-            .iter()
-            .rev()
-            .find(|(n, _)| *n == name)
-            .or_else(|| self.plan.int_params.iter().find(|(n, _)| *n == name))
-            .map(|&(_, s)| s)
-    }
-
-    fn resolve_array(&self, name: &str) -> Result<u16, SealError> {
-        self.array_scope
-            .iter()
-            .rev()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, s)| s)
-            .ok_or_else(|| SealError::UnresolvedArray(name.to_string()))
-    }
-
-    /// Resolve a scalar-expression variable read the way the interpreter
-    /// would at runtime (scalars first, then ints), rejecting reads whose
-    /// dynamic resolution cannot be proven static.
-    fn resolve_var(&self, name: &str) -> Result<Instr, SealError> {
-        let scalar = self.scalar_binding(name);
-        let int = self.int_binding(name);
-        match (scalar, int) {
-            (Some(slot), None) => Ok(Instr::LoadScalar { dst: 0, slot }),
-            (None, Some(slot)) => {
-                if self.plan.assigned_anywhere.contains(&name) {
-                    // An assignment elsewhere could have (or could later)
-                    // put this name into the interpreter's scalar map.
-                    Err(SealError::AmbiguousName(name.to_string()))
-                } else {
-                    Ok(Instr::LoadInt { dst: 0, slot })
-                }
-            }
-            (Some(_), Some(_)) => Err(SealError::AmbiguousName(name.to_string())),
-            (None, None) => Err(SealError::UnresolvedVariable(name.to_string())),
-        }
-    }
-
-    fn seal_index(&self, index: &IndexExpr) -> SlotIndex {
-        let slot = index.var().and_then(|v| self.int_binding(v));
-        match (index, slot) {
-            // No variable in scope: the interpreter substitutes 0.
-            (_, None) => SlotIndex::Const(index.eval(0)),
-            (IndexExpr::Const(k), _) => SlotIndex::Const(*k),
-            (IndexExpr::Var(_), Some(slot)) => SlotIndex::Var(slot),
-            (IndexExpr::Offset { offset, .. }, Some(slot)) => {
-                SlotIndex::Offset { slot, offset: *offset }
-            }
-            (IndexExpr::Mod { modulus, .. }, Some(slot)) => {
-                SlotIndex::Mod { slot, modulus: *modulus }
-            }
-        }
-    }
-
     /// The root of the next expression site, in walk order.
     fn next_root(&mut self) -> NodeId {
         self.next_root += 1;
         self.arena.roots[self.next_root - 1]
     }
 
-    fn seal_block(&mut self, body: &'a [OStmt]) -> Result<(), SealError> {
-        // Arrays are block-scoped (matching the validator); scalars are a
-        // flat namespace (safe because every read lexically follows its
-        // defining assignment in validated programs).
-        let arrays_before = self.array_scope.len();
-        for stmt in body {
-            self.seal_stmt(stmt)?;
-        }
-        self.array_scope.truncate(arrays_before);
-        Ok(())
-    }
-
-    fn seal_stmt(&mut self, stmt: &'a OStmt) -> Result<(), SealError> {
-        self.instrs.push(Instr::Burn);
-        match stmt {
-            OStmt::Assign { target, .. } => {
-                if self.int_binding(target).is_some() {
-                    return Err(SealError::AmbiguousName(target.clone()));
+    /// Emit the plan's ops from the next one up to the `End` that closes
+    /// the current block (or the end of the plan). Each statement burns
+    /// once; an `If` or `For` emits its block by recursion, then patches
+    /// its jump to the block's end.
+    fn seal_block(&mut self) -> Result<(), SealError> {
+        let plan = self.plan;
+        while let Some(op) = plan.ops.get(self.next_op) {
+            self.next_op += 1;
+            if let Op::End = op {
+                return Ok(());
+            }
+            self.instrs.push(Instr::Burn);
+            match op {
+                Op::Assign(store) => {
+                    // A target that is also an in-scope int refuses before
+                    // its expression compiles.
+                    let store = store.clone()?;
+                    let root = self.next_root();
+                    self.compile_expr(root, 0)?;
+                    self.instrs.push(store);
                 }
-                let root = self.next_root();
-                self.compile_expr(root, 0)?;
-                self.assigns_done += 1;
-                let slot = self
-                    .plan
-                    .scalar_slots
-                    .iter()
-                    .find(|s| s.name == target)
-                    .map(|s| s.slot)
-                    .ok_or_else(|| SealError::UnresolvedVariable(target.clone()))?;
-                self.instrs.push(Instr::StoreScalar { slot, src: 0 });
-            }
-            OStmt::Store { array, index, .. } => {
-                // Interpreter order: expression first, then index
-                // resolution and the bounds check.
-                let root = self.next_root();
-                self.compile_expr(root, 0)?;
-                let slot = self.resolve_array(array)?;
-                let index = self.seal_index(index);
-                self.instrs.push(Instr::StoreElem { array: slot, index, src: 0 });
-            }
-            OStmt::DeclArray { name, .. } => {
-                let (slot, init) = self.plan.decl_arrays[self.next_decl];
-                self.next_decl += 1;
-                self.array_scope.push((name.as_str(), slot));
-                self.instrs.push(Instr::DeclArray { array: slot, init });
-            }
-            OStmt::If { cond, then_block } => {
-                let lhs = self.next_root();
-                self.compile_expr(lhs, 0)?;
-                let rhs = self.next_root();
-                self.compile_expr(rhs, 1)?;
-                let branch = self.instrs.len();
-                self.instrs.push(Instr::JumpCmpFalse {
-                    op: cond.op,
-                    lhs: 0,
-                    rhs: 1,
-                    target: u32::MAX,
-                });
-                self.seal_block(then_block)?;
-                let end = self.instrs.len() as u32;
-                if let Instr::JumpCmpFalse { target, .. } = &mut self.instrs[branch] {
-                    *target = end;
+                Op::Store(store) => {
+                    // Interpreter order: expression first, then index
+                    // resolution and the bounds check.
+                    let root = self.next_root();
+                    self.compile_expr(root, 0)?;
+                    self.instrs.push(store.clone()?);
                 }
-            }
-            OStmt::For { var, bound, body } => {
-                let slot = self.next_int as u16;
-                self.next_int += 1;
-                self.instrs.push(Instr::SetInt { slot, value: 0 });
-                let head = self.instrs.len();
-                self.instrs.push(Instr::JumpIfIntGe { slot, bound: *bound, target: u32::MAX });
-                // Per-iteration burn, exactly where the interpreter burns
-                // (before the loop variable is visible to the body).
-                self.instrs.push(Instr::Burn);
-                self.int_scope.push((var.as_str(), slot));
-                self.seal_block(body)?;
-                self.int_scope.pop();
-                self.instrs.push(Instr::IncInt { slot });
-                self.instrs.push(Instr::Jump { target: head as u32 });
-                let end = self.instrs.len() as u32;
-                if let Instr::JumpIfIntGe { target, .. } = &mut self.instrs[head] {
-                    *target = end;
+                Op::DeclArray(decl) => self.instrs.push(*decl),
+                &Op::If(cmp) => {
+                    let lhs = self.next_root();
+                    self.compile_expr(lhs, 0)?;
+                    let rhs = self.next_root();
+                    self.compile_expr(rhs, 1)?;
+                    let branch = self.instrs.len();
+                    self.instrs.push(Instr::JumpCmpFalse {
+                        op: cmp,
+                        lhs: 0,
+                        rhs: 1,
+                        target: u32::MAX,
+                    });
+                    self.seal_block()?;
+                    let end = self.instrs.len() as u32;
+                    if let Instr::JumpCmpFalse { target, .. } = &mut self.instrs[branch] {
+                        *target = end;
+                    }
                 }
+                &Op::For(bound) => {
+                    let slot = self.next_int as u16;
+                    self.next_int += 1;
+                    self.instrs.push(Instr::SetInt { slot, value: 0 });
+                    let head = self.instrs.len();
+                    self.instrs.push(Instr::JumpIfIntGe { slot, bound, target: u32::MAX });
+                    // Per-iteration burn, exactly where the interpreter
+                    // burns (before the loop variable is visible to the
+                    // body).
+                    self.instrs.push(Instr::Burn);
+                    self.seal_block()?;
+                    self.instrs.push(Instr::IncInt { slot });
+                    self.instrs.push(Instr::Jump { target: head as u32 });
+                    let end = self.instrs.len() as u32;
+                    if let Instr::JumpIfIntGe { target, .. } = &mut self.instrs[head] {
+                        *target = end;
+                    }
+                }
+                Op::End => unreachable!("handled above"),
             }
         }
         Ok(())
@@ -760,18 +956,13 @@ impl<'a> Flattener<'a> {
                 let value = round_to(self.plan.precision, v);
                 self.instrs.push(Instr::Const { dst, value });
             }
-            Node::Var(name) => {
-                let instr = match self.resolve_var(name)? {
-                    Instr::LoadScalar { slot, .. } => Instr::LoadScalar { dst, slot },
-                    Instr::LoadInt { slot, .. } => Instr::LoadInt { dst, slot },
-                    other => other,
+            Node::Var(_, leaf) | Node::Index(_, _, leaf) => {
+                let instr = match self.leaf(leaf)? {
+                    Leaf::Scalar(slot) => Instr::LoadScalar { dst, slot },
+                    Leaf::Int(slot) => Instr::LoadInt { dst, slot },
+                    Leaf::Elem { array, index } => Instr::LoadElem { dst, array, index },
                 };
                 self.instrs.push(instr);
-            }
-            Node::Index(array, index) => {
-                let slot = self.resolve_array(array)?;
-                let index = self.seal_index(index);
-                self.instrs.push(Instr::LoadElem { dst, array: slot, index });
             }
             Node::Neg(inner) => {
                 self.compile_expr(inner, dst)?;
@@ -804,24 +995,15 @@ impl<'a> Flattener<'a> {
                     self.compile_expr(self.arena.arg(start, k), reg)?;
                 }
                 self.instrs.push(Instr::Call { func, dst, base: dst, arity: len as u8 });
+                self.calls_math = true;
             }
         }
         Ok(())
     }
-}
 
-fn collect_assigned<'a>(body: &'a [OStmt], out: &mut Vec<&'a str>) {
-    for stmt in body {
-        match stmt {
-            OStmt::Assign { target, .. } => {
-                if !out.contains(&target.as_str()) {
-                    out.push(target.as_str());
-                }
-            }
-            OStmt::If { then_block, .. } => collect_assigned(then_block, out),
-            OStmt::For { body, .. } => collect_assigned(body, out),
-            OStmt::Store { .. } | OStmt::DeclArray { .. } => {}
-        }
+    /// The plan's resolution of one leaf.
+    fn leaf(&self, id: LeafId) -> Result<Leaf, SealError> {
+        self.plan.leaves[id as usize].clone()
     }
 }
 

@@ -1,6 +1,8 @@
 //! The compilation entry point: validation → lowering → pass pipeline →
 //! an executable [`CompiledProgram`].
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use llm4fp_fpir::{validate, InputSet, Param, Precision, Program, ValidationError};
@@ -11,7 +13,7 @@ use crate::config::{CompilerConfig, Semantics};
 use crate::interp::{ExecError, ExecResult, Interpreter, DEFAULT_FUEL};
 use crate::ir::{count_in_body, OExpr, OStmt};
 use crate::lower::lower_program;
-use crate::passes::{optimize, rewrite, run_pipeline, stages, Stage};
+use crate::passes::{rewrite_into, run_pipeline, stages, Stage};
 
 /// Why a program failed to compile.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -90,8 +92,8 @@ impl CompiledProgram {
     /// is lowered to an expression arena first, because the flattener
     /// reads only arenas.
     pub fn seal(&self) -> Result<SealedProgram, SealError> {
-        let plan = SealPlan::new(self.precision, &self.params, &self.body)?;
-        plan.flatten(&Arena::from_body(&self.body), &self.semantics)
+        let (plan, arena) = SealPlan::new(self.precision, &self.params, &self.body)?;
+        plan.flatten(&arena, &self.semantics)
     }
 }
 
@@ -119,60 +121,75 @@ impl SealScratch {
     }
 }
 
-/// The configuration-independent front half of the virtual compiler:
-/// validation and lowering, performed once per program. Specializing the
-/// front end under a [`CompilerConfig`] runs only the per-configuration
-/// pass pipeline, so the full evaluation matrix validates and lowers each
-/// program once instead of once per configuration — the driver-side half
-/// of the sealed execution hot path.
+/// The configuration-independent front half of the virtual compiler: a
+/// program validated once. Sealing reads the validated program directly:
+/// each seal lowers its expressions straight into the pass pipeline's
+/// arena, which is the only form sealing reads, so the sealed path never
+/// builds the lowered IR tree ([`crate::lower`]). [`Frontend::specialize`]
+/// lowers to that tree for the reference interpreter. Either way, a full
+/// evaluation matrix validates each program once instead of once per
+/// configuration.
+///
+/// [`Frontend::borrowed`] borrows the program (what the campaign and the
+/// differential tester use); [`Frontend::new`] keeps a copy of it, so the
+/// front end may outlive the program it was built from.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Frontend {
-    precision: Precision,
-    params: Vec<Param>,
-    lowered: Vec<OStmt>,
+pub struct Frontend<'p> {
+    program: Cow<'p, Program>,
 }
 
-impl Frontend {
-    /// Validate and lower a program once.
-    pub fn new(program: &Program) -> Result<Frontend, CompileError> {
+impl Frontend<'static> {
+    /// Validate a program once, keeping a copy of it.
+    pub fn new(program: &Program) -> Result<Frontend<'static>, CompileError> {
+        let Frontend { program } = Frontend::borrowed(program)?;
+        Ok(Frontend { program: Cow::Owned(program.into_owned()) })
+    }
+}
+
+impl<'p> Frontend<'p> {
+    /// Validate a program once, borrowing it.
+    pub fn borrowed(program: &'p Program) -> Result<Frontend<'p>, CompileError> {
         let problems = validate(program);
         if !problems.is_empty() {
             return Err(CompileError::Invalid(problems));
         }
-        Ok(Frontend {
-            precision: program.precision,
-            params: program.params.clone(),
-            lowered: lower_program(program),
-        })
+        Ok(Frontend { program: Cow::Borrowed(program) })
     }
 
-    /// Specialize the lowered program under one configuration. Equivalent
-    /// to [`compile`] with the validation and lowering amortized away.
+    /// Lower and specialize the program under one configuration.
+    /// Equivalent to [`compile`] with the validation amortized away.
     pub fn specialize(&self, config: CompilerConfig) -> CompiledProgram {
         let semantics = config.semantics();
-        let body = run_pipeline(&self.lowered, &semantics);
+        let body = run_pipeline(&lower_program(&self.program), &semantics);
         CompiledProgram {
             config,
-            precision: self.precision,
-            params: self.params.clone(),
+            precision: self.program.precision,
+            params: self.program.params.clone(),
             body,
             semantics,
         }
     }
 
     /// Specialize and seal in one step, skipping the intermediate
-    /// [`CompiledProgram`] (and its parameter-list clone) on the hot path.
+    /// [`CompiledProgram`] (and its lowered tree) on the hot path.
     /// Produces bytecode identical to `self.specialize(config).seal()`.
     pub fn seal(&self, config: CompilerConfig) -> Result<SealedProgram, SealError> {
-        let plan = SealPlan::new(self.precision, &self.params, &self.lowered)?;
+        let (plan, mut arena) = SealPlan::from_source(&self.program)?;
         let semantics = config.semantics();
-        plan.flatten(&optimize(&self.lowered, &semantics), &semantics)
+        // Two arenas take turns as each stage's input and output.
+        let mut spare = None;
+        for stage in stages(&semantics) {
+            let out = spare.take().unwrap_or_else(|| Arena::sized_like(&arena));
+            let out = rewrite_into(&arena, stage, out);
+            spare = Some(std::mem::replace(&mut arena, out));
+        }
+        plan.flatten(&arena, &semantics)
     }
 
     /// Seal one program under a whole configuration matrix at once,
     /// sharing everything the configurations cannot influence:
     ///
-    /// * the lowered body becomes one expression arena, and the pass
+    /// * the program's expressions become one arena, and the pass
     ///   pipeline is factored into a **prefix tree** over arenas: stage
     ///   sequences that share a prefix share the arena after it, computed
     ///   once, and each branch rewrites its parent's arena without copying
@@ -193,8 +210,8 @@ impl Frontend {
     ///
     /// [`bytecode` layout]: crate::bytecode
     pub fn seal_matrix(&self, configs: &[CompilerConfig]) -> Vec<Result<SealedProgram, SealError>> {
-        let plan = match SealPlan::new(self.precision, &self.params, &self.lowered) {
-            Ok(plan) => plan,
+        let (plan, lowered) = match SealPlan::from_source(&self.program) {
+            Ok(planned) => planned,
             Err(e) => return configs.iter().map(|_| Err(e.clone())).collect(),
         };
         let pipelines: Vec<(Semantics, Vec<Stage>)> = configs
@@ -205,28 +222,33 @@ impl Frontend {
                 (semantics, pipeline)
             })
             .collect();
-        // Distinct pipelines, in first-appearance order (identical
-        // sequences produce the identical instruction stream, so one
-        // flatten serves them all).
-        let mut distinct: Vec<&[Stage]> = Vec::new();
-        for (_, pipeline) in &pipelines {
-            if !distinct.iter().any(|d| *d == &pipeline[..]) {
-                distinct.push(pipeline);
-            }
-        }
+        // Distinct pipelines (identical sequences produce the identical
+        // instruction stream, so one flatten serves them all), sorted so
+        // that the pipelines sharing a prefix are contiguous.
+        let mut distinct: Vec<&[Stage]> = pipelines.iter().map(|(_, p)| &p[..]).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
         // Depth-first prefix-tree walk producing the flatten of every
         // distinct pipeline.
         let mut flats: Vec<(&[Stage], Flat)> = Vec::with_capacity(distinct.len());
-        let lowered = Arena::from_body(&self.lowered);
-        seal_prefix_group(&plan, &lowered, 0, &distinct, &mut flats);
+        seal_prefix_group(&plan, &lowered, 0, &distinct, &mut flats, &mut Vec::new());
+        let which: Vec<usize> = pipelines
+            .iter()
+            .map(|(_, pipeline)| flats.iter().position(|(path, _)| *path == &pipeline[..]))
+            .map(|found| found.expect("every distinct pipeline was flattened"))
+            .collect();
+        let mut flats: Vec<Option<Flat>> = flats.into_iter().map(|(_, flat)| Some(flat)).collect();
         pipelines
             .iter()
-            .map(|(semantics, pipeline)| {
-                let (_, flat) = flats
-                    .iter()
-                    .find(|(path, _)| *path == &pipeline[..])
-                    .expect("every distinct pipeline was flattened");
-                flat.clone().map(|(instrs, n_regs)| plan.assemble(instrs, n_regs, semantics))
+            .zip(&which)
+            .enumerate()
+            .map(|(k, ((semantics, _), &f))| {
+                // A pipeline's last configuration takes its stream; the
+                // others copy it.
+                let flat =
+                    if which[k + 1..].contains(&f) { flats[f].clone() } else { flats[f].take() };
+                let flat = flat.expect("a stream is taken by its pipeline's last configuration");
+                flat.map(|stream| plan.assemble(stream, semantics))
             })
             .collect()
     }
@@ -244,42 +266,40 @@ impl Frontend {
     }
 }
 
-/// A flatten outcome: the instruction stream and its register count.
-type Flat = Result<(Vec<bytecode::Instr>, usize), SealError>;
+/// A flatten outcome.
+type Flat = Result<bytecode::Stream, SealError>;
 
-/// Depth-first walk of the prefix tree implied by the distinct stage
-/// sequences in `group` (all sharing the same first `depth` stages, whose
-/// rewritten expressions are `arena`). Flattens every complete pipeline
-/// in the group. Each child branch rewrites `arena` into a fresh arena of
-/// its own, so a shared prefix is computed exactly once for all its
-/// descendants and no branch copies its parent.
-fn seal_prefix_group<'p>(
-    plan: &SealPlan<'_>,
-    arena: &Arena<'_>,
+/// Depth-first walk of the prefix tree implied by the distinct, sorted
+/// stage sequences in `group` (all sharing the same first `depth` stages,
+/// whose rewritten expressions are `arena`). Flattens every complete
+/// pipeline in the group. Each child branch rewrites `arena` into an arena
+/// of its own, so a shared prefix is computed exactly once for all its
+/// descendants and no branch copies its parent. A finished branch's arena
+/// goes to `spare`, whose buffers the next rewrite reuses.
+fn seal_prefix_group<'p, 's>(
+    plan: &SealPlan,
+    arena: &Arena<'s>,
     depth: usize,
     group: &[&'p [Stage]],
     flats: &mut Vec<(&'p [Stage], Flat)>,
+    spare: &mut Vec<Arena<'s>>,
 ) {
-    // Pipelines completed at this depth flatten against the current arena.
-    for &pipeline in group {
-        if pipeline.len() == depth {
-            flats.push((pipeline, plan.flatten_instrs(arena)));
-        }
+    // A pipeline completed at this depth sorts first, and flattens against
+    // the current arena.
+    let mut rest = group;
+    if let Some((&done, tail)) = rest.split_first().filter(|(p, _)| p.len() == depth) {
+        flats.push((done, plan.flatten_instrs(arena)));
+        rest = tail;
     }
-    // Partition the rest by their next stage (first-appearance order).
-    let mut partitions: Vec<(Stage, Vec<&'p [Stage]>)> = Vec::new();
-    for &pipeline in group {
-        if pipeline.len() == depth {
-            continue;
-        }
-        let stage = pipeline[depth];
-        match partitions.iter_mut().find(|(s, _)| *s == stage) {
-            Some((_, bucket)) => bucket.push(pipeline),
-            None => partitions.push((stage, vec![pipeline])),
-        }
-    }
-    for (stage, bucket) in partitions {
-        seal_prefix_group(plan, &rewrite(arena, stage), depth + 1, &bucket, flats);
+    // The rest come in runs that share their next stage.
+    while let Some(first) = rest.first() {
+        let stage = first[depth];
+        let (bucket, tail) = rest.split_at(rest.iter().take_while(|p| p[depth] == stage).count());
+        let out = spare.pop().unwrap_or_else(|| Arena::sized_like(arena));
+        let child = rewrite_into(arena, stage, out);
+        seal_prefix_group(plan, &child, depth + 1, bucket, flats, spare);
+        spare.push(child);
+        rest = tail;
     }
 }
 
@@ -289,7 +309,7 @@ fn seal_prefix_group<'p>(
 /// programs always compile (the virtual compiler has no resource limits of
 /// its own — execution is bounded separately by fuel).
 pub fn compile(program: &Program, config: CompilerConfig) -> Result<CompiledProgram, CompileError> {
-    Ok(Frontend::new(program)?.specialize(config))
+    Ok(Frontend::borrowed(program)?.specialize(config))
 }
 
 /// Compile a program under every configuration of the full evaluation
@@ -301,23 +321,9 @@ pub fn compile_matrix(program: &Program) -> Result<Vec<CompiledProgram>, Compile
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::Instr;
+    use crate::bytecode::{same_instrs, Instr};
     use crate::config::{CompilerId, OptLevel};
     use llm4fp_fpir::{parse_compute, InputValue};
-
-    /// Whether two instruction streams are the same bit for bit. `Instr`'s
-    /// derived `PartialEq` compares `Const` values as `f64`s, which calls
-    /// `0.0` and `-0.0` equal (they execute differently) and a NaN
-    /// constant unequal to itself.
-    fn same_instrs(a: &[Instr], b: &[Instr]) -> bool {
-        a.len() == b.len()
-            && a.iter().zip(b).all(|pair| match pair {
-                (Instr::Const { dst: x, value: v }, Instr::Const { dst: y, value: w }) => {
-                    x == y && v.to_bits() == w.to_bits()
-                }
-                (x, y) => x == y,
-            })
-    }
 
     #[test]
     fn instruction_streams_compare_constants_by_bits() {
@@ -425,6 +431,39 @@ mod tests {
     }
 
     #[test]
+    fn sealing_the_source_matches_sealing_the_lowered_body() {
+        // `Frontend::seal` lowers the source straight into the pass
+        // pipeline's arena; `specialize` lowers it to the IR tree, which
+        // `CompiledProgram::seal` then seals. Compound assignments to
+        // scalars and elements, declarations, integer literals,
+        // parentheses, conditionals and nested loops must seal alike.
+        let sources = [
+            "void compute(double x, double y) { comp = x * y + 2; comp /= (y - 0.5); }",
+            "void compute(double *a, double s, int n) {\n\
+             double t = (s + 1.0) * 2;\n\
+             double buf[3] = {1.5, -2.25};\n\
+             for (int i = 0; i < 4; ++i) {\n\
+               buf[i % 3] += a[i] * s + sin(a[i]) + 1.0 + 2.0;\n\
+               for (int j = 0; j < 2; ++j) { t *= a[j + 1] - j; }\n\
+             }\n\
+             if (buf[0] > t) { comp -= buf[n % 3] / (s + 2.0); }\n\
+             a[0] = -(t + comp);\n\
+             comp += a[0] * pow(t, 2.0);\n\
+             }",
+        ];
+        for src in sources {
+            let program = parse_compute(src).unwrap();
+            let frontend = Frontend::new(&program).unwrap();
+            for config in CompilerConfig::full_matrix() {
+                let direct = frontend.seal(config).unwrap();
+                let lowered = frontend.specialize(config).seal().unwrap();
+                assert!(same_instrs(&direct.instrs, &lowered.instrs), "{config} of {src}");
+                assert_eq!(direct.register_count(), lowered.register_count(), "{config}");
+            }
+        }
+    }
+
+    #[test]
     fn seal_modes_round_trip_through_serde() {
         use serde::{Deserialize, Serialize};
         for (mode, name) in [(SealMode::Raw, "Raw"), (SealMode::Optimized, "Optimized")] {
@@ -480,6 +519,52 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn artifacts_run_identically_only_when_execution_cannot_tell_them_apart() {
+        let matrix = CompilerConfig::full_matrix();
+        let seal = |src: &str| -> Vec<SealedProgram> {
+            let frontend = Frontend::new(&parse_compute(src).unwrap()).unwrap();
+            frontend.seal_matrix(&matrix).into_iter().map(|r| r.unwrap()).collect()
+        };
+        let strict: Vec<usize> = CompilerId::ALL
+            .iter()
+            .map(|&c| matrix.iter().position(|x| *x == CompilerConfig::new(c, OptLevel::O0Nofma)))
+            .map(Option::unwrap)
+            .collect();
+        // Call-free: one stream, and no math library to tell the three
+        // strict configurations apart.
+        let plain = seal("void compute(double x, double y) { comp = x * y + 2.5; comp /= y; }");
+        for &k in &strict {
+            assert!(plain[strict[0]].runs_identically(&plain[k]), "{}", matrix[k]);
+        }
+        // A `sin` call: the same stream, but each compiler links its own
+        // math library.
+        let calls = seal("void compute(double x) { comp = sin(x) * 2.0 + x; }");
+        for (i, &a) in strict.iter().enumerate() {
+            for &b in &strict[i + 1..] {
+                assert!(same_instrs(&calls[a].instrs, &calls[b].instrs));
+                assert!(!calls[a].runs_identically(&calls[b]), "{} {}", matrix[a], matrix[b]);
+            }
+        }
+        // Only fast-math flushes subnormals, so a fast-math artifact never
+        // runs like another level's, even when their streams are the same.
+        let copy = seal("void compute(double x) { comp = x; }");
+        for artifacts in [&plain, &calls, &copy] {
+            for (a, ca) in artifacts.iter().zip(&matrix) {
+                for (b, cb) in artifacts.iter().zip(&matrix) {
+                    let fast = [ca, cb].map(|c| c.level == OptLevel::O3Fastmath);
+                    if fast[0] != fast[1] {
+                        assert!(!a.runs_identically(b), "{ca} {cb}");
+                    }
+                }
+            }
+        }
+        assert!(same_instrs(&copy[0].instrs, &copy[5].instrs), "{} {}", matrix[0], matrix[5]);
+        // Artifacts of two seals never share a plan, so never compare equal.
+        let again = seal("void compute(double x) { comp = x; }");
+        assert!(!copy[0].runs_identically(&again[0]));
     }
 
     #[test]

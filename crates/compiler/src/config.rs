@@ -139,7 +139,7 @@ impl std::fmt::Display for OptLevel {
 /// contracts across the whole expression including when the multiply is the
 /// right-hand addend, while LLVM's in-statement contraction is more
 /// conservative; nvcc contracts aggressively at every level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum ContractionStyle {
     /// No contraction.
     Off,
@@ -154,7 +154,7 @@ pub enum ContractionStyle {
 /// personalities use different strategies, so `-ffast-math` compilations of
 /// the same sum legitimately differ between compilers (this drives the
 /// host-host inconsistencies at `O3_fastmath` in Table 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum ReassocStyle {
     /// Keep the source association (no reassociation).
     SourceOrder,

@@ -40,7 +40,8 @@ use crate::ir::OStmt;
 /// sequences share a prefix share the intermediate arena after that
 /// prefix (see `Frontend::seal_matrix`), so equality of `Stage` values is
 /// the sharing criterion and must capture every parameter a pass reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The order only groups pipelines that share a prefix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Stage {
     ConstFold,
     AlgebraicSimplify,
@@ -88,13 +89,17 @@ pub fn run_pipeline(body: &[OStmt], sem: &Semantics) -> Vec<OStmt> {
 /// Apply one stage: read `src`, write a fresh arena with one root per
 /// root of `src`.
 pub(crate) fn rewrite<'s>(src: &Arena<'s>, stage: Stage) -> Arena<'s> {
-    let mut rewriter = Rewriter {
-        src,
-        out: Arena::sized_like(src),
-        stage,
-        operands: Vec::new(),
-        non_constants: Vec::new(),
-    };
+    rewrite_into(src, stage, Arena::sized_like(src))
+}
+
+/// [`rewrite`] into the buffers of `out`, whose contents are discarded.
+pub(crate) fn rewrite_into<'s>(src: &Arena<'s>, stage: Stage, mut out: Arena<'s>) -> Arena<'s> {
+    out.nodes.clear();
+    out.args.clear();
+    out.roots.clear();
+    out.leaves = src.leaves;
+    let mut rewriter =
+        Rewriter { src, out, stage, operands: Vec::new(), non_constants: Vec::new() };
     for &root in &src.roots {
         let id = rewriter.expr(root);
         rewriter.out.roots.push(id);
@@ -136,7 +141,7 @@ impl<'s> Rewriter<'_, 's> {
     /// `node` with its children rewritten into `out`.
     fn children(&mut self, node: Node<'s>) -> Node<'s> {
         match node {
-            Node::Const(_) | Node::Var(_) | Node::Index(..) => node,
+            Node::Const(_) | Node::Var(..) | Node::Index(..) => node,
             Node::Neg(inner) => Node::Neg(self.expr(inner)),
             Node::Bin(op, lhs, rhs) => {
                 let lhs = self.expr(lhs);

@@ -39,11 +39,12 @@ use std::time::{Duration, Instant};
 use rand::prelude::*;
 use serde::{Deserialize, Serialize};
 
+use llm4fp_compiler::{CompileError, Frontend};
 use llm4fp_difftest::{
     record_outcome_metrics, Aggregates, CachedDiff, DiffTester, ExecBackend, ExecEngine,
     MatrixScratch, ResultCache,
 };
-use llm4fp_fpir::{hash_id, source_hash, to_compute_source, validate, Program};
+use llm4fp_fpir::{hash_id, source_hash, to_compute_source, Program};
 use llm4fp_generator::{
     llm::SimulatedLlmConfig, InputGenerator, LlmClient, PromptBuilder, SimulatedLlm, Strategy,
     VarityGenerator,
@@ -628,7 +629,12 @@ impl CampaignRunner {
         let _span = self.telemetry.span(keys::SPAN_PROGRAM);
         let (strategy_label, program) = self.generate_one();
 
-        let Some(program) = program else {
+        // The front end is the validity check, run once per program: an LLM
+        // program it rejects is a generation failure, while a Varity program
+        // it rejects fails every configuration of its matrix instead.
+        let varity = self.config.approach == ApproachKind::Varity;
+        let checked = program.as_ref().map(|program| (program, Frontend::borrowed(program)));
+        let Some((program, frontend)) = checked.filter(|(_, front)| varity || front.is_ok()) else {
             self.generation_failures += 1;
             self.telemetry.add(keys::GENERATION_FAILURES, 1);
             self.aggregates.add_result(
@@ -654,10 +660,10 @@ impl CampaignRunner {
 
         // One canonical print and one hash per program: the hash seeds the
         // inputs and dedups the successful set, and its id keys the cache.
-        let source = to_compute_source(&program);
+        let source = to_compute_source(program);
         let hash = source_hash(&source);
         let id = hash_id(hash);
-        let CachedDiff { result, baseline } = self.test_program(&program, hash, &id);
+        let CachedDiff { result, baseline } = self.test_program(program, &frontend, hash, &id);
         // Campaign-level counters record what the program *contributes*
         // (cached or computed alike), which keeps them deterministic even
         // though cache hit/miss attribution is racy across workers.
@@ -689,7 +695,13 @@ impl CampaignRunner {
     /// to recomputation, and runners that differ in any of these never
     /// serve each other. On the external backend a hit skips every process
     /// spawn of the duplicate's matrix.
-    fn test_program(&mut self, program: &Program, hash: u64, id: &str) -> CachedDiff {
+    fn test_program(
+        &mut self,
+        program: &Program,
+        frontend: &Result<Frontend<'_>, CompileError>,
+        hash: u64,
+        id: &str,
+    ) -> CachedDiff {
         let key = self.cache.as_ref().map(|_| {
             let scope = format!(
                 "{}/{:016x}/{:?}/{:?}x{:?}",
@@ -709,7 +721,7 @@ impl CampaignRunner {
         let inputs = InputGenerator::new(self.input_seed ^ hash)
             .generate(program)
             .truncated(self.config.precision);
-        let result = self.tester.run_hashed(program, hash, &inputs, &mut self.scratch);
+        let result = self.tester.run_hashed(program, frontend, hash, &inputs, &mut self.scratch);
         let baseline = self.tester.compare_vs_baseline(&result.outcomes);
         let computed = CachedDiff { result, baseline };
         if let (Some(cache), Some(key)) = (&self.cache, key) {
@@ -737,8 +749,8 @@ impl CampaignRunner {
     }
 
     /// Produce one candidate program according to the configured approach.
-    /// Returns the strategy label and `None` when generation failed
-    /// (unparseable or invalid LLM output).
+    /// Returns the strategy label and `None` when the LLM output does not
+    /// parse (validation is left to the front end, see `run_one`).
     fn generate_one(&mut self) -> (String, Option<Program>) {
         let (strategy, prompt) = match self.config.approach {
             ApproachKind::Varity => return ("varity".to_string(), Some(self.varity.generate())),
@@ -769,7 +781,7 @@ impl CampaignRunner {
         };
         let response = self.llm.generate(&prompt);
         self.simulated_llm_time += response.simulated_latency;
-        (strategy.name().to_string(), parse_valid(&response.source))
+        (strategy.name().to_string(), llm4fp_fpir::parse_compute(&response.source).ok())
     }
 }
 
@@ -799,15 +811,6 @@ impl Campaign {
 /// Panics on any other length: a padded state would resume to other bits.
 fn rng_words(words: &[u64]) -> [u64; 4] {
     words.try_into().expect("a checkpointed RNG state is four words")
-}
-
-fn parse_valid(source: &str) -> Option<Program> {
-    let program = llm4fp_fpir::parse_compute(source).ok()?;
-    if validate(&program).is_empty() {
-        Some(program)
-    } else {
-        None
-    }
 }
 
 #[cfg(test)]

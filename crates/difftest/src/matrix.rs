@@ -1,10 +1,11 @@
 //! The compilation driver and execution matrix.
 //!
 //! Each program is tested against **one** input set, as in the paper:
-//! [`DiffTester::run`] builds and executes every configuration of the
-//! matrix once and compares every compiler pair at every level. Callers
-//! that already hold the program's structural hash (the campaign runner)
-//! pass it to [`DiffTester::run_hashed`]; `run` and `run_with` compute it.
+//! [`DiffTester::run`] gives every configuration of the matrix one
+//! [`Outcome`] and compares every compiler pair at every level. Callers
+//! that already hold the program's structural hash and front end (the
+//! campaign runner) pass both to [`DiffTester::run_hashed`]; `run` and
+//! `run_with` compute them.
 //!
 //! The driver is backend-pluggable ([`ExecBackend`]): the virtual path
 //! below is the evaluation default, and [`ExecBackend::External`] swaps
@@ -12,18 +13,30 @@
 //! configuration, every failure recorded as an outcome) while reusing the
 //! same comparison code. Both return one [`Outcome`] per configuration.
 //!
-//! The virtual driver validates and lowers once ([`Frontend`]), seals the
-//! **whole configuration matrix in one call** ([`Frontend::seal_matrix`]:
-//! prefix-shared pass pipelines, one name→slot layout per program), and
-//! runs the input set against each sealed artifact on the register VM,
-//! reusing one [`ExecScratch`] (through [`MatrixScratch`], across
-//! *programs* in a worker loop) so execution is allocation-free. Sealed
-//! execution is bit-identical to the reference tree-walking interpreter:
-//! [`ExecEngine::Reference`] selects it for A/B benchmarking, and the
-//! driver falls back to it for the rare programs that refuse to seal. The
-//! matrix runs on the caller's thread, in configuration order:
-//! parallelism comes from the orchestrator's shards, and one program's
-//! execution is far too short to pay for a thread fan-out.
+//! The virtual path builds and runs each **distinct artifact** once.
+//! Configurations with equal [`Semantics`] compile to the same artifact
+//! (the 18 of Table 1 fall into 10 such classes), so it seals one
+//! representative per class, in one call ([`Frontend::seal_matrix`]:
+//! prefix-shared pass pipelines, one name→slot layout per program).
+//! Classes whose artifacts execute identically
+//! ([`SealedProgram::runs_identically`]: the same instruction stream,
+//! registers and flush mode, and the same math library unless the program
+//! calls none) share one execution. Every configuration then takes its
+//! artifact's [`Outcome`], so the results equal those of executing all 18
+//! artifacts. Execution runs on the register VM, reusing one
+//! [`ExecScratch`] (through [`MatrixScratch`], across *programs* in a
+//! worker loop) so it is allocation-free. Sealed execution is
+//! bit-identical to the reference tree-walking interpreter:
+//! [`ExecEngine::Reference`] selects it for A/B benchmarking (specialized
+//! once per class), and the virtual path falls back to it for the rare
+//! classes that refuse to seal. The external backend still compiles and
+//! runs all 18 configurations: a real toolchain's artifacts are not known
+//! to agree.
+//! The matrix runs on the caller's thread: parallelism comes from the
+//! orchestrator's shards, and one program's execution is far too short to
+//! pay for a thread fan-out.
+//!
+//! [`SealedProgram::runs_identically`]: llm4fp_compiler::SealedProgram::runs_identically
 
 use std::sync::Arc;
 
@@ -31,8 +44,8 @@ use serde::{Deserialize, Serialize};
 
 use llm4fp_compiler::interp::DEFAULT_FUEL;
 use llm4fp_compiler::{
-    CompilerConfig, CompilerId, ExecError, ExecResult, ExecScratch, Frontend, OptLevel, SealMode,
-    SealedProgram,
+    CompileError, CompilerConfig, CompilerId, ExecError, ExecResult, ExecScratch, Frontend,
+    OptLevel, SealMode, Semantics,
 };
 use llm4fp_extcc::HostToolchain;
 use llm4fp_fpir::{hash_id, program_hash, InputSet, Precision, Program};
@@ -274,18 +287,24 @@ impl DiffTester {
         inputs: &InputSet,
         scratch: &mut MatrixScratch,
     ) -> ProgramDiffResult {
-        self.run_hashed(program, program_hash(program), inputs, scratch)
+        let frontend = Frontend::borrowed(program);
+        self.run_hashed(program, &frontend, program_hash(program), inputs, scratch)
     }
 
     /// [`DiffTester::run_with`] for a caller that already holds the
-    /// program's structural hash, which must equal
-    /// [`llm4fp_fpir::program_hash`]`(program)`. The hash becomes
-    /// [`ProgramDiffResult::program_id`] and keys the compute-level
-    /// telemetry counters; the campaign runner computes it once per
-    /// program and passes it here.
+    /// program's front end, which must be
+    /// [`Frontend::borrowed`]`(program)`, and its structural hash, which
+    /// must equal [`llm4fp_fpir::program_hash`]`(program)`. A front end
+    /// that failed gives every configuration of the virtual matrix the
+    /// same `CompileFail`; the external backend reads only the program.
+    /// The hash becomes [`ProgramDiffResult::program_id`] and keys the
+    /// compute-level telemetry counters. The campaign runner builds both
+    /// once per program (the front end is its validity check) and passes
+    /// them here.
     pub fn run_hashed(
         &self,
         program: &Program,
+        frontend: &Result<Frontend<'_>, CompileError>,
         hash: u64,
         inputs: &InputSet,
         scratch: &mut MatrixScratch,
@@ -293,7 +312,7 @@ impl DiffTester {
         let configs = self.configurations();
         let outcomes = match &self.backend {
             ExecBackend::Virtual(engine) => {
-                self.run_virtual(program, hash, inputs, &configs, *engine, scratch)
+                self.run_virtual(frontend, hash, inputs, &configs, *engine, scratch)
             }
             ExecBackend::External(toolchain) => {
                 self.run_external(toolchain, program, hash, inputs, &configs)
@@ -377,56 +396,101 @@ impl DiffTester {
         outcomes
     }
 
-    /// Virtual path: the front end runs once and the whole configuration
-    /// matrix seals **once** through [`Frontend::seal_matrix`] (the pass
-    /// pipeline is prefix-shared and name→slot layout runs once per
-    /// program); each configuration then executes the input set against
-    /// its sealed artifact, in configuration order, on the reused
-    /// [`ExecScratch`].
+    /// Virtual path: one artifact per distinct execution. Sealing,
+    /// execution and [`Frontend::specialize`] read a configuration only
+    /// through its [`Semantics`], so configurations are grouped by
+    /// [`CompilerConfig::semantics`] in first-appearance order, and one
+    /// representative per class seals through
+    /// [`Frontend::seal_matrix`] (the pass pipeline is prefix-shared and
+    /// name→slot layout runs once per program). Each class whose artifact
+    /// [`SealedProgram::runs_identically`] to an earlier class's takes that
+    /// class's outcome; every other class executes the input set once, on
+    /// the reused [`ExecScratch`]. A class that refuses to seal runs its
+    /// representative's specialized body on the reference interpreter, as
+    /// does every class on [`ExecEngine::Reference`]. Every configuration
+    /// returns its class's outcome, in configuration order. Seal refusals
+    /// and interpreter fallbacks still count per configuration.
+    ///
+    /// [`SealedProgram::runs_identically`]: llm4fp_compiler::SealedProgram::runs_identically
     fn run_virtual(
         &self,
-        program: &Program,
+        frontend: &Result<Frontend<'_>, CompileError>,
         hash: u64,
         inputs: &InputSet,
         configs: &[CompilerConfig],
         engine: ExecEngine,
         scratch: &mut MatrixScratch,
     ) -> Vec<Outcome> {
-        let frontend = match Frontend::new(program) {
+        let frontend = match frontend {
             Ok(frontend) => frontend,
             // Validation failure: the whole matrix fails to compile with
             // the same reason.
             Err(e) => return vec![Outcome::CompileFail { reason: e.to_string() }; configs.len()],
         };
-        let telemetry = &self.telemetry;
-        // The sealed artifacts for the whole matrix (None on the
-        // reference engine, which specializes per configuration below).
-        let sealed: Option<Vec<Result<SealedProgram, llm4fp_compiler::SealError>>> = match engine {
-            ExecEngine::Sealed => {
-                let _span = telemetry.span(keys::SPAN_SEAL);
-                Some(frontend.seal_matrix(configs))
-            }
-            ExecEngine::Reference => None,
-        };
-        if telemetry.is_enabled() {
-            let refused =
-                sealed.iter().flatten().filter(|artifact| artifact.is_err()).count() as u64;
-            if refused > 0 {
-                // One refused program; `refused` config slots fall back to
-                // the reference interpreter.
-                telemetry.add_keyed(keys::SEAL_REFUSALS, hash, 1);
-                telemetry.add_keyed(keys::INTERPRETER_FALLBACKS, hash, refused);
-            }
-        }
-        let _span = telemetry.span(keys::SPAN_EXECUTE);
-        configs
+        let mut semantics: Vec<Semantics> = Vec::with_capacity(configs.len());
+        let mut reps: Vec<CompilerConfig> = Vec::with_capacity(configs.len());
+        let class_of: Vec<usize> = configs
             .iter()
-            .enumerate()
-            .map(|(k, &cfg)| {
-                let artifact = sealed.as_ref().map(|s| &s[k]);
-                run_config(&frontend, inputs, cfg, artifact, &mut scratch.exec)
+            .map(|&config| {
+                let sem = config.semantics();
+                semantics.iter().position(|&s| s == sem).unwrap_or_else(|| {
+                    semantics.push(sem);
+                    reps.push(config);
+                    reps.len() - 1
+                })
             })
-            .collect()
+            .collect();
+        let reference =
+            |config: CompilerConfig| outcome_of(frontend.specialize(config).execute(inputs));
+        let class_outcomes: Vec<Outcome> = match engine {
+            ExecEngine::Reference => reps.iter().map(|&rep| reference(rep)).collect(),
+            ExecEngine::Sealed => {
+                let telemetry = &self.telemetry;
+                let sealed = {
+                    let _span = telemetry.span(keys::SPAN_SEAL);
+                    frontend.seal_matrix(&reps)
+                };
+                if telemetry.is_enabled() {
+                    let refused = class_of.iter().filter(|&&k| sealed[k].is_err()).count() as u64;
+                    if refused > 0 {
+                        // One refused program; `refused` configurations
+                        // fall back to the reference interpreter.
+                        telemetry.add_keyed(keys::SEAL_REFUSALS, hash, 1);
+                        telemetry.add_keyed(keys::INTERPRETER_FALLBACKS, hash, refused);
+                    }
+                }
+                let _span = telemetry.span(keys::SPAN_EXECUTE);
+                // The classes that executed: the only ones a later class
+                // can share an execution with.
+                let mut executed: Vec<usize> = Vec::with_capacity(sealed.len());
+                let mut outcomes: Vec<Outcome> = Vec::with_capacity(sealed.len());
+                for (k, artifact) in sealed.iter().enumerate() {
+                    let outcome = match artifact {
+                        Err(_) => reference(reps[k]),
+                        Ok(artifact) => {
+                            let twin = executed.iter().copied().find(|&j| {
+                                matches!(&sealed[j], Ok(earlier) if earlier.runs_identically(artifact))
+                            });
+                            match twin {
+                                Some(j) => outcomes[j].clone(),
+                                None => {
+                                    executed.push(k);
+                                    let result = artifact.execute_into(
+                                        inputs,
+                                        DEFAULT_FUEL,
+                                        &mut scratch.exec,
+                                    );
+                                    outcome_of(result)
+                                }
+                            }
+                        }
+                    };
+                    outcomes.push(outcome);
+                }
+                outcomes
+            }
+        };
+        class_of.into_iter().map(|k| class_outcomes[k].clone()).collect()
     }
 
     /// Compare every compiler pair at every level, returning the
@@ -474,47 +538,32 @@ impl DiffTester {
     /// RQ4-style comparison: within each compiler, compare every level
     /// against `O0_nofma`. Returns `(compiler, level, differs)` tuples for
     /// levels other than the baseline where both sides executed.
+    /// `outcomes` is in [`Self::configurations`] order (as
+    /// [`ProgramDiffResult::outcomes`] is), so compiler `c` at level `l`
+    /// sits at `c * levels + l`.
     pub fn compare_vs_baseline(
         &self,
         outcomes: &[ConfigOutcome],
     ) -> Vec<(CompilerId, OptLevel, bool)> {
+        let levels = self.levels.len();
+        debug_assert_eq!(outcomes.len(), self.compilers.len() * levels, "not this matrix");
+        let Some(base) = self.levels.iter().position(|&l| l == OptLevel::O0Nofma) else {
+            return Vec::new();
+        };
         let mut results = Vec::new();
-        for &c in &self.compilers {
-            let baseline = outcomes
-                .iter()
-                .find(|o| o.config == CompilerConfig::new(c, OptLevel::O0Nofma))
-                .and_then(|o| o.outcome.bits());
-            let Some(base_bits) = baseline else { continue };
-            for &l in &self.levels {
-                if l == OptLevel::O0Nofma {
+        for (c, &compiler) in self.compilers.iter().enumerate() {
+            let row = &outcomes[c * levels..(c + 1) * levels];
+            let Some(base_bits) = row[base].outcome.bits() else { continue };
+            for (l, &level) in self.levels.iter().enumerate() {
+                if l == base {
                     continue;
                 }
-                if let Some(bits) = outcomes
-                    .iter()
-                    .find(|o| o.config == CompilerConfig::new(c, l))
-                    .and_then(|o| o.outcome.bits())
-                {
-                    results.push((c, l, bits != base_bits));
+                if let Some(bits) = row[l].outcome.bits() {
+                    results.push((compiler, level, bits != base_bits));
                 }
             }
         }
         results
-    }
-}
-
-/// Execute the input set against one configuration's pre-sealed
-/// artifact, falling back to the reference interpreter when the engine
-/// asks for it (`artifact == None`) or the program refused to seal.
-fn run_config(
-    frontend: &Frontend,
-    inputs: &InputSet,
-    config: CompilerConfig,
-    artifact: Option<&Result<SealedProgram, llm4fp_compiler::SealError>>,
-    scratch: &mut ExecScratch,
-) -> Outcome {
-    match artifact {
-        Some(Ok(sealed)) => outcome_of(sealed.execute_into(inputs, DEFAULT_FUEL, scratch)),
-        Some(Err(_)) | None => outcome_of(frontend.specialize(config).execute(inputs)),
     }
 }
 
@@ -802,6 +851,59 @@ mod tests {
         // The external matrix is deterministic across repeats.
         assert_eq!(result, tester.run(&program, &inputs));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn seal_refusals_and_fallbacks_count_per_configuration() {
+        // Fast-math folds `x * (t - t)` to 0, so only the three
+        // `O3_fastmath` configurations seal; the other 15 refuse, and they
+        // fall into 7 semantics classes. The counters count the program
+        // once and its refused configurations, not its classes.
+        let program = parse_compute(
+            "void compute(double x) {\n\
+             for (int t = 0; t < 3; ++t) { comp += x * (t - t); }\n\
+             double t = 2.0;\n\
+             comp += t;\n\
+             }",
+        )
+        .unwrap();
+        let hub = llm4fp_telemetry::TelemetryHub::new(llm4fp_telemetry::TelemetrySpec::METRICS);
+        let result = DiffTester::new().with_telemetry(hub.lane(0)).run(&program, &inputs_x(0.75));
+        assert_eq!(result.ok_count(), 18);
+        let metrics = hub.metrics();
+        assert_eq!(metrics.get(keys::SEAL_REFUSALS), 1);
+        assert_eq!(metrics.get(keys::INTERPRETER_FALLBACKS), 15);
+    }
+
+    #[test]
+    fn baseline_comparisons_follow_the_matrix_order() {
+        // A reordered matrix without `O0_nofma` has no baseline; with it,
+        // every other level of each compiler is compared, in level order.
+        let program =
+            parse_compute("void compute(double x, double y, double z) { comp = x * y + z; }")
+                .unwrap();
+        let x = 1.0 + 2f64.powi(-30);
+        let inputs = InputSet::new()
+            .with("x", InputValue::Fp(x))
+            .with("y", InputValue::Fp(x))
+            .with("z", InputValue::Fp(-1.0));
+        let levels = vec![OptLevel::O2, OptLevel::O0Nofma, OptLevel::O0];
+        let tester = DiffTester::with_matrix(vec![CompilerId::Nvcc, CompilerId::Gcc], levels);
+        let vs = tester.compare_vs_baseline(&tester.run(&program, &inputs).outcomes);
+        assert_eq!(
+            vs,
+            [
+                (CompilerId::Nvcc, OptLevel::O2, true),
+                (CompilerId::Nvcc, OptLevel::O0, true),
+                (CompilerId::Gcc, OptLevel::O2, true),
+                (CompilerId::Gcc, OptLevel::O0, false),
+            ]
+        );
+        let no_baseline =
+            DiffTester::with_matrix(vec![CompilerId::Gcc], vec![OptLevel::O0, OptLevel::O3]);
+        assert!(no_baseline
+            .compare_vs_baseline(&no_baseline.run(&program, &inputs).outcomes)
+            .is_empty());
     }
 
     #[test]

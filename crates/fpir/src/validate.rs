@@ -7,8 +7,6 @@
 //! of being compiled, mirroring how invalid LLM output leads to compilation
 //! failures in the paper's pipeline.
 
-use std::collections::HashSet;
-
 use serde::{Deserialize, Serialize};
 
 use crate::ast::{Block, Expr, IndexExpr, ParamType, Program, Stmt};
@@ -55,37 +53,43 @@ pub fn validate_ok(program: &Program) -> Result<(), ValidationError> {
     }
 }
 
+/// The names in scope are stacks borrowed from the program, innermost
+/// last: a program binds a handful of names, so scanning them beats
+/// hashing, and leaving a block truncates them back.
 struct Ctx<'a> {
     program: &'a Program,
     errors: &'a mut Vec<ValidationError>,
     /// Initialized scalar fp variables (parameters, `comp`, declared temps).
-    scalars: HashSet<String>,
+    scalars: Vec<&'a str>,
     /// Integer variables in scope (int parameters, loop variables).
-    ints: HashSet<String>,
+    ints: Vec<&'a str>,
     /// Arrays in scope and their lengths.
-    arrays: Vec<(String, usize)>,
+    arrays: Vec<(&'a str, usize)>,
     /// Loop variables currently in scope and their (exclusive) bounds.
-    loop_bounds: Vec<(String, i64)>,
+    loop_bounds: Vec<(&'a str, i64)>,
 }
 
 impl<'a> Ctx<'a> {
     fn new(program: &'a Program, errors: &'a mut Vec<ValidationError>) -> Self {
-        let mut scalars = HashSet::new();
-        scalars.insert(COMP.to_string());
-        let mut ints = HashSet::new();
+        let mut scalars = vec![COMP];
+        let mut ints = Vec::new();
         let mut arrays = Vec::new();
         for p in &program.params {
             match p.ty {
-                ParamType::Int => {
-                    ints.insert(p.name.clone());
-                }
-                ParamType::Fp => {
-                    scalars.insert(p.name.clone());
-                }
-                ParamType::FpArray(len) => arrays.push((p.name.clone(), len)),
+                ParamType::Int => ints.push(p.name.as_str()),
+                ParamType::Fp => scalars.push(p.name.as_str()),
+                ParamType::FpArray(len) => arrays.push((p.name.as_str(), len)),
             }
         }
         Ctx { program, errors, scalars, ints, arrays, loop_bounds: Vec::new() }
+    }
+
+    fn is_scalar(&self, name: &str) -> bool {
+        self.scalars.contains(&name)
+    }
+
+    fn is_int(&self, name: &str) -> bool {
+        self.ints.contains(&name)
     }
 
     fn error(&mut self, message: impl Into<String>) {
@@ -93,10 +97,12 @@ impl<'a> Ctx<'a> {
     }
 
     fn check_params(&mut self) {
-        let mut seen = HashSet::new();
+        let mut seen: Vec<&str> = Vec::with_capacity(self.program.params.len());
         for p in &self.program.params {
-            if !seen.insert(p.name.clone()) {
+            if seen.contains(&p.name.as_str()) {
                 self.error(format!("duplicate parameter name `{}`", p.name));
+            } else {
+                seen.push(&p.name);
             }
             if p.name == COMP {
                 self.error("`comp` cannot be used as a parameter name");
@@ -116,19 +122,19 @@ impl<'a> Ctx<'a> {
     }
 
     fn array_len(&self, name: &str) -> Option<usize> {
-        self.arrays.iter().rev().find(|(n, _)| n == name).map(|(_, l)| *l)
+        self.arrays.iter().rev().find(|(n, _)| *n == name).map(|(_, l)| *l)
     }
 
-    fn check_block(&mut self, block: &Block) {
+    fn check_block(&mut self, block: &'a Block) {
         // Track names declared in this block so they can be popped on exit;
         // the grammar has no shadowing semantics beyond C's, and we simply
         // forbid redeclaration.
-        let scalars_before = self.scalars.clone();
+        let scalars_before = self.scalars.len();
         let arrays_before = self.arrays.len();
         for stmt in &block.stmts {
             match stmt {
                 Stmt::Assign { target, op: _, expr } => {
-                    if !self.scalars.contains(target) {
+                    if !self.is_scalar(target) {
                         self.error(format!("assignment to undeclared variable `{target}`"));
                     }
                     self.check_expr(expr);
@@ -138,10 +144,10 @@ impl<'a> Ctx<'a> {
                     if !is_valid_ident(name) {
                         self.error(format!("invalid variable name `{name}`"));
                     }
-                    if self.scalars.contains(name) || self.ints.contains(name) {
+                    if self.is_scalar(name) || self.is_int(name) {
                         self.error(format!("redeclaration of `{name}`"));
                     }
-                    self.scalars.insert(name.clone());
+                    self.scalars.push(name);
                 }
                 Stmt::DeclArray { name, size, init } => {
                     if *size == 0 || *size > MAX_ARRAY_LEN {
@@ -156,10 +162,10 @@ impl<'a> Ctx<'a> {
                             size
                         ));
                     }
-                    if self.array_len(name).is_some() || self.scalars.contains(name) {
+                    if self.array_len(name).is_some() || self.is_scalar(name) {
                         self.error(format!("redeclaration of `{name}`"));
                     }
-                    self.arrays.push((name.clone(), *size));
+                    self.arrays.push((name, *size));
                 }
                 Stmt::AssignIndex { array, index, op: _, expr } => {
                     match self.array_len(array) {
@@ -188,23 +194,20 @@ impl<'a> Ctx<'a> {
                     if body.is_empty() {
                         self.error("empty `for` body");
                     }
-                    let shadowed = self.ints.contains(var);
-                    self.ints.insert(var.clone());
-                    self.loop_bounds.push((var.clone(), *bound));
+                    self.ints.push(var);
+                    self.loop_bounds.push((var, *bound));
                     self.check_block(body);
                     self.loop_bounds.pop();
-                    if !shadowed {
-                        self.ints.remove(var);
-                    }
+                    self.ints.pop();
                 }
             }
         }
         // Restore the scope: declarations local to this block disappear.
-        self.scalars = scalars_before;
+        self.scalars.truncate(scalars_before);
         self.arrays.truncate(arrays_before);
     }
 
-    fn check_expr(&mut self, expr: &Expr) {
+    fn check_expr(&mut self, expr: &'a Expr) {
         match expr {
             Expr::Num(v) => {
                 if v.is_nan() || v.is_infinite() {
@@ -213,7 +216,7 @@ impl<'a> Ctx<'a> {
             }
             Expr::Int(_) => {}
             Expr::Var(name) => {
-                if !self.scalars.contains(name) && !self.ints.contains(name) {
+                if !self.is_scalar(name) && !self.is_int(name) {
                     self.error(format!("use of undeclared variable `{name}`"));
                 }
             }
@@ -252,7 +255,7 @@ impl<'a> Ctx<'a> {
                 let bound = self.loop_bounds.iter().rev().find(|(v, _)| v == var).map(|(_, b)| *b);
                 match (index, bound) {
                     (_, None) => {
-                        if !self.ints.contains(var) {
+                        if !self.is_int(var) {
                             self.error(format!("index variable `{var}` is not in scope"));
                         } else {
                             // An int parameter used directly as an index: its

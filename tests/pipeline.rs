@@ -1,10 +1,12 @@
 //! Cross-crate integration tests: generation → compilation → differential
 //! testing → aggregation, exercised through the public APIs only.
 
-use llm4fp_suite::compiler::{compile, CompilerConfig, CompilerId, OptLevel};
+use llm4fp_suite::compiler::{compile, CompilerConfig, CompilerId, Frontend, OptLevel};
 use llm4fp_suite::core::{ApproachKind, Campaign, CampaignConfig};
-use llm4fp_suite::difftest::{DiffTester, ValueClass};
-use llm4fp_suite::fpir::{parse_compute, to_compute_source, validate, InputSet, InputValue};
+use llm4fp_suite::difftest::{DiffTester, ExecEngine, Outcome, ValueClass};
+use llm4fp_suite::fpir::{
+    parse_compute, program_hash, to_compute_source, validate, InputSet, InputValue,
+};
 use llm4fp_suite::generator::{
     InputGenerator, LlmClient, PromptBuilder, SimulatedLlm, VarityGenerator,
 };
@@ -34,6 +36,55 @@ fn generated_programs_flow_through_the_entire_pipeline() {
             artifact.execute(&input_set).expect("generated programs execute");
         }
     }
+}
+
+/// The matrix runs one artifact per distinct execution, and that is
+/// invisible in its results: over the programs of all four approaches
+/// (seed 42), every configuration's outcome on both engines is what its
+/// own artifact gives, sealed alone (`Frontend::seal`) or, where sealing
+/// refuses, specialized and interpreted.
+#[test]
+fn each_configuration_gets_its_own_artifacts_outcome() {
+    let matrix = CompilerConfig::full_matrix();
+    let testers = [DiffTester::new(), DiffTester::new().with_engine(ExecEngine::Reference)];
+    let mut programs = 0;
+    for approach in ApproachKind::ALL {
+        let config = CampaignConfig::new(approach).with_budget(64).with_seed(42);
+        for source in Campaign::new(config).run().sources {
+            let program = parse_compute(&source).expect("campaign sources parse");
+            let inputs = InputGenerator::new(42 ^ program_hash(&program)).generate(&program);
+            let expected: Vec<Outcome> = match Frontend::new(&program) {
+                Err(e) => vec![Outcome::CompileFail { reason: e.to_string() }; matrix.len()],
+                Ok(frontend) => matrix
+                    .iter()
+                    .map(|&config| {
+                        let result = match frontend.seal(config) {
+                            Ok(sealed) => sealed.execute(&inputs),
+                            Err(_) => frontend.specialize(config).execute(&inputs),
+                        };
+                        match result {
+                            Ok(r) => Outcome::Ok { value: r.value, bits: r.bits() },
+                            Err(e) => Outcome::ExecFail { reason: e.to_string() },
+                        }
+                    })
+                    .collect(),
+            };
+            for tester in &testers {
+                let result = tester.run(&program, &inputs);
+                assert_eq!(result.outcomes.len(), matrix.len());
+                for (got, want) in result.outcomes.iter().zip(&expected) {
+                    // By bits: a NaN value is unequal to itself.
+                    let same = match (&got.outcome, want) {
+                        (Outcome::Ok { bits: a, .. }, Outcome::Ok { bits: b, .. }) => a == b,
+                        (a, b) => a == b,
+                    };
+                    assert!(same, "{}: {:?} vs {want:?} of {source}", got.config, got.outcome);
+                }
+            }
+            programs += 1;
+        }
+    }
+    assert!(programs >= 200, "only {programs} programs reached the matrix");
 }
 
 /// The strict (O0_nofma) host configurations form a consistent reference:
