@@ -4,12 +4,11 @@
 //! `specialize` run over this representation. One program's expressions
 //! live in a single [`Arena`]: nodes in one `Vec` with `u32` children,
 //! math-call arguments in a side `Vec<u32>`, and one root per expression
-//! site. Leaves are `Copy` and borrow their names from the body they were
-//! lowered from (an [`OStmt`] body, or a source program, which sealing
-//! lowers straight into an arena), so a stage that rewrites an arena
-//! allocates a few vectors, not one box and one string per node.
+//! site. Leaves are `Copy` and borrow their names from the lowered
+//! [`OStmt`] body, so a stage that rewrites an arena allocates a few
+//! vectors, not one box and one string per node.
 //!
-//! The statement skeleton is not copied: it stays the body, whose
+//! The statement skeleton is not copied: it stays the lowered body, whose
 //! statement structure no stage changes. The arena holds the body's
 //! expression sites in walk order: an `Assign`/`Store` expression, then an
 //! `If`'s condition operands (left, then right), then the nested
@@ -22,7 +21,7 @@
 //! survives every rewrite, and the sealing flattener finds the leaf's
 //! resolved slot by it instead of by name.
 
-use llm4fp_fpir::{BinOp, Expr, IndexExpr, MathFunc};
+use llm4fp_fpir::{BinOp, IndexExpr, MathFunc};
 
 use crate::ir::{OCond, OExpr, OStmt};
 
@@ -115,28 +114,6 @@ impl<'s> Arena<'s> {
         self.roots.push(root);
     }
 
-    /// [`Arena::push_site`] for an expression site of the source program,
-    /// lowered the way [`crate::lower`] lowers it: parentheses vanish,
-    /// integer literals become constants, and a compound assignment
-    /// `current op= expr` becomes `current op expr`, its `current` leaf
-    /// (a `Var` or `Index` node, whose id is replaced) numbered first.
-    pub(crate) fn push_source_site(
-        &mut self,
-        compound: Option<(BinOp, Node<'s>)>,
-        expr: &'s Expr,
-        leaf: &mut impl FnMut(Node<'s>),
-    ) {
-        let root = match compound {
-            None => self.add_source_expr(expr, leaf),
-            Some((op, current)) => {
-                let lhs = self.add_leaf(current, leaf);
-                let rhs = self.add_source_expr(expr, leaf);
-                self.push(Node::Bin(op, lhs, rhs))
-            }
-        };
-        self.roots.push(root);
-    }
-
     fn add_expr(&mut self, expr: &'s OExpr, leaf: &mut impl FnMut(Node<'s>)) -> NodeId {
         let node = match expr {
             OExpr::Const(v) => Node::Const(*v),
@@ -159,32 +136,6 @@ impl<'s> Arena<'s> {
                 let start = self.reserve_args(args.len());
                 for (k, arg) in args.iter().enumerate() {
                     let id = self.add_expr(arg, leaf);
-                    self.args[start as usize + k] = id;
-                }
-                Node::Call(*func, start, args.len() as u32)
-            }
-        };
-        self.push(node)
-    }
-
-    fn add_source_expr(&mut self, expr: &'s Expr, leaf: &mut impl FnMut(Node<'s>)) -> NodeId {
-        let node = match expr {
-            Expr::Num(v) => Node::Const(*v),
-            Expr::Int(v) => Node::Const(*v as f64),
-            Expr::Var(name) => return self.add_leaf(Node::Var(name, 0), leaf),
-            Expr::Index { array, index } => {
-                return self.add_leaf(Node::Index(array, index, 0), leaf)
-            }
-            Expr::Paren(inner) => return self.add_source_expr(inner, leaf),
-            Expr::Neg(inner) => Node::Neg(self.add_source_expr(inner, leaf)),
-            Expr::Bin { op, lhs, rhs } => {
-                let lhs = self.add_source_expr(lhs, leaf);
-                Node::Bin(*op, lhs, self.add_source_expr(rhs, leaf))
-            }
-            Expr::Call { func, args } => {
-                let start = self.reserve_args(args.len());
-                for (k, arg) in args.iter().enumerate() {
-                    let id = self.add_source_expr(arg, leaf);
                     self.args[start as usize + k] = id;
                 }
                 Node::Call(*func, start, args.len() as u32)

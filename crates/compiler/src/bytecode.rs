@@ -13,19 +13,17 @@
 //! ## Matrix-shared layout
 //!
 //! The work splits into two phases. A `SealPlan` performs everything
-//! that is *configuration-independent* — the assigned-name census, the
-//! scalar/int/array slot layout, the parameter binding plan, the name
-//! pool, the pre-rounded initializer pool and the resolution of every
-//! name a leaf or an assignment reads — once per program. (The
-//! optimization pass pipeline rewrites expressions only; statement
-//! structure, assignment targets, loop variables and array declarations
-//! are identical under every configuration, so one layout serves the
-//! whole 18-configuration matrix.) The plan's walk also lowers the body's
+//! that is *configuration-independent* — the scalar/int/array slot
+//! layout, the parameter binding plan, the name pool, the pre-rounded
+//! initializer pool and the resolution of every name a leaf or an
+//! assignment reads — once per program. (The optimization pass pipeline
+//! rewrites expressions only; statement structure, assignment targets,
+//! loop variables and array declarations are identical under every
+//! configuration, so one layout serves the whole 18-configuration
+//! matrix.) The plan's walk over the lowered body also lowers its
 //! expressions into the arena (`crate::arena`) the pass pipeline starts
-//! from, and records the statement skeleton as a flat list of ops. It
-//! reads either an IR body or, for [`crate::Frontend`], the validated
-//! source program itself, so the sealed path never builds the lowered IR
-//! tree. A `Flattener` then emits the `Instr` stream for one
+//! from, and records the statement skeleton as a flat list of ops. A
+//! `Flattener` then emits the `Instr` stream for one
 //! configuration's optimized arena laid over that skeleton, which *is*
 //! configuration-dependent. It compares no strings: every leaf carries
 //! the id the plan's walk gave it, the pipeline keeps the id, and the
@@ -58,9 +56,7 @@
 
 use std::sync::Arc;
 
-use llm4fp_fpir::{
-    BinOp, Block, CmpOp, IndexExpr, MathFunc, Param, ParamType, Precision, Program, Stmt,
-};
+use llm4fp_fpir::{BinOp, CmpOp, IndexExpr, MathFunc, Param, ParamType, Precision};
 use llm4fp_mathlib::{FastMathLib, MathLib};
 
 use crate::arena::{Arena, LeafId, Node, NodeId};
@@ -449,17 +445,6 @@ impl SealPlan {
         Ok((walk.finish(), arena))
     }
 
-    /// [`SealPlan::new`] for a validated source program, read without
-    /// lowering it to IR first: the walk lowers each expression site into
-    /// the arena the way [`crate::lower`] would, so plan and arena equal
-    /// those of the lowered body.
-    pub(crate) fn from_source(program: &Program) -> Result<(Self, Arena<'_>), SealError> {
-        let mut walk = PlanWalk::new(program.precision, &program.params)?;
-        let mut arena = Arena::new();
-        walk.walk_source(&program.body, &mut arena)?;
-        Ok((walk.finish(), arena))
-    }
-
     /// Flatten one optimized arena against this plan. The arena must be
     /// the one the plan was built with, or a pass-pipeline rewrite of it
     /// (one root per expression site of the body).
@@ -524,9 +509,7 @@ impl SealPlan {
 /// Mutable state of a plan's single statement walk (the plan itself is
 /// immutable once built, with its layout behind an `Arc`). The walk visits
 /// statements and leaves in the order every flatten does, with the scopes
-/// a flatten would see at each one. Its two entry points read the two
-/// forms of a body, an IR body ([`PlanWalk::walk`]) and a source
-/// program ([`PlanWalk::walk_source`]); both record the same plan.
+/// a flatten would see at each one.
 struct PlanWalk<'p> {
     precision: Precision,
     layout: SealLayout,
@@ -650,46 +633,6 @@ impl<'p> PlanWalk<'p> {
                 OStmt::For { var, bound, body } => {
                     self.enter_for(var, *bound)?;
                     self.walk(body, arena)?;
-                    self.exit_for();
-                }
-            }
-        }
-        self.array_scope.truncate(arrays_before);
-        Ok(())
-    }
-
-    /// [`PlanWalk::walk`] over a source block, lowering as
-    /// [`crate::lower`] does: a declaration is an assignment, and a
-    /// compound assignment reads its target before its expression.
-    fn walk_source(&mut self, block: &'p Block, arena: &mut Arena<'p>) -> Result<(), SealError> {
-        let arrays_before = self.array_scope.len();
-        for stmt in &block.stmts {
-            match stmt {
-                Stmt::Assign { target, op, expr } => {
-                    let current = op.bin_op().map(|bin| (bin, Node::Var(target, 0)));
-                    arena.push_source_site(current, expr, &mut |leaf| self.resolve_leaf(leaf));
-                    self.assign(target)?;
-                }
-                Stmt::DeclScalar { name, expr } => {
-                    arena.push_source_site(None, expr, &mut |leaf| self.resolve_leaf(leaf));
-                    self.assign(name)?;
-                }
-                Stmt::AssignIndex { array, index, op, expr } => {
-                    let current = op.bin_op().map(|bin| (bin, Node::Index(array, index, 0)));
-                    arena.push_source_site(current, expr, &mut |leaf| self.resolve_leaf(leaf));
-                    self.store(array, index);
-                }
-                Stmt::DeclArray { name, size, init } => self.decl_array(name, *size, init)?,
-                Stmt::If { cond, then_block } => {
-                    arena.push_source_site(None, &cond.lhs, &mut |leaf| self.resolve_leaf(leaf));
-                    arena.push_source_site(None, &cond.rhs, &mut |leaf| self.resolve_leaf(leaf));
-                    self.ops.push(Op::If(cond.op));
-                    self.walk_source(then_block, arena)?;
-                    self.ops.push(Op::End);
-                }
-                Stmt::For { var, bound, body } => {
-                    self.enter_for(var, *bound)?;
-                    self.walk_source(body, arena)?;
                     self.exit_for();
                 }
             }

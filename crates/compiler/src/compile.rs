@@ -1,8 +1,6 @@
 //! The compilation entry point: validation → lowering → pass pipeline →
 //! an executable [`CompiledProgram`].
 
-use std::borrow::Cow;
-
 use serde::{Deserialize, Serialize};
 
 use llm4fp_fpir::{validate, InputSet, Param, Precision, Program, ValidationError};
@@ -13,7 +11,7 @@ use crate::config::{CompilerConfig, Semantics};
 use crate::interp::{ExecError, ExecResult, Interpreter, DEFAULT_FUEL};
 use crate::ir::{count_in_body, OExpr, OStmt};
 use crate::lower::lower_program;
-use crate::passes::{rewrite_into, run_pipeline, stages, Stage};
+use crate::passes::{optimize, rewrite, run_pipeline, stages, Stage};
 
 /// Why a program failed to compile.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -121,75 +119,60 @@ impl SealScratch {
     }
 }
 
-/// The configuration-independent front half of the virtual compiler: a
-/// program validated once. Sealing reads the validated program directly:
-/// each seal lowers its expressions straight into the pass pipeline's
-/// arena, which is the only form sealing reads, so the sealed path never
-/// builds the lowered IR tree ([`crate::lower`]). [`Frontend::specialize`]
-/// lowers to that tree for the reference interpreter. Either way, a full
-/// evaluation matrix validates each program once instead of once per
-/// configuration.
-///
-/// [`Frontend::borrowed`] borrows the program (what the campaign and the
-/// differential tester use); [`Frontend::new`] keeps a copy of it, so the
-/// front end may outlive the program it was built from.
+/// The configuration-independent front half of the virtual compiler:
+/// validation and lowering, performed once per program. Specializing the
+/// front end under a [`CompilerConfig`] runs only the per-configuration
+/// pass pipeline, so the full evaluation matrix validates and lowers each
+/// program once instead of once per configuration — the driver-side half
+/// of the sealed execution hot path.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Frontend<'p> {
-    program: Cow<'p, Program>,
+pub struct Frontend {
+    precision: Precision,
+    params: Vec<Param>,
+    lowered: Vec<OStmt>,
 }
 
-impl Frontend<'static> {
-    /// Validate a program once, keeping a copy of it.
-    pub fn new(program: &Program) -> Result<Frontend<'static>, CompileError> {
-        let Frontend { program } = Frontend::borrowed(program)?;
-        Ok(Frontend { program: Cow::Owned(program.into_owned()) })
-    }
-}
-
-impl<'p> Frontend<'p> {
-    /// Validate a program once, borrowing it.
-    pub fn borrowed(program: &'p Program) -> Result<Frontend<'p>, CompileError> {
+impl Frontend {
+    /// Validate and lower a program once.
+    pub fn new(program: &Program) -> Result<Frontend, CompileError> {
         let problems = validate(program);
         if !problems.is_empty() {
             return Err(CompileError::Invalid(problems));
         }
-        Ok(Frontend { program: Cow::Borrowed(program) })
+        Ok(Frontend {
+            precision: program.precision,
+            params: program.params.clone(),
+            lowered: lower_program(program),
+        })
     }
 
-    /// Lower and specialize the program under one configuration.
-    /// Equivalent to [`compile`] with the validation amortized away.
+    /// Specialize the lowered program under one configuration. Equivalent
+    /// to [`compile`] with the validation and lowering amortized away.
     pub fn specialize(&self, config: CompilerConfig) -> CompiledProgram {
         let semantics = config.semantics();
-        let body = run_pipeline(&lower_program(&self.program), &semantics);
+        let body = run_pipeline(&self.lowered, &semantics);
         CompiledProgram {
             config,
-            precision: self.program.precision,
-            params: self.program.params.clone(),
+            precision: self.precision,
+            params: self.params.clone(),
             body,
             semantics,
         }
     }
 
     /// Specialize and seal in one step, skipping the intermediate
-    /// [`CompiledProgram`] (and its lowered tree) on the hot path.
+    /// [`CompiledProgram`] (and its parameter-list clone) on the hot path.
     /// Produces bytecode identical to `self.specialize(config).seal()`.
     pub fn seal(&self, config: CompilerConfig) -> Result<SealedProgram, SealError> {
-        let (plan, mut arena) = SealPlan::from_source(&self.program)?;
+        let (plan, lowered) = SealPlan::new(self.precision, &self.params, &self.lowered)?;
         let semantics = config.semantics();
-        // Two arenas take turns as each stage's input and output.
-        let mut spare = None;
-        for stage in stages(&semantics) {
-            let out = spare.take().unwrap_or_else(|| Arena::sized_like(&arena));
-            let out = rewrite_into(&arena, stage, out);
-            spare = Some(std::mem::replace(&mut arena, out));
-        }
-        plan.flatten(&arena, &semantics)
+        plan.flatten(&optimize(lowered, &semantics), &semantics)
     }
 
     /// Seal one program under a whole configuration matrix at once,
     /// sharing everything the configurations cannot influence:
     ///
-    /// * the program's expressions become one arena, and the pass
+    /// * the lowered body becomes one expression arena, and the pass
     ///   pipeline is factored into a **prefix tree** over arenas: stage
     ///   sequences that share a prefix share the arena after it, computed
     ///   once, and each branch rewrites its parent's arena without copying
@@ -210,7 +193,7 @@ impl<'p> Frontend<'p> {
     ///
     /// [`bytecode` layout]: crate::bytecode
     pub fn seal_matrix(&self, configs: &[CompilerConfig]) -> Vec<Result<SealedProgram, SealError>> {
-        let (plan, lowered) = match SealPlan::from_source(&self.program) {
+        let (plan, lowered) = match SealPlan::new(self.precision, &self.params, &self.lowered) {
             Ok(planned) => planned,
             Err(e) => return configs.iter().map(|_| Err(e.clone())).collect(),
         };
@@ -296,7 +279,7 @@ fn seal_prefix_group<'p, 's>(
         let stage = first[depth];
         let (bucket, tail) = rest.split_at(rest.iter().take_while(|p| p[depth] == stage).count());
         let out = spare.pop().unwrap_or_else(|| Arena::sized_like(arena));
-        let child = rewrite_into(arena, stage, out);
+        let child = rewrite(arena, stage, out);
         seal_prefix_group(plan, &child, depth + 1, bucket, flats, spare);
         spare.push(child);
         rest = tail;
@@ -309,7 +292,7 @@ fn seal_prefix_group<'p, 's>(
 /// programs always compile (the virtual compiler has no resource limits of
 /// its own — execution is bounded separately by fuel).
 pub fn compile(program: &Program, config: CompilerConfig) -> Result<CompiledProgram, CompileError> {
-    Ok(Frontend::borrowed(program)?.specialize(config))
+    Ok(Frontend::new(program)?.specialize(config))
 }
 
 /// Compile a program under every configuration of the full evaluation
@@ -426,39 +409,6 @@ mod tests {
                 );
                 assert_eq!(batched.register_count(), single.register_count(), "{config}");
                 assert_eq!(batched.instruction_count(), single.instruction_count());
-            }
-        }
-    }
-
-    #[test]
-    fn sealing_the_source_matches_sealing_the_lowered_body() {
-        // `Frontend::seal` lowers the source straight into the pass
-        // pipeline's arena; `specialize` lowers it to the IR tree, which
-        // `CompiledProgram::seal` then seals. Compound assignments to
-        // scalars and elements, declarations, integer literals,
-        // parentheses, conditionals and nested loops must seal alike.
-        let sources = [
-            "void compute(double x, double y) { comp = x * y + 2; comp /= (y - 0.5); }",
-            "void compute(double *a, double s, int n) {\n\
-             double t = (s + 1.0) * 2;\n\
-             double buf[3] = {1.5, -2.25};\n\
-             for (int i = 0; i < 4; ++i) {\n\
-               buf[i % 3] += a[i] * s + sin(a[i]) + 1.0 + 2.0;\n\
-               for (int j = 0; j < 2; ++j) { t *= a[j + 1] - j; }\n\
-             }\n\
-             if (buf[0] > t) { comp -= buf[n % 3] / (s + 2.0); }\n\
-             a[0] = -(t + comp);\n\
-             comp += a[0] * pow(t, 2.0);\n\
-             }",
-        ];
-        for src in sources {
-            let program = parse_compute(src).unwrap();
-            let frontend = Frontend::new(&program).unwrap();
-            for config in CompilerConfig::full_matrix() {
-                let direct = frontend.seal(config).unwrap();
-                let lowered = frontend.specialize(config).seal().unwrap();
-                assert!(same_instrs(&direct.instrs, &lowered.instrs), "{config} of {src}");
-                assert_eq!(direct.register_count(), lowered.register_count(), "{config}");
             }
         }
     }

@@ -71,11 +71,15 @@ pub(crate) fn stages(sem: &Semantics) -> Vec<Stage> {
     out
 }
 
-/// Run the full pipeline for the given semantics over a lowered body.
-pub(crate) fn optimize<'s>(body: &'s [OStmt], sem: &Semantics) -> Arena<'s> {
-    let mut arena = Arena::from_body(body);
+/// Run the full pipeline for the given semantics over a lowered body's
+/// arena.
+pub(crate) fn optimize<'s>(mut arena: Arena<'s>, sem: &Semantics) -> Arena<'s> {
+    // Two arenas take turns as each stage's input and output.
+    let mut spare = None;
     for stage in stages(sem) {
-        arena = rewrite(&arena, stage);
+        let out = spare.take().unwrap_or_else(|| Arena::sized_like(&arena));
+        let out = rewrite(&arena, stage, out);
+        spare = Some(std::mem::replace(&mut arena, out));
     }
     arena
 }
@@ -83,17 +87,12 @@ pub(crate) fn optimize<'s>(body: &'s [OStmt], sem: &Semantics) -> Arena<'s> {
 /// Run the full pipeline for the given semantics, returning an owned body
 /// (the form the reference interpreter executes).
 pub fn run_pipeline(body: &[OStmt], sem: &Semantics) -> Vec<OStmt> {
-    optimize(body, sem).raise(body)
+    optimize(Arena::from_body(body), sem).raise(body)
 }
 
-/// Apply one stage: read `src`, write a fresh arena with one root per
-/// root of `src`.
-pub(crate) fn rewrite<'s>(src: &Arena<'s>, stage: Stage) -> Arena<'s> {
-    rewrite_into(src, stage, Arena::sized_like(src))
-}
-
-/// [`rewrite`] into the buffers of `out`, whose contents are discarded.
-pub(crate) fn rewrite_into<'s>(src: &Arena<'s>, stage: Stage, mut out: Arena<'s>) -> Arena<'s> {
+/// Apply one stage: read `src`, write one root per root of `src` into
+/// the buffers of `out`, whose contents are discarded.
+pub(crate) fn rewrite<'s>(src: &Arena<'s>, stage: Stage, mut out: Arena<'s>) -> Arena<'s> {
     out.nodes.clear();
     out.args.clear();
     out.roots.clear();
@@ -594,7 +593,8 @@ mod tests {
     /// Apply one stage to a single expression through the arena.
     fn apply(expr: OExpr, stage: Stage) -> OExpr {
         let body = [OStmt::Assign { target: "comp".into(), expr }];
-        match rewrite(&Arena::from_body(&body), stage).raise(&body).pop() {
+        let arena = Arena::from_body(&body);
+        match rewrite(&arena, stage, Arena::sized_like(&arena)).raise(&body).pop() {
             Some(OStmt::Assign { expr, .. }) => expr,
             other => panic!("unexpected {other:?}"),
         }

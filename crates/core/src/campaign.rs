@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 use rand::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use llm4fp_compiler::{CompileError, Frontend};
+use llm4fp_compiler::Frontend;
 use llm4fp_difftest::{
     record_outcome_metrics, Aggregates, CachedDiff, DiffTester, ExecBackend, ExecEngine,
     MatrixScratch, ResultCache,
@@ -633,7 +633,7 @@ impl CampaignRunner {
         // program it rejects is a generation failure, while a Varity program
         // it rejects fails every configuration of its matrix instead.
         let varity = self.config.approach == ApproachKind::Varity;
-        let checked = program.as_ref().map(|program| (program, Frontend::borrowed(program)));
+        let checked = program.as_ref().map(|program| (program, Frontend::new(program)));
         let Some((program, frontend)) = checked.filter(|(_, front)| varity || front.is_ok()) else {
             self.generation_failures += 1;
             self.telemetry.add(keys::GENERATION_FAILURES, 1);
@@ -663,7 +663,8 @@ impl CampaignRunner {
         let source = to_compute_source(program);
         let hash = source_hash(&source);
         let id = hash_id(hash);
-        let CachedDiff { result, baseline } = self.test_program(program, &frontend, hash, &id);
+        let CachedDiff { result, baseline } =
+            self.test_program(program, frontend.as_ref().ok(), hash, &id);
         // Campaign-level counters record what the program *contributes*
         // (cached or computed alike), which keeps them deterministic even
         // though cache hit/miss attribution is racy across workers.
@@ -698,7 +699,7 @@ impl CampaignRunner {
     fn test_program(
         &mut self,
         program: &Program,
-        frontend: &Result<Frontend<'_>, CompileError>,
+        frontend: Option<&Frontend>,
         hash: u64,
         id: &str,
     ) -> CachedDiff {

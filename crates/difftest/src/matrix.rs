@@ -5,7 +5,8 @@
 //! [`Outcome`] and compares every compiler pair at every level. Callers
 //! that already hold the program's structural hash and front end (the
 //! campaign runner) pass both to [`DiffTester::run_hashed`]; `run` and
-//! `run_with` compute them.
+//! `run_with` compute the hash and leave the front end to the virtual
+//! path.
 //!
 //! The driver is backend-pluggable ([`ExecBackend`]): the virtual path
 //! below is the evaluation default, and [`ExecBackend::External`] swaps
@@ -44,8 +45,8 @@ use serde::{Deserialize, Serialize};
 
 use llm4fp_compiler::interp::DEFAULT_FUEL;
 use llm4fp_compiler::{
-    CompileError, CompilerConfig, CompilerId, ExecError, ExecResult, ExecScratch, Frontend,
-    OptLevel, SealMode, Semantics,
+    CompilerConfig, CompilerId, ExecError, ExecResult, ExecScratch, Frontend, OptLevel, SealMode,
+    SealedProgram, Semantics,
 };
 use llm4fp_extcc::HostToolchain;
 use llm4fp_fpir::{hash_id, program_hash, InputSet, Precision, Program};
@@ -287,32 +288,51 @@ impl DiffTester {
         inputs: &InputSet,
         scratch: &mut MatrixScratch,
     ) -> ProgramDiffResult {
-        let frontend = Frontend::borrowed(program);
-        self.run_hashed(program, &frontend, program_hash(program), inputs, scratch)
+        self.run_hashed(program, None, program_hash(program), inputs, scratch)
     }
 
     /// [`DiffTester::run_with`] for a caller that already holds the
-    /// program's front end, which must be
-    /// [`Frontend::borrowed`]`(program)`, and its structural hash, which
-    /// must equal [`llm4fp_fpir::program_hash`]`(program)`. A front end
-    /// that failed gives every configuration of the virtual matrix the
-    /// same `CompileFail`; the external backend reads only the program.
-    /// The hash becomes [`ProgramDiffResult::program_id`] and keys the
+    /// program's structural hash, which must equal
+    /// [`llm4fp_fpir::program_hash`]`(program)`, and possibly its front
+    /// end, which must then be [`Frontend::new`]`(program)`. The virtual
+    /// backend builds the front end when it is not given, and gives every
+    /// configuration the same `CompileFail` when the program does not
+    /// validate; the external backend reads only the program. The hash
+    /// becomes [`ProgramDiffResult::program_id`] and keys the
     /// compute-level telemetry counters. The campaign runner builds both
     /// once per program (the front end is its validity check) and passes
     /// them here.
     pub fn run_hashed(
         &self,
         program: &Program,
-        frontend: &Result<Frontend<'_>, CompileError>,
+        frontend: Option<&Frontend>,
         hash: u64,
         inputs: &InputSet,
         scratch: &mut MatrixScratch,
     ) -> ProgramDiffResult {
+        debug_assert!(
+            frontend.map_or(true, |given| Frontend::new(program).as_ref() == Ok(given)),
+            "the front end of another program"
+        );
         let configs = self.configurations();
         let outcomes = match &self.backend {
             ExecBackend::Virtual(engine) => {
-                self.run_virtual(frontend, hash, inputs, &configs, *engine, scratch)
+                let built;
+                let frontend = match frontend {
+                    Some(frontend) => Ok(frontend),
+                    None => {
+                        built = Frontend::new(program);
+                        built.as_ref()
+                    }
+                };
+                match frontend {
+                    Ok(frontend) => {
+                        self.run_virtual(frontend, hash, inputs, &configs, *engine, scratch)
+                    }
+                    // Validation failure: the whole matrix fails to compile
+                    // with the same reason.
+                    Err(e) => vec![Outcome::CompileFail { reason: e.to_string() }; configs.len()],
+                }
             }
             ExecBackend::External(toolchain) => {
                 self.run_external(toolchain, program, hash, inputs, &configs)
@@ -414,19 +434,13 @@ impl DiffTester {
     /// [`SealedProgram::runs_identically`]: llm4fp_compiler::SealedProgram::runs_identically
     fn run_virtual(
         &self,
-        frontend: &Result<Frontend<'_>, CompileError>,
+        frontend: &Frontend,
         hash: u64,
         inputs: &InputSet,
         configs: &[CompilerConfig],
         engine: ExecEngine,
         scratch: &mut MatrixScratch,
     ) -> Vec<Outcome> {
-        let frontend = match frontend {
-            Ok(frontend) => frontend,
-            // Validation failure: the whole matrix fails to compile with
-            // the same reason.
-            Err(e) => return vec![Outcome::CompileFail { reason: e.to_string() }; configs.len()],
-        };
         let mut semantics: Vec<Semantics> = Vec::with_capacity(configs.len());
         let mut reps: Vec<CompilerConfig> = Vec::with_capacity(configs.len());
         let class_of: Vec<usize> = configs
@@ -440,57 +454,48 @@ impl DiffTester {
                 })
             })
             .collect();
-        let reference =
-            |config: CompilerConfig| outcome_of(frontend.specialize(config).execute(inputs));
-        let class_outcomes: Vec<Outcome> = match engine {
-            ExecEngine::Reference => reps.iter().map(|&rep| reference(rep)).collect(),
+        let telemetry = &self.telemetry;
+        // The sealed artifact of each class (None on the reference
+        // engine, which specializes each class below).
+        let sealed = match engine {
             ExecEngine::Sealed => {
-                let telemetry = &self.telemetry;
-                let sealed = {
-                    let _span = telemetry.span(keys::SPAN_SEAL);
-                    frontend.seal_matrix(&reps)
-                };
-                if telemetry.is_enabled() {
-                    let refused = class_of.iter().filter(|&&k| sealed[k].is_err()).count() as u64;
-                    if refused > 0 {
-                        // One refused program; `refused` configurations
-                        // fall back to the reference interpreter.
-                        telemetry.add_keyed(keys::SEAL_REFUSALS, hash, 1);
-                        telemetry.add_keyed(keys::INTERPRETER_FALLBACKS, hash, refused);
+                let _span = telemetry.span(keys::SPAN_SEAL);
+                Some(frontend.seal_matrix(&reps))
+            }
+            ExecEngine::Reference => None,
+        };
+        if let (true, Some(sealed)) = (telemetry.is_enabled(), &sealed) {
+            let refused = class_of.iter().filter(|&&k| sealed[k].is_err()).count() as u64;
+            if refused > 0 {
+                // One refused program; `refused` configurations fall back
+                // to the reference interpreter.
+                telemetry.add_keyed(keys::SEAL_REFUSALS, hash, 1);
+                telemetry.add_keyed(keys::INTERPRETER_FALLBACKS, hash, refused);
+            }
+        }
+        let _span = telemetry.span(keys::SPAN_EXECUTE);
+        // The sealed classes that executed: the only ones a later class
+        // can share an execution with.
+        let mut executed: Vec<(usize, &SealedProgram)> = Vec::with_capacity(reps.len());
+        let mut outcomes: Vec<Outcome> = Vec::with_capacity(reps.len());
+        for (k, &rep) in reps.iter().enumerate() {
+            let outcome = match sealed.as_ref().map(|sealed| &sealed[k]) {
+                Some(Ok(artifact)) => {
+                    match executed.iter().find(|(_, earlier)| earlier.runs_identically(artifact)) {
+                        Some(&(j, _)) => outcomes[j].clone(),
+                        None => {
+                            executed.push((k, artifact));
+                            let result =
+                                artifact.execute_into(inputs, DEFAULT_FUEL, &mut scratch.exec);
+                            outcome_of(result)
+                        }
                     }
                 }
-                let _span = telemetry.span(keys::SPAN_EXECUTE);
-                // The classes that executed: the only ones a later class
-                // can share an execution with.
-                let mut executed: Vec<usize> = Vec::with_capacity(sealed.len());
-                let mut outcomes: Vec<Outcome> = Vec::with_capacity(sealed.len());
-                for (k, artifact) in sealed.iter().enumerate() {
-                    let outcome = match artifact {
-                        Err(_) => reference(reps[k]),
-                        Ok(artifact) => {
-                            let twin = executed.iter().copied().find(|&j| {
-                                matches!(&sealed[j], Ok(earlier) if earlier.runs_identically(artifact))
-                            });
-                            match twin {
-                                Some(j) => outcomes[j].clone(),
-                                None => {
-                                    executed.push(k);
-                                    let result = artifact.execute_into(
-                                        inputs,
-                                        DEFAULT_FUEL,
-                                        &mut scratch.exec,
-                                    );
-                                    outcome_of(result)
-                                }
-                            }
-                        }
-                    };
-                    outcomes.push(outcome);
-                }
-                outcomes
-            }
-        };
-        class_of.into_iter().map(|k| class_outcomes[k].clone()).collect()
+                Some(Err(_)) | None => outcome_of(frontend.specialize(rep).execute(inputs)),
+            };
+            outcomes.push(outcome);
+        }
+        class_of.into_iter().map(|k| outcomes[k].clone()).collect()
     }
 
     /// Compare every compiler pair at every level, returning the
@@ -873,6 +878,23 @@ mod tests {
         let metrics = hub.metrics();
         assert_eq!(metrics.get(keys::SEAL_REFUSALS), 1);
         assert_eq!(metrics.get(keys::INTERPRETER_FALLBACKS), 15);
+    }
+
+    #[test]
+    fn both_engines_time_their_execution() {
+        // One execute span per program on either engine; only the sealed
+        // engine seals.
+        let program = parse_compute("void compute(double x) { comp = sin(x) * x + 1.0; }").unwrap();
+        for (engine, seals) in [(ExecEngine::Sealed, 1), (ExecEngine::Reference, 0)] {
+            let hub = llm4fp_telemetry::TelemetryHub::new(llm4fp_telemetry::TelemetrySpec::TRACE);
+            let tester = DiffTester::new().with_engine(engine).with_telemetry(hub.lane(0));
+            assert_eq!(tester.run(&program, &inputs_x(0.5)).ok_count(), 18);
+            let count = |key| hub.histogram(key).map_or(0, |h| h.count);
+            assert_eq!(count(keys::SPAN_EXECUTE), 1, "{engine:?}");
+            assert_eq!(count(keys::SPAN_SEAL), seals, "{engine:?}");
+            assert!(hub.summary().exec_time > std::time::Duration::ZERO, "{engine:?}");
+            assert_eq!(hub.summary().trace_events, 1 + seals, "{engine:?}");
+        }
     }
 
     #[test]
