@@ -28,9 +28,11 @@
 //! after 200 and after 2000 programs. The second frame is about ten times
 //! the first, so a decoder that turns superlinear again regresses the
 //! 2000-program entry far more than the 200-program one.
-//! `metrics` prices Table 2's diversity column: the average pairwise
-//! CodeBLEU of a 160-program LLM4FP corpus at the default pair cap (which
-//! binds, so the stride-sampled path is what is timed).
+//! `metrics` prices Table 2's diversity column on a 160-program LLM4FP
+//! corpus at the default pair cap (which binds, so the stride-sampled
+//! path is what is timed): `pairwise_codebleu_160` is the average
+//! pairwise CodeBLEU alone, and `diversity_report_160` the whole column,
+//! `DiversityReport::measure`, which adds clone detection.
 //! `fpir_text` prices the text layer every LLM4FP program crosses four
 //! times (the simulated LLM parses its seed and prints the mutant, then
 //! the campaign parses the response and prints the canonical source):
@@ -51,7 +53,7 @@ use llm4fp_compiler::{
 use llm4fp_difftest::{DiffTester, ExecEngine, MatrixScratch};
 use llm4fp_fpir::{parse_compute, program_hash, to_compute_source, InputSet, Program};
 use llm4fp_generator::{InputGenerator, VarityGenerator};
-use llm4fp_metrics::average_pairwise_codebleu;
+use llm4fp_metrics::{average_pairwise_codebleu, DiversityReport};
 use llm4fp_orchestrator::wire::{read_frame, write_frame, ShardJob, WireRequest};
 use llm4fp_orchestrator::{plan_shards, Orchestrator, ShardRunner};
 use llm4fp_telemetry::TelemetrySpec;
@@ -293,6 +295,9 @@ fn bench_metrics(c: &mut Criterion) {
     let (sources, cap) = llm4fp_corpus_160();
     group.bench_function("pairwise_codebleu_160", |b| {
         b.iter(|| black_box(average_pairwise_codebleu(&sources, 1, cap)))
+    });
+    group.bench_function("diversity_report_160", |b| {
+        b.iter(|| black_box(DiversityReport::measure(&sources, cap)))
     });
     group.finish();
 }

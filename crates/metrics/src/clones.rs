@@ -12,6 +12,7 @@
 //! reproduces that check.
 
 use std::collections::HashMap;
+use std::fmt::Write;
 
 use serde::{Deserialize, Serialize};
 
@@ -99,7 +100,7 @@ pub fn normalize_type2c(source: &str) -> String {
 /// [`CloneType::ALL`] order, from one pass over its tokens.
 fn clone_keys(source: &str) -> [String; 3] {
     let [mut type1, mut type2, mut type2c] = [String::new(), String::new(), String::new()];
-    let mut renames: HashMap<String, usize> = HashMap::new();
+    let mut renames: HashMap<&str, usize> = HashMap::new();
     let mut first = true;
     scan_tokens(source, |kind, text| {
         if !first {
@@ -117,8 +118,8 @@ fn clone_keys(source: &str) -> [String; 3] {
         });
         if kind == TokenKind::Ident {
             let next = renames.len();
-            let id = *renames.entry(text.to_string()).or_insert(next);
-            type2c.push_str(&format!("id{id}"));
+            let id = *renames.entry(text).or_insert(next);
+            let _ = write!(type2c, "id{id}");
         } else {
             type2c.push_str(text);
         }

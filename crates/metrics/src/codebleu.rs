@@ -17,17 +17,28 @@
 //! programs, which is how the paper uses the metric.
 //!
 //! A corpus average scores each program against up to 2(N−1) others, so
-//! the work is split in two: `Vocabulary::profile` tokenizes and parses a
-//! program once into a profile of sorted id runs, and `score` rates a pair
-//! of profiles with one merge walk per component.
+//! the work is split in two. `Vocabulary::profile` tokenizes and parses a
+//! program once and interns each of its features (the 1- to 4-grams, the
+//! AST shapes and the def-use edges) into one id space that the whole
+//! corpus shares. An n-gram is interned as its (n−1)-prefix's id and its
+//! last token's id, and a shape as its kind, its operator or function and
+//! its children's ids, so no feature is spelled out as a string. The
+//! profile keeps one `(id, count, weight)` run per component and the
+//! run's totals. A `MatchTable` scatters a candidate's runs into a dense
+//! table indexed by id, then scores each reference with one pass over the
+//! reference's runs: Σ min(table, count) per component. Those matched
+//! counts are the same integer sums whatever the ids are, so a score does
+//! not depend on the order in which a corpus was profiled.
 
-use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
 use llm4fp_fpir::tokens::scan_tokens;
 use llm4fp_fpir::{parse_compute, Block, Expr, Program, Stmt, TokenKind};
+
+#[cfg(test)]
+pub(crate) mod oracle;
 
 /// Component weights; the reference implementation defaults to 0.25 each.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -61,36 +72,14 @@ pub fn codebleu(candidate: &str, reference: &str, weights: CodeBleuWeights) -> C
     let mut vocabulary = Vocabulary::default();
     let candidate = vocabulary.profile(candidate);
     let reference = vocabulary.profile(reference);
-    score(&candidate, &reference, weights)
+    let mut table = MatchTable::new(vocabulary.len());
+    table.load(&candidate);
+    table.score(&reference, weights)
 }
 
 /// Convenience: CodeBLEU with the default 0.25/0.25/0.25/0.25 weights.
 pub fn codebleu_default(candidate: &str, reference: &str) -> CodeBleuBreakdown {
     codebleu(candidate, reference, CodeBleuWeights::default())
-}
-
-/// CodeBLEU of one profiled program against another. Both profiles must
-/// come from the same [`Vocabulary`].
-pub(crate) fn score(
-    candidate: &CodeBleuProfile,
-    reference: &CodeBleuProfile,
-    weights: CodeBleuWeights,
-) -> CodeBleuBreakdown {
-    let (bleu, weighted_bleu) = bleu_scores(candidate, reference);
-    let (syntax_match, dataflow_match) = match (&candidate.structure, &reference.structure) {
-        (Some(c), Some(r)) => (
-            clipped_ratio(&c.shapes, &r.shapes).unwrap_or(0.0),
-            // No data flow at all: treat as fully matched only if the
-            // reference also has none (both are trivial programs).
-            clipped_ratio(&c.edges, &r.edges).unwrap_or(if r.edges.is_empty() { 1.0 } else { 0.0 }),
-        ),
-        _ => (0.0, 0.0),
-    };
-    let combined = weights.ngram * bleu
-        + weights.weighted_ngram * weighted_bleu
-        + weights.syntax * syntax_match
-        + weights.dataflow * dataflow_match;
-    CodeBleuBreakdown { bleu, weighted_bleu, syntax_match, dataflow_match, combined }
 }
 
 // ---------------------------------------------------------------------------
@@ -103,316 +92,439 @@ const MAX_N: usize = 4;
 /// Weight of a keyword token in the weighted n-gram match (others weigh 1).
 const KEYWORD_WEIGHT: u32 = 4;
 
-/// Interns token texts and AST shapes to dense ids, so that profiles built
-/// from one vocabulary compare by id instead of by string.
+/// A profile's components: the n-gram orders 1..=4, then these two.
+const SHAPES: usize = MAX_N;
+const EDGES: usize = MAX_N + 1;
+const COMPONENTS: usize = MAX_N + 2;
+
+/// Interns every feature of the programs it profiles into one dense id
+/// space, so that profiles built from one vocabulary compare by id.
 #[derive(Debug, Default)]
 pub(crate) struct Vocabulary {
-    ids: HashMap<String, u32>,
+    /// Token text → the id of its 1-gram.
+    tokens: HashMap<Box<str>, u32>,
+    /// Every other feature, by its [`Key`].
+    features: HashMap<Key, u32>,
+    /// Ids handed out so far.
+    len: u32,
+    /// Scratch of `profile`: the features of the program being profiled,
+    /// and, indexed by id, where each sits in that list (`NONE` if absent).
+    run: Vec<Feature>,
+    slots: Vec<u32>,
 }
 
-/// Everything CodeBLEU needs to know about one program, in sorted runs
-/// that score a pair with one merge walk each.
+/// A feature other than a 1-gram: a tag naming its kind (and operator or
+/// function), then two ids or small integers.
+type Key = (u32, u32, u32);
+
+const NONE: u32 = u32::MAX;
+
+/// Everything CodeBLEU needs to know about one program.
 #[derive(Debug)]
 pub(crate) struct CodeBleuProfile {
     tokens: usize,
-    /// `ngrams[n - 1]`: the distinct n-grams, sorted by key.
-    ngrams: [Vec<Gram>; MAX_N],
-    /// `None` when the source does not parse.
-    structure: Option<Structure>,
+    /// Whether the source parsed; if not, the structure components are
+    /// empty and score 0.
+    parsed: bool,
+    /// The distinct features of each component in turn: component `c` is
+    /// `features[ends[c - 1]..ends[c]]` (from 0 for `c = 0`).
+    features: Box<[Feature]>,
+    ends: [u32; COMPONENTS],
+    /// Σ count and Σ weight over each component's features.
+    totals: [(u32, u32); COMPONENTS],
 }
 
-/// One distinct n-gram: token ids (zero-padded past `n`), its number of
-/// occurrences and the sum over them of its token weights.
+/// One distinct feature of a program: its id, its number of occurrences
+/// and, for an n-gram, the sum over them of its token weights (0 for a
+/// shape or an edge).
 ///
-/// The reference implementation weighs each occurrence by the *mean* token
-/// weight, `sum / n`. With weights 1 and 4 that mean is a multiple of ¼
-/// for every n ≤ 4 (for n = 3 because 4 ≡ 1 mod 3), so every total it
-/// feeds is exact and dividing both sides of a precision by `n` cannot
-/// change its value: the integer sums give the same bits.
-#[derive(Debug)]
-struct Gram {
-    key: [u32; MAX_N],
+/// The reference implementation weighs each n-gram occurrence by the
+/// *mean* token weight, `sum / n`. With weights 1 and 4 that mean is a
+/// multiple of ¼ for every n ≤ 4 (for n = 3 because 4 ≡ 1 mod 3), so every
+/// total it feeds is exact and dividing both sides of a precision by `n`
+/// cannot change its value: the integer sums give the same bits.
+#[derive(Debug, Clone, Copy)]
+struct Feature {
+    id: u32,
     count: u32,
     weight: u32,
 }
 
-/// Sorted `(id, count)` multisets of a parsed program's abstracted AST
-/// shapes and normalized def-use edges.
-#[derive(Debug)]
-struct Structure {
-    shapes: Vec<(u32, u32)>,
-    edges: Vec<(u64, u32)>,
+impl CodeBleuProfile {
+    fn run(&self, component: usize) -> &[Feature] {
+        let start = if component == 0 { 0 } else { self.ends[component - 1] };
+        &self.features[start as usize..self.ends[component] as usize]
+    }
 }
 
 impl Vocabulary {
+    /// The number of ids handed out: a [`MatchTable`] for this vocabulary's
+    /// profiles needs this many slots.
+    pub(crate) fn len(&self) -> usize {
+        self.len as usize
+    }
+
     /// Tokenize and parse `source` once into its CodeBLEU profile.
     pub(crate) fn profile(&mut self, source: &str) -> CodeBleuProfile {
-        let mut tokens = Vec::new();
+        let mut grams = Vec::new();
         scan_tokens(source, |kind, text| {
             let weight = if kind == TokenKind::Keyword { KEYWORD_WEIGHT } else { 1 };
-            tokens.push((self.id(text), weight));
+            grams.push((self.token(text), weight));
         });
-        let structure = parse_compute(source).ok().map(|program| Structure {
-            shapes: multiset(collect_shapes(&program).iter().map(|s| self.id(s)).collect()),
-            edges: multiset(dataflow_edges(&program)),
-        });
-        CodeBleuProfile {
-            tokens: tokens.len(),
-            ngrams: std::array::from_fn(|i| ngram_run(&tokens, i + 1)),
-            structure,
+        let tokens = grams.len();
+        let unigrams = grams.clone();
+        let mut ends = [0; COMPONENTS];
+        for n in 1..=MAX_N {
+            if n > 1 {
+                // Extend each (n−1)-gram by the token that follows it.
+                grams.pop();
+                for (gram, &(last, weight)) in grams.iter_mut().zip(unigrams.iter().skip(n - 1)) {
+                    *gram = (self.intern((GRAM, gram.0, last)), gram.1 + weight);
+                }
+            }
+            for &(id, weight) in &grams {
+                self.count(id, weight);
+            }
+            ends[n - 1] = self.run.len() as u32;
         }
+        let program = parse_compute(source).ok();
+        if let Some(program) = &program {
+            self.shape_block(&program.body);
+        }
+        ends[SHAPES] = self.run.len() as u32;
+        if let Some(program) = &program {
+            self.dataflow(program);
+        }
+        ends[EDGES] = self.run.len() as u32;
+        let mut start = 0;
+        let totals = ends.map(|end| {
+            let run = &self.run[start as usize..end as usize];
+            start = end;
+            run.iter().fold((0, 0), |(count, weight), f| (count + f.count, weight + f.weight))
+        });
+        for feature in &self.run {
+            self.slots[feature.id as usize] = NONE;
+        }
+        let features = Box::from(&self.run[..]);
+        self.run.clear();
+        CodeBleuProfile { tokens, parsed: program.is_some(), features, ends, totals }
     }
 
-    fn id(&mut self, text: &str) -> u32 {
-        if let Some(&id) = self.ids.get(text) {
+    /// The 1-gram id of a token text.
+    fn token(&mut self, text: &str) -> u32 {
+        if let Some(&id) = self.tokens.get(text) {
             return id;
         }
-        let id = u32::try_from(self.ids.len()).expect("vocabulary exceeds u32 ids");
-        self.ids.insert(text.to_string(), id);
+        let id = self.next_id();
+        self.tokens.insert(text.into(), id);
         id
     }
-}
 
-/// The sorted distinct n-grams of a `(token id, weight)` stream.
-fn ngram_run(tokens: &[(u32, u32)], n: usize) -> Vec<Gram> {
-    let mut grams: Vec<Gram> = tokens
-        .windows(n)
-        .map(|window| {
-            let mut key = [0; MAX_N];
-            for (slot, &(id, _)) in key.iter_mut().zip(window) {
-                *slot = id;
-            }
-            Gram { key, count: 1, weight: window.iter().map(|&(_, weight)| weight).sum() }
-        })
-        .collect();
-    grams.sort_unstable_by_key(|gram| gram.key);
-    grams.dedup_by(|next, kept| {
-        let same = next.key == kept.key;
-        if same {
-            kept.count += next.count;
-            kept.weight += next.weight;
+    fn intern(&mut self, key: Key) -> u32 {
+        let next = self.len;
+        let id = *self.features.entry(key).or_insert(next);
+        if id == next {
+            self.next_id();
         }
-        same
-    });
-    // A corpus keeps every profile alive while its pairs are scored.
-    grams.shrink_to_fit();
-    grams
-}
-
-/// Sort `keys` into `(key, count)` runs.
-fn multiset<K: Ord + Copy>(mut keys: Vec<K>) -> Vec<(K, u32)> {
-    keys.sort_unstable();
-    let mut runs: Vec<(K, u32)> = Vec::new();
-    for key in keys {
-        match runs.last_mut() {
-            Some((last, count)) if *last == key => *count += 1,
-            _ => runs.push((key, 1)),
-        }
+        id
     }
-    runs.shrink_to_fit();
-    runs
-}
 
-/// Call `both` on every pair of entries that two key-sorted runs share.
-fn for_shared<T, K: Ord>(a: &[T], b: &[T], key: impl Fn(&T) -> K, mut both: impl FnMut(&T, &T)) {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match key(&a[i]).cmp(&key(&b[j])) {
-            Ordering::Less => i += 1,
-            Ordering::Greater => j += 1,
-            Ordering::Equal => {
-                both(&a[i], &b[j]);
-                i += 1;
-                j += 1;
-            }
+    fn next_id(&mut self) -> u32 {
+        let id = self.len;
+        self.len =
+            id.checked_add(1).filter(|&len| len != NONE).expect("vocabulary exceeds u32 ids");
+        id
+    }
+
+    /// Count one occurrence of feature `id` in the program being profiled.
+    fn count(&mut self, id: u32, weight: u32) {
+        if self.slots.len() <= id as usize {
+            self.slots.resize(self.len as usize, NONE);
+        }
+        let slot = &mut self.slots[id as usize];
+        if *slot == NONE {
+            *slot = self.run.len() as u32;
+            self.run.push(Feature { id, count: 1, weight });
+        } else {
+            let feature = &mut self.run[*slot as usize];
+            feature.count += 1;
+            feature.weight += weight;
         }
     }
 }
 
-/// The share of the candidate multiset that the reference covers,
-/// `Σ min(count) / Σ candidate count`; `None` for an empty candidate.
-fn clipped_ratio<K: Ord + Copy>(cand: &[(K, u32)], reference: &[(K, u32)]) -> Option<f64> {
-    if cand.is_empty() {
-        return None;
+// ---------------------------------------------------------------------------
+// Scoring
+// ---------------------------------------------------------------------------
+
+/// One candidate's features scattered into a dense table indexed by id:
+/// `slots[id]` holds the candidate's `(count, weight)` of feature `id`,
+/// and `(0, 0)` for every feature the candidate lacks.
+#[derive(Debug)]
+pub(crate) struct MatchTable<'p> {
+    slots: Vec<(u32, u32)>,
+    candidate: Option<&'p CodeBleuProfile>,
+}
+
+impl<'p> MatchTable<'p> {
+    /// An empty table for profiles of a vocabulary with `len` ids.
+    pub(crate) fn new(len: usize) -> MatchTable<'p> {
+        MatchTable { slots: vec![(0, 0); len], candidate: None }
     }
-    let mut matched = 0u64;
-    for_shared(cand, reference, |&(key, _)| key, |c, r| matched += u64::from(c.1.min(r.1)));
-    let total: u64 = cand.iter().map(|&(_, count)| u64::from(count)).sum();
-    Some(matched as f64 / total as f64)
+
+    /// Make `candidate` the program that [`Self::score`] rates, clearing
+    /// the previous candidate's entries.
+    pub(crate) fn load(&mut self, candidate: &'p CodeBleuProfile) {
+        if let Some(previous) = self.candidate {
+            for feature in previous.features.iter() {
+                self.slots[feature.id as usize] = (0, 0);
+            }
+        }
+        for feature in candidate.features.iter() {
+            self.slots[feature.id as usize] = (feature.count, feature.weight);
+        }
+        self.candidate = Some(candidate);
+    }
+
+    /// CodeBLEU of the loaded candidate against `reference`. Both profiles
+    /// must come from the same [`Vocabulary`].
+    pub(crate) fn score(
+        &self,
+        reference: &CodeBleuProfile,
+        weights: CodeBleuWeights,
+    ) -> CodeBleuBreakdown {
+        let candidate = self.candidate.expect("a candidate is loaded before scoring");
+        let (bleu, weighted_bleu) = self.bleu_scores(candidate, reference);
+        let (syntax_match, dataflow_match) = if candidate.parsed && reference.parsed {
+            let (shapes, edges) = (candidate.totals[SHAPES].0, candidate.totals[EDGES].0);
+            (
+                self.coverage(shapes, reference.run(SHAPES)).unwrap_or(0.0),
+                // No data flow at all: treat as fully matched only if the
+                // reference also has none (both are trivial programs).
+                self.coverage(edges, reference.run(EDGES))
+                    .unwrap_or(if reference.run(EDGES).is_empty() { 1.0 } else { 0.0 }),
+            )
+        } else {
+            (0.0, 0.0)
+        };
+        let combined = weights.ngram * bleu
+            + weights.weighted_ngram * weighted_bleu
+            + weights.syntax * syntax_match
+            + weights.dataflow * dataflow_match;
+        CodeBleuBreakdown { bleu, weighted_bleu, syntax_match, dataflow_match, combined }
+    }
+
+    /// `(Σ min count, Σ min weight)` of the candidate against one run of
+    /// the reference: the multiset intersection's size, read from the
+    /// table in one pass.
+    fn matched(&self, reference: &[Feature]) -> (u64, u64) {
+        let (mut count, mut weight) = (0u64, 0u64);
+        for feature in reference {
+            let (c, w) = self.slots[feature.id as usize];
+            count += u64::from(c.min(feature.count));
+            weight += u64::from(w.min(feature.weight));
+        }
+        (count, weight)
+    }
+
+    /// The share of the candidate's `total` features that the reference
+    /// covers; `None` for an empty candidate.
+    fn coverage(&self, total: u32, reference: &[Feature]) -> Option<f64> {
+        (total > 0).then(|| self.matched(reference).0 as f64 / f64::from(total))
+    }
+
+    /// `(bleu, weighted_bleu)` of the candidate against `reference`.
+    fn bleu_scores(&self, cand: &CodeBleuProfile, reference: &CodeBleuProfile) -> (f64, f64) {
+        if cand.tokens == 0 || reference.tokens == 0 {
+            return (0.0, 0.0);
+        }
+        // Smoothed geometric mean of the modified precisions (smoothing
+        // keeps a single empty precision from zeroing the whole score, as
+        // in the common "add-epsilon" BLEU smoothing).
+        let (mut log_sum, mut log_sum_weighted) = (0.0, 0.0);
+        for n in 0..MAX_N {
+            let (total, total_weight) = cand.totals[n];
+            let (p, p_weighted) = if total == 0 {
+                (0.0, 0.0)
+            } else {
+                let (matched, matched_weight) = self.matched(reference.run(n));
+                (matched as f64 / f64::from(total), matched_weight as f64 / f64::from(total_weight))
+            };
+            log_sum += p.max(1e-6).ln() / MAX_N as f64;
+            log_sum_weighted += p_weighted.max(1e-6).ln() / MAX_N as f64;
+        }
+        // Brevity penalty.
+        let c = cand.tokens as f64;
+        let r = reference.tokens as f64;
+        let bp = if c >= r { 1.0 } else { (1.0 - r / c).exp() };
+        ((log_sum.exp() * bp).clamp(0.0, 1.0), (log_sum_weighted.exp() * bp).clamp(0.0, 1.0))
+    }
 }
 
 // ---------------------------------------------------------------------------
-// BLEU / weighted BLEU
+// Feature keys: n-grams, AST shapes and data-flow edges
 // ---------------------------------------------------------------------------
 
-/// Plain and keyword-weighted modified n-gram precision, from one walk.
-fn modified_precisions(cand: &[Gram], reference: &[Gram]) -> (f64, f64) {
-    if cand.is_empty() {
-        return (0.0, 0.0);
-    }
-    let (mut matched, mut matched_weight) = (0u64, 0u64);
-    for_shared(
-        cand,
-        reference,
-        |gram| gram.key,
-        |c, r| {
-            matched += u64::from(c.count.min(r.count));
-            matched_weight += u64::from(c.weight.min(r.weight));
-        },
-    );
-    let (mut total, mut total_weight) = (0u64, 0u64);
-    for gram in cand {
-        total += u64::from(gram.count);
-        total_weight += u64::from(gram.weight);
-    }
-    (matched as f64 / total as f64, matched_weight as f64 / total_weight as f64)
-}
+/// Tags of the [`Key`]s. The tags from `ASSIGN` on carry an operator or a
+/// math function, added to the tag: each is 256 past the one before, more
+/// than any of those enums has variants.
+const GRAM: u32 = 0;
+const EDGE: u32 = 1;
+const NUM: u32 = 2;
+const INT: u32 = 3;
+const VAR: u32 = 4;
+const INDEX: u32 = 5;
+const PAREN: u32 = 6;
+const NEG: u32 = 7;
+const FOR: u32 = 8;
+const DECL: u32 = 9;
+const DECL_ARRAY: u32 = 10;
+const CALL_ARG: u32 = 11;
+const ASSIGN: u32 = 1 << 8;
+const STORE: u32 = 2 << 8;
+const BIN: u32 = 3 << 8;
+const IF: u32 = 4 << 8;
+const CALL: u32 = 5 << 8;
 
-/// `(bleu, weighted_bleu)` of a profiled pair.
-fn bleu_scores(cand: &CodeBleuProfile, reference: &CodeBleuProfile) -> (f64, f64) {
-    if cand.tokens == 0 || reference.tokens == 0 {
-        return (0.0, 0.0);
+impl Vocabulary {
+    /// Count the shape of every statement and every non-leaf expression
+    /// subtree of `block`. Identifiers and literal values are abstracted
+    /// away, so the comparison is purely structural.
+    fn shape_block(&mut self, block: &Block) {
+        for stmt in &block.stmts {
+            let (key, body) = match stmt {
+                Stmt::Assign { op, expr, .. } => {
+                    ((ASSIGN + *op as u32, self.shape_expr(expr), 0), None)
+                }
+                Stmt::DeclScalar { expr, .. } => ((DECL, self.shape_expr(expr), 0), None),
+                Stmt::DeclArray { size, .. } => {
+                    let size = *size as u64;
+                    ((DECL_ARRAY, size as u32, (size >> 32) as u32), None)
+                }
+                Stmt::AssignIndex { op, expr, .. } => {
+                    ((STORE + *op as u32, self.shape_expr(expr), 0), None)
+                }
+                Stmt::If { cond, then_block } => {
+                    let lhs = self.shape_expr(&cond.lhs);
+                    let rhs = self.shape_expr(&cond.rhs);
+                    ((IF + cond.op as u32, lhs, rhs), Some(then_block))
+                }
+                Stmt::For { body, .. } => ((FOR, 0, 0), Some(body)),
+            };
+            self.count_key(key);
+            if let Some(body) = body {
+                self.shape_block(body);
+            }
+        }
     }
-    // Smoothed geometric mean of the modified precisions (smoothing keeps a
-    // single empty precision from zeroing the whole score, as in the common
-    // "add-epsilon" BLEU smoothing).
-    let (mut log_sum, mut log_sum_weighted) = (0.0, 0.0);
-    for (c, r) in cand.ngrams.iter().zip(&reference.ngrams) {
-        let (p, p_weighted) = modified_precisions(c, r);
-        log_sum += p.max(1e-6).ln() / MAX_N as f64;
-        log_sum_weighted += p_weighted.max(1e-6).ln() / MAX_N as f64;
+
+    /// The shape id of `expr`; counts it unless it is a leaf (a literal or
+    /// a variable).
+    fn shape_expr(&mut self, expr: &Expr) -> u32 {
+        let key = match expr {
+            Expr::Num(_) => return self.intern((NUM, 0, 0)),
+            Expr::Int(_) => return self.intern((INT, 0, 0)),
+            Expr::Var(_) => return self.intern((VAR, 0, 0)),
+            Expr::Index { .. } => (INDEX, 0, 0),
+            Expr::Paren(inner) => (PAREN, self.shape_expr(inner), 0),
+            Expr::Neg(inner) => (NEG, self.shape_expr(inner), 0),
+            Expr::Bin { op, lhs, rhs } => {
+                let l = self.shape_expr(lhs);
+                let r = self.shape_expr(rhs);
+                (BIN + *op as u32, l, r)
+            }
+            Expr::Call { func, args } => {
+                // The arguments are chained one by one onto the call's head.
+                let mut id = self.intern((CALL + *func as u32, 0, 0));
+                for arg in args {
+                    let arg = self.shape_expr(arg);
+                    id = self.intern((CALL_ARG, id, arg));
+                }
+                self.count(id, 0);
+                return id;
+            }
+        };
+        self.count_key(key)
     }
-    // Brevity penalty.
-    let c = cand.tokens as f64;
-    let r = reference.tokens as f64;
-    let bp = if c >= r { 1.0 } else { (1.0 - r / c).exp() };
-    ((log_sum.exp() * bp).clamp(0.0, 1.0), (log_sum_weighted.exp() * bp).clamp(0.0, 1.0))
-}
 
-// ---------------------------------------------------------------------------
-// AST subtree shapes
-// ---------------------------------------------------------------------------
+    /// Intern `key` and count one occurrence of it; returns its id.
+    fn count_key(&mut self, key: Key) -> u32 {
+        let id = self.intern(key);
+        self.count(id, 0);
+        id
+    }
 
-/// Collect abstracted shapes of every expression subtree and every statement
-/// in the program. Identifiers and literal values are replaced by
-/// placeholders so the comparison is purely structural.
-fn collect_shapes(program: &Program) -> Vec<String> {
-    let mut shapes = Vec::new();
-    collect_block(&program.body, &mut shapes);
-    shapes
-}
+    /// Count the program's def-use edges, with variables numbered by first
+    /// occurrence so that `a = b + c` and `x = y + z` give identical edges.
+    fn dataflow(&mut self, program: &Program) {
+        let mut renamer = HashMap::new();
+        let mut uses = Vec::new();
+        self.dataflow_block(&program.body, &mut renamer, &mut uses);
+    }
 
-fn collect_block(block: &Block, shapes: &mut Vec<String>) {
-    for stmt in &block.stmts {
-        match stmt {
-            Stmt::Assign { op, expr, .. } => {
-                let e = expr_shape(expr, shapes);
-                shapes.push(format!("assign({op:?},{e})"));
-            }
-            Stmt::DeclScalar { expr, .. } => {
-                let e = expr_shape(expr, shapes);
-                shapes.push(format!("decl({e})"));
-            }
-            Stmt::DeclArray { size, .. } => shapes.push(format!("declarray({size})")),
-            Stmt::AssignIndex { op, expr, .. } => {
-                let e = expr_shape(expr, shapes);
-                shapes.push(format!("store({op:?},{e})"));
-            }
-            Stmt::If { cond, then_block } => {
-                let lhs = expr_shape(&cond.lhs, shapes);
-                let rhs = expr_shape(&cond.rhs, shapes);
-                shapes.push(format!("if({:?},{lhs},{rhs})", cond.op));
-                collect_block(then_block, shapes);
-            }
-            Stmt::For { body, .. } => {
-                shapes.push("for".to_string());
-                collect_block(body, shapes);
+    fn dataflow_block<'a>(
+        &mut self,
+        block: &'a Block,
+        renamer: &mut HashMap<&'a str, u32>,
+        uses: &mut Vec<&'a str>,
+    ) {
+        for stmt in &block.stmts {
+            match stmt {
+                Stmt::Assign { target: def, expr, .. }
+                | Stmt::DeclScalar { name: def, expr }
+                | Stmt::AssignIndex { array: def, expr, .. } => {
+                    uses.clear();
+                    referenced_vars(expr, uses);
+                    let def = canon(def, renamer);
+                    for &used in uses.iter() {
+                        let used = canon(used, renamer);
+                        self.count_key((EDGE, def, used));
+                    }
+                }
+                Stmt::DeclArray { name, .. } => {
+                    canon(name, renamer);
+                }
+                Stmt::If { cond, then_block } => {
+                    uses.clear();
+                    referenced_vars(&cond.lhs, uses);
+                    referenced_vars(&cond.rhs, uses);
+                    for &used in uses.iter() {
+                        let used = canon(used, renamer);
+                        self.count_key((EDGE, COND, used));
+                    }
+                    self.dataflow_block(then_block, renamer, uses);
+                }
+                Stmt::For { var, body, .. } => {
+                    canon(var, renamer);
+                    self.dataflow_block(body, renamer, uses);
+                }
             }
         }
     }
 }
-
-fn expr_shape(expr: &Expr, shapes: &mut Vec<String>) -> String {
-    let shape = match expr {
-        Expr::Num(_) => "num".to_string(),
-        Expr::Int(_) => "int".to_string(),
-        Expr::Var(_) => "var".to_string(),
-        Expr::Index { .. } => "index".to_string(),
-        Expr::Paren(inner) => format!("({})", expr_shape(inner, shapes)),
-        Expr::Neg(inner) => format!("neg({})", expr_shape(inner, shapes)),
-        Expr::Bin { op, lhs, rhs } => {
-            let l = expr_shape(lhs, shapes);
-            let r = expr_shape(rhs, shapes);
-            format!("bin({op:?},{l},{r})")
-        }
-        Expr::Call { func, args } => {
-            let inner: Vec<String> = args.iter().map(|a| expr_shape(a, shapes)).collect();
-            format!("call({},{})", func.c_name(), inner.join(","))
-        }
-    };
-    // Every non-leaf subtree contributes to the shape multiset.
-    if !matches!(expr, Expr::Num(_) | Expr::Int(_) | Expr::Var(_)) {
-        shapes.push(shape.clone());
-    }
-    shape
-}
-
-// ---------------------------------------------------------------------------
-// Data-flow edges
-// ---------------------------------------------------------------------------
 
 /// The def side of an `if` condition's use edges.
 const COND: u32 = u32::MAX;
 
-/// Def-use edges with variables numbered by first occurrence order, so
-/// that `a = b + c` and `x = y + z` produce identical edges. Each edge is
-/// packed as `def << 32 | use`.
-fn dataflow_edges(program: &Program) -> Vec<u64> {
-    let mut renamer = HashMap::new();
-    let mut edges = Vec::new();
-    collect_dataflow(&program.body, &mut renamer, &mut edges);
-    edges
-}
-
-fn canon(name: &str, renamer: &mut HashMap<String, u32>) -> u32 {
+/// A variable's number: its rank among the program's variables by first
+/// occurrence.
+fn canon<'a>(name: &'a str, renamer: &mut HashMap<&'a str, u32>) -> u32 {
     let next = renamer.len() as u32;
-    *renamer.entry(name.to_string()).or_insert(next)
+    *renamer.entry(name).or_insert(next)
 }
 
-fn edge(def: u32, used: u32) -> u64 {
-    u64::from(def) << 32 | u64::from(used)
-}
-
-fn collect_dataflow(block: &Block, renamer: &mut HashMap<String, u32>, edges: &mut Vec<u64>) {
-    for stmt in &block.stmts {
-        match stmt {
-            Stmt::Assign { target, expr, .. } | Stmt::DeclScalar { name: target, expr } => {
-                let uses = expr.referenced_vars();
-                let def = canon(target, renamer);
-                for u in uses {
-                    edges.push(edge(def, canon(&u, renamer)));
-                }
-            }
-            Stmt::AssignIndex { array, expr, .. } => {
-                let def = canon(array, renamer);
-                for u in expr.referenced_vars() {
-                    edges.push(edge(def, canon(&u, renamer)));
-                }
-            }
-            Stmt::DeclArray { name, .. } => {
-                let _ = canon(name, renamer);
-            }
-            Stmt::If { cond, then_block } => {
-                for u in cond.lhs.referenced_vars().into_iter().chain(cond.rhs.referenced_vars()) {
-                    edges.push(edge(COND, canon(&u, renamer)));
-                }
-                collect_dataflow(then_block, renamer, edges);
-            }
-            Stmt::For { var, body, .. } => {
-                let _ = canon(var, renamer);
-                collect_dataflow(body, renamer, edges);
-            }
+/// Push the scalar variables `expr` reads, in [`Expr::referenced_vars`]
+/// order.
+fn referenced_vars<'a>(expr: &'a Expr, out: &mut Vec<&'a str>) {
+    match expr {
+        Expr::Var(name) => out.push(name),
+        Expr::Paren(inner) | Expr::Neg(inner) => referenced_vars(inner, out),
+        Expr::Bin { lhs, rhs, .. } => {
+            referenced_vars(lhs, out);
+            referenced_vars(rhs, out);
         }
+        Expr::Call { args, .. } => args.iter().for_each(|arg| referenced_vars(arg, out)),
+        Expr::Num(_) | Expr::Int(_) | Expr::Index { .. } => {}
     }
 }
 
@@ -492,6 +604,36 @@ mod tests {
             CodeBleuWeights { ngram: 0.0, weighted_ngram: 0.0, syntax: 1.0, dataflow: 0.0 };
         let s = codebleu(PROG_A, PROG_B, only_syntax);
         assert!((s.combined - s.syntax_match).abs() < 1e-12);
+    }
+
+    #[test]
+    fn single_pairs_match_the_merge_walk_oracle_bit_for_bit() {
+        const EDGE_CASES: [&str; 7] = [
+            "",
+            "x",
+            "not c code",
+            "void compute(double x) { comp = ; }",
+            // Parses, but has no def-use edges.
+            "void compute(double a, int n, double *buf) {\n}",
+            "void compute(double x) { double t[3] = {1.0, 2.0}; for (int i = 0; i < 3; ++i) { } }",
+            // Repeated n-grams, shapes and edges.
+            "void compute(double x) { double comp = 0.0; comp += x; comp += x; comp += x; }",
+        ];
+        let only_syntax =
+            CodeBleuWeights { ngram: 0.0, weighted_ngram: 0.0, syntax: 1.0, dataflow: 0.0 };
+        let programs = [PROG_A, PROG_B, PROG_C].into_iter().chain(EDGE_CASES);
+        let programs: Vec<&str> = programs.collect();
+        for &candidate in &programs {
+            for &reference in &programs {
+                for weights in [CodeBleuWeights::default(), only_syntax] {
+                    assert_eq!(
+                        oracle::bits(codebleu(candidate, reference, weights)),
+                        oracle::bits(oracle::codebleu(candidate, reference, weights)),
+                        "{candidate:?} against {reference:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

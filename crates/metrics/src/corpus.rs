@@ -6,21 +6,27 @@
 //! from the two profiles; very large corpora can be estimated from a
 //! deterministic subsample of pairs.
 //!
-//! Profiling stays sequential: one `Vocabulary` interns ids in source
-//! order. The pair scores are split across the machine's cores
-//! ([`std::thread::available_parallelism`]), each lane filling one
-//! contiguous slice of a single score buffer, and the calling thread sums
-//! that buffer in pair order. Every score is computed exactly as on one
-//! thread and added in the same order, so the average is bit-identical at
-//! every lane count.
+//! Profiling stays sequential: one `Vocabulary` interns every program's
+//! features into one id space, in source order. The pair scores are split
+//! across the machine's cores ([`std::thread::available_parallelism`]),
+//! each lane filling one contiguous slice of a single score buffer, and
+//! the calling thread sums that buffer in pair order. Pairs come in
+//! row-major order, so a lane's slice covers a few candidate rows: the
+//! lane loads each row's candidate into its own `MatchTable` once and
+//! scores the row's references against it. Every score is computed
+//! exactly as on one thread and added in the same order, so the average
+//! is bit-identical at every lane count.
 
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::thread;
 
 use serde::{Deserialize, Serialize};
 
 use crate::clones::{detect_clones, CloneReport, CloneType};
-use crate::codebleu::{score, CodeBleuProfile, CodeBleuWeights, Vocabulary};
+use crate::codebleu::{
+    CodeBleuBreakdown, CodeBleuProfile, CodeBleuWeights, MatchTable, Vocabulary,
+};
 
 /// Combined diversity report for one approach's corpus.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -72,39 +78,45 @@ pub fn average_pairwise_codebleu(
 ) -> (f64, usize) {
     let mut vocabulary = Vocabulary::default();
     let profiles: Vec<_> = sources.iter().map(|source| vocabulary.profile(source)).collect();
+    let ids = vocabulary.len();
+    // The interning maps are not needed to score: free them first.
+    drop(vocabulary);
     let lanes = thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    score_pairs(&profiles, max_pairs, lanes)
+    score_pairs(&profiles, ids, max_pairs, lanes)
 }
 
-/// Fewest pairs a lane is given: milliseconds of scoring (a pair takes a
-/// few microseconds), far above the cost of spawning the lane's thread.
+/// Fewest pairs a lane is given: about a millisecond of scoring (a pair
+/// takes about a microsecond), far above the cost of spawning the lane's
+/// thread.
 const MIN_PAIRS_PER_LANE: usize = 1024;
 
-/// Average CodeBLEU over the [`sampled_pairs`] of `profiles`, scored on
-/// up to `lanes` threads. Returns `(average, pairs_scored)`, bit-identical
-/// at every lane count.
-fn score_pairs(profiles: &[CodeBleuProfile], max_pairs: usize, lanes: usize) -> (f64, usize) {
+/// Average CodeBLEU over the [`sampled_pairs`] of `profiles` (from one
+/// vocabulary of `ids` ids), scored on up to `lanes` threads. Returns
+/// `(average, pairs_scored)`, bit-identical at every lane count.
+fn score_pairs(
+    profiles: &[CodeBleuProfile],
+    ids: usize,
+    max_pairs: usize,
+    lanes: usize,
+) -> (f64, usize) {
     let pairs = PairSample::new(profiles.len(), max_pairs);
     if pairs.len == 0 {
         return (0.0, 0);
     }
-    let weights = CodeBleuWeights::default();
-    let score_range = |first: usize, scores: &mut [f64]| {
-        for (k, slot) in (first..).zip(scores.iter_mut()) {
-            let (i, j) = pairs.get(k);
-            *slot = score(&profiles[i], &profiles[j], weights).combined;
-        }
-    };
     let mut scores = vec![0.0; pairs.len];
-    let per_lane = pairs.len.div_ceil(lanes.max(1)).max(MIN_PAIRS_PER_LANE);
+    let per_lane = lane_len(pairs.len, lanes);
+    let score_chunk = |first: usize, chunk: &mut [f64]| {
+        let range = first..first + chunk.len();
+        for_each_score(profiles, ids, pairs, range, |k, score| chunk[k - first] = score.combined);
+    };
     thread::scope(|scope| {
         let mut chunks = scores.chunks_mut(per_lane).enumerate();
         let own = chunks.next();
         for (lane, chunk) in chunks {
-            scope.spawn(move || score_range(lane * per_lane, chunk));
+            scope.spawn(move || score_chunk(lane * per_lane, chunk));
         }
         if let Some((_, chunk)) = own {
-            score_range(0, chunk);
+            score_chunk(0, chunk);
         }
     });
     // One sequential sum in pair order: the bits do not depend on `lanes`.
@@ -113,6 +125,34 @@ fn score_pairs(profiles: &[CodeBleuProfile], max_pairs: usize, lanes: usize) -> 
         total += value;
     }
     (total / pairs.len as f64, pairs.len)
+}
+
+/// How many of `pairs` pairs each of up to `lanes` lanes scores.
+fn lane_len(pairs: usize, lanes: usize) -> usize {
+    pairs.div_ceil(lanes.max(1)).max(MIN_PAIRS_PER_LANE)
+}
+
+/// Score the sampled pairs whose indices fall in `range`, calling `each`
+/// with every pair's index and breakdown in index order. One table is
+/// filled per candidate row, on the calling thread.
+fn for_each_score(
+    profiles: &[CodeBleuProfile],
+    ids: usize,
+    pairs: PairSample,
+    range: Range<usize>,
+    mut each: impl FnMut(usize, CodeBleuBreakdown),
+) {
+    let weights = CodeBleuWeights::default();
+    let mut table = MatchTable::new(ids);
+    let mut row = None;
+    for k in range {
+        let (i, j) = pairs.get(k);
+        if row != Some(i) {
+            table.load(&profiles[i]);
+            row = Some(i);
+        }
+        each(k, table.score(&profiles[j], weights));
+    }
 }
 
 /// The ordered pairs `(i, j), i ≠ j` of an `n`-program corpus that
@@ -155,6 +195,7 @@ impl PairSample {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codebleu::oracle;
 
     fn corpus_similar() -> Vec<String> {
         vec![
@@ -227,40 +268,142 @@ mod tests {
     }
 
     /// The LLM4FP corpus of `pairwise_codebleu_is_pinned_bit_for_bit`
-    /// (160 programs, seed 7), each program ending at its closing brace.
+    /// (160 programs, seed 7).
     fn llm4fp_corpus() -> Vec<String> {
-        include_str!("../testdata/llm4fp_160_seed7.txt")
-            .split_inclusive("\n}\n")
-            .map(str::to_string)
-            .collect()
+        split(include_str!("../testdata/llm4fp_160_seed7.txt"))
     }
 
-    fn profiles(sources: &[String]) -> Vec<CodeBleuProfile> {
+    /// A corpus file's programs, each ending at its closing brace.
+    fn split(corpus: &str) -> Vec<String> {
+        corpus.split_inclusive("\n}\n").map(str::to_string).collect()
+    }
+
+    /// Profiles of `sources` from one vocabulary, and its id count.
+    fn profiles(sources: &[String]) -> (Vec<CodeBleuProfile>, usize) {
         let mut vocabulary = Vocabulary::default();
-        sources.iter().map(|source| vocabulary.profile(source)).collect()
+        let profiles = sources.iter().map(|source| vocabulary.profile(source)).collect();
+        (profiles, vocabulary.len())
     }
 
     #[test]
     fn lane_count_does_not_change_a_single_bit() {
         let corpus = llm4fp_corpus();
         assert_eq!(corpus.len(), 160);
-        let profiles = profiles(&corpus);
-        let (avg, pairs) = score_pairs(&profiles, 20_000, 1);
+        let (profiles, ids) = profiles(&corpus);
+        let (avg, pairs) = score_pairs(&profiles, ids, 20_000, 1);
         // The pinned Table 2 value, so the corpus file is the pinned corpus.
         assert_eq!((avg.to_bits(), pairs), (0x3fd5_16e5_23fa_efea, 12_720));
+        // Two lanes split the pairs between two rows; three start the
+        // second lane inside a row, on a table of its own.
+        let sample = PairSample::new(corpus.len(), 20_000);
+        let first_of_second_lane = |lanes| sample.get(lane_len(pairs, lanes)).1 == 0;
+        assert!(first_of_second_lane(2));
+        assert!(!first_of_second_lane(3));
         for lanes in [2, 3, 7, pairs + 1] {
-            let (lane_avg, lane_pairs) = score_pairs(&profiles, 20_000, lanes);
+            let (lane_avg, lane_pairs) = score_pairs(&profiles, ids, 20_000, lanes);
             assert_eq!((lane_avg.to_bits(), lane_pairs), (avg.to_bits(), pairs), "lanes={lanes}");
         }
     }
 
     #[test]
+    fn profiling_order_does_not_change_a_single_bit() {
+        let corpus = llm4fp_corpus();
+        let (forward, ids) = profiles(&corpus);
+        // Profiled last to first, every feature gets another id.
+        let reversed: Vec<String> = corpus.iter().rev().cloned().collect();
+        let (mut backward, backward_ids) = profiles(&reversed);
+        backward.reverse();
+        let (avg, pairs) = score_pairs(&forward, ids, 20_000, 1);
+        let (backward_avg, backward_pairs) = score_pairs(&backward, backward_ids, 20_000, 1);
+        assert_eq!((backward_avg.to_bits(), backward_pairs), (avg.to_bits(), pairs));
+    }
+
+    #[test]
     fn corpora_without_pairs_score_zero_at_every_lane_count() {
-        let single = profiles(&corpus_similar()[..1]);
+        let (single, ids) = profiles(&corpus_similar()[..1]);
         for lanes in [1, 2, 3, 7, 100] {
-            assert_eq!(score_pairs(&[], usize::MAX, lanes), (0.0, 0), "lanes={lanes}");
-            assert_eq!(score_pairs(&single, usize::MAX, lanes), (0.0, 0), "lanes={lanes}");
+            assert_eq!(score_pairs(&[], 0, usize::MAX, lanes), (0.0, 0), "lanes={lanes}");
+            assert_eq!(score_pairs(&single, ids, usize::MAX, lanes), (0.0, 0), "lanes={lanes}");
         }
+    }
+
+    /// Each approach's 160-program corpus at seeds 1, 7 and 42, with the
+    /// average pairwise CodeBLEU that Table 2 reports for it (20,000-pair
+    /// cap).
+    const CORPORA: [(&str, &str, u64); 12] = [
+        ("varity 1", include_str!("../testdata/varity_160_seed1.txt"), 0x3fd0_e17e_2958_ca89),
+        ("varity 7", include_str!("../testdata/varity_160_seed7.txt"), 0x3fd1_1a0c_936a_902e),
+        ("varity 42", include_str!("../testdata/varity_160_seed42.txt"), 0x3fd1_5067_e45f_8d27),
+        (
+            "direct prompt 1",
+            include_str!("../testdata/direct_prompt_160_seed1.txt"),
+            0x3fd6_f26a_b8b4_6d1e,
+        ),
+        (
+            "direct prompt 7",
+            include_str!("../testdata/direct_prompt_160_seed7.txt"),
+            0x3fd7_3538_d4b6_d903,
+        ),
+        (
+            "direct prompt 42",
+            include_str!("../testdata/direct_prompt_160_seed42.txt"),
+            0x3fd7_9586_dbe6_ba4e,
+        ),
+        (
+            "grammar guided 1",
+            include_str!("../testdata/grammar_guided_160_seed1.txt"),
+            0x3fd5_a8fa_5133_d997,
+        ),
+        (
+            "grammar guided 7",
+            include_str!("../testdata/grammar_guided_160_seed7.txt"),
+            0x3fd5_833c_e04a_bce0,
+        ),
+        (
+            "grammar guided 42",
+            include_str!("../testdata/grammar_guided_160_seed42.txt"),
+            0x3fd5_a223_5894_6401,
+        ),
+        ("llm4fp 1", include_str!("../testdata/llm4fp_160_seed1.txt"), 0x3fd5_736a_74da_e726),
+        ("llm4fp 7", include_str!("../testdata/llm4fp_160_seed7.txt"), 0x3fd5_16e5_23fa_efea),
+        ("llm4fp 42", include_str!("../testdata/llm4fp_160_seed42.txt"), 0x3fd6_a371_4442_282c),
+    ];
+
+    /// Score every sampled pair of the corpora of one seed, requiring each
+    /// breakdown to equal the merge-walk oracle's bit for bit and the
+    /// oracle's average to equal Table 2's.
+    fn matches_the_merge_walk_oracle(seed: &str) {
+        let weights = CodeBleuWeights::default();
+        for (name, corpus, avg_bits) in CORPORA.into_iter().filter(|c| c.0.ends_with(seed)) {
+            let corpus = split(corpus);
+            let (profiles, ids) = profiles(&corpus);
+            let mut vocabulary = oracle::Vocabulary::default();
+            let expected: Vec<_> = corpus.iter().map(|source| vocabulary.profile(source)).collect();
+            let pairs = PairSample::new(corpus.len(), 20_000);
+            let mut total = 0.0;
+            for_each_score(&profiles, ids, pairs, 0..pairs.len, |k, score| {
+                let (i, j) = pairs.get(k);
+                let oracle = oracle::score(&expected[i], &expected[j], weights);
+                assert_eq!(oracle::bits(score), oracle::bits(oracle), "{name}: pair ({i}, {j})");
+                total += oracle.combined;
+            });
+            assert_eq!((total / pairs.len as f64).to_bits(), avg_bits, "{name}");
+        }
+    }
+
+    #[test]
+    fn every_sampled_pair_matches_the_merge_walk_oracle_at_seed_1() {
+        matches_the_merge_walk_oracle(" 1");
+    }
+
+    #[test]
+    fn every_sampled_pair_matches_the_merge_walk_oracle_at_seed_7() {
+        matches_the_merge_walk_oracle(" 7");
+    }
+
+    #[test]
+    fn every_sampled_pair_matches_the_merge_walk_oracle_at_seed_42() {
+        matches_the_merge_walk_oracle(" 42");
     }
 
     #[test]

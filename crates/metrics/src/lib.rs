@@ -9,8 +9,16 @@
 //! * [`clones`] — NiCad-style detection of Type-1, Type-2 and Type-2c code
 //!   clones over the corpus (the paper reports that no clones of these types
 //!   are found for any approach).
-//! * [`corpus`] — corpus-level helpers: pairwise averaging over programs
-//!   profiled once each, and the combined [`corpus::DiversityReport`].
+//! * [`corpus`] — corpus-level helpers: pairwise averaging, and the
+//!   combined [`corpus::DiversityReport`].
+//!
+//! A corpus average profiles each program once, interning its n-grams,
+//! AST shapes and def-use edges into one id space the corpus shares. Each
+//! pair is then scored by table lookup: the candidate's feature counts are
+//! scattered into a dense table indexed by id, and every reference is
+//! matched against it in one pass over its own features. Those matched
+//! counts are integers, so every score has the same bits whatever ids the
+//! features got and however the pairs are split across cores.
 
 #![deny(unsafe_code)]
 
