@@ -264,18 +264,20 @@ fn write_frame_limited<T: Serialize, W: Write>(
     value: &T,
     max_frame_len: usize,
 ) -> io::Result<usize> {
-    let payload = serde_json::to_string(value)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("encode frame: {e}")))?;
-    if payload.len() > max_frame_len {
+    // The header's digits are filled in once the payload's length is
+    // known, so the whole frame goes out in one write.
+    let mut frame = String::from("0000000000\n");
+    value.serialize(&mut serde_json::JsonWriter::compact(&mut frame));
+    let len = frame.len() - HEADER_LEN;
+    if len > max_frame_len {
         return Err(bad_frame(&format!(
-            "payload of {} bytes exceeds MAX_FRAME_LEN-class cap ({max_frame_len})",
-            payload.len()
+            "payload of {len} bytes exceeds MAX_FRAME_LEN-class cap ({max_frame_len})"
         )));
     }
-    writeln!(writer, "{:010}", payload.len())?;
-    writer.write_all(payload.as_bytes())?;
+    frame.replace_range(..HEADER_LEN - 1, &format!("{len:010}"));
+    writer.write_all(frame.as_bytes())?;
     writer.flush()?;
-    Ok(HEADER_LEN + payload.len())
+    Ok(frame.len())
 }
 
 /// Read one frame. An EOF *before the first header byte* surfaces as
@@ -396,6 +398,35 @@ mod tests {
         );
         let hello: WireReply = serde_json::from_str(&legacy).unwrap();
         assert_eq!(hello, WireReply::Hello(Hello::current()));
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        /// Counts the `write` calls it takes, accepting every byte.
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = Counting { writes: 0, bytes: Vec::new() };
+        let request = WireRequest::Job(Box::new(job(7, 3, true)));
+        let len = write_frame(&mut sink, &request).unwrap();
+        write_frame(&mut sink, &WireRequest::Ping(5)).unwrap();
+        assert_eq!(sink.writes, 2, "one write per frame");
+        let payload = serde_json::to_string(&request).unwrap();
+        assert_eq!(&sink.bytes[..len], format!("{:010}\n{payload}", payload.len()).as_bytes());
+        let mut reader = sink.bytes.as_slice();
+        assert_eq!(read_frame::<WireRequest, _>(&mut reader).unwrap(), request);
+        assert_eq!(read_frame::<WireRequest, _>(&mut reader).unwrap(), WireRequest::Ping(5));
     }
 
     #[test]
