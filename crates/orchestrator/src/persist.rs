@@ -308,7 +308,7 @@ impl RunDir {
         if found != MANIFEST_SCHEMA {
             return Err(PersistError::SchemaMismatch { found, supported: MANIFEST_SCHEMA });
         }
-        serde_json::from_value(&value).map_err(corrupt)
+        serde_json::from_str(&text).map_err(corrupt)
     }
 
     pub fn root(&self) -> &Path {
