@@ -33,6 +33,10 @@
 //! path is what is timed): `pairwise_codebleu_160` is the average
 //! pairwise CodeBLEU alone, and `diversity_report_160` the whole column,
 //! `DiversityReport::measure`, which adds clone detection.
+//! `diversity_report_1000` prices the same column at the paper's budget:
+//! a 1,000-program LLM4FP corpus, built by a campaign when the bench
+//! starts. There the pair cap binds far harder, so profiling and clone
+//! keying, which grow with the corpus, are most of the cost.
 //! `fpir_text` prices the text layer every LLM4FP program crosses four
 //! times (the simulated LLM parses its seed and prints the mutant, then
 //! the campaign parses the response and prints the canonical source):
@@ -152,7 +156,7 @@ fn bench_difftest_matrix(c: &mut Criterion) {
     });
 
     // The same worker loop over LLM4FP's programs.
-    let (sources, _) = llm4fp_corpus_160();
+    let (sources, _) = llm4fp_corpus(160);
     let llm4fp: Vec<(Program, InputSet)> = sources
         .iter()
         .map(|source| {
@@ -279,11 +283,14 @@ fn bench_wire(c: &mut Criterion) {
     group.finish();
 }
 
-/// The 160-program LLM4FP corpus (seed 1) that Table 2's diversity column
-/// scores, with the campaign's CodeBLEU pair cap.
-fn llm4fp_corpus_160() -> (Vec<String>, usize) {
+/// The `programs`-program LLM4FP corpus (seed 1) that Table 2's diversity
+/// column scores, with the campaign's CodeBLEU pair cap.
+fn llm4fp_corpus(programs: usize) -> (Vec<String>, usize) {
     let result = Campaign::new(
-        CampaignConfig::new(ApproachKind::Llm4Fp).with_budget(160).with_seed(1).with_threads(1),
+        CampaignConfig::new(ApproachKind::Llm4Fp)
+            .with_budget(programs)
+            .with_seed(1)
+            .with_threads(1),
     )
     .run();
     (result.sources, result.config.max_codebleu_pairs)
@@ -292,11 +299,15 @@ fn llm4fp_corpus_160() -> (Vec<String>, usize) {
 fn bench_metrics(c: &mut Criterion) {
     let mut group = c.benchmark_group("metrics");
     group.sample_size(10);
-    let (sources, cap) = llm4fp_corpus_160();
+    let (sources, cap) = llm4fp_corpus(160);
     group.bench_function("pairwise_codebleu_160", |b| {
         b.iter(|| black_box(average_pairwise_codebleu(&sources, 1, cap)))
     });
     group.bench_function("diversity_report_160", |b| {
+        b.iter(|| black_box(DiversityReport::measure(&sources, cap)))
+    });
+    let (sources, cap) = llm4fp_corpus(1000);
+    group.bench_function("diversity_report_1000", |b| {
         b.iter(|| black_box(DiversityReport::measure(&sources, cap)))
     });
     group.finish();
@@ -305,7 +316,7 @@ fn bench_metrics(c: &mut Criterion) {
 fn bench_fpir_text(c: &mut Criterion) {
     let mut group = c.benchmark_group("fpir_text");
     group.sample_size(10);
-    let (sources, _) = llm4fp_corpus_160();
+    let (sources, _) = llm4fp_corpus(160);
     let programs: Vec<Program> = sources.iter().filter_map(|s| parse_compute(s).ok()).collect();
     group.bench_function("parse_compute_160", |b| {
         b.iter(|| {

@@ -10,6 +10,12 @@
 //! The paper runs NiCad over each approach's 1,000 generated programs and
 //! reports that none of these clone types occur; [`detect_clones`]
 //! reproduces that check.
+//!
+//! Each source is keyed by a 64-bit hash of each normal form, built a
+//! token at a time, so a corpus report keys its sources in the token pass
+//! that profiles them for CodeBLEU and keeps no normal form in memory.
+//! Sources that share a key are then split by their spelled-out normal
+//! forms, so a hash collision never makes a clone.
 
 use std::collections::HashMap;
 use std::fmt::Write;
@@ -99,48 +105,135 @@ pub fn normalize_type2c(source: &str) -> String {
 /// The Type-1, Type-2 and Type-2c normal forms of `source`, in
 /// [`CloneType::ALL`] order, from one pass over its tokens.
 fn clone_keys(source: &str) -> [String; 3] {
-    let [mut type1, mut type2, mut type2c] = [String::new(), String::new(), String::new()];
-    let mut renames: HashMap<&str, usize> = HashMap::new();
-    let mut first = true;
+    let mut forms = [String::new(), String::new(), String::new()];
+    let mut normalizer = Normalizer::default();
     scan_tokens(source, |kind, text| {
-        if !first {
-            type1.push(' ');
-            type2.push(' ');
-            type2c.push(' ');
+        for (form, piece) in forms.iter_mut().zip(normalizer.pieces(kind, text)) {
+            if !form.is_empty() {
+                form.push(' ');
+            }
+            match piece {
+                Piece::Text(text) => form.push_str(text),
+                Piece::Renamed(id) => {
+                    let _ = write!(form, "id{id}");
+                }
+            }
         }
-        first = false;
-        type1.push_str(text);
-        type2.push_str(match kind {
+    });
+    forms
+}
+
+/// One token of a normal form: a text, or an identifier's Type-2c number.
+enum Piece<'a> {
+    Text(&'a str),
+    Renamed(usize),
+}
+
+/// Turns a source's tokens, in order, into their pieces of the three
+/// normal forms.
+#[derive(Debug, Default)]
+struct Normalizer<'a> {
+    /// Each identifier's Type-2c number: its rank by first occurrence.
+    renames: HashMap<&'a str, usize>,
+}
+
+impl<'a> Normalizer<'a> {
+    /// The next token's piece of each normal form, in [`CloneType::ALL`]
+    /// order.
+    fn pieces(&mut self, kind: TokenKind, text: &'a str) -> [Piece<'a>; 3] {
+        let type2 = match kind {
             TokenKind::Ident => "ID",
             TokenKind::IntLit | TokenKind::FpLit => "LIT",
             TokenKind::Keyword if matches!(text, "double" | "float" | "int") => "TYPE",
             _ => text,
-        });
-        if kind == TokenKind::Ident {
-            let next = renames.len();
-            let id = *renames.entry(text).or_insert(next);
-            let _ = write!(type2c, "id{id}");
+        };
+        let type2c = if kind == TokenKind::Ident {
+            let next = self.renames.len();
+            Piece::Renamed(*self.renames.entry(text).or_insert(next))
         } else {
-            type2c.push_str(text);
+            Piece::Text(text)
+        };
+        [Piece::Text(text), Piece::Text(type2), type2c]
+    }
+}
+
+/// A 64-bit FNV-1a hash of each of a source's three normal forms, in
+/// [`CloneType::ALL`] order, built a token at a time so that it can share
+/// a token pass with the CodeBLEU profile. Equal normal forms hash alike;
+/// [`clone_report`] checks every shared hash against the forms themselves.
+#[derive(Debug)]
+pub(crate) struct CloneKeys<'a> {
+    hashes: [u64; 3],
+    normalizer: Normalizer<'a>,
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0100_0000_01b3;
+
+fn fnv(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, &byte| (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME))
+}
+
+impl Default for CloneKeys<'_> {
+    fn default() -> Self {
+        CloneKeys { hashes: [FNV_OFFSET; 3], normalizer: Normalizer::default() }
+    }
+}
+
+impl<'a> CloneKeys<'a> {
+    /// The keys of `source`.
+    fn of(source: &'a str) -> [u64; 3] {
+        let mut keys = CloneKeys::default();
+        scan_tokens(source, |kind, text| keys.push(kind, text));
+        keys.finish()
+    }
+
+    /// Hash in the next token of the source.
+    pub(crate) fn push(&mut self, kind: TokenKind, text: &'a str) {
+        for (hash, piece) in self.hashes.iter_mut().zip(self.normalizer.pieces(kind, text)) {
+            *hash = match piece {
+                Piece::Text(text) => fnv(*hash, text.as_bytes()),
+                Piece::Renamed(id) => fnv(fnv(*hash, b"id"), &(id as u64).to_le_bytes()),
+            };
+            *hash = fnv(*hash, b" ");
         }
-    });
-    [type1, type2, type2c]
+    }
+
+    pub(crate) fn finish(self) -> [u64; 3] {
+        self.hashes
+    }
 }
 
 /// Detect clone classes of all three types over a corpus of program sources.
 pub fn detect_clones(sources: &[String]) -> CloneReport {
-    let keys: Vec<[String; 3]> = sources.iter().map(|source| clone_keys(source)).collect();
+    let keys: Vec<[u64; 3]> = sources.iter().map(|source| CloneKeys::of(source)).collect();
+    clone_report(sources, &keys)
+}
+
+/// The clone classes of `sources`, whose [`CloneKeys`] are `keys`. The
+/// sources that share a key are split by their normal forms, so a hash
+/// collision never makes a clone.
+pub(crate) fn clone_report(sources: &[String], keys: &[[u64; 3]]) -> CloneReport {
     let mut report = CloneReport::default();
     for (slot, clone_type) in CloneType::ALL.into_iter().enumerate() {
-        let mut buckets: HashMap<&str, Vec<usize>> = HashMap::new();
+        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
         for (i, key) in keys.iter().enumerate() {
-            buckets.entry(key[slot].as_str()).or_default().push(i);
+            buckets.entry(key[slot]).or_default().push(i);
         }
-        let mut classes: Vec<CloneClass> = buckets
-            .into_values()
-            .filter(|members| members.len() > 1)
-            .map(|members| CloneClass { clone_type, members })
-            .collect();
+        let mut classes = Vec::new();
+        for members in buckets.into_values().filter(|members| members.len() > 1) {
+            let mut forms: HashMap<String, Vec<usize>> = HashMap::new();
+            for i in members {
+                let form = std::mem::take(&mut clone_keys(&sources[i])[slot]);
+                forms.entry(form).or_default().push(i);
+            }
+            classes.extend(
+                forms
+                    .into_values()
+                    .filter(|members| members.len() > 1)
+                    .map(|members| CloneClass { clone_type, members }),
+            );
+        }
         classes.sort_by(|a, b| a.members.cmp(&b.members));
         report.classes.extend(classes);
     }

@@ -19,16 +19,24 @@
 //! A corpus average scores each program against up to 2(N−1) others, so
 //! the work is split in two. `Vocabulary::profile` tokenizes and parses a
 //! program once and interns each of its features (the 1- to 4-grams, the
-//! AST shapes and the def-use edges) into one id space that the whole
-//! corpus shares. An n-gram is interned as its (n−1)-prefix's id and its
-//! last token's id, and a shape as its kind, its operator or function and
-//! its children's ids, so no feature is spelled out as a string. The
-//! profile keeps one `(id, count, weight)` run per component and the
-//! run's totals. A `MatchTable` scatters a candidate's runs into a dense
-//! table indexed by id, then scores each reference with one pass over the
-//! reference's runs: Σ min(table, count) per component. Those matched
-//! counts are the same integer sums whatever the ids are, so a score does
-//! not depend on the order in which a corpus was profiled.
+//! AST shapes and the def-use edges) into the vocabulary's id space. An
+//! n-gram is interned as its (n−1)-prefix's id and its last token's id,
+//! and a shape as its kind, its operator or function and its children's
+//! ids, so no feature is spelled out as a string. The profile keeps one
+//! `(id, count, weight)` run per component and the run's totals.
+//!
+//! A corpus is profiled in lanes, each with a vocabulary of its own.
+//! `Vocabulary::absorb` then merges a lane's vocabulary into the first
+//! lane's, one id space for the corpus: it walks the lane's features in
+//! id order, translates the ids a key holds (an id is always handed out
+//! after the ids its key holds), and returns the table that
+//! `CodeBleuProfile::remap` renumbers the lane's profiles with.
+//!
+//! A `MatchTable` scatters a candidate's runs into a dense table indexed
+//! by id, then scores each reference with one pass over the reference's
+//! runs: Σ min(table, count) per component. Those matched counts are the
+//! same integer sums whatever the ids are, so a score depends neither on
+//! the order in which a corpus was profiled nor on its lanes.
 
 use std::collections::HashMap;
 
@@ -120,7 +128,7 @@ type Key = (u32, u32, u32);
 const NONE: u32 = u32::MAX;
 
 /// Everything CodeBLEU needs to know about one program.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct CodeBleuProfile {
     tokens: usize,
     /// Whether the source parsed; if not, the structure components are
@@ -143,7 +151,7 @@ pub(crate) struct CodeBleuProfile {
 /// multiple of ¼ for every n ≤ 4 (for n = 3 because 4 ≡ 1 mod 3), so every
 /// total it feeds is exact and dividing both sides of a precision by `n`
 /// cannot change its value: the integer sums give the same bits.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Feature {
     id: u32,
     count: u32,
@@ -154,6 +162,14 @@ impl CodeBleuProfile {
     fn run(&self, component: usize) -> &[Feature] {
         let start = if component == 0 { 0 } else { self.ends[component - 1] };
         &self.features[start as usize..self.ends[component] as usize]
+    }
+
+    /// Renumber the features of a profile from an absorbed vocabulary
+    /// through the `map` that [`Vocabulary::absorb`] returned.
+    pub(crate) fn remap(&mut self, map: &[u32]) {
+        for feature in self.features.iter_mut() {
+            feature.id = map[feature.id as usize];
+        }
     }
 }
 
@@ -166,10 +182,21 @@ impl Vocabulary {
 
     /// Tokenize and parse `source` once into its CodeBLEU profile.
     pub(crate) fn profile(&mut self, source: &str) -> CodeBleuProfile {
+        self.profile_with(source, |_, _| {})
+    }
+
+    /// [`Self::profile`], also handing each token of `source` to `each`
+    /// from the same pass.
+    pub(crate) fn profile_with<'a>(
+        &mut self,
+        source: &'a str,
+        mut each: impl FnMut(TokenKind, &'a str),
+    ) -> CodeBleuProfile {
         let mut grams = Vec::new();
         scan_tokens(source, |kind, text| {
             let weight = if kind == TokenKind::Keyword { KEYWORD_WEIGHT } else { 1 };
             grams.push((self.token(text), weight));
+            each(kind, text);
         });
         let tokens = grams.len();
         let unigrams = grams.clone();
@@ -218,6 +245,72 @@ impl Vocabulary {
         let id = self.next_id();
         self.tokens.insert(text.into(), id);
         id
+    }
+
+    /// The tags of the interned keys, with any operator or function
+    /// masked off.
+    #[cfg(test)]
+    pub(crate) fn key_tags(&self) -> std::collections::BTreeSet<u32> {
+        self.features.keys().map(|&(tag, _, _)| if tag < 256 { tag } else { tag & !0xff }).collect()
+    }
+
+    /// Number every feature of `lane`, another vocabulary, in this one's
+    /// id space, and return the translation: lane id `i` is this
+    /// vocabulary's id `map[i]`. A feature this vocabulary lacks gets the
+    /// next id, and is interned here if `intern` is set. Without it the
+    /// maps need not grow, but this vocabulary is then fit only to report
+    /// its [`Self::len`]: that is for the last lane absorbed.
+    ///
+    /// A key's ids are always older than the key itself, so in lane id
+    /// order each key's ids are translated before the key is looked up. If
+    /// this vocabulary profiled the sources just before the lane's, every
+    /// feature gets the id that profiling all of them here would have
+    /// given it.
+    pub(crate) fn absorb(&mut self, lane: Vocabulary, intern: bool) -> Vec<u32> {
+        // The lane's keys by id, with `TOKEN` in each token's place, and
+        // its tokens in id order.
+        let mut keys = vec![(TOKEN, 0, 0); lane.len()];
+        for (key, id) in lane.features {
+            keys[id as usize] = key;
+        }
+        let mut tokens: Vec<(u32, Box<str>)> =
+            lane.tokens.into_iter().map(|(text, id)| (id, text)).collect();
+        tokens.sort_unstable_by_key(|&(id, _)| id);
+        let mut tokens = tokens.into_iter();
+        let mut map = Vec::with_capacity(keys.len());
+        for (tag, a, b) in keys {
+            let id = if tag == TOKEN {
+                let (_, text) = tokens.next().expect("every token has an id");
+                match self.tokens.get(&*text) {
+                    Some(&id) => id,
+                    None => {
+                        let id = self.next_id();
+                        if intern {
+                            self.tokens.insert(text, id);
+                        }
+                        id
+                    }
+                }
+            } else {
+                let key = match id_fields(tag) {
+                    0 => (tag, a, b),
+                    1 => (tag, map[a as usize], b),
+                    _ => (tag, map[a as usize], map[b as usize]),
+                };
+                match self.features.get(&key) {
+                    Some(&id) => id,
+                    None => {
+                        let id = self.next_id();
+                        if intern {
+                            self.features.insert(key, id);
+                        }
+                        id
+                    }
+                }
+            };
+            map.push(id);
+        }
+        map
     }
 
     fn intern(&mut self, key: Key) -> u32 {
@@ -385,6 +478,28 @@ const STORE: u32 = 2 << 8;
 const BIN: u32 = 3 << 8;
 const IF: u32 = 4 << 8;
 const CALL: u32 = 5 << 8;
+/// Stands for a token in [`Vocabulary::absorb`]; no key has this tag.
+const TOKEN: u32 = u32::MAX;
+
+/// How many of a key's two fields, after its tag, are feature ids: 2 for
+/// an n-gram (prefix and last token), a call argument (the call so far and
+/// the argument), a binary operation and an `if` (both operands); 1 for a
+/// parenthesis, a negation, a declaration, an assignment and a store (the
+/// expression). A def-use edge holds variable numbers, an array
+/// declaration its size, and a leaf, a loop and a call's head nothing.
+fn id_fields(tag: u32) -> usize {
+    match tag {
+        GRAM | CALL_ARG => 2,
+        PAREN | NEG | DECL => 1,
+        EDGE | NUM | INT | VAR | INDEX | FOR | DECL_ARRAY => 0,
+        _ => match tag & !0xff {
+            BIN | IF => 2,
+            ASSIGN | STORE => 1,
+            CALL => 0,
+            _ => unreachable!("no key has tag {tag}"),
+        },
+    }
+}
 
 impl Vocabulary {
     /// Count the shape of every statement and every non-leaf expression

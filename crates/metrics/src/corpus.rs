@@ -6,16 +6,22 @@
 //! from the two profiles; very large corpora can be estimated from a
 //! deterministic subsample of pairs.
 //!
-//! Profiling stays sequential: one `Vocabulary` interns every program's
-//! features into one id space, in source order. The pair scores are split
-//! across the machine's cores ([`std::thread::available_parallelism`]),
-//! each lane filling one contiguous slice of a single score buffer, and
-//! the calling thread sums that buffer in pair order. Pairs come in
-//! row-major order, so a lane's slice covers a few candidate rows: the
-//! lane loads each row's candidate into its own `MatchTable` once and
-//! scores the row's references against it. Every score is computed
-//! exactly as on one thread and added in the same order, so the average
-//! is bit-identical at every lane count.
+//! Both halves run on every core ([`std::thread::available_parallelism`]);
+//! the calling thread is lane 0. Profiling cuts the sources into
+//! contiguous lanes of at least `MIN_SOURCES_PER_LANE`. Each lane profiles
+//! its sources with a `Vocabulary` of its own and, in the same token pass,
+//! builds each source's three clone keys. One sequential pass then absorbs
+//! each later lane's vocabulary into lane 0's, in lane order, and renumbers
+//! that lane's profiles into the one id space. The pair scores are split
+//! the same way, each lane filling one contiguous slice of a single score
+//! buffer, and the calling thread sums that buffer in pair order. Pairs
+//! come in row-major order, so a lane's slice covers a few candidate rows:
+//! the lane loads each row's candidate into its own `MatchTable` once and
+//! scores the row's references against it. A score is made of integer
+//! match sums, so the ids a feature gets cannot change it, and every score
+//! is added in the same order: the average is bit-identical at every lane
+//! count. The clone keys are bucketed in source order on the calling
+//! thread.
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
@@ -23,7 +29,7 @@ use std::thread;
 
 use serde::{Deserialize, Serialize};
 
-use crate::clones::{detect_clones, CloneReport, CloneType};
+use crate::clones::{clone_report, CloneKeys, CloneReport, CloneType};
 use crate::codebleu::{
     CodeBleuBreakdown, CodeBleuProfile, CodeBleuWeights, MatchTable, Vocabulary,
 };
@@ -42,17 +48,33 @@ pub struct DiversityReport {
 }
 
 impl DiversityReport {
-    /// Build the full report for a corpus of program sources. CodeBLEU
-    /// pairs are scored on every core ([`average_pairwise_codebleu`]);
-    /// clone detection runs on the calling thread.
+    /// Build the full report for a corpus of program sources. The sources
+    /// are profiled and clone-keyed on every core, the CodeBLEU pairs are
+    /// scored on every core ([`average_pairwise_codebleu`]), and the clone
+    /// keys are bucketed on the calling thread. The report is the same at
+    /// every core count.
     pub fn measure(sources: &[String], max_pairs: usize) -> DiversityReport {
-        let (avg, pairs) = average_pairwise_codebleu(sources, 1, max_pairs);
-        DiversityReport {
-            programs: sources.len(),
-            pairs_scored: pairs,
-            avg_codebleu: avg,
-            clones: detect_clones(sources),
-        }
+        let cores = cores();
+        DiversityReport::measure_on(
+            sources,
+            max_pairs,
+            profiling_lanes(sources.len(), cores),
+            cores,
+        )
+    }
+
+    /// [`Self::measure`] with the sources profiled on `lanes` lanes and the
+    /// pairs scored on up to `score_lanes`.
+    fn measure_on(
+        sources: &[String],
+        max_pairs: usize,
+        lanes: usize,
+        score_lanes: usize,
+    ) -> DiversityReport {
+        let corpus = Profiled::new(sources, lanes, true);
+        let clones = clone_report(sources, &corpus.clone_keys);
+        let (avg, pairs) = score_pairs(&corpus.profiles, corpus.ids, max_pairs, score_lanes);
+        DiversityReport { programs: sources.len(), pairs_scored: pairs, avg_codebleu: avg, clones }
     }
 
     /// Convenience accessor for the clone counts line of the report.
@@ -63,26 +85,127 @@ impl DiversityReport {
 
 /// Average pairwise CodeBLEU over a corpus.
 ///
-/// Profiles each program once, in source order, then scores the pairs of
-/// [`sampled_pairs`] on one lane per available core (the calling thread
-/// is one of them). Each lane takes a contiguous range of at least 1,024
-/// pairs, so a small corpus is scored on the calling thread alone. The
-/// scores are summed in pair order, so the result is bit-identical to a
-/// single-threaded run. `threads` is ignored: it is kept so that existing
-/// callers still compile.
+/// Profiles each program once, on one lane per available core (the
+/// calling thread is one of them) for every `MIN_SOURCES_PER_LANE`
+/// sources, then scores the pairs of [`sampled_pairs`] on one lane per
+/// available core. Each scoring lane takes a contiguous range of at least
+/// 1,024 pairs, so a small corpus is scored on the calling thread alone.
+/// The scores are summed in pair order, so the result is bit-identical to
+/// a single-threaded run. `threads` is ignored: it is kept so that
+/// existing callers still compile.
 /// Returns `(average, pairs_scored)`.
 pub fn average_pairwise_codebleu(
     sources: &[String],
     _threads: usize,
     max_pairs: usize,
 ) -> (f64, usize) {
+    let cores = cores();
+    let corpus = Profiled::new(sources, profiling_lanes(sources.len(), cores), false);
+    score_pairs(&corpus.profiles, corpus.ids, max_pairs, cores)
+}
+
+/// The lanes this machine runs in parallel.
+fn cores() -> usize {
+    thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
+/// Fewest sources a profiling lane is given: about 2 ms of profiling (a
+/// source takes about 30 µs), far above the cost of spawning the lane's
+/// thread.
+const MIN_SOURCES_PER_LANE: usize = 64;
+
+/// How many lanes profile `sources` sources on `cores` cores.
+fn profiling_lanes(sources: usize, cores: usize) -> usize {
+    cores.min(sources / MIN_SOURCES_PER_LANE).max(1)
+}
+
+/// Stack of every spawned lane: that of a main thread, so that a deeply
+/// nested program the calling thread could profile does not overflow the
+/// lane it falls to.
+const LANE_STACK: usize = 8 << 20;
+
+/// Run `work` on every item of `lanes`, the first on the calling thread
+/// and each other on a thread of its own. Returns the results in lane
+/// order.
+fn on_lanes<L: Send, T: Send>(
+    lanes: impl IntoIterator<Item = L>,
+    work: impl Fn(L) -> T + Sync,
+) -> Vec<T> {
+    let work = &work;
+    thread::scope(|scope| {
+        let mut lanes = lanes.into_iter();
+        let Some(own) = lanes.next() else {
+            return Vec::new();
+        };
+        let spawned: Vec<_> = lanes
+            .map(|lane| {
+                thread::Builder::new()
+                    .stack_size(LANE_STACK)
+                    .spawn_scoped(scope, move || work(lane))
+                    .expect("spawn a lane thread")
+            })
+            .collect();
+        let mut results = vec![work(own)];
+        for handle in spawned {
+            results.push(handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        results
+    })
+}
+
+/// A corpus profiled into one id space.
+#[derive(Debug, Default)]
+struct Profiled {
+    /// Each source's profile, in source order.
+    profiles: Vec<CodeBleuProfile>,
+    /// The ids of the vocabulary the profiles share.
+    ids: usize,
+    /// Each source's clone keys, in source order, if they were asked for.
+    clone_keys: Vec<[u64; 3]>,
+}
+
+impl Profiled {
+    /// Profile `sources` on up to `lanes` lanes of contiguous sources,
+    /// building their clone keys too if `clone_keys` is set.
+    fn new(sources: &[String], lanes: usize, clone_keys: bool) -> Profiled {
+        let per_lane = sources.len().div_ceil(lanes.max(1)).max(1);
+        let lanes = on_lanes(sources.chunks(per_lane), |chunk| profile_lane(chunk, clone_keys));
+        let mut lanes = lanes.into_iter();
+        let Some((mut vocabulary, mut corpus)) = lanes.next() else {
+            return Profiled::default();
+        };
+        let mut lanes = lanes.peekable();
+        while let Some((lane_vocabulary, lane)) = lanes.next() {
+            // Nothing is looked up after the last lane: its new features
+            // need ids, not entries.
+            let map = vocabulary.absorb(lane_vocabulary, lanes.peek().is_some());
+            corpus.profiles.extend(lane.profiles.into_iter().map(|mut profile| {
+                profile.remap(&map);
+                profile
+            }));
+            corpus.clone_keys.extend(lane.clone_keys);
+        }
+        // The interning maps are not needed to score: only their size is.
+        corpus.ids = vocabulary.len();
+        corpus
+    }
+}
+
+/// Profile one lane's `sources` with a vocabulary of its own, and build
+/// their clone keys from the same token pass if `clone_keys` is set.
+fn profile_lane(sources: &[String], clone_keys: bool) -> (Vocabulary, Profiled) {
     let mut vocabulary = Vocabulary::default();
-    let profiles: Vec<_> = sources.iter().map(|source| vocabulary.profile(source)).collect();
-    let ids = vocabulary.len();
-    // The interning maps are not needed to score: free them first.
-    drop(vocabulary);
-    let lanes = thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    score_pairs(&profiles, ids, max_pairs, lanes)
+    let mut lane = Profiled::default();
+    for source in sources {
+        if clone_keys {
+            let mut keys = CloneKeys::default();
+            lane.profiles.push(vocabulary.profile_with(source, |kind, text| keys.push(kind, text)));
+            lane.clone_keys.push(keys.finish());
+        } else {
+            lane.profiles.push(vocabulary.profile(source));
+        }
+    }
+    (vocabulary, lane)
 }
 
 /// Fewest pairs a lane is given: about a millisecond of scoring (a pair
@@ -105,19 +228,10 @@ fn score_pairs(
     }
     let mut scores = vec![0.0; pairs.len];
     let per_lane = lane_len(pairs.len, lanes);
-    let score_chunk = |first: usize, chunk: &mut [f64]| {
+    on_lanes(scores.chunks_mut(per_lane).enumerate(), |(lane, chunk)| {
+        let first = lane * per_lane;
         let range = first..first + chunk.len();
         for_each_score(profiles, ids, pairs, range, |k, score| chunk[k - first] = score.combined);
-    };
-    thread::scope(|scope| {
-        let mut chunks = scores.chunks_mut(per_lane).enumerate();
-        let own = chunks.next();
-        for (lane, chunk) in chunks {
-            scope.spawn(move || score_chunk(lane * per_lane, chunk));
-        }
-        if let Some((_, chunk)) = own {
-            score_chunk(0, chunk);
-        }
     });
     // One sequential sum in pair order: the bits do not depend on `lanes`.
     let mut total = 0.0;
@@ -404,6 +518,140 @@ mod tests {
     #[test]
     fn every_sampled_pair_matches_the_merge_walk_oracle_at_seed_42() {
         matches_the_merge_walk_oracle(" 42");
+    }
+
+    /// Require `sources` to give the same report at every profiling lane
+    /// count as on one lane, and that report's clones to be
+    /// `detect_clones`'.
+    fn same_report_on_every_lane_count(name: &str, sources: &[String]) -> DiversityReport {
+        let report = DiversityReport::measure_on(sources, 20_000, 1, 1);
+        assert_eq!(report.clones, crate::detect_clones(sources), "{name}");
+        for lanes in [2, 3, 7, sources.len()] {
+            let lane_report = DiversityReport::measure_on(sources, 20_000, lanes, 2);
+            assert_eq!(
+                (lane_report.avg_codebleu.to_bits(), lane_report.pairs_scored, &lane_report.clones),
+                (report.avg_codebleu.to_bits(), report.pairs_scored, &report.clones),
+                "{name}: lanes={lanes}"
+            );
+            assert_eq!(lane_report.programs, sources.len(), "{name}: lanes={lanes}");
+        }
+        report
+    }
+
+    fn reports_match_at_every_lane_count(seed: &str) {
+        for (name, corpus, avg_bits) in CORPORA.into_iter().filter(|c| c.0.ends_with(seed)) {
+            let report = same_report_on_every_lane_count(name, &split(corpus));
+            assert_eq!(report.avg_codebleu.to_bits(), avg_bits, "{name}");
+        }
+    }
+
+    #[test]
+    fn reports_are_bit_identical_at_every_profiling_lane_count_at_seed_1() {
+        reports_match_at_every_lane_count(" 1");
+    }
+
+    #[test]
+    fn reports_are_bit_identical_at_every_profiling_lane_count_at_seed_7() {
+        reports_match_at_every_lane_count(" 7");
+    }
+
+    #[test]
+    fn reports_are_bit_identical_at_every_profiling_lane_count_at_seed_42() {
+        reports_match_at_every_lane_count(" 42");
+    }
+
+    #[test]
+    fn small_and_unparsable_corpora_report_alike_at_every_lane_count() {
+        let empty = same_report_on_every_lane_count("empty", &[]);
+        assert_eq!((empty.programs, empty.pairs_scored, empty.avg_codebleu), (0, 0, 0.0));
+        assert!(empty.clones.is_clone_free());
+        // Fewer sources than lanes, with a Type-1 clone among them.
+        let mut few = corpus_similar();
+        few.push(few[0].clone());
+        let report = same_report_on_every_lane_count("few", &few);
+        assert_eq!(report.clone_pairs(CloneType::Type1), 1);
+        // At two lanes the second holds only sources that fail to parse,
+        // or that have no tokens at all.
+        for bad in [["not c code", "void compute(double x) { comp = ; }"], ["", ""]] {
+            let mut sources = corpus_diverse()[..2].to_vec();
+            sources.extend(bad.map(String::from));
+            same_report_on_every_lane_count(&format!("{bad:?}"), &sources);
+        }
+    }
+
+    /// A program with every kind of statement and expression, so that
+    /// its vocabulary holds a key of every tag.
+    const EVERY_SHAPE: &str = "void compute(double x, double *a) {\n\
+        double comp = -(x + 1.0) * sqrt(x) - pow(x, 2.0) + floor(x);\n\
+        double t[4] = {1.0, 2.0, 3.0, 4.0};\n\
+        if (x * 2.0 > a[0] - x) {\n\
+          comp += t[1] / (x - 3.0);\n\
+          a[2] *= -x;\n\
+        }\n\
+        for (int i = 0; i < 4; ++i) {\n\
+          comp -= fmax(a[i], 1.5) * 2;\n\
+          t[i] = comp;\n\
+        }\n\
+        }\n";
+
+    #[test]
+    fn absorbed_profiles_equal_directly_interned_ones() {
+        for (name, corpus, _) in CORPORA {
+            // Three lanes. Each later one starts with a token that is not
+            // the corpus's first, so no lane id maps to itself by chance
+            // (a field that holds no id must not be translated), and ends
+            // with a program of every tag.
+            let corpus = split(corpus);
+            let third = corpus.len() / 3;
+            let mut lanes = [&corpus[..third], &corpus[third..2 * third], &corpus[2 * third..]]
+                .map(<[String]>::to_vec);
+            for lane in &mut lanes[1..] {
+                lane.insert(0, "not c code".to_string());
+                lane.push(EVERY_SHAPE.to_string());
+            }
+            let (direct, ids) = profiles(&lanes.concat());
+            let mut global = Vocabulary::default();
+            let mut absorbed: Vec<_> =
+                lanes[0].iter().map(|source| global.profile(source)).collect();
+            for (k, sources) in lanes.iter().enumerate().skip(1) {
+                let mut lane = Vocabulary::default();
+                let profiles: Vec<_> = sources.iter().map(|source| lane.profile(source)).collect();
+                assert_eq!(lane.key_tags().len(), 17, "{name}, lane {k}: {:?}", lane.key_tags());
+                // The middle lane's new features are interned; the last
+                // lane's are only numbered, and must find every key of
+                // the middle lane's program of every tag.
+                let map = global.absorb(lane, k == 1);
+                absorbed.extend(profiles.into_iter().map(|mut profile| {
+                    profile.remap(&map);
+                    profile
+                }));
+            }
+            assert_eq!((global.len(), absorbed.len()), (ids, direct.len()), "{name}");
+            for (i, (absorbed, direct)) in absorbed.iter().zip(&direct).enumerate() {
+                assert_eq!(absorbed, direct, "{name}: source {i}");
+            }
+        }
+    }
+
+    /// `comp = x + x + … + x;` with `terms` terms.
+    fn chain(terms: usize) -> String {
+        let sum = vec!["x"; terms].join(" + ");
+        format!("void compute(double x) {{\n  double comp = 0.0;\n  comp = {sum};\n}}\n")
+    }
+
+    #[test]
+    fn a_later_lane_profiles_what_the_calling_thread_can() {
+        // The calling thread has a main thread's stack; the 20,000-term
+        // chain falls to the second lane, a thread the report spawns.
+        let mut sources = corpus_diverse();
+        sources.push(chain(20_000));
+        let report = thread::Builder::new()
+            .stack_size(8 << 20)
+            .spawn(move || DiversityReport::measure_on(&sources, usize::MAX, 2, 2))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!((report.programs, report.pairs_scored), (4, 12));
     }
 
     #[test]

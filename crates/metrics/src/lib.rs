@@ -13,12 +13,14 @@
 //!   combined [`corpus::DiversityReport`].
 //!
 //! A corpus average profiles each program once, interning its n-grams,
-//! AST shapes and def-use edges into one id space the corpus shares. Each
-//! pair is then scored by table lookup: the candidate's feature counts are
-//! scattered into a dense table indexed by id, and every reference is
-//! matched against it in one pass over its own features. Those matched
-//! counts are integers, so every score has the same bits whatever ids the
-//! features got and however the pairs are split across cores.
+//! AST shapes and def-use edges into one id space the corpus shares; the
+//! programs are profiled on every core, each lane with a vocabulary of its
+//! own that is then merged into the first lane's. Each pair is then
+//! scored by table lookup: the candidate's feature counts are scattered
+//! into a dense table indexed by id, and every reference is matched
+//! against it in one pass over its own features. Those matched counts are
+//! integers, so every score has the same bits whatever ids the features
+//! got and however the programs and pairs are split across cores.
 
 #![deny(unsafe_code)]
 
