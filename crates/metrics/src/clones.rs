@@ -214,6 +214,8 @@ pub fn detect_clones(sources: &[String]) -> CloneReport {
 /// sources that share a key are split by their normal forms, so a hash
 /// collision never makes a clone.
 pub(crate) fn clone_report(sources: &[String], keys: &[[u64; 3]]) -> CloneReport {
+    // The normal forms of each source that shares a key, spelled out once.
+    let mut forms: Vec<Option<[String; 3]>> = sources.iter().map(|_| None).collect();
     let mut report = CloneReport::default();
     for (slot, clone_type) in CloneType::ALL.into_iter().enumerate() {
         let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
@@ -222,13 +224,16 @@ pub(crate) fn clone_report(sources: &[String], keys: &[[u64; 3]]) -> CloneReport
         }
         let mut classes = Vec::new();
         for members in buckets.into_values().filter(|members| members.len() > 1) {
-            let mut forms: HashMap<String, Vec<usize>> = HashMap::new();
+            for &i in &members {
+                forms[i].get_or_insert_with(|| clone_keys(&sources[i]));
+            }
+            let mut by_form: HashMap<&str, Vec<usize>> = HashMap::new();
             for i in members {
-                let form = std::mem::take(&mut clone_keys(&sources[i])[slot]);
-                forms.entry(form).or_default().push(i);
+                let form = forms[i].as_ref().expect("spelled out above");
+                by_form.entry(form[slot].as_str()).or_default().push(i);
             }
             classes.extend(
-                forms
+                by_form
                     .into_values()
                     .filter(|members| members.len() > 1)
                     .map(|members| CloneClass { clone_type, members }),
@@ -308,6 +313,23 @@ mod tests {
             assert_eq!(report.class_count(t), 0, "{}", t.name());
             assert_eq!(report.pair_count(t), 0);
         }
+    }
+
+    #[test]
+    fn sources_that_share_a_key_are_split_by_their_normal_forms() {
+        let renamed = BASE.replace('x', "y");
+        let other = "void compute(double x) {\n    double comp = 0.0;\n    comp = sin(x);\n}";
+        let sources = [BASE.to_string(), renamed, other.to_string(), format!("{BASE}\n")];
+        // As if every key collided with every other.
+        let report = clone_report(&sources, &[[0; 3]; 4]);
+        assert_eq!(report, detect_clones(&sources));
+        let members = |clone_type| {
+            let classes = report.classes.iter().filter(|c| c.clone_type == clone_type);
+            classes.map(|c| c.members.clone()).collect::<Vec<_>>()
+        };
+        assert_eq!(members(CloneType::Type1), [vec![0, 3]]);
+        assert_eq!(members(CloneType::Type2), [vec![0, 1, 3]]);
+        assert_eq!(members(CloneType::Type2c), [vec![0, 1, 3]]);
     }
 
     #[test]

@@ -39,6 +39,7 @@
 //! the order in which a corpus was profiled nor on its lanes.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 
 use serde::{Deserialize, Serialize};
 
@@ -281,32 +282,14 @@ impl Vocabulary {
         for (tag, a, b) in keys {
             let id = if tag == TOKEN {
                 let (_, text) = tokens.next().expect("every token has an id");
-                match self.tokens.get(&*text) {
-                    Some(&id) => id,
-                    None => {
-                        let id = self.next_id();
-                        if intern {
-                            self.tokens.insert(text, id);
-                        }
-                        id
-                    }
-                }
+                number(&mut self.tokens, &mut self.len, text, intern)
             } else {
                 let key = match id_fields(tag) {
                     0 => (tag, a, b),
                     1 => (tag, map[a as usize], b),
                     _ => (tag, map[a as usize], map[b as usize]),
                 };
-                match self.features.get(&key) {
-                    Some(&id) => id,
-                    None => {
-                        let id = self.next_id();
-                        if intern {
-                            self.features.insert(key, id);
-                        }
-                        id
-                    }
-                }
+                number(&mut self.features, &mut self.len, key, intern)
             };
             map.push(id);
         }
@@ -323,10 +306,7 @@ impl Vocabulary {
     }
 
     fn next_id(&mut self) -> u32 {
-        let id = self.len;
-        self.len =
-            id.checked_add(1).filter(|&len| len != NONE).expect("vocabulary exceeds u32 ids");
-        id
+        next_id(&mut self.len)
     }
 
     /// Count one occurrence of feature `id` in the program being profiled.
@@ -344,6 +324,26 @@ impl Vocabulary {
             feature.weight += weight;
         }
     }
+}
+
+/// Hand out the next of `len` ids.
+fn next_id(len: &mut u32) -> u32 {
+    let id = *len;
+    *len = id.checked_add(1).filter(|&len| len != NONE).expect("vocabulary exceeds u32 ids");
+    id
+}
+
+/// The id of `key` in `map`, or the next of `len` ids, entered into `map`
+/// if `intern` is set.
+fn number<K: Hash + Eq>(map: &mut HashMap<K, u32>, len: &mut u32, key: K, intern: bool) -> u32 {
+    if let Some(&id) = map.get(&key) {
+        return id;
+    }
+    let id = next_id(len);
+    if intern {
+        map.insert(key, id);
+    }
+    id
 }
 
 // ---------------------------------------------------------------------------

@@ -85,14 +85,13 @@ impl DiversityReport {
 
 /// Average pairwise CodeBLEU over a corpus.
 ///
-/// Profiles each program once, on one lane per available core (the
-/// calling thread is one of them) for every `MIN_SOURCES_PER_LANE`
-/// sources, then scores the pairs of [`sampled_pairs`] on one lane per
-/// available core. Each scoring lane takes a contiguous range of at least
-/// 1,024 pairs, so a small corpus is scored on the calling thread alone.
-/// The scores are summed in pair order, so the result is bit-identical to
-/// a single-threaded run. `threads` is ignored: it is kept so that
-/// existing callers still compile.
+/// Profiles each program once, then scores the pairs of [`sampled_pairs`],
+/// both on up to one lane per available core (the calling thread is one of
+/// them). A profiling lane takes a contiguous run of at least 64 sources
+/// and a scoring lane one of at least 1,024 pairs, so a small corpus runs
+/// on the calling thread alone. The scores are summed in pair order, so
+/// the result is bit-identical to a single-threaded run. `threads` is
+/// ignored: it is kept so that existing callers still compile.
 /// Returns `(average, pairs_scored)`.
 pub fn average_pairwise_codebleu(
     sources: &[String],
@@ -158,7 +157,7 @@ fn on_lanes<L: Send, T: Send>(
 struct Profiled {
     /// Each source's profile, in source order.
     profiles: Vec<CodeBleuProfile>,
-    /// The ids of the vocabulary the profiles share.
+    /// How many ids the profiles' shared vocabulary handed out.
     ids: usize,
     /// Each source's clone keys, in source order, if they were asked for.
     clone_keys: Vec<[u64; 3]>,
@@ -185,7 +184,8 @@ impl Profiled {
             }));
             corpus.clone_keys.extend(lane.clone_keys);
         }
-        // The interning maps are not needed to score: only their size is.
+        // Scoring needs the vocabulary's size, not its maps: they are
+        // freed here.
         corpus.ids = vocabulary.len();
         corpus
     }
